@@ -11,6 +11,7 @@ from .numerics import (
     TOL,
     AssumptionViolation,
     EigenDecomposition,
+    GapGuessTooCoarse,
     ResourceCapExceeded,
     Tolerances,
     eig_unitary,

@@ -22,6 +22,11 @@ class ResourceCapExceeded(RuntimeError):
     """A dense simulation would exceed the configured amplitude cap."""
 
 
+class GapGuessTooCoarse(ValueError):
+    """A declared spectral gap leaves no room for an inversion window: it is
+    outside (0, pi], or the window around zero covers the whole register."""
+
+
 @dataclass(frozen=True)
 class Tolerances:
     """Central tolerance record; the single source of truth for tests."""
@@ -91,21 +96,6 @@ def assert_unitary(u: np.ndarray, tol: float = TOL.unitarity, what: str = "opera
         raise ValueError(f"{what} is not unitary within {tol:g}")
 
 
-def random_unitary(n: int, seed: int) -> np.ndarray:
-    """Haar-like unitary from QR of a seeded complex Gaussian matrix.
-
-    Deterministic for a fixed seed (bit-identical across calls).
-    """
-    if n < 1:
-        raise ValueError(f"invalid dimension {n}; need n >= 1")
-    rng = make_rng(seed)
-    z = (rng.standard_normal((n, n)) + 1j * rng.standard_normal((n, n))) / math.sqrt(2.0)
-    q, r = scipy.linalg.qr(z)
-    d = np.diagonal(r)
-    q = q * (d / np.abs(d))
-    return q
-
-
 @dataclass(frozen=True, eq=False)
 class EigenDecomposition:
     """Eigenphases in (-pi, pi], ascending; column k of ``vectors`` pairs with
@@ -157,27 +147,6 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
     if np.max(np.abs(rebuilt - u)) > TOL.eigen_reconstruction:
         raise AssertionError("eig_unitary: reconstruction residual too large")
     return EigenDecomposition(phases=phases, vectors=vectors)
-
-
-def reconstruct(dec: EigenDecomposition) -> np.ndarray:
-    """Rebuild the unitary V diag(e^{i theta}) V† from its decomposition."""
-    return (dec.vectors * np.exp(1j * dec.phases)) @ dagger(dec.vectors)
-
-
-def apply(u: np.ndarray, v):
-    """Apply a unitary to a state.
-
-    ``v`` may be a plain complex vector or any object carrying ``.amps`` and
-    ``.layout`` (a register StateVector); the result has the same form.
-    """
-    amps = getattr(v, "amps", v)
-    amps = np.asarray(amps)
-    if u.shape[1] != amps.shape[0]:
-        raise ValueError(f"dimension mismatch: operator {u.shape} vs state {amps.shape}")
-    out = u @ amps
-    if hasattr(v, "amps"):
-        return type(v)(out, v.layout)
-    return out
 
 
 def unitary_power(u: np.ndarray, z: int) -> np.ndarray:

@@ -1,4 +1,4 @@
-"""Dense multi-register simulation of phase estimation on a unitary.
+"""Multi-register simulation of phase estimation, in the unitary's eigenframe.
 
 A register state is a complex vector over (mainspace) x (phase register) x
 (vote register), stored flat in C order, so index ((m * P) + w) * V + v with
@@ -9,9 +9,14 @@ array so callers can slice the trailing axis however they need.
 
 The estimation circuit is: Walsh-Hadamard on the phase register, powers of
 the mainspace unitary controlled on the phase value, then an inverse Fourier
-transform of the phase register.  Fed a mainspace eigenstate it leaves the
-phase register in a peaked distribution whose amplitudes have the closed
-form implemented by ``estimate_amplitudes``.
+transform of the phase register.  Every step is block-diagonal in the
+eigenbasis of the unitary U = V diag(e^{i lambda}) V^dagger, so the kernels
+run in that eigenframe: main index k stands for eigenvector k, and the
+controlled power U^w becomes the phase e^{i w lambda_k}.  ``phase_estimate``
+rotates a state in with V^dagger, runs the kernels and rotates back with V;
+a caller that applies many estimates rotates once around all of them.  Fed
+eigenvector k, the estimate leaves the phase register in the peaked profile
+``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -20,10 +25,31 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
+import scipy.linalg
 
-from .numerics import TOL, ResourceCapExceeded, dagger, round_half_away
+from .numerics import (
+    TOL,
+    GapGuessTooCoarse,
+    ResourceCapExceeded,
+    dagger,
+    eig_unitary,
+    round_half_away,
+)
 
 DENSE_CAP = 1 << 22
+"""Largest joint register, in amplitudes: 64 MiB of complex128.
+
+The cap bounds memory only together with the working set of the kernels.
+One ``InversionOperator.apply`` allocates twice the register on top of its
+input state: one working array, updated in place, and the output.  Every
+other temporary is at most one main-index slab, except the main x phase
+table of controlled-power phases, which weighs as much as the register when
+there is no vote register (2.4x measured for a basic scheme).  A register at
+the cap therefore peaks near 3 x 64 MiB.  The boosted multiple is measured
+and pinned by the test ``test_boosted_apply_allocates_twice_the_register``.
+"""
+
+_WALSH_GROUP_BITS = 4
 
 _AXES = {"main": 0, "phase": 1, "vote": 2}
 
@@ -140,75 +166,94 @@ class SubspaceMask:
 
 
 # ---------------------------------------------------------------------------
-# Raw kernels.  Arrays are (main_dim, phase_dim, trailing); always C order in,
-# C order out, input never mutated.
+# Raw kernels.  Arrays are (main_dim, phase_dim, trailing) in C order.  The
+# input is never mutated unless it is also passed as ``out``: every kernel
+# but ``raw_rotate`` can then update it in place, which keeps the working set
+# of a chain of kernels at one register.
 
-def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int) -> np.ndarray:
+def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
+             out: np.ndarray | None = None) -> np.ndarray:
     shape = [1] * a.ndim
     shape[axis] = sign.shape[0]
-    return a * sign.reshape(shape)
+    return np.multiply(a, sign.reshape(shape), out=out)
 
 
-def raw_walsh_hadamard(a: np.ndarray) -> np.ndarray:
-    """Hadamard on every phase-register qubit, by in-place butterflies."""
-    n, m = a.shape[0], a.shape[1]
-    trailing = a.shape[2:]
-    a = np.ascontiguousarray(a).reshape(n, m, -1).copy()
-    h = 1
-    while h < m:
-        b = a.reshape(n, m // (2 * h), 2, h, -1)
-        top = b[:, :, 0].copy()
-        b[:, :, 0] += b[:, :, 1]
-        b[:, :, 1] = top - b[:, :, 1]
-        h *= 2
-    a /= math.sqrt(m)
-    return a.reshape((n, m) + trailing)
+def raw_walsh_hadamard(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Hadamard on every phase-register qubit.
 
-
-def raw_qft(a: np.ndarray) -> np.ndarray:
-    """Fourier transform of the phase axis, |w> -> sum_k e^{+2 pi i wk/M}."""
-    return np.fft.ifft(a, axis=1) * math.sqrt(a.shape[1])
-
-
-def raw_inverse_qft(a: np.ndarray) -> np.ndarray:
-    return np.fft.fft(a, axis=1) / math.sqrt(a.shape[1])
-
-
-def raw_controlled_powers(a: np.ndarray, unitary: np.ndarray,
-                          inverse: bool = False) -> np.ndarray:
-    """unitary^w on the main axis, controlled on phase value w.
-
-    One dense application of an n x n matrix per phase bit, each hitting the
-    half of the register where that bit is set; powers come from repeated
-    squaring.
+    The transform is a tensor product of one-qubit Hadamards.  It is applied
+    ``_WALSH_GROUP_BITS`` qubits at a time, as a product with the matching
+    Hadamard matrix, and one main index at a time, so only a slab of the
+    register is ever held twice.
     """
     n, m = a.shape[0], a.shape[1]
-    trailing = a.shape[2:]
-    u = np.asarray(unitary, dtype=complex)
-    if u.shape != (n, n):
-        raise ValueError(f"mainspace operator shape {u.shape} does not match {n}")
-    if inverse:
-        u = dagger(u)
-    a = np.ascontiguousarray(a).reshape(n, m, -1).copy()
-    t = a.shape[2]
     bits = m.bit_length() - 1
-    power = u
-    for j in range(bits):
-        b = a.reshape(n, m >> (j + 1), 2, (1 << j) * t)
-        b[:, :, 1] = np.tensordot(power, b[:, :, 1], axes=([1], [0]))
-        if j + 1 < bits:
-            power = power @ power
-    return a.reshape((n, m) + trailing)
+    src = np.ascontiguousarray(a).reshape(n, m, -1)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, float))
+    dst = out.reshape(n, m, -1)
+    t = dst.shape[2]
+    if bits == 0:
+        dst[...] = src
+    low = 0
+    while low < bits:
+        g = min(_WALSH_GROUP_BITS, bits - low)
+        h = scipy.linalg.hadamard(1 << g) / math.sqrt(1 << g)
+        blocks = (m >> (low + g), 1 << g, (1 << low) * t)
+        for k in range(n):
+            dst[k] = np.matmul(h, src[k].reshape(blocks)).reshape(m, t)
+        src = dst
+        low += g
+    return out
 
 
-def raw_estimate_forward(a: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+def raw_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    """Fourier transform of the phase axis, |w> -> sum_k e^{+2 pi i wk/M}."""
+    return np.fft.ifft(a, axis=1, norm="ortho", out=out)
+
+
+def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.fft(a, axis=1, norm="ortho", out=out)
+
+
+def raw_rotate(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
+    """An n x n matrix on the main axis: V^dagger rotates into the
+    eigenframe, V rotates back out."""
+    n = a.shape[0]
+    return (matrix @ np.ascontiguousarray(a).reshape(n, -1)).reshape(a.shape)
+
+
+def raw_controlled_powers(a: np.ndarray, phases: np.ndarray, inverse: bool = False,
+                          out: np.ndarray | None = None) -> np.ndarray:
+    """U^w on the main axis, controlled on phase value w, in U's eigenframe.
+
+    Main index k is the eigenvector of eigenphase ``phases[k]``, so the
+    controlled power is one elementwise product with the table
+    e^{i w phases[k]} (conjugated for the inverse).
+    """
+    n, m = a.shape[0], a.shape[1]
+    phases = np.asarray(phases, dtype=float)
+    if phases.shape != (n,):
+        raise ValueError(f"{phases.size} eigenphases do not match main dimension {n}")
+    table = np.outer((-1j if inverse else 1j) * phases, np.arange(m))
+    np.exp(table, out=table)
+    return np.multiply(a, table.reshape((n, m) + (1,) * (a.ndim - 2)), out=out)
+
+
+def raw_estimate_forward(a: np.ndarray, phases: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Walsh-Hadamard, controlled powers, inverse Fourier transform."""
-    return raw_inverse_qft(raw_controlled_powers(raw_walsh_hadamard(a), unitary))
+    out = raw_walsh_hadamard(a, out)
+    raw_controlled_powers(out, phases, out=out)
+    return raw_inverse_qft(out, out=out)
 
 
-def raw_estimate_inverse(a: np.ndarray, unitary: np.ndarray) -> np.ndarray:
+def raw_estimate_inverse(a: np.ndarray, phases: np.ndarray,
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of ``raw_estimate_forward``."""
-    return raw_walsh_hadamard(raw_controlled_powers(raw_qft(a), unitary, inverse=True))
+    out = raw_qft(a, out)
+    raw_controlled_powers(out, phases, inverse=True, out=out)
+    return raw_walsh_hadamard(out, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -232,76 +277,49 @@ def apply_register_flip(state: StateVector, mask: SubspaceMask,
     return StateVector(out.reshape(-1), state.layout)
 
 
-def project_register(state: StateVector, mask: SubspaceMask,
-                     register: str) -> np.ndarray:
-    """Zero out amplitudes off the mask; returns a flat, unnormalized array."""
-    axis = _AXES[register]
-    if mask.register_dim != state.layout.shape[axis]:
-        raise ValueError("mask dimension does not match the register")
-    shape = [1, 1, 1]
-    shape[axis] = mask.register_dim
-    return (state.reshaped() * mask.indicator().reshape(shape)).reshape(-1)
-
-
-def mask_probability(state: StateVector, mask: SubspaceMask,
-                     register: str) -> float:
-    """Probability that measuring ``register`` lands inside the mask."""
-    p = state.marginal(register)
-    if mask.register_dim != p.shape[0]:
-        raise ValueError("mask dimension does not match the register")
-    return float(p[mask.indices].sum())
-
-
-def apply_walsh_hadamard(state: StateVector) -> StateVector:
-    return StateVector(raw_walsh_hadamard(state.reshaped()).reshape(-1), state.layout)
-
-
-def apply_qft(state: StateVector) -> StateVector:
-    return StateVector(raw_qft(state.reshaped()).reshape(-1), state.layout)
-
-
-def apply_inverse_qft(state: StateVector) -> StateVector:
-    return StateVector(raw_inverse_qft(state.reshaped()).reshape(-1), state.layout)
-
-
-def apply_controlled_powers(state: StateVector, unitary: np.ndarray,
-                            ledger=None, inverse: bool = False) -> StateVector:
-    out = raw_controlled_powers(state.reshaped(), unitary, inverse)
+def _estimate_in_eigenframe(state: StateVector, unitary: np.ndarray, kernel,
+                            ledger) -> StateVector:
+    dec = eig_unitary(unitary, TOL.system_unitarity)
+    if dec.dim != state.layout.main_dim:
+        raise ValueError(f"mainspace operator of dimension {dec.dim} does not match "
+                         f"{state.layout.main_dim}")
+    a = kernel(raw_rotate(state.reshaped(), dagger(dec.vectors)), dec.phases)
     _charge_powers(ledger, state.layout.phase_dim)
-    return StateVector(out.reshape(-1), state.layout)
+    return StateVector(raw_rotate(a, dec.vectors).reshape(-1), state.layout)
 
 
 def phase_estimate(state: StateVector, unitary: np.ndarray, ledger=None) -> StateVector:
-    """Forward estimation circuit on the phase register."""
-    out = raw_estimate_forward(state.reshaped(), unitary)
-    _charge_powers(ledger, state.layout.phase_dim)
-    return StateVector(out.reshape(-1), state.layout)
+    """Forward estimation circuit on the phase register.
+
+    Diagonalizes ``unitary`` and runs the circuit in its eigenframe.
+    """
+    return _estimate_in_eigenframe(state, unitary, raw_estimate_forward, ledger)
 
 
 def phase_estimate_inverse(state: StateVector, unitary: np.ndarray, ledger=None) -> StateVector:
     """Exact inverse of ``phase_estimate`` at the same ledger cost."""
-    out = raw_estimate_inverse(state.reshaped(), unitary)
-    _charge_powers(ledger, state.layout.phase_dim)
-    return StateVector(out.reshape(-1), state.layout)
+    return _estimate_in_eigenframe(state, unitary, raw_estimate_inverse, ledger)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form register distribution and window bookkeeping.
 
-def estimate_amplitudes(phase_bits: int, lam: float) -> np.ndarray:
+def estimate_amplitudes(phase_bits: int, lam) -> np.ndarray:
     """Phase-register amplitudes after estimating an eigenphase ``lam``.
 
     Entry k is the average over control values z of e^{i z (lam - 2 pi k/M)}
     with M the register size, evaluated in closed form.  The ratio of sines
     is stable arbitrarily close to its removable poles; the branch handles
     only an exactly-zero denominator, where the defining sum is exactly 1.
+    An array of eigenphases gives one profile per eigenphase, along a new
+    last axis.
     """
     m = 1 << phase_bits
-    x = lam - 2.0 * np.pi * np.arange(m) / m
+    x = np.asarray(lam, dtype=float)[..., None] - 2.0 * np.pi * np.arange(m) / m
     half = 0.5 * x
     den = np.sin(half)
     num = np.sin(m * half)
-    ratio = np.divide(num, den, out=np.full(m, float(m)), where=den != 0.0)
+    ratio = np.divide(num, den, out=np.full(x.shape, float(m)), where=den != 0.0)
     amps = np.exp(1j * (m - 1) * half) * ratio / m
     return np.where(den == 0.0, 1.0 + 0.0j, amps)
 
@@ -368,7 +386,7 @@ def gap_window_mask(phase_bits: int, phase_gap: float,
     m = 1 << phase_bits
     halfwidth = gap_window_halfwidth(phase_bits, phase_gap, guard_fraction)
     if 2 * halfwidth + 1 >= m:
-        raise ValueError(
+        raise GapGuessTooCoarse(
             f"gap window of halfwidth {halfwidth} covers the whole "
             f"{m}-value register; the gap guess is too coarse for it"
         )

@@ -15,7 +15,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .numerics import TOL, eig_unitary, make_rng, round_half_away
+from .numerics import TOL, GapGuessTooCoarse, eig_unitary, make_rng, round_half_away
 from .phase_estimation import (
     DENSE_CAP,
     StateVector,
@@ -142,14 +142,18 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
             ledger=ledger,
         )
 
-    op = InversionOperator.build(scheme, operator, dense_cap)
+    # one diagonalization serves both the error prediction and the frame
+    # the inversion operator runs in
     dec = eig_unitary(operator, TOL.system_unitarity)
+    op = InversionOperator.build(scheme, operator, dense_cap, dec)
     predicted = max(
         predicted_epsilon(scheme, float(lam), bool(abs(lam) < scheme.phase_gap))
         for lam in dec.phases
     )
-    state = embed_mainspace(op.layout, halfway.state)
-    state = amplify_to_target(state, op, inst.target_index, rounds, ledger)
+    # the embedded halfway state is passed on, not kept, so the first round
+    # can free it
+    state = amplify_to_target(embed_mainspace(op.layout, halfway.state), op,
+                              inst.target_index, rounds, ledger)
     amps = state.reshaped()
     branch = np.abs(amps[:, 0, 0]) ** 2
     return PipelineResult(
@@ -285,9 +289,9 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
                 scheme = InversionScheme.boosted(inst.boost, guess, offset_bits,
                                                  guard_fraction)
             result = run_full(inst, scheme, dense_cap)
-        except ValueError:
-            # guess too coarse for the register (or outside (0, pi]); the
-            # round is spent with nothing to measure
+        except GapGuessTooCoarse:
+            # no window fits the guess on this register (or the guess is
+            # outside (0, pi]); the round is spent with nothing to measure
             records.append(RoundRecord(gap_guess=guess, ran=False,
                                        success_probability=0.0,
                                        drawn_index=-1, verified=False))
@@ -440,10 +444,6 @@ def complexity_report(results, baselines=None) -> dict:
     return {"rows": rows, "fits": fits}
 
 
-def ledger_to_json(ledger: QueryLedger) -> dict:
-    return ledger.as_dict()
-
-
 def scheme_to_json(scheme: InversionScheme) -> dict:
     return {
         "kind": scheme.kind,
@@ -468,7 +468,7 @@ def pipeline_result_to_json(result: PipelineResult) -> dict:
         "success_probability": float(result.success_probability),
         "ancilla_leakage": float(result.ancilla_leakage),
         "epsilon_used": float(result.predicted_error),
-        "ledger": ledger_to_json(result.ledger),
+        "ledger": result.ledger.as_dict(),
         "budget_constants": budget_constants(result),
     }
 
@@ -501,5 +501,5 @@ def schedule_to_json(result: ScheduleResult) -> dict:
             for rec in result.records
         ],
         "final": None if result.final is None else pipeline_result_to_json(result.final),
-        "ledger": ledger_to_json(result.ledger),
+        "ledger": result.ledger.as_dict(),
     }

@@ -10,16 +10,35 @@ its error per eigenstate is twice the square root of the estimate mass on
 the wrong side of the window.  The boosted one converts the window test into
 independent one-qubit votes, flips on a strict majority of ones, and turns
 that linear error into a binomial tail.
+
+The operator is simulated in the eigenframe of its unitary (see
+``phase_estimation``): one rotation in, the whole inversion, one rotation
+out.  There every register operator is block-diagonal, one block per
+eigenvector k.  The estimate-reflect-unestimate inside each vote kickback,
+E (I - 2|0><0|) E^dagger, is the rank-one reflection I - 2 |phi_k><phi_k| of
+the phase register about the closed-form estimate profile
+phi_k = ``estimate_amplitudes(mu, lambda_k)``, so it costs no transform at
+all.  The query ledger still charges the physical circuit: 2^mu controlled
+applications per estimate, two estimates per kickback.
 """
 
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .numerics import TOL, AssumptionViolation, ResourceCapExceeded, eig_unitary, is_unitary
+from .numerics import (
+    TOL,
+    AssumptionViolation,
+    EigenDecomposition,
+    GapGuessTooCoarse,
+    ResourceCapExceeded,
+    dagger,
+    eig_unitary,
+    is_unitary,
+)
 from .phase_estimation import (
     DENSE_CAP,
     RegisterLayout,
@@ -32,6 +51,7 @@ from .phase_estimation import (
     raw_estimate_forward,
     raw_estimate_inverse,
     raw_flip,
+    raw_rotate,
 )
 
 GUARD_FRACTION = 2.0 * math.pi / 128.0
@@ -60,7 +80,7 @@ class InversionScheme:
         if self.phase_bits < 1:
             raise ValueError("need at least one phase-register bit")
         if not (0.0 < self.phase_gap <= math.pi):
-            raise ValueError(f"phase gap {self.phase_gap} outside (0, pi]")
+            raise GapGuessTooCoarse(f"phase gap {self.phase_gap} outside (0, pi]")
         if not (0.0 < self.guard_fraction < 1.0):
             raise ValueError("guard fraction must sit in (0, 1)")
         if self.kind == "basic" and self.vote_bits != 0:
@@ -124,100 +144,131 @@ def _charge(ledger, **counts):
         setattr(ledger, name, getattr(ledger, name) + value)
 
 
-def _raw_amplification(a: np.ndarray, unitary: np.ndarray,
-                       window_sign: np.ndarray, inverse: bool) -> np.ndarray:
-    # minus (estimate . flip-zero . unestimate) . window-flip, or its adjoint
-    if not inverse:
-        b = raw_flip(a, window_sign, 1)
-        b = raw_estimate_inverse(b, unitary)
-        b[:, 0] *= -1.0
-        b = raw_estimate_forward(b, unitary)
-        return -b
-    b = raw_estimate_inverse(a, unitary)
-    b[:, 0] *= -1.0
-    b = raw_estimate_forward(b, unitary)
-    return -raw_flip(b, window_sign, 1)
+def _raw_kickback_mix(d: np.ndarray, estimates: np.ndarray, off_window: np.ndarray,
+                      inverse: bool) -> np.ndarray:
+    """(I - A) / 2 in place on an eigenframe array (main, phase, trailing).
+
+    A = -(I - 2 phi phi^dagger) W is the kickback's amplification, with W the
+    window flip (+1 outside the window, -1 inside) and row k of
+    ``estimates`` the estimate profile phi_k of eigenvector k.  Written out,
+    (I - A) / 2 = P_out - phi (W phi)^dagger, and for the adjoint
+    (I - A^dagger) / 2 = P_out - (W phi) phi^dagger, with P_out the
+    projector onto the register values outside the window.
+    """
+    n, m = d.shape[0], d.shape[1]
+    flipped = np.where(off_window, estimates, -estimates)
+    left, right = (flipped, estimates) if inverse else (estimates, flipped)
+    c = np.matmul(right.conj().reshape(n, 1, m), d)
+    d[:, ~off_window] = 0.0
+    d -= np.matmul(left.reshape(n, m, 1), c)
+    return d
 
 
-def _vote_hadamard_inplace(a: np.ndarray, j: int):
+def _kickback(a: np.ndarray, j: int, estimates: np.ndarray, off_window: np.ndarray,
+              inverse: bool):
+    """Hadamard on vote qubit j, amplification A (or its adjoint) controlled
+    on it, Hadamard again, in place on an eigenframe array.
+
+    With x0 and x1 the halves where vote bit j is 0 and 1, the three steps
+    keep x0 + x1 and map x0 - x1 to A (x0 - x1); that is, both halves move
+    by e = (I - A) (x0 - x1) / 2, to x0 - e and x1 + e.
+    """
     n, m, v = a.shape
     b = a.reshape(n, m, v >> (j + 1), 2, 1 << j)
-    x0 = b[:, :, :, 0].copy()
-    b[:, :, :, 0] = (x0 + b[:, :, :, 1]) / math.sqrt(2.0)
-    b[:, :, :, 1] = (x0 - b[:, :, :, 1]) / math.sqrt(2.0)
+    x0, x1 = b[:, :, :, 0], b[:, :, :, 1]
+    e = x0 - x1
+    _raw_kickback_mix(e.reshape(n, m, -1), estimates, off_window, inverse)
+    x0 -= e
+    x1 += e
 
 
 @dataclass(eq=False)
 class InversionOperator:
-    """A sized inversion scheme bound to one mainspace unitary."""
+    """A sized inversion scheme bound to one mainspace unitary.
+
+    ``decomposition`` is the unitary's eigendecomposition, the frame the
+    operator runs in.  Unless ``build`` is handed one it is computed on the
+    first ``apply`` and kept, together with the estimate profile of every
+    eigenphase.
+    """
 
     scheme: InversionScheme
     unitary: np.ndarray
     layout: RegisterLayout
     gap_window: SubspaceMask
     vote_window: SubspaceMask | None
+    decomposition: EigenDecomposition | None = None
+    _estimates: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, scheme: InversionScheme, unitary: np.ndarray,
-              dense_cap: int = DENSE_CAP) -> "InversionOperator":
+              dense_cap: int = DENSE_CAP,
+              decomposition: EigenDecomposition | None = None) -> "InversionOperator":
         unitary = np.asarray(unitary, dtype=complex)
         if not is_unitary(unitary, TOL.system_unitarity):
             raise ValueError("inversion target operator is not unitary")
+        if decomposition is not None and decomposition.vectors.shape != unitary.shape:
+            raise ValueError("eigendecomposition does not match the operator's dimension")
         layout = RegisterLayout(unitary.shape[0], scheme.phase_bits,
                                 scheme.vote_bits, dense_cap)
         window = gap_window_mask(scheme.phase_bits, scheme.phase_gap,
                                  scheme.guard_fraction)
         votes = vote_majority_mask(scheme.vote_bits) if scheme.kind == "boosted" else None
         return cls(scheme=scheme, unitary=unitary, layout=layout,
-                   gap_window=window, vote_window=votes)
+                   gap_window=window, vote_window=votes, decomposition=decomposition)
+
+    def _eigenframe(self) -> tuple[EigenDecomposition, np.ndarray]:
+        if self.decomposition is None:
+            self.decomposition = eig_unitary(self.unitary, TOL.system_unitarity)
+        if self._estimates is None:
+            self._estimates = estimate_amplitudes(self.scheme.phase_bits,
+                                                  self.decomposition.phases)
+        return self.decomposition, self._estimates
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill."""
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
+        dec, estimates = self._eigenframe()
+        # one working array, rotated into the eigenframe and updated in place
+        a = raw_rotate(state.reshaped(), dagger(dec.vectors))
         if self.scheme.kind == "basic":
-            out = self._apply_basic(state.reshaped(), ledger)
+            self._apply_basic(a, dec.phases, ledger)
         else:
-            out = self._apply_boosted(state.reshaped(), ledger)
-        return StateVector(out.reshape(-1), self.layout)
+            self._apply_boosted(a, dec.phases, estimates, ledger)
+        return StateVector(raw_rotate(a, dec.vectors).reshape(-1), self.layout)
 
-    def _apply_basic(self, a: np.ndarray, ledger) -> np.ndarray:
+    def _apply_basic(self, a: np.ndarray, phases: np.ndarray, ledger):
         m = self.layout.phase_dim
-        window_sign = self.gap_window.sign_vector()
-        a = raw_estimate_forward(a, self.unitary)
+        raw_estimate_forward(a, phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        a = raw_flip(a, window_sign, 1)
-        a = raw_estimate_inverse(a, self.unitary)
+        raw_flip(a, self.gap_window.sign_vector(), 1, out=a)
+        raw_estimate_inverse(a, phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        return a
 
-    def _apply_boosted(self, a: np.ndarray, ledger) -> np.ndarray:
-        m = self.layout.phase_dim
-        a = raw_estimate_forward(a, self.unitary)
+    def _apply_boosted(self, a: np.ndarray, phases: np.ndarray, estimates: np.ndarray,
+                       ledger):
+        m, nu = self.layout.phase_dim, self.scheme.vote_bits
+        raw_estimate_forward(a, phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        for j in range(self.scheme.vote_bits):
-            a = self._kickback(a, j, ledger, inverse=False)
-        a = raw_flip(a, self.vote_window.sign_vector(), 2)
-        for j in reversed(range(self.scheme.vote_bits)):
-            a = self._kickback(a, j, ledger, inverse=True)
-        a = raw_estimate_inverse(a, self.unitary)
+        # Eigenvectors do not mix, so the kickbacks and the majority flip run
+        # one main index at a time, on a phase x vote slab that stays in
+        # cache through all of them.
+        off_window = self.gap_window.sign_vector() > 0.0
+        vote_sign = self.vote_window.sign_vector()
+        for k in range(self.layout.main_dim):
+            slab, phi = a[k:k + 1], estimates[k:k + 1]
+            for j in range(nu):
+                _kickback(slab, j, phi, off_window, inverse=False)
+            slab *= vote_sign
+            for j in reversed(range(nu)):
+                _kickback(slab, j, phi, off_window, inverse=True)
+        # each of the 2 nu kickbacks: the estimate and unestimate inside its
+        # amplification, one zero reflection and two vote Hadamards
+        _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
+                i_zero_prime=2 * nu, hadamards_vote=4 * nu)
+        raw_estimate_inverse(a, phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        return a
-
-    def _kickback(self, a: np.ndarray, j: int, ledger, inverse: bool) -> np.ndarray:
-        """Hadamard on vote qubit j, amplification on its ones-slice, Hadamard."""
-        n, m, v = self.layout.shape
-        window_sign = self.gap_window.sign_vector()
-        a = np.ascontiguousarray(a)
-        _vote_hadamard_inplace(a, j)
-        b = a.reshape(n, m, v >> (j + 1), 2, 1 << j)
-        sel = np.ascontiguousarray(b[:, :, :, 1]).reshape(n, m, -1)
-        sel = _raw_amplification(sel, self.unitary, window_sign, inverse)
-        b[:, :, :, 1] = sel.reshape(n, m, v >> (j + 1), 1 << j)
-        _vote_hadamard_inplace(a, j)
-        _charge(ledger, controlled_s=2 * m, oracle_queries=2 * m,
-                i_zero_prime=1, hadamards_vote=2)
-        return a
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the full-register inversion; small layouts only."""
@@ -344,7 +395,8 @@ def kickback_analysis(scheme: InversionScheme, unitary: np.ndarray,
     2 omega with sin(omega)^2 the in-window probability.  The block is built
     numerically here and its angle compared with the closed form.
     """
-    n = np.asarray(unitary).shape[0]
+    unitary = np.asarray(unitary, dtype=complex)
+    n = unitary.shape[0]
     layout = RegisterLayout(n, scheme.phase_bits, 0, dense_cap)
     mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
     phi = estimate_amplitudes(scheme.phase_bits, lam)
@@ -356,13 +408,18 @@ def kickback_analysis(scheme: InversionScheme, unitary: np.ndarray,
             "estimate mass is entirely on one side of the window; "
             "the rotation plane degenerates for this eigenphase"
         )
-    vec = np.asarray(eigenvector, dtype=complex)
+    # The plane and its image are built in the unitary's eigenframe, where
+    # the amplification kernel runs; inner products do not see the rotation.
+    dec = eig_unitary(unitary, TOL.system_unitarity)
+    estimates = estimate_amplitudes(scheme.phase_bits, dec.phases)
+    vec = dagger(dec.vectors) @ np.asarray(eigenvector, dtype=complex)
     basis = [
         np.einsum("i,j->ij", vec, inside / n_in).reshape(n, layout.phase_dim, 1),
         np.einsum("i,j->ij", vec, outside / n_out).reshape(n, layout.phase_dim, 1),
     ]
-    window_sign = mask.sign_vector()
-    images = [_raw_amplification(b, np.asarray(unitary, dtype=complex), window_sign, False)
+    # A = I - 2 (I - A) / 2, through the kernel the kickbacks use
+    off_window = mask.sign_vector() > 0.0
+    images = [b - 2.0 * _raw_kickback_mix(b.copy(), estimates, off_window, False)
               for b in basis]
     block = np.empty((2, 2), dtype=complex)
     for i in range(2):

@@ -1,6 +1,8 @@
 """Command-line surface: config resolution, output formats, exit codes."""
 
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
@@ -140,3 +142,27 @@ def test_out_flag_writes_the_document_to_a_file(tmp_path, capsys):
     assert out == ""
     doc = json.loads(path.read_text())
     assert doc["command"] == "spectrum"
+
+
+def readme_examples():
+    """Every ``eigensearch ...`` command in the README's code blocks, with
+    line continuations joined."""
+    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    commands = []
+    for block in text.split("```")[1::2]:
+        joined = block.replace("\\\n", " ")
+        commands += [shlex.split(line)[1:] for line in joined.splitlines()
+                     if line.startswith("eigensearch ")]
+    return commands
+
+
+def test_readme_has_an_example_per_documented_command():
+    assert {args[0] for args in readme_examples()} == {
+        "spectrum", "pipeline", "invert", "schedule"}
+
+
+@pytest.mark.parametrize("args", readme_examples(), ids=lambda a: a[0])
+def test_readme_examples_run(capsys, args):
+    code, out, err = run_cli(capsys, *args)
+    assert code == 0, err
+    assert out

@@ -181,6 +181,28 @@ def test_schedule_spends_a_round_on_an_unusable_guess():
         es.run_schedule(inst, -1.0, 0)
 
 
+def test_unusable_guesses_raise_the_named_error():
+    with pytest.raises(es.GapGuessTooCoarse):
+        es.InversionScheme.basic(2.0, 3.5)
+    with pytest.raises(es.GapGuessTooCoarse):
+        es.gap_window_mask(2, np.pi, es.GUARD_FRACTION)
+
+
+def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
+    # a kernel that breaks the state norm is a fault, not a coarse guess
+    inst = instances.symmetric_instance(
+        instances.SCHEDULE_N, instances.SCHEDULE_PAIRS,
+        instances.SCHEDULE_SEED, instances.SCHEDULE_TARGET)
+
+    def drifting_apply(self, state, ledger=None):
+        return es.StateVector(1.01 * state.amps, state.layout)
+
+    monkeypatch.setattr(es.InversionOperator, "apply", drifting_apply)
+    with pytest.raises(ValueError, match="state norm") as info:
+        es.run_schedule(inst, 0.70, instances.SCHEDULE_DRAW_SEED)
+    assert not isinstance(info.value, es.GapGuessTooCoarse)
+
+
 def test_csv_row_matches_the_header(ref12_basic_run):
     _, res = ref12_basic_run
     header_fields = es.CSV_HEADER.split(",")

@@ -1,0 +1,94 @@
+"""Property checks of the eigenframe inverter on small random instances.
+
+The inverter runs in the eigenframe ``eig_unitary`` returns, so inside a
+degenerate eigenphase cluster it depends on an arbitrary choice of basis.
+These checks draw small layouts and unitaries, some with planted clusters
+(one of them straddling the branch cut at +-pi), and compare the operator
+against the dense oracles built from powers of the unitary itself.
+"""
+
+import numpy as np
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+
+import eigensearch as es
+import oracles
+
+SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
+
+
+def haar_unitary(n, seed):
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))
+
+
+@st.composite
+def unitaries(draw):
+    """A random unitary with eigenphases free, in a cluster, or split
+    across the branch cut."""
+    n = draw(st.integers(1, 4))
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    phases = rng.uniform(-np.pi, np.pi, n)
+    planting = draw(st.sampled_from(("none", "cluster", "branch_cut")))
+    if n >= 2 and planting == "cluster":
+        phases[1] = phases[0] + draw(st.sampled_from((0.0, 1e-13, 1e-10)))
+    elif n >= 2 and planting == "branch_cut":
+        phases[0] = np.pi - 1e-13
+        phases[1] = -np.pi + draw(st.sampled_from((0.0, 1e-13)))
+    basis = haar_unitary(n, seed + 1)
+    return (basis * np.exp(1j * phases)) @ basis.conj().T
+
+
+@st.composite
+def operators(draw):
+    u = draw(unitaries())
+    n = u.shape[0]
+    nu = draw(st.sampled_from((0, 2)))
+    # registers of at most 256 amplitudes keep the dense oracles quick
+    mu = draw(st.integers(2, 5 if nu == 0 or n <= 2 else 4))
+    gap = draw(st.floats(0.2, 3.0))
+    kind = "basic" if nu == 0 else "boosted"
+    try:
+        scheme = es.InversionScheme(kind, mu, nu, gap)
+        op = es.InversionOperator.build(scheme, u)
+    except es.GapGuessTooCoarse:
+        assume(False)
+    return u, op
+
+
+def dense_oracle(u, op):
+    scheme = op.scheme
+    if scheme.kind == "basic":
+        return oracles.dense_basic_inversion(u, scheme.phase_bits, op.gap_window)
+    return oracles.dense_boosted_inversion(u, scheme.phase_bits, scheme.vote_bits,
+                                           op.gap_window, op.vote_window)
+
+
+@SETTINGS
+@given(operators())
+def test_eigenframe_inverter_is_a_unitary_involution(case):
+    _, op = case
+    r = op.to_matrix()
+    eye = np.eye(r.shape[0])
+    assert np.max(np.abs(r.conj().T @ r - eye)) <= 1e-9
+    assert np.max(np.abs(r @ r - eye)) <= 1e-9
+
+
+@SETTINGS
+@given(operators())
+def test_eigenframe_inverter_matches_the_dense_oracle(case):
+    u, op = case
+    assert np.max(np.abs(op.to_matrix() - dense_oracle(u, op))) <= 1e-9
+
+
+@SETTINGS
+@given(unitaries())
+def test_eig_unitary_handles_planted_clusters(u):
+    dec = es.eig_unitary(u)
+    v = dec.vectors
+    assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
+    assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9

@@ -1,6 +1,7 @@
 """The approximate selective inverter, basic and vote-boosted."""
 
 import math
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -192,3 +193,22 @@ def test_error_shrinks_with_register_size(ref12, ref12_operator):
         eps.append(es.instance_epsilon_report(op, ref12,
                                               ref12_operator).epsilon_max)
     assert eps[1] < eps[0]
+
+
+def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
+    # the working array and the output; every other temporary is one
+    # main-index slab or less.  2.0003x measured; the DENSE_CAP docstring
+    # quotes this multiple
+    scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
+                                phase_gap=instances.REF12_GAP,
+                                guard_fraction=es.GUARD_FRACTION)
+    op = es.InversionOperator.build(scheme, ref12_operator)
+    sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state)
+    op.apply(sv)    # the eigenframe is computed and kept on first use
+    tracemalloc.start()
+    try:
+        op.apply(sv)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak / sv.amps.nbytes <= 2.01
