@@ -12,6 +12,7 @@ from .numerics import (
     AssumptionViolation,
     EigenDecomposition,
     GapGuessTooCoarse,
+    InternalInvariantError,
     ResourceCapExceeded,
     Tolerances,
     eig_unitary,

@@ -10,7 +10,8 @@ for a fixed config and seed (timings are off unless asked for, since they
 never repeat).
 
 Exit codes: 0 success, 2 invalid configuration, 3 a structural assumption of
-the algorithm failed, 4 a resource cap was hit.
+the algorithm failed, 4 a resource cap was hit, 5 an internal invariant
+failed (a bug or a numerical breakdown, not a problem with the input).
 """
 
 from __future__ import annotations
@@ -22,7 +23,12 @@ import time
 
 import numpy as np
 
-from .numerics import AssumptionViolation, ResourceCapExceeded, split_seed
+from .numerics import (
+    AssumptionViolation,
+    InternalInvariantError,
+    ResourceCapExceeded,
+    split_seed,
+)
 from .phase_estimation import DENSE_CAP
 from .pipeline import (
     CSV_HEADER,
@@ -462,6 +468,9 @@ def main(argv=None) -> int:
     except ResourceCapExceeded as exc:
         print(f"resource cap: {exc}", file=sys.stderr)
         return 4
+    except InternalInvariantError as exc:
+        print(f"internal invariant failed: {exc}", file=sys.stderr)
+        return 5
     except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

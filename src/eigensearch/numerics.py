@@ -22,6 +22,10 @@ class ResourceCapExceeded(RuntimeError):
     """A dense simulation would exceed the configured amplitude cap."""
 
 
+class InternalInvariantError(RuntimeError):
+    """A result the program computed failed its own consistency check."""
+
+
 class GapGuessTooCoarse(ValueError):
     """A declared spectral gap leaves no room for an inversion window: it is
     outside (0, pi], or the window around zero covers the whole register."""
@@ -142,10 +146,10 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
 
     gram = dagger(vectors) @ vectors
     if np.max(np.abs(gram - np.eye(n))) > TOL.eigen_orthonormality:
-        raise AssertionError("eig_unitary: eigenvectors failed orthonormality")
+        raise InternalInvariantError("eig_unitary: eigenvectors failed orthonormality")
     rebuilt = (vectors * np.exp(1j * phases)) @ dagger(vectors)
     if np.max(np.abs(rebuilt - u)) > TOL.eigen_reconstruction:
-        raise AssertionError("eig_unitary: reconstruction residual too large")
+        raise InternalInvariantError("eig_unitary: reconstruction residual too large")
     return EigenDecomposition(phases=phases, vectors=vectors)
 
 

@@ -42,11 +42,14 @@ DENSE_CAP = 1 << 22
 The cap bounds memory only together with the working set of the kernels.
 One ``InversionOperator.apply`` allocates twice the register on top of its
 input state: one working array, updated in place, and the output.  Every
-other temporary is at most one main-index slab, except the main x phase
-table of controlled-power phases, which weighs as much as the register when
-there is no vote register (2.4x measured for a basic scheme).  A register at
-the cap therefore peaks near 3 x 64 MiB.  The boosted multiple is measured
-and pinned by the test ``test_boosted_apply_allocates_twice_the_register``.
+other temporary is at most one main-index slab or a main x phase table: the
+controlled-power phases, and in a boosted apply the conjugated vote-plane
+rows (2 / vote_dim of the register), which are freed before the output is
+allocated.  The phase table weighs as much as the register when there is no
+vote register (2.4x measured for a basic scheme).  A register at the cap
+therefore peaks near 3 x 64 MiB.  A boosted operator also keeps its
+vote-plane rows between applications.  The boosted multiple is measured and
+pinned by the test ``test_boosted_apply_allocates_twice_the_register``.
 """
 
 _WALSH_GROUP_BITS = 4

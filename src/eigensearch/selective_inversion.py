@@ -18,8 +18,18 @@ eigenvector k.  The estimate-reflect-unestimate inside each vote kickback,
 E (I - 2|0><0|) E^dagger, is the rank-one reflection I - 2 |phi_k><phi_k| of
 the phase register about the closed-form estimate profile
 phi_k = ``estimate_amplitudes(mu, lambda_k)``, so it costs no transform at
-all.  The query ledger still charges the physical circuit: 2^mu controlled
-applications per estimate, two estimates per kickback.
+all.
+
+Split phi_k into its in-window and off-window parts.  A kickback leaves the
+in-window rows of the phase register alone, swaps its vote bit on the
+off-window rows and adds a multiple of phi_k that depends only on the
+projections onto the two parts.  The boosted vote stage, 2 nu kickbacks
+around the majority flip, is therefore a fixed sign per (phase, vote) value
+plus a rank-two update in the plane of the two parts.  It runs as one
+projection of the register onto that plane, the kickbacks and the flip on
+two coefficients per eigenvector and vote value, and one pass applying the
+signs and the update.  The query ledger still charges the physical circuit:
+2^mu controlled applications per estimate, two estimates per kickback.
 """
 
 from __future__ import annotations
@@ -154,6 +164,11 @@ def _raw_kickback_mix(d: np.ndarray, estimates: np.ndarray, off_window: np.ndarr
     (I - A) / 2 = P_out - phi (W phi)^dagger, and for the adjoint
     (I - A^dagger) / 2 = P_out - (W phi) phi^dagger, with P_out the
     projector onto the register values outside the window.
+
+    This register-level form serves ``kickback_analysis`` only: its block
+    residual checks that the plane of phi_in and phi_out is invariant, which
+    is what lets ``InversionOperator`` run the vote stage on two
+    coefficients per eigenvector instead.
     """
     n, m = d.shape[0], d.shape[1]
     flipped = np.where(off_window, estimates, -estimates)
@@ -164,22 +179,54 @@ def _raw_kickback_mix(d: np.ndarray, estimates: np.ndarray, off_window: np.ndarr
     return d
 
 
-def _kickback(a: np.ndarray, j: int, estimates: np.ndarray, off_window: np.ndarray,
-              inverse: bool):
-    """Hadamard on vote qubit j, amplification A (or its adjoint) controlled
-    on it, Hadamard again, in place on an eigenframe array.
+def _split_estimates(estimates: np.ndarray,
+                     off_window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Unit in-window and off-window parts of every estimate profile.
 
-    With x0 and x1 the halves where vote bit j is 0 and 1, the three steps
-    keep x0 + x1 and map x0 - x1 to A (x0 - x1); that is, both halves move
-    by e = (I - A) (x0 - x1) / 2, to x0 - e and x1 + e.
+    Returns ``units`` of shape (main, 2, phase), rows u_in and u_out of each
+    eigenvector, and their norms of shape (main, 2), so that
+    phi_k = norms[k, 0] u_in + norms[k, 1] u_out.  A part of norm exactly 0
+    gets a zero row: nothing couples to it, so the split stays exact.
     """
-    n, m, v = a.shape
-    b = a.reshape(n, m, v >> (j + 1), 2, 1 << j)
-    x0, x1 = b[:, :, :, 0], b[:, :, :, 1]
-    e = x0 - x1
-    _raw_kickback_mix(e.reshape(n, m, -1), estimates, off_window, inverse)
-    x0 -= e
-    x1 += e
+    parts = np.stack([np.where(off_window, 0.0, estimates),
+                      np.where(off_window, estimates, 0.0)], axis=1)
+    norms = np.linalg.norm(parts, axis=2)
+    units = np.divide(parts, norms[..., None], out=np.zeros_like(parts),
+                      where=norms[..., None] > 0.0)
+    return units, norms
+
+
+def _vote_coefficients(p: np.ndarray, norms: np.ndarray,
+                       vote_sign: np.ndarray) -> np.ndarray:
+    """The 2 nu kickbacks and the majority flip on (main, 2, vote) coefficients.
+
+    Row 0 of ``p`` is the amplitude along u_in, row 1 along u_out.  In that
+    basis phi = (r_in, r_out) and W phi = (-r_in, r_out), so each kickback
+    is the register one restricted to the plane: with e the difference of
+    the vote-bit-j halves, (I - A) / 2 e keeps e's off-window row and adds
+    -/+ phi times (W phi . e) or (phi . e).
+    """
+    n, _, v = p.shape
+    q = p.copy()
+    r_in, r_out = norms[:, 0, None, None], norms[:, 1, None, None]
+
+    def kick(j, sign):
+        b = q.reshape(n, 2, v >> (j + 1), 2, 1 << j)
+        x0, x1 = b[:, :, :, 0], b[:, :, :, 1]
+        e = x0 - x1
+        c = sign * r_in * e[:, 0] + r_out * e[:, 1]
+        e[:, 0] = sign * r_in * c
+        e[:, 1] -= r_out * c
+        x0 -= e
+        x1 += e
+
+    nu = v.bit_length() - 1
+    for j in range(nu):
+        kick(j, -1.0)
+    q *= vote_sign
+    for j in reversed(range(nu)):
+        kick(j, 1.0)
+    return q
 
 
 @dataclass(eq=False)
@@ -188,8 +235,8 @@ class InversionOperator:
 
     ``decomposition`` is the unitary's eigendecomposition, the frame the
     operator runs in.  Unless ``build`` is handed one it is computed on the
-    first ``apply`` and kept, together with the estimate profile of every
-    eigenphase.
+    first ``apply`` and kept; a boosted operator also keeps the split of
+    every eigenphase's estimate profile at the gap window.
     """
 
     scheme: InversionScheme
@@ -198,7 +245,8 @@ class InversionOperator:
     gap_window: SubspaceMask
     vote_window: SubspaceMask | None
     decomposition: EigenDecomposition | None = None
-    _estimates: np.ndarray | None = field(default=None, init=False, repr=False)
+    _plane: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
+                                                         repr=False)
 
     @classmethod
     def build(cls, scheme: InversionScheme, unitary: np.ndarray,
@@ -217,25 +265,29 @@ class InversionOperator:
         return cls(scheme=scheme, unitary=unitary, layout=layout,
                    gap_window=window, vote_window=votes, decomposition=decomposition)
 
-    def _eigenframe(self) -> tuple[EigenDecomposition, np.ndarray]:
+    def _eigenframe(self) -> EigenDecomposition:
         if self.decomposition is None:
             self.decomposition = eig_unitary(self.unitary, TOL.system_unitarity)
-        if self._estimates is None:
-            self._estimates = estimate_amplitudes(self.scheme.phase_bits,
-                                                  self.decomposition.phases)
-        return self.decomposition, self._estimates
+        return self.decomposition
+
+    def _vote_plane(self) -> tuple[np.ndarray, np.ndarray]:
+        if self._plane is None:
+            estimates = estimate_amplitudes(self.scheme.phase_bits,
+                                            self._eigenframe().phases)
+            self._plane = _split_estimates(estimates, self.gap_window.sign_vector() > 0.0)
+        return self._plane
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill."""
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
-        dec, estimates = self._eigenframe()
+        dec = self._eigenframe()
         # one working array, rotated into the eigenframe and updated in place
         a = raw_rotate(state.reshaped(), dagger(dec.vectors))
         if self.scheme.kind == "basic":
             self._apply_basic(a, dec.phases, ledger)
         else:
-            self._apply_boosted(a, dec.phases, estimates, ledger)
+            self._apply_boosted(a, dec.phases, ledger)
         return StateVector(raw_rotate(a, dec.vectors).reshape(-1), self.layout)
 
     def _apply_basic(self, a: np.ndarray, phases: np.ndarray, ledger):
@@ -246,23 +298,28 @@ class InversionOperator:
         raw_estimate_inverse(a, phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
 
-    def _apply_boosted(self, a: np.ndarray, phases: np.ndarray, estimates: np.ndarray,
-                       ledger):
+    def _apply_boosted(self, a: np.ndarray, phases: np.ndarray, ledger):
         m, nu = self.layout.phase_dim, self.scheme.vote_bits
         raw_estimate_forward(a, phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        # Eigenvectors do not mix, so the kickbacks and the majority flip run
-        # one main index at a time, on a phase x vote slab that stays in
-        # cache through all of them.
+        # The vote stage fixes everything orthogonal to the plane of u_in and
+        # u_out up to a sign per (phase, vote) value: a kickback swaps vote
+        # bit j on the off-window rows, so the off-window rows see the
+        # majority sign of the complemented vote value.  Within the plane it
+        # runs on the projections, two coefficients per eigenvector and vote
+        # value, and the difference is added back as one rank-two update per
+        # main index, with the phase x vote slab in cache.
+        units, norms = self._vote_plane()
         off_window = self.gap_window.sign_vector() > 0.0
         vote_sign = self.vote_window.sign_vector()
+        plane_sign = np.stack([vote_sign, vote_sign[::-1]])
+        sign = np.where(off_window[:, None], plane_sign[1], plane_sign[0])
+        p = np.matmul(units.conj(), a)
+        delta = _vote_coefficients(p, norms, vote_sign) - plane_sign * p
         for k in range(self.layout.main_dim):
-            slab, phi = a[k:k + 1], estimates[k:k + 1]
-            for j in range(nu):
-                _kickback(slab, j, phi, off_window, inverse=False)
-            slab *= vote_sign
-            for j in reversed(range(nu)):
-                _kickback(slab, j, phi, off_window, inverse=True)
+            slab = a[k]
+            slab *= sign
+            slab += units[k].T @ delta[k]
         # each of the 2 nu kickbacks: the estimate and unestimate inside its
         # amplification, one zero reflection and two vote Hadamards
         _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,

@@ -90,31 +90,40 @@ def dense_amplification(unitary: np.ndarray, phase_bits: int,
 def dense_boosted_inversion(unitary: np.ndarray, phase_bits: int,
                             vote_bits: int, gap_mask: SubspaceMask,
                             vote_mask: SubspaceMask) -> np.ndarray:
-    """The boosted inverter on main x phase x vote, vote register minor."""
+    """The boosted inverter on main x phase x vote, vote register minor.
+
+    The forward half is built row block by row block: a Hadamard on vote
+    bit j mixes the rows with bit j = 0 and 1 as their sum and difference,
+    and the amplification controlled on that bit multiplies each block of
+    rows with bit j = 1 (one block per value of the other vote bits) by the
+    dense amplification matrix.
+    """
     n = unitary.shape[0]
     m = 1 << phase_bits
     v = 1 << vote_bits
     nm = n * m
-    est = np.kron(dense_estimate_forward(unitary, phase_bits), np.eye(v))
+    forward = np.kron(dense_estimate_forward(unitary, phase_bits), np.eye(v))
     amp = dense_amplification(unitary, phase_bits, gap_mask)
 
-    h = np.array([[1.0, 1.0], [1.0, -1.0]], dtype=complex) / np.sqrt(2.0)
-    forward = est
+    def hadamard(rows):
+        # rows[:, :, 0] and rows[:, :, 1] are the bit-0 and bit-1 halves
+        x0, x1 = rows[:, :, 0].copy(), rows[:, :, 1].copy()
+        rows[:, :, 0] = (x0 + x1) / np.sqrt(2.0)
+        rows[:, :, 1] = (x0 - x1) / np.sqrt(2.0)
+
     for j in range(vote_bits):
         # single-qubit Hadamard on vote bit j (bit j has weight 2**j)
         high = 1 << (vote_bits - 1 - j)
         low = 1 << j
-        h_full = np.kron(np.eye(nm * high), np.kron(h, np.eye(low)))
+        rows = forward.reshape(nm, high, 2, low, nm * v)
+        hadamard(rows)
         # amplification controlled on vote bit j being 1
-        ctrl = np.eye(nm * v, dtype=complex)
-        for row_block in range(high):
-            for col_low in range(low):
-                base = (row_block * 2 + 1) * low + col_low
-                idx = np.arange(nm) * v + base
-                ctrl[np.ix_(idx, idx)] = amp
-        forward = h_full @ ctrl @ h_full @ forward
-    flip = np.kron(np.eye(nm), mask_sign_diag(vote_mask))
-    return forward.conj().T @ flip @ forward
+        ones = rows[:, :, 1]
+        ones[...] = (amp @ ones.reshape(nm, -1)).reshape(ones.shape)
+        hadamard(rows)
+    # the majority flip is diagonal: it scales the rows of the forward half
+    flip = np.tile(vote_mask.sign_vector(), nm)
+    return forward.conj().T @ (flip[:, None] * forward)
 
 
 def lagrange_projector_weights(matrix: np.ndarray, phases: np.ndarray,

@@ -1,5 +1,6 @@
 """Command-line surface: config resolution, output formats, exit codes."""
 
+import dataclasses
 import json
 import shlex
 from pathlib import Path
@@ -7,6 +8,7 @@ from pathlib import Path
 import pytest
 
 import eigensearch as es
+from eigensearch import numerics
 from eigensearch.cli import main
 
 REF_ARGS = ["--n", "12", "--pairs", "0.55,0.62,0.70,0.79",
@@ -81,6 +83,19 @@ def test_an_oversized_register_hits_the_resource_cap(capsys):
                            "--scheme", "boosted", "--mu", "24", "--nu", "2")
     assert code == 4
     assert err
+
+
+def test_an_internal_invariant_failure_exits_5_with_one_line(monkeypatch, capsys):
+    # no eigendecomposition reconstructs its operator within a negative
+    # tolerance, so eig_unitary's own check fails
+    monkeypatch.setattr(numerics, "TOL", dataclasses.replace(
+        numerics.TOL, eigen_reconstruction=-1.0))
+    code, out, err = run_cli(capsys, "search", *REF_ARGS)
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal invariant failed: ")
+    assert "reconstruction" in err
 
 
 def test_pipeline_csv_uses_the_shared_header(capsys):

@@ -3,8 +3,11 @@
 The inverter runs in the eigenframe ``eig_unitary`` returns, so inside a
 degenerate eigenphase cluster it depends on an arbitrary choice of basis.
 These checks draw small layouts and unitaries, some with planted clusters
-(one of them straddling the branch cut at +-pi), and compare the operator
-against the dense oracles built from powers of the unitary itself.
+(one of them straddling the branch cut at +-pi) and some with eigenphases
+exactly on register grid points, where the in-window or the off-window part
+of an estimate profile vanishes.  They compare the operator against the
+dense oracles built from powers of the unitary itself, and its query
+charges against the ledger's closed forms.
 """
 
 import numpy as np
@@ -26,38 +29,46 @@ def haar_unitary(n, seed):
 
 
 @st.composite
-def unitaries(draw):
+def unitaries(draw, n=None, window=None):
     """A random unitary with eigenphases free, in a cluster, or split
-    across the branch cut."""
-    n = draw(st.integers(1, 4))
+    across the branch cut; given a gap window, also with one eigenphase on a
+    register grid point inside it and one on a grid point outside it."""
+    if n is None:
+        n = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, n)
-    planting = draw(st.sampled_from(("none", "cluster", "branch_cut")))
+    plantings = ("none", "cluster", "branch_cut") + (("grid",) if window is not None else ())
+    planting = draw(st.sampled_from(plantings))
     if n >= 2 and planting == "cluster":
         phases[1] = phases[0] + draw(st.sampled_from((0.0, 1e-13, 1e-10)))
     elif n >= 2 and planting == "branch_cut":
         phases[0] = np.pi - 1e-13
         phases[1] = -np.pi + draw(st.sampled_from((0.0, 1e-13)))
+    elif planting == "grid":
+        grid = [draw(st.sampled_from(window.indices.tolist())),
+                draw(st.sampled_from(window.complement().indices.tolist()))]
+        planted = es.wrap_angle(2.0 * np.pi * np.array(grid) / window.register_dim)
+        phases[:2] = planted[:n]
     basis = haar_unitary(n, seed + 1)
     return (basis * np.exp(1j * phases)) @ basis.conj().T
 
 
 @st.composite
 def operators(draw):
-    u = draw(unitaries())
-    n = u.shape[0]
-    nu = draw(st.sampled_from((0, 2)))
-    # registers of at most 256 amplitudes keep the dense oracles quick
-    mu = draw(st.integers(2, 5 if nu == 0 or n <= 2 else 4))
+    n = draw(st.integers(1, 4))
+    nu = draw(st.sampled_from((0, 2, 4)))
+    # registers of at most 512 amplitudes keep the dense oracles quick
+    mu = draw(st.integers(2, min(5, (512 // (n << nu)).bit_length() - 1)))
     gap = draw(st.floats(0.2, 3.0))
     kind = "basic" if nu == 0 else "boosted"
     try:
         scheme = es.InversionScheme(kind, mu, nu, gap)
-        op = es.InversionOperator.build(scheme, u)
+        window = es.gap_window_mask(mu, gap, scheme.guard_fraction)
     except es.GapGuessTooCoarse:
         assume(False)
-    return u, op
+    u = draw(unitaries(n, window))
+    return u, es.InversionOperator.build(scheme, u)
 
 
 def dense_oracle(u, op):
@@ -92,3 +103,25 @@ def test_eig_unitary_handles_planted_clusters(u):
     v = dec.vectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
     assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
+
+
+@SETTINGS
+@given(operators(), st.integers(1, 3))
+def test_apply_charges_the_ledger_closed_forms(case, applications):
+    # per application: one estimate and one unestimate of 2^mu controlled
+    # powers, and per vote kickback two more estimates, one zero reflection
+    # and two vote Hadamards
+    _, op = case
+    m, nu = op.layout.phase_dim, op.scheme.vote_bits
+    ledger = es.QueryLedger()
+    sv = es.embed_mainspace(op.layout, np.eye(op.layout.main_dim)[0])
+    for _ in range(applications):
+        sv = op.apply(sv, ledger)
+    queries = applications * (2 * m + 4 * nu * m)
+    assert ledger.as_dict() == {
+        "ds_applications": 0,
+        "oracle_queries": queries,
+        "controlled_s": queries,
+        "i_zero_prime": applications * 2 * nu,
+        "hadamards_vote": applications * 4 * nu,
+    }
