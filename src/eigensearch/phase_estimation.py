@@ -25,7 +25,6 @@ import math
 from dataclasses import dataclass, field
 
 import numpy as np
-import scipy.linalg
 
 from .numerics import (
     TOL,
@@ -181,6 +180,14 @@ def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
     return np.multiply(a, sign.reshape(shape), out=out)
 
 
+def hadamard_block(bits: int) -> np.ndarray:
+    """The normalized Hadamard matrix on ``bits`` qubits, by Sylvester doubling."""
+    h = np.ones((1, 1))
+    for _ in range(bits):
+        h = np.block([[h, h], [h, -h]])
+    return h / math.sqrt(h.shape[0])
+
+
 def raw_walsh_hadamard(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Hadamard on every phase-register qubit.
 
@@ -201,7 +208,7 @@ def raw_walsh_hadamard(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarr
     low = 0
     while low < bits:
         g = min(_WALSH_GROUP_BITS, bits - low)
-        h = scipy.linalg.hadamard(1 << g) / math.sqrt(1 << g)
+        h = hadamard_block(g)
         blocks = (m >> (low + g), 1 << g, (1 << low) * t)
         for k in range(n):
             dst[k] = np.matmul(h, src[k].reshape(blocks)).reshape(m, t)

@@ -55,10 +55,10 @@ def brute_estimate_amplitudes(phase_bits: int, lam: float) -> np.ndarray:
     """Direct geometric sum for the phase-register profile of an eigenstate."""
     m = 1 << phase_bits
     z = np.arange(m)
-    out = np.empty(m, dtype=complex)
-    for k in range(m):
-        out[k] = np.exp(1j * z * (lam - 2.0 * np.pi * k / m)).sum() / m
-    return out
+    # term (k, z) is e^{i z lam} e^{-2 pi i z k / m}; the second factor is
+    # the m-th root of unity of index z k mod m (m is a power of two)
+    roots = np.exp(-2j * np.pi * z / m)
+    return roots[np.outer(z, z) & (m - 1)] @ np.exp(1j * z * lam) / m
 
 
 def mask_sign_diag(mask: SubspaceMask) -> np.ndarray:

@@ -2,7 +2,10 @@
 
 import dataclasses
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -19,6 +22,15 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
+
+
+def test_the_cli_imports_no_scipy():
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
+    done = subprocess.run(
+        [sys.executable, "-c", "import eigensearch.cli, sys; print('scipy' in sys.modules)"],
+        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path})
+    assert done.stdout == "False\n"
 
 
 def test_spectrum_output_is_byte_stable(capsys):
@@ -96,6 +108,19 @@ def test_an_internal_invariant_failure_exits_5_with_one_line(monkeypatch, capsys
     assert err.count("\n") == 1
     assert err.startswith("internal invariant failed: ")
     assert "reconstruction" in err
+
+
+def test_an_eigenvalue_modulus_failure_is_an_internal_invariant(monkeypatch, capsys):
+    # the input already passed the unitarity check, so a modulus off 1 is the
+    # program's own fault (exit 5), not a bad configuration (exit 2)
+    monkeypatch.setattr(numerics, "TOL", dataclasses.replace(
+        numerics.TOL, eigen_modulus=-1.0))
+    code, out, err = run_cli(capsys, "search", *REF_ARGS)
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal invariant failed: ")
+    assert "moduli" in err
 
 
 def test_pipeline_csv_uses_the_shared_header(capsys):

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 from numpy.testing import assert_allclose
 
 import eigensearch as es
@@ -11,6 +12,7 @@ from eigensearch.phase_estimation import (
     RegisterLayout,
     embed_mainspace,
     estimate_window_mass,
+    hadamard_block,
 )
 
 
@@ -29,6 +31,12 @@ def test_estimate_amplitudes_match_the_brute_force_sum():
         slow = oracles.brute_estimate_amplitudes(10, float(lam))
         assert np.max(np.abs(fast - slow)) <= 1e-10
         assert np.sum(np.abs(fast) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+def test_hadamard_block_matches_scipy():
+    for bits in range(5):
+        want = scipy.linalg.hadamard(1 << bits) / np.sqrt(1 << bits)
+        assert np.array_equal(hadamard_block(bits), want)
 
 
 def test_estimate_amplitudes_are_one_hot_on_the_register_grid():

@@ -1,13 +1,17 @@
-"""Property checks of the eigenframe inverter on small random instances.
+"""Property checks of the eigendecomposition and the eigenframe inverter
+on small random instances.
 
-The inverter runs in the eigenframe ``eig_unitary`` returns, so inside a
-degenerate eigenphase cluster it depends on an arbitrary choice of basis.
-These checks draw small layouts and unitaries, some with planted clusters
-(one of them straddling the branch cut at +-pi) and some with eigenphases
-exactly on register grid points, where the in-window or the off-window part
-of an estimate profile vanishes.  They compare the operator against the
-dense oracles built from powers of the unitary itself, and its query
-charges against the ledger's closed forms.
+``eig_unitary`` splits blocks of eigenphases that share a cosine, and the
+inverter runs in the eigenframe it returns, so inside a degenerate cluster
+both depend on an arbitrary choice of basis.  These checks draw small
+layouts and unitaries: some real orthogonal, some with planted clusters (one
+straddling the branch cut at +-pi), conjugate pairs, pairs whose cosines
+differ by just under or just over the cosine-cluster threshold, pairs
+straddling pi/2, and some with eigenphases exactly on register grid points,
+where the in-window or the off-window part of an estimate profile vanishes.
+They compare the operator against the dense oracles built from powers of the
+unitary itself, its query charges against the ledger's closed forms, and the
+search operator's gap eigenphases against the secular roots.
 """
 
 import numpy as np
@@ -30,17 +34,38 @@ def haar_unitary(n, seed):
 
 @st.composite
 def unitaries(draw, n=None, window=None):
-    """A random unitary with eigenphases free, in a cluster, or split
-    across the branch cut; given a gap window, also with one eigenphase on a
-    register grid point inside it and one on a grid point outside it."""
+    """A random unitary: real orthogonal, or with eigenphases free, in a
+    cluster, split across the branch cut, in a conjugate pair, in a pair
+    whose cosines differ by a hair under or over the cosine-cluster
+    threshold, or in a pair straddling pi/2; given a gap window, also with
+    one eigenphase on a register grid point inside it and one on a grid point
+    outside it."""
     if n is None:
         n = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
     phases = rng.uniform(-np.pi, np.pi, n)
-    plantings = ("none", "cluster", "branch_cut") + (("grid",) if window is not None else ())
+    plantings = ("none", "cluster", "branch_cut", "conjugate", "cosine_threshold",
+                 "quarter_turn", "real") + (("grid",) if window is not None else ())
     planting = draw(st.sampled_from(plantings))
-    if n >= 2 and planting == "cluster":
+    if planting == "real":
+        q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+        return q.astype(complex)
+    if n >= 2 and planting == "conjugate":
+        phases[1] = -phases[0]
+    elif n >= 2 and planting == "cosine_threshold":
+        # move the cosine towards 0 by 0.99 or 1.01 thresholds, on either
+        # side of the real axis
+        step = draw(st.sampled_from((0.99, 1.01))) * es.TOL.cosine_cluster
+        cosine = np.cos(phases[0]) - np.copysign(step, np.cos(phases[0]))
+        phases[1] = draw(st.sampled_from((1.0, -1.0))) * np.arccos(cosine)
+    elif n >= 2 and planting == "quarter_turn":
+        # equal sines around +pi/2 and -pi/2, so the sine part alone cannot
+        # split a block that holds more than one of them
+        half = draw(st.sampled_from((1e-9, 1e-7, 1e-5)))
+        phases[:] = (np.pi / 2 * np.array([1, 1, -1, -1])
+                     + half * np.array([-1, 1, 1, -1]))[:n]
+    elif n >= 2 and planting == "cluster":
         phases[1] = phases[0] + draw(st.sampled_from((0.0, 1e-13, 1e-10)))
     elif n >= 2 and planting == "branch_cut":
         phases[0] = np.pi - 1e-13
@@ -125,3 +150,27 @@ def test_apply_charges_the_ledger_closed_forms(case, applications):
         "i_zero_prime": applications * 2 * nu,
         "hadamards_vote": applications * 4 * nu,
     }
+
+
+@st.composite
+def symmetric_instances(draw):
+    """A small symmetric spec, possibly with a repeated pair phase, and a
+    target other than the source."""
+    n = draw(st.integers(3, 16))
+    pairs = draw(st.lists(st.floats(0.3, 3.0), min_size=1, max_size=(n - 1) // 2))
+    if len(pairs) < (n - 1) // 2 and draw(st.booleans()):
+        pairs.append(pairs[0])
+    spec = es.build_symmetric_spec(n, pairs, draw(st.integers(0, 2**32 - 1)))
+    target = draw(st.integers(1, n - 1))
+    return es.SearchInstance.build(spec, target)
+
+
+@SETTINGS
+@given(symmetric_instances())
+def test_secular_roots_match_the_diagonalization(inst):
+    # the source pole sits at 0 and every other pole carries target weight,
+    # so the eigenphases nearest 0 on either side are the two secular roots
+    phases = es.eig_unitary(es.build_search_operator(inst), es.TOL.system_unitarity).phases
+    root_plus, root_minus = es.secular_pair(inst)
+    assert abs(phases[phases > 0].min() - root_plus) <= es.TOL.secular_agreement
+    assert abs(phases[phases < 0].max() - root_minus) <= es.TOL.secular_agreement
