@@ -16,6 +16,7 @@ from .numerics import (
     ResourceCapExceeded,
     Tolerances,
     eig_unitary,
+    inside_gap,
     make_rng,
     phase_distance,
     round_half_away,

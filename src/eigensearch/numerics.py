@@ -52,6 +52,7 @@ class Tolerances:
     lambda1_budget: float = 1e-10       # |Lambda_1| allowed for symmetric builds
     secular_agreement: float = 1e-8     # diagonalization vs root-finding
     secular_bisection: float = 1e-12    # bisection stopping width
+    gap_edge: float = 1e-12             # eigenphases this close to +-gap count as outside
     state_norm: float = 1e-10           # register state normalization
 
 
@@ -77,6 +78,16 @@ def wrap_angle(x):
 def phase_distance(a, b):
     """Distance between eigenphases modulo 2*pi."""
     return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
+
+
+def inside_gap(phases, phase_gap: float) -> np.ndarray:
+    """Which eigenphases lie strictly inside the spectral gap (-gap, gap).
+
+    A phase within ``TOL.gap_edge`` of either edge counts as outside, so a
+    spectrum with an eigenphase on the declared gap itself (pi for a Grover
+    operator) is not split by the eigensolver's roundoff.
+    """
+    return np.abs(np.asarray(phases, dtype=float)) < phase_gap - TOL.gap_edge
 
 
 def make_rng(seed: int) -> np.random.Generator:

@@ -1,4 +1,4 @@
-"""Multi-register simulation of phase estimation, in the unitary's eigenframe.
+"""Multi-register simulation of phase estimation, in the unitary's estimate frame.
 
 A register state is a complex vector over (mainspace) x (phase register) x
 (vote register), stored flat in C order, so index ((m * P) + w) * V + v with
@@ -11,12 +11,16 @@ The estimation circuit is: Walsh-Hadamard on the phase register, powers of
 the mainspace unitary controlled on the phase value, then an inverse Fourier
 transform of the phase register.  Every step is block-diagonal in the
 eigenbasis of the unitary U = V diag(e^{i lambda}) V^dagger, so the kernels
-run in that eigenframe: main index k stands for eigenvector k, and the
-controlled power U^w becomes the phase e^{i w lambda_k}.  ``phase_estimate``
-rotates a state in with V^dagger, runs the kernels and rotates back with V;
-a caller that applies many estimates rotates once around all of them.  Fed
-eigenvector k, the estimate leaves the phase register in the peaked profile
-``estimate_amplitudes(phase_bits, lambda_k)``.
+run in the estimate frame of U (see ``StateVector``): main index k stands
+for eigenvector k, the controlled power U^w becomes the phase
+e^{i w lambda_k}, and the phase axis is already Walsh-Hadamard transformed,
+so the estimate is the controlled powers and the inverse Fourier transform
+alone.  The basis changes happen only where a state enters or leaves the
+frame: ``phase_estimate`` takes a computational state in with V^dagger and
+the Walsh-Hadamard pass and rotates the estimate back out with V, and a
+caller that applies many estimates keeps its state in the frame between
+them.  Fed eigenvector k, the estimate leaves the phase register in the
+peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -28,6 +32,7 @@ import numpy as np
 
 from .numerics import (
     TOL,
+    EigenDecomposition,
     GapGuessTooCoarse,
     ResourceCapExceeded,
     dagger,
@@ -39,19 +44,23 @@ DENSE_CAP = 1 << 22
 """Largest joint register, in amplitudes: 64 MiB of complex128.
 
 The cap bounds memory only together with the working set of the kernels.
-One ``InversionOperator.apply`` allocates twice the register on top of its
-input state: one working array, updated in place, and the output.  Every
-other temporary is at most one main-index slab or a main x phase table: the
-controlled-power phases, and in a boosted apply the conjugated vote-plane
-rows (2 / vote_dim of the register), which are freed before the output is
-allocated.  The phase table weighs as much as the register when there is no
-vote register (2.4x measured for a basic scheme).  A register at the cap
-therefore peaks near 3 x 64 MiB.  A boosted operator also keeps its
-vote-plane rows between applications.  The boosted multiple is measured and
-pinned by the test ``test_boosted_apply_allocates_twice_the_register``.
+An ``InversionOperator.apply`` on a state in its estimate frame allocates
+one register on top of its input: the working array, updated in place, which
+becomes the output.  On a computational state it allocates two: the working
+array, taken into the frame, and the output, taken back out.  Every other
+temporary is at most one main-index slab or a main x phase table, and in a
+boosted apply the conjugated vote-plane rows (2 / vote_dim of the register).
+The amplification rounds of ``run_full`` hold at most two registers at once,
+the state and its successor, so a register at the cap peaks near 2 x 64 MiB
+there and near 3 x 64 MiB for a computational apply.  A boosted operator also keeps its vote-plane rows between
+applications.  The multiples are measured and pinned by the tests
+``test_boosted_apply_allocates_twice_the_register`` and
+``test_boosted_amplification_holds_two_registers``.
 """
 
 _WALSH_GROUP_BITS = 4
+
+_GRAM_BLOCK = 1 << 12
 
 _AXES = {"main": 0, "phase": 1, "vote": 2}
 
@@ -95,45 +104,106 @@ class RegisterLayout:
 
 
 class StateVector:
-    """Normalized amplitudes over a RegisterLayout."""
+    """Normalized amplitudes over a RegisterLayout, in a named frame.
 
-    __slots__ = ("amps", "layout")
+    ``frame`` None means the computational basis.  Otherwise it is the
+    eigendecomposition (V, lambda) of a mainspace unitary U, and ``amps``
+    are the amplitudes in the estimate frame of U:
 
-    def __init__(self, amps, layout: RegisterLayout):
+        a_F = (V^dagger (x) H^{(x) mu} (x) 1) a,
+
+    the main axis written in U's eigenbasis, the phase axis Walsh-Hadamard
+    transformed and the vote axis untouched.  Estimation circuits of U and
+    the target flip run in that frame without a basis change.  Frames are
+    compared by identity: a state belongs to the operator whose
+    decomposition object it carries.  Methods that cannot answer in a
+    state's frame raise ``ValueError`` rather than answer in another basis.
+    """
+
+    __slots__ = ("amps", "layout", "frame")
+
+    def __init__(self, amps, layout: RegisterLayout,
+                 frame: EigenDecomposition | None = None):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
-        norm = np.linalg.norm(amps)
+        if frame is not None and frame.dim != layout.main_dim:
+            raise ValueError(f"frame of dimension {frame.dim} does not match the "
+                             f"main dimension {layout.main_dim}")
+        norm = math.sqrt(abs(np.vdot(amps, amps)))
         if abs(norm - 1.0) > TOL.state_norm:
             raise ValueError(f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
         self.amps = amps
         self.layout = layout
+        self.frame = frame
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.shape)
 
     def marginal(self, register: str) -> np.ndarray:
-        """Probability marginal of one register."""
+        """Probability marginal of one register, in the computational basis.
+
+        The estimate frame leaves the vote register alone.  On the main
+        register it is read as diag(V G V^dagger), with G the n x n Gram
+        matrix of the register's main rows; the phase marginal of a frame
+        state would need the Walsh-Hadamard pass back and raises.
+        """
         axis = _AXES[register]
-        p = np.abs(self.reshaped()) ** 2
-        other = tuple(a for a in range(3) if a != axis)
+        a = self.reshaped()
+        if self.frame is not None and register == "phase":
+            raise ValueError("the phase marginal of a state in an estimate frame "
+                             "needs the state taken out of the frame")
+        if self.frame is not None and register == "main":
+            v = self.frame.vectors
+            gram = raw_gram(a)
+            return np.einsum("ij,jk,ik->i", v, gram, v.conj()).real
+        p = np.abs(a) ** 2
+        other = tuple(x for x in range(3) if x != axis)
         return p.sum(axis=other)
 
+    def branch_amplitudes(self, phase_value: int = 0, vote_value: int = 0) -> np.ndarray:
+        """Computational main-register amplitudes on one (phase, vote) value.
+
+        In an estimate frame that is V sum_w H[phase_value, w] a[:, w, vote]:
+        one Walsh row and one n x n product, with no pass over the register.
+        """
+        a = self.reshaped()[:, :, vote_value]
+        if self.frame is None:
+            return a[:, phase_value].copy()
+        return self.frame.vectors @ (a @ _walsh_row(self.layout.phase_dim, phase_value))
+
     def overlap(self, other: "StateVector") -> complex:
+        if other.frame is not self.frame:
+            raise ValueError("overlap of states in different frames")
         return complex(np.vdot(self.amps, other.amps))
 
 
+def _walsh_row(phase_dim: int, value: int) -> np.ndarray:
+    """Row ``value`` of the normalized phase-register Walsh-Hadamard matrix."""
+    parity = np.bitwise_count(np.arange(phase_dim) & value) & 1
+    return (1.0 - 2.0 * parity) / math.sqrt(phase_dim)
+
+
 def embed_mainspace(layout: RegisterLayout, vec, phase_value: int = 0,
-                    vote_value: int = 0) -> StateVector:
-    """Joint state |vec> |phase_value> |vote_value>."""
+                    vote_value: int = 0,
+                    frame: EigenDecomposition | None = None) -> StateVector:
+    """Joint state |vec> |phase_value> |vote_value>, in ``frame`` if given.
+
+    In an estimate frame the state is (V^dagger vec) (x) H|phase_value>
+    (x) |vote_value>: one n x n product and one Walsh row.
+    """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (layout.main_dim,):
         raise ValueError("mainspace vector has the wrong dimension")
     if not (0 <= phase_value < layout.phase_dim and 0 <= vote_value < layout.vote_dim):
         raise ValueError("register value out of range")
     a = np.zeros(layout.shape, dtype=complex)
-    a[:, phase_value, vote_value] = vec
-    return StateVector(a.reshape(-1), layout)
+    if frame is None:
+        a[:, phase_value, vote_value] = vec
+    else:
+        a[:, :, vote_value] = np.outer(dagger(frame.vectors) @ vec,
+                                       _walsh_row(layout.phase_dim, phase_value))
+    return StateVector(a.reshape(-1), layout, frame)
 
 
 @dataclass(frozen=True, eq=False)
@@ -170,8 +240,9 @@ class SubspaceMask:
 # ---------------------------------------------------------------------------
 # Raw kernels.  Arrays are (main_dim, phase_dim, trailing) in C order.  The
 # input is never mutated unless it is also passed as ``out``: every kernel
-# but ``raw_rotate`` can then update it in place, which keeps the working set
-# of a chain of kernels at one register.
+# but ``raw_rotate``, ``raw_enter_frame`` and ``raw_reflect_main``, which
+# always write a new array, can then update it in place; that keeps the
+# working set of a chain of kernels at one register.
 
 def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -233,37 +304,88 @@ def raw_rotate(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
     return (matrix @ np.ascontiguousarray(a).reshape(n, -1)).reshape(a.shape)
 
 
+def raw_enter_frame(a: np.ndarray, vectors: np.ndarray) -> np.ndarray:
+    """Into the estimate frame of V: V^dagger on the main axis and
+    Walsh-Hadamard on the phase axis, into a new array.
+
+    The way back is the Walsh-Hadamard pass (its own inverse) and V, in
+    either order, since they act on different axes.  Callers leave a frame
+    with the pass in place on their working array first, so that it runs
+    before the output array exists.
+    """
+    out = raw_rotate(a, dagger(vectors))
+    return raw_walsh_hadamard(out, out=out)
+
+
+def raw_reflect_main(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """I - 2 X X^dagger on the main axis, for X (main, r) with orthonormal
+    columns, into a new array.
+
+    One pass reads the projections X^dagger a; a second writes each main
+    index's share of the update and adds its slab of ``a``, one slab at a
+    time.
+    """
+    n = a.shape[0]
+    rows = np.ascontiguousarray(a).reshape(n, -1)
+    proj = (-2.0 * dagger(x)) @ rows
+    out = np.empty(a.shape, dtype=np.result_type(a, x))
+    dst = out.reshape(n, -1)
+    for k in range(n):
+        np.matmul(x[k], proj, out=dst[k])
+        dst[k] += rows[k]
+    return out
+
+
+def raw_gram(a: np.ndarray) -> np.ndarray:
+    """The n x n Gram matrix a a^dagger of the main rows, taken in column
+    blocks so the conjugated copy stays one block."""
+    n = a.shape[0]
+    rows = a.reshape(n, -1)
+    gram = np.zeros((n, n), dtype=complex)
+    for start in range(0, rows.shape[1], _GRAM_BLOCK):
+        part = rows[:, start:start + _GRAM_BLOCK]
+        gram += part @ part.conj().T
+    return gram
+
+
 def raw_controlled_powers(a: np.ndarray, phases: np.ndarray, inverse: bool = False,
                           out: np.ndarray | None = None) -> np.ndarray:
     """U^w on the main axis, controlled on phase value w, in U's eigenframe.
 
     Main index k is the eigenvector of eigenphase ``phases[k]``, so the
-    controlled power is one elementwise product with the table
-    e^{i w phases[k]} (conjugated for the inverse).
+    controlled power multiplies its slab by e^{i w phases[k]} (conjugated
+    for the inverse).  It runs one main index at a time, so no main x phase
+    table of powers is built.
     """
     n, m = a.shape[0], a.shape[1]
     phases = np.asarray(phases, dtype=float)
     if phases.shape != (n,):
         raise ValueError(f"{phases.size} eigenphases do not match main dimension {n}")
-    table = np.outer((-1j if inverse else 1j) * phases, np.arange(m))
-    np.exp(table, out=table)
-    return np.multiply(a, table.reshape((n, m) + (1,) * (a.ndim - 2)), out=out)
+    if out is None:
+        out = np.empty(a.shape, dtype=np.result_type(a, complex))
+    turn = (-1j if inverse else 1j) * np.arange(m)
+    row = (m,) + (1,) * (a.ndim - 2)
+    for k in range(n):
+        np.multiply(a[k], np.exp(turn * phases[k]).reshape(row), out=out[k])
+    return out
 
 
 def raw_estimate_forward(a: np.ndarray, phases: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """Walsh-Hadamard, controlled powers, inverse Fourier transform."""
-    out = raw_walsh_hadamard(a, out)
-    raw_controlled_powers(out, phases, out=out)
+    """The estimate on an estimate-frame array: controlled powers, then the
+    inverse Fourier transform.  The circuit's opening Walsh-Hadamard pass is
+    part of the frame.  The result has the phase axis in the computational
+    basis, main axis still in the eigenbasis."""
+    out = raw_controlled_powers(a, phases, out=out)
     return raw_inverse_qft(out, out=out)
 
 
 def raw_estimate_inverse(a: np.ndarray, phases: np.ndarray,
                          out: np.ndarray | None = None) -> np.ndarray:
-    """Exact inverse of ``raw_estimate_forward``."""
+    """Exact inverse of ``raw_estimate_forward``: Fourier transform, then
+    inverse controlled powers, back into the estimate frame."""
     out = raw_qft(a, out)
-    raw_controlled_powers(out, phases, inverse=True, out=out)
-    return raw_walsh_hadamard(out, out=out)
+    return raw_controlled_powers(out, phases, inverse=True, out=out)
 
 
 # ---------------------------------------------------------------------------
@@ -279,36 +401,60 @@ def _charge_powers(ledger, phase_dim: int):
 
 def apply_register_flip(state: StateVector, mask: SubspaceMask,
                         register: str) -> StateVector:
-    """Flip the sign of every amplitude whose ``register`` value is masked."""
+    """Flip the sign of every amplitude whose ``register`` value is masked.
+
+    The result is in the frame of ``state``.  In an estimate frame a vote
+    flip is unchanged, a main flip is the reflection I - 2 X X^dagger with
+    X = V^dagger restricted to the masked columns, and a phase flip is not
+    diagonal, so it raises.
+    """
     axis = _AXES[register]
     if mask.register_dim != state.layout.shape[axis]:
         raise ValueError("mask dimension does not match the register")
-    out = raw_flip(state.reshaped(), mask.sign_vector(), axis)
-    return StateVector(out.reshape(-1), state.layout)
+    if state.frame is not None and register == "phase":
+        raise ValueError("a phase-register flip is not diagonal in an estimate "
+                         "frame; take the state out of the frame first")
+    if state.frame is not None and register == "main":
+        x = dagger(state.frame.vectors[mask.indices, :])
+        out = raw_reflect_main(state.reshaped(), x)
+    else:
+        out = raw_flip(state.reshaped(), mask.sign_vector(), axis)
+    return StateVector(out.reshape(-1), state.layout, state.frame)
 
 
-def _estimate_in_eigenframe(state: StateVector, unitary: np.ndarray, kernel,
-                            ledger) -> StateVector:
+def _decompose(state: StateVector, unitary: np.ndarray) -> EigenDecomposition:
+    if state.frame is not None:
+        raise ValueError("phase estimation takes a computational state; "
+                         "this one is in an estimate frame")
     dec = eig_unitary(unitary, TOL.system_unitarity)
     if dec.dim != state.layout.main_dim:
         raise ValueError(f"mainspace operator of dimension {dec.dim} does not match "
                          f"{state.layout.main_dim}")
-    a = kernel(raw_rotate(state.reshaped(), dagger(dec.vectors)), dec.phases)
-    _charge_powers(ledger, state.layout.phase_dim)
-    return StateVector(raw_rotate(a, dec.vectors).reshape(-1), state.layout)
+    return dec
 
 
 def phase_estimate(state: StateVector, unitary: np.ndarray, ledger=None) -> StateVector:
     """Forward estimation circuit on the phase register.
 
-    Diagonalizes ``unitary`` and runs the circuit in its eigenframe.
+    Diagonalizes ``unitary``, takes the state into its estimate frame, runs
+    the estimate there and rotates the result back to the computational
+    basis.
     """
-    return _estimate_in_eigenframe(state, unitary, raw_estimate_forward, ledger)
+    dec = _decompose(state, unitary)
+    a = raw_enter_frame(state.reshaped(), dec.vectors)
+    raw_estimate_forward(a, dec.phases, out=a)
+    _charge_powers(ledger, state.layout.phase_dim)
+    return StateVector(raw_rotate(a, dec.vectors).reshape(-1), state.layout)
 
 
 def phase_estimate_inverse(state: StateVector, unitary: np.ndarray, ledger=None) -> StateVector:
     """Exact inverse of ``phase_estimate`` at the same ledger cost."""
-    return _estimate_in_eigenframe(state, unitary, raw_estimate_inverse, ledger)
+    dec = _decompose(state, unitary)
+    a = raw_rotate(state.reshaped(), dagger(dec.vectors))
+    raw_estimate_inverse(a, dec.phases, out=a)
+    _charge_powers(ledger, state.layout.phase_dim)
+    raw_walsh_hadamard(a, out=a)
+    return StateVector(raw_rotate(a, dec.vectors).reshape(-1), state.layout)
 
 
 # ---------------------------------------------------------------------------

@@ -3,8 +3,12 @@
 The full pipeline rotates the source onto the halfway state with uncontrolled
 search-operator applications, then amplifies the halfway state onto the
 target by alternating a target phase flip with the approximate selective
-inversion of the two gap eigenstates.  Everything a run spends is tallied in
-a QueryLedger; the classical repeat-until-success baseline and the gap-guess
+inversion of the two gap eigenstates.  The amplification runs in the search
+operator's estimate frame (see ``StateVector``): the halfway n-vector is
+embedded there directly, each target flip is a rank-one reflection and each
+inversion stays in the frame, and success, leakage and the main marginal are
+read out without leaving it.  Everything a run spends is tallied in a
+QueryLedger; the classical repeat-until-success baseline and the gap-guess
 retry schedule live here too, so the cost comparison is one import away.
 """
 
@@ -15,7 +19,14 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from .numerics import TOL, GapGuessTooCoarse, eig_unitary, make_rng, round_half_away
+from .numerics import (
+    TOL,
+    GapGuessTooCoarse,
+    eig_unitary,
+    inside_gap,
+    make_rng,
+    round_half_away,
+)
 from .phase_estimation import (
     DENSE_CAP,
     StateVector,
@@ -56,7 +67,11 @@ class QueryLedger:
 
 
 def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVector:
-    """Sign flip of the target mainspace index; one oracle query."""
+    """Sign flip of the target mainspace index; one oracle query.
+
+    In an estimate frame this is the rank-one reflection 1 - 2 x x^dagger on
+    the main axis, with x = V^dagger e_target.
+    """
     mask = SubspaceMask(state.layout.main_dim, np.array([target_index]))
     if ledger is not None:
         ledger.oracle_queries += 1
@@ -142,20 +157,19 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
             ledger=ledger,
         )
 
-    # one diagonalization serves both the error prediction and the frame
-    # the inversion operator runs in
+    # one diagonalization serves the error prediction and the frame the
+    # amplification runs in
     dec = eig_unitary(operator, TOL.system_unitarity)
     op = InversionOperator.build(scheme, operator, dense_cap, dec)
     predicted = max(
-        predicted_epsilon(scheme, float(lam), bool(abs(lam) < scheme.phase_gap))
-        for lam in dec.phases
+        predicted_epsilon(scheme, float(lam), bool(inside))
+        for lam, inside in zip(dec.phases, inside_gap(dec.phases, scheme.phase_gap))
     )
     # the embedded halfway state is passed on, not kept, so the first round
     # can free it
-    state = amplify_to_target(embed_mainspace(op.layout, halfway.state), op,
-                              inst.target_index, rounds, ledger)
-    amps = state.reshaped()
-    branch = np.abs(amps[:, 0, 0]) ** 2
+    state = amplify_to_target(embed_mainspace(op.layout, halfway.state, frame=dec),
+                              op, inst.target_index, rounds, ledger)
+    branch = np.abs(state.branch_amplitudes(0, 0)) ** 2
     return PipelineResult(
         instance_id=inst.instance_id,
         main_dim=inst.spec.n,
@@ -190,33 +204,17 @@ def classical_baseline(inst: SearchInstance, trials: int = 1000,
                        seed: int = 0) -> BaselineReport:
     """Monte Carlo estimate of the no-postprocessing strategy.
 
-    Each repetition pays the full halfway preparation and samples one
-    measurement from the halfway state's own distribution; a trial stops when
-    the sample hits the target.
+    Each repetition pays the full halfway preparation and measures the
+    halfway state once; a trial stops when the measurement hits the target.
+    Its repetition count is therefore geometric in the target probability,
+    and that is what each trial draws.
     """
     if trials < 100:
         raise ValueError("need at least 100 trials for a stable mean")
     halfway = evolve_to_halfway(inst)
     p = np.abs(halfway.state) ** 2
-    p = p / p.sum()
-    cdf = np.cumsum(p)
-    cdf[-1] = 1.0
-    p_target = float(p[inst.target_index])
-    rng = make_rng(seed)
-    block = max(8, int(4.0 / max(p_target, 1e-6)))
-    counts = np.empty(trials, dtype=float)
-    for trial in range(trials):
-        done = 0
-        while True:
-            draws = np.searchsorted(cdf, rng.random(block), side="right")
-            hits = np.flatnonzero(draws == inst.target_index)
-            if hits.size:
-                done += int(hits[0]) + 1
-                break
-            done += block
-            if done > 100_000_000:
-                raise RuntimeError("baseline sampling ran away; target mass is absurdly small")
-        counts[trial] = done
+    p_target = float(p[inst.target_index] / p.sum())
+    counts = make_rng(seed).geometric(p_target, size=trials)
     mean_reps = float(counts.mean())
     return BaselineReport(
         trials=trials,

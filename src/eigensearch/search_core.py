@@ -15,7 +15,14 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .numerics import TOL, AssumptionViolation, eig_unitary, round_half_away, wrap_angle
+from .numerics import (
+    TOL,
+    AssumptionViolation,
+    eig_unitary,
+    inside_gap,
+    round_half_away,
+    wrap_angle,
+)
 from .spectra import SearchInstance, assemble_diffusion
 
 
@@ -132,7 +139,7 @@ def find_relevant_pair(inst: SearchInstance, operator: np.ndarray | None = None)
     if operator is None:
         operator = build_search_operator(inst)
     dec = eig_unitary(operator, TOL.system_unitarity)
-    inside = np.flatnonzero(np.abs(dec.phases) < inst.spec.phase_gap)
+    inside = np.flatnonzero(inside_gap(dec.phases, inst.spec.phase_gap))
     if inside.size != 2:
         raise AssumptionViolation(
             f"expected 2 eigenphases inside the gap (+-{inst.spec.phase_gap:.6g}), "

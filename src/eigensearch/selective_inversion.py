@@ -11,9 +11,12 @@ the wrong side of the window.  The boosted one converts the window test into
 independent one-qubit votes, flips on a strict majority of ones, and turns
 that linear error into a binomial tail.
 
-The operator is simulated in the eigenframe of its unitary (see
-``phase_estimation``): one rotation in, the whole inversion, one rotation
-out.  There every register operator is block-diagonal, one block per
+The operator is simulated in the estimate frame of its unitary (see
+``StateVector``): main axis in the eigenbasis, phase axis Walsh-Hadamard
+transformed.  A state already in that frame is transformed there and stays
+there, so amplification rounds need no basis change between them; a
+computational state is taken into the frame and back out around the same
+code.  In the frame every register operator is block-diagonal, one block per
 eigenvector k.  The estimate-reflect-unestimate inside each vote kickback,
 E (I - 2|0><0|) E^dagger, is the rank-one reflection I - 2 |phi_k><phi_k| of
 the phase register about the closed-form estimate profile
@@ -47,6 +50,7 @@ from .numerics import (
     ResourceCapExceeded,
     dagger,
     eig_unitary,
+    inside_gap,
     is_unitary,
 )
 from .phase_estimation import (
@@ -58,10 +62,12 @@ from .phase_estimation import (
     estimate_amplitudes,
     estimate_window_mass,
     gap_window_mask,
+    raw_enter_frame,
     raw_estimate_forward,
     raw_estimate_inverse,
     raw_flip,
     raw_rotate,
+    raw_walsh_hadamard,
 )
 
 GUARD_FRACTION = 2.0 * math.pi / 128.0
@@ -233,10 +239,10 @@ def _vote_coefficients(p: np.ndarray, norms: np.ndarray,
 class InversionOperator:
     """A sized inversion scheme bound to one mainspace unitary.
 
-    ``decomposition`` is the unitary's eigendecomposition, the frame the
-    operator runs in.  Unless ``build`` is handed one it is computed on the
-    first ``apply`` and kept; a boosted operator also keeps the split of
-    every eigenphase's estimate profile at the gap window.
+    ``decomposition`` is the unitary's eigendecomposition, whose estimate
+    frame the operator runs in.  Unless ``build`` is handed one it is
+    computed on the first ``apply`` and kept; a boosted operator also keeps
+    the split of every eigenphase's estimate profile at the gap window.
     """
 
     scheme: InversionScheme
@@ -266,6 +272,7 @@ class InversionOperator:
                    gap_window=window, vote_window=votes, decomposition=decomposition)
 
     def _eigenframe(self) -> EigenDecomposition:
+        """The decomposition whose estimate frame the operator runs in."""
         if self.decomposition is None:
             self.decomposition = eig_unitary(self.unitary, TOL.system_unitarity)
         return self.decomposition
@@ -278,37 +285,52 @@ class InversionOperator:
         return self._plane
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
-        """One application of the inversion; charges the full query bill."""
+        """One application of the inversion; charges the full query bill.
+
+        The result is in the frame of ``state``.  A state in the operator's
+        estimate frame is transformed there: the estimate writes the one
+        working array, so the input is never copied.  A computational state
+        is taken into the frame and back out around the same code.  A state
+        in any other frame raises.
+        """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
         dec = self._eigenframe()
-        # one working array, rotated into the eigenframe and updated in place
-        a = raw_rotate(state.reshaped(), dagger(dec.vectors))
-        if self.scheme.kind == "basic":
-            self._apply_basic(a, dec.phases, ledger)
-        else:
-            self._apply_boosted(a, dec.phases, ledger)
-        return StateVector(raw_rotate(a, dec.vectors).reshape(-1), self.layout)
-
-    def _apply_basic(self, a: np.ndarray, phases: np.ndarray, ledger):
         m = self.layout.phase_dim
-        raw_estimate_forward(a, phases, out=a)
+        if state.frame is None:
+            a = raw_enter_frame(state.reshaped(), dec.vectors)
+            raw_estimate_forward(a, dec.phases, out=a)
+        elif state.frame is dec:
+            a = raw_estimate_forward(state.reshaped(), dec.phases)
+        else:
+            raise ValueError("state is in the estimate frame of another operator")
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        raw_flip(a, self.gap_window.sign_vector(), 1, out=a)
-        raw_estimate_inverse(a, phases, out=a)
+        if self.scheme.kind == "basic":
+            raw_flip(a, self.gap_window.sign_vector(), 1, out=a)
+        else:
+            self._vote_stage(a, ledger)
+        raw_estimate_inverse(a, dec.phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
+        if state.frame is None:
+            # out of the frame: the pass in place, then the rotation into
+            # the output, so no pass runs beside two registers
+            raw_walsh_hadamard(a, out=a)
+            a = raw_rotate(a, dec.vectors)
+        return StateVector(a.reshape(-1), self.layout, state.frame)
 
-    def _apply_boosted(self, a: np.ndarray, phases: np.ndarray, ledger):
+    def _vote_stage(self, a: np.ndarray, ledger):
+        """The 2 nu kickbacks around the majority flip, in place on the
+        estimated array.
+
+        The stage fixes everything orthogonal to the plane of u_in and u_out
+        up to a sign per (phase, vote) value: a kickback swaps vote bit j on
+        the off-window rows, so the off-window rows see the majority sign of
+        the complemented vote value.  Within the plane it runs on the
+        projections, two coefficients per eigenvector and vote value, and
+        the difference is added back as one rank-two update per main index,
+        with the phase x vote slab in cache.
+        """
         m, nu = self.layout.phase_dim, self.scheme.vote_bits
-        raw_estimate_forward(a, phases, out=a)
-        _charge(ledger, controlled_s=m, oracle_queries=m)
-        # The vote stage fixes everything orthogonal to the plane of u_in and
-        # u_out up to a sign per (phase, vote) value: a kickback swaps vote
-        # bit j on the off-window rows, so the off-window rows see the
-        # majority sign of the complemented vote value.  Within the plane it
-        # runs on the projections, two coefficients per eigenvector and vote
-        # value, and the difference is added back as one rank-two update per
-        # main index, with the phase x vote slab in cache.
         units, norms = self._vote_plane()
         off_window = self.gap_window.sign_vector() > 0.0
         vote_sign = self.vote_window.sign_vector()
@@ -324,8 +346,6 @@ class InversionOperator:
         # amplification, one zero reflection and two vote Hadamards
         _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
                 i_zero_prime=2 * nu, hadamards_vote=4 * nu)
-        raw_estimate_inverse(a, phases, out=a)
-        _charge(ledger, controlled_s=m, oracle_queries=m)
 
     def to_matrix(self) -> np.ndarray:
         """Dense matrix of the full-register inversion; small layouts only."""
@@ -395,14 +415,20 @@ class EpsilonReport:
 def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
                     invert) -> EpsilonReport:
     """Drive every given eigenstate through the operator and compare against
-    the intended sign, alongside the analytic prediction."""
+    the intended sign, alongside the analytic prediction.
+
+    Each eigenstate is embedded straight into the operator's estimate frame
+    and compared there; the norm of ``out - sign * in`` does not depend on
+    the frame.
+    """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
+    frame = op._eigenframe()
     measured = np.empty(phases.shape[0])
     predicted = np.empty(phases.shape[0])
     for k in range(phases.shape[0]):
-        sv = embed_mainspace(op.layout, vectors[:, k])
+        sv = embed_mainspace(op.layout, vectors[:, k], frame=frame)
         out = op.apply(sv)
         sign = -1.0 if invert[k] else 1.0
         measured[k] = float(np.linalg.norm(out.amps - sign * sv.amps))
@@ -422,7 +448,7 @@ def instance_epsilon_report(op: InversionOperator, inst,
     if operator is None:
         operator = build_search_operator(inst)
     dec = eig_unitary(operator, TOL.system_unitarity)
-    invert = np.abs(dec.phases) < op.scheme.phase_gap
+    invert = inside_gap(dec.phases, op.scheme.phase_gap)
     if int(invert.sum()) != 2:
         raise AssumptionViolation(
             f"expected 2 eigenphases inside the declared gap, found {int(invert.sum())}"

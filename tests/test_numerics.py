@@ -7,6 +7,7 @@ from numpy.testing import assert_allclose
 from eigensearch.numerics import (
     TOL,
     eig_unitary,
+    inside_gap,
     make_rng,
     phase_distance,
     round_half_away,
@@ -124,3 +125,10 @@ def test_unitary_power_matches_repeated_multiplication():
     assert np.array_equal(unitary_power(u, 0), np.eye(8, dtype=complex))
     with pytest.raises(ValueError):
         unitary_power(u, -3)
+
+
+def test_inside_gap_counts_phases_on_the_edge_as_outside():
+    phases = [0.0, -0.3, 0.5 - 1e-9, 0.5 - 1e-13, 0.5, -0.5 + 4e-16, 0.7]
+    assert inside_gap(phases, 0.5).tolist() == [True, True, True, False, False,
+                                                False, False]
+    assert not inside_gap(np.pi - 4.4e-16, np.pi)

@@ -10,6 +10,9 @@ import oracles
 from eigensearch.numerics import ResourceCapExceeded, make_rng
 from eigensearch.phase_estimation import (
     RegisterLayout,
+    StateVector,
+    SubspaceMask,
+    apply_register_flip,
     embed_mainspace,
     estimate_window_mass,
     hadamard_block,
@@ -166,3 +169,31 @@ def test_register_layout_enforces_the_dense_cap():
                                 guard_fraction=es.GUARD_FRACTION)
     with pytest.raises(ResourceCapExceeded):
         es.InversionOperator.build(scheme, np.eye(32, dtype=complex))
+
+
+def test_frame_states_refuse_what_their_frame_cannot_answer():
+    # a state in an estimate frame is never answered for in another basis
+    u = qr_unitary(3, 5)
+    dec = es.eig_unitary(u)
+    lay = RegisterLayout(3, 3, 2)
+    sv = embed_mainspace(lay, [0.6, 0.0, 0.8], frame=dec)
+    with pytest.raises(ValueError, match="phase marginal"):
+        sv.marginal("phase")
+    with pytest.raises(ValueError, match="not diagonal"):
+        apply_register_flip(sv, SubspaceMask(8, [1]), "phase")
+    with pytest.raises(ValueError, match="computational state"):
+        es.phase_estimate(sv, u)
+    with pytest.raises(ValueError, match="computational state"):
+        es.phase_estimate_inverse(sv, u)
+    with pytest.raises(ValueError, match="different frames"):
+        sv.overlap(embed_mainspace(lay, [0.6, 0.0, 0.8]))
+    with pytest.raises(ValueError, match="frame of dimension"):
+        StateVector(sv.amps, RegisterLayout(6, 3, 1), dec)
+    # a second diagonalization of u is an equal decomposition, but not the
+    # frame this state was embedded in
+    op = es.InversionOperator.build(es.InversionScheme("boosted", 3, 2, 0.6), u,
+                                    decomposition=es.eig_unitary(u))
+    with pytest.raises(ValueError, match="another operator"):
+        op.apply(sv)
+    assert op.apply(embed_mainspace(lay, [0.6, 0.0, 0.8], frame=op.decomposition)) \
+        .frame is op.decomposition

@@ -11,8 +11,13 @@ straddling pi/2, and some with eigenphases exactly on register grid points,
 where the in-window or the off-window part of an estimate profile vanishes.
 They compare the operator against the dense oracles built from powers of the
 unitary itself, its query charges against the ledger's closed forms, and the
-search operator's gap eigenphases against the secular roots.
+search operator's gap eigenphases against the secular roots.  States in an
+estimate frame are checked against the computational ones through the dense
+frame change V^dagger (x) H (x) 1, and the frame amplification of
+``run_full`` against rounds run on computational states.
 """
+
+from unittest import mock
 
 import numpy as np
 from hypothesis import assume, given, settings
@@ -20,6 +25,8 @@ from hypothesis import strategies as st
 
 import eigensearch as es
 import oracles
+from eigensearch import pipeline
+from eigensearch.phase_estimation import apply_register_flip
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -174,3 +181,92 @@ def test_secular_roots_match_the_diagonalization(inst):
     root_plus, root_minus = es.secular_pair(inst)
     assert abs(phases[phases > 0].min() - root_plus) <= es.TOL.secular_agreement
     assert abs(phases[phases < 0].max() - root_minus) <= es.TOL.secular_agreement
+
+
+def dense_frame_change(dec, layout):
+    """V^dagger (x) H (x) 1 as a dense matrix: computational amplitudes to
+    those of the estimate frame of ``dec``."""
+    return np.kron(np.kron(dec.vectors.conj().T, oracles.dense_walsh(layout.phase_bits)),
+                   np.eye(layout.vote_dim))
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_frame_operations_match_the_computational_ones(case, seed):
+    u, op = case
+    dec = es.eig_unitary(u, es.TOL.system_unitarity)
+    op = es.InversionOperator.build(op.scheme, u, decomposition=dec)
+    lay = op.layout
+    change = dense_frame_change(dec, lay)
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
+    comp = es.StateVector(amps / np.linalg.norm(amps), lay)
+    framed = es.StateVector(change @ comp.amps, lay, dec)
+
+    out = op.apply(framed)
+    assert out.frame is dec
+    assert np.max(np.abs(out.amps - change @ op.apply(comp).amps)) <= 1e-12
+    n = lay.main_dim
+    main = es.SubspaceMask(n, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
+    votes = es.SubspaceMask(lay.vote_dim, rng.choice(lay.vote_dim, size=1))
+    for mask, register in ((main, "main"), (votes, "vote")):
+        flipped = apply_register_flip(framed, mask, register)
+        assert flipped.frame is dec
+        want = change @ apply_register_flip(comp, mask, register).amps
+        assert np.max(np.abs(flipped.amps - want)) <= 1e-12
+    for register in ("main", "vote"):
+        assert np.max(np.abs(framed.marginal(register) - comp.marginal(register))) <= 1e-12
+    w, v = int(rng.integers(lay.phase_dim)), int(rng.integers(lay.vote_dim))
+    assert np.max(np.abs(framed.branch_amplitudes(w, v) - comp.reshaped()[:, w, v])) <= 1e-12
+    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vec /= np.linalg.norm(vec)
+    embedded = es.embed_mainspace(lay, vec, w, v, frame=dec)
+    assert np.max(np.abs(embedded.amps - change @ es.embed_mainspace(lay, vec, w, v).amps)) \
+        <= 1e-12
+
+
+@st.composite
+def pipeline_cases(draw):
+    """A small symmetric instance, a scheme whose register holds at most
+    4096 amplitudes, and a round count of 1 to 3."""
+    inst = draw(symmetric_instances())
+    n = inst.spec.n
+    nu = draw(st.sampled_from((0, 2, 4)))
+    mu = draw(st.integers(2, min(6, (4096 // (n << nu)).bit_length() - 1)))
+    gap = draw(st.floats(0.2, 3.0))
+    try:
+        scheme = es.InversionScheme("basic" if nu == 0 else "boosted", mu, nu, gap)
+        es.gap_window_mask(mu, gap, scheme.guard_fraction)
+    except es.GapGuessTooCoarse:
+        assume(False)
+    return inst, scheme, draw(st.integers(1, 3))
+
+
+def computational_run(inst, scheme, rounds):
+    """Success, leakage, main marginal and ledger of ``rounds`` rounds run
+    on computational states: target flip, then the inversion."""
+    ledger = es.QueryLedger()
+    halfway = es.evolve_to_halfway(inst, ledger)
+    op = es.InversionOperator.build(scheme, es.build_search_operator(inst))
+    target = es.SubspaceMask(inst.spec.n, [inst.target_index])
+    sv = es.embed_mainspace(op.layout, halfway.state)
+    for _ in range(rounds):
+        sv = apply_register_flip(sv, target, "main")
+        ledger.oracle_queries += 1
+        sv = op.apply(sv, ledger)
+    branch = np.abs(sv.reshaped()[:, 0, 0]) ** 2
+    return branch[inst.target_index], 1.0 - branch.sum(), sv.marginal("main"), ledger
+
+
+@SETTINGS
+@given(pipeline_cases())
+def test_frame_amplification_matches_computational_rounds(case):
+    inst, scheme, rounds = case
+    with mock.patch.object(pipeline, "amplification_round_count", lambda boost: rounds):
+        res = es.run_full(inst, scheme)
+    success, leakage, marginal, ledger = computational_run(inst, scheme, rounds)
+    assert res.amplification_rounds == rounds
+    assert abs(res.success_probability - success) <= 1e-12
+    assert abs(res.ancilla_leakage - leakage) <= 1e-12
+    assert np.max(np.abs(res.main_marginal - marginal)) <= 1e-12
+    assert res.ledger == ledger

@@ -5,6 +5,7 @@ import pytest
 
 import eigensearch as es
 import instances
+from eigensearch import search_core
 from eigensearch.numerics import AssumptionViolation
 
 
@@ -19,6 +20,26 @@ def test_grover_pair_phase_matches_the_closed_form(grover64):
     assert hi == pytest.approx(-0.25, abs=1e-12)
     rel = abs(pair.phase_plus - lo) / pair.phase_plus
     assert rel <= 5.0 * grover64.overlap / grover64.spec.phase_gap
+
+
+def test_gap_edge_phases_within_roundoff_stay_outside_the_gap(grover64,
+                                                              monkeypatch):
+    # a Grover spec declares the gap pi, where its (n-2)-fold eigenvalue -1
+    # sits; an eigensolver that rotates that eigenspace returns some of its
+    # phases a hair below pi, and they must not count as inside the gap
+    exact = search_core.eig_unitary
+
+    def nudged(u, tol=es.TOL.unitarity):
+        dec = exact(u, tol)
+        phases = np.where(dec.phases > np.pi - 1e-9, np.pi - 4.4e-16, dec.phases)
+        return es.EigenDecomposition(phases=phases, vectors=dec.vectors)
+
+    monkeypatch.setattr(search_core, "eig_unitary", nudged)
+    phases = search_core.eig_unitary(es.build_search_operator(grover64)).phases
+    assert np.sum(phases == np.pi - 4.4e-16) == grover64.spec.n - 2
+    pair = es.find_relevant_pair(grover64)
+    assert pair.phase_plus == pytest.approx(2.0 * np.arcsin(0.125), abs=1e-10)
+    assert pair.phase_minus == pytest.approx(-2.0 * np.arcsin(0.125), abs=1e-10)
 
 
 def test_grover4_search_operator_has_period_six():
