@@ -21,7 +21,6 @@ from .numerics import (
     phase_distance,
     round_half_away,
     split_seed,
-    unitary_power,
     wrap_angle,
 )
 from .spectra import (
@@ -65,8 +64,6 @@ from .phase_estimation import (
     peak_mass_bound,
     peak_window_mask,
     peak_window_mass,
-    phase_estimate,
-    phase_estimate_inverse,
     window_mask,
 )
 from .selective_inversion import (
@@ -74,11 +71,9 @@ from .selective_inversion import (
     EpsilonReport,
     InversionOperator,
     InversionScheme,
-    KickbackReport,
     basic_error_bound,
     binomial_tail_wrong_half,
     instance_epsilon_report,
-    kickback_analysis,
     measure_epsilon,
     predicted_epsilon,
     vote_majority_mask,

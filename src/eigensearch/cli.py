@@ -70,36 +70,6 @@ class ConfigError(ValueError):
     """The run configuration cannot be acted on."""
 
 
-_DEFAULTS = {
-    "n": None,
-    "source": 0,
-    "grover": False,
-    "pairs": None,
-    "seed": 0,
-    "theta_min": None,
-    "target": None,
-    "alpha_max": None,
-    "alpha_min": 0.0,
-    "b_target": None,
-    "scheme": "basic",
-    "mu": None,
-    "nu": None,
-    "b": 7,
-    "mu_offset": 16,
-    "delta": GUARD_FRACTION,
-    "trials": 1000,
-    "dense_cap": DENSE_CAP,
-    "initial_guess": None,
-    "r_max": None,
-    "sweep_mu": None,
-    "sweep_nu": None,
-    "instances": None,
-    "timings": False,
-    "format": "json",
-    "out": None,
-}
-
-
 def _int_list(text: str) -> list[int]:
     return [int(tok) for tok in text.split(",") if tok.strip()]
 
@@ -108,35 +78,51 @@ def _float_list(text: str) -> list[float]:
     return [float(tok) for tok in text.split(",") if tok.strip()]
 
 
+# (key, parser, default) per option; the flag is the key with dashes.  A
+# parser of bool is a switch, a tuple the allowed choices, and None marks a
+# key that only a config file can set.
+_OPTIONS = (
+    ("n", int, None),
+    ("source", int, 0),
+    ("grover", bool, False),
+    ("symmetric", bool, False),
+    ("pairs", _float_list, None),
+    ("seed", int, 0),
+    ("theta_min", float, None),
+    ("target", int, None),
+    ("alpha_max", float, None),
+    ("alpha_min", float, 0.0),
+    ("b_target", float, None),
+    ("scheme", ("basic", "boosted"), "basic"),
+    ("mu", int, None),
+    ("nu", int, None),
+    ("b", int, 7),
+    ("mu_offset", int, 16),
+    ("delta", float, GUARD_FRACTION),
+    ("trials", int, 1000),
+    ("dense_cap", int, DENSE_CAP),
+    ("initial_guess", float, None),
+    ("r_max", int, None),
+    ("sweep_mu", _int_list, None),
+    ("sweep_nu", _int_list, None),
+    ("instances", None, None),
+    ("timings", bool, False),
+    ("format", ("json", "csv"), "json"),
+    ("out", str, None),
+)
+
+
 def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", metavar="PATH", default=None)
-    common.add_argument("--seed", type=int, default=None)
-    common.add_argument("--out", metavar="PATH", default=None)
-    common.add_argument("--format", choices=("json", "csv"), default=None)
-    common.add_argument("--n", type=int, default=None)
-    common.add_argument("--source", type=int, default=None)
-    common.add_argument("--grover", action="store_true", default=None)
-    common.add_argument("--symmetric", action="store_true", default=None)
-    common.add_argument("--pairs", type=_float_list, default=None)
-    common.add_argument("--theta-min", dest="theta_min", type=float, default=None)
-    common.add_argument("--target", type=int, default=None)
-    common.add_argument("--alpha-max", dest="alpha_max", type=float, default=None)
-    common.add_argument("--alpha-min", dest="alpha_min", type=float, default=None)
-    common.add_argument("--b-target", dest="b_target", type=float, default=None)
-    common.add_argument("--scheme", choices=("basic", "boosted"), default=None)
-    common.add_argument("--mu", type=int, default=None)
-    common.add_argument("--nu", type=int, default=None)
-    common.add_argument("--b", type=int, default=None)
-    common.add_argument("--mu-offset", dest="mu_offset", type=int, default=None)
-    common.add_argument("--delta", type=float, default=None)
-    common.add_argument("--trials", type=int, default=None)
-    common.add_argument("--dense-cap", dest="dense_cap", type=int, default=None)
-    common.add_argument("--initial-guess", dest="initial_guess", type=float, default=None)
-    common.add_argument("--r-max", dest="r_max", type=int, default=None)
-    common.add_argument("--sweep-mu", dest="sweep_mu", type=_int_list, default=None)
-    common.add_argument("--sweep-nu", dest="sweep_nu", type=_int_list, default=None)
-    common.add_argument("--timings", action="store_true", default=None)
+    for key, parse, _ in _OPTIONS:
+        flag = "--" + key.replace("_", "-")
+        if parse is bool:
+            common.add_argument(flag, action="store_true", default=None)
+        elif isinstance(parse, tuple):
+            common.add_argument(flag, choices=parse, default=None)
+        elif parse is not None:
+            common.add_argument(flag, type=parse, default=None)
 
     parser = argparse.ArgumentParser(prog="eigensearch")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -146,7 +132,9 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    cfg = dict(_DEFAULTS)
+    """Defaults, then the config file, then the flags.  ``symmetric`` only
+    switches ``grover`` off, from either source, and is not kept."""
+    cfg = {key: default for key, _, default in _OPTIONS}
     if args.config is not None:
         try:
             with open(args.config) as f:
@@ -155,7 +143,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(cfg) - {"symmetric"}
+        unknown = set(loaded) - set(cfg)
         if unknown:
             raise ConfigError(f"unknown config keys: {sorted(unknown)}")
         cfg.update(loaded)
@@ -163,7 +151,7 @@ def _resolve_config(args: argparse.Namespace) -> dict:
         flag = getattr(args, key, None)
         if flag is not None:
             cfg[key] = flag
-    if getattr(args, "symmetric", None):
+    if cfg.pop("symmetric"):
         cfg["grover"] = False
         if cfg["pairs"] is None:
             raise ConfigError("--symmetric needs --pairs")

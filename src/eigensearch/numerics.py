@@ -196,18 +196,3 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
         raise InternalInvariantError("eig_unitary: reconstruction residual too large")
     return EigenDecomposition(phases=phases, vectors=vectors)
 
-
-def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
-    """U^z for integer z >= 0, by repeated squaring."""
-    if z < 0:
-        raise ValueError("unitary_power: exponent must be >= 0")
-    n = u.shape[0]
-    result = np.eye(n, dtype=complex)
-    base = np.asarray(u, dtype=complex)
-    e = z
-    while e:
-        if e & 1:
-            result = base @ result
-        base = base @ base
-        e >>= 1
-    return result

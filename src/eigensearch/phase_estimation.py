@@ -15,12 +15,9 @@ run in the estimate frame of U (see ``StateVector``): main index k stands
 for eigenvector k, the controlled power U^w becomes the phase
 e^{i w lambda_k}, and the phase axis is already Walsh-Hadamard transformed,
 so the estimate is the controlled powers and the inverse Fourier transform
-alone.  The basis changes happen only where a state enters or leaves the
-frame: ``phase_estimate`` takes a computational state in with V^dagger and
-the Walsh-Hadamard pass and rotates the estimate back out with V, and a
-caller that applies many estimates keeps its state in the frame between
-them.  Fed eigenvector k, the estimate leaves the phase register in the
-peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
+alone.  Callers embed their mainspace vectors straight into the frame and
+keep their states there.  Fed eigenvector k, the estimate leaves the phase
+register in the peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -36,7 +33,6 @@ from .numerics import (
     GapGuessTooCoarse,
     ResourceCapExceeded,
     dagger,
-    eig_unitary,
     round_half_away,
 )
 
@@ -44,15 +40,13 @@ DENSE_CAP = 1 << 22
 """Largest joint register, in amplitudes: 64 MiB of complex128.
 
 The cap bounds memory only together with the working set of the kernels.
-An ``InversionOperator.apply`` on a state in its estimate frame allocates
-one register on top of its input: the working array, updated in place, which
-becomes the output.  On a computational state it allocates two: the working
-array, taken into the frame, and the output, taken back out.  Every other
+An ``InversionOperator.apply`` allocates one register on top of its input:
+the working array, updated in place, which becomes the output.  Every other
 temporary is at most one main-index slab or a main x phase table, and in a
 boosted apply the conjugated vote-plane rows (2 / vote_dim of the register).
 The amplification rounds of ``run_full`` hold at most two registers at once,
 the state and its successor, so a register at the cap peaks near 2 x 64 MiB
-there and near 3 x 64 MiB for a computational apply.  A boosted operator also keeps its vote-plane rows between
+there.  A boosted operator also keeps its vote-plane rows between
 applications.  The multiples are measured and pinned by the tests
 ``test_boosted_apply_allocates_twice_the_register`` and
 ``test_boosted_amplification_holds_two_registers``.
@@ -152,7 +146,7 @@ class StateVector:
         a = self.reshaped()
         if self.frame is not None and register == "phase":
             raise ValueError("the phase marginal of a state in an estimate frame "
-                             "needs the state taken out of the frame")
+                             "needs the Walsh-Hadamard pass back")
         if self.frame is not None and register == "main":
             v = self.frame.vectors
             gram = raw_gram(a)
@@ -240,9 +234,9 @@ class SubspaceMask:
 # ---------------------------------------------------------------------------
 # Raw kernels.  Arrays are (main_dim, phase_dim, trailing) in C order.  The
 # input is never mutated unless it is also passed as ``out``: every kernel
-# but ``raw_rotate``, ``raw_enter_frame`` and ``raw_reflect_main``, which
-# always write a new array, can then update it in place; that keeps the
-# working set of a chain of kernels at one register.
+# but ``raw_reflect_main``, which always writes a new array, can then update
+# it in place; that keeps the working set of a chain of kernels at one
+# register.
 
 def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
              out: np.ndarray | None = None) -> np.ndarray:
@@ -295,26 +289,6 @@ def raw_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
 
 def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(a, axis=1, norm="ortho", out=out)
-
-
-def raw_rotate(a: np.ndarray, matrix: np.ndarray) -> np.ndarray:
-    """An n x n matrix on the main axis: V^dagger rotates into the
-    eigenframe, V rotates back out."""
-    n = a.shape[0]
-    return (matrix @ np.ascontiguousarray(a).reshape(n, -1)).reshape(a.shape)
-
-
-def raw_enter_frame(a: np.ndarray, vectors: np.ndarray) -> np.ndarray:
-    """Into the estimate frame of V: V^dagger on the main axis and
-    Walsh-Hadamard on the phase axis, into a new array.
-
-    The way back is the Walsh-Hadamard pass (its own inverse) and V, in
-    either order, since they act on different axes.  Callers leave a frame
-    with the pass in place on their working array first, so that it runs
-    before the output array exists.
-    """
-    out = raw_rotate(a, dagger(vectors))
-    return raw_walsh_hadamard(out, out=out)
 
 
 def raw_reflect_main(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -389,15 +363,7 @@ def raw_estimate_inverse(a: np.ndarray, phases: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# StateVector wrappers.  These are the operators that charge the query ledger:
-# each pass of controlled powers costs one controlled application of the
-# mainspace unitary per register value, and as many oracle queries.
-
-def _charge_powers(ledger, phase_dim: int):
-    if ledger is not None:
-        ledger.controlled_s += phase_dim
-        ledger.oracle_queries += phase_dim
-
+# StateVector operators.
 
 def apply_register_flip(state: StateVector, mask: SubspaceMask,
                         register: str) -> StateVector:
@@ -413,48 +379,13 @@ def apply_register_flip(state: StateVector, mask: SubspaceMask,
         raise ValueError("mask dimension does not match the register")
     if state.frame is not None and register == "phase":
         raise ValueError("a phase-register flip is not diagonal in an estimate "
-                         "frame; take the state out of the frame first")
+                         "frame")
     if state.frame is not None and register == "main":
         x = dagger(state.frame.vectors[mask.indices, :])
         out = raw_reflect_main(state.reshaped(), x)
     else:
         out = raw_flip(state.reshaped(), mask.sign_vector(), axis)
     return StateVector(out.reshape(-1), state.layout, state.frame)
-
-
-def _decompose(state: StateVector, unitary: np.ndarray) -> EigenDecomposition:
-    if state.frame is not None:
-        raise ValueError("phase estimation takes a computational state; "
-                         "this one is in an estimate frame")
-    dec = eig_unitary(unitary, TOL.system_unitarity)
-    if dec.dim != state.layout.main_dim:
-        raise ValueError(f"mainspace operator of dimension {dec.dim} does not match "
-                         f"{state.layout.main_dim}")
-    return dec
-
-
-def phase_estimate(state: StateVector, unitary: np.ndarray, ledger=None) -> StateVector:
-    """Forward estimation circuit on the phase register.
-
-    Diagonalizes ``unitary``, takes the state into its estimate frame, runs
-    the estimate there and rotates the result back to the computational
-    basis.
-    """
-    dec = _decompose(state, unitary)
-    a = raw_enter_frame(state.reshaped(), dec.vectors)
-    raw_estimate_forward(a, dec.phases, out=a)
-    _charge_powers(ledger, state.layout.phase_dim)
-    return StateVector(raw_rotate(a, dec.vectors).reshape(-1), state.layout)
-
-
-def phase_estimate_inverse(state: StateVector, unitary: np.ndarray, ledger=None) -> StateVector:
-    """Exact inverse of ``phase_estimate`` at the same ledger cost."""
-    dec = _decompose(state, unitary)
-    a = raw_rotate(state.reshaped(), dagger(dec.vectors))
-    raw_estimate_inverse(a, dec.phases, out=a)
-    _charge_powers(ledger, state.layout.phase_dim)
-    raw_walsh_hadamard(a, out=a)
-    return StateVector(raw_rotate(a, dec.vectors).reshape(-1), state.layout)
 
 
 # ---------------------------------------------------------------------------

@@ -13,13 +13,13 @@ that linear error into a binomial tail.
 
 The operator is simulated in the estimate frame of its unitary (see
 ``StateVector``): main axis in the eigenbasis, phase axis Walsh-Hadamard
-transformed.  A state already in that frame is transformed there and stays
-there, so amplification rounds need no basis change between them; a
-computational state is taken into the frame and back out around the same
-code.  In the frame every register operator is block-diagonal, one block per
-eigenvector k.  The estimate-reflect-unestimate inside each vote kickback,
-E (I - 2|0><0|) E^dagger, is the rank-one reflection I - 2 |phi_k><phi_k| of
-the phase register about the closed-form estimate profile
+transformed.  It takes a state in that frame and returns one there, so
+amplification rounds need no basis change between them, and callers embed
+their mainspace vectors straight into the frame.  In the frame every
+register operator is block-diagonal, one block per eigenvector k.  The
+estimate-reflect-unestimate inside each vote kickback, E (I - 2|0><0|)
+E^dagger, is the rank-one reflection I - 2 |phi_k><phi_k| of the phase
+register about the closed-form estimate profile
 phi_k = ``estimate_amplitudes(mu, lambda_k)``, so it costs no transform at
 all.
 
@@ -47,8 +47,6 @@ from .numerics import (
     AssumptionViolation,
     EigenDecomposition,
     GapGuessTooCoarse,
-    ResourceCapExceeded,
-    dagger,
     eig_unitary,
     inside_gap,
     is_unitary,
@@ -62,17 +60,12 @@ from .phase_estimation import (
     estimate_amplitudes,
     estimate_window_mass,
     gap_window_mask,
-    raw_enter_frame,
     raw_estimate_forward,
     raw_estimate_inverse,
     raw_flip,
-    raw_rotate,
-    raw_walsh_hadamard,
 )
 
 GUARD_FRACTION = 2.0 * math.pi / 128.0
-
-MATRIX_CAP = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -160,31 +153,6 @@ def _charge(ledger, **counts):
         setattr(ledger, name, getattr(ledger, name) + value)
 
 
-def _raw_kickback_mix(d: np.ndarray, estimates: np.ndarray, off_window: np.ndarray,
-                      inverse: bool) -> np.ndarray:
-    """(I - A) / 2 in place on an eigenframe array (main, phase, trailing).
-
-    A = -(I - 2 phi phi^dagger) W is the kickback's amplification, with W the
-    window flip (+1 outside the window, -1 inside) and row k of
-    ``estimates`` the estimate profile phi_k of eigenvector k.  Written out,
-    (I - A) / 2 = P_out - phi (W phi)^dagger, and for the adjoint
-    (I - A^dagger) / 2 = P_out - (W phi) phi^dagger, with P_out the
-    projector onto the register values outside the window.
-
-    This register-level form serves ``kickback_analysis`` only: its block
-    residual checks that the plane of phi_in and phi_out is invariant, which
-    is what lets ``InversionOperator`` run the vote stage on two
-    coefficients per eigenvector instead.
-    """
-    n, m = d.shape[0], d.shape[1]
-    flipped = np.where(off_window, estimates, -estimates)
-    left, right = (flipped, estimates) if inverse else (estimates, flipped)
-    c = np.matmul(right.conj().reshape(n, 1, m), d)
-    d[:, ~off_window] = 0.0
-    d -= np.matmul(left.reshape(n, m, 1), c)
-    return d
-
-
 def _split_estimates(estimates: np.ndarray,
                      off_window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Unit in-window and off-window parts of every estimate profile.
@@ -240,9 +208,9 @@ class InversionOperator:
     """A sized inversion scheme bound to one mainspace unitary.
 
     ``decomposition`` is the unitary's eigendecomposition, whose estimate
-    frame the operator runs in.  Unless ``build`` is handed one it is
-    computed on the first ``apply`` and kept; a boosted operator also keeps
-    the split of every eigenphase's estimate profile at the gap window.
+    frame the operator runs in, read through ``frame``.  Unless ``build`` is
+    handed one it is computed on first use and kept; a boosted operator also
+    keeps the split of every eigenphase's estimate profile at the gap window.
     """
 
     scheme: InversionScheme
@@ -271,39 +239,42 @@ class InversionOperator:
         return cls(scheme=scheme, unitary=unitary, layout=layout,
                    gap_window=window, vote_window=votes, decomposition=decomposition)
 
-    def _eigenframe(self) -> EigenDecomposition:
-        """The decomposition whose estimate frame the operator runs in."""
+    @property
+    def frame(self) -> EigenDecomposition:
+        """The decomposition whose estimate frame the operator runs in.
+
+        Callers embed their states with ``frame=op.frame``.  It is
+        diagonalized here on first use unless ``build`` was handed one, so
+        building an operator stays cheap.
+        """
         if self.decomposition is None:
             self.decomposition = eig_unitary(self.unitary, TOL.system_unitarity)
         return self.decomposition
 
     def _vote_plane(self) -> tuple[np.ndarray, np.ndarray]:
         if self._plane is None:
-            estimates = estimate_amplitudes(self.scheme.phase_bits,
-                                            self._eigenframe().phases)
+            estimates = estimate_amplitudes(self.scheme.phase_bits, self.frame.phases)
             self._plane = _split_estimates(estimates, self.gap_window.sign_vector() > 0.0)
         return self._plane
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill.
 
-        The result is in the frame of ``state``.  A state in the operator's
-        estimate frame is transformed there: the estimate writes the one
-        working array, so the input is never copied.  A computational state
-        is taken into the frame and back out around the same code.  A state
-        in any other frame raises.
+        ``state`` must be in the operator's estimate frame, and so is the
+        result: the estimate writes the one working array, so the input is
+        never copied.  A computational state, or one in another operator's
+        frame, raises.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
-        dec = self._eigenframe()
+        dec = self.frame
+        if state.frame is not dec:
+            where = ("the computational basis" if state.frame is None
+                     else "the estimate frame of another operator")
+            raise ValueError(f"state is in {where}; the inversion takes states "
+                             "in its own frame")
         m = self.layout.phase_dim
-        if state.frame is None:
-            a = raw_enter_frame(state.reshaped(), dec.vectors)
-            raw_estimate_forward(a, dec.phases, out=a)
-        elif state.frame is dec:
-            a = raw_estimate_forward(state.reshaped(), dec.phases)
-        else:
-            raise ValueError("state is in the estimate frame of another operator")
+        a = raw_estimate_forward(state.reshaped(), dec.phases)
         _charge(ledger, controlled_s=m, oracle_queries=m)
         if self.scheme.kind == "basic":
             raw_flip(a, self.gap_window.sign_vector(), 1, out=a)
@@ -311,12 +282,7 @@ class InversionOperator:
             self._vote_stage(a, ledger)
         raw_estimate_inverse(a, dec.phases, out=a)
         _charge(ledger, controlled_s=m, oracle_queries=m)
-        if state.frame is None:
-            # out of the frame: the pass in place, then the rotation into
-            # the output, so no pass runs beside two registers
-            raw_walsh_hadamard(a, out=a)
-            a = raw_rotate(a, dec.vectors)
-        return StateVector(a.reshape(-1), self.layout, state.frame)
+        return StateVector(a.reshape(-1), self.layout, dec)
 
     def _vote_stage(self, a: np.ndarray, ledger):
         """The 2 nu kickbacks around the majority flip, in place on the
@@ -346,20 +312,6 @@ class InversionOperator:
         # amplification, one zero reflection and two vote Hadamards
         _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
                 i_zero_prime=2 * nu, hadamards_vote=4 * nu)
-
-    def to_matrix(self) -> np.ndarray:
-        """Dense matrix of the full-register inversion; small layouts only."""
-        dim = self.layout.dim
-        if dim > MATRIX_CAP:
-            raise ResourceCapExceeded(
-                f"dense inversion matrix of dimension {dim} exceeds {MATRIX_CAP}"
-            )
-        cols = np.empty((dim, dim), dtype=complex)
-        for i in range(dim):
-            e = np.zeros(dim, dtype=complex)
-            e[i] = 1.0
-            cols[:, i] = self.apply(StateVector(e, self.layout)).amps
-        return cols
 
 
 def predicted_epsilon(scheme: InversionScheme, lam: float, invert: bool) -> float:
@@ -424,7 +376,7 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
-    frame = op._eigenframe()
+    frame = op.frame
     measured = np.empty(phases.shape[0])
     predicted = np.empty(phases.shape[0])
     for k in range(phases.shape[0]):
@@ -454,74 +406,3 @@ def instance_epsilon_report(op: InversionOperator, inst,
             f"expected 2 eigenphases inside the declared gap, found {int(invert.sum())}"
         )
     return measure_epsilon(op, dec.phases, dec.vectors, invert)
-
-
-@dataclass(frozen=True)
-class KickbackReport:
-    """Two routes to the amplification rotation angle on one eigenstate."""
-
-    eigenphase: float
-    window_probability: float
-    omega_measured: float
-    omega_predicted: float
-    block_residual: float
-    eigenvalue_moduli_error: float
-
-
-def kickback_analysis(scheme: InversionScheme, unitary: np.ndarray,
-                      eigenvector, lam: float,
-                      dense_cap: int = DENSE_CAP) -> KickbackReport:
-    """Check the two-dimensional rotation picture of the amplification step.
-
-    The estimate of ``lam``, split into its in-window and off-window parts,
-    spans a plane that the amplification operator maps to itself, rotating by
-    2 omega with sin(omega)^2 the in-window probability.  The block is built
-    numerically here and its angle compared with the closed form.
-    """
-    unitary = np.asarray(unitary, dtype=complex)
-    n = unitary.shape[0]
-    layout = RegisterLayout(n, scheme.phase_bits, 0, dense_cap)
-    mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
-    phi = estimate_amplitudes(scheme.phase_bits, lam)
-    inside = phi * mask.indicator()
-    outside = phi - inside
-    n_in, n_out = np.linalg.norm(inside), np.linalg.norm(outside)
-    if min(n_in, n_out) < 1e-12:
-        raise ValueError(
-            "estimate mass is entirely on one side of the window; "
-            "the rotation plane degenerates for this eigenphase"
-        )
-    # The plane and its image are built in the unitary's eigenframe, where
-    # the amplification kernel runs; inner products do not see the rotation.
-    dec = eig_unitary(unitary, TOL.system_unitarity)
-    estimates = estimate_amplitudes(scheme.phase_bits, dec.phases)
-    vec = dagger(dec.vectors) @ np.asarray(eigenvector, dtype=complex)
-    basis = [
-        np.einsum("i,j->ij", vec, inside / n_in).reshape(n, layout.phase_dim, 1),
-        np.einsum("i,j->ij", vec, outside / n_out).reshape(n, layout.phase_dim, 1),
-    ]
-    # A = I - 2 (I - A) / 2, through the kernel the kickbacks use
-    off_window = mask.sign_vector() > 0.0
-    images = [b - 2.0 * _raw_kickback_mix(b.copy(), estimates, off_window, False)
-              for b in basis]
-    block = np.empty((2, 2), dtype=complex)
-    for i in range(2):
-        for j in range(2):
-            block[i, j] = np.vdot(basis[i], images[j])
-    residual = max(
-        float(np.linalg.norm(images[j] - block[0, j] * basis[0] - block[1, j] * basis[1]))
-        for j in range(2)
-    )
-    evals = np.linalg.eigvals(block)
-    moduli_err = float(np.max(np.abs(np.abs(evals) - 1.0)))
-    omega_measured = float(np.max(np.abs(np.angle(evals)))) / 2.0
-    p = float(n_in**2)
-    omega_predicted = math.asin(min(1.0, math.sqrt(p)))
-    return KickbackReport(
-        eigenphase=float(lam),
-        window_probability=p,
-        omega_measured=omega_measured,
-        omega_predicted=omega_predicted,
-        block_residual=residual,
-        eigenvalue_moduli_error=moduli_err,
-    )

@@ -7,8 +7,21 @@ Nothing imports the fast paths it is checking beyond shared data types.
 
 import numpy as np
 
-from eigensearch.numerics import unitary_power
 from eigensearch.phase_estimation import SubspaceMask
+
+
+def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
+    """U^z for integer z >= 0, by repeated squaring."""
+    if z < 0:
+        raise ValueError("unitary_power: exponent must be >= 0")
+    result = np.eye(u.shape[0], dtype=complex)
+    base = np.asarray(u, dtype=complex)
+    while z:
+        if z & 1:
+            result = base @ result
+        base = base @ base
+        z >>= 1
+    return result
 
 
 def dense_dft(m: int) -> np.ndarray:

@@ -66,6 +66,23 @@ def test_flags_override_the_config_file(tmp_path, capsys):
     assert doc["config"]["n"] == 12
 
 
+def test_symmetric_in_the_config_file_acts_like_the_flag(tmp_path, capsys):
+    # it switches grover off and is not echoed in the embedded config
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 12, "grover": True, "symmetric": True,
+                                "pairs": [0.55, 0.62, 0.70, 0.79], "seed": 68}))
+    code, out, _ = run_cli(capsys, "spectrum", "--config", str(path))
+    assert code == 0
+    doc = json.loads(out)
+    assert doc["config"]["grover"] is False
+    assert "symmetric" not in doc["config"]
+    assert any(row["B"] > 1.0 for row in doc["moments"])
+    path.write_text(json.dumps({"n": 12, "symmetric": True}))
+    code, _, err = run_cli(capsys, "spectrum", "--config", str(path))
+    assert code == 2
+    assert "needs --pairs" in err
+
+
 def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     path = tmp_path / "cfg.json"
     path.write_text(json.dumps({"frobnicate": 1}))

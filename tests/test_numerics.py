@@ -12,9 +12,9 @@ from eigensearch.numerics import (
     phase_distance,
     round_half_away,
     split_seed,
-    unitary_power,
     wrap_angle,
 )
+from oracles import unitary_power
 
 
 def qr_unitary(n, seed):
