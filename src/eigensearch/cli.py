@@ -131,10 +131,23 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _overlay(base: dict, layer: dict, where: str = "config") -> dict:
+    """``base`` updated by ``layer``, whose keys must be options.
+    ``symmetric`` only switches ``grover`` off and is not kept."""
+    unknown = set(layer) - {key for key, _, _ in _OPTIONS}
+    if unknown:
+        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+    cfg = {**base, **layer}
+    if cfg.pop("symmetric", False):
+        cfg["grover"] = False
+        if cfg["pairs"] is None:
+            raise ConfigError("--symmetric needs --pairs")
+    return cfg
+
+
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then the flags.  ``symmetric`` only
-    switches ``grover`` off, from either source, and is not kept."""
-    cfg = {key: default for key, _, default in _OPTIONS}
+    """Defaults, then the config file, then the flags."""
+    loaded = {}
     if args.config is not None:
         try:
             with open(args.config) as f:
@@ -143,19 +156,10 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-        unknown = set(loaded) - set(cfg)
-        if unknown:
-            raise ConfigError(f"unknown config keys: {sorted(unknown)}")
-        cfg.update(loaded)
-    for key in cfg:
-        flag = getattr(args, key, None)
-        if flag is not None:
-            cfg[key] = flag
-    if cfg.pop("symmetric"):
-        cfg["grover"] = False
-        if cfg["pairs"] is None:
-            raise ConfigError("--symmetric needs --pairs")
-    return cfg
+    flags = {key: getattr(args, key) for key, _, _ in _OPTIONS
+             if getattr(args, key, None) is not None}
+    return _overlay({key: default for key, _, default in _OPTIONS},
+                    {**loaded, **flags})
 
 
 def _spec_from_config(cfg: dict) -> DiffusionSpec:
@@ -342,15 +346,14 @@ def _cmd_compare(cfg: dict):
             "compare needs a config file with an \"instances\" list of "
             "per-instance parameter objects"
         )
+    shared = {key: value for key, value in cfg.items() if key != "instances"}
     results = []
     baselines = []
     rows = []
     for i, entry in enumerate(cfg["instances"]):
         if not isinstance(entry, dict):
             raise ConfigError("each instances[] entry must be an object")
-        sub = dict(cfg)
-        sub.pop("instances")
-        sub.update(entry)
+        sub = _overlay(shared, entry, f"instances[{i}]")
         inst = _instance_from_config(sub)
         scheme = _scheme_from_config(sub, inst)
         result = run_full(inst, scheme, int(sub["dense_cap"]))

@@ -15,9 +15,11 @@ run in the estimate frame of U (see ``StateVector``): main index k stands
 for eigenvector k, the controlled power U^w becomes the phase
 e^{i w lambda_k}, and the phase axis is already Walsh-Hadamard transformed,
 so the estimate is the controlled powers and the inverse Fourier transform
-alone.  Callers embed their mainspace vectors straight into the frame and
-keep their states there.  Fed eigenvector k, the estimate leaves the phase
-register in the peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
+alone.  A ``StateVector`` exists only in such a frame: callers embed their
+mainspace vectors straight into it, keep their states there and read the
+main marginal and the zero branch out of it, so no kernel here changes
+basis.  Fed eigenvector k, the estimate leaves the phase register in the
+peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -52,11 +54,7 @@ applications.  The multiples are measured and pinned by the tests
 ``test_boosted_amplification_holds_two_registers``.
 """
 
-_WALSH_GROUP_BITS = 4
-
 _GRAM_BLOCK = 1 << 12
-
-_AXES = {"main": 0, "phase": 1, "vote": 2}
 
 
 @dataclass(frozen=True)
@@ -98,30 +96,30 @@ class RegisterLayout:
 
 
 class StateVector:
-    """Normalized amplitudes over a RegisterLayout, in a named frame.
+    """Normalized amplitudes over a RegisterLayout, in an estimate frame.
 
-    ``frame`` None means the computational basis.  Otherwise it is the
-    eigendecomposition (V, lambda) of a mainspace unitary U, and ``amps``
-    are the amplitudes in the estimate frame of U:
+    ``frame`` is the eigendecomposition (V, lambda) of a mainspace unitary
+    U, and ``amps`` are the amplitudes in the estimate frame of U:
 
         a_F = (V^dagger (x) H^{(x) mu} (x) 1) a,
 
     the main axis written in U's eigenbasis, the phase axis Walsh-Hadamard
     transformed and the vote axis untouched.  Estimation circuits of U and
-    the target flip run in that frame without a basis change.  Frames are
-    compared by identity: a state belongs to the operator whose
-    decomposition object it carries.  Methods that cannot answer in a
-    state's frame raise ``ValueError`` rather than answer in another basis.
+    the target flip run in that frame without a basis change, and the
+    readouts below answer for the computational basis without leaving it.
+    Frames are compared by identity: a state belongs to the operator whose
+    decomposition object it carries.
     """
 
     __slots__ = ("amps", "layout", "frame")
 
-    def __init__(self, amps, layout: RegisterLayout,
-                 frame: EigenDecomposition | None = None):
+    def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
-        if frame is not None and frame.dim != layout.main_dim:
+        if not isinstance(frame, EigenDecomposition):
+            raise TypeError("a state needs the eigendecomposition of its estimate frame")
+        if frame.dim != layout.main_dim:
             raise ValueError(f"frame of dimension {frame.dim} does not match the "
                              f"main dimension {layout.main_dim}")
         norm = math.sqrt(abs(np.vdot(amps, amps)))
@@ -134,69 +132,36 @@ class StateVector:
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.shape)
 
-    def marginal(self, register: str) -> np.ndarray:
-        """Probability marginal of one register, in the computational basis.
+    def main_marginal(self) -> np.ndarray:
+        """Probability marginal of the main register, in the computational
+        basis: diag(V G V^dagger), with G the n x n Gram matrix of the
+        register's main rows."""
+        v = self.frame.vectors
+        gram = raw_gram(self.reshaped())
+        return np.einsum("ij,jk,ik->i", v, gram, v.conj()).real
 
-        The estimate frame leaves the vote register alone.  On the main
-        register it is read as diag(V G V^dagger), with G the n x n Gram
-        matrix of the register's main rows; the phase marginal of a frame
-        state would need the Walsh-Hadamard pass back and raises.
+    def branch_amplitudes(self) -> np.ndarray:
+        """Computational main-register amplitudes with the phase and vote
+        registers on 0.
+
+        Row 0 of the phase Walsh-Hadamard matrix is flat, so that is
+        V sum_w a[:, w, 0] / sqrt(M): one sum and one n x n product.
         """
-        axis = _AXES[register]
-        a = self.reshaped()
-        if self.frame is not None and register == "phase":
-            raise ValueError("the phase marginal of a state in an estimate frame "
-                             "needs the Walsh-Hadamard pass back")
-        if self.frame is not None and register == "main":
-            v = self.frame.vectors
-            gram = raw_gram(a)
-            return np.einsum("ij,jk,ik->i", v, gram, v.conj()).real
-        p = np.abs(a) ** 2
-        other = tuple(x for x in range(3) if x != axis)
-        return p.sum(axis=other)
-
-    def branch_amplitudes(self, phase_value: int = 0, vote_value: int = 0) -> np.ndarray:
-        """Computational main-register amplitudes on one (phase, vote) value.
-
-        In an estimate frame that is V sum_w H[phase_value, w] a[:, w, vote]:
-        one Walsh row and one n x n product, with no pass over the register.
-        """
-        a = self.reshaped()[:, :, vote_value]
-        if self.frame is None:
-            return a[:, phase_value].copy()
-        return self.frame.vectors @ (a @ _walsh_row(self.layout.phase_dim, phase_value))
-
-    def overlap(self, other: "StateVector") -> complex:
-        if other.frame is not self.frame:
-            raise ValueError("overlap of states in different frames")
-        return complex(np.vdot(self.amps, other.amps))
+        a = self.reshaped()[:, :, 0]
+        return self.frame.vectors @ (a.sum(axis=1) / math.sqrt(self.layout.phase_dim))
 
 
-def _walsh_row(phase_dim: int, value: int) -> np.ndarray:
-    """Row ``value`` of the normalized phase-register Walsh-Hadamard matrix."""
-    parity = np.bitwise_count(np.arange(phase_dim) & value) & 1
-    return (1.0 - 2.0 * parity) / math.sqrt(phase_dim)
+def embed_mainspace(layout: RegisterLayout, vec, frame: EigenDecomposition) -> StateVector:
+    """Joint state |vec> |0> |0>, in the estimate frame ``frame``.
 
-
-def embed_mainspace(layout: RegisterLayout, vec, phase_value: int = 0,
-                    vote_value: int = 0,
-                    frame: EigenDecomposition | None = None) -> StateVector:
-    """Joint state |vec> |phase_value> |vote_value>, in ``frame`` if given.
-
-    In an estimate frame the state is (V^dagger vec) (x) H|phase_value>
-    (x) |vote_value>: one n x n product and one Walsh row.
+    There it is (V^dagger vec) (x) H|0> (x) |0>: one n x n product times
+    the flat Walsh row.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (layout.main_dim,):
         raise ValueError("mainspace vector has the wrong dimension")
-    if not (0 <= phase_value < layout.phase_dim and 0 <= vote_value < layout.vote_dim):
-        raise ValueError("register value out of range")
     a = np.zeros(layout.shape, dtype=complex)
-    if frame is None:
-        a[:, phase_value, vote_value] = vec
-    else:
-        a[:, :, vote_value] = np.outer(dagger(frame.vectors) @ vec,
-                                       _walsh_row(layout.phase_dim, phase_value))
+    a[:, :, 0] = (dagger(frame.vectors) @ vec)[:, None] * (1.0 / math.sqrt(layout.phase_dim))
     return StateVector(a.reshape(-1), layout, frame)
 
 
@@ -243,43 +208,6 @@ def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
     shape = [1] * a.ndim
     shape[axis] = sign.shape[0]
     return np.multiply(a, sign.reshape(shape), out=out)
-
-
-def hadamard_block(bits: int) -> np.ndarray:
-    """The normalized Hadamard matrix on ``bits`` qubits, by Sylvester doubling."""
-    h = np.ones((1, 1))
-    for _ in range(bits):
-        h = np.block([[h, h], [h, -h]])
-    return h / math.sqrt(h.shape[0])
-
-
-def raw_walsh_hadamard(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    """Hadamard on every phase-register qubit.
-
-    The transform is a tensor product of one-qubit Hadamards.  It is applied
-    ``_WALSH_GROUP_BITS`` qubits at a time, as a product with the matching
-    Hadamard matrix, and one main index at a time, so only a slab of the
-    register is ever held twice.
-    """
-    n, m = a.shape[0], a.shape[1]
-    bits = m.bit_length() - 1
-    src = np.ascontiguousarray(a).reshape(n, m, -1)
-    if out is None:
-        out = np.empty(a.shape, dtype=np.result_type(a, float))
-    dst = out.reshape(n, m, -1)
-    t = dst.shape[2]
-    if bits == 0:
-        dst[...] = src
-    low = 0
-    while low < bits:
-        g = min(_WALSH_GROUP_BITS, bits - low)
-        h = hadamard_block(g)
-        blocks = (m >> (low + g), 1 << g, (1 << low) * t)
-        for k in range(n):
-            dst[k] = np.matmul(h, src[k].reshape(blocks)).reshape(m, t)
-        src = dst
-        low += g
-    return out
 
 
 def raw_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
@@ -360,32 +288,6 @@ def raw_estimate_inverse(a: np.ndarray, phases: np.ndarray,
     inverse controlled powers, back into the estimate frame."""
     out = raw_qft(a, out)
     return raw_controlled_powers(out, phases, inverse=True, out=out)
-
-
-# ---------------------------------------------------------------------------
-# StateVector operators.
-
-def apply_register_flip(state: StateVector, mask: SubspaceMask,
-                        register: str) -> StateVector:
-    """Flip the sign of every amplitude whose ``register`` value is masked.
-
-    The result is in the frame of ``state``.  In an estimate frame a vote
-    flip is unchanged, a main flip is the reflection I - 2 X X^dagger with
-    X = V^dagger restricted to the masked columns, and a phase flip is not
-    diagonal, so it raises.
-    """
-    axis = _AXES[register]
-    if mask.register_dim != state.layout.shape[axis]:
-        raise ValueError("mask dimension does not match the register")
-    if state.frame is not None and register == "phase":
-        raise ValueError("a phase-register flip is not diagonal in an estimate "
-                         "frame")
-    if state.frame is not None and register == "main":
-        x = dagger(state.frame.vectors[mask.indices, :])
-        out = raw_reflect_main(state.reshaped(), x)
-    else:
-        out = raw_flip(state.reshaped(), mask.sign_vector(), axis)
-    return StateVector(out.reshape(-1), state.layout, state.frame)
 
 
 # ---------------------------------------------------------------------------
@@ -488,9 +390,12 @@ def gap_guard_margin(phase_bits: int, phase_gap: float,
     return m * guard_fraction * phase_gap / (2.0 * np.pi)
 
 
-def estimate_window_mass(phase_bits: int, lam: float, mask: SubspaceMask) -> float:
-    """Analytic probability that the estimate of ``lam`` lands in the mask."""
+def estimate_window_mass(phase_bits: int, lam, mask: SubspaceMask):
+    """Analytic probability that the estimate of ``lam`` lands in the mask;
+    one per eigenphase for an array of them."""
     if mask.register_dim != (1 << phase_bits):
         raise ValueError("mask dimension does not match the register")
-    amps = estimate_amplitudes(phase_bits, lam)
-    return float(np.sum(np.abs(amps[mask.indices]) ** 2))
+    mass = np.abs(estimate_amplitudes(phase_bits, lam)[..., mask.indices]) ** 2
+    # one sum per profile: a batched reduction adds in another order, and the
+    # 1 - mass of an in-gap eigenphase would show the last-bit difference
+    return np.apply_along_axis(np.sum, -1, mass)[()]

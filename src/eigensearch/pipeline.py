@@ -22,6 +22,7 @@ import numpy as np
 from .numerics import (
     TOL,
     GapGuessTooCoarse,
+    dagger,
     eig_unitary,
     inside_gap,
     make_rng,
@@ -30,9 +31,8 @@ from .numerics import (
 from .phase_estimation import (
     DENSE_CAP,
     StateVector,
-    SubspaceMask,
-    apply_register_flip,
     embed_mainspace,
+    raw_reflect_main,
 )
 from .search_core import build_search_operator, evolve_to_halfway
 from .selective_inversion import (
@@ -69,13 +69,14 @@ class QueryLedger:
 def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVector:
     """Sign flip of the target mainspace index; one oracle query.
 
-    In an estimate frame this is the rank-one reflection 1 - 2 x x^dagger on
-    the main axis, with x = V^dagger e_target.
+    In the state's estimate frame this is the rank-one reflection
+    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target.
     """
-    mask = SubspaceMask(state.layout.main_dim, np.array([target_index]))
     if ledger is not None:
         ledger.oracle_queries += 1
-    return apply_register_flip(state, mask, "main")
+    x = dagger(state.frame.vectors[[target_index], :])
+    return StateVector(raw_reflect_main(state.reshaped(), x).reshape(-1),
+                       state.layout, state.frame)
 
 
 def amplification_round_count(boost: float) -> int:
@@ -161,15 +162,13 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
     # amplification runs in
     dec = eig_unitary(operator, TOL.system_unitarity)
     op = InversionOperator.build(scheme, operator, dense_cap, dec)
-    predicted = max(
-        predicted_epsilon(scheme, float(lam), bool(inside))
-        for lam, inside in zip(dec.phases, inside_gap(dec.phases, scheme.phase_gap))
-    )
+    predicted = np.max(predicted_epsilon(scheme, dec.phases,
+                                         inside_gap(dec.phases, scheme.phase_gap)))
     # the embedded halfway state is passed on, not kept, so the first round
     # can free it
-    state = amplify_to_target(embed_mainspace(op.layout, halfway.state, frame=dec),
+    state = amplify_to_target(embed_mainspace(op.layout, halfway.state, dec),
                               op, inst.target_index, rounds, ledger)
-    branch = np.abs(state.branch_amplitudes(0, 0)) ** 2
+    branch = np.abs(state.branch_amplitudes()) ** 2
     return PipelineResult(
         instance_id=inst.instance_id,
         main_dim=inst.spec.n,
@@ -183,7 +182,7 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
         success_probability=float(branch[inst.target_index]),
         ancilla_leakage=float(1.0 - branch.sum()),
         predicted_error=float(predicted),
-        main_marginal=state.marginal("main"),
+        main_marginal=state.main_marginal(),
         ledger=ledger,
     )
 

@@ -132,18 +132,24 @@ def vote_majority_mask(vote_bits: int) -> SubspaceMask:
     return SubspaceMask(1 << vote_bits, np.array(idx))
 
 
-def binomial_tail_wrong_half(vote_bits: int, p: float, invert: bool) -> float:
+def binomial_tail_wrong_half(vote_bits: int, p, invert):
     """Probability that the independent votes at success rate p miss majority.
 
     For a state meant to be inverted the wrong half is at most half the votes
     coming up one (ties included); for a state meant to pass through it is a
-    strict majority of ones.
+    strict majority of ones.  ``p`` and ``invert`` broadcast to one tail
+    each.  Every tail is summed term by term in scalar arithmetic: a numpy
+    power of an array rounds differently from a float's.
     """
-    if not (0.0 <= p <= 1.0):
+    p = np.asarray(p, dtype=float)
+    if not np.all((p >= 0.0) & (p <= 1.0)):
         raise ValueError(f"vote probability {p} outside [0, 1]")
-    votes = vote_bits
-    ks = range(0, votes // 2 + 1) if invert else range(votes // 2 + 1, votes + 1)
-    return float(sum(math.comb(votes, k) * p**k * (1.0 - p) ** (votes - k) for k in ks))
+
+    def tail(q, inv):
+        ks = [k for k in range(vote_bits + 1) if (k <= vote_bits // 2) == inv]
+        return sum(math.comb(vote_bits, k) * q**k * (1.0 - q) ** (vote_bits - k) for k in ks)
+
+    return np.vectorize(tail, otypes=[float])(p, invert)[()]
 
 
 def _charge(ledger, **counts):
@@ -262,17 +268,14 @@ class InversionOperator:
 
         ``state`` must be in the operator's estimate frame, and so is the
         result: the estimate writes the one working array, so the input is
-        never copied.  A computational state, or one in another operator's
-        frame, raises.
+        never copied.  A state in another operator's frame raises.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
         dec = self.frame
         if state.frame is not dec:
-            where = ("the computational basis" if state.frame is None
-                     else "the estimate frame of another operator")
-            raise ValueError(f"state is in {where}; the inversion takes states "
-                             "in its own frame")
+            raise ValueError("state is in the estimate frame of another operator; "
+                             "the inversion takes states in its own frame")
         m = self.layout.phase_dim
         a = raw_estimate_forward(state.reshaped(), dec.phases)
         _charge(ledger, controlled_s=m, oracle_queries=m)
@@ -314,8 +317,9 @@ class InversionOperator:
                 i_zero_prime=2 * nu, hadamards_vote=4 * nu)
 
 
-def predicted_epsilon(scheme: InversionScheme, lam: float, invert: bool) -> float:
-    """Analytic inversion error for one eigenphase.
+def predicted_epsilon(scheme: InversionScheme, lam, invert):
+    """Analytic inversion error per eigenphase; ``lam`` and ``invert`` may
+    be arrays, which share one window and one batch of estimate profiles.
 
     Basic scheme: twice the root of the estimate mass on the wrong side of
     the window.  Boosted scheme: twice the root of the binomial tail at the
@@ -324,9 +328,9 @@ def predicted_epsilon(scheme: InversionScheme, lam: float, invert: bool) -> floa
     mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
     p = estimate_window_mass(scheme.phase_bits, lam, mask)
     if scheme.kind == "basic":
-        wrong = 1.0 - p if invert else p
-        return 2.0 * math.sqrt(max(0.0, wrong))
-    return 2.0 * math.sqrt(binomial_tail_wrong_half(scheme.vote_bits, p, invert))
+        wrong = np.where(invert, 1.0 - p, p)
+        return 2.0 * np.sqrt(np.maximum(0.0, wrong))
+    return 2.0 * np.sqrt(binomial_tail_wrong_half(scheme.vote_bits, p, invert))
 
 
 def basic_error_bound(scheme: InversionScheme) -> float:
@@ -376,15 +380,13 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
-    frame = op.frame
     measured = np.empty(phases.shape[0])
-    predicted = np.empty(phases.shape[0])
     for k in range(phases.shape[0]):
-        sv = embed_mainspace(op.layout, vectors[:, k], frame=frame)
+        sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
         out = op.apply(sv)
         sign = -1.0 if invert[k] else 1.0
         measured[k] = float(np.linalg.norm(out.amps - sign * sv.amps))
-        predicted[k] = predicted_epsilon(op.scheme, float(phases[k]), bool(invert[k]))
+    predicted = predicted_epsilon(op.scheme, phases, invert)
     bound = basic_error_bound(op.scheme) if op.scheme.kind == "basic" else None
     return EpsilonReport(scheme=op.scheme, eigenphases=phases,
                          measured=measured, predicted=predicted,

@@ -1,6 +1,8 @@
 """The estimate frame as dense matrices: a state in the frame of (V, lambda)
 holds the amplitudes (V^dagger (x) H (x) 1) a of a computational state a
 (see ``StateVector``), built here whole or one register axis at a time.
+Computational states are plain (main, phase, vote) arrays; only frame
+states are ``StateVector``s.
 """
 
 import numpy as np
@@ -37,13 +39,14 @@ def from_frame(a, dec, axes=("main", "phase")):
 
 
 def computational(state):
-    """A state in an estimate frame, taken out of it."""
-    return StateVector(from_frame(state.reshaped(), state.frame).reshape(-1), state.layout)
+    """A state in an estimate frame, taken out of it: a (main, phase, vote)
+    array of computational amplitudes."""
+    return from_frame(state.reshaped(), state.frame)
 
 
-def framed(state, dec):
-    """A computational state, taken into the estimate frame of ``dec``."""
-    return StateVector(to_frame(state.reshaped(), dec).reshape(-1), state.layout, dec)
+def framed(a, dec, layout):
+    """Computational amplitudes, taken into the estimate frame of ``dec``."""
+    return StateVector(to_frame(a.reshape(layout.shape), dec).reshape(-1), layout, dec)
 
 
 def inverter_matrix(op):

@@ -31,6 +31,8 @@ def dense_dft(m: int) -> np.ndarray:
 
 
 def dense_walsh(bits: int) -> np.ndarray:
+    """The normalized Hadamard matrix on ``bits`` qubits, as a kron of
+    normalized one-qubit factors."""
     h = np.array([[1.0, 1.0], [1.0, -1.0]]) / np.sqrt(2.0)
     out = np.array([[1.0]])
     for _ in range(bits):

@@ -14,7 +14,7 @@ import frames
 import instances
 import oracles
 from eigensearch.numerics import make_rng
-from eigensearch.phase_estimation import RegisterLayout, StateVector, raw_estimate_forward
+from eigensearch.phase_estimation import RegisterLayout, raw_estimate_forward
 
 
 def qr_unitary(n, seed):
@@ -300,10 +300,11 @@ def test_criterion_10_fast_kernels_match_dense_oracles(acceptance_log):
     ctrl_gap = 0.0
     for k in range(5):
         vec = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
-        sv = StateVector(vec / np.linalg.norm(vec), layout)
-        out = raw_estimate_forward(frames.to_frame(sv.reshaped(), dec4), dec4.phases)
+        vec /= np.linalg.norm(vec)
+        out = raw_estimate_forward(frames.to_frame(vec.reshape(layout.shape), dec4),
+                                   dec4.phases)
         out = frames.from_frame(out, dec4, axes=("main",)).reshape(-1)
-        ctrl_gap = max(ctrl_gap, float(np.max(np.abs(out - dense_forward @ sv.amps))))
+        ctrl_gap = max(ctrl_gap, float(np.max(np.abs(out - dense_forward @ vec))))
 
     ok = (basic_gap <= 1e-9 and boosted_gap <= 1e-9
           and amp_gap <= 1e-10 and ctrl_gap <= 1e-9)

@@ -91,6 +91,32 @@ def test_unknown_config_keys_are_rejected(tmp_path, capsys):
     assert "frobnicate" in err
 
 
+def test_compare_checks_each_instance_entry(tmp_path, capsys):
+    # entries go through the same key check and symmetric handling as the
+    # top-level config
+    entries = [{"pairs": [0.55, 0.62, 0.70, 0.79], "seed": 68, "target": t}
+               for t in (4, 5, 6)]
+    path = tmp_path / "cfg.json"
+
+    def compare(entries):
+        path.write_text(json.dumps({"n": 12, "theta_min": 0.44, "mu": 8,
+                                    "trials": 100, "instances": entries}))
+        return run_cli(capsys, "compare", "--config", str(path))
+
+    code, out, _ = compare(entries)
+    assert code == 0
+    ids = [row["instance_id"] for row in json.loads(out)["report"]["rows"]]
+    assert ids == ["sym-n12-seed68-t4", "sym-n12-seed68-t5", "sym-n12-seed68-t6"]
+    code, out, err = compare([entries[0], {**entries[1], "frobnicate": 1}, entries[2]])
+    assert code == 2
+    assert out == ""
+    assert "instances[1]" in err and "frobnicate" in err
+    code, out, _ = compare([{**e, "symmetric": True, "grover": True} for e in entries])
+    assert code == 0
+    ids_again = [row["instance_id"] for row in json.loads(out)["report"]["rows"]]
+    assert ids_again == ids
+
+
 def test_missing_target_yields_a_config_error(capsys):
     code, _, err = run_cli(capsys, "pipeline", "--n", "12",
                            "--pairs", "0.55,0.62,0.70,0.79", "--seed", "68",

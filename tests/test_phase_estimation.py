@@ -12,11 +12,8 @@ from eigensearch.numerics import ResourceCapExceeded, make_rng
 from eigensearch.phase_estimation import (
     RegisterLayout,
     StateVector,
-    SubspaceMask,
-    apply_register_flip,
     embed_mainspace,
     estimate_window_mass,
-    hadamard_block,
     raw_estimate_forward,
     raw_estimate_inverse,
 )
@@ -39,10 +36,13 @@ def test_estimate_amplitudes_match_the_brute_force_sum():
         assert np.sum(np.abs(fast) ** 2) == pytest.approx(1.0, abs=1e-12)
 
 
-def test_hadamard_block_matches_scipy():
+def test_dense_walsh_matches_scipy():
+    # every dense frame change of the tests rests on this matrix.  Its
+    # entries are products of normalized one-qubit factors, so they may sit
+    # an ulp off scipy's scaled +-1 matrix
     for bits in range(5):
         want = scipy.linalg.hadamard(1 << bits) / np.sqrt(1 << bits)
-        assert np.array_equal(hadamard_block(bits), want)
+        assert np.max(np.abs(oracles.dense_walsh(bits) - want)) <= np.spacing(1.0)
 
 
 def test_estimate_amplitudes_are_one_hot_on_the_register_grid():
@@ -121,13 +121,16 @@ def test_estimate_window_mass_checks_register_dimension():
 
 
 def test_embed_mainspace_places_the_state_in_the_joint_register():
+    # in the frame of a diagonal unitary the main axis is computational, so
+    # |e_1> |0> |0> is e_1 times the flat Walsh row on vote value 0
+    dec = es.eig_unitary(np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0]))))
     lay = RegisterLayout(3, 2, 1, es.DENSE_CAP)
-    sv = embed_mainspace(lay, [0.0, 1.0, 0.0], phase_value=2, vote_value=1)
+    sv = embed_mainspace(lay, dec.vectors[:, 1], dec)
     assert sv.reshaped().shape == (3, 4, 2)
-    assert int(np.flatnonzero(sv.amps)[0]) == (1 * 4 + 2) * 2 + 1
-    assert_allclose(sv.marginal("main"), [0.0, 1.0, 0.0], atol=1e-15)
-    assert_allclose(sv.marginal("phase"), [0.0, 0.0, 1.0, 0.0], atol=1e-15)
-    assert_allclose(sv.marginal("vote"), [0.0, 1.0], atol=1e-15)
+    assert sorted(np.flatnonzero(sv.amps)) == [(1 * 4 + w) * 2 for w in range(4)]
+    assert_allclose(np.abs(sv.amps[np.flatnonzero(sv.amps)]), 0.5, atol=1e-15)
+    assert_allclose(sv.main_marginal(), np.abs(dec.vectors[:, 1]) ** 2, atol=1e-15)
+    assert_allclose(sv.branch_amplitudes(), dec.vectors[:, 1], atol=1e-15)
 
 
 def test_phase_estimate_matches_the_dense_oracle_and_inverts():
@@ -138,14 +141,14 @@ def test_phase_estimate_matches_the_dense_oracle_and_inverts():
     lay = RegisterLayout(4, 5, 0, es.DENSE_CAP)
     rng = make_rng(5)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    vec /= np.linalg.norm(vec)
-    sv = embed_mainspace(lay, vec)
+    plain = np.zeros(lay.shape, dtype=complex)
+    plain[:, 0, 0] = vec / np.linalg.norm(vec)
     dense = oracles.dense_estimate_forward(u, 5)
 
-    a = frames.to_frame(sv.reshaped(), dec)
+    a = frames.to_frame(plain, dec)
     out = raw_estimate_forward(a, dec.phases)
     got = frames.from_frame(out, dec, axes=("main",)).reshape(-1)
-    assert np.max(np.abs(got - dense @ sv.amps)) <= 1e-9
+    assert np.max(np.abs(got - dense @ plain.reshape(-1))) <= 1e-9
     assert np.max(np.abs(raw_estimate_inverse(out, dec.phases) - a)) <= 1e-12
 
 
@@ -176,17 +179,15 @@ def test_register_layout_enforces_the_dense_cap():
 
 
 def test_frame_states_refuse_what_their_frame_cannot_answer():
-    # a state in an estimate frame is never answered for in another basis
+    # a state exists only in an estimate frame, and only in its own
     u = qr_unitary(3, 5)
     dec = es.eig_unitary(u)
     lay = RegisterLayout(3, 3, 2)
-    sv = embed_mainspace(lay, [0.6, 0.0, 0.8], frame=dec)
-    with pytest.raises(ValueError, match="phase marginal"):
-        sv.marginal("phase")
-    with pytest.raises(ValueError, match="not diagonal"):
-        apply_register_flip(sv, SubspaceMask(8, [1]), "phase")
-    with pytest.raises(ValueError, match="different frames"):
-        sv.overlap(embed_mainspace(lay, [0.6, 0.0, 0.8]))
+    sv = embed_mainspace(lay, [0.6, 0.0, 0.8], dec)
+    with pytest.raises(TypeError):
+        StateVector(sv.amps, lay)
+    with pytest.raises(TypeError, match="eigendecomposition"):
+        StateVector(sv.amps, lay, None)
     with pytest.raises(ValueError, match="frame of dimension"):
         StateVector(sv.amps, RegisterLayout(6, 3, 1), dec)
     # a second diagonalization of u is an equal decomposition, but not the
@@ -195,7 +196,4 @@ def test_frame_states_refuse_what_their_frame_cannot_answer():
                                     decomposition=es.eig_unitary(u))
     with pytest.raises(ValueError, match="another operator"):
         op.apply(sv)
-    with pytest.raises(ValueError, match="computational basis"):
-        op.apply(embed_mainspace(lay, [0.6, 0.0, 0.8]))
-    assert op.apply(embed_mainspace(lay, [0.6, 0.0, 0.8], frame=op.frame)) \
-        .frame is op.frame
+    assert op.apply(embed_mainspace(lay, [0.6, 0.0, 0.8], op.frame)).frame is op.frame

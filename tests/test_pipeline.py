@@ -88,10 +88,9 @@ def test_boosted_run_ledger_decomposes_into_the_stage_formulas(
 
 def test_boosted_rounds_run_without_a_basis_change(ref12, monkeypatch):
     # the rounds stay in the estimate frame: the estimate and unestimate of
-    # each inversion are its only register kernels, and no Walsh-Hadamard
-    # pass runs anywhere in the run (there is no register rotation kernel)
-    kernels = ("raw_walsh_hadamard", "raw_controlled_powers", "raw_qft",
-               "raw_inverse_qft")
+    # each inversion are its only transform kernels (src has no Walsh-Hadamard
+    # or register rotation kernel left to call)
+    kernels = ("raw_controlled_powers", "raw_qft", "raw_inverse_qft")
     calls = dict.fromkeys(kernels, 0)
     modules = [m for name, m in sys.modules.items() if name.startswith("eigensearch")]
     for name in kernels:
@@ -107,8 +106,7 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, monkeypatch):
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     res = es.run_full(ref12, scheme)
     assert res.amplification_rounds == 2
-    assert calls == {"raw_walsh_hadamard": 0, "raw_controlled_powers": 4,
-                     "raw_qft": 2, "raw_inverse_qft": 2}
+    assert calls == {"raw_controlled_powers": 4, "raw_qft": 2, "raw_inverse_qft": 2}
 
 
 def test_boosted_amplification_holds_two_registers(ref12):
@@ -241,7 +239,7 @@ def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
         instances.SCHEDULE_SEED, instances.SCHEDULE_TARGET)
 
     def drifting_apply(self, state, ledger=None):
-        return es.StateVector(1.01 * state.amps, state.layout)
+        return es.StateVector(1.01 * state.amps, state.layout, state.frame)
 
     monkeypatch.setattr(es.InversionOperator, "apply", drifting_apply)
     with pytest.raises(ValueError, match="state norm") as info:

@@ -12,9 +12,9 @@ where the in-window or the off-window part of an estimate profile vanishes.
 They compare the operator against the dense oracles built from powers of the
 unitary itself, its query charges against the ledger's closed forms, and the
 search operator's gap eigenphases against the secular roots.  States in an
-estimate frame are checked against the computational ones through the dense
-frame change V^dagger (x) H (x) 1 of ``frames``, and the frame amplification
-of ``run_full`` against rounds run on computational states.
+estimate frame are checked against plain arrays of computational amplitudes
+through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
+frame amplification of ``run_full`` against rounds run on such an array.
 """
 
 from unittest import mock
@@ -27,7 +27,6 @@ import eigensearch as es
 import frames
 import oracles
 from eigensearch import pipeline
-from eigensearch.phase_estimation import apply_register_flip
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -187,6 +186,8 @@ def test_secular_roots_match_the_diagonalization(inst):
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_frame_operations_match_the_computational_ones(case, seed):
+    # every frame operation against its computational counterpart, a numpy
+    # expression on the plain array, taken through the dense frame change
     u, op = case
     dec = es.eig_unitary(u, es.TOL.system_unitarity)
     op = es.InversionOperator.build(op.scheme, u, decomposition=dec)
@@ -194,29 +195,29 @@ def test_frame_operations_match_the_computational_ones(case, seed):
     change = frames.dense_frame_change(dec, lay)
     rng = np.random.default_rng(seed)
     amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
-    comp = es.StateVector(amps / np.linalg.norm(amps), lay)
-    framed = es.StateVector(change @ comp.amps, lay, dec)
+    comp = (amps / np.linalg.norm(amps)).reshape(lay.shape)
+    framed = es.StateVector(change @ comp.reshape(-1), lay, dec)
 
     out = op.apply(framed)
     assert out.frame is dec
-    assert np.max(np.abs(out.amps - change @ dense_oracle(u, op) @ comp.amps)) <= 1e-12
+    assert np.max(np.abs(out.amps - change @ dense_oracle(u, op) @ comp.reshape(-1))) \
+        <= 1e-12
     n = lay.main_dim
-    main = es.SubspaceMask(n, rng.choice(n, size=rng.integers(1, n + 1), replace=False))
-    votes = es.SubspaceMask(lay.vote_dim, rng.choice(lay.vote_dim, size=1))
-    for mask, register in ((main, "main"), (votes, "vote")):
-        flipped = apply_register_flip(framed, mask, register)
-        assert flipped.frame is dec
-        want = change @ apply_register_flip(comp, mask, register).amps
-        assert np.max(np.abs(flipped.amps - want)) <= 1e-12
-    for register in ("main", "vote"):
-        assert np.max(np.abs(framed.marginal(register) - comp.marginal(register))) <= 1e-12
-    w, v = int(rng.integers(lay.phase_dim)), int(rng.integers(lay.vote_dim))
-    assert np.max(np.abs(framed.branch_amplitudes(w, v) - comp.reshaped()[:, w, v])) <= 1e-12
+    target = int(rng.integers(n))
+    flipped = es.target_flip(framed, target)
+    assert flipped.frame is dec
+    want = comp.copy()
+    want[target] *= -1
+    assert np.max(np.abs(flipped.amps - change @ want.reshape(-1))) <= 1e-12
+    marginal = np.sum(np.abs(comp) ** 2, axis=(1, 2))
+    assert np.max(np.abs(framed.main_marginal() - marginal)) <= 1e-12
+    assert np.max(np.abs(framed.branch_amplitudes() - comp[:, 0, 0])) <= 1e-12
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     vec /= np.linalg.norm(vec)
-    embedded = es.embed_mainspace(lay, vec, w, v, frame=dec)
-    assert np.max(np.abs(embedded.amps - change @ es.embed_mainspace(lay, vec, w, v).amps)) \
-        <= 1e-12
+    plain = np.zeros(lay.shape, dtype=complex)
+    plain[:, 0, 0] = vec
+    embedded = es.embed_mainspace(lay, vec, dec)
+    assert np.max(np.abs(embedded.amps - change @ plain.reshape(-1))) <= 1e-12
 
 
 @st.composite
@@ -238,19 +239,21 @@ def pipeline_cases(draw):
 
 def computational_run(inst, scheme, rounds):
     """Success, leakage, main marginal and ledger of ``rounds`` rounds run
-    on computational states: target flip, then the inversion, taken into
-    its frame and back out one register axis at a time."""
+    on a plain array of computational amplitudes: the target flip negates
+    the target's rows, and the inversion is taken into its frame and back
+    out one register axis at a time."""
     ledger = es.QueryLedger()
     halfway = es.evolve_to_halfway(inst, ledger)
     op = es.InversionOperator.build(scheme, es.build_search_operator(inst))
-    target = es.SubspaceMask(inst.spec.n, [inst.target_index])
-    sv = es.embed_mainspace(op.layout, halfway.state)
+    a = np.zeros(op.layout.shape, dtype=complex)
+    a[:, 0, 0] = halfway.state
     for _ in range(rounds):
-        sv = apply_register_flip(sv, target, "main")
+        a[inst.target_index] *= -1
         ledger.oracle_queries += 1
-        sv = frames.computational(op.apply(frames.framed(sv, op.frame), ledger))
-    branch = np.abs(sv.reshaped()[:, 0, 0]) ** 2
-    return branch[inst.target_index], 1.0 - branch.sum(), sv.marginal("main"), ledger
+        a = frames.computational(op.apply(frames.framed(a, op.frame, op.layout), ledger))
+    branch = np.abs(a[:, 0, 0]) ** 2
+    marginal = np.sum(np.abs(a) ** 2, axis=(1, 2))
+    return branch[inst.target_index], 1.0 - branch.sum(), marginal, ledger
 
 
 @SETTINGS

@@ -121,6 +121,32 @@ def test_measured_error_tracks_the_analytic_prediction(ref12,
     assert np.max(np.abs(report.measured - report.predicted)) <= 1e-6
 
 
+def scalar_predicted_epsilon(scheme, lam, invert):
+    """The prediction for one eigenphase in plain Python: window mass, then
+    the wrong-side mass or the binomial tail term by term."""
+    mask = es.gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
+    p = float(np.sum(np.abs(es.estimate_amplitudes(scheme.phase_bits, lam)[mask.indices])
+                     ** 2))
+    if scheme.kind == "basic":
+        return 2.0 * math.sqrt(max(0.0, 1.0 - p if invert else p))
+    nu = scheme.vote_bits
+    ks = range(nu // 2 + 1) if invert else range(nu // 2 + 1, nu + 1)
+    return 2.0 * math.sqrt(sum(math.comb(nu, k) * p**k * (1.0 - p) ** (nu - k) for k in ks))
+
+
+def test_predicted_epsilon_of_an_array_repeats_the_scalar_arithmetic(ref12_operator):
+    # an in-gap prediction is 2 sqrt(1 - mass), so a last-bit change in the
+    # mass would show; the batch must add in the scalar order
+    phases = es.eig_unitary(ref12_operator, es.TOL.system_unitarity).phases
+    invert = es.inside_gap(phases, instances.REF12_GAP)
+    for scheme in (es.InversionScheme("basic", 10, 0, instances.REF12_GAP),
+                   es.InversionScheme("boosted", 8, 4, instances.REF12_GAP),
+                   es.InversionScheme("boosted", 7, 8, instances.REF12_GAP)):
+        want = [scalar_predicted_epsilon(scheme, float(lam), bool(inside))
+                for lam, inside in zip(phases, invert)]
+        assert np.array_equal(es.predicted_epsilon(scheme, phases, invert), want)
+
+
 def test_inverter_matrix_is_unitary_and_involutive():
     u = qr_unitary(4, 9)
     scheme = es.InversionScheme(kind="basic", phase_bits=5, vote_bits=0,
@@ -174,12 +200,12 @@ def test_inverter_restores_the_ancilla_registers(ref12, ref12_operator):
     op = es.InversionOperator.build(scheme, ref12_operator)
     dec = es.eig_unitary(ref12_operator)
     k = int(np.argmin(np.abs(dec.phases)))
-    sv = embed_mainspace(op.layout, dec.vectors[:, k], frame=op.frame)
+    sv = embed_mainspace(op.layout, dec.vectors[:, k], op.frame)
     out = op.apply(sv)
     deviation = float(np.linalg.norm(out.amps + sv.amps))
-    out = frames.computational(out)
-    assert out.marginal("phase")[0] >= 1.0 - 2.0 * deviation - 1e-12
-    assert out.marginal("vote")[0] >= 1.0 - 2.0 * deviation - 1e-12
+    p = np.abs(frames.computational(out)) ** 2
+    assert p.sum(axis=(0, 2))[0] >= 1.0 - 2.0 * deviation - 1e-12
+    assert p.sum(axis=(0, 1))[0] >= 1.0 - 2.0 * deviation - 1e-12
 
 
 def test_error_shrinks_with_register_size(ref12, ref12_operator):
