@@ -54,7 +54,6 @@ from .phase_estimation import (
     DENSE_CAP,
     RegisterLayout,
     StateVector,
-    SubspaceMask,
     embed_mainspace,
     estimate_amplitudes,
     gap_guard_margin,
@@ -62,7 +61,6 @@ from .phase_estimation import (
     gap_window_mask,
     k_nearest,
     peak_mass_bound,
-    peak_window_mask,
     peak_window_mass,
     window_mask,
 )
@@ -79,7 +77,6 @@ from .selective_inversion import (
     vote_majority_mask,
 )
 from .pipeline import (
-    CSV_HEADER,
     BaselineReport,
     PipelineResult,
     QueryLedger,
@@ -90,8 +87,7 @@ from .pipeline import (
     budget_constants,
     classical_baseline,
     complexity_report,
-    csv_row,
-    results_to_csv,
+    result_row,
     run_full,
     run_schedule,
     target_flip,

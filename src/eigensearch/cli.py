@@ -31,12 +31,11 @@ from .numerics import (
 )
 from .phase_estimation import DENSE_CAP
 from .pipeline import (
-    CSV_HEADER,
     baseline_to_json,
     classical_baseline,
     complexity_report,
-    csv_row,
     pipeline_result_to_json,
+    result_row,
     run_full,
     run_schedule,
     schedule_to_json,
@@ -218,7 +217,8 @@ def _scheme_from_config(cfg: dict, inst: SearchInstance) -> InversionScheme:
 
 
 # ---------------------------------------------------------------------------
-# Subcommand bodies.  Each returns (json_doc_body, csv_lines_or_None).
+# Subcommand bodies.  Each returns (json_doc_body, columns, rows): the rows
+# are dicts the JSON body already holds, and the CSV prints their columns.
 
 def _cmd_spectrum(cfg: dict):
     spec = _spec_from_config(cfg)
@@ -239,11 +239,7 @@ def _cmd_spectrum(cfg: dict):
             "B": float(np.sqrt(1.0 + second)),
         })
     doc = {"spec": spec_to_json(spec, cfg["target"]), "moments": rows}
-    lines = ["target,alpha,lambda1,lambda2,B"] + [
-        f"{r['target']},{r['alpha']!r},{r['lambda1']!r},{r['lambda2']!r},{r['B']!r}"
-        for r in rows
-    ]
-    return doc, lines
+    return doc, ("target", "alpha", "lambda1", "lambda2", "B"), rows
 
 
 def _cmd_search(cfg: dict):
@@ -272,14 +268,9 @@ def _cmd_search(cfg: dict):
         "q_m": halfway.steps,
         "w_overlap": w_overlap,
     }
-    lines = [
-        "instance_id,alpha,B,lambda_plus,lambda_minus,predicted_plus,"
-        "predicted_minus,q_m,w_overlap",
-        f"{inst.instance_id},{inst.overlap!r},{inst.boost!r},{pair.phase_plus!r},"
-        f"{pair.phase_minus!r},{float(pred_plus)!r},{float(pred_minus)!r},"
-        f"{halfway.steps},{w_overlap!r}",
-    ]
-    return doc, lines
+    columns = ("instance_id", "alpha", "B", "lambda_plus", "lambda_minus",
+               "predicted_plus", "predicted_minus", "q_m", "w_overlap")
+    return doc, columns, [doc]
 
 
 def _invert_schemes(cfg: dict, inst: SearchInstance) -> list[InversionScheme]:
@@ -299,7 +290,7 @@ def _cmd_invert(cfg: dict):
     inst = _instance_from_config(cfg)
     operator = build_search_operator(inst)
     sweeps = []
-    lines = ["mu,nu,lambda,measured,predicted,inverted"]
+    rows = []
     for scheme in _invert_schemes(cfg, inst):
         op = InversionOperator.build(scheme, operator, int(cfg["dense_cap"]))
         report = instance_epsilon_report(op, inst, operator)
@@ -322,22 +313,19 @@ def _cmd_invert(cfg: dict):
             ],
         }
         sweeps.append(entry)
-        for row in entry["per_eigenphase"]:
-            lines.append(
-                f"{scheme.phase_bits},{scheme.vote_bits},{row['lambda']!r},"
-                f"{row['measured']!r},{row['predicted']!r},{int(row['inverted'])}"
-            )
+        rows += [{"mu": scheme.phase_bits, "nu": scheme.vote_bits, **row}
+                 for row in entry["per_eigenphase"]]
     doc = {"instance_id": inst.instance_id, "alpha": inst.overlap,
            "B": inst.boost, "sweeps": sweeps}
-    return doc, lines
+    return doc, ("mu", "nu", "lambda", "measured", "predicted", "inverted"), rows
 
 
 def _cmd_pipeline(cfg: dict):
     inst = _instance_from_config(cfg)
     scheme = _scheme_from_config(cfg, inst)
     result = run_full(inst, scheme, int(cfg["dense_cap"]))
-    doc = pipeline_result_to_json(result)
-    return doc, [CSV_HEADER, csv_row(result)]
+    row = result_row(result)
+    return pipeline_result_to_json(result), tuple(row), [row]
 
 
 def _cmd_compare(cfg: dict):
@@ -349,7 +337,6 @@ def _cmd_compare(cfg: dict):
     shared = {key: value for key, value in cfg.items() if key != "instances"}
     results = []
     baselines = []
-    rows = []
     for i, entry in enumerate(cfg["instances"]):
         if not isinstance(entry, dict):
             raise ConfigError("each instances[] entry must be an object")
@@ -361,13 +348,12 @@ def _cmd_compare(cfg: dict):
                                   split_seed(int(cfg["seed"]), i))
         results.append(result)
         baselines.append(base)
-        rows.append(csv_row(result))
     report = complexity_report(results, baselines)
     doc = {
         "report": report,
         "baselines": [baseline_to_json(b) for b in baselines],
     }
-    return doc, [CSV_HEADER] + rows
+    return doc, tuple(result_row(results[0])), report["rows"]
 
 
 def _cmd_schedule(cfg: dict):
@@ -386,13 +372,8 @@ def _cmd_schedule(cfg: dict):
         dense_cap=int(cfg["dense_cap"]),
     )
     doc = schedule_to_json(result)
-    lines = ["round,theta_guess,ran,success_probability,verified"]
-    for k, rec in enumerate(result.records):
-        lines.append(
-            f"{k},{rec.gap_guess!r},{int(rec.ran)},"
-            f"{rec.success_probability!r},{int(rec.verified)}"
-        )
-    return doc, lines
+    rows = [{"round": k, **rec} for k, rec in enumerate(doc["rounds"])]
+    return doc, ("round", "theta_guess", "ran", "success_probability", "verified"), rows
 
 
 _COMMANDS = {
@@ -421,6 +402,15 @@ def _plain(x):
     return x
 
 
+def _cell(x) -> str:
+    """One CSV cell: a bool as 0/1, a float as its repr, anything else as str."""
+    if isinstance(x, bool):
+        return str(int(x))
+    if isinstance(x, float):
+        return repr(x)
+    return str(x)
+
+
 def _emit(text: str, out_path: str | None):
     if out_path is None:
         sys.stdout.write(text)
@@ -433,12 +423,12 @@ def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _resolve_config(args)
     started = time.monotonic()
-    body, csv_lines = _COMMANDS[args.command](cfg)
+    body, columns, rows = _COMMANDS[args.command](cfg)
     elapsed = time.monotonic() - started
     if cfg["format"] == "csv":
-        if csv_lines is None:
-            raise ConfigError(f"{args.command} has no CSV form")
-        _emit("\n".join(csv_lines) + "\n", cfg["out"])
+        lines = [",".join(columns)] + [",".join(_cell(row[c]) for c in columns)
+                                       for row in _plain(rows)]
+        _emit("\n".join(lines) + "\n", cfg["out"])
         return 0
     doc = {"command": args.command, "config": _plain(cfg)}
     doc.update(_plain(body))

@@ -25,7 +25,7 @@ peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -165,37 +165,6 @@ def embed_mainspace(layout: RegisterLayout, vec, frame: EigenDecomposition) -> S
     return StateVector(a.reshape(-1), layout, frame)
 
 
-@dataclass(frozen=True, eq=False)
-class SubspaceMask:
-    """A set of basis values of one register, as sorted unique indices."""
-
-    register_dim: int
-    indices: np.ndarray = field(default_factory=lambda: np.array([], dtype=int))
-
-    def __post_init__(self):
-        idx = np.unique(np.asarray(self.indices, dtype=int))
-        if idx.size and (idx[0] < 0 or idx[-1] >= self.register_dim):
-            raise ValueError("mask index out of register range")
-        object.__setattr__(self, "indices", idx)
-
-    @property
-    def size(self) -> int:
-        return int(self.indices.size)
-
-    def complement(self) -> "SubspaceMask":
-        keep = np.setdiff1d(np.arange(self.register_dim), self.indices)
-        return SubspaceMask(self.register_dim, keep)
-
-    def indicator(self) -> np.ndarray:
-        ind = np.zeros(self.register_dim)
-        ind[self.indices] = 1.0
-        return ind
-
-    def sign_vector(self) -> np.ndarray:
-        """+1 off the mask, -1 on it; the diagonal of a selective flip."""
-        return 1.0 - 2.0 * self.indicator()
-
-
 # ---------------------------------------------------------------------------
 # Raw kernels.  Arrays are (main_dim, phase_dim, trailing) in C order.  The
 # input is never mutated unless it is also passed as ``out``: every kernel
@@ -319,8 +288,9 @@ def k_nearest(phase_bits: int, lam: float) -> int:
     return round_half_away(m * lam / (2.0 * np.pi)) % m
 
 
-def window_mask(phase_bits: int, center: int, halfwidth: int) -> SubspaceMask:
-    """2*halfwidth + 1 register values centered on ``center``, wrapping.
+def window_mask(phase_bits: int, center: int, halfwidth: int) -> np.ndarray:
+    """Boolean mask of the 2*halfwidth + 1 register values centered on
+    ``center``, wrapping.
 
     A window that covers the register exactly is allowed and gives the full
     mask; anything wider is an error.
@@ -332,19 +302,15 @@ def window_mask(phase_bits: int, center: int, halfwidth: int) -> SubspaceMask:
         raise ValueError(
             f"window of halfwidth {halfwidth} exceeds the {m}-value register"
         )
-    idx = (center + np.arange(-halfwidth, halfwidth + 1)) % m
-    return SubspaceMask(m, idx)
-
-
-def peak_window_mask(phase_bits: int, lam: float, halfwidth: int) -> SubspaceMask:
-    """Window around the register value nearest to a known eigenphase."""
-    return window_mask(phase_bits, k_nearest(phase_bits, lam), halfwidth)
+    mask = np.zeros(m, dtype=bool)
+    mask[(center + np.arange(-halfwidth, halfwidth + 1)) % m] = True
+    return mask
 
 
 def peak_window_mass(phase_bits: int, lam: float, halfwidth: int) -> float:
     """Probability that the estimate of ``lam`` lands within ``halfwidth``
     register values of the nearest one."""
-    mask = peak_window_mask(phase_bits, lam, halfwidth)
+    mask = window_mask(phase_bits, k_nearest(phase_bits, lam), halfwidth)
     return estimate_window_mass(phase_bits, lam, mask)
 
 
@@ -366,7 +332,7 @@ def gap_window_halfwidth(phase_bits: int, phase_gap: float,
 
 
 def gap_window_mask(phase_bits: int, phase_gap: float,
-                    guard_fraction: float) -> SubspaceMask:
+                    guard_fraction: float) -> np.ndarray:
     """Zero-centered register window reaching almost to the spectral gap.
 
     Unlike a peak window this one must leave room on the register; covering
@@ -390,12 +356,14 @@ def gap_guard_margin(phase_bits: int, phase_gap: float,
     return m * guard_fraction * phase_gap / (2.0 * np.pi)
 
 
-def estimate_window_mass(phase_bits: int, lam, mask: SubspaceMask):
-    """Analytic probability that the estimate of ``lam`` lands in the mask;
-    one per eigenphase for an array of them."""
-    if mask.register_dim != (1 << phase_bits):
-        raise ValueError("mask dimension does not match the register")
-    mass = np.abs(estimate_amplitudes(phase_bits, lam)[..., mask.indices]) ** 2
+def estimate_window_mass(phase_bits: int, lam, mask: np.ndarray):
+    """Analytic probability that the estimate of ``lam`` lands in the
+    boolean register mask; one per eigenphase for an array of them."""
+    mask = np.asarray(mask)
+    if mask.dtype != bool or mask.shape != (1 << phase_bits,):
+        raise ValueError(f"the mask must be a boolean array over the "
+                         f"{1 << phase_bits}-value register")
+    mass = np.abs(estimate_amplitudes(phase_bits, lam)[..., mask]) ** 2
     # one sum per profile: a batched reduction adds in another order, and the
     # 1 - mass of an in-gap eigenphase would show the last-bit difference
     return np.apply_along_axis(np.sum, -1, mass)[()]

@@ -136,39 +136,26 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
     ledger = QueryLedger()
     operator = build_search_operator(inst)
     halfway = evolve_to_halfway(inst, ledger, operator)
-    w_target = float(np.abs(halfway.state[inst.target_index]))
     rounds = amplification_round_count(inst.boost)
-
     if rounds == 0:
         marginal = np.abs(halfway.state) ** 2
-        return PipelineResult(
-            instance_id=inst.instance_id,
-            main_dim=inst.spec.n,
-            target_index=inst.target_index,
-            overlap=inst.overlap,
-            boost=inst.boost,
-            scheme=scheme,
-            halfway_steps=halfway.steps,
-            amplification_rounds=0,
-            halfway_target_overlap=w_target,
-            success_probability=float(marginal[inst.target_index]),
-            ancilla_leakage=0.0,
-            predicted_error=0.0,
-            main_marginal=marginal,
-            ledger=ledger,
-        )
-
-    # one diagonalization serves the error prediction and the frame the
-    # amplification runs in
-    dec = eig_unitary(operator, TOL.system_unitarity)
-    op = InversionOperator.build(scheme, operator, dense_cap, dec)
-    predicted = np.max(predicted_epsilon(scheme, dec.phases,
-                                         inside_gap(dec.phases, scheme.phase_gap)))
-    # the embedded halfway state is passed on, not kept, so the first round
-    # can free it
-    state = amplify_to_target(embed_mainspace(op.layout, halfway.state, dec),
-                              op, inst.target_index, rounds, ledger)
-    branch = np.abs(state.branch_amplitudes()) ** 2
+        success = float(marginal[inst.target_index])
+        leakage = predicted = 0.0
+    else:
+        # one diagonalization serves the error prediction and the frame the
+        # amplification runs in
+        dec = eig_unitary(operator, TOL.system_unitarity)
+        op = InversionOperator.build(scheme, operator, dense_cap, dec)
+        predicted = float(np.max(predicted_epsilon(
+            scheme, dec.phases, inside_gap(dec.phases, scheme.phase_gap))))
+        # the embedded halfway state is passed on, not kept, so the first
+        # round can free it
+        state = amplify_to_target(embed_mainspace(op.layout, halfway.state, dec),
+                                  op, inst.target_index, rounds, ledger)
+        branch = np.abs(state.branch_amplitudes()) ** 2
+        success = float(branch[inst.target_index])
+        leakage = float(1.0 - branch.sum())
+        marginal = state.main_marginal()
     return PipelineResult(
         instance_id=inst.instance_id,
         main_dim=inst.spec.n,
@@ -178,11 +165,11 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
         scheme=scheme,
         halfway_steps=halfway.steps,
         amplification_rounds=rounds,
-        halfway_target_overlap=w_target,
-        success_probability=float(branch[inst.target_index]),
-        ancilla_leakage=float(1.0 - branch.sum()),
-        predicted_error=float(predicted),
-        main_marginal=state.main_marginal(),
+        halfway_target_overlap=float(np.abs(halfway.state[inst.target_index])),
+        success_probability=success,
+        ancilla_leakage=leakage,
+        predicted_error=predicted,
+        main_marginal=marginal,
         ledger=ledger,
     )
 
@@ -323,33 +310,25 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
 # ---------------------------------------------------------------------------
 # Complexity table and serialization.
 
-CSV_HEADER = ("instance_id,N,alpha,B,theta_min,scheme,mu,nu,"
-              "q_m,n_qaa,oracle_queries,controlled_s,success,epsilon")
-
-
-def csv_row(result: PipelineResult) -> str:
-    """One fixed-header CSV row for a pipeline run."""
-    cells = [
-        result.instance_id,
-        str(result.main_dim),
-        repr(result.overlap),
-        repr(result.boost),
-        repr(result.scheme.phase_gap),
-        result.scheme.kind,
-        str(result.scheme.phase_bits),
-        str(result.scheme.vote_bits),
-        str(result.halfway_steps),
-        str(result.amplification_rounds),
-        str(result.ledger.oracle_queries),
-        str(result.ledger.controlled_s),
-        repr(result.success_probability),
-        repr(result.predicted_error),
-    ]
-    return ",".join(cells)
-
-
-def results_to_csv(results) -> str:
-    return "\n".join([CSV_HEADER] + [csv_row(r) for r in results]) + "\n"
+def result_row(result: PipelineResult) -> dict:
+    """The one report row of a pipeline run: the columns of the ``pipeline``
+    and ``compare`` CSV and of every ``complexity_report`` row, in order."""
+    return {
+        "instance_id": result.instance_id,
+        "N": result.main_dim,
+        "alpha": result.overlap,
+        "B": result.boost,
+        "theta_min": result.scheme.phase_gap,
+        "scheme": result.scheme.kind,
+        "mu": result.scheme.phase_bits,
+        "nu": result.scheme.vote_bits,
+        "q_m": result.halfway_steps,
+        "n_qaa": result.amplification_rounds,
+        "oracle_queries": result.ledger.oracle_queries,
+        "controlled_s": result.ledger.controlled_s,
+        "success": result.success_probability,
+        "epsilon": result.predicted_error,
+    }
 
 
 def budget_constants(result: PipelineResult) -> dict:
@@ -397,24 +376,7 @@ def complexity_report(results, baselines=None) -> dict:
             raise ValueError("one baseline per result, in the same order")
     rows = []
     for i, r in enumerate(results):
-        gap = r.scheme.phase_gap
-        row = {
-            "instance_id": r.instance_id,
-            "N": r.main_dim,
-            "alpha": r.overlap,
-            "B": r.boost,
-            "theta_min": gap,
-            "scheme": r.scheme.kind,
-            "mu": r.scheme.phase_bits,
-            "nu": r.scheme.vote_bits,
-            "q_m": r.halfway_steps,
-            "n_qaa": r.amplification_rounds,
-            "oracle_queries": r.ledger.oracle_queries,
-            "controlled_s": r.ledger.controlled_s,
-            "success": r.success_probability,
-            "epsilon": r.predicted_error,
-            "post_budget_constant": budget_constants(r)["post"],
-        }
+        row = {**result_row(r), "post_budget_constant": budget_constants(r)["post"]}
         if baselines is not None:
             b = baselines[i]
             row["baseline_queries"] = b.mean_queries

@@ -55,7 +55,6 @@ from .phase_estimation import (
     DENSE_CAP,
     RegisterLayout,
     StateVector,
-    SubspaceMask,
     embed_mainspace,
     estimate_amplitudes,
     estimate_window_mass,
@@ -123,13 +122,13 @@ class InversionScheme:
         return cls("boosted", max(1, bits), votes, float(phase_gap), guard_fraction)
 
 
-def vote_majority_mask(vote_bits: int) -> SubspaceMask:
-    """Vote values with strictly more ones than zeros; ties stay outside."""
+def vote_majority_mask(vote_bits: int) -> np.ndarray:
+    """Boolean mask of the vote values with strictly more ones than zeros;
+    ties stay outside."""
     if vote_bits < 2 or vote_bits % 2:
         raise ValueError("majority voting needs an even vote count >= 2")
-    need = vote_bits // 2 + 1
-    idx = [v for v in range(1 << vote_bits) if v.bit_count() >= need]
-    return SubspaceMask(1 << vote_bits, np.array(idx))
+    ones = np.array([v.bit_count() for v in range(1 << vote_bits)])
+    return ones > vote_bits // 2
 
 
 def binomial_tail_wrong_half(vote_bits: int, p, invert):
@@ -213,7 +212,8 @@ def _vote_coefficients(p: np.ndarray, norms: np.ndarray,
 class InversionOperator:
     """A sized inversion scheme bound to one mainspace unitary.
 
-    ``decomposition`` is the unitary's eigendecomposition, whose estimate
+    ``gap_window`` and ``vote_window`` are boolean masks over the phase and
+    vote registers; the flips are -1 on them.  ``decomposition`` is the unitary's eigendecomposition, whose estimate
     frame the operator runs in, read through ``frame``.  Unless ``build`` is
     handed one it is computed on first use and kept; a boosted operator also
     keeps the split of every eigenphase's estimate profile at the gap window.
@@ -222,8 +222,8 @@ class InversionOperator:
     scheme: InversionScheme
     unitary: np.ndarray
     layout: RegisterLayout
-    gap_window: SubspaceMask
-    vote_window: SubspaceMask | None
+    gap_window: np.ndarray
+    vote_window: np.ndarray | None
     decomposition: EigenDecomposition | None = None
     _plane: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
                                                          repr=False)
@@ -260,7 +260,7 @@ class InversionOperator:
     def _vote_plane(self) -> tuple[np.ndarray, np.ndarray]:
         if self._plane is None:
             estimates = estimate_amplitudes(self.scheme.phase_bits, self.frame.phases)
-            self._plane = _split_estimates(estimates, self.gap_window.sign_vector() > 0.0)
+            self._plane = _split_estimates(estimates, ~self.gap_window)
         return self._plane
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
@@ -280,7 +280,7 @@ class InversionOperator:
         a = raw_estimate_forward(state.reshaped(), dec.phases)
         _charge(ledger, controlled_s=m, oracle_queries=m)
         if self.scheme.kind == "basic":
-            raw_flip(a, self.gap_window.sign_vector(), 1, out=a)
+            raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
         else:
             self._vote_stage(a, ledger)
         raw_estimate_inverse(a, dec.phases, out=a)
@@ -301,10 +301,9 @@ class InversionOperator:
         """
         m, nu = self.layout.phase_dim, self.scheme.vote_bits
         units, norms = self._vote_plane()
-        off_window = self.gap_window.sign_vector() > 0.0
-        vote_sign = self.vote_window.sign_vector()
+        vote_sign = np.where(self.vote_window, -1.0, 1.0)
         plane_sign = np.stack([vote_sign, vote_sign[::-1]])
-        sign = np.where(off_window[:, None], plane_sign[1], plane_sign[0])
+        sign = np.where(self.gap_window[:, None], plane_sign[0], plane_sign[1])
         p = np.matmul(units.conj(), a)
         delta = _vote_coefficients(p, norms, vote_sign) - plane_sign * p
         for k in range(self.layout.main_dim):

@@ -7,8 +7,6 @@ Nothing imports the fast paths it is checking beyond shared data types.
 
 import numpy as np
 
-from eigensearch.phase_estimation import SubspaceMask
-
 
 def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
     """U^z for integer z >= 0, by repeated squaring."""
@@ -76,12 +74,13 @@ def brute_estimate_amplitudes(phase_bits: int, lam: float) -> np.ndarray:
     return roots[np.outer(z, z) & (m - 1)] @ np.exp(1j * z * lam) / m
 
 
-def mask_sign_diag(mask: SubspaceMask) -> np.ndarray:
-    return np.diag(mask.sign_vector().astype(complex))
+def mask_sign_diag(mask: np.ndarray) -> np.ndarray:
+    """The selective flip of a boolean register mask: -1 on it, +1 off it."""
+    return np.diag(np.where(mask, -1, 1))
 
 
 def dense_basic_inversion(unitary: np.ndarray, phase_bits: int,
-                          gap_mask: SubspaceMask) -> np.ndarray:
+                          gap_mask: np.ndarray) -> np.ndarray:
     """The basic selective inverter as one dense matrix on main x phase."""
     n = unitary.shape[0]
     est = dense_estimate_forward(unitary, phase_bits)
@@ -90,7 +89,7 @@ def dense_basic_inversion(unitary: np.ndarray, phase_bits: int,
 
 
 def dense_amplification(unitary: np.ndarray, phase_bits: int,
-                        gap_mask: SubspaceMask) -> np.ndarray:
+                        gap_mask: np.ndarray) -> np.ndarray:
     """-(P (1 x |0..0><0..0| reflection) P^dag)(1 x window reflection)."""
     n = unitary.shape[0]
     m = 1 << phase_bits
@@ -103,8 +102,8 @@ def dense_amplification(unitary: np.ndarray, phase_bits: int,
 
 
 def dense_boosted_inversion(unitary: np.ndarray, phase_bits: int,
-                            vote_bits: int, gap_mask: SubspaceMask,
-                            vote_mask: SubspaceMask) -> np.ndarray:
+                            vote_bits: int, gap_mask: np.ndarray,
+                            vote_mask: np.ndarray) -> np.ndarray:
     """The boosted inverter on main x phase x vote, vote register minor.
 
     The forward half is built row block by row block: a Hadamard on vote
@@ -137,7 +136,7 @@ def dense_boosted_inversion(unitary: np.ndarray, phase_bits: int,
         ones[...] = (amp @ ones.reshape(nm, -1)).reshape(ones.shape)
         hadamard(rows)
     # the majority flip is diagonal: it scales the rows of the forward half
-    flip = np.tile(vote_mask.sign_vector(), nm)
+    flip = np.tile(np.where(vote_mask, -1.0, 1.0), nm)
     return forward.conj().T @ (flip[:, None] * forward)
 
 

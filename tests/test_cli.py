@@ -16,6 +16,8 @@ from eigensearch.cli import main
 
 REF_ARGS = ["--n", "12", "--pairs", "0.55,0.62,0.70,0.79",
             "--seed", "68", "--theta-min", "0.44", "--target", "4"]
+RESULT_HEADER = ("instance_id,N,alpha,B,theta_min,scheme,mu,nu,"
+                 "q_m,n_qaa,oracle_queries,controlled_s,success,epsilon")
 
 
 def run_cli(capsys, *args):
@@ -170,9 +172,9 @@ def test_pipeline_csv_uses_the_shared_header(capsys):
     code, out, _ = run_cli(capsys, "pipeline", *REF_ARGS, "--format", "csv")
     assert code == 0
     lines = out.strip().split("\n")
-    assert lines[0] == es.CSV_HEADER
+    assert lines[0] == RESULT_HEADER
     assert len(lines) == 2
-    assert len(lines[1].split(",")) == len(es.CSV_HEADER.split(","))
+    assert len(lines[1].split(",")) == len(RESULT_HEADER.split(","))
 
 
 def test_search_csv_rows_align_with_their_header(capsys):
@@ -182,6 +184,72 @@ def test_search_csv_rows_align_with_their_header(capsys):
     assert len(lines) >= 2
     width = len(lines[0].split(","))
     assert all(len(line.split(",")) == width for line in lines[1:])
+
+
+def _pipeline_row(doc):
+    """The pipeline CSV row as the JSON document spells it."""
+    scheme, ledger = doc["scheme"], doc["ledger"]
+    return {"instance_id": doc["instance_id"], "N": doc["N"], "alpha": doc["alpha"],
+            "B": doc["B"], "theta_min": scheme["theta_min"], "scheme": scheme["kind"],
+            "mu": scheme["mu"], "nu": scheme["nu"], "q_m": doc["q_m"],
+            "n_qaa": doc["n_qaa"], "oracle_queries": ledger["oracle_queries"],
+            "controlled_s": ledger["controlled_s"],
+            "success": doc["success_probability"], "epsilon": doc["epsilon_used"]}
+
+
+COMPARE_CONFIG = {"n": 12, "pairs": [0.55, 0.62, 0.70, 0.79], "seed": 68,
+                  "theta_min": 0.44, "mu": 8, "trials": 100,
+                  "instances": [{"target": t} for t in (4, 5, 6)]}
+
+# command: (arguments, literal CSV header, the JSON rows the CSV prints);
+# compare reads COMPARE_CONFIG from a file
+CSV_FORMS = {
+    "spectrum": (REF_ARGS, "target,alpha,lambda1,lambda2,B",
+                 lambda doc: doc["moments"]),
+    "search": (REF_ARGS, "instance_id,alpha,B,lambda_plus,lambda_minus,"
+               "predicted_plus,predicted_minus,q_m,w_overlap", lambda doc: [doc]),
+    "invert": (REF_ARGS + ["--sweep-mu", "6,7"],
+               "mu,nu,lambda,measured,predicted,inverted",
+               lambda doc: [{"mu": sweep["scheme"]["mu"], "nu": sweep["scheme"]["nu"],
+                             **row}
+                            for sweep in doc["sweeps"] for row in sweep["per_eigenphase"]]),
+    "pipeline": (REF_ARGS + ["--mu", "8"], RESULT_HEADER,
+                 lambda doc: [_pipeline_row(doc)]),
+    "compare": (None, RESULT_HEADER, lambda doc: doc["report"]["rows"]),
+    "schedule": (["--n", "32", "--pairs", "0.70,0.76,0.83,0.90,1.00,1.40,1.90",
+                  "--seed", "2", "--target", "24", "--initial-guess", "2.8"],
+                 "round,theta_guess,ran,success_probability,verified",
+                 lambda doc: [{"round": k, **rec} for k, rec in enumerate(doc["rounds"])]),
+}
+
+
+def csv_cell(value) -> str:
+    """A JSON value as the CSV prints it: a bool as its int, a string as
+    itself, a number as its repr."""
+    if isinstance(value, bool):
+        return str(int(value))
+    return value if isinstance(value, str) else repr(value)
+
+
+@pytest.mark.parametrize("command", CSV_FORMS)
+def test_every_csv_form_prints_the_json_rows(tmp_path, capsys, command):
+    args, header, json_rows = CSV_FORMS[command]
+    if args is None:
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(COMPARE_CONFIG))
+        args = ["--config", str(path)]
+    code, out, _ = run_cli(capsys, command, *args, "--format", "csv")
+    assert code == 0
+    lines = out.split("\n")
+    assert lines[0] == header
+    assert lines[-1] == ""
+    code, text, _ = run_cli(capsys, command, *args)
+    assert code == 0
+    rows = json_rows(json.loads(text))
+    assert rows
+    columns = header.split(",")
+    assert [line.split(",") for line in lines[1:-1]] == [
+        [csv_cell(row[c]) for c in columns] for row in rows]
 
 
 def test_invert_sweep_reports_per_register_errors(capsys):

@@ -66,24 +66,15 @@ def test_k_nearest_wraps_on_the_register_circle():
 
 
 def test_window_mask_indices_wrap_and_reject_oversized_windows():
-    assert sorted(es.window_mask(6, 63, 2).indices) == [0, 1, 61, 62, 63]
-    assert sorted(es.window_mask(2, 0, 1).indices) == [0, 1, 3]
+    assert np.flatnonzero(es.window_mask(6, 63, 2)).tolist() == [0, 1, 61, 62, 63]
+    assert np.flatnonzero(es.window_mask(2, 0, 1)).tolist() == [0, 1, 3]
     # covering the register exactly is allowed
-    assert len(es.window_mask(2, 1, 1).indices) == 3
-    assert len(es.window_mask(3, 4, 3).indices) == 7
+    assert np.flatnonzero(es.window_mask(2, 1, 1)).tolist() == [0, 1, 2]
+    assert np.flatnonzero(es.window_mask(3, 4, 3)).tolist() == [1, 2, 3, 4, 5, 6, 7]
     with pytest.raises(ValueError):
         es.window_mask(2, 0, 2)
     with pytest.raises(ValueError):
         es.window_mask(6, 0, -1)
-
-
-def test_subspace_mask_vectors_are_consistent():
-    mask = es.window_mask(3, 0, 1)
-    ind = mask.indicator()
-    sign = mask.sign_vector()
-    assert_allclose(sign, 1.0 - 2.0 * ind, atol=0)
-    assert sorted(mask.complement().indices) == [2, 3, 4, 5, 6]
-    assert set(mask.complement().indices) | set(mask.indices) == set(range(8))
 
 
 def test_peak_window_mass_respects_the_guaranteed_bound():
@@ -104,7 +95,8 @@ def test_gap_window_reaches_almost_to_the_gap():
     assert half == 30
     mask = es.gap_window_mask(6, np.pi, es.GUARD_FRACTION)
     expected = set(range(0, 31)) | set(range(34, 64))
-    assert set(int(i) for i in mask.indices) == expected
+    assert set(np.flatnonzero(mask).tolist()) == expected
+    assert set(np.flatnonzero(~mask).tolist()) == {31, 32, 33}
     margin = es.gap_guard_margin(6, np.pi, es.GUARD_FRACTION)
     assert margin == pytest.approx(64 * es.GUARD_FRACTION * 0.5, rel=1e-12)
 
@@ -118,6 +110,18 @@ def test_estimate_window_mass_checks_register_dimension():
     mask = es.window_mask(5, 0, 2)
     with pytest.raises(ValueError):
         estimate_window_mass(6, 0.1, mask)
+
+
+def test_estimate_window_mass_takes_only_a_boolean_mask():
+    # an index array of the register's length would otherwise be read as
+    # indices, not as a mask
+    mask = es.window_mask(5, 0, 2)
+    for bad in (mask.astype(int), mask.astype(float), np.flatnonzero(mask)):
+        with pytest.raises(ValueError, match="boolean"):
+            estimate_window_mass(5, 0.1, bad)
+    profile = es.estimate_amplitudes(5, 0.1)
+    assert estimate_window_mass(5, 0.1, mask) == pytest.approx(
+        np.sum(np.abs(profile[[0, 1, 2, 30, 31]]) ** 2), rel=1e-15)
 
 
 def test_embed_mainspace_places_the_state_in_the_joint_register():

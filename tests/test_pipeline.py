@@ -249,14 +249,22 @@ def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
 
 def test_csv_row_matches_the_header(ref12_basic_run):
     _, res = ref12_basic_run
-    header_fields = es.CSV_HEADER.split(",")
-    row_fields = es.csv_row(res).split(",")
-    assert len(row_fields) == len(header_fields)
-    assert row_fields[0] == "sym-n12-seed68-t4"
-    text = es.results_to_csv([res, res])
-    lines = text.strip().split("\n")
-    assert lines[0] == es.CSV_HEADER
-    assert len(lines) == 3
+    row = es.result_row(res)
+    assert row == {
+        "instance_id": "sym-n12-seed68-t4", "N": 12, "alpha": res.overlap,
+        "B": res.boost, "theta_min": instances.REF12_GAP, "scheme": "basic",
+        "mu": 8, "nu": 0, "q_m": res.halfway_steps,
+        "n_qaa": res.amplification_rounds,
+        "oracle_queries": res.ledger.oracle_queries,
+        "controlled_s": res.ledger.controlled_s,
+        "success": res.success_probability, "epsilon": res.predicted_error,
+    }
+    assert ",".join(row) == ("instance_id,N,alpha,B,theta_min,scheme,mu,nu,"
+                             "q_m,n_qaa,oracle_queries,controlled_s,success,epsilon")
+    # every complexity-report row opens with the same columns
+    report_row = es.complexity_report([res, res, res])["rows"][0]
+    assert list(report_row)[:len(row)] == list(row)
+    assert {key: report_row[key] for key in row} == row
 
 
 def test_complexity_report_validates_its_inputs(ref12_basic_run):

@@ -78,9 +78,9 @@ def unitaries(draw, n=None, window=None):
         phases[0] = np.pi - 1e-13
         phases[1] = -np.pi + draw(st.sampled_from((0.0, 1e-13)))
     elif planting == "grid":
-        grid = [draw(st.sampled_from(window.indices.tolist())),
-                draw(st.sampled_from(window.complement().indices.tolist()))]
-        planted = es.wrap_angle(2.0 * np.pi * np.array(grid) / window.register_dim)
+        grid = [draw(st.sampled_from(np.flatnonzero(window).tolist())),
+                draw(st.sampled_from(np.flatnonzero(~window).tolist()))]
+        planted = es.wrap_angle(2.0 * np.pi * np.array(grid) / window.size)
         phases[:2] = planted[:n]
     basis = haar_unitary(n, seed + 1)
     return (basis * np.exp(1j * phases)) @ basis.conj().T

@@ -56,9 +56,9 @@ def test_scheme_validation_rejects_malformed_parameters():
 
 
 def test_vote_majority_mask_selects_strict_majorities():
-    assert sorted(es.vote_majority_mask(2).indices) == [3]
-    assert sorted(es.vote_majority_mask(4).indices) == [7, 11, 13, 14, 15]
-    six = sorted(es.vote_majority_mask(6).indices)
+    assert np.flatnonzero(es.vote_majority_mask(2)).tolist() == [3]
+    assert np.flatnonzero(es.vote_majority_mask(4)).tolist() == [7, 11, 13, 14, 15]
+    six = np.flatnonzero(es.vote_majority_mask(6)).tolist()
     assert len(six) == 22
     assert all(bin(int(i)).count("1") >= 4 for i in six)
     with pytest.raises(ValueError):
@@ -125,7 +125,7 @@ def scalar_predicted_epsilon(scheme, lam, invert):
     """The prediction for one eigenphase in plain Python: window mass, then
     the wrong-side mass or the binomial tail term by term."""
     mask = es.gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
-    p = float(np.sum(np.abs(es.estimate_amplitudes(scheme.phase_bits, lam)[mask.indices])
+    p = float(np.sum(np.abs(es.estimate_amplitudes(scheme.phase_bits, lam)[np.flatnonzero(mask)])
                      ** 2))
     if scheme.kind == "basic":
         return 2.0 * math.sqrt(max(0.0, 1.0 - p if invert else p))
