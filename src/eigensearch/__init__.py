@@ -47,6 +47,8 @@ from .search_core import (
     mixing_angle,
     predicted_pair_phases,
     reconstruct_source,
+    search_decomposition,
+    search_operator,
     secular_pair,
     secular_residual,
 )

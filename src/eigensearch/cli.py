@@ -42,11 +42,12 @@ from .pipeline import (
     scheme_to_json,
 )
 from .search_core import (
-    build_search_operator,
     evolve_to_halfway,
     find_relevant_pair,
     predicted_pair_phases,
     reconstruct_source,
+    search_decomposition,
+    search_operator,
 )
 from .selective_inversion import (
     GUARD_FRACTION,
@@ -288,12 +289,12 @@ def _invert_schemes(cfg: dict, inst: SearchInstance) -> list[InversionScheme]:
 
 def _cmd_invert(cfg: dict):
     inst = _instance_from_config(cfg)
-    operator = build_search_operator(inst)
+    operator, dec = search_operator(inst), search_decomposition(inst)
     sweeps = []
     rows = []
     for scheme in _invert_schemes(cfg, inst):
-        op = InversionOperator.build(scheme, operator, int(cfg["dense_cap"]))
-        report = instance_epsilon_report(op, inst, operator)
+        op = InversionOperator.build(scheme, operator, int(cfg["dense_cap"]), dec)
+        report = instance_epsilon_report(op, inst)
         entry = {
             "scheme": scheme_to_json(scheme),
             "epsilon_max": report.epsilon_max,

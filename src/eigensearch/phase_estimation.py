@@ -44,14 +44,15 @@ DENSE_CAP = 1 << 22
 The cap bounds memory only together with the working set of the kernels.
 An ``InversionOperator.apply`` allocates one register on top of its input:
 the working array, updated in place, which becomes the output.  Every other
-temporary is at most one main-index slab or a main x phase table, and in a
-boosted apply the conjugated vote-plane rows (2 / vote_dim of the register).
-The amplification rounds of ``run_full`` hold at most two registers at once,
-the state and its successor, so a register at the cap peaks near 2 x 64 MiB
-there.  A boosted operator also keeps its vote-plane rows between
-applications.  The multiples are measured and pinned by the tests
-``test_boosted_apply_allocates_twice_the_register`` and
-``test_boosted_amplification_holds_two_registers``.
+temporary is at most one main-index slab or a main x phase table.  The
+amplification rounds of ``run_full`` hold at most two registers at once, the
+state and its successor, so a register at the cap peaks near 2 x 64 MiB
+there.  A boosted operator also keeps its vote plane, one main x phase table
+(1 / vote_dim of the register), which ``run_full`` builds before the first
+register.  The multiples are measured and pinned by the tests
+``test_boosted_apply_allocates_twice_the_register``,
+``test_boosted_amplification_holds_two_registers`` and
+``test_a_two_vote_run_builds_its_vote_plane_before_the_register``.
 """
 
 _GRAM_BLOCK = 1 << 12

@@ -20,21 +20,20 @@ from dataclasses import asdict, dataclass, fields
 import numpy as np
 
 from .numerics import (
-    TOL,
     GapGuessTooCoarse,
     dagger,
-    eig_unitary,
     inside_gap,
     make_rng,
     round_half_away,
 )
+from .numerics import eig_unitary  # noqa: F401 - perfbench's tracer test rebinds it here
 from .phase_estimation import (
     DENSE_CAP,
     StateVector,
     embed_mainspace,
     raw_reflect_main,
 )
-from .search_core import build_search_operator, evolve_to_halfway
+from .search_core import evolve_to_halfway, search_decomposition, search_operator
 from .selective_inversion import (
     GUARD_FRACTION,
     InversionOperator,
@@ -134,18 +133,17 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
     is zero (boost 1), so such runs spend no controlled operations at all.
     """
     ledger = QueryLedger()
-    operator = build_search_operator(inst)
-    halfway = evolve_to_halfway(inst, ledger, operator)
+    halfway = evolve_to_halfway(inst, ledger)
     rounds = amplification_round_count(inst.boost)
     if rounds == 0:
         marginal = np.abs(halfway.state) ** 2
         success = float(marginal[inst.target_index])
         leakage = predicted = 0.0
     else:
-        # one diagonalization serves the error prediction and the frame the
-        # amplification runs in
-        dec = eig_unitary(operator, TOL.system_unitarity)
-        op = InversionOperator.build(scheme, operator, dense_cap, dec)
+        # the instance's one diagonalization, which gave the halfway state,
+        # serves the error prediction and the frame the amplification runs in
+        dec = search_decomposition(inst)
+        op = InversionOperator.build(scheme, search_operator(inst), dense_cap, dec)
         predicted = float(np.max(predicted_epsilon(
             scheme, dec.phases, inside_gap(dec.phases, scheme.phase_gap))))
         # the embedded halfway state is passed on, not kept, so the first

@@ -7,6 +7,12 @@ the spectrum vanishes they sit at plus and minus twice the source-target
 overlap divided by the boost factor.  Both routes to the pair, dense
 diagonalization and root bisection, are kept and compared; neither is trusted
 alone.
+
+Each instance is prepared once: its dense search operator is assembled on
+first use and kept read-only, and its one eigendecomposition serves the pair,
+the halfway state and the inversion frame.  The halfway state is a spectral
+power of that decomposition, V e^{i q lambda} V^dagger s; the ledger still
+charges the q_m search-operator applications the circuit makes.
 """
 
 from __future__ import annotations
@@ -18,6 +24,7 @@ import numpy as np
 from .numerics import (
     TOL,
     AssumptionViolation,
+    EigenDecomposition,
     eig_unitary,
     inside_gap,
     round_half_away,
@@ -27,10 +34,33 @@ from .spectra import SearchInstance, assemble_diffusion
 
 
 def build_search_operator(inst: SearchInstance) -> np.ndarray:
-    """Dense product of the diffusion operator and the target phase flip."""
+    """Dense product of the diffusion operator and the target phase flip,
+    as a fresh writable array."""
     s = assemble_diffusion(inst.spec)
     s[:, inst.target_index] *= -1.0
     return s
+
+
+def search_operator(inst: SearchInstance) -> np.ndarray:
+    """The instance's search operator, built on first use and kept read-only."""
+    operator = inst.prepared.get("operator")
+    if operator is None:
+        operator = build_search_operator(inst)
+        operator.flags.writeable = False
+        inst.prepared["operator"] = operator
+    return operator
+
+
+def search_decomposition(inst: SearchInstance) -> EigenDecomposition:
+    """The one eigendecomposition of the instance's search operator,
+    computed on first use and kept with read-only arrays."""
+    dec = inst.prepared.get("decomposition")
+    if dec is None:
+        dec = eig_unitary(search_operator(inst), TOL.system_unitarity)
+        dec.phases.flags.writeable = False
+        dec.vectors.flags.writeable = False
+        inst.prepared["decomposition"] = dec
+    return dec
 
 
 def _weighted_poles(inst: SearchInstance):
@@ -128,7 +158,7 @@ class RelevantPair:
     mixing: float
 
 
-def find_relevant_pair(inst: SearchInstance, operator: np.ndarray | None = None) -> RelevantPair:
+def find_relevant_pair(inst: SearchInstance) -> RelevantPair:
     """Locate, gauge and cross-check the eigenpair adjacent to phase zero.
 
     Raises AssumptionViolation when the instance does not actually have
@@ -136,9 +166,7 @@ def find_relevant_pair(inst: SearchInstance, operator: np.ndarray | None = None)
     a vanishing target amplitude, or when diagonalization and bisection
     disagree.
     """
-    if operator is None:
-        operator = build_search_operator(inst)
-    dec = eig_unitary(operator, TOL.system_unitarity)
+    dec = search_decomposition(inst)
     inside = np.flatnonzero(inside_gap(dec.phases, inst.spec.phase_gap))
     if inside.size != 2:
         raise AssumptionViolation(
@@ -219,20 +247,21 @@ def halfway_step_count(inst: SearchInstance) -> int:
     return round_half_away(np.pi * inst.boost / (4.0 * inst.overlap) - 0.5)
 
 
-def evolve_to_halfway(inst: SearchInstance, ledger=None,
-                      operator: np.ndarray | None = None) -> HalfwayState:
-    """Apply the search operator repeatedly to rotate source toward halfway.
+def evolve_to_halfway(inst: SearchInstance, ledger=None) -> HalfwayState:
+    """Rotate the source toward halfway with q_m search-operator applications.
 
-    Each application charges one diffusion application and one oracle query
-    to ``ledger`` when given.
+    The power is taken in the instance's eigendecomposition,
+    V (e^{i q_m lambda} * V^dagger s).  The ledger, when given, is charged
+    what the circuit spends: one diffusion application and one oracle query
+    per application.
     """
-    if operator is None:
-        operator = build_search_operator(inst)
+    dec = search_decomposition(inst)
     steps = halfway_step_count(inst)
-    state = np.array(inst.spec.eigenbasis[:, inst.spec.source_index])
-    for _ in range(steps):
-        state = operator @ state
-        if ledger is not None:
-            ledger.ds_applications += 1
-            ledger.oracle_queries += 1
+    source = inst.spec.eigenbasis[:, inst.spec.source_index]
+    # V^dagger s as the conjugate of s^dagger V: no conjugated copy of V
+    coefficients = (source.conj() @ dec.vectors).conj()
+    state = dec.vectors @ (np.exp(1j * steps * dec.phases) * coefficients)
+    if ledger is not None:
+        ledger.ds_applications += steps
+        ledger.oracle_queries += steps
     return HalfwayState(state=state, steps=steps)

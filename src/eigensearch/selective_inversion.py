@@ -63,6 +63,7 @@ from .phase_estimation import (
     raw_estimate_inverse,
     raw_flip,
 )
+from .search_core import search_decomposition
 
 GUARD_FRACTION = 2.0 * math.pi / 128.0
 
@@ -213,10 +214,14 @@ class InversionOperator:
     """A sized inversion scheme bound to one mainspace unitary.
 
     ``gap_window`` and ``vote_window`` are boolean masks over the phase and
-    vote registers; the flips are -1 on them.  ``decomposition`` is the unitary's eigendecomposition, whose estimate
-    frame the operator runs in, read through ``frame``.  Unless ``build`` is
-    handed one it is computed on first use and kept; a boosted operator also
-    keeps the split of every eigenphase's estimate profile at the gap window.
+    vote registers; the flips are -1 on them.  ``decomposition`` is the
+    unitary's eigendecomposition, whose estimate frame the operator runs in,
+    read through ``frame``.  Unless ``build`` is handed one it is computed on
+    first use and kept.  A boosted operator also keeps the split of every
+    eigenphase's estimate profile at the gap window, its vote plane: ``build``
+    makes it at once when handed the decomposition, so that its temporaries
+    are gone before any register exists, and otherwise the first ``apply``
+    makes it.
     """
 
     scheme: InversionScheme
@@ -242,8 +247,11 @@ class InversionOperator:
         window = gap_window_mask(scheme.phase_bits, scheme.phase_gap,
                                  scheme.guard_fraction)
         votes = vote_majority_mask(scheme.vote_bits) if scheme.kind == "boosted" else None
-        return cls(scheme=scheme, unitary=unitary, layout=layout,
-                   gap_window=window, vote_window=votes, decomposition=decomposition)
+        op = cls(scheme=scheme, unitary=unitary, layout=layout,
+                 gap_window=window, vote_window=votes, decomposition=decomposition)
+        if decomposition is not None and votes is not None:
+            op._vote_plane()
+        return op
 
     @property
     def frame(self) -> EigenDecomposition:
@@ -258,10 +266,19 @@ class InversionOperator:
         return self.decomposition
 
     def _vote_plane(self) -> tuple[np.ndarray, np.ndarray]:
+        """Row k is the conjugate of eigenvector k's u_in + u_out, with the
+        norms of ``_split_estimates``; the two parts have disjoint supports,
+        so one row keeps both exactly in half the memory."""
         if self._plane is None:
             estimates = estimate_amplitudes(self.scheme.phase_bits, self.frame.phases)
-            self._plane = _split_estimates(estimates, ~self.gap_window)
+            units, norms = _split_estimates(estimates, ~self.gap_window)
+            self._plane = (units.sum(axis=1).conj(), norms)
         return self._plane
+
+    def _plane_rows(self, row: np.ndarray) -> np.ndarray:
+        """The conjugated (u_in, u_out) of one eigenvector, from its kept row."""
+        return np.stack([np.where(self.gap_window, row, 0.0),
+                         np.where(self.gap_window, 0.0, row)])
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill.
@@ -299,17 +316,17 @@ class InversionOperator:
         the difference is added back as one rank-two update per main index,
         with the phase x vote slab in cache.
         """
-        m, nu = self.layout.phase_dim, self.scheme.vote_bits
-        units, norms = self._vote_plane()
+        n, m, nu = self.layout.main_dim, self.layout.phase_dim, self.scheme.vote_bits
+        plane, norms = self._vote_plane()
         vote_sign = np.where(self.vote_window, -1.0, 1.0)
         plane_sign = np.stack([vote_sign, vote_sign[::-1]])
         sign = np.where(self.gap_window[:, None], plane_sign[0], plane_sign[1])
-        p = np.matmul(units.conj(), a)
+        p = np.stack([self._plane_rows(plane[k]) @ a[k] for k in range(n)])
         delta = _vote_coefficients(p, norms, vote_sign) - plane_sign * p
-        for k in range(self.layout.main_dim):
+        for k in range(n):
             slab = a[k]
             slab *= sign
-            slab += units[k].T @ delta[k]
+            slab += self._plane_rows(plane[k]).conj().T @ delta[k]
         # each of the 2 nu kickbacks: the estimate and unestimate inside its
         # amplification, one zero reflection and two vote Hadamards
         _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
@@ -395,12 +412,15 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
 def instance_epsilon_report(op: InversionOperator, inst,
                             operator: np.ndarray | None = None) -> EpsilonReport:
     """Epsilon report over the full eigensystem of an instance's search
-    operator; the two gap eigenstates are the ones marked for inversion."""
-    from .search_core import build_search_operator
+    operator; the two gap eigenstates are the ones marked for inversion.
 
+    Without ``operator`` the eigensystem is the instance's own
+    decomposition; a given operator is diagonalized here.
+    """
     if operator is None:
-        operator = build_search_operator(inst)
-    dec = eig_unitary(operator, TOL.system_unitarity)
+        dec = search_decomposition(inst)
+    else:
+        dec = eig_unitary(operator, TOL.system_unitarity)
     invert = inside_gap(dec.phases, op.scheme.phase_gap)
     if int(invert.sum()) != 2:
         raise AssumptionViolation(

@@ -11,7 +11,7 @@ factor, whose reciprocal is the halfway-state target overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
@@ -193,6 +193,9 @@ class SearchInstance:
     and non-negative; with eigenvector gauges fixed the same way this makes
     the eigenphase-pair expansion of the source hold without a stray global
     phase.  ``overlap`` is derived from the eigenbasis, never prescribed.
+    ``prepared`` holds the read-only search operator and its one
+    eigendecomposition once ``search_core`` has built them; they live and
+    die with the instance.
     """
 
     spec: DiffusionSpec
@@ -201,6 +204,7 @@ class SearchInstance:
     first_moment: float
     second_moment: float
     boost: float
+    prepared: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
     def build(cls, spec: DiffusionSpec, target: int,

@@ -1,3 +1,5 @@
+import sys
+
 import pytest
 
 import eigensearch as es
@@ -19,6 +21,27 @@ def ref12_operator(ref12):
 @pytest.fixture(scope="session")
 def grover64():
     return instances.grover_instance()
+
+
+@pytest.fixture
+def call_counter(monkeypatch):
+    """``count(module, name)`` wraps a package function under every name the
+    package's modules bind it to, and returns a one-item list holding its
+    call count."""
+    def count(module, name):
+        original = getattr(module, name)
+        calls = [0]
+
+        def counted(*args, **kwargs):
+            calls[0] += 1
+            return original(*args, **kwargs)
+
+        for mod_name, mod in list(sys.modules.items()):
+            if (mod_name.split(".")[0] == "eigensearch"
+                    and getattr(mod, name, None) is original):
+                monkeypatch.setattr(mod, name, counted)
+        return calls
+    return count
 
 
 @pytest.fixture

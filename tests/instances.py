@@ -103,6 +103,14 @@ MIX_CASES = (
 GROVER_N = 64
 GROVER_TARGET = 5
 
+# The first target of the benchmark's n=256 spectral scan (seed 5): overlap
+# 0.00744, nearest a sixtieth of the gap, and 252 halfway steps.
+SCAN_N = 256
+SCAN_PAIRS = tuple(np.linspace(0.5, 1.5, 127))
+SCAN_SEED = 5
+SCAN_GAP = 0.45
+SCAN_TARGET = 164
+
 
 def symmetric_instance(n, pairs, seed, target, declared_gap=None):
     spec = es.build_symmetric_spec(n, list(pairs), seed, 0, declared_gap)

@@ -22,6 +22,16 @@ def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
     return result
 
 
+def halfway_by_matvecs(operator: np.ndarray, source: np.ndarray,
+                       steps: int) -> np.ndarray:
+    """The source after ``steps`` dense search-operator applications, one
+    matrix-vector product each."""
+    state = np.array(source, dtype=complex)
+    for _ in range(steps):
+        state = operator @ state
+    return state
+
+
 def dense_dft(m: int) -> np.ndarray:
     """Forward transform with F[j, k] = exp(2*pi*i*j*k/m) / sqrt(m)."""
     j = np.arange(m)

@@ -142,6 +142,17 @@ def test_an_oversized_register_hits_the_resource_cap(capsys):
     assert err
 
 
+def test_an_invert_sweep_diagonalizes_its_instance_once(call_counter, capsys):
+    # the inverters of every scheme run in the frame of the instance's one
+    # decomposition, and the reports read their eigensystem from it too
+    solves = call_counter(numerics, "eig_unitary")
+    code, out, _ = run_cli(capsys, "invert", *REF_ARGS, "--mu-offset", "6",
+                           "--sweep-nu", "2,4")
+    assert code == 0
+    assert [s["scheme"]["nu"] for s in json.loads(out)["sweeps"]] == [2, 4]
+    assert solves == [1]
+
+
 def test_an_internal_invariant_failure_exits_5_with_one_line(monkeypatch, capsys):
     # no eigendecomposition reconstructs its operator within a negative
     # tolerance, so eig_unitary's own check fails

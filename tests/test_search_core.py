@@ -23,11 +23,12 @@ def test_grover_pair_phase_matches_the_closed_form(grover64):
     assert rel <= 5.0 * grover64.overlap / grover64.spec.phase_gap
 
 
-def test_gap_edge_phases_within_roundoff_stay_outside_the_gap(grover64,
-                                                              monkeypatch):
+def test_gap_edge_phases_within_roundoff_stay_outside_the_gap(monkeypatch):
     # a Grover spec declares the gap pi, where its (n-2)-fold eigenvalue -1
     # sits; an eigensolver that rotates that eigenspace returns some of its
-    # phases a hair below pi, and they must not count as inside the gap
+    # phases a hair below pi, and they must not count as inside the gap.  The
+    # instance is fresh, so its one decomposition comes from the patched
+    # solver.
     exact = search_core.eig_unitary
 
     def nudged(u, tol=es.TOL.unitarity):
@@ -36,9 +37,10 @@ def test_gap_edge_phases_within_roundoff_stay_outside_the_gap(grover64,
         return es.EigenDecomposition(phases=phases, vectors=dec.vectors)
 
     monkeypatch.setattr(search_core, "eig_unitary", nudged)
-    phases = search_core.eig_unitary(es.build_search_operator(grover64)).phases
-    assert np.sum(phases == np.pi - 4.4e-16) == grover64.spec.n - 2
-    pair = es.find_relevant_pair(grover64)
+    inst = instances.grover_instance()
+    pair = es.find_relevant_pair(inst)
+    phases = es.search_decomposition(inst).phases
+    assert np.sum(phases == np.pi - 4.4e-16) == inst.spec.n - 2
     assert pair.phase_plus == pytest.approx(2.0 * np.arcsin(0.125), abs=1e-10)
     assert pair.phase_minus == pytest.approx(-2.0 * np.arcsin(0.125), abs=1e-10)
 
@@ -155,3 +157,49 @@ def test_grover_halfway_step_count_is_six(grover64):
     phi = np.arcsin(0.125)
     assert abs(hw.state[grover64.target_index]) \
         == pytest.approx(np.sin(13.0 * phi), abs=1e-10)
+
+
+def _scan_instance():
+    return instances.symmetric_instance(
+        instances.SCAN_N, instances.SCAN_PAIRS, instances.SCAN_SEED,
+        instances.SCAN_TARGET, instances.SCAN_GAP)
+
+
+@pytest.mark.parametrize("make", [
+    instances.ref12_instance,
+    instances.grover_instance,
+    lambda: instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
+                                         *instances.HIGAIN_CASES[0],
+                                         instances.HIGAIN_GAP),
+    _scan_instance,
+], ids=["ref12", "grover64", "criterion07-n48", "scan-n256"])
+def test_spectral_halfway_matches_the_matvec_loop(make):
+    inst = make()
+    steps = es.halfway_step_count(inst)
+    want = oracles.halfway_by_matvecs(
+        es.build_search_operator(inst),
+        inst.spec.eigenbasis[:, inst.spec.source_index], steps)
+    ledger = es.QueryLedger()
+    hw = es.evolve_to_halfway(inst, ledger)
+    assert hw.steps == steps
+    assert ledger == es.QueryLedger(ds_applications=steps, oracle_queries=steps)
+    assert np.max(np.abs(hw.state - want)) <= 1e-10
+
+
+def test_an_instance_is_diagonalized_once_and_its_operator_is_read_only():
+    inst = instances.ref12_instance()
+    operator = es.search_operator(inst)
+    dec = es.search_decomposition(inst)
+    es.find_relevant_pair(inst)
+    es.evolve_to_halfway(inst)
+    assert es.search_operator(inst) is operator
+    assert es.search_decomposition(inst) is dec
+    assert np.array_equal(operator, es.build_search_operator(inst))
+    with pytest.raises(ValueError):
+        operator[0, 0] = 0.0
+    with pytest.raises(ValueError):
+        dec.vectors[0, 0] = 0.0
+    # a fresh build is the caller's own array
+    fresh = es.build_search_operator(inst)
+    fresh[0, 0] = 0.0
+    assert operator[0, 0] != 0.0

@@ -222,7 +222,7 @@ def test_error_shrinks_with_register_size(ref12, ref12_operator):
 
 def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
     # the working array, which becomes the output; every other temporary
-    # is a main-index slab or less, or the vote-plane rows.  1.17x measured
+    # is a main-index slab or less.  1.14x measured
     # (the bound dates from the computational apply, at 2.0004x); the
     # DENSE_CAP docstring quotes this multiple
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
