@@ -29,6 +29,7 @@ from .spectra import (
     assemble_diffusion,
     build_grover_spec,
     build_symmetric_spec,
+    diffusion_operator,
     find_targets,
     instance_from_json,
     instance_to_json,

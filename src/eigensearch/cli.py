@@ -249,8 +249,7 @@ def _cmd_search(cfg: dict):
     pred_plus, pred_minus = predicted_pair_phases(inst)
     halfway = evolve_to_halfway(inst)
     w_overlap = float(np.abs(halfway.state[inst.target_index]))
-    source = inst.spec.eigenbasis[:, inst.spec.source_index]
-    residual = float(np.linalg.norm(reconstruct_source(pair) - source))
+    residual = float(np.linalg.norm(reconstruct_source(pair) - inst.source))
     doc = {
         "instance_id": inst.instance_id,
         "N": inst.spec.n,

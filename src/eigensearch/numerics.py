@@ -1,6 +1,6 @@
 """Dense complex linear-algebra kernels shared by all other modules.
 
-Everything here works on plain numpy arrays: unitaries are complex
+Everything here works on plain numpy arrays: unitaries are real or complex
 ``(n, n)`` ndarrays, states are complex ``(n,)`` ndarrays.  Values are
 treated as immutable after construction; all functions are pure.
 """
@@ -147,8 +147,14 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
     whose split is within ``TOL.scalar_block`` (Frobenius) of a multiple of 1
     is one eigenvalue and keeps its cosine basis.  The phases are the angles
     of the Rayleigh quotients ``v†Uv``.
+
+    A real U (every symmetric and Grover search operator) is not cast to
+    complex: its unitarity check, its cosine part and ``U @ vectors`` run as
+    real products.
     """
-    u = np.asarray(u, dtype=complex)
+    u = np.asarray(u)
+    if not np.iscomplexobj(u):
+        u = np.asarray(u, dtype=float)
     if not is_unitary(u, tol):
         raise ValueError("eig_unitary: input is not unitary within tolerance")
     n = u.shape[0]
@@ -159,9 +165,9 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
         # backward error, and the real solver is about 3x faster
         cosine_part = cosine_part.real
     cosines, vectors = np.linalg.eigh(cosine_part)
-    vectors = vectors.astype(complex, copy=False)
     u_vectors = u @ vectors
-    rayleigh = np.sum(vectors.conj() * u_vectors, axis=0)
+    rayleigh = np.sum(vectors.conj() * u_vectors, axis=0).astype(complex)
+    vectors = vectors.astype(complex, copy=False)
     starts = np.flatnonzero(np.diff(cosines, prepend=-np.inf) > TOL.cosine_cluster)
     sizes = np.diff(starts, append=n)
     for size in np.unique(sizes[sizes > 1]):

@@ -8,11 +8,14 @@ overlap divided by the boost factor.  Both routes to the pair, dense
 diagonalization and root bisection, are kept and compared; neither is trusted
 alone.
 
-Each instance is prepared once: its dense search operator is assembled on
-first use and kept read-only, and its one eigendecomposition serves the pair,
-the halfway state and the inversion frame.  The halfway state is a spectral
-power of that decomposition, V e^{i q lambda} V^dagger s; the ledger still
-charges the q_m search-operator applications the circuit makes.
+Each instance is prepared once: its dense search operator is the spec's
+shared diffusion operator with the target column flipped, built on first use
+and kept read-only, and its one eigendecomposition serves the pair, the
+halfway state and the inversion frame.  For symmetric and Grover specs the
+operator is real, and ``eig_unitary`` keeps it real.  The halfway state is a
+spectral power of that decomposition, V e^{i q lambda} V^dagger s with s the
+instance's gauged ``source``; the ledger still charges the q_m
+search-operator applications the circuit makes.
 """
 
 from __future__ import annotations
@@ -30,13 +33,13 @@ from .numerics import (
     round_half_away,
     wrap_angle,
 )
-from .spectra import SearchInstance, assemble_diffusion
+from .spectra import SearchInstance, diffusion_operator
 
 
 def build_search_operator(inst: SearchInstance) -> np.ndarray:
-    """Dense product of the diffusion operator and the target phase flip,
-    as a fresh writable array."""
-    s = assemble_diffusion(inst.spec)
+    """Dense product of the spec's shared diffusion operator and the target
+    phase flip, as a fresh writable array."""
+    s = np.array(diffusion_operator(inst.spec))
     s[:, inst.target_index] *= -1.0
     return s
 
@@ -69,6 +72,13 @@ def _weighted_poles(inst: SearchInstance):
     return inst.spec.eigenphases[keep], weights[keep]
 
 
+def _cotangent_sum(poles: np.ndarray, weights: np.ndarray, lam: float) -> float:
+    gaps = wrap_angle(lam - poles)
+    if np.min(np.abs(gaps)) < TOL.pole_proximity:
+        raise ValueError(f"lambda {lam!r} sits on a pole of the secular sum")
+    return float(np.sum(weights / np.tan(gaps / 2.0)))
+
+
 def secular_residual(inst: SearchInstance, lam: float) -> float:
     """Weighted cotangent sum whose zeros are the search eigenphases.
 
@@ -76,21 +86,17 @@ def secular_residual(inst: SearchInstance, lam: float) -> float:
     |<l|t>|^2 cot((lam - theta_l) / 2).  Monotone decreasing between
     consecutive poles.
     """
-    poles, weights = _weighted_poles(inst)
-    gaps = wrap_angle(lam - poles)
-    if np.min(np.abs(gaps)) < TOL.pole_proximity:
-        raise ValueError(f"lambda {lam!r} sits on a pole of the secular sum")
-    return float(np.sum(weights / np.tan(gaps / 2.0)))
+    return _cotangent_sum(*_weighted_poles(inst), lam)
 
 
-def _bisect_root(inst: SearchInstance, lo: float, hi: float) -> float:
+def _bisect_root(poles: np.ndarray, weights: np.ndarray, lo: float, hi: float) -> float:
     # Residual is +inf just above lo and -inf just below hi; plain bisection
     # on the sign is enough and never evaluates at a pole.
     width = hi - lo
     a = lo + max(TOL.pole_proximity * 10.0, width * 1e-9)
     b = hi - max(TOL.pole_proximity * 10.0, width * 1e-9)
-    fa = secular_residual(inst, a)
-    fb = secular_residual(inst, b)
+    fa = _cotangent_sum(poles, weights, a)
+    fb = _cotangent_sum(poles, weights, b)
     if not (fa > 0.0 > fb):
         raise AssumptionViolation(
             f"secular sum does not change sign on ({lo:.6g}, {hi:.6g}); "
@@ -98,7 +104,7 @@ def _bisect_root(inst: SearchInstance, lo: float, hi: float) -> float:
         )
     while b - a > TOL.secular_bisection:
         mid = 0.5 * (a + b)
-        if secular_residual(inst, mid) > 0.0:
+        if _cotangent_sum(poles, weights, mid) > 0.0:
             a = mid
         else:
             b = mid
@@ -112,13 +118,13 @@ def secular_pair(inst: SearchInstance) -> tuple[float, float]:
     spectrum with no positive pole besides the wrap of a negative one is still
     handled.
     """
-    poles, _ = _weighted_poles(inst)
+    poles, weights = _weighted_poles(inst)
     above = poles[poles > 0.0]
     below = poles[poles < 0.0]
     next_above = float(np.min(above)) if above.size else float(np.min(poles)) + 2.0 * np.pi
     next_below = float(np.max(below)) if below.size else float(np.max(poles)) - 2.0 * np.pi
-    lam_plus = _bisect_root(inst, 0.0, next_above)
-    lam_minus = _bisect_root(inst, next_below, 0.0)
+    lam_plus = _bisect_root(poles, weights, 0.0, next_above)
+    lam_minus = _bisect_root(poles, weights, next_below, 0.0)
     return lam_plus, lam_minus
 
 
@@ -216,8 +222,8 @@ def reconstruct_source(pair: RelevantPair) -> np.ndarray:
     """Rebuild the source state from the pair, global phase included.
 
     In the gauge fixed by ``find_relevant_pair`` (real positive target
-    amplitudes, and the source column of the instance rephased the same way)
-    the source is -i/sqrt(2) (e^{i p+/2} |+> - e^{i p-/2} |->) up to the
+    amplitudes, and the instance's ``source`` rephased the same way) the
+    source is -i/sqrt(2) (e^{i p+/2} |+> - e^{i p-/2} |->) up to the
     weight the pair fails to carry.
     """
     return (-1j / np.sqrt(2.0)) * (
@@ -251,15 +257,14 @@ def evolve_to_halfway(inst: SearchInstance, ledger=None) -> HalfwayState:
     """Rotate the source toward halfway with q_m search-operator applications.
 
     The power is taken in the instance's eigendecomposition,
-    V (e^{i q_m lambda} * V^dagger s).  The ledger, when given, is charged
-    what the circuit spends: one diffusion application and one oracle query
-    per application.
+    V (e^{i q_m lambda} * V^dagger s), with s the instance's ``source``.  The
+    ledger, when given, is charged what the circuit spends: one diffusion
+    application and one oracle query per application.
     """
     dec = search_decomposition(inst)
     steps = halfway_step_count(inst)
-    source = inst.spec.eigenbasis[:, inst.spec.source_index]
     # V^dagger s as the conjugate of s^dagger V: no conjugated copy of V
-    coefficients = (source.conj() @ dec.vectors).conj()
+    coefficients = (inst.source.conj() @ dec.vectors).conj()
     state = dec.vectors @ (np.exp(1j * steps * dec.phases) * coefficients)
     if ledger is not None:
         ledger.ds_applications += steps

@@ -11,7 +11,7 @@ factor, whose reciprocal is the halfway-state target overlap.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -31,7 +31,9 @@ class DiffusionSpec:
     ``eigenbasis`` holds eigenvectors as columns; column ``source_index`` is
     the source state and carries eigenphase 0.  ``phase_gap`` is the declared
     lower bound on the magnitude of every other eigenphase; it may sit below
-    the smallest phase actually present.
+    the smallest phase actually present.  ``prepared`` holds the read-only
+    dense diffusion operator once ``diffusion_operator`` has assembled it;
+    every instance built on the spec shares it.
     """
 
     n: int
@@ -40,6 +42,7 @@ class DiffusionSpec:
     eigenbasis: np.ndarray
     phase_gap: float
     seed: int | None = None
+    prepared: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         if self.n < 2:
@@ -178,10 +181,29 @@ def build_symmetric_spec(
 
 
 def assemble_diffusion(spec: DiffusionSpec) -> np.ndarray:
-    """Dense diffusion operator V diag(e^{i theta}) V†."""
+    """Dense diffusion operator V diag(e^{i theta}) V†, as a fresh array.
+
+    The array is real when every imaginary part is within machine epsilon,
+    as for symmetric and Grover specs, whose eigenvectors are real or come in
+    conjugate pairs with opposite phases: downstream products then run in
+    real arithmetic.  Unitarity is checked on the array returned.
+    """
     v = spec.eigenbasis
     d = (v * np.exp(1j * spec.eigenphases)) @ dagger(v)
+    if np.max(np.abs(d.imag)) <= np.finfo(float).eps:
+        d = d.real.copy()
     assert_unitary(d, TOL.system_unitarity, "assembled diffusion operator")
+    return d
+
+
+def diffusion_operator(spec: DiffusionSpec) -> np.ndarray:
+    """The spec's diffusion operator, assembled and checked on first use and
+    kept read-only."""
+    d = spec.prepared.get("diffusion")
+    if d is None:
+        d = assemble_diffusion(spec)
+        d.flags.writeable = False
+        spec.prepared["diffusion"] = d
     return d
 
 
@@ -189,17 +211,21 @@ def assemble_diffusion(spec: DiffusionSpec) -> np.ndarray:
 class SearchInstance:
     """A diffusion spec together with a chosen basis-state target.
 
-    The source column is rephased at build time so its target overlap is real
-    and non-negative; with eigenvector gauges fixed the same way this makes
-    the eigenphase-pair expansion of the source hold without a stray global
-    phase.  ``overlap`` is derived from the eigenbasis, never prescribed.
-    ``prepared`` holds the read-only search operator and its one
+    ``spec`` is the caller's spec object, shared by every instance built on
+    it.  ``source`` is the read-only source state in the instance's gauge:
+    the spec's source column rephased so its target amplitude is real and
+    non-negative.  With eigenvector gauges fixed the same way this makes the
+    eigenphase-pair expansion of the source hold without a stray global
+    phase; the diffusion operator does not depend on it, because the source
+    eigenphase is 0.  ``overlap`` is derived from the eigenbasis, never
+    prescribed.  ``prepared`` holds the read-only search operator and its one
     eigendecomposition once ``search_core`` has built them; they live and
     die with the instance.
     """
 
     spec: DiffusionSpec
     target_index: int
+    source: np.ndarray
     overlap: float
     first_moment: float
     second_moment: float
@@ -217,9 +243,9 @@ class SearchInstance:
             raise ValueError("target has zero overlap with the source state")
         if overlap >= 1.0 - 1e-12:
             raise ValueError("target coincides with the source state")
-        basis = np.array(spec.eigenbasis)
-        basis[:, spec.source_index] *= amp.conjugate() / overlap
-        spec = replace(spec, eigenbasis=basis)
+        source = spec.eigenbasis[:, spec.source_index] * (amp.conjugate() / overlap)
+        source[target] = overlap   # exactly, not up to the rephasing's roundoff
+        source.flags.writeable = False
 
         first = moments(spec, target, 1)
         second = moments(spec, target, 2)
@@ -229,7 +255,7 @@ class SearchInstance:
                 "the eigenphase-pair analysis needs it to vanish"
             )
         boost = float(np.sqrt(1.0 + second))
-        return cls(spec=spec, target_index=target, overlap=overlap,
+        return cls(spec=spec, target_index=target, source=source, overlap=overlap,
                    first_moment=first, second_moment=second, boost=boost)
 
     @property

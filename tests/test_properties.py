@@ -40,13 +40,13 @@ def haar_unitary(n, seed):
 
 
 @st.composite
-def unitaries(draw, n=None, window=None):
-    """A random unitary: real orthogonal, or with eigenphases free, in a
-    cluster, split across the branch cut, in a conjugate pair, in a pair
-    whose cosines differ by a hair under or over the cosine-cluster
-    threshold, or in a pair straddling pi/2; given a gap window, also with
-    one eigenphase on a register grid point inside it and one on a grid point
-    outside it."""
+def unitaries(draw, n=None, window=None, planting=None):
+    """A random unitary: real orthogonal (cast to complex), or with
+    eigenphases free, in a cluster, split across the branch cut, in a
+    conjugate pair, in a pair whose cosines differ by a hair under or over
+    the cosine-cluster threshold, or in a pair straddling pi/2; given a gap
+    window, also with one eigenphase on a register grid point inside it and
+    one on a grid point outside it.  ``planting`` fixes the kind."""
     if n is None:
         n = draw(st.integers(1, 4))
     seed = draw(st.integers(0, 2**32 - 1))
@@ -54,7 +54,8 @@ def unitaries(draw, n=None, window=None):
     phases = rng.uniform(-np.pi, np.pi, n)
     plantings = ("none", "cluster", "branch_cut", "conjugate", "cosine_threshold",
                  "quarter_turn", "real") + (("grid",) if window is not None else ())
-    planting = draw(st.sampled_from(plantings))
+    if planting is None:
+        planting = draw(st.sampled_from(plantings))
     if planting == "real":
         q, _ = np.linalg.qr(rng.normal(size=(n, n)))
         return q.astype(complex)
@@ -135,6 +136,41 @@ def test_eig_unitary_handles_planted_clusters(u):
     v = dec.vectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
     assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
+
+
+@SETTINGS
+@given(unitaries(planting="real"))
+def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
+    # the float array takes the real path; its complex cast the complex one
+    real, cast = es.eig_unitary(u.real), es.eig_unitary(u)
+    assert not np.iscomplexobj(u.real)
+    assert np.max(np.abs(real.phases - cast.phases)) <= 1e-12
+    for dec in (real, cast):
+        v = dec.vectors
+        assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
+        assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
+
+
+@SETTINGS
+@given(st.integers(3, 10), st.integers(0, 2**32 - 1))
+def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
+    # poles at +-gap and beyond on a Haar basis, so the secular roots next to
+    # the source's 0 lie inside the gap; the first moment does not vanish,
+    # so the moment budget is off
+    rng = np.random.default_rng(seed)
+    gap = rng.uniform(0.4, 1.0)
+    phases = rng.uniform(gap, np.pi, n) * rng.choice((-1.0, 1.0), n)
+    phases[:3] = 0.0, gap, -gap
+    spec = es.DiffusionSpec(n=n, source_index=0, eigenphases=phases,
+                            eigenbasis=haar_unitary(n, seed), phase_gap=gap)
+    d = es.diffusion_operator(spec)
+    assert np.max(np.abs(d.imag)) > np.finfo(float).eps
+    target = int(rng.integers(1, n))
+    inst = es.SearchInstance.build(spec, target, moment_tol=np.inf)
+    assert np.iscomplexobj(es.search_operator(inst))
+    assert inst.source[target] == inst.overlap
+    pair = es.find_relevant_pair(inst)   # raises unless bisection agrees
+    assert pair.phase_minus < 0.0 < pair.phase_plus
 
 
 @SETTINGS

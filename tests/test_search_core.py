@@ -6,7 +6,7 @@ import pytest
 import eigensearch as es
 import instances
 import oracles
-from eigensearch import search_core
+from eigensearch import search_core, spectra
 from eigensearch.numerics import AssumptionViolation
 
 
@@ -177,8 +177,7 @@ def test_spectral_halfway_matches_the_matvec_loop(make):
     inst = make()
     steps = es.halfway_step_count(inst)
     want = oracles.halfway_by_matvecs(
-        es.build_search_operator(inst),
-        inst.spec.eigenbasis[:, inst.spec.source_index], steps)
+        es.build_search_operator(inst), inst.source, steps)
     ledger = es.QueryLedger()
     hw = es.evolve_to_halfway(inst, ledger)
     assert hw.steps == steps
@@ -203,3 +202,28 @@ def test_an_instance_is_diagonalized_once_and_its_operator_is_read_only():
     fresh = es.build_search_operator(inst)
     fresh[0, 0] = 0.0
     assert operator[0, 0] != 0.0
+
+
+def test_the_scan_targets_share_one_real_diffusion_operator(call_counter):
+    # the benchmark's n=256 scan: the eight targets nearest a sixtieth of the
+    # gap, each built, paired and evolved to halfway on one spec
+    assemblies = call_counter(spectra, "assemble_diffusion")
+    spec = es.build_symmetric_spec(instances.SCAN_N, instances.SCAN_PAIRS,
+                                   instances.SCAN_SEED, 0, instances.SCAN_GAP)
+    overlaps = np.abs(spec.eigenbasis[:, spec.source_index])
+    targets = sorted((t for t in es.find_targets(spec) if t != spec.source_index),
+                     key=lambda t: (abs(overlaps[t] - instances.SCAN_GAP / 60.0), t))[:8]
+    assert targets[0] == instances.SCAN_TARGET
+    for t in targets:
+        inst = es.SearchInstance.build(spec, t)
+        es.find_relevant_pair(inst)
+        es.evolve_to_halfway(inst)
+        assert inst.spec is spec
+    assert assemblies == [1]
+    d = es.diffusion_operator(spec)
+    assert d.dtype == np.float64
+    with pytest.raises(ValueError):
+        d[0, 0] = 0.0
+    flipped = np.array(d)
+    flipped[:, targets[-1]] *= -1.0
+    assert np.array_equal(es.search_operator(inst), flipped)

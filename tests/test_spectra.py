@@ -6,12 +6,14 @@ from numpy.testing import assert_allclose
 
 import eigensearch as es
 import instances
+from eigensearch import numerics
 import oracles
 
 
 def test_grover_spec_assembles_the_rank_one_reflection():
     spec = es.build_grover_spec(8, 0)
     d = es.assemble_diffusion(spec)
+    assert d.dtype == np.float64   # real up to roundoff, so kept real
     u = np.full(8, 1.0 / np.sqrt(8.0))
     assert np.linalg.norm(d - (2.0 * np.outer(u, u) - np.eye(8))) <= 1e-12
     assert spec.phase_gap == pytest.approx(np.pi)
@@ -94,6 +96,7 @@ def test_leftover_dimensions_sit_at_phase_pi():
 
 def test_diffusion_matrix_is_unitary_with_declared_spectrum(ref12):
     d = es.assemble_diffusion(ref12.spec)
+    assert d.dtype == np.float64   # conjugate pairs on a real basis
     assert np.linalg.norm(d.conj().T @ d - np.eye(ref12.spec.n)) <= 1e-10
     eigs = np.sort(np.angle(np.linalg.eigvals(d)))
     declared = np.sort(es.wrap_angle(ref12.spec.eigenphases))
@@ -133,6 +136,26 @@ def test_instance_json_round_trip_preserves_derived_quantities(ref12):
     assert back.overlap == ref12.overlap
     assert back.boost == ref12.boost
     assert np.array_equal(back.spec.eigenbasis, ref12.spec.eigenbasis)
+
+
+def test_an_instance_keeps_the_callers_spec_and_a_gauged_source(call_counter):
+    spec = es.build_symmetric_spec(instances.REF12_N, instances.REF12_PAIRS,
+                                   instances.REF12_SEED, 0, instances.REF12_GAP)
+    column = spec.eigenbasis[:, spec.source_index].copy()
+    checks = call_counter(numerics, "is_unitary")
+    built = [es.SearchInstance.build(spec, t) for t in range(1, spec.n)]
+    assert checks == [0]
+    # some targets see a negative source amplitude, so the gauge turns
+    assert np.any(column[1:].real < 0.0)
+    for inst in built:
+        t = inst.target_index
+        assert inst.spec is spec
+        assert inst.source[t].imag == 0.0
+        assert inst.source[t].real == inst.overlap
+        assert abs(np.vdot(column, inst.source)) == pytest.approx(1.0, abs=1e-15)
+        with pytest.raises(ValueError):
+            inst.source[t] = 0.0
+    assert np.array_equal(spec.eigenbasis[:, spec.source_index], column)
 
 
 def test_instance_id_encodes_the_construction(ref12, grover64):
