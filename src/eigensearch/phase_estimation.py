@@ -18,8 +18,10 @@ so the estimate is the controlled powers and the inverse Fourier transform
 alone.  A ``StateVector`` exists only in such a frame: callers embed their
 mainspace vectors straight into it, keep their states there and read the
 main marginal and the zero branch out of it, so no kernel here changes
-basis.  Fed eigenvector k, the estimate leaves the phase register in the
-peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
+basis.  An embedded vector, whose ancillas are still on |0> |0>, stays n
+frame coefficients until its amplitudes are read (``StateVector.product``).
+Fed eigenvector k, the estimate leaves the phase register in the peaked
+profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -43,14 +45,20 @@ DENSE_CAP = 1 << 22
 
 The cap bounds memory only together with the working set of the kernels.
 An ``InversionOperator.apply`` allocates one register on top of its input:
-the working array, updated in place, which becomes the output.  Every other
-temporary is at most one main-index slab or a main x phase table.  The
-amplification rounds of ``run_full`` hold at most two registers at once, the
-state and its successor, so a register at the cap peaks near 2 x 64 MiB
-there.  A boosted operator also keeps its vote plane, one main x phase table
-(1 / vote_dim of the register), which ``run_full`` builds before the first
-register.  The multiples are measured and pinned by the tests
+the working array, updated in place, which becomes the output (1.14x the
+register for a boosted mu=10, nu=4 apply on ref12).  Every other temporary
+is at most one main-index slab or a main x phase table.  A product state
+(see ``StateVector``) holds no register, so its apply allocates the output
+alone and keeps its estimate columns inside it (1.28x with two votes, where
+a main x phase table is a quarter of the register).  The amplification
+rounds of ``run_full`` hold at most two registers at once, the state and its
+successor, so a register at the cap peaks near 2 x 64 MiB there (2.15x for a
+boosted mu=9, nu=6 run on ref12, 2.43x for mu=10, nu=2).  A boosted operator
+also keeps its vote plane, one main x phase table (1 / vote_dim of the
+register), which ``run_full`` builds before the first register.  The
+multiples are measured and pinned by the tests
 ``test_boosted_apply_allocates_twice_the_register``,
+``test_a_product_state_apply_writes_only_its_output_register``,
 ``test_boosted_amplification_holds_two_registers`` and
 ``test_a_two_vote_run_builds_its_vote_plane_before_the_register``.
 """
@@ -110,25 +118,60 @@ class StateVector:
     readouts below answer for the computational basis without leaving it.
     Frames are compared by identity: a state belongs to the operator whose
     decomposition object it carries.
+
+    A state with the ancillas still on |0> |0>, made by ``product``, is
+    main (x) H|0> (x) |0> in the frame and is kept as its n main
+    coefficients ``main`` (read-only); ``amps`` writes the register on
+    first read and keeps it.  ``main`` is None for every other state.
     """
 
-    __slots__ = ("amps", "layout", "frame")
+    __slots__ = ("_amps", "main", "layout", "frame")
 
     def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
+        self._bind(amps, layout, frame)
+        self._amps = amps
+        self.main = None
+
+    @classmethod
+    def product(cls, main, layout: RegisterLayout,
+                frame: EigenDecomposition) -> "StateVector":
+        """The state main (x) H|0> (x) |0> of the frame, held as ``main``:
+        the n frame coefficients of the main register.  Its norm is the
+        norm of ``main``."""
+        main = np.array(main, dtype=complex)
+        if main.shape != (layout.main_dim,):
+            raise ValueError(f"{main.size} main coefficients do not match the "
+                             f"main dimension {layout.main_dim}")
+        main.flags.writeable = False
+        state = cls.__new__(cls)
+        state._bind(main, layout, frame)
+        state._amps = None
+        state.main = main
+        return state
+
+    def _bind(self, values: np.ndarray, layout: RegisterLayout,
+              frame: EigenDecomposition):
         if not isinstance(frame, EigenDecomposition):
             raise TypeError("a state needs the eigendecomposition of its estimate frame")
         if frame.dim != layout.main_dim:
             raise ValueError(f"frame of dimension {frame.dim} does not match the "
                              f"main dimension {layout.main_dim}")
-        norm = math.sqrt(abs(np.vdot(amps, amps)))
+        norm = math.sqrt(abs(np.vdot(values, values)))
         if abs(norm - 1.0) > TOL.state_norm:
             raise ValueError(f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
-        self.amps = amps
         self.layout = layout
         self.frame = frame
+
+    @property
+    def amps(self) -> np.ndarray:
+        if self._amps is None:
+            a = np.zeros(self.layout.shape, dtype=complex)
+            a[:, :, 0] = self.main[:, None] * (1.0 / math.sqrt(self.layout.phase_dim))
+            self._amps = a.reshape(-1)
+        return self._amps
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.shape)
@@ -155,15 +198,14 @@ class StateVector:
 def embed_mainspace(layout: RegisterLayout, vec, frame: EigenDecomposition) -> StateVector:
     """Joint state |vec> |0> |0>, in the estimate frame ``frame``.
 
-    There it is (V^dagger vec) (x) H|0> (x) |0>: one n x n product times
-    the flat Walsh row.
+    There it is (V^dagger vec) (x) H|0> (x) |0>, a product state kept as
+    the n coefficients V^dagger vec (see ``StateVector.product``): one
+    n x n product, and no register until its amplitudes are read.
     """
     vec = np.asarray(vec, dtype=complex)
     if vec.shape != (layout.main_dim,):
         raise ValueError("mainspace vector has the wrong dimension")
-    a = np.zeros(layout.shape, dtype=complex)
-    a[:, :, 0] = (dagger(frame.vectors) @ vec)[:, None] * (1.0 / math.sqrt(layout.phase_dim))
-    return StateVector(a.reshape(-1), layout, frame)
+    return StateVector.product(dagger(frame.vectors) @ vec, layout, frame)
 
 
 # ---------------------------------------------------------------------------

@@ -5,9 +5,10 @@ search-operator applications, then amplifies the halfway state onto the
 target by alternating a target phase flip with the approximate selective
 inversion of the two gap eigenstates.  The amplification runs in the search
 operator's estimate frame (see ``StateVector``): the halfway n-vector is
-embedded there directly, each target flip is a rank-one reflection and each
-inversion stays in the frame, and success, leakage and the main marginal are
-read out without leaving it.  Everything a run spends is tallied in a
+embedded there directly and stays n frame coefficients until the first
+inversion writes the register, each target flip is a rank-one reflection
+and each inversion stays in the frame, and success, leakage and the main
+marginal are read out without leaving it.  Everything a run spends is tallied in a
 QueryLedger; the classical repeat-until-success baseline and the gap-guess
 retry schedule live here too, so the cost comparison is one import away.
 """
@@ -69,11 +70,16 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     """Sign flip of the target mainspace index; one oracle query.
 
     In the state's estimate frame this is the rank-one reflection
-    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target.
+    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target.  It
+    leaves the ancillas alone, so a product state stays one: its n main
+    coefficients are reflected and no register is written.
     """
     if ledger is not None:
         ledger.oracle_queries += 1
     x = dagger(state.frame.vectors[[target_index], :])
+    if state.main is not None:
+        return StateVector.product(raw_reflect_main(state.main[:, None], x)[:, 0],
+                                   state.layout, state.frame)
     return StateVector(raw_reflect_main(state.reshaped(), x).reshape(-1),
                        state.layout, state.frame)
 
@@ -146,8 +152,6 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
         op = InversionOperator.build(scheme, search_operator(inst), dense_cap, dec)
         predicted = float(np.max(predicted_epsilon(
             scheme, dec.phases, inside_gap(dec.phases, scheme.phase_gap))))
-        # the embedded halfway state is passed on, not kept, so the first
-        # round can free it
         state = amplify_to_target(embed_mainspace(op.layout, halfway.state, dec),
                                   op, inst.target_index, rounds, ledger)
         branch = np.abs(state.branch_amplitudes()) ** 2

@@ -33,6 +33,16 @@ projection of the register onto that plane, the kickbacks and the flip on
 two coefficients per eigenvector and vote value, and one pass applying the
 signs and the update.  The query ledger still charges the physical circuit:
 2^mu controlled applications per estimate, two estimates per kickback.
+
+The first amplification round inverts the embedded halfway state, a product
+c (x) H|0> (x) |0> with c = V^dagger w, which the frame keeps as c alone.
+Its estimate is one column c_k phi_k per eigenvector, on vote value 0, and
+that column lies in the plane of u_in and u_out.  The vote stage maps it to
+its signed self on vote value 0 plus u_in and u_out times the plane update
+on every vote value, so the stage's output spans three phase columns per
+eigenvector.  The unestimate acts on the phase axis alone, so it runs on
+those three columns, and the register is written once, from them: the
+first round makes no pass over a full register before its output.
 """
 
 from __future__ import annotations
@@ -286,6 +296,12 @@ class InversionOperator:
         ``state`` must be in the operator's estimate frame, and so is the
         result: the estimate writes the one working array, so the input is
         never copied.  A state in another operator's frame raises.
+
+        A product state (``state.main`` set: the ancillas still on |0> |0>)
+        is estimated as one column per eigenvector, main_k phi_k, and the
+        register is written once, by the unestimate (basic scheme) or from
+        the vote stage's plane update (boosted scheme, see
+        ``_vote_stage_columns``).  The circuit and its charges are the same.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
@@ -293,44 +309,107 @@ class InversionOperator:
         if state.frame is not dec:
             raise ValueError("state is in the estimate frame of another operator; "
                              "the inversion takes states in its own frame")
-        m = self.layout.phase_dim
-        a = raw_estimate_forward(state.reshaped(), dec.phases)
+        n, m, _ = self.layout.shape
+        if state.main is None:
+            a = raw_estimate_forward(state.reshaped(), dec.phases)
+        else:
+            # the estimate of main (x) H|0> is one column per eigenvector;
+            # it goes to vote value 0 of the new register
+            a = np.empty(self.layout.shape, dtype=complex)
+            column = state.main * (1.0 / math.sqrt(m))
+            raw_estimate_forward(np.broadcast_to(column[:, None, None], (n, m, 1)),
+                                 dec.phases, out=a[:, :, :1])
         _charge(ledger, controlled_s=m, oracle_queries=m)
         if self.scheme.kind == "basic":
             raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
+            raw_estimate_inverse(a, dec.phases, out=a)
         else:
-            self._vote_stage(a, ledger)
-        raw_estimate_inverse(a, dec.phases, out=a)
+            if state.main is None:
+                self._vote_stage(a)
+                raw_estimate_inverse(a, dec.phases, out=a)
+            else:
+                self._vote_stage_columns(a)
+            # each of the 2 nu kickbacks: the estimate and unestimate inside
+            # its amplification, one zero reflection and two vote Hadamards
+            nu = self.scheme.vote_bits
+            _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
+                    i_zero_prime=2 * nu, hadamards_vote=4 * nu)
         _charge(ledger, controlled_s=m, oracle_queries=m)
         return StateVector(a.reshape(-1), self.layout, dec)
 
-    def _vote_stage(self, a: np.ndarray, ledger):
+    def _vote_signs(self) -> tuple[np.ndarray, np.ndarray]:
+        """The majority flip over vote values, and the fixed sign of the
+        vote stage per (phase, vote) value.
+
+        A kickback swaps vote bit j on the off-window rows, so all 2 nu of
+        them complement the vote value there: in-window rows see the
+        majority sign of their vote value, off-window rows that of the
+        complemented one.
+        """
+        vote_sign = np.where(self.vote_window, -1.0, 1.0)
+        sign = np.where(self.gap_window[:, None], vote_sign, vote_sign[::-1])
+        return vote_sign, sign
+
+    def _plane_update(self, a: np.ndarray) -> np.ndarray:
+        """The vote stage's update within the plane of u_in and u_out, as
+        (main, 2, vote) coefficients along them.
+
+        ``a`` is the estimated array over its leading vote columns; the
+        others are zero.  Its projections onto the plane run through the
+        kickbacks and the flip, and the fixed signs the stage applies to
+        the whole register are taken off again.
+        """
+        n, _, v = self.layout.shape
+        plane, norms = self._vote_plane()
+        vote_sign, _ = self._vote_signs()
+        p = np.zeros((n, 2, v), dtype=complex)
+        for k in range(n):
+            np.matmul(self._plane_rows(plane[k]), a[k], out=p[k, :, :a.shape[2]])
+        plane_sign = np.stack([vote_sign, vote_sign[::-1]])
+        return _vote_coefficients(p, norms, vote_sign) - plane_sign * p
+
+    def _vote_stage(self, a: np.ndarray):
         """The 2 nu kickbacks around the majority flip, in place on the
         estimated array.
 
         The stage fixes everything orthogonal to the plane of u_in and u_out
-        up to a sign per (phase, vote) value: a kickback swaps vote bit j on
-        the off-window rows, so the off-window rows see the majority sign of
-        the complemented vote value.  Within the plane it runs on the
-        projections, two coefficients per eigenvector and vote value, and
-        the difference is added back as one rank-two update per main index,
-        with the phase x vote slab in cache.
+        up to a sign per (phase, vote) value (``_vote_signs``).  Within the
+        plane it runs on the projections, two coefficients per eigenvector
+        and vote value, and the difference is added back as one rank-two
+        update per main index, with the phase x vote slab in cache.
         """
-        n, m, nu = self.layout.main_dim, self.layout.phase_dim, self.scheme.vote_bits
-        plane, norms = self._vote_plane()
-        vote_sign = np.where(self.vote_window, -1.0, 1.0)
-        plane_sign = np.stack([vote_sign, vote_sign[::-1]])
-        sign = np.where(self.gap_window[:, None], plane_sign[0], plane_sign[1])
-        p = np.stack([self._plane_rows(plane[k]) @ a[k] for k in range(n)])
-        delta = _vote_coefficients(p, norms, vote_sign) - plane_sign * p
-        for k in range(n):
+        plane, _ = self._vote_plane()
+        _, sign = self._vote_signs()
+        delta = self._plane_update(a)
+        for k in range(self.layout.main_dim):
             slab = a[k]
             slab *= sign
             slab += self._plane_rows(plane[k]).conj().T @ delta[k]
-        # each of the 2 nu kickbacks: the estimate and unestimate inside its
-        # amplification, one zero reflection and two vote Hadamards
-        _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
-                i_zero_prime=2 * nu, hadamards_vote=4 * nu)
+
+    def _vote_stage_columns(self, a: np.ndarray):
+        """The vote stage and the unestimate of a product state, in place
+        on a register whose vote value 0 holds the estimated columns e_k
+        and whose other vote values are not yet written.
+
+        The stage leaves e_k signed on vote value 0 and adds Y_k delta_k on
+        every vote value, with Y_k = (u_in, u_out) and delta_k the plane
+        update.  The unestimate acts on the phase axis alone, so it runs on
+        three columns per eigenvector, the signed e_k, u_in and u_out, kept
+        in vote values 0 to 2; then each slab is written once from them.
+        """
+        plane, _ = self._vote_plane()
+        _, sign = self._vote_signs()
+        delta = self._plane_update(a[:, :, :1])
+        cols = a[:, :, :3]
+        cols[:, :, 0] *= sign[:, 0]
+        for k in range(self.layout.main_dim):
+            cols[k, :, 1:] = self._plane_rows(plane[k]).conj().T
+        raw_estimate_inverse(cols, self.frame.phases, out=cols)
+        for k in range(self.layout.main_dim):
+            slab = a[k]
+            part = slab[:, :3].copy()
+            np.matmul(part[:, 1:], delta[k], out=slab)
+            slab[:, 0] += part[:, 0]
 
 
 def predicted_epsilon(scheme: InversionScheme, lam, invert):

@@ -27,13 +27,15 @@ def grover64():
 def call_counter(monkeypatch):
     """``count(module, name)`` wraps a package function under every name the
     package's modules bind it to, and returns a one-item list holding its
-    call count."""
-    def count(module, name):
+    call count.  ``observe``, if given, sees the arguments of every call."""
+    def count(module, name, observe=None):
         original = getattr(module, name)
         calls = [0]
 
         def counted(*args, **kwargs):
             calls[0] += 1
+            if observe is not None:
+                observe(*args, **kwargs)
             return original(*args, **kwargs)
 
         for mod_name, mod in list(sys.modules.items()):

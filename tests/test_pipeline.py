@@ -111,11 +111,12 @@ def _run_full_peak_over_register(inst, scheme):
 
 
 def test_boosted_amplification_holds_two_registers(ref12):
-    # the state and its successor; every other temporary is a main-index
-    # slab or a main x phase table, and the kept vote plane is 1 / vote_dim
-    # of the register.  2.15x measured, against 3.03x when each round rotated
-    # the register into the eigenframe and back; the DENSE_CAP docstring
-    # quotes this multiple
+    # the state and its successor (the first round's input is the embedded
+    # halfway state, n coefficients, so the second round sets the peak);
+    # every other temporary is a main-index slab or a main x phase table,
+    # and the kept vote plane is 1 / vote_dim of the register.  2.15x
+    # measured, against 3.03x when each round rotated the register into the
+    # eigenframe and back; the DENSE_CAP docstring quotes this multiple
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.25
 

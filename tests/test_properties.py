@@ -15,18 +15,21 @@ search operator's gap eigenphases against the secular roots.  States in an
 estimate frame are checked against plain arrays of computational amplitudes
 through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
 frame amplification of ``run_full`` against rounds run on such an array.
+An embedded state, kept as its main coefficients, is checked against the
+same state rebuilt from its amplitudes as a register.
 """
 
 from unittest import mock
 
 import numpy as np
+import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
 import eigensearch as es
 import frames
 import oracles
-from eigensearch import pipeline
+from eigensearch import phase_estimation, pipeline
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -254,6 +257,87 @@ def test_frame_operations_match_the_computational_ones(case, seed):
     plain[:, 0, 0] = vec
     embedded = es.embed_mainspace(lay, vec, dec)
     assert np.max(np.abs(embedded.amps - change @ plain.reshape(-1))) <= 1e-12
+
+
+def product_and_general(op, seed):
+    """A random embedded state of ``op``'s frame, kept as its main
+    coefficients, and the same state rebuilt from its amplitudes as a
+    plain register state."""
+    rng = np.random.default_rng(seed)
+    n = op.layout.main_dim
+    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
+    vec /= np.linalg.norm(vec)
+    product = es.embed_mainspace(op.layout, vec, op.frame)
+    general = es.StateVector(es.embed_mainspace(op.layout, vec, op.frame).amps,
+                             op.layout, op.frame)
+    assert product.main is not None and general.main is None
+    return vec, product, general
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_a_product_state_apply_matches_the_register_apply(case, seed):
+    _, op = case
+    _, product, general = product_and_general(op, seed)
+    ledgers = es.QueryLedger(), es.QueryLedger()
+    out = op.apply(product, ledgers[0])
+    want = op.apply(general, ledgers[1])
+    assert out.main is None and out.frame is op.frame
+    assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
+    assert ledgers[0] == ledgers[1]
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_a_product_state_target_flip_matches_the_register_flip(case, seed):
+    _, op = case
+    _, product, general = product_and_general(op, seed)
+    target = seed % op.layout.main_dim
+    ledgers = es.QueryLedger(), es.QueryLedger()
+    flipped = es.target_flip(product, target, ledgers[0])
+    want = es.target_flip(general, target, ledgers[1])
+    assert flipped.main is not None and flipped.frame is op.frame
+    assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
+    assert ledgers[0] == ledgers[1]
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_an_embedded_state_writes_the_embedding_on_first_read(case, seed):
+    # the register an embedding wrote whole: V^dagger vec times the flat
+    # Walsh row on vote value 0
+    _, op = case
+    vec, product, _ = product_and_general(op, seed)
+    lay = op.layout
+    want = np.zeros(lay.shape, dtype=complex)
+    want[:, :, 0] = (op.frame.vectors.conj().T @ vec)[:, None] / np.sqrt(lay.phase_dim)
+    assert not product.main.flags.writeable
+    assert np.max(np.abs(product.amps - want.reshape(-1))) <= 1e-15
+    assert product.amps is product.amps
+
+
+@pytest.mark.parametrize("n, mu, nu", [(3, 5, 0), (3, 5, 2), (4, 4, 4)])
+def test_a_product_state_apply_estimates_at_most_three_vote_columns(
+        call_counter, n, mu, nu):
+    # the forward estimate runs on one column per eigenvector and the
+    # unestimate on three (the signed estimate, u_in and u_out), whatever
+    # the vote register; a register state takes all of its vote columns
+    columns, calls = {}, {}
+    for name in ("raw_estimate_forward", "raw_estimate_inverse"):
+        seen = columns[name] = []
+        calls[name] = call_counter(phase_estimation, name,
+                                   lambda a, *args, seen=seen, **kwargs: seen.append(a.shape[2]))
+    u = haar_unitary(n, 17 + nu)
+    op = es.InversionOperator.build(
+        es.InversionScheme("basic" if nu == 0 else "boosted", mu, nu, 1.0), u)
+    _, product, general = product_and_general(op, 5)
+    op.apply(product)
+    assert calls == {"raw_estimate_forward": [1], "raw_estimate_inverse": [1]}
+    assert columns == {"raw_estimate_forward": [1],
+                       "raw_estimate_inverse": [1 if nu == 0 else 3]}
+    op.apply(general)
+    assert columns["raw_estimate_inverse"][1] == columns["raw_estimate_forward"][1] \
+        == op.layout.vote_dim
 
 
 @st.composite

@@ -220,21 +220,45 @@ def test_error_shrinks_with_register_size(ref12, ref12_operator):
     assert eps[1] < eps[0]
 
 
-def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
-    # the working array, which becomes the output; every other temporary
-    # is a main-index slab or less.  1.14x measured
-    # (the bound dates from the computational apply, at 2.0004x); the
-    # DENSE_CAP docstring quotes this multiple
-    scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
-                                phase_gap=instances.REF12_GAP,
-                                guard_fraction=es.GUARD_FRACTION)
-    op = es.InversionOperator.build(scheme, ref12_operator)
-    sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
-    op.apply(sv)    # the vote plane is computed and kept on first use
+def _apply_peak_over_register(op, sv):
+    """tracemalloc peak of one ``op.apply(sv)``, in registers."""
     tracemalloc.start()
     try:
         op.apply(sv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak / sv.amps.nbytes <= 2.01
+    return peak / (op.layout.dim * 16)
+
+
+def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
+    # the working array, which becomes the output; every other temporary
+    # is a main-index slab or less.  1.14x measured on a register state,
+    # the output of a first apply (the bound dates from the computational
+    # apply, at 2.0004x); the DENSE_CAP docstring quotes this multiple
+    scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
+                                phase_gap=instances.REF12_GAP,
+                                guard_fraction=es.GUARD_FRACTION)
+    op = es.InversionOperator.build(scheme, ref12_operator)
+    sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
+    # the vote plane is computed and kept on first use
+    sv = op.apply(sv)
+    assert sv.main is None
+    assert _apply_peak_over_register(op, sv) <= 2.01
+
+
+def test_a_product_state_apply_writes_only_its_output_register(ref12):
+    # an embedded state is n coefficients; the apply writes the output
+    # register once and keeps its estimate columns inside it.  With two
+    # votes a main x phase table is a quarter of the register, and the
+    # strided unestimate takes one: 1.28x measured, against about 2.0x with
+    # the three columns in an array of their own; the DENSE_CAP docstring
+    # quotes this multiple
+    scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=2,
+                                phase_gap=instances.REF12_GAP,
+                                guard_fraction=es.GUARD_FRACTION)
+    op = es.InversionOperator.build(scheme, es.search_operator(ref12),
+                                    decomposition=es.search_decomposition(ref12))
+    sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
+    assert sv.main is not None
+    assert _apply_peak_over_register(op, sv) <= 1.3
