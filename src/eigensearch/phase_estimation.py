@@ -19,9 +19,11 @@ alone.  A ``StateVector`` exists only in such a frame: callers embed their
 mainspace vectors straight into it, keep their states there and read the
 main marginal and the zero branch out of it, so no kernel here changes
 basis.  An embedded vector, whose ancillas are still on |0> |0>, stays n
-frame coefficients until its amplitudes are read (``StateVector.product``).
-Fed eigenvector k, the estimate leaves the phase register in the peaked
-profile ``estimate_amplitudes(phase_bits, lambda_k)``.
+frame coefficients until its amplitudes are read (``StateVector.product``),
+and a state spanned by three phase columns per main index stays those
+columns and their coefficients (``StateVector.factored``).  Fed
+eigenvector k, the estimate leaves the phase register in the peaked profile
+``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -44,21 +46,26 @@ DENSE_CAP = 1 << 22
 """Largest joint register, in amplitudes: 64 MiB of complex128.
 
 The cap bounds memory only together with the working set of the kernels.
-An ``InversionOperator.apply`` allocates one register on top of its input:
-the working array, updated in place, which becomes the output (1.14x the
-register for a boosted mu=10, nu=4 apply on ref12).  Every other temporary
-is at most one main-index slab or a main x phase table.  A product state
-(see ``StateVector``) holds no register, so its apply allocates the output
-alone and keeps its estimate columns inside it (1.28x with two votes, where
-a main x phase table is a quarter of the register).  The amplification
-rounds of ``run_full`` hold at most two registers at once, the state and its
-successor, so a register at the cap peaks near 2 x 64 MiB there (2.15x for a
-boosted mu=9, nu=6 run on ref12, 2.43x for mu=10, nu=2).  A boosted operator
-also keeps its vote plane, one main x phase table (1 / vote_dim of the
-register), which ``run_full`` builds before the first register.  The
-multiples are measured and pinned by the tests
+An ``InversionOperator.apply`` of a register state allocates one register on
+top of its input: the working array, updated in place, which becomes the
+output (1.14x the register for a boosted mu=10, nu=4 apply on ref12).  Every
+other temporary is at most one main-index slab or a main x phase table.  A
+product or factored state (see ``StateVector``) holds no register.  A
+boosted apply of a product state writes none either: its output is three
+phase columns per eigenvector, 3 / vote_dim of the register (0.98x with two
+votes, where the columns are three quarters of the register).  An apply of
+a factored state writes its working array from the factors, the one
+register (1.17x with two votes).  So the two rounds of a boosted
+``run_full`` hold one register, a register at the cap peaks near 64 MiB
+plus the columns there (1.28x for a boosted mu=9, nu=6 run on ref12, 2.27x
+for mu=10, nu=2), and later rounds hold at most two, the state and its
+successor.  A boosted operator also keeps its vote plane, one main x phase
+table (1 / vote_dim of the register), which ``run_full`` builds before the
+first round.  The multiples are measured and pinned by the tests
 ``test_boosted_apply_allocates_twice_the_register``,
 ``test_a_product_state_apply_writes_only_its_output_register``,
+``test_a_flipped_factored_state_apply_writes_one_register``,
+``test_a_boosted_run_holds_one_register``,
 ``test_boosted_amplification_holds_two_registers`` and
 ``test_a_two_vote_run_builds_its_vote_plane_before_the_register``.
 """
@@ -121,19 +128,23 @@ class StateVector:
 
     A state with the ancillas still on |0> |0>, made by ``product``, is
     main (x) H|0> (x) |0> in the frame and is kept as its n main
-    coefficients ``main`` (read-only); ``amps`` writes the register on
-    first read and keeps it.  ``main`` is None for every other state.
+    coefficients ``main`` (read-only).  A state whose main slabs all lie in
+    the span of three phase columns, made by ``factored``, is kept as those
+    columns and their coefficients, ``factors``, plus at most one rank-one
+    ``shared`` term; ``slab`` writes one main index's phase x vote slab
+    from them.  Either kind writes its register on the first read of
+    ``amps`` and keeps it; the factors stay set.  ``main``, ``factors`` and
+    ``shared`` are None wherever they do not apply.
     """
 
-    __slots__ = ("_amps", "main", "layout", "frame")
+    __slots__ = ("_amps", "main", "factors", "shared", "layout", "frame")
 
     def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
-        self._bind(amps, layout, frame)
+        self._bind(layout, frame, _vector_norm(amps))
         self._amps = amps
-        self.main = None
 
     @classmethod
     def product(cls, main, layout: RegisterLayout,
@@ -147,29 +158,70 @@ class StateVector:
                              f"main dimension {layout.main_dim}")
         main.flags.writeable = False
         state = cls.__new__(cls)
-        state._bind(main, layout, frame)
-        state._amps = None
+        state._bind(layout, frame, _vector_norm(main))
         state.main = main
         return state
 
-    def _bind(self, values: np.ndarray, layout: RegisterLayout,
-              frame: EigenDecomposition):
+    @classmethod
+    def factored(cls, cols: np.ndarray, coefs: np.ndarray, layout: RegisterLayout,
+                 frame: EigenDecomposition, shared=None) -> "StateVector":
+        """The state whose slab k is cols[k] @ coefs[k] + x[k] g.
+
+        ``cols`` are (main, phase, 3) columns and ``coefs`` (main, 3, vote)
+        coefficients; ``shared`` is None or the pair (x, g) of an n-vector
+        and one (phase, vote) array.  The arrays are kept, read-only, not
+        copied, and the norm is taken from them (``factored_norm``).
+        """
+        n, m, v = layout.shape
+        if cols.shape != (n, m, 3) or coefs.shape != (n, 3, v):
+            raise ValueError(f"factors of shapes {cols.shape} and {coefs.shape} do "
+                             f"not match the layout {layout.shape}")
+        state = cls.__new__(cls)
+        state._bind(layout, frame, factored_norm(cols, coefs, shared))
+        for array in (cols, coefs) + (shared or ()):
+            array.flags.writeable = False
+        state.factors, state.shared = (cols, coefs), shared
+        return state
+
+    def _bind(self, layout: RegisterLayout, frame: EigenDecomposition, norm: float):
         if not isinstance(frame, EigenDecomposition):
             raise TypeError("a state needs the eigendecomposition of its estimate frame")
         if frame.dim != layout.main_dim:
             raise ValueError(f"frame of dimension {frame.dim} does not match the "
                              f"main dimension {layout.main_dim}")
-        norm = math.sqrt(abs(np.vdot(values, values)))
         if abs(norm - 1.0) > TOL.state_norm:
             raise ValueError(f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
         self.layout = layout
         self.frame = frame
+        self._amps = self.main = self.factors = self.shared = None
+
+    def slab(self, k: int, out: np.ndarray) -> np.ndarray:
+        """Write the (phase, vote) slab of main index k into ``out`` and
+        return it.
+
+        A factored state writes cols[k] @ coefs[k] plus x[k] g, and a
+        product state main[k] / sqrt(M) on vote value 0; neither reads or
+        writes ``amps``.  A register state copies its slab.
+        """
+        if self.factors is not None:
+            cols, coefs = self.factors
+            np.matmul(cols[k], coefs[k], out=out)
+            if self.shared is not None:
+                x, g = self.shared
+                out += x[k] * g
+        elif self.main is not None:
+            out.fill(0.0)
+            out[:, 0] = self.main[k] * (1.0 / math.sqrt(self.layout.phase_dim))
+        else:
+            out[...] = self.reshaped()[k]
+        return out
 
     @property
     def amps(self) -> np.ndarray:
         if self._amps is None:
-            a = np.zeros(self.layout.shape, dtype=complex)
-            a[:, :, 0] = self.main[:, None] * (1.0 / math.sqrt(self.layout.phase_dim))
+            a = np.empty(self.layout.shape, dtype=complex)
+            for k in range(self.layout.main_dim):
+                self.slab(k, a[k])
             self._amps = a.reshape(-1)
         return self._amps
 
@@ -193,6 +245,30 @@ class StateVector:
         """
         a = self.reshaped()[:, :, 0]
         return self.frame.vectors @ (a.sum(axis=1) / math.sqrt(self.layout.phase_dim))
+
+
+def _vector_norm(values: np.ndarray) -> float:
+    return math.sqrt(abs(np.vdot(values, values)))
+
+
+def factored_norm(cols: np.ndarray, coefs: np.ndarray, shared=None) -> float:
+    """Norm of the state whose slab k is cols[k] @ coefs[k] + x[k] g (see
+    ``StateVector.factored``), from the factors alone, one slab's 3 x 3
+    Gram matrices at a time.  With L_k = cols[k] and R_k = coefs[k] its
+    square is
+
+        sum_k <R_k R_k^dagger, L_k^dagger L_k>
+              + 2 Re(x_k <R_k, L_k^dagger g>) + |x|^2 |g|^2.
+    """
+    norm_sq = 0.0
+    for k in range(cols.shape[0]):
+        norm_sq += np.vdot(coefs[k] @ coefs[k].conj().T, cols[k].conj().T @ cols[k]).real
+    if shared is not None:
+        x, g = shared
+        norm_sq += np.vdot(x, x).real * np.vdot(g, g).real
+        for k in range(cols.shape[0]):
+            norm_sq += 2.0 * (x[k] * np.vdot(coefs[k], cols[k].conj().T @ g)).real
+    return math.sqrt(abs(norm_sq))
 
 
 def embed_mainspace(layout: RegisterLayout, vec, frame: EigenDecomposition) -> StateVector:

@@ -5,12 +5,14 @@ search-operator applications, then amplifies the halfway state onto the
 target by alternating a target phase flip with the approximate selective
 inversion of the two gap eigenstates.  The amplification runs in the search
 operator's estimate frame (see ``StateVector``): the halfway n-vector is
-embedded there directly and stays n frame coefficients until the first
-inversion writes the register, each target flip is a rank-one reflection
-and each inversion stays in the frame, and success, leakage and the main
-marginal are read out without leaving it.  Everything a run spends is tallied in a
-QueryLedger; the classical repeat-until-success baseline and the gap-guess
-retry schedule live here too, so the cost comparison is one import away.
+embedded there directly as n frame coefficients, a boosted first inversion
+keeps its output as three phase columns per eigenvector, and the register
+is first written by the second inversion.  Each target flip is a rank-one
+reflection and each inversion stays in the frame, and success, leakage and
+the main marginal are read out without leaving it.  Everything a run spends
+is tallied in a QueryLedger; the classical repeat-until-success baseline and
+the gap-guess retry schedule live here too, so the cost comparison is one
+import away.
 """
 
 from __future__ import annotations
@@ -70,9 +72,14 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     """Sign flip of the target mainspace index; one oracle query.
 
     In the state's estimate frame this is the rank-one reflection
-    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target.  It
-    leaves the ancillas alone, so a product state stays one: its n main
-    coefficients are reflected and no register is written.
+    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target, and no
+    register is written for a state that holds none.  It leaves the
+    ancillas alone, so a product state stays one: its n main coefficients
+    are reflected.  A factored state without a shared term keeps its
+    factors and gains the shared term x g, with
+    g = -2 sum_j conj(x_j) cols_j coefs_j one (phase, vote) array summed
+    one eigenvector at a time.  Any other state is reflected register and
+    all.
     """
     if ledger is not None:
         ledger.oracle_queries += 1
@@ -80,6 +87,14 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     if state.main is not None:
         return StateVector.product(raw_reflect_main(state.main[:, None], x)[:, 0],
                                    state.layout, state.frame)
+    if state.factors is not None and state.shared is None:
+        cols, coefs = state.factors
+        g = np.zeros(state.layout.shape[1:], dtype=complex)
+        for j in range(state.layout.main_dim):
+            g += (cols[j] * np.conj(x[j, 0])) @ coefs[j]
+        g *= -2.0
+        return StateVector.factored(cols, coefs, state.layout, state.frame,
+                                    shared=(x[:, 0].copy(), g))
     return StateVector(raw_reflect_main(state.reshaped(), x).reshape(-1),
                        state.layout, state.frame)
 

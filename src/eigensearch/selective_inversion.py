@@ -41,8 +41,11 @@ that column lies in the plane of u_in and u_out.  The vote stage maps it to
 its signed self on vote value 0 plus u_in and u_out times the plane update
 on every vote value, so the stage's output spans three phase columns per
 eigenvector.  The unestimate acts on the phase axis alone, so it runs on
-those three columns, and the register is written once, from them: the
-first round makes no pass over a full register before its output.
+those three columns, and the output is kept as them and their coefficients,
+a factored state: the first round writes no register.  The second round's
+target flip adds one shared rank-one term to it, and the second inversion
+writes its working array slab by slab from the factors, so a two-round run
+holds one register.
 """
 
 from __future__ import annotations
@@ -298,10 +301,14 @@ class InversionOperator:
         never copied.  A state in another operator's frame raises.
 
         A product state (``state.main`` set: the ancillas still on |0> |0>)
-        is estimated as one column per eigenvector, main_k phi_k, and the
-        register is written once, by the unestimate (basic scheme) or from
-        the vote stage's plane update (boosted scheme, see
-        ``_vote_stage_columns``).  The circuit and its charges are the same.
+        is estimated as one column per eigenvector, main_k phi_k.  The basic
+        scheme writes the register once, by the unestimate.  The boosted
+        scheme writes none: its vote stage and unestimate run on three
+        columns per eigenvector, and the result is the factored state of
+        those columns (see ``_vote_stage_columns``).  A factored state is
+        written into the working array slab by slab (``StateVector.slab``),
+        which then runs the register path in place.  The circuit and its
+        charges are the same for every kind of state.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
@@ -310,31 +317,40 @@ class InversionOperator:
             raise ValueError("state is in the estimate frame of another operator; "
                              "the inversion takes states in its own frame")
         n, m, _ = self.layout.shape
-        if state.main is None:
-            a = raw_estimate_forward(state.reshaped(), dec.phases)
-        else:
-            # the estimate of main (x) H|0> is one column per eigenvector;
-            # it goes to vote value 0 of the new register
-            a = np.empty(self.layout.shape, dtype=complex)
+        boosted = self.scheme.kind == "boosted"
+        if state.main is not None:
+            # the estimate of main (x) H|0> is one column per eigenvector:
+            # vote value 0 of the new register, or column 0 of the three
+            # columns a boosted stage keeps
+            a = np.empty((n, m, 3) if boosted else self.layout.shape, dtype=complex)
             column = state.main * (1.0 / math.sqrt(m))
             raw_estimate_forward(np.broadcast_to(column[:, None, None], (n, m, 1)),
                                  dec.phases, out=a[:, :, :1])
-        _charge(ledger, controlled_s=m, oracle_queries=m)
-        if self.scheme.kind == "basic":
-            raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
-            raw_estimate_inverse(a, dec.phases, out=a)
+        elif state.factors is not None:
+            a = np.empty(self.layout.shape, dtype=complex)
+            for k in range(n):
+                state.slab(k, a[k])
+            raw_estimate_forward(a, dec.phases, out=a)
         else:
-            if state.main is None:
-                self._vote_stage(a)
-                raw_estimate_inverse(a, dec.phases, out=a)
-            else:
-                self._vote_stage_columns(a)
+            a = raw_estimate_forward(state.reshaped(), dec.phases)
+        _charge(ledger, controlled_s=m, oracle_queries=m)
+        coefs = None
+        if not boosted:
+            raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
+        elif state.main is None:
+            self._vote_stage(a)
+        else:
+            coefs = self._vote_stage_columns(a)
+        raw_estimate_inverse(a, dec.phases, out=a)
+        if boosted:
             # each of the 2 nu kickbacks: the estimate and unestimate inside
             # its amplification, one zero reflection and two vote Hadamards
             nu = self.scheme.vote_bits
             _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
                     i_zero_prime=2 * nu, hadamards_vote=4 * nu)
         _charge(ledger, controlled_s=m, oracle_queries=m)
+        if coefs is not None:
+            return StateVector.factored(a, coefs, self.layout, dec)
         return StateVector(a.reshape(-1), self.layout, dec)
 
     def _vote_signs(self) -> tuple[np.ndarray, np.ndarray]:
@@ -386,30 +402,29 @@ class InversionOperator:
             slab *= sign
             slab += self._plane_rows(plane[k]).conj().T @ delta[k]
 
-    def _vote_stage_columns(self, a: np.ndarray):
-        """The vote stage and the unestimate of a product state, in place
-        on a register whose vote value 0 holds the estimated columns e_k
-        and whose other vote values are not yet written.
+    def _vote_stage_columns(self, cols: np.ndarray) -> np.ndarray:
+        """The vote stage of a product state, on three phase columns per
+        eigenvector; returns the coefficients of the columns.
 
-        The stage leaves e_k signed on vote value 0 and adds Y_k delta_k on
-        every vote value, with Y_k = (u_in, u_out) and delta_k the plane
-        update.  The unestimate acts on the phase axis alone, so it runs on
-        three columns per eigenvector, the signed e_k, u_in and u_out, kept
-        in vote values 0 to 2; then each slab is written once from them.
+        ``cols`` is (main, phase, 3) with the estimated column e_k in
+        column 0.  The stage leaves e_k signed on vote value 0 and adds
+        Y_k delta_k on every vote value, with Y_k = (u_in, u_out) and
+        delta_k the plane update, so it writes the signed e_k, u_in and
+        u_out into the three columns and returns the (main, 3, vote)
+        coefficients: row 0 is vote value 0, rows 1 and 2 are delta_k.
+        The unestimate acts on the phase axis alone, so it runs on the
+        columns, and the output is the factored state they make.
         """
+        n, _, v = self.layout.shape
         plane, _ = self._vote_plane()
         _, sign = self._vote_signs()
-        delta = self._plane_update(a[:, :, :1])
-        cols = a[:, :, :3]
+        coefs = np.zeros((n, 3, v), dtype=complex)
+        coefs[:, 0, 0] = 1.0
+        coefs[:, 1:] = self._plane_update(cols[:, :, :1])
         cols[:, :, 0] *= sign[:, 0]
-        for k in range(self.layout.main_dim):
+        for k in range(n):
             cols[k, :, 1:] = self._plane_rows(plane[k]).conj().T
-        raw_estimate_inverse(cols, self.frame.phases, out=cols)
-        for k in range(self.layout.main_dim):
-            slab = a[k]
-            part = slab[:, :3].copy()
-            np.matmul(part[:, 1:], delta[k], out=slab)
-            slab[:, 0] += part[:, 0]
+        return coefs
 
 
 def predicted_epsilon(scheme: InversionScheme, lam, invert):
@@ -470,17 +485,27 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
 
     Each eigenstate is embedded straight into the operator's estimate frame
     and compared there; the norm of ``out - sign * in`` does not depend on
-    the frame.
+    the frame.  It is summed one main-index slab at a time
+    (``StateVector.slab``), and the input, a product state, is nonzero on
+    vote value 0 alone, so no register is written for it, nor for a
+    boosted output, which is factored.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
     measured = np.empty(phases.shape[0])
+    n, m, v = op.layout.shape
+    diff = np.empty((m, v), dtype=complex)
     for k in range(phases.shape[0]):
         sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
         out = op.apply(sv)
-        sign = -1.0 if invert[k] else 1.0
-        measured[k] = float(np.linalg.norm(out.amps - sign * sv.amps))
+        column = sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m))
+        total = 0.0
+        for j in range(n):
+            out.slab(j, diff)
+            diff[:, 0] -= column[j]
+            total += np.vdot(diff, diff).real
+        measured[k] = math.sqrt(total)
     predicted = predicted_epsilon(op.scheme, phases, invert)
     bound = basic_error_bound(op.scheme) if op.scheme.kind == "basic" else None
     return EpsilonReport(scheme=op.scheme, eigenphases=phases,

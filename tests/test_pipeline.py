@@ -111,21 +111,33 @@ def _run_full_peak_over_register(inst, scheme):
 
 
 def test_boosted_amplification_holds_two_registers(ref12):
-    # the state and its successor (the first round's input is the embedded
-    # halfway state, n coefficients, so the second round sets the peak);
-    # every other temporary is a main-index slab or a main x phase table,
-    # and the kept vote plane is 1 / vote_dim of the register.  2.15x
-    # measured, against 3.03x when each round rotated the register into the
-    # eigenframe and back; the DENSE_CAP docstring quotes this multiple
+    # at most the state and its successor; every other temporary is a
+    # main-index slab or a main x phase table, and the kept vote plane is
+    # 1 / vote_dim of the register.  3.03x measured when each round rotated
+    # the register into the eigenframe and back, 2.15x when the first round
+    # wrote its output as a register; now 1.28x, see the next test
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.25
+
+
+def test_a_boosted_run_holds_one_register(ref12):
+    # the first round's input is the embedded halfway state, n coefficients,
+    # and its output three phase columns per eigenvector (3 / vote_dim of
+    # the register); the second target flip adds one phase x vote slab to
+    # them, so the second round's working array is the only register until
+    # the readout.  1.28x measured on ref12 (9, 6), against 2.15x when the
+    # first round wrote its output as a register; the DENSE_CAP docstring
+    # quotes this multiple
+    scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
+    assert _run_full_peak_over_register(ref12, scheme) <= 1.3
 
 
 def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # with two votes the vote plane is a quarter of the register, so a plane
     # built inside the first round, next to the state and the working array,
     # set the peak: 3.44x measured that way, 2.43x with the plane built
-    # before the state is embedded
+    # before the state is embedded, 2.27x with the first round's output
+    # factored (its three columns are three quarters of the register here)
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 

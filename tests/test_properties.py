@@ -15,8 +15,9 @@ search operator's gap eigenphases against the secular roots.  States in an
 estimate frame are checked against plain arrays of computational amplitudes
 through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
 frame amplification of ``run_full`` against rounds run on such an array.
-An embedded state, kept as its main coefficients, is checked against the
-same state rebuilt from its amplitudes as a register.
+An embedded state, kept as its main coefficients, and the factored state a
+boosted inversion makes of it are checked against the same states rebuilt
+from their amplitudes as registers.
 """
 
 from unittest import mock
@@ -30,6 +31,7 @@ import eigensearch as es
 import frames
 import oracles
 from eigensearch import phase_estimation, pipeline
+from eigensearch.phase_estimation import factored_norm
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -91,9 +93,9 @@ def unitaries(draw, n=None, window=None, planting=None):
 
 
 @st.composite
-def operators(draw):
+def operators(draw, votes=(0, 2, 4)):
     n = draw(st.integers(1, 4))
-    nu = draw(st.sampled_from((0, 2, 4)))
+    nu = draw(st.sampled_from(votes))
     # registers of at most 512 amplitudes keep the dense oracles quick
     mu = draw(st.integers(2, min(5, (512 // (n << nu)).bit_length() - 1)))
     gap = draw(st.floats(0.2, 3.0))
@@ -338,6 +340,113 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
     op.apply(general)
     assert columns["raw_estimate_inverse"][1] == columns["raw_estimate_forward"][1] \
         == op.layout.vote_dim
+
+
+def factored_and_general(op, seed):
+    """The factored output of a boosted apply on a random embedded state,
+    the same state rebuilt as a plain register state, and the ledger of
+    that apply with the ledger of the register apply of the embedding."""
+    _, product, general = product_and_general(op, seed)
+    ledgers = es.QueryLedger(), es.QueryLedger()
+    factored = op.apply(product, ledgers[0])
+    want = op.apply(general, ledgers[1])
+    return factored, es.StateVector(want.amps, op.layout, op.frame), ledgers
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
+def test_a_boosted_product_apply_returns_a_factored_state(case, seed):
+    _, op = case
+    factored, want, ledgers = factored_and_general(op, seed)
+    assert factored.factors is not None and factored.shared is None
+    assert factored.main is None and factored.frame is op.frame
+    assert all(not f.flags.writeable for f in factored.factors)
+    assert np.max(np.abs(factored.amps - want.amps)) <= 1e-13
+    assert ledgers[0] == ledgers[1]
+    # the register is built once and the factors stay set
+    assert factored.amps is factored.amps and factored.factors is not None
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
+def test_a_factored_state_target_flip_stays_factored(case, seed):
+    _, op = case
+    factored, general, _ = factored_and_general(op, seed)
+    target = seed % op.layout.main_dim
+    ledgers = es.QueryLedger(), es.QueryLedger()
+    flipped = es.target_flip(factored, target, ledgers[0])
+    want = es.target_flip(general, target, ledgers[1])
+    assert all(f is g for f, g in zip(flipped.factors, factored.factors))
+    assert flipped.shared is not None
+    assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
+    assert ledgers[0] == ledgers[1]
+    # a second flip goes through the amplitudes: the flip is an involution
+    again = es.target_flip(flipped, target, ledgers[0])
+    assert again.factors is None
+    assert np.max(np.abs(again.amps - general.amps)) <= 1e-13
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
+def test_a_flipped_factored_state_apply_matches_the_register_apply(case, seed):
+    _, op = case
+    factored, general, _ = factored_and_general(op, seed)
+    target = seed % op.layout.main_dim
+    flipped = es.target_flip(factored, target)
+    ledgers = es.QueryLedger(), es.QueryLedger()
+    out = op.apply(flipped, ledgers[0])
+    want = op.apply(es.target_flip(general, target), ledgers[1])
+    assert out.factors is None and out.main is None
+    assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
+    assert ledgers[0] == ledgers[1]
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1), st.floats(0.25, 4.0))
+def test_the_factored_norm_matches_the_amplitudes(case, seed, scale):
+    # on the states the pipeline makes, and on unnormalized factors with a
+    # shared term of another weight, against the norm of the written slabs
+    _, op = case
+    factored, _, _ = factored_and_general(op, seed)
+    flipped = es.target_flip(factored, seed % op.layout.main_dim)
+    for state in (factored, flipped):
+        assert abs(factored_norm(*state.factors, state.shared)
+                   - np.linalg.norm(state.amps)) <= 1e-13
+    (cols, coefs), (x, g) = flipped.factors, flipped.shared
+    slabs = cols @ (scale * coefs) + x[:, None, None] * g
+    assert abs(factored_norm(cols, scale * coefs, (x, g)) - np.linalg.norm(slabs)) \
+        <= 1e-13 * max(1.0, scale)
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
+       st.sampled_from((1.001, 0.999)))
+def test_a_scaled_factored_state_raises(case, seed, scale):
+    _, op = case
+    factored, _, _ = factored_and_general(op, seed)
+    (cols, coefs), frame = factored.factors, op.frame
+    with pytest.raises(ValueError):
+        es.StateVector.factored(cols, scale * coefs, op.layout, frame)
+    flipped = es.target_flip(factored, seed % op.layout.main_dim)
+    x, g = flipped.shared
+    with pytest.raises(ValueError):
+        es.StateVector.factored(cols, scale * coefs, op.layout, frame, (x, scale * g))
+
+
+@SETTINGS
+@given(operators())
+def test_slab_wise_epsilons_match_the_register_norms(case):
+    # measure_epsilon sums the error one slab at a time and writes no
+    # register; the full-register difference of the same apply agrees
+    _, op = case
+    dec = op.frame
+    invert = np.arange(op.layout.main_dim) % 2 == 0
+    report = es.measure_epsilon(op, dec.phases, dec.vectors, invert)
+    for k in range(op.layout.main_dim):
+        sv = es.embed_mainspace(op.layout, dec.vectors[:, k], dec)
+        sign = -1.0 if invert[k] else 1.0
+        want = np.linalg.norm(op.apply(sv).amps - sign * sv.amps)
+        assert abs(report.measured[k] - want) <= 1e-15
 
 
 @st.composite
