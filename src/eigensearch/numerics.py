@@ -170,7 +170,8 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
     vectors = vectors.astype(complex, copy=False)
     starts = np.flatnonzero(np.diff(cosines, prepend=-np.inf) > TOL.cosine_cluster)
     sizes = np.diff(starts, append=n)
-    for size in np.unique(sizes[sizes > 1]):
+    # not np.unique: it imports numpy.ma, about 15 ms of every fresh process
+    for size in sorted(set(sizes[sizes > 1].tolist())):
         cols = starts[sizes == size, None] + np.arange(size)   # (blocks, size)
         basis = np.moveaxis(vectors[:, cols], 1, 0)            # (blocks, n, size)
         block = dagger(basis) @ np.moveaxis(u_vectors[:, cols], 1, 0)

@@ -5,7 +5,8 @@ A register state is a complex vector over (mainspace) x (phase register) x
 P and V the register sizes addresses mainspace index m, phase value w and
 vote bits v.  All operators act on one axis of the reshaped array and batch
 over the others; the raw kernels below take any (main, phase, trailing)
-array so callers can slice the trailing axis however they need.
+array, or with ``axis=2`` a (main, trailing, phase) one, so callers can
+slice the trailing axis however they need.
 
 The estimation circuit is: Walsh-Hadamard on the phase register, powers of
 the mainspace unitary controlled on the phase value, then an inverse Fourier
@@ -19,17 +20,23 @@ alone.  A ``StateVector`` exists only in such a frame: callers embed their
 mainspace vectors straight into it, keep their states there and read the
 main marginal and the zero branch out of it, so no kernel here changes
 basis.  An embedded vector, whose ancillas are still on |0> |0>, stays n
-frame coefficients until its amplitudes are read (``StateVector.product``),
-and a state spanned by three phase columns per main index stays those
-columns and their coefficients (``StateVector.factored``).  Fed
-eigenvector k, the estimate leaves the phase register in the peaked profile
-``estimate_amplitudes(phase_bits, lambda_k)``.
+frame coefficients (``StateVector.product``), a state spanned by three
+phase columns per main index stays those columns and their coefficients
+(``StateVector.factored``), and the output of an inversion stays its input
+and the coefficients of its vote stage (``StateVector.inverted``).
+``StateVector.blocks`` computes the amplitudes of any of them a few vote
+values at a time, phase last, and the readouts, ``amps`` and the epsilon
+report read them through it, so none of them writes a register until its
+``amps`` are read.  Fed eigenvector k, the estimate leaves the phase
+register in the peaked profile ``estimate_amplitudes(phase_bits,
+lambda_k)``.
 """
 
 from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from typing import NamedTuple
 
 import numpy as np
 
@@ -37,6 +44,7 @@ from .numerics import (
     TOL,
     EigenDecomposition,
     GapGuessTooCoarse,
+    InternalInvariantError,
     ResourceCapExceeded,
     dagger,
     round_half_away,
@@ -46,31 +54,39 @@ DENSE_CAP = 1 << 22
 """Largest joint register, in amplitudes: 64 MiB of complex128.
 
 The cap bounds memory only together with the working set of the kernels.
-An ``InversionOperator.apply`` of a register state allocates one register on
-top of its input: the working array, updated in place, which becomes the
-output (1.14x the register for a boosted mu=10, nu=4 apply on ref12).  Every
-other temporary is at most one main-index slab or a main x phase table.  A
-product or factored state (see ``StateVector``) holds no register.  A
-boosted apply of a product state writes none either: its output is three
-phase columns per eigenvector, 3 / vote_dim of the register (0.98x with two
-votes, where the columns are three quarters of the register).  An apply of
-a factored state writes its working array from the factors, the one
-register (1.17x with two votes).  So the two rounds of a boosted
-``run_full`` hold one register, a register at the cap peaks near 64 MiB
-plus the columns there (1.28x for a boosted mu=9, nu=6 run on ref12, 2.27x
-for mu=10, nu=2), and later rounds hold at most two, the state and its
-successor.  A boosted operator also keeps its vote plane, one main x phase
-table (1 / vote_dim of the register), which ``run_full`` builds before the
-first round.  The multiples are measured and pinned by the tests
-``test_boosted_apply_allocates_twice_the_register``,
+Only a basic-scheme ``InversionOperator.apply`` of a product state writes a
+register, its output, by the unestimate.  A boosted apply of a product state
+keeps three phase columns per eigenvector, 3 / vote_dim of the register
+(0.98x with two votes, where the columns are three quarters of the
+register).  Any other apply returns an inverted state (see
+``StateVector``), its input and small coefficients: 0.26x the register for
+a boosted mu=10, nu=4 apply of a register state on ref12, 0.68x for a
+flipped factored state with two votes, where the two unestimated plane
+columns are half the register.  The amplitudes of those states are computed
+when they are read, one block of at most ``_GRAM_BLOCK`` phase x vote values
+at a time, and the readouts hold one block.  So the two rounds of a boosted
+``run_full`` write no register: 0.38x for a boosted mu=9, nu=6 run on
+ref12, whose blocks are an eighth of the register; 2.49x for mu=10, nu=2,
+where one block is the whole register, next to the three columns; 1.62x
+for criterion-08's one-round mu=5, nu=4 runs, also one block.  A block
+holds at most main_dim x max(_GRAM_BLOCK, phase_dim) amplitudes.  A target
+flip of an inverted state (round 3 and later) writes its amplitudes, and the
+state drops its input, so later rounds hold at most two registers, the
+state and its successor.  A boosted operator also keeps its vote plane, one
+main x phase table (1 / vote_dim of the register), which ``run_full``
+builds before the first round.  The multiples are measured and pinned by
+the tests ``test_boosted_apply_allocates_twice_the_register``,
 ``test_a_product_state_apply_writes_only_its_output_register``,
 ``test_a_flipped_factored_state_apply_writes_one_register``,
 ``test_a_boosted_run_holds_one_register``,
+``test_a_boosted_run_writes_no_register``,
+``test_a_one_round_run_reads_its_factors``,
 ``test_boosted_amplification_holds_two_registers`` and
 ``test_a_two_vote_run_builds_its_vote_plane_before_the_register``.
 """
 
 _GRAM_BLOCK = 1 << 12
+_GRAM_COLUMNS = 1 << 8
 
 
 @dataclass(frozen=True)
@@ -111,6 +127,24 @@ class RegisterLayout:
         return (self.main_dim, self.phase_dim, self.vote_dim)
 
 
+class Inversion(NamedTuple):
+    """What an inversion keeps of its output (see ``StateVector.inverted``).
+
+    ``source`` is the state it was applied to and ``sign`` the fixed
+    (phase, vote) signs of its flip.  A boosted inversion also has the
+    plane update ``delta``, (main, 2, vote) coefficients along u_in and
+    u_out, and the plane they span: ``rows`` (main, phase) is the conjugated
+    u_in + u_out of every eigenvector and ``window`` the boolean support of
+    u_in on the phase register.
+    """
+
+    source: StateVector
+    sign: np.ndarray
+    delta: np.ndarray | None = None
+    rows: np.ndarray | None = None
+    window: np.ndarray | None = None
+
+
 class StateVector:
     """Normalized amplitudes over a RegisterLayout, in an estimate frame.
 
@@ -126,18 +160,27 @@ class StateVector:
     Frames are compared by identity: a state belongs to the operator whose
     decomposition object it carries.
 
-    A state with the ancillas still on |0> |0>, made by ``product``, is
+    Besides a register, a state comes in three kinds that hold none.  A
+    state with the ancillas still on |0> |0>, made by ``product``, is
     main (x) H|0> (x) |0> in the frame and is kept as its n main
     coefficients ``main`` (read-only).  A state whose main slabs all lie in
     the span of three phase columns, made by ``factored``, is kept as those
     columns and their coefficients, ``factors``, plus at most one rank-one
-    ``shared`` term; ``slab`` writes one main index's phase x vote slab
-    from them.  Either kind writes its register on the first read of
-    ``amps`` and keeps it; the factors stay set.  ``main``, ``factors`` and
-    ``shared`` are None wherever they do not apply.
+    ``shared`` term.  The output of an inversion, made by ``inverted``, is
+    kept as its input and what the vote stage did to it, ``inversion``.
+    ``main``, ``factors``, ``shared`` and ``inversion`` are None wherever
+    they do not apply, and ``norm`` is the norm checked at construction.
+
+    ``blocks`` writes the amplitudes of any kind a few vote columns at a
+    time; the readouts, ``amps`` and the epsilon report read through it.
+    ``amps`` writes the register on first read and keeps it.  A product or
+    factored state keeps its coefficients too, and its blocks still come
+    from them; an inverted state drops its inversion, so the register it
+    wrote is then its only copy.
     """
 
-    __slots__ = ("_amps", "main", "factors", "shared", "layout", "frame")
+    __slots__ = ("_amps", "main", "factors", "shared", "inversion", "norm",
+                 "layout", "frame")
 
     def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
@@ -183,6 +226,36 @@ class StateVector:
         state.factors, state.shared = (cols, coefs), shared
         return state
 
+    @classmethod
+    def inverted(cls, inversion: Inversion, projections=None) -> "StateVector":
+        """The state whose slab k is F_k^dagger (S (.) F_k psi_k + Y_k delta_k).
+
+        psi_k is slab k of ``inversion.source``, F_k its estimate
+        (``raw_estimate_forward``), S the (phase, vote) signs and
+        Y_k = (u_in, u_out) the plane of ``inversion``; the basic scheme has
+        no plane term.  Nothing is computed here: ``blocks`` computes the
+        amplitudes when they are read.  The norm is checked from the
+        pieces.  The signs keep the norm of psi, Y_k has orthonormal (or
+        zero) columns and the signs act on u_in and u_out as one sign per
+        vote value and column, sigma = (S on u_in's rows, S on u_out's), so
+        the squared norm is
+
+            |psi|^2 + sum_k 2 Re<p_k, sigma (.) delta_k> + |delta_k|^2,
+
+        with ``projections`` p_k = Y_k^dagger F_k psi_k, (main, 2, vote).
+        """
+        source = inversion.source
+        norm_sq = source.norm ** 2
+        if inversion.delta is not None:
+            delta, sign, window = inversion.delta, inversion.sign, inversion.window
+            sigma = np.stack([sign[window][0], sign[~window][0]])
+            norm_sq += (2.0 * np.vdot(projections, sigma * delta).real
+                        + np.vdot(delta, delta).real)
+        state = cls.__new__(cls)
+        state._bind(source.layout, source.frame, math.sqrt(abs(norm_sq)))
+        state.inversion = inversion
+        return state
+
     def _bind(self, layout: RegisterLayout, frame: EigenDecomposition, norm: float):
         if not isinstance(frame, EigenDecomposition):
             raise TypeError("a state needs the eigendecomposition of its estimate frame")
@@ -193,58 +266,129 @@ class StateVector:
             raise ValueError(f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
         self.layout = layout
         self.frame = frame
-        self._amps = self.main = self.factors = self.shared = None
+        self.norm = norm
+        self._amps = self.main = self.factors = self.shared = self.inversion = None
 
-    def slab(self, k: int, out: np.ndarray) -> np.ndarray:
-        """Write the (phase, vote) slab of main index k into ``out`` and
-        return it.
+    def blocks(self):
+        """Yield (start, block) pairs that cover the register: ``block`` is
+        vote values start, start + 1, ... of every main index, phase last,
+        block[k, j, w] = a[k, w, start + j].
 
-        A factored state writes cols[k] @ coefs[k] plus x[k] g, and a
-        product state main[k] / sqrt(M) on vote value 0; neither reads or
-        writes ``amps``.  A register state copies its slab.
+        A block spans at most ``_GRAM_BLOCK`` phase x vote values (one vote
+        value if the phase register alone is larger), so a readout holds
+        one block, not the register.  The same buffer is written for every
+        block; a caller may change it in place but must copy what it keeps.
+        A product, factored or inverted state computes its blocks from what
+        it holds, even after ``amps`` was read, so every reader sees the
+        same bits; only a register state reads ``amps``.
         """
+        if self.inversion is not None:
+            yield from self._inverted_blocks()
+            return
+        n, m, v = self.layout.shape
+        width = _block_width(self.layout)
+        block = np.empty((n, width, m), dtype=complex)
+        for start in range(0, v, width):
+            yield start, self._write_block(start, block)
+
+    def _write_block(self, start: int, block: np.ndarray) -> np.ndarray:
+        stop = start + block.shape[1]
         if self.factors is not None:
             cols, coefs = self.factors
-            np.matmul(cols[k], coefs[k], out=out)
+            np.matmul(coefs[:, :, start:stop].transpose(0, 2, 1),
+                      cols.transpose(0, 2, 1), out=block)
             if self.shared is not None:
                 x, g = self.shared
-                out += x[k] * g
+                g = g[:, start:stop].T
+                for k in range(block.shape[0]):
+                    block[k] += x[k] * g
         elif self.main is not None:
-            out.fill(0.0)
-            out[:, 0] = self.main[k] * (1.0 / math.sqrt(self.layout.phase_dim))
+            block.fill(0.0)
+            if start == 0:
+                block[:, 0] = (self.main * (1.0 / math.sqrt(self.layout.phase_dim)))[:, None]
         else:
-            out[...] = self.reshaped()[k]
-        return out
+            np.copyto(block, self.reshaped()[:, :, start:stop].transpose(0, 2, 1))
+        return block
+
+    def _inverted_blocks(self):
+        # the source's blocks, estimated, signed, plane-updated and
+        # unestimated in place.  Each controlled-power factor is computed
+        # once: as a table if there are several blocks, and inside the
+        # kernel for a single one, which then needs no table
+        source, sign, delta, rows, window = self.inversion
+        _, m, v = self.layout.shape
+        powers = self.frame.phases
+        if _block_width(self.layout) < v:
+            powers = power_table(powers, m)
+        signs = sign.T
+        for start, block in source.blocks():
+            stop = start + block.shape[1]
+            raw_estimate_forward(block, powers, out=block, axis=2)
+            for k, slab in enumerate(block):
+                slab *= signs[start:stop]
+                if delta is not None:
+                    update = np.where(window, delta[k, 0, start:stop, None],
+                                      delta[k, 1, start:stop, None])
+                    update *= rows[k].conj()
+                    slab += update
+            raw_estimate_inverse(block, powers, out=block, axis=2)
+            yield start, block
 
     @property
     def amps(self) -> np.ndarray:
         if self._amps is None:
             a = np.empty(self.layout.shape, dtype=complex)
-            for k in range(self.layout.main_dim):
-                self.slab(k, a[k])
-            self._amps = a.reshape(-1)
+            for start, block in self.blocks():
+                a[:, :, start:start + block.shape[1]] = block.transpose(0, 2, 1)
+            a = a.reshape(-1)
+            check_computed_norm(np.vdot(a, a).real)
+            self._amps, self.inversion = a, None
         return self._amps
 
     def reshaped(self) -> np.ndarray:
         return self.amps.reshape(self.layout.shape)
 
-    def main_marginal(self) -> np.ndarray:
-        """Probability marginal of the main register, in the computational
-        basis: diag(V G V^dagger), with G the n x n Gram matrix of the
-        register's main rows."""
-        v = self.frame.vectors
-        gram = raw_gram(self.reshaped())
-        return np.einsum("ij,jk,ik->i", v, gram, v.conj()).real
+    def readouts(self) -> tuple[np.ndarray, np.ndarray]:
+        """The computational main-register amplitudes with the phase and
+        vote registers on 0, and the probability marginal of the main
+        register, from one pass over ``blocks``.
 
-    def branch_amplitudes(self) -> np.ndarray:
-        """Computational main-register amplitudes with the phase and vote
-        registers on 0.
-
-        Row 0 of the phase Walsh-Hadamard matrix is flat, so that is
-        V sum_w a[:, w, 0] / sqrt(M): one sum and one n x n product.
+        Row 0 of the phase Walsh-Hadamard matrix is flat, so the amplitudes
+        are V sum_w a[:, w, 0] / sqrt(M).  The marginal is diag(V G V^dagger),
+        with G the n x n Gram matrix of the register's main rows, summed
+        over at most ``_GRAM_COLUMNS`` phase values of one vote value at a
+        time, so its conjugated copy stays small next to a block; its
+        trace, the squared norm of the amplitudes just computed, is
+        checked.
         """
-        a = self.reshaped()[:, :, 0]
-        return self.frame.vectors @ (a.sum(axis=1) / math.sqrt(self.layout.phase_dim))
+        n, m, _ = self.layout.shape
+        gram = np.zeros((n, n), dtype=complex)
+        step = min(m, _GRAM_COLUMNS)
+        for start, block in self.blocks():
+            if start == 0:
+                branch = block[:, 0].sum(axis=1)
+            rows = block.reshape(n, -1)
+            for first in range(0, rows.shape[1], step):
+                part = rows[:, first:first + step]
+                gram += part @ part.conj().T
+        check_computed_norm(np.trace(gram).real)
+        v = self.frame.vectors
+        return (v @ (branch / math.sqrt(m)),
+                np.einsum("ij,jk,ik->i", v, gram, v.conj()).real)
+
+
+def _block_width(layout: RegisterLayout) -> int:
+    """Vote values per block of ``StateVector.blocks``."""
+    return max(1, min(layout.vote_dim, _GRAM_BLOCK // layout.phase_dim))
+
+
+def check_computed_norm(norm_sq: float):
+    """Raise unless amplitudes of squared norm ``norm_sq``, just computed
+    from a state, keep its norm of 1 within ``TOL.state_norm``."""
+    norm = math.sqrt(abs(norm_sq))
+    if abs(norm - 1.0) > TOL.state_norm:
+        raise InternalInvariantError(
+            f"computed amplitudes have norm {norm!r}, not 1 within {TOL.state_norm:g}")
 
 
 def _vector_norm(values: np.ndarray) -> float:
@@ -298,13 +442,14 @@ def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
     return np.multiply(a, sign.reshape(shape), out=out)
 
 
-def raw_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+def raw_qft(a: np.ndarray, out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """Fourier transform of the phase axis, |w> -> sum_k e^{+2 pi i wk/M}."""
-    return np.fft.ifft(a, axis=1, norm="ortho", out=out)
+    return np.fft.ifft(a, axis=axis, norm="ortho", out=out)
 
 
-def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-    return np.fft.fft(a, axis=1, norm="ortho", out=out)
+def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None,
+                    axis: int = 1) -> np.ndarray:
+    return np.fft.fft(a, axis=axis, norm="ortho", out=out)
 
 
 def raw_reflect_main(a: np.ndarray, x: np.ndarray) -> np.ndarray:
@@ -326,56 +471,58 @@ def raw_reflect_main(a: np.ndarray, x: np.ndarray) -> np.ndarray:
     return out
 
 
-def raw_gram(a: np.ndarray) -> np.ndarray:
-    """The n x n Gram matrix a a^dagger of the main rows, taken in column
-    blocks so the conjugated copy stays one block."""
-    n = a.shape[0]
-    rows = a.reshape(n, -1)
-    gram = np.zeros((n, n), dtype=complex)
-    for start in range(0, rows.shape[1], _GRAM_BLOCK):
-        part = rows[:, start:start + _GRAM_BLOCK]
-        gram += part @ part.conj().T
-    return gram
+def power_table(phases: np.ndarray, phase_dim: int) -> np.ndarray:
+    """The (main, phase) controlled-power factors e^{i w phases[k]}."""
+    table = 1j * np.arange(phase_dim) * np.asarray(phases, dtype=float)[:, None]
+    return np.exp(table, out=table)
 
 
 def raw_controlled_powers(a: np.ndarray, phases: np.ndarray, inverse: bool = False,
-                          out: np.ndarray | None = None) -> np.ndarray:
+                          out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """U^w on the main axis, controlled on phase value w, in U's eigenframe.
 
     Main index k is the eigenvector of eigenphase ``phases[k]``, so the
-    controlled power multiplies its slab by e^{i w phases[k]} (conjugated
-    for the inverse).  It runs one main index at a time, so no main x phase
-    table of powers is built.
+    controlled power multiplies its slab by e^{i w phases[k]} along the
+    phase axis ``axis`` (conjugated for the inverse).  It runs one main
+    index at a time, so no main x phase table of powers is built; a caller
+    that transforms many blocks passes the table (``power_table``) as
+    ``phases`` instead, and it is built once.
     """
-    n, m = a.shape[0], a.shape[1]
-    phases = np.asarray(phases, dtype=float)
-    if phases.shape != (n,):
-        raise ValueError(f"{phases.size} eigenphases do not match main dimension {n}")
+    n, m = a.shape[0], a.shape[axis]
+    phases = np.asarray(phases)
+    if phases.shape not in ((n,), (n, m)):
+        raise ValueError(f"eigenphases of shape {phases.shape} do not match main "
+                         f"dimension {n} and phase dimension {m}")
     if out is None:
         out = np.empty(a.shape, dtype=np.result_type(a, complex))
     turn = (-1j if inverse else 1j) * np.arange(m)
-    row = (m,) + (1,) * (a.ndim - 2)
+    row = [1] * (a.ndim - 1)
+    row[axis - 1] = m
     for k in range(n):
-        np.multiply(a[k], np.exp(turn * phases[k]).reshape(row), out=out[k])
+        if phases.ndim == 1:
+            power = np.exp(turn * phases[k])
+        else:
+            power = phases[k].conj() if inverse else phases[k]
+        np.multiply(a[k], power.reshape(row), out=out[k])
     return out
 
 
 def raw_estimate_forward(a: np.ndarray, phases: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """The estimate on an estimate-frame array: controlled powers, then the
     inverse Fourier transform.  The circuit's opening Walsh-Hadamard pass is
     part of the frame.  The result has the phase axis in the computational
     basis, main axis still in the eigenbasis."""
-    out = raw_controlled_powers(a, phases, out=out)
-    return raw_inverse_qft(out, out=out)
+    out = raw_controlled_powers(a, phases, out=out, axis=axis)
+    return raw_inverse_qft(out, out=out, axis=axis)
 
 
 def raw_estimate_inverse(a: np.ndarray, phases: np.ndarray,
-                         out: np.ndarray | None = None) -> np.ndarray:
+                         out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """Exact inverse of ``raw_estimate_forward``: Fourier transform, then
     inverse controlled powers, back into the estimate frame."""
-    out = raw_qft(a, out)
-    return raw_controlled_powers(out, phases, inverse=True, out=out)
+    out = raw_qft(a, out, axis=axis)
+    return raw_controlled_powers(out, phases, inverse=True, out=out, axis=axis)
 
 
 # ---------------------------------------------------------------------------

@@ -6,10 +6,12 @@ target by alternating a target phase flip with the approximate selective
 inversion of the two gap eigenstates.  The amplification runs in the search
 operator's estimate frame (see ``StateVector``): the halfway n-vector is
 embedded there directly as n frame coefficients, a boosted first inversion
-keeps its output as three phase columns per eigenvector, and the register
-is first written by the second inversion.  Each target flip is a rank-one
-reflection and each inversion stays in the frame, and success, leakage and
-the main marginal are read out without leaving it.  Everything a run spends
+keeps its output as three phase columns per eigenvector, and every later
+inversion keeps its input and the coefficients of its vote stage.  Each
+target flip is a rank-one reflection and each inversion stays in the
+frame, and success, leakage and the main marginal are read out of it one
+block of vote values at a time, so a run of one or two rounds writes no
+register.  Everything a run spends
 is tallied in a QueryLedger; the classical repeat-until-success baseline and
 the gap-guess retry schedule live here too, so the cost comparison is one
 import away.
@@ -77,9 +79,10 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     ancillas alone, so a product state stays one: its n main coefficients
     are reflected.  A factored state without a shared term keeps its
     factors and gains the shared term x g, with
-    g = -2 sum_j conj(x_j) cols_j coefs_j one (phase, vote) array summed
-    one eigenvector at a time.  Any other state is reflected register and
-    all.
+    g = -2 sum_j conj(x_j) cols_j coefs_j one (phase, vote) array summed as
+    three (phase, main) @ (main, vote) products, one per column.  Any other
+    state is reflected register and all; an inverted state writes its
+    amplitudes for it and drops its input.
     """
     if ledger is not None:
         ledger.oracle_queries += 1
@@ -90,8 +93,9 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     if state.factors is not None and state.shared is None:
         cols, coefs = state.factors
         g = np.zeros(state.layout.shape[1:], dtype=complex)
-        for j in range(state.layout.main_dim):
-            g += (cols[j] * np.conj(x[j, 0])) @ coefs[j]
+        weights = np.conj(x)
+        for c in range(3):
+            g += cols[:, :, c].T @ (weights * coefs[:, c])
         g *= -2.0
         return StateVector.factored(cols, coefs, state.layout, state.frame,
                                     shared=(x[:, 0].copy(), g))
@@ -169,10 +173,10 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
             scheme, dec.phases, inside_gap(dec.phases, scheme.phase_gap))))
         state = amplify_to_target(embed_mainspace(op.layout, halfway.state, dec),
                                   op, inst.target_index, rounds, ledger)
-        branch = np.abs(state.branch_amplitudes()) ** 2
+        branch, marginal = state.readouts()
+        branch = np.abs(branch) ** 2
         success = float(branch[inst.target_index])
         leakage = float(1.0 - branch.sum())
-        marginal = state.main_marginal()
     return PipelineResult(
         instance_id=inst.instance_id,
         main_dim=inst.spec.n,

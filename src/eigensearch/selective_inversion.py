@@ -43,9 +43,17 @@ on every vote value, so the stage's output spans three phase columns per
 eigenvector.  The unestimate acts on the phase axis alone, so it runs on
 those three columns, and the output is kept as them and their coefficients,
 a factored state: the first round writes no register.  The second round's
-target flip adds one shared rank-one term to it, and the second inversion
-writes its working array slab by slab from the factors, so a two-round run
-holds one register.
+target flip adds one shared rank-one term to it.
+
+Every later inversion writes no register either.  Its output, slab k of which is
+F_k^dagger (S (.) F_k psi_k + Y_k delta_k) with F_k the estimate, S the fixed
+signs and Y_k = (u_in, u_out), is kept as its input psi and the plane update
+delta (an inverted state).  delta needs only the projections
+Y_k^dagger F_k psi_k, and those are Q_k^dagger psi_k with Q_k = F_k^dagger Y_k,
+the two plane columns unestimated: one transform of two columns per
+eigenvector, and products with the input's factors or amplitudes.  The
+amplitudes themselves are computed a block of vote values at a time when
+they are read, so a two-round run writes no register.
 """
 
 from __future__ import annotations
@@ -66,8 +74,10 @@ from .numerics import (
 )
 from .phase_estimation import (
     DENSE_CAP,
+    Inversion,
     RegisterLayout,
     StateVector,
+    check_computed_norm,
     embed_mainspace,
     estimate_amplitudes,
     estimate_window_mass,
@@ -297,18 +307,23 @@ class InversionOperator:
         """One application of the inversion; charges the full query bill.
 
         ``state`` must be in the operator's estimate frame, and so is the
-        result: the estimate writes the one working array, so the input is
-        never copied.  A state in another operator's frame raises.
+        result.  A state in another operator's frame raises.
 
         A product state (``state.main`` set: the ancillas still on |0> |0>)
         is estimated as one column per eigenvector, main_k phi_k.  The basic
         scheme writes the register once, by the unestimate.  The boosted
         scheme writes none: its vote stage and unestimate run on three
         columns per eigenvector, and the result is the factored state of
-        those columns (see ``_vote_stage_columns``).  A factored state is
-        written into the working array slab by slab (``StateVector.slab``),
-        which then runs the register path in place.  The circuit and its
-        charges are the same for every kind of state.
+        those columns (see ``_vote_stage_columns``).
+
+        Any other state is not transformed at all: the result is the
+        inverted state that keeps it (``StateVector.inverted``), and its
+        amplitudes are computed when they are read.  The vote stage needs
+        only the projections p_k = Y_k^dagger F_k psi_k of every estimated
+        slab onto the plane Y_k = (u_in, u_out), and with F_k unitary those
+        are Q_k^dagger psi_k for Q_k = F_k^dagger Y_k: one unestimate of the
+        two plane columns per eigenvector.  The circuit and its charges are
+        the same for every kind of state.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
@@ -318,7 +333,9 @@ class InversionOperator:
                              "the inversion takes states in its own frame")
         n, m, _ = self.layout.shape
         boosted = self.scheme.kind == "boosted"
-        if state.main is not None:
+        if state.main is None:
+            out = self._inverted(state)
+        else:
             # the estimate of main (x) H|0> is one column per eigenvector:
             # vote value 0 of the new register, or column 0 of the three
             # columns a boosted stage keeps
@@ -326,81 +343,87 @@ class InversionOperator:
             column = state.main * (1.0 / math.sqrt(m))
             raw_estimate_forward(np.broadcast_to(column[:, None, None], (n, m, 1)),
                                  dec.phases, out=a[:, :, :1])
-        elif state.factors is not None:
-            a = np.empty(self.layout.shape, dtype=complex)
-            for k in range(n):
-                state.slab(k, a[k])
-            raw_estimate_forward(a, dec.phases, out=a)
-        else:
-            a = raw_estimate_forward(state.reshaped(), dec.phases)
-        _charge(ledger, controlled_s=m, oracle_queries=m)
-        coefs = None
-        if not boosted:
-            raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
-        elif state.main is None:
-            self._vote_stage(a)
-        else:
-            coefs = self._vote_stage_columns(a)
-        raw_estimate_inverse(a, dec.phases, out=a)
+            if boosted:
+                coefs = self._vote_stage_columns(a)
+            else:
+                raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
+            raw_estimate_inverse(a, dec.phases, out=a)
+            out = (StateVector.factored(a, coefs, self.layout, dec) if boosted
+                   else StateVector(a.reshape(-1), self.layout, dec))
+        # the estimate and the unestimate, and for each of the 2 nu
+        # kickbacks the estimate and unestimate inside its amplification,
+        # one zero reflection and two vote Hadamards
+        _charge(ledger, controlled_s=2 * m, oracle_queries=2 * m)
         if boosted:
-            # each of the 2 nu kickbacks: the estimate and unestimate inside
-            # its amplification, one zero reflection and two vote Hadamards
             nu = self.scheme.vote_bits
             _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
                     i_zero_prime=2 * nu, hadamards_vote=4 * nu)
-        _charge(ledger, controlled_s=m, oracle_queries=m)
-        if coefs is not None:
-            return StateVector.factored(a, coefs, self.layout, dec)
-        return StateVector(a.reshape(-1), self.layout, dec)
+        return out
 
-    def _vote_signs(self) -> tuple[np.ndarray, np.ndarray]:
+    def _inverted(self, state: StateVector) -> StateVector:
+        """The inversion of a register, factored or inverted state, as an
+        inverted state; nothing of the register size is written.
+
+        The plane columns Y are unestimated into Q = F^dagger Y, and the
+        projections Q_k^dagger psi_k come from what the state holds: its
+        factors, or its amplitudes (an inverted input is written out).
+        """
+        _, sign = self._vote_signs()
+        if self.vote_window is None:
+            return StateVector.inverted(Inversion(state, sign))
+        n, m, _ = self.layout.shape
+        q = np.empty((n, m, 2), dtype=complex)
+        self._plane_columns(q)
+        raw_estimate_inverse(q, self.frame.phases, out=q)
+        qh = np.conjugate(q, out=q).transpose(0, 2, 1)
+        if state.factors is not None:
+            cols, coefs = state.factors
+            p = (qh @ cols) @ coefs
+            if state.shared is not None:
+                x, g = state.shared
+                p += x[:, None, None] * (qh @ g)
+        else:
+            p = qh @ state.reshaped()
+        delta = self._plane_update(p)
+        delta.flags.writeable = False
+        rows, _ = self._vote_plane()
+        return StateVector.inverted(Inversion(state, sign, delta, rows, self.gap_window), p)
+
+    def _vote_signs(self) -> tuple[np.ndarray | None, np.ndarray]:
         """The majority flip over vote values, and the fixed sign of the
-        vote stage per (phase, vote) value.
+        stage per (phase, vote) value.
 
-        A kickback swaps vote bit j on the off-window rows, so all 2 nu of
+        The basic scheme flips the gap window and has no majority flip.  A
+        kickback swaps vote bit j on the off-window rows, so all 2 nu of
         them complement the vote value there: in-window rows see the
         majority sign of their vote value, off-window rows that of the
         complemented one.
         """
+        if self.vote_window is None:
+            return None, np.where(self.gap_window, -1.0, 1.0)[:, None]
         vote_sign = np.where(self.vote_window, -1.0, 1.0)
         sign = np.where(self.gap_window[:, None], vote_sign, vote_sign[::-1])
         return vote_sign, sign
 
-    def _plane_update(self, a: np.ndarray) -> np.ndarray:
+    def _plane_update(self, p: np.ndarray) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
         (main, 2, vote) coefficients along them.
 
-        ``a`` is the estimated array over its leading vote columns; the
-        others are zero.  Its projections onto the plane run through the
-        kickbacks and the flip, and the fixed signs the stage applies to
-        the whole register are taken off again.
+        ``p`` holds the projections of the estimated slabs onto the plane.
+        They run through the kickbacks and the flip, and the fixed signs the
+        stage applies to the whole register are taken off again.
         """
-        n, _, v = self.layout.shape
-        plane, norms = self._vote_plane()
+        _, norms = self._vote_plane()
         vote_sign, _ = self._vote_signs()
-        p = np.zeros((n, 2, v), dtype=complex)
-        for k in range(n):
-            np.matmul(self._plane_rows(plane[k]), a[k], out=p[k, :, :a.shape[2]])
         plane_sign = np.stack([vote_sign, vote_sign[::-1]])
         return _vote_coefficients(p, norms, vote_sign) - plane_sign * p
 
-    def _vote_stage(self, a: np.ndarray):
-        """The 2 nu kickbacks around the majority flip, in place on the
-        estimated array.
-
-        The stage fixes everything orthogonal to the plane of u_in and u_out
-        up to a sign per (phase, vote) value (``_vote_signs``).  Within the
-        plane it runs on the projections, two coefficients per eigenvector
-        and vote value, and the difference is added back as one rank-two
-        update per main index, with the phase x vote slab in cache.
-        """
+    def _plane_columns(self, out: np.ndarray):
+        """Write u_in and u_out of every eigenvector into the (main, phase, 2)
+        array ``out``."""
         plane, _ = self._vote_plane()
-        _, sign = self._vote_signs()
-        delta = self._plane_update(a)
         for k in range(self.layout.main_dim):
-            slab = a[k]
-            slab *= sign
-            slab += self._plane_rows(plane[k]).conj().T @ delta[k]
+            out[k] = self._plane_rows(plane[k]).conj().T
 
     def _vote_stage_columns(self, cols: np.ndarray) -> np.ndarray:
         """The vote stage of a product state, on three phase columns per
@@ -418,12 +441,14 @@ class InversionOperator:
         n, _, v = self.layout.shape
         plane, _ = self._vote_plane()
         _, sign = self._vote_signs()
+        p = np.zeros((n, 2, v), dtype=complex)
+        for k in range(n):
+            np.matmul(self._plane_rows(plane[k]), cols[k, :, :1], out=p[k, :, :1])
         coefs = np.zeros((n, 3, v), dtype=complex)
         coefs[:, 0, 0] = 1.0
-        coefs[:, 1:] = self._plane_update(cols[:, :, :1])
+        coefs[:, 1:] = self._plane_update(p)
         cols[:, :, 0] *= sign[:, 0]
-        for k in range(n):
-            cols[k, :, 1:] = self._plane_rows(plane[k]).conj().T
+        self._plane_columns(cols[:, :, 1:])
         return coefs
 
 
@@ -478,6 +503,14 @@ class EpsilonReport:
         return float(np.max(np.abs(self.measured - self.predicted)))
 
 
+def _first_block_square_sum(block: np.ndarray) -> float:
+    # the block that holds the input, summed in the register's (main, phase,
+    # vote) order, so the error of a register of one block rounds as the
+    # norm of its register difference does
+    values = block.transpose(0, 2, 1).ravel()
+    return np.vdot(values, values).real
+
+
 def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
                     invert) -> EpsilonReport:
     """Drive every given eigenstate through the operator and compare against
@@ -485,26 +518,32 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
 
     Each eigenstate is embedded straight into the operator's estimate frame
     and compared there; the norm of ``out - sign * in`` does not depend on
-    the frame.  It is summed one main-index slab at a time
-    (``StateVector.slab``), and the input, a product state, is nonzero on
-    vote value 0 alone, so no register is written for it, nor for a
-    boosted output, which is factored.
+    the frame.  It is summed over the output's blocks
+    (``StateVector.blocks``), whose norm is checked on the way, and the
+    input, a product state, is nonzero on vote value 0 alone, so no
+    register is written for it, nor for a boosted output, which is
+    factored.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
     measured = np.empty(phases.shape[0])
-    n, m, v = op.layout.shape
-    diff = np.empty((m, v), dtype=complex)
+    m = op.layout.phase_dim
     for k in range(phases.shape[0]):
         sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
         out = op.apply(sv)
         column = sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m))
-        total = 0.0
-        for j in range(n):
-            out.slab(j, diff)
-            diff[:, 0] -= column[j]
-            total += np.vdot(diff, diff).real
+        total = norm_sq = 0.0
+        for start, block in out.blocks():
+            if start:
+                part = np.vdot(block, block).real
+                norm_sq += part
+            else:
+                norm_sq += _first_block_square_sum(block)
+                block[:, 0] -= column[:, None]
+                part = _first_block_square_sum(block)
+            total += part
+        check_computed_norm(norm_sq)
         measured[k] = math.sqrt(total)
     predicted = predicted_epsilon(op.scheme, phases, invert)
     bound = basic_error_bound(op.scheme) if op.scheme.kind == "basic" else None

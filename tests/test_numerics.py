@@ -1,5 +1,9 @@
 """Unit checks for the shared numeric helpers."""
 
+import os
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from numpy.testing import assert_allclose
@@ -14,6 +18,7 @@ from eigensearch.numerics import (
     split_seed,
     wrap_angle,
 )
+import eigensearch
 from oracles import unitary_power
 
 
@@ -132,3 +137,16 @@ def test_inside_gap_counts_phases_on_the_edge_as_outside():
     assert inside_gap(phases, 0.5).tolist() == [True, True, True, False, False,
                                                 False, False]
     assert not inside_gap(np.pi - 4.4e-16, np.pi)
+
+
+def test_eig_unitary_does_not_import_numpy_ma():
+    # np.unique would import numpy.ma, about 15 ms of every fresh process;
+    # the identity has one cluster of size 3, so the cluster loop runs
+    code = ("import sys, numpy as np, eigensearch as es; "
+            "es.eig_unitary(np.eye(3)); print('numpy.ma' in sys.modules)")
+    src = os.path.dirname(os.path.dirname(eigensearch.__file__))
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, check=True, timeout=60)
+    assert run.stdout.strip() == "False"

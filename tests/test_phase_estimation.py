@@ -133,8 +133,9 @@ def test_embed_mainspace_places_the_state_in_the_joint_register():
     assert sv.reshaped().shape == (3, 4, 2)
     assert sorted(np.flatnonzero(sv.amps)) == [(1 * 4 + w) * 2 for w in range(4)]
     assert_allclose(np.abs(sv.amps[np.flatnonzero(sv.amps)]), 0.5, atol=1e-15)
-    assert_allclose(sv.main_marginal(), np.abs(dec.vectors[:, 1]) ** 2, atol=1e-15)
-    assert_allclose(sv.branch_amplitudes(), dec.vectors[:, 1], atol=1e-15)
+    branch, marginal = sv.readouts()
+    assert_allclose(marginal, np.abs(dec.vectors[:, 1]) ** 2, atol=1e-15)
+    assert_allclose(branch, dec.vectors[:, 1], atol=1e-15)
 
 
 def test_phase_estimate_matches_the_dense_oracle_and_inverts():

@@ -17,7 +17,10 @@ through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
 frame amplification of ``run_full`` against rounds run on such an array.
 An embedded state, kept as its main coefficients, and the factored state a
 boosted inversion makes of it are checked against the same states rebuilt
-from their amplitudes as registers.
+from their amplitudes as registers.  The inverted state every other
+inversion returns is checked against the dense oracles, its norm against
+its amplitudes, and the block readouts of every kind of state against the
+readouts of its amplitudes.
 """
 
 from unittest import mock
@@ -251,8 +254,9 @@ def test_frame_operations_match_the_computational_ones(case, seed):
     want[target] *= -1
     assert np.max(np.abs(flipped.amps - change @ want.reshape(-1))) <= 1e-12
     marginal = np.sum(np.abs(comp) ** 2, axis=(1, 2))
-    assert np.max(np.abs(framed.main_marginal() - marginal)) <= 1e-12
-    assert np.max(np.abs(framed.branch_amplitudes() - comp[:, 0, 0])) <= 1e-12
+    branch, got = framed.readouts()
+    assert np.max(np.abs(got - marginal)) <= 1e-12
+    assert np.max(np.abs(branch - comp[:, 0, 0])) <= 1e-12
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     vec /= np.linalg.norm(vec)
     plain = np.zeros(lay.shape, dtype=complex)
@@ -323,7 +327,7 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
         call_counter, n, mu, nu):
     # the forward estimate runs on one column per eigenvector and the
     # unestimate on three (the signed estimate, u_in and u_out), whatever
-    # the vote register; a register state takes all of its vote columns
+    # the vote register
     columns, calls = {}, {}
     for name in ("raw_estimate_forward", "raw_estimate_inverse"):
         seen = columns[name] = []
@@ -337,9 +341,11 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
     assert calls == {"raw_estimate_forward": [1], "raw_estimate_inverse": [1]}
     assert columns == {"raw_estimate_forward": [1],
                        "raw_estimate_inverse": [1 if nu == 0 else 3]}
+    # a register state is not transformed: the inverted state keeps it, and
+    # the boosted vote stage unestimates two plane columns per eigenvector
     op.apply(general)
-    assert columns["raw_estimate_inverse"][1] == columns["raw_estimate_forward"][1] \
-        == op.layout.vote_dim
+    assert columns == {"raw_estimate_forward": [1],
+                       "raw_estimate_inverse": [1] if nu == 0 else [3, 2]}
 
 
 def factored_and_general(op, seed):
@@ -447,6 +453,153 @@ def test_slab_wise_epsilons_match_the_register_norms(case):
         sign = -1.0 if invert[k] else 1.0
         want = np.linalg.norm(op.apply(sv).amps - sign * sv.amps)
         assert abs(report.measured[k] - want) <= 1e-15
+
+
+def register_state(op, seed):
+    """A random plain register state of ``op``'s frame."""
+    rng = np.random.default_rng(seed)
+    amps = rng.normal(size=op.layout.dim) + 1j * rng.normal(size=op.layout.dim)
+    return es.StateVector(amps / np.linalg.norm(amps), op.layout, op.frame)
+
+
+def apply_inputs(op, seed):
+    """The states an apply takes that are not products: a random register
+    state, and for the boosted scheme the flipped factored output of a
+    product apply, as the second amplification round sees it."""
+    states = [register_state(op, seed)]
+    if op.scheme.kind == "boosted":
+        factored, _, _ = factored_and_general(op, seed)
+        states.append(es.target_flip(factored, seed % op.layout.main_dim))
+    return states
+
+
+def oracle_apply(op, state, times=1):
+    """``times`` applications of the dense oracle to a frame state's
+    computational amplitudes, taken back into the frame.  The oracle is
+    built from the unitary the frame diagonalizes, V diag(e^{i lambda})
+    V^dagger, so the eigendecomposition's own residual (up to 1e-13 on a
+    planted cluster) does not count against the frame's operator."""
+    dec = op.frame
+    oracle = dense_oracle((dec.vectors * np.exp(1j * dec.phases)) @ dec.vectors.conj().T, op)
+    change = frames.dense_frame_change(dec, op.layout)
+    a = change.conj().T @ state.amps
+    for _ in range(times):
+        a = oracle @ a
+    return change @ a
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_an_inverted_state_matches_the_dense_oracle(case, seed):
+    # an apply of a register or flipped factored state writes nothing: its
+    # amplitudes come from the blocks of the inverted state when read
+    _, op = case
+    product = es.embed_mainspace(op.layout, np.eye(op.layout.main_dim)[0], op.frame)
+    want_ledger = es.QueryLedger()
+    op.apply(product, want_ledger)
+    for state in apply_inputs(op, seed):
+        ledger = es.QueryLedger()
+        out = op.apply(state, ledger)
+        assert out.inversion is not None and out.inversion.source is state
+        assert np.max(np.abs(out.amps - oracle_apply(op, state))) <= 1e-13
+        assert out.inversion is None
+        assert ledger == want_ledger
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_two_applies_without_a_flip_match_the_dense_oracle(case, seed):
+    _, op = case
+    for state in apply_inputs(op, seed):
+        ledger = es.QueryLedger()
+        out = op.apply(op.apply(state, ledger), ledger)
+        assert np.max(np.abs(out.amps - oracle_apply(op, state, 2))) <= 1e-13
+        assert ledger.controlled_s == 2 * (2 + 4 * op.scheme.vote_bits) * op.layout.phase_dim
+
+
+def amplitude_readouts(state):
+    """The zero branch and the main marginal computed from ``amps``."""
+    a = state.reshaped()
+    v = state.frame.vectors
+    gram = a.reshape(a.shape[0], -1) @ a.reshape(a.shape[0], -1).conj().T
+    return (v @ a[:, :, 0].sum(axis=1) / np.sqrt(state.layout.phase_dim),
+            np.real(np.diag(v @ gram @ v.conj().T)))
+
+
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_block_readouts_match_the_amplitude_readouts(case, seed):
+    # every kind of state: product, register, inverted, and for the boosted
+    # scheme factored with and without a shared term
+    _, op = case
+    _, product, _ = product_and_general(op, seed)
+    states = [product, *apply_inputs(op, seed)]
+    states += [op.apply(state) for state in states[1:]]
+    if op.scheme.kind == "boosted":
+        factored = op.apply(product)
+        states += [factored, es.target_flip(factored, seed % op.layout.main_dim)]
+    for state in states:
+        got = state.readouts()
+        for block_value, amps_value in zip(got, amplitude_readouts(state)):
+            assert np.max(np.abs(block_value - amps_value)) <= 1e-12
+
+
+def independent_projections(state):
+    """p_k = Y_k^dagger F_k psi_k of an inverted state's source, from the
+    estimate of the source's amplitudes and the kept plane rows."""
+    source, _, _, rows, window = state.inversion
+    est = phase_estimation.raw_estimate_forward(source.reshaped(), state.frame.phases)
+    return np.stack([np.einsum("kw,kwv->kv", np.where(window, rows, 0.0), est),
+                     np.einsum("kw,kwv->kv", np.where(window, 0.0, rows), est)], axis=1)
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
+       st.sampled_from((1.001, 0.999)))
+def test_the_inverted_norm_matches_the_amplitudes(case, seed, scale):
+    # the norm checked at construction, from the pieces, against the norm
+    # of the amplitudes; the same pieces with the plane update scaled raise
+    _, op = case
+    for state in apply_inputs(op, seed):
+        out = op.apply(state)
+        inversion, norm = out.inversion, out.norm
+        p = independent_projections(out)
+        assert abs(es.StateVector.inverted(inversion, p).norm - norm) <= 1e-13
+        assert abs(norm - np.linalg.norm(out.amps)) <= 1e-13
+        delta = inversion.delta
+        assume(np.vdot(delta, delta).real > 1e-6)
+        with pytest.raises(ValueError):
+            es.StateVector.inverted(inversion._replace(delta=scale * delta), p)
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
+def test_reading_a_factored_input_changes_no_readout_bit(case, seed):
+    # a tracer reads the amplitudes of each apply's input; a factored input
+    # keeps its factors, and its blocks still come from them
+    _, op = case
+    _, product, _ = product_and_general(op, seed)
+    target = seed % op.layout.main_dim
+    read, unread = (es.target_flip(op.apply(product), target) for _ in range(2))
+    out_read, out_unread = op.apply(read), op.apply(unread)
+    assert read.amps.shape == (op.layout.dim,)
+    for state, twin in ((read, unread), (out_read, out_unread)):
+        for got, want in zip(state.readouts(), twin.readouts()):
+            assert np.array_equal(got, want)
+
+
+def test_computed_amplitudes_are_norm_checked():
+    # a plane update changed after the construction check is caught where
+    # the amplitudes are computed: by the Gram trace of the readouts and the
+    # norm of the written register
+    op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
+                                    haar_unitary(3, 23))
+    out = op.apply(register_state(op, 29))
+    out.inversion = out.inversion._replace(delta=2.0 * out.inversion.delta)
+    with pytest.raises(es.InternalInvariantError):
+        out.readouts()
+    with pytest.raises(es.InternalInvariantError):
+        out.amps
 
 
 @st.composite

@@ -232,12 +232,13 @@ def _apply_peak_over_register(op, sv):
 
 
 def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
-    # the working array, which becomes the output; every other temporary
-    # is a main-index slab or less.  1.14x measured on a plain register
-    # state holding the output of a first apply (that output is factored,
-    # and would take the factored path; the bound dates from the
-    # computational apply, at 2.0004x); the DENSE_CAP docstring quotes this
-    # multiple
+    # an apply of a plain register state (the output of a first apply is
+    # factored, so it is rebuilt as one) returns an inverted state and
+    # writes no register: its largest arrays are the two unestimated plane
+    # columns per eigenvector, 2 / vote_dim of the register.  0.26x
+    # measured, against 1.14x when the apply wrote its working array (the
+    # bound dates from the computational apply, at 2.0004x); the DENSE_CAP
+    # docstring quotes this multiple
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
                                 phase_gap=instances.REF12_GAP,
                                 guard_fraction=es.GUARD_FRACTION)
@@ -275,9 +276,11 @@ def test_a_product_state_apply_writes_only_its_output_register(ref12):
 
 
 def test_a_flipped_factored_state_apply_writes_one_register(ref12):
-    # the working array is written slab by slab from the factors and the
-    # shared term of the target flip, then runs the register path in place:
-    # 1.17x measured with two votes, the same as a plain register state
+    # the apply keeps the flipped factored state as its input and takes the
+    # vote stage's projections from the factors and the shared term of the
+    # target flip; its largest array is the two unestimated plane columns
+    # per eigenvector, half the register with two votes.  0.68x measured,
+    # against 1.17x when the apply wrote its working array from the factors
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
     assert flipped.factors is not None and flipped.shared is not None
