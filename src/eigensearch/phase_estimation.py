@@ -20,16 +20,16 @@ alone.  A ``StateVector`` exists only in such a frame: callers embed their
 mainspace vectors straight into it, keep their states there and read the
 main marginal and the zero branch out of it, so no kernel here changes
 basis.  An embedded vector, whose ancillas are still on |0> |0>, stays n
-frame coefficients (``StateVector.product``), a state spanned by three
-phase columns per main index stays those columns and their coefficients
-(``StateVector.factored``), and the output of an inversion stays its input
-and the coefficients of its vote stage (``StateVector.inverted``).
-``StateVector.blocks`` computes the amplitudes of any of them a few vote
-values at a time, phase last, and the readouts, ``amps`` and the epsilon
-report read them through it, so none of them writes a register until its
-``amps`` are read.  Fed eigenvector k, the estimate leaves the phase
-register in the peaked profile ``estimate_amplitudes(phase_bits,
-lambda_k)``.
+frame coefficients (``StateVector.product``), a state spanned by r phase
+columns per main index, as the inversion of a product state is, stays
+those columns and their coefficients (``StateVector.factored``), and the
+inversion of any other state stays its input and the coefficients of its
+vote stage (``StateVector.inverted``).  ``StateVector.blocks`` computes the
+amplitudes of any of them a few vote values at a time, phase last, and the
+readouts and ``amps`` read them through it, so none of them writes a
+register until its ``amps`` are read.  Fed eigenvector k, the estimate
+leaves the phase register in the peaked profile
+``estimate_amplitudes(phase_bits, lambda_k)``.
 """
 
 from __future__ import annotations
@@ -54,33 +54,36 @@ DENSE_CAP = 1 << 22
 """Largest joint register, in amplitudes: 64 MiB of complex128.
 
 The cap bounds memory only together with the working set of the kernels.
-Only a basic-scheme ``InversionOperator.apply`` of a product state writes a
-register, its output, by the unestimate.  A boosted apply of a product state
-keeps three phase columns per eigenvector, 3 / vote_dim of the register
-(0.98x with two votes, where the columns are three quarters of the
-register).  Any other apply returns an inverted state (see
-``StateVector``), its input and small coefficients: 0.26x the register for
-a boosted mu=10, nu=4 apply of a register state on ref12, 0.68x for a
-flipped factored state with two votes, where the two unestimated plane
-columns are half the register.  The amplitudes of those states are computed
-when they are read, one block of at most ``_GRAM_BLOCK`` phase x vote values
-at a time, and the readouts hold one block.  So the two rounds of a boosted
-``run_full`` write no register: 0.38x for a boosted mu=9, nu=6 run on
-ref12, whose blocks are an eighth of the register; 2.49x for mu=10, nu=2,
-where one block is the whole register, next to the three columns; 1.62x
-for criterion-08's one-round mu=5, nu=4 runs, also one block.  A block
-holds at most main_dim x max(_GRAM_BLOCK, phase_dim) amplitudes.  A target
-flip of an inverted state (round 3 and later) writes its amplitudes, and the
-state drops its input, so later rounds hold at most two registers, the
-state and its successor.  A boosted operator also keeps its vote plane, one
-main x phase table (1 / vote_dim of the register), which ``run_full``
-builds before the first round.  The multiples are measured and pinned by
-the tests ``test_boosted_apply_allocates_twice_the_register``,
+No ``InversionOperator.apply`` writes a register.  An apply of a product
+state keeps r phase columns per eigenvector, r / vote_dim of the register:
+the basic scheme's one column is the size of the register, the boosted
+scheme's three are 0.98x with two votes, where they are three quarters of
+the register.  A target flip of such a factored state adds one phase x
+vote array (0.17x for a basic round-two flip on ref12 at mu=12).  Any
+other apply returns an inverted state (see ``StateVector``), its input and
+small coefficients: 0.26x the register for a boosted mu=10, nu=4 apply of a
+register state on ref12, 0.68x for a flipped factored state with two votes,
+where the two unestimated plane columns are half the register.  The
+amplitudes of those states are computed when they are read, one block of at
+most ``_GRAM_BLOCK`` phase x vote values at a time, and the readouts hold
+one block.  So the two rounds of a boosted ``run_full`` write no register:
+0.38x for a boosted mu=9, nu=6 run on ref12, whose blocks are an eighth of
+the register; 2.49x for mu=10, nu=2, where one block is the whole register,
+next to the three columns; 1.62x for criterion-08's one-round mu=5, nu=4
+runs, also one block.  A block holds at most main_dim x max(_GRAM_BLOCK,
+phase_dim) amplitudes.  A target flip of an inverted state (round 3 and
+later) writes its amplitudes, and the state drops its input, so later
+rounds hold at most two registers, the state and its successor.  A
+boosted operator also keeps its vote plane, one main x phase table
+(1 / vote_dim of the register), which ``run_full`` builds before the first
+round.  The multiples are measured and pinned by the tests
+``test_boosted_apply_allocates_twice_the_register``,
 ``test_a_product_state_apply_writes_only_its_output_register``,
 ``test_a_flipped_factored_state_apply_writes_one_register``,
 ``test_a_boosted_run_holds_one_register``,
 ``test_a_boosted_run_writes_no_register``,
 ``test_a_one_round_run_reads_its_factors``,
+``test_a_basic_round_two_flip_keeps_the_factors``,
 ``test_boosted_amplification_holds_two_registers`` and
 ``test_a_two_vote_run_builds_its_vote_plane_before_the_register``.
 """
@@ -164,15 +167,16 @@ class StateVector:
     state with the ancillas still on |0> |0>, made by ``product``, is
     main (x) H|0> (x) |0> in the frame and is kept as its n main
     coefficients ``main`` (read-only).  A state whose main slabs all lie in
-    the span of three phase columns, made by ``factored``, is kept as those
+    the span of r phase columns, made by ``factored``, is kept as those
     columns and their coefficients, ``factors``, plus at most one rank-one
-    ``shared`` term.  The output of an inversion, made by ``inverted``, is
-    kept as its input and what the vote stage did to it, ``inversion``.
+    ``shared`` term.  The inversion of any other state, made by
+    ``inverted``, is kept as its input and what the vote stage did to it,
+    ``inversion``.
     ``main``, ``factors``, ``shared`` and ``inversion`` are None wherever
     they do not apply, and ``norm`` is the norm checked at construction.
 
     ``blocks`` writes the amplitudes of any kind a few vote columns at a
-    time; the readouts, ``amps`` and the epsilon report read through it.
+    time; the readouts and ``amps`` read through it.
     ``amps`` writes the register on first read and keeps it.  A product or
     factored state keeps its coefficients too, and its blocks still come
     from them; an inverted state drops its inversion, so the register it
@@ -210,13 +214,15 @@ class StateVector:
                  frame: EigenDecomposition, shared=None) -> "StateVector":
         """The state whose slab k is cols[k] @ coefs[k] + x[k] g.
 
-        ``cols`` are (main, phase, 3) columns and ``coefs`` (main, 3, vote)
-        coefficients; ``shared`` is None or the pair (x, g) of an n-vector
-        and one (phase, vote) array.  The arrays are kept, read-only, not
-        copied, and the norm is taken from them (``factored_norm``).
+        ``cols`` are (main, phase, r) columns and ``coefs`` (main, r, vote)
+        coefficients, for any column count r; ``shared`` is None or the
+        pair (x, g) of an n-vector and one (phase, vote) array.  The arrays
+        are kept, read-only, not copied, and the norm is taken from them
+        (``factored_norm``).
         """
         n, m, v = layout.shape
-        if cols.shape != (n, m, 3) or coefs.shape != (n, 3, v):
+        r = cols.shape[-1]
+        if cols.shape != (n, m, r) or coefs.shape != (n, r, v):
             raise ValueError(f"factors of shapes {cols.shape} and {coefs.shape} do "
                              f"not match the layout {layout.shape}")
         state = cls.__new__(cls)
@@ -397,7 +403,7 @@ def _vector_norm(values: np.ndarray) -> float:
 
 def factored_norm(cols: np.ndarray, coefs: np.ndarray, shared=None) -> float:
     """Norm of the state whose slab k is cols[k] @ coefs[k] + x[k] g (see
-    ``StateVector.factored``), from the factors alone, one slab's 3 x 3
+    ``StateVector.factored``), from the factors alone, one slab's r x r
     Gram matrices at a time.  With L_k = cols[k] and R_k = coefs[k] its
     square is
 
@@ -434,13 +440,6 @@ def embed_mainspace(layout: RegisterLayout, vec, frame: EigenDecomposition) -> S
 # but ``raw_reflect_main``, which always writes a new array, can then update
 # it in place; that keeps the working set of a chain of kernels at one
 # register.
-
-def raw_flip(a: np.ndarray, sign: np.ndarray, axis: int,
-             out: np.ndarray | None = None) -> np.ndarray:
-    shape = [1] * a.ndim
-    shape[axis] = sign.shape[0]
-    return np.multiply(a, sign.reshape(shape), out=out)
-
 
 def raw_qft(a: np.ndarray, out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """Fourier transform of the phase axis, |w> -> sum_k e^{+2 pi i wk/M}."""

@@ -5,15 +5,15 @@ search-operator applications, then amplifies the halfway state onto the
 target by alternating a target phase flip with the approximate selective
 inversion of the two gap eigenstates.  The amplification runs in the search
 operator's estimate frame (see ``StateVector``): the halfway n-vector is
-embedded there directly as n frame coefficients, a boosted first inversion
-keeps its output as three phase columns per eigenvector, and every later
-inversion keeps its input and the coefficients of its vote stage.  Each
-target flip is a rank-one reflection and each inversion stays in the
-frame, and success, leakage and the main marginal are read out of it one
-block of vote values at a time, so a run of one or two rounds writes no
-register.  Everything a run spends
-is tallied in a QueryLedger; the classical repeat-until-success baseline and
-the gap-guess retry schedule live here too, so the cost comparison is one
+embedded there directly as n frame coefficients, the first inversion keeps
+its output as one (basic) or three (boosted) phase columns per eigenvector,
+and every later inversion keeps its input and the coefficients of its vote
+stage.  Each target flip is a rank-one reflection and each inversion stays
+in the frame, and success, leakage and the main marginal are read out of it
+one block of vote values at a time, so a run of one or two rounds writes
+no register beyond its phase columns.  Everything a run spends is tallied
+in a QueryLedger; the classical repeat-until-success baseline and the
+gap-guess retry schedule live here too, so the cost comparison is one
 import away.
 """
 
@@ -80,7 +80,7 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     are reflected.  A factored state without a shared term keeps its
     factors and gains the shared term x g, with
     g = -2 sum_j conj(x_j) cols_j coefs_j one (phase, vote) array summed as
-    three (phase, main) @ (main, vote) products, one per column.  Any other
+    r (phase, main) @ (main, vote) products, one per column.  Any other
     state is reflected register and all; an inverted state writes its
     amplitudes for it and drops its input.
     """
@@ -94,7 +94,7 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
         cols, coefs = state.factors
         g = np.zeros(state.layout.shape[1:], dtype=complex)
         weights = np.conj(x)
-        for c in range(3):
+        for c in range(cols.shape[2]):
             g += cols[:, :, c].T @ (weights * coefs[:, c])
         g *= -2.0
         return StateVector.factored(cols, coefs, state.layout, state.frame,

@@ -34,26 +34,26 @@ two coefficients per eigenvector and vote value, and one pass applying the
 signs and the update.  The query ledger still charges the physical circuit:
 2^mu controlled applications per estimate, two estimates per kickback.
 
-The first amplification round inverts the embedded halfway state, a product
-c (x) H|0> (x) |0> with c = V^dagger w, which the frame keeps as c alone.
-Its estimate is one column c_k phi_k per eigenvector, on vote value 0, and
-that column lies in the plane of u_in and u_out.  The vote stage maps it to
-its signed self on vote value 0 plus u_in and u_out times the plane update
-on every vote value, so the stage's output spans three phase columns per
-eigenvector.  The unestimate acts on the phase axis alone, so it runs on
-those three columns, and the output is kept as them and their coefficients,
-a factored state: the first round writes no register.  The second round's
-target flip adds one shared rank-one term to it.
+Every inversion is one unestimate of a few phase columns per eigenvector,
+and none writes a register.  An embedded state, a product
+c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c alone (the
+first round's input, and each eigenstate of an epsilon report), has one
+estimated column c_k phi_k per eigenvector, on vote value 0.  The basic
+flip signs it.  It lies in the plane of u_in and u_out, so the boosted vote
+stage maps it to its signed self on vote value 0 plus u_in and u_out times
+the plane update on every vote value.  The unestimate acts on the phase axis
+alone, so it runs on those r = 1 or 3 columns, and the output is kept as
+them and their coefficients, a factored state.  The second round's target
+flip adds one shared rank-one term to it.
 
-Every later inversion writes no register either.  Its output, slab k of which is
-F_k^dagger (S (.) F_k psi_k + Y_k delta_k) with F_k the estimate, S the fixed
-signs and Y_k = (u_in, u_out), is kept as its input psi and the plane update
-delta (an inverted state).  delta needs only the projections
-Y_k^dagger F_k psi_k, and those are Q_k^dagger psi_k with Q_k = F_k^dagger Y_k,
-the two plane columns unestimated: one transform of two columns per
-eigenvector, and products with the input's factors or amplitudes.  The
-amplitudes themselves are computed a block of vote values at a time when
-they are read, so a two-round run writes no register.
+Any other input is kept as it is, with the plane update delta (an inverted
+state): slab k of the output is F_k^dagger (S (.) F_k psi_k + Y_k delta_k)
+with F_k the estimate, S the fixed signs and Y_k = (u_in, u_out).  delta
+needs only the projections Y_k^dagger F_k psi_k, and those are
+Q_k^dagger psi_k with Q_k = F_k^dagger Y_k, the two plane columns
+unestimated, taken from the input's factors or amplitudes.  The amplitudes
+themselves are computed a block of vote values at a time when they are
+read, so a two-round run writes no register.
 """
 
 from __future__ import annotations
@@ -84,7 +84,6 @@ from .phase_estimation import (
     gap_window_mask,
     raw_estimate_forward,
     raw_estimate_inverse,
-    raw_flip,
 )
 from .search_core import search_decomposition
 
@@ -298,87 +297,79 @@ class InversionOperator:
             self._plane = (units.sum(axis=1).conj(), norms)
         return self._plane
 
-    def _plane_rows(self, row: np.ndarray) -> np.ndarray:
-        """The conjugated (u_in, u_out) of one eigenvector, from its kept row."""
-        return np.stack([np.where(self.gap_window, row, 0.0),
-                         np.where(self.gap_window, 0.0, row)])
-
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill.
 
         ``state`` must be in the operator's estimate frame, and so is the
-        result.  A state in another operator's frame raises.
-
-        A product state (``state.main`` set: the ancillas still on |0> |0>)
-        is estimated as one column per eigenvector, main_k phi_k.  The basic
-        scheme writes the register once, by the unestimate.  The boosted
-        scheme writes none: its vote stage and unestimate run on three
-        columns per eigenvector, and the result is the factored state of
-        those columns (see ``_vote_stage_columns``).
-
-        Any other state is not transformed at all: the result is the
-        inverted state that keeps it (``StateVector.inverted``), and its
-        amplitudes are computed when they are read.  The vote stage needs
-        only the projections p_k = Y_k^dagger F_k psi_k of every estimated
-        slab onto the plane Y_k = (u_in, u_out), and with F_k unitary those
-        are Q_k^dagger psi_k for Q_k = F_k^dagger Y_k: one unestimate of the
-        two plane columns per eigenvector.  The circuit and its charges are
-        the same for every kind of state.
+        result.  A state in another operator's frame raises.  The inversion
+        runs on a few phase columns per eigenvector (see ``_inverted``), so
+        no apply writes a register.  A product state (``state.main`` set:
+        the ancillas still on |0> |0>) comes out as a factored state, any
+        other as an inverted state whose amplitudes are computed when they
+        are read.  The circuit and its charges are the same for every kind
+        of state.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
-        dec = self.frame
-        if state.frame is not dec:
+        if state.frame is not self.frame:
             raise ValueError("state is in the estimate frame of another operator; "
                              "the inversion takes states in its own frame")
-        n, m, _ = self.layout.shape
-        boosted = self.scheme.kind == "boosted"
-        if state.main is None:
-            out = self._inverted(state)
-        else:
-            # the estimate of main (x) H|0> is one column per eigenvector:
-            # vote value 0 of the new register, or column 0 of the three
-            # columns a boosted stage keeps
-            a = np.empty((n, m, 3) if boosted else self.layout.shape, dtype=complex)
-            column = state.main * (1.0 / math.sqrt(m))
-            raw_estimate_forward(np.broadcast_to(column[:, None, None], (n, m, 1)),
-                                 dec.phases, out=a[:, :, :1])
-            if boosted:
-                coefs = self._vote_stage_columns(a)
-            else:
-                raw_flip(a, np.where(self.gap_window, -1.0, 1.0), 1, out=a)
-            raw_estimate_inverse(a, dec.phases, out=a)
-            out = (StateVector.factored(a, coefs, self.layout, dec) if boosted
-                   else StateVector(a.reshape(-1), self.layout, dec))
+        out = self._inverted(state)
         # the estimate and the unestimate, and for each of the 2 nu
         # kickbacks the estimate and unestimate inside its amplification,
         # one zero reflection and two vote Hadamards
+        m = self.layout.phase_dim
         _charge(ledger, controlled_s=2 * m, oracle_queries=2 * m)
-        if boosted:
+        if self.vote_window is not None:
             nu = self.scheme.vote_bits
             _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
                     i_zero_prime=2 * nu, hadamards_vote=4 * nu)
         return out
 
     def _inverted(self, state: StateVector) -> StateVector:
-        """The inversion of a register, factored or inverted state, as an
-        inverted state; nothing of the register size is written.
+        """The inversion of ``state``, from one unestimate of r phase
+        columns per eigenvector (see the module docstring).
 
-        The plane columns Y are unestimated into Q = F^dagger Y, and the
-        projections Q_k^dagger psi_k come from what the state holds: its
-        factors, or its amplitudes (an inverted input is written out).
+        The columns are the estimate of a product state and, for the
+        boosted scheme, the plane Y_k = (u_in, u_out).  A product state
+        comes out as the factored state of the unestimated columns, with
+        coefficient 1 on vote value 0 for the signed estimate and the plane
+        update delta_k for u_in and u_out.  Any other state comes out as the
+        inverted state that keeps it, with the projections Q_k^dagger psi_k
+        taken from its factors or its amplitudes (an inverted input is
+        written out); the basic scheme needs no column for it.
         """
         _, sign = self._vote_signs()
-        if self.vote_window is None:
+        product = state.main is not None
+        boosted = self.vote_window is not None
+        if not (product or boosted):
             return StateVector.inverted(Inversion(state, sign))
-        n, m, _ = self.layout.shape
-        q = np.empty((n, m, 2), dtype=complex)
-        self._plane_columns(q)
-        raw_estimate_inverse(q, self.frame.phases, out=q)
-        qh = np.conjugate(q, out=q).transpose(0, 2, 1)
+        n, m, v = self.layout.shape
+        phases = self.frame.phases
+        cols = np.empty((n, m, product + 2 * boosted), dtype=complex)
+        if boosted:
+            self._plane_columns(cols[:, :, -2:])
+        if product:
+            column = state.main * (1.0 / math.sqrt(m))
+            raw_estimate_forward(np.broadcast_to(column[:, None, None], (n, m, 1)),
+                                 phases, out=cols[:, :, :1])
+            coefs = np.zeros((n, cols.shape[2], v), dtype=complex)
+            coefs[:, 0, 0] = 1.0
+            if boosted:
+                # Y_k^dagger e_k from the kept conjugated rows, not a copy of Y
+                rows, _ = self._vote_plane()
+                sides = np.stack([self.gap_window, ~self.gap_window], axis=1)
+                p = np.zeros((n, 2, v), dtype=complex)
+                p[:, :, 0] = np.einsum("kw,kw,wj->kj", rows, cols[:, :, 0], sides)
+                coefs[:, 1:] = self._plane_update(p)
+            cols[:, :, 0] *= sign[:, 0]
+        raw_estimate_inverse(cols, phases, out=cols)
+        if product:
+            return StateVector.factored(cols, coefs, self.layout, self.frame)
+        qh = np.conjugate(cols, out=cols).transpose(0, 2, 1)
         if state.factors is not None:
-            cols, coefs = state.factors
-            p = (qh @ cols) @ coefs
+            factors, coefs = state.factors
+            p = (qh @ factors) @ coefs
             if state.shared is not None:
                 x, g = state.shared
                 p += x[:, None, None] * (qh @ g)
@@ -421,35 +412,10 @@ class InversionOperator:
     def _plane_columns(self, out: np.ndarray):
         """Write u_in and u_out of every eigenvector into the (main, phase, 2)
         array ``out``."""
-        plane, _ = self._vote_plane()
-        for k in range(self.layout.main_dim):
-            out[k] = self._plane_rows(plane[k]).conj().T
-
-    def _vote_stage_columns(self, cols: np.ndarray) -> np.ndarray:
-        """The vote stage of a product state, on three phase columns per
-        eigenvector; returns the coefficients of the columns.
-
-        ``cols`` is (main, phase, 3) with the estimated column e_k in
-        column 0.  The stage leaves e_k signed on vote value 0 and adds
-        Y_k delta_k on every vote value, with Y_k = (u_in, u_out) and
-        delta_k the plane update, so it writes the signed e_k, u_in and
-        u_out into the three columns and returns the (main, 3, vote)
-        coefficients: row 0 is vote value 0, rows 1 and 2 are delta_k.
-        The unestimate acts on the phase axis alone, so it runs on the
-        columns, and the output is the factored state they make.
-        """
-        n, _, v = self.layout.shape
-        plane, _ = self._vote_plane()
-        _, sign = self._vote_signs()
-        p = np.zeros((n, 2, v), dtype=complex)
-        for k in range(n):
-            np.matmul(self._plane_rows(plane[k]), cols[k, :, :1], out=p[k, :, :1])
-        coefs = np.zeros((n, 3, v), dtype=complex)
-        coefs[:, 0, 0] = 1.0
-        coefs[:, 1:] = self._plane_update(p)
-        cols[:, :, 0] *= sign[:, 0]
-        self._plane_columns(cols[:, :, 1:])
-        return coefs
+        rows, _ = self._vote_plane()
+        out.fill(0.0)
+        np.conjugate(rows, out=out[:, :, 0], where=self.gap_window)
+        np.conjugate(rows, out=out[:, :, 1], where=~self.gap_window)
 
 
 def predicted_epsilon(scheme: InversionScheme, lam, invert):
@@ -503,14 +469,6 @@ class EpsilonReport:
         return float(np.max(np.abs(self.measured - self.predicted)))
 
 
-def _first_block_square_sum(block: np.ndarray) -> float:
-    # the block that holds the input, summed in the register's (main, phase,
-    # vote) order, so the error of a register of one block rounds as the
-    # norm of its register difference does
-    values = block.transpose(0, 2, 1).ravel()
-    return np.vdot(values, values).real
-
-
 def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
                     invert) -> EpsilonReport:
     """Drive every given eigenstate through the operator and compare against
@@ -518,31 +476,28 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
 
     Each eigenstate is embedded straight into the operator's estimate frame
     and compared there; the norm of ``out - sign * in`` does not depend on
-    the frame.  It is summed over the output's blocks
-    (``StateVector.blocks``), whose norm is checked on the way, and the
-    input, a product state, is nonzero on vote value 0 alone, so no
-    register is written for it, nor for a boosted output, which is
-    factored.
+    the frame.  The input is a product state, nonzero on vote value 0
+    alone, and the output factored, so the squared norm is summed one main
+    index's (phase, vote) slab at a time, each slab one (M, r) @ (r, V)
+    product of the factors in register order, and the output's norm is
+    checked from the same slabs: no register is written.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
     measured = np.empty(phases.shape[0])
-    m = op.layout.phase_dim
+    n, m, v = op.layout.shape
+    slab = np.empty((m, v), dtype=complex)
     for k in range(phases.shape[0]):
         sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
-        out = op.apply(sv)
+        cols, coefs = op.apply(sv).factors
         column = sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m))
         total = norm_sq = 0.0
-        for start, block in out.blocks():
-            if start:
-                part = np.vdot(block, block).real
-                norm_sq += part
-            else:
-                norm_sq += _first_block_square_sum(block)
-                block[:, 0] -= column[:, None]
-                part = _first_block_square_sum(block)
-            total += part
+        for j in range(n):
+            np.matmul(cols[j], coefs[j], out=slab)
+            norm_sq += np.vdot(slab, slab).real
+            slab[:, 0] -= column[j]
+            total += np.vdot(slab, slab).real
         check_computed_norm(norm_sq)
         measured[k] = math.sqrt(total)
     predicted = predicted_epsilon(op.scheme, phases, invert)

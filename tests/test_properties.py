@@ -23,6 +23,7 @@ its amplitudes, and the block readouts of every kind of state against the
 readouts of its amplitudes.
 """
 
+import math
 from unittest import mock
 
 import numpy as np
@@ -289,6 +290,7 @@ def test_a_product_state_apply_matches_the_register_apply(case, seed):
     out = op.apply(product, ledgers[0])
     want = op.apply(general, ledgers[1])
     assert out.main is None and out.frame is op.frame
+    assert out.factors is not None and out.shared is None
     assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
 
@@ -443,7 +445,8 @@ def test_a_scaled_factored_state_raises(case, seed, scale):
 @given(operators())
 def test_slab_wise_epsilons_match_the_register_norms(case):
     # measure_epsilon sums the error one slab at a time and writes no
-    # register; the full-register difference of the same apply agrees
+    # register; the full-register difference of the same apply, summed
+    # with fsum so that the reference is rounded once, agrees
     _, op = case
     dec = op.frame
     invert = np.arange(op.layout.main_dim) % 2 == 0
@@ -451,7 +454,8 @@ def test_slab_wise_epsilons_match_the_register_norms(case):
     for k in range(op.layout.main_dim):
         sv = es.embed_mainspace(op.layout, dec.vectors[:, k], dec)
         sign = -1.0 if invert[k] else 1.0
-        want = np.linalg.norm(op.apply(sv).amps - sign * sv.amps)
+        diff = op.apply(sv).amps - sign * sv.amps
+        want = math.sqrt(math.fsum(np.concatenate([diff.real ** 2, diff.imag ** 2])))
         assert abs(report.measured[k] - want) <= 1e-15
 
 
