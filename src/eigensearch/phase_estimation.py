@@ -30,6 +30,15 @@ readouts and ``amps`` read them through it, so none of them writes a
 register until its ``amps`` are read.  Fed eigenvector k, the estimate
 leaves the phase register in the peaked profile
 ``estimate_amplitudes(phase_bits, lambda_k)``.
+
+The states an amplification run makes are weight-symmetric
+(``StateVector.vote_symmetric``): the amplitude at vote value v depends on
+v only through its Hamming weight.  An embedded vector has every vote on
+0, the target flip acts on the main axis alone, and the vote stage of the
+inversion commutes with every permutation of the vote bits (see
+``selective_inversion``), so every round keeps the symmetry.  The
+readouts of such a state compute one vote value per weight h, 2^h - 1,
+and count its share C(nu, h) times: nu + 1 vote values instead of 2^nu.
 """
 
 from __future__ import annotations
@@ -66,17 +75,20 @@ register state on ref12, 0.68x for a flipped factored state with two votes,
 where the two unestimated plane columns are half the register.  The
 amplitudes of those states are computed when they are read, one block of at
 most ``_GRAM_BLOCK`` phase x vote values at a time, and the readouts hold
-one block.  So the two rounds of a boosted ``run_full`` write no register:
-0.38x for a boosted mu=9, nu=6 run on ref12, whose blocks are an eighth of
-the register; 2.49x for mu=10, nu=2, where one block is the whole register,
-next to the three columns; 1.62x for criterion-08's one-round mu=5, nu=4
-runs, also one block.  A block holds at most main_dim x max(_GRAM_BLOCK,
-phase_dim) amplitudes.  A target flip of an inverted state (round 3 and
-later) writes its amplitudes, and the state drops its input, so later
-rounds hold at most two registers, the state and its successor.  A
-boosted operator also keeps its vote plane, one main x phase table
-(1 / vote_dim of the register), which ``run_full`` builds before the first
-round.  The multiples are measured and pinned by the tests
+one block of the nu + 1 vote values they compute, one per Hamming weight.
+So the two rounds of a boosted ``run_full`` write no register: 0.35x for a
+boosted mu=9, nu=6 run on ref12, whose one block is 7 of the 64 vote
+values; 2.12x for mu=10, nu=2, where the block is 3 of the 4, next to the
+three columns; 0.93x for criterion-08's one-round mu=5, nu=4 runs, 5 of
+16.  A basic run has one vote value, so its block is the whole register:
+2.52x for a basic mu=12 run on ref12, next to the round-two input's
+column.  A block holds at most main_dim x max(_GRAM_BLOCK, phase_dim)
+amplitudes.  A target flip of an inverted state (round 3 and later)
+writes its amplitudes, and the state drops its input, so later rounds
+hold at most two registers, the state and its successor.  A boosted
+operator also keeps its vote plane, one main x phase table (1 / vote_dim
+of the register), which ``run_full`` builds before the first round.  The
+multiples are measured and pinned by the tests
 ``test_boosted_apply_allocates_twice_the_register``,
 ``test_a_product_state_apply_writes_only_its_output_register``,
 ``test_a_flipped_factored_state_apply_writes_one_register``,
@@ -84,6 +96,7 @@ round.  The multiples are measured and pinned by the tests
 ``test_a_boosted_run_writes_no_register``,
 ``test_a_one_round_run_reads_its_factors``,
 ``test_a_basic_round_two_flip_keeps_the_factors``,
+``test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time``,
 ``test_boosted_amplification_holds_two_registers`` and
 ``test_a_two_vote_run_builds_its_vote_plane_before_the_register``.
 """
@@ -176,7 +189,8 @@ class StateVector:
     they do not apply, and ``norm`` is the norm checked at construction.
 
     ``blocks`` writes the amplitudes of any kind a few vote columns at a
-    time; the readouts and ``amps`` read through it.
+    time; the readouts and ``amps`` read through it.  The readouts of a
+    ``vote_symmetric`` state compute one vote column per Hamming weight.
     ``amps`` writes the register on first read and keeps it.  A product or
     factored state keeps its coefficients too, and its blocks still come
     from them; an inverted state drops its inversion, so the register it
@@ -184,7 +198,7 @@ class StateVector:
     """
 
     __slots__ = ("_amps", "main", "factors", "shared", "inversion", "norm",
-                 "layout", "frame")
+                 "layout", "frame", "_vote_symmetric")
 
     def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
@@ -207,6 +221,7 @@ class StateVector:
         state = cls.__new__(cls)
         state._bind(layout, frame, _vector_norm(main))
         state.main = main
+        state._vote_symmetric = True
         return state
 
     @classmethod
@@ -274,11 +289,34 @@ class StateVector:
         self.frame = frame
         self.norm = norm
         self._amps = self.main = self.factors = self.shared = self.inversion = None
+        self._vote_symmetric = False
 
-    def blocks(self):
-        """Yield (start, block) pairs that cover the register: ``block`` is
-        vote values start, start + 1, ... of every main index, phase last,
-        block[k, j, w] = a[k, w, start + j].
+    @property
+    def vote_symmetric(self) -> bool:
+        """Whether the amplitude at vote value v depends on v only through
+        its Hamming weight (see the module docstring).  ``product`` states
+        are; the inversion and the target flip carry it to their outputs,
+        and a state built from amplitudes is not."""
+        return self._vote_symmetric
+
+    def _vote_classes(self) -> tuple[np.ndarray, np.ndarray]:
+        """The vote values a readout computes and the weight of each.
+
+        A weight-symmetric state is read on one representative per Hamming
+        weight h, 2^h - 1, weighted by C(nu, h); any other on every vote
+        value, weighted by 1.
+        """
+        nu = self.layout.vote_bits
+        if self._vote_symmetric:
+            return (np.array([(1 << h) - 1 for h in range(nu + 1)]),
+                    np.array([float(math.comb(nu, h)) for h in range(nu + 1)]))
+        return np.arange(1 << nu), np.ones(1 << nu)
+
+    def blocks(self, columns=None):
+        """Yield (chunk, block) pairs that cover the vote values
+        ``columns``, all of them by default: ``chunk`` is the next few of
+        them and ``block`` their amplitudes for every main index, phase
+        last, block[k, j, w] = a[k, w, chunk[j]].
 
         A block spans at most ``_GRAM_BLOCK`` phase x vote values (one vote
         value if the phase register alone is larger), so a readout holds
@@ -288,64 +326,68 @@ class StateVector:
         it holds, even after ``amps`` was read, so every reader sees the
         same bits; only a register state reads ``amps``.
         """
-        if self.inversion is not None:
-            yield from self._inverted_blocks()
-            return
         n, m, v = self.layout.shape
+        columns = np.arange(v) if columns is None else np.asarray(columns)
         width = _block_width(self.layout)
-        block = np.empty((n, width, m), dtype=complex)
-        for start in range(0, v, width):
-            yield start, self._write_block(start, block)
+        if self.inversion is not None:
+            yield from self._inverted_blocks(columns, width)
+            return
+        buffer = np.empty((n, min(width, columns.size), m), dtype=complex)
+        for first in range(0, columns.size, width):
+            chunk = columns[first:first + width]
+            yield chunk, self._write_block(chunk, buffer[:, :chunk.size])
 
-    def _write_block(self, start: int, block: np.ndarray) -> np.ndarray:
-        stop = start + block.shape[1]
+    def _write_block(self, chunk: np.ndarray, block: np.ndarray) -> np.ndarray:
         if self.factors is not None:
             cols, coefs = self.factors
-            np.matmul(coefs[:, :, start:stop].transpose(0, 2, 1),
+            np.matmul(coefs[:, :, chunk].transpose(0, 2, 1),
                       cols.transpose(0, 2, 1), out=block)
             if self.shared is not None:
                 x, g = self.shared
-                g = g[:, start:stop].T
+                g = g[:, chunk].T
                 for k in range(block.shape[0]):
                     block[k] += x[k] * g
         elif self.main is not None:
             block.fill(0.0)
-            if start == 0:
+            if chunk[0] == 0:
                 block[:, 0] = (self.main * (1.0 / math.sqrt(self.layout.phase_dim)))[:, None]
         else:
-            np.copyto(block, self.reshaped()[:, :, start:stop].transpose(0, 2, 1))
+            a = self.reshaped()
+            for j, value in enumerate(chunk):
+                block[:, j] = a[:, :, value]
         return block
 
-    def _inverted_blocks(self):
+    def _inverted_blocks(self, columns: np.ndarray, width: int):
         # the source's blocks, estimated, signed, plane-updated and
         # unestimated in place.  Each controlled-power factor is computed
         # once: as a table if there are several blocks, and inside the
         # kernel for a single one, which then needs no table
         source, sign, delta, rows, window = self.inversion
-        _, m, v = self.layout.shape
+        m = self.layout.phase_dim
         powers = self.frame.phases
-        if _block_width(self.layout) < v:
+        if columns.size > width:
             powers = power_table(powers, m)
-        signs = sign.T
-        for start, block in source.blocks():
-            stop = start + block.shape[1]
+        for chunk, block in source.blocks(columns):
             raw_estimate_forward(block, powers, out=block, axis=2)
+            signs = sign.T[chunk]
+            if delta is not None:
+                chunk_delta = delta[:, :, chunk, None]
             for k, slab in enumerate(block):
-                slab *= signs[start:stop]
+                slab *= signs
                 if delta is not None:
-                    update = np.where(window, delta[k, 0, start:stop, None],
-                                      delta[k, 1, start:stop, None])
+                    update = np.where(window, chunk_delta[k, 0], chunk_delta[k, 1])
                     update *= rows[k].conj()
                     slab += update
             raw_estimate_inverse(block, powers, out=block, axis=2)
-            yield start, block
+            yield chunk, block
 
     @property
     def amps(self) -> np.ndarray:
         if self._amps is None:
             a = np.empty(self.layout.shape, dtype=complex)
-            for start, block in self.blocks():
-                a[:, :, start:start + block.shape[1]] = block.transpose(0, 2, 1)
+            for chunk, block in self.blocks():
+                # every vote value in order: each chunk is a run of them
+                a[:, :, chunk[0]:chunk[-1] + 1] = block.transpose(0, 2, 1)
             a = a.reshape(-1)
             check_computed_norm(np.vdot(a, a).real)
             self._amps, self.inversion = a, None
@@ -365,18 +407,23 @@ class StateVector:
         over at most ``_GRAM_COLUMNS`` phase values of one vote value at a
         time, so its conjugated copy stays small next to a block; its
         trace, the squared norm of the amplitudes just computed, is
-        checked.
+        checked.  A weight-symmetric state computes one vote value per
+        Hamming weight and counts its share of G once per vote value of
+        that weight (``_vote_classes``).
         """
         n, m, _ = self.layout.shape
         gram = np.zeros((n, n), dtype=complex)
         step = min(m, _GRAM_COLUMNS)
-        for start, block in self.blocks():
-            if start == 0:
+        columns, weights = self._vote_classes()
+        done = 0
+        for chunk, block in self.blocks(columns):
+            if chunk[0] == 0:
                 branch = block[:, 0].sum(axis=1)
-            rows = block.reshape(n, -1)
-            for first in range(0, rows.shape[1], step):
-                part = rows[:, first:first + step]
-                gram += part @ part.conj().T
+            for j, weight in enumerate(weights[done:done + chunk.size]):
+                for first in range(0, m, step):
+                    part = block[:, j, first:first + step]
+                    gram += weight * (part @ part.conj().T)
+            done += chunk.size
         check_computed_norm(np.trace(gram).real)
         v = self.frame.vectors
         return (v @ (branch / math.sqrt(m)),
@@ -623,12 +670,25 @@ def gap_guard_margin(phase_bits: int, phase_gap: float,
 
 def estimate_window_mass(phase_bits: int, lam, mask: np.ndarray):
     """Analytic probability that the estimate of ``lam`` lands in the
-    boolean register mask; one per eigenphase for an array of them."""
+    boolean register mask; one per eigenphase for an array of them.
+
+    The profiles are computed a few eigenphases at a time, at most
+    ``_GRAM_BLOCK`` register values together, so their temporaries stay
+    small next to a register of one main row per eigenphase.
+    """
     mask = np.asarray(mask)
-    if mask.dtype != bool or mask.shape != (1 << phase_bits,):
+    m = 1 << phase_bits
+    if mask.dtype != bool or mask.shape != (m,):
         raise ValueError(f"the mask must be a boolean array over the "
-                         f"{1 << phase_bits}-value register")
-    mass = np.abs(estimate_amplitudes(phase_bits, lam)[..., mask]) ** 2
-    # one sum per profile: a batched reduction adds in another order, and the
-    # 1 - mass of an in-gap eigenphase would show the last-bit difference
-    return np.apply_along_axis(np.sum, -1, mass)[()]
+                         f"{m}-value register")
+    lam = np.asarray(lam, dtype=float)
+    flat = lam.reshape(-1)
+    mass = np.empty(flat.shape)
+    step = max(1, _GRAM_BLOCK // m)
+    for first in range(0, flat.size, step):
+        part = np.abs(estimate_amplitudes(phase_bits, flat[first:first + step])[:, mask]) ** 2
+        # one sum per profile: a batched reduction adds in another order, and
+        # the 1 - mass of an in-gap eigenphase would show the last-bit
+        # difference
+        mass[first:first + step] = [np.sum(profile) for profile in part]
+    return mass.reshape(lam.shape)[()]

@@ -97,10 +97,14 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
         for c in range(cols.shape[2]):
             g += cols[:, :, c].T @ (weights * coefs[:, c])
         g *= -2.0
-        return StateVector.factored(cols, coefs, state.layout, state.frame,
-                                    shared=(x[:, 0].copy(), g))
-    return StateVector(raw_reflect_main(state.reshaped(), x).reshape(-1),
-                       state.layout, state.frame)
+        out = StateVector.factored(cols, coefs, state.layout, state.frame,
+                                   shared=(x[:, 0].copy(), g))
+    else:
+        out = StateVector(raw_reflect_main(state.reshaped(), x).reshape(-1),
+                          state.layout, state.frame)
+    # the flip acts on the main axis alone
+    out._vote_symmetric = state.vote_symmetric
+    return out
 
 
 def amplification_round_count(boost: float) -> int:

@@ -54,6 +54,17 @@ Q_k^dagger psi_k with Q_k = F_k^dagger Y_k, the two plane columns
 unestimated, taken from the input's factors or amplitudes.  The amplitudes
 themselves are computed a block of vote values at a time when they are
 read, so a two-round run writes no register.
+
+The vote stage keeps a weight-symmetric state symmetric (see
+``StateVector.vote_symmetric``).  Each kickback acts alike on the phase
+register and its own vote bit: it keeps the part of the state even in
+that bit and applies one fixed reflection of the phase register to the
+odd part.  Kickbacks on different vote bits therefore commute, and the
+majority flip and the fixed signs depend on a vote value only through its
+number of ones, so the stage commutes with every permutation of the vote
+bits.  An apply of a weight-symmetric state checks that its plane update
+is equal across each weight class and marks its output symmetric, and
+``measure_epsilon`` sums its errors on one vote value per weight.
 """
 
 from __future__ import annotations
@@ -68,6 +79,7 @@ from .numerics import (
     AssumptionViolation,
     EigenDecomposition,
     GapGuessTooCoarse,
+    InternalInvariantError,
     eig_unitary,
     inside_gap,
     is_unitary,
@@ -150,8 +162,12 @@ def vote_majority_mask(vote_bits: int) -> np.ndarray:
     ties stay outside."""
     if vote_bits < 2 or vote_bits % 2:
         raise ValueError("majority voting needs an even vote count >= 2")
-    ones = np.array([v.bit_count() for v in range(1 << vote_bits)])
-    return ones > vote_bits // 2
+    return _hamming_weights(vote_bits) > vote_bits // 2
+
+
+def _hamming_weights(vote_bits: int) -> np.ndarray:
+    """The number of ones of every vote value."""
+    return np.array([v.bit_count() for v in range(1 << vote_bits)])
 
 
 def binomial_tail_wrong_half(vote_bits: int, p, invert):
@@ -315,6 +331,7 @@ class InversionOperator:
             raise ValueError("state is in the estimate frame of another operator; "
                              "the inversion takes states in its own frame")
         out = self._inverted(state)
+        out._vote_symmetric = state.vote_symmetric
         # the estimate and the unestimate, and for each of the 2 nu
         # kickbacks the estimate and unestimate inside its amplification,
         # one zero reflection and two vote Hadamards
@@ -361,7 +378,7 @@ class InversionOperator:
                 sides = np.stack([self.gap_window, ~self.gap_window], axis=1)
                 p = np.zeros((n, 2, v), dtype=complex)
                 p[:, :, 0] = np.einsum("kw,kw,wj->kj", rows, cols[:, :, 0], sides)
-                coefs[:, 1:] = self._plane_update(p)
+                coefs[:, 1:] = self._plane_update(p, state.vote_symmetric)
             cols[:, :, 0] *= sign[:, 0]
         raw_estimate_inverse(cols, phases, out=cols)
         if product:
@@ -375,7 +392,7 @@ class InversionOperator:
                 p += x[:, None, None] * (qh @ g)
         else:
             p = qh @ state.reshaped()
-        delta = self._plane_update(p)
+        delta = self._plane_update(p, state.vote_symmetric)
         delta.flags.writeable = False
         rows, _ = self._vote_plane()
         return StateVector.inverted(Inversion(state, sign, delta, rows, self.gap_window), p)
@@ -396,18 +413,31 @@ class InversionOperator:
         sign = np.where(self.gap_window[:, None], vote_sign, vote_sign[::-1])
         return vote_sign, sign
 
-    def _plane_update(self, p: np.ndarray) -> np.ndarray:
+    def _plane_update(self, p: np.ndarray, symmetric: bool) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
         (main, 2, vote) coefficients along them.
 
         ``p`` holds the projections of the estimated slabs onto the plane.
         They run through the kickbacks and the flip, and the fixed signs the
-        stage applies to the whole register are taken off again.
+        stage applies to the whole register are taken off again.  For the
+        projections of a weight-symmetric state the update must be weight
+        symmetric too (see the module docstring): every vote value must
+        match the representative 2^h - 1 of its Hamming weight h within
+        ``TOL.norm_preservation`` of the largest coefficient, or the output
+        could not be read on the representatives.
         """
         _, norms = self._vote_plane()
         vote_sign, _ = self._vote_signs()
         plane_sign = np.stack([vote_sign, vote_sign[::-1]])
-        return _vote_coefficients(p, norms, vote_sign) - plane_sign * p
+        delta = _vote_coefficients(p, norms, vote_sign) - plane_sign * p
+        if symmetric:
+            representative = (1 << _hamming_weights(self.scheme.vote_bits)) - 1
+            spread = np.max(np.abs(delta - delta[:, :, representative]))
+            if spread > TOL.norm_preservation * np.max(np.abs(delta)):
+                raise InternalInvariantError(
+                    f"the plane update of a weight-symmetric state differs within "
+                    f"a Hamming-weight class by {spread:.3g}")
+        return delta
 
     def _plane_columns(self, out: np.ndarray):
         """Write u_in and u_out of every eigenvector into the (main, phase, 2)
@@ -477,20 +507,25 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     Each eigenstate is embedded straight into the operator's estimate frame
     and compared there; the norm of ``out - sign * in`` does not depend on
     the frame.  The input is a product state, nonzero on vote value 0
-    alone, and the output factored, so the squared norm is summed one main
-    index's (phase, vote) slab at a time, each slab one (M, r) @ (r, V)
-    product of the factors in register order, and the output's norm is
-    checked from the same slabs: no register is written.
+    alone, and the output factored and weight-symmetric, so the squared
+    norm is summed one main index's (phase, vote) slab at a time, each
+    slab one (M, r) @ (r, nu + 1) product of the factors on one vote value
+    per Hamming weight h, its coefficients scaled by sqrt(C(nu, h)) so
+    that each value counts once per vote value of its weight, and the
+    output's norm is checked from the same slabs: no register is written.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
     measured = np.empty(phases.shape[0])
-    n, m, v = op.layout.shape
-    slab = np.empty((m, v), dtype=complex)
+    n, m, _ = op.layout.shape
     for k in range(phases.shape[0]):
         sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
-        cols, coefs = op.apply(sv).factors
+        out = op.apply(sv)
+        cols, coefs = out.factors
+        values, weights = out._vote_classes()
+        coefs = coefs[:, :, values] * np.sqrt(weights)
+        slab = np.empty((m, values.size), dtype=complex)
         column = sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m))
         total = norm_sq = 0.0
         for j in range(n):

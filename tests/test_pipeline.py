@@ -90,8 +90,9 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     # the only transform kernels (src has no Walsh-Hadamard or register
     # rotation kernel left to call).  They cover one estimated and three
     # unestimated phase columns per eigenvector in the first round, the two
-    # unestimated plane columns of the second, and the register once each
-    # way when the readout computes it block by block
+    # unestimated plane columns of the second, and seven vote columns each
+    # way when the readout computes the weight-symmetric state on one vote
+    # value per Hamming weight
     kernels = ("raw_controlled_powers", "raw_qft", "raw_inverse_qft")
     amps = {name: [] for name in kernels}
     for name, seen in amps.items():
@@ -101,11 +102,10 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     res = es.run_full(ref12, scheme)
     assert res.amplification_rounds == 2
     column = ref12.spec.n << scheme.phase_bits
-    register = column << scheme.vote_bits
     assert {name: sum(seen) for name, seen in amps.items()} == {
-        "raw_controlled_powers": 6 * column + 2 * register,
-        "raw_qft": 5 * column + register,
-        "raw_inverse_qft": column + register}
+        "raw_controlled_powers": 20 * column,
+        "raw_qft": 12 * column,
+        "raw_inverse_qft": 8 * column}
 
 
 def _run_full_peak_over_register(inst, scheme):
@@ -125,7 +125,7 @@ def test_boosted_amplification_holds_two_registers(ref12):
     # main-index slab or a main x phase table, and the kept vote plane is
     # 1 / vote_dim of the register.  3.03x measured when each round rotated
     # the register into the eigenframe and back, 2.15x when the first round
-    # wrote its output as a register; now 1.28x, see the next test
+    # wrote its output as a register; now 0.35x, see the next tests
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.25
 
@@ -137,28 +137,29 @@ def test_a_boosted_run_holds_one_register(ref12):
     # them, and the second inversion keeps them as its input.  1.28x
     # measured on ref12 (9, 6) when the second inversion wrote its working
     # array, 2.15x when the first round wrote its output as a register; now
-    # 0.38x, see the next test
+    # 0.35x, see the next test
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 1.3
 
 
 def test_a_boosted_run_writes_no_register(ref12):
     # the second inversion returns an inverted state, its input and the
-    # plane update, and the readout computes its amplitudes one block of
-    # 8 of the 64 vote values at a time: 0.38x measured on ref12 (9, 6),
-    # against 1.28x when the second inversion wrote its working array; the
-    # DENSE_CAP docstring quotes this multiple
+    # plane update, and the readout computes its amplitudes on one vote
+    # value per Hamming weight, one block of 7 of the 64 vote values:
+    # 0.35x measured on ref12 (9, 6), against 0.38x when it computed all
+    # 64 in blocks of 8 and 1.28x when the second inversion wrote its
+    # working array; the DENSE_CAP docstring quotes this multiple
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 0.4
 
 
 def test_a_one_round_run_reads_its_factors(ref12):
     # criterion-08's first instance needs one round, whose output is
-    # factored; the readout computes its amplitudes from the factors.  The
-    # phase x vote register (5, 4) is small enough to be one block, so that
-    # block is the size of the register: 1.62x measured, against 2.55x when
-    # the readout wrote the register from the factors and summed its Gram
-    # matrix over 4096 columns at a time
+    # factored; the readout computes its amplitudes from the factors, on
+    # one vote value per Hamming weight, 5 of the 16 in one block: 0.93x
+    # measured, against 1.62x when the block held all 16 vote values, the
+    # whole register, and 2.55x when the readout wrote the register from
+    # the factors and summed its Gram matrix over 4096 columns at a time
     fam, seed, target = instances.BASELINE_TRIO[0]
     inst = instances.symmetric_instance(instances.TRIO_N, fam, seed, target)
     scheme = es.InversionScheme.boosted(inst.boost, inst.spec.phase_gap, offset_bits=4)
@@ -173,9 +174,10 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # set the peak: 3.44x measured that way, 2.43x with the plane built
     # before the state is embedded, 2.27x with the first round's output
     # factored (its three columns are three quarters of the register here).
-    # Now 2.49x: the readout's one block is the whole register at (10, 2),
-    # next to the three columns, the plane and the sign and plane-update
-    # temporaries of one main index
+    # 2.49x when the readout's one block was the whole register at
+    # (10, 2); now 2.12x, the block holding the 3 vote values of distinct
+    # Hamming weight, next to the three columns, the plane and the sign and
+    # plane-update temporaries of one main index
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
@@ -201,6 +203,16 @@ def test_a_basic_round_two_flip_keeps_the_factors(ref12):
     assert all(f is g for f, g in zip(flipped.factors, state.factors))
     assert flipped.shared is not None
     assert peak / (op.layout.dim * 16) <= 0.3
+
+
+def test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time(ref12):
+    # with no vote register a main x phase array is the register, so the
+    # estimate profiles of all twelve eigenphases at once set the peak of a
+    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.52x, set
+    # by the readout's one block, the whole register here, next to the
+    # round-two input's phase column
+    scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
+    assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
 
 def test_run_success_is_high_and_leakage_small(ref12_boosted_run):

@@ -34,7 +34,7 @@ from hypothesis import strategies as st
 import eigensearch as es
 import frames
 import oracles
-from eigensearch import phase_estimation, pipeline
+from eigensearch import phase_estimation, pipeline, selective_inversion
 from eigensearch.phase_estimation import factored_norm
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
@@ -533,15 +533,22 @@ def amplitude_readouts(state):
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_block_readouts_match_the_amplitude_readouts(case, seed):
-    # every kind of state: product, register, inverted, and for the boosted
-    # scheme factored with and without a shared term
+    # every kind of state: product, register, inverted, and factored with
+    # and without a shared term; and the rounds of a run, which are weight
+    # symmetric and read on one vote value per Hamming weight, while the
+    # amplitudes are written on every vote value
     _, op = case
     _, product, _ = product_and_general(op, seed)
     states = [product, *apply_inputs(op, seed)]
     states += [op.apply(state) for state in states[1:]]
-    if op.scheme.kind == "boosted":
-        factored = op.apply(product)
-        states += [factored, es.target_flip(factored, seed % op.layout.main_dim)]
+    target = seed % op.layout.main_dim
+    rounds = [op.apply(es.target_flip(product, target))]
+    for _ in range(2):
+        rounds += [es.target_flip(rounds[-1], target)]
+        rounds += [op.apply(rounds[-1])]
+    assert not states[1].vote_symmetric
+    assert all(state.vote_symmetric for state in [product, *rounds])
+    states += rounds
     for state in states:
         got = state.readouts()
         for block_value, amps_value in zip(got, amplitude_readouts(state)):
@@ -604,6 +611,35 @@ def test_computed_amplitudes_are_norm_checked():
         out.readouts()
     with pytest.raises(es.InternalInvariantError):
         out.amps
+
+
+def test_a_weight_symmetric_apply_checks_its_plane_update():
+    # the vote stage keeps a weight-symmetric state symmetric, and apply
+    # checks that it did; a vote coefficient moved within its Hamming-weight
+    # class is caught for such an input and passes for a plain register.
+    # The register has nothing on the moved vote value, so the move leaves
+    # the norm checked at construction alone
+    op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
+                                    haar_unitary(3, 23))
+    product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
+    flipped = es.target_flip(op.apply(product), 1)
+    amps = register_state(op, 29).reshaped().copy()
+    amps[:, :, 2] = 0.0
+    register = es.StateVector(amps / np.linalg.norm(amps), op.layout, op.frame)
+    assert not register.vote_symmetric
+    assert not es.StateVector(flipped.amps, op.layout, op.frame).vote_symmetric
+    original = selective_inversion._vote_coefficients
+
+    def moved(*args):
+        q = original(*args)
+        q[:, :, 2] += 1e-9       # vote value 2 shares Hamming weight 1 with 1
+        return q
+
+    with mock.patch.object(selective_inversion, "_vote_coefficients", moved):
+        for state in (product, flipped):
+            with pytest.raises(es.InternalInvariantError):
+                op.apply(state)
+        assert not op.apply(register).vote_symmetric
 
 
 @st.composite
