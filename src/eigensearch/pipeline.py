@@ -5,16 +5,14 @@ search-operator applications, then amplifies the halfway state onto the
 target by alternating a target phase flip with the approximate selective
 inversion of the two gap eigenstates.  The amplification runs in the search
 operator's estimate frame (see ``StateVector``): the halfway n-vector is
-embedded there directly as n frame coefficients, the first inversion keeps
-its output as one (basic) or three (boosted) phase columns per eigenvector,
-and every later inversion keeps its input and the coefficients of its vote
-stage.  Each target flip is a rank-one reflection and each inversion stays
-in the frame, and success, leakage and the main marginal are read out of it
-one block of vote values at a time, so a run of one or two rounds writes
-no register beyond its phase columns.  Everything a run spends is tallied
-in a QueryLedger; the classical repeat-until-success baseline and the
-gap-guess retry schedule live here too, so the cost comparison is one
-import away.
+embedded there directly as n frame coefficients, and every inversion
+returns the nu + 1 Dicke columns of the vote register per eigenvector and
+phase value, never the 2^nu vote values.  Each target flip is a rank-one
+reflection of the main axis that the next inversion or readout applies, and
+success, leakage and the main marginal are read out of the frame with one
+Gram sum.  Everything a run spends is tallied in a QueryLedger; the
+classical repeat-until-success baseline and the gap-guess retry schedule
+live here too, so the cost comparison is one import away.
 """
 
 from __future__ import annotations
@@ -26,18 +24,12 @@ import numpy as np
 
 from .numerics import (
     GapGuessTooCoarse,
-    dagger,
     inside_gap,
     make_rng,
     round_half_away,
 )
 from .numerics import eig_unitary  # noqa: F401 - perfbench's tracer test rebinds it here
-from .phase_estimation import (
-    DENSE_CAP,
-    StateVector,
-    embed_mainspace,
-    raw_reflect_main,
-)
+from .phase_estimation import DENSE_CAP, StateVector, embed_mainspace
 from .search_core import evolve_to_halfway, search_decomposition, search_operator
 from .selective_inversion import (
     GUARD_FRACTION,
@@ -74,37 +66,14 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     """Sign flip of the target mainspace index; one oracle query.
 
     In the state's estimate frame this is the rank-one reflection
-    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target, and no
-    register is written for a state that holds none.  It leaves the
-    ancillas alone, so a product state stays one: its n main coefficients
-    are reflected.  A factored state without a shared term keeps its
-    factors and gains the shared term x g, with
-    g = -2 sum_j conj(x_j) cols_j coefs_j one (phase, vote) array summed as
-    r (phase, main) @ (main, vote) products, one per column.  Any other
-    state is reflected register and all; an inverted state writes its
-    amplitudes for it and drops its input.
+    1 - 2 x x^dagger on the main axis, with x = V^dagger e_target
+    (``StateVector.reflect_main``): a product state reflects its n
+    coefficients, and a slab state keeps the reflection pending for the
+    next inversion or readout, so no flip writes a register.
     """
     if ledger is not None:
         ledger.oracle_queries += 1
-    x = dagger(state.frame.vectors[[target_index], :])
-    if state.main is not None:
-        return StateVector.product(raw_reflect_main(state.main[:, None], x)[:, 0],
-                                   state.layout, state.frame)
-    if state.factors is not None and state.shared is None:
-        cols, coefs = state.factors
-        g = np.zeros(state.layout.shape[1:], dtype=complex)
-        weights = np.conj(x)
-        for c in range(cols.shape[2]):
-            g += cols[:, :, c].T @ (weights * coefs[:, c])
-        g *= -2.0
-        out = StateVector.factored(cols, coefs, state.layout, state.frame,
-                                   shared=(x[:, 0].copy(), g))
-    else:
-        out = StateVector(raw_reflect_main(state.reshaped(), x).reshape(-1),
-                          state.layout, state.frame)
-    # the flip acts on the main axis alone
-    out._vote_symmetric = state.vote_symmetric
-    return out
+    return state.reflect_main(state.frame.vectors[target_index].conj())
 
 
 def amplification_round_count(boost: float) -> int:

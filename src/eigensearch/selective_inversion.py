@@ -29,42 +29,36 @@ off-window rows and adds a multiple of phi_k that depends only on the
 projections onto the two parts.  The boosted vote stage, 2 nu kickbacks
 around the majority flip, is therefore a fixed sign per (phase, vote) value
 plus a rank-two update in the plane of the two parts.  It runs as one
-projection of the register onto that plane, the kickbacks and the flip on
-two coefficients per eigenvector and vote value, and one pass applying the
-signs and the update.  The query ledger still charges the physical circuit:
-2^mu controlled applications per estimate, two estimates per kickback.
+projection of the estimated slabs onto that plane, the kickbacks and the
+flip on two coefficients per eigenvector and vote value, and one pass
+applying the signs and the update.  The query ledger still charges the
+physical circuit: 2^mu controlled applications per estimate, two estimates
+per kickback.
 
-Every inversion is one unestimate of a few phase columns per eigenvector,
-and none writes a register.  An embedded state, a product
-c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c alone (the
-first round's input, and each eigenstate of an epsilon report), has one
-estimated column c_k phi_k per eigenvector, on vote value 0.  The basic
-flip signs it.  It lies in the plane of u_in and u_out, so the boosted vote
-stage maps it to its signed self on vote value 0 plus u_in and u_out times
-the plane update on every vote value.  The unestimate acts on the phase axis
-alone, so it runs on those r = 1 or 3 columns, and the output is kept as
-them and their coefficients, a factored state.  The second round's target
-flip adds one shared rank-one term to it.
+The vote stage commutes with every permutation of the vote bits.  Each
+kickback acts alike on the phase register and its own vote bit: it keeps
+the part of the state even in that bit and applies one fixed reflection of
+the phase register to the odd part.  Kickbacks on different vote bits
+therefore commute, and the majority flip and the fixed signs depend on a
+vote value only through its number of ones.  So the inversion keeps a
+state in the Dicke basis of the vote register (see ``phase_estimation``),
+where the fixed signs depend on the weight h alone and the complement of
+weight h is weight nu - h.  The kickbacks couple single vote values, so
+the plane update is computed on all 2^nu of them: the projections are
+expanded from the Dicke columns, run through the stage, checked to be
+equal across each weight class, and kept on one representative per weight.
 
-Any other input is kept as it is, with the plane update delta (an inverted
-state): slab k of the output is F_k^dagger (S (.) F_k psi_k + Y_k delta_k)
-with F_k the estimate, S the fixed signs and Y_k = (u_in, u_out).  delta
-needs only the projections Y_k^dagger F_k psi_k, and those are
-Q_k^dagger psi_k with Q_k = F_k^dagger Y_k, the two plane columns
-unestimated, taken from the input's factors or amplitudes.  The amplitudes
-themselves are computed a block of vote values at a time when they are
-read, so a two-round run writes no register.
-
-The vote stage keeps a weight-symmetric state symmetric (see
-``StateVector.vote_symmetric``).  Each kickback acts alike on the phase
-register and its own vote bit: it keeps the part of the state even in
-that bit and applies one fixed reflection of the phase register to the
-odd part.  Kickbacks on different vote bits therefore commute, and the
-majority flip and the fixed signs depend on a vote value only through its
-number of ones, so the stage commutes with every permutation of the vote
-bits.  An apply of a weight-symmetric state checks that its plane update
-is equal across each weight class and marks its output symmetric, and
-``measure_epsilon`` sums its errors on one vote value per weight.
+An apply runs a few eigenvectors at a time, and each eigenvector's
+controlled powers are computed once for its estimate and its unestimate.
+A state held as slabs is estimated into the output array, signed, updated
+in the plane and unestimated there, in the basis it came in.  An embedded
+state, a product c (x) H|0> (x) |0> with c = V^dagger w that the frame
+keeps as c alone (the first round's input, and each eigenstate of an
+epsilon report), has one estimated column c_k phi_k per eigenvector, on
+vote value 0, and only its projections onto the plane.  The unestimate acts on the phase axis alone, so it runs on
+r = 1 or 3 columns, the signed estimate and for the boosted scheme u_in and
+u_out, and each eigenvector's Dicke slab is one (nu + 1, r) @ (r, M)
+product of its coefficients and those columns.
 """
 
 from __future__ import annotations
@@ -86,20 +80,22 @@ from .numerics import (
 )
 from .phase_estimation import (
     DENSE_CAP,
-    Inversion,
     RegisterLayout,
     StateVector,
-    check_computed_norm,
+    dicke_basis,
     embed_mainspace,
     estimate_amplitudes,
     estimate_window_mass,
     gap_window_mask,
+    power_table,
     raw_estimate_forward,
     raw_estimate_inverse,
+    raw_reflect_main,
 )
 from .search_core import search_decomposition
 
 GUARD_FRACTION = 2.0 * math.pi / 128.0
+_CHUNK = 1 << 15
 
 
 @dataclass(frozen=True)
@@ -162,12 +158,7 @@ def vote_majority_mask(vote_bits: int) -> np.ndarray:
     ties stay outside."""
     if vote_bits < 2 or vote_bits % 2:
         raise ValueError("majority voting needs an even vote count >= 2")
-    return _hamming_weights(vote_bits) > vote_bits // 2
-
-
-def _hamming_weights(vote_bits: int) -> np.ndarray:
-    """The number of ones of every vote value."""
-    return np.array([v.bit_count() for v in range(1 << vote_bits)])
+    return dicke_basis(vote_bits)[0] > vote_bits // 2
 
 
 def binomial_tail_wrong_half(vote_bits: int, p, invert):
@@ -195,6 +186,14 @@ def _charge(ledger, **counts):
         return
     for name, value in counts.items():
         setattr(ledger, name, getattr(ledger, name) + value)
+
+
+def _chunks(n: int, width: int) -> list[slice]:
+    """Runs of eigenvectors an apply works on together: at most an eighth
+    of the n, holding at most ``_CHUNK`` values of ``width`` each, and at
+    least one."""
+    step = max(1, min(n >> 3, _CHUNK // width))
+    return [slice(first, first + step) for first in range(0, n, step)]
 
 
 def _split_estimates(estimates: np.ndarray,
@@ -256,10 +255,11 @@ class InversionOperator:
     unitary's eigendecomposition, whose estimate frame the operator runs in,
     read through ``frame``.  Unless ``build`` is handed one it is computed on
     first use and kept.  A boosted operator also keeps the split of every
-    eigenphase's estimate profile at the gap window, its vote plane: ``build``
-    makes it at once when handed the decomposition, so that its temporaries
-    are gone before any register exists, and otherwise the first ``apply``
-    makes it.
+    eigenphase's estimate profile at the gap window, its vote plane, and
+    the controlled powers of every eigenvector: ``build`` makes them at once
+    when handed the decomposition, so that their temporaries are gone
+    before any register exists, and otherwise the first ``apply`` makes
+    them.
     """
 
     scheme: InversionScheme
@@ -268,8 +268,8 @@ class InversionOperator:
     gap_window: np.ndarray
     vote_window: np.ndarray | None
     decomposition: EigenDecomposition | None = None
-    _plane: tuple[np.ndarray, np.ndarray] | None = field(default=None, init=False,
-                                                         repr=False)
+    _plane: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+        default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, scheme: InversionScheme, unitary: np.ndarray,
@@ -303,35 +303,34 @@ class InversionOperator:
             self.decomposition = eig_unitary(self.unitary, TOL.system_unitarity)
         return self.decomposition
 
-    def _vote_plane(self) -> tuple[np.ndarray, np.ndarray]:
+    def _vote_plane(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Row k is the conjugate of eigenvector k's u_in + u_out, with the
         norms of ``_split_estimates``; the two parts have disjoint supports,
-        so one row keeps both exactly in half the memory."""
+        so one row keeps both exactly in half the memory.  The third table
+        holds the controlled powers (``power_table``) of every eigenvector,
+        which every boosted apply reads for its estimate and unestimate."""
         if self._plane is None:
             estimates = estimate_amplitudes(self.scheme.phase_bits, self.frame.phases)
             units, norms = _split_estimates(estimates, ~self.gap_window)
-            self._plane = (units.sum(axis=1).conj(), norms)
+            self._plane = (units.sum(axis=1).conj(), norms,
+                           power_table(self.frame.phases, self.layout.phase_dim))
         return self._plane
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill.
 
         ``state`` must be in the operator's estimate frame, and so is the
-        result.  A state in another operator's frame raises.  The inversion
-        runs on a few phase columns per eigenvector (see ``_inverted``), so
-        no apply writes a register.  A product state (``state.main`` set:
-        the ancillas still on |0> |0>) comes out as a factored state, any
-        other as an inverted state whose amplitudes are computed when they
-        are read.  The circuit and its charges are the same for every kind
-        of state.
+        result.  A state in another operator's frame raises.  The result
+        is held as slabs in the basis of the input: a product state's
+        comes out in the Dicke basis.  The circuit and its charges are the
+        same for every form of state.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
         if state.frame is not self.frame:
             raise ValueError("state is in the estimate frame of another operator; "
                              "the inversion takes states in its own frame")
-        out = self._inverted(state)
-        out._vote_symmetric = state.vote_symmetric
+        out = self._invert(state)
         # the estimate and the unestimate, and for each of the 2 nu
         # kickbacks the estimate and unestimate inside its amplification,
         # one zero reflection and two vote Hadamards
@@ -343,109 +342,122 @@ class InversionOperator:
                     i_zero_prime=2 * nu, hadamards_vote=4 * nu)
         return out
 
-    def _inverted(self, state: StateVector) -> StateVector:
-        """The inversion of ``state``, from one unestimate of r phase
-        columns per eigenvector (see the module docstring).
-
-        The columns are the estimate of a product state and, for the
-        boosted scheme, the plane Y_k = (u_in, u_out).  A product state
-        comes out as the factored state of the unestimated columns, with
-        coefficient 1 on vote value 0 for the signed estimate and the plane
-        update delta_k for u_in and u_out.  Any other state comes out as the
-        inverted state that keeps it, with the projections Q_k^dagger psi_k
-        taken from its factors or its amplitudes (an inverted input is
-        written out); the basic scheme needs no column for it.
+    def _invert(self, state: StateVector) -> StateVector:
+        """The inversion of ``state`` (see the module docstring), written
+        into one output array, a few eigenvectors at a time: a pending
+        reflection of the input first, then the estimate, in place.  The
+        basic scheme runs each eigenvector through in one pass, with its
+        powers computed once for both transforms.  The boosted scheme takes
+        the powers it keeps with its vote plane; it estimates and projects
+        every eigenvector, runs the vote stage on all the projections, and
+        then signs, updates and unestimates.
         """
-        _, sign = self._vote_signs()
+        n, m, _ = self.layout.shape
         product = state.main is not None
-        boosted = self.vote_window is not None
-        if not (product or boosted):
-            return StateVector.inverted(Inversion(state, sign))
-        n, m, v = self.layout.shape
-        phases = self.frame.phases
-        cols = np.empty((n, m, product + 2 * boosted), dtype=complex)
-        if boosted:
-            self._plane_columns(cols[:, :, -2:])
+        basis = self.layout.vote_bits + 1 if product else state.slabs.shape[1]
+        out = np.empty((n, basis, m), dtype=complex)
         if product:
-            column = state.main * (1.0 / math.sqrt(m))
-            raw_estimate_forward(np.broadcast_to(column[:, None, None], (n, m, 1)),
-                                 phases, out=cols[:, :, :1])
-            coefs = np.zeros((n, cols.shape[2], v), dtype=complex)
-            coefs[:, 0, 0] = 1.0
-            if boosted:
-                # Y_k^dagger e_k from the kept conjugated rows, not a copy of Y
-                rows, _ = self._vote_plane()
-                sides = np.stack([self.gap_window, ~self.gap_window], axis=1)
-                p = np.zeros((n, 2, v), dtype=complex)
-                p[:, :, 0] = np.einsum("kw,kw,wj->kj", rows, cols[:, :, 0], sides)
-                coefs[:, 1:] = self._plane_update(p, state.vote_symmetric)
-            cols[:, :, 0] *= sign[:, 0]
-        raw_estimate_inverse(cols, phases, out=cols)
-        if product:
-            return StateVector.factored(cols, coefs, self.layout, self.frame)
-        qh = np.conjugate(cols, out=cols).transpose(0, 2, 1)
-        if state.factors is not None:
-            factors, coefs = state.factors
-            p = (qh @ factors) @ coefs
-            if state.shared is not None:
-                x, g = state.shared
-                p += x[:, None, None] * (qh @ g)
+            src = np.broadcast_to((state.main * (1.0 / math.sqrt(m)))[:, None, None],
+                                  (n, 1, m))
+        elif state.reflection is None:
+            src = state.slabs
         else:
-            p = qh @ state.reshaped()
-        delta = self._plane_update(p, state.vote_symmetric)
-        delta.flags.writeable = False
-        rows, _ = self._vote_plane()
-        return StateVector.inverted(Inversion(state, sign, delta, rows, self.gap_window), p)
+            src = raw_reflect_main(state.slabs, state.reflection, out=out)
+        signs = self._signs(basis)
+        parts = _chunks(n, basis * m)
+        if self.vote_window is None:
+            for part in parts:
+                powers = power_table(self.frame.phases[part], m)
+                block = raw_estimate_forward(src[part], powers, out=out[part], axis=2)
+                block *= signs
+                raw_estimate_inverse(block, powers, out=block, axis=2)
+            return StateVector.from_slabs(out, self.layout, self.frame)
+        _, _, powers = self._vote_plane()
+        width = src.shape[1]
+        p = np.zeros((n, 2, basis), dtype=complex)
+        for part in parts:
+            block = raw_estimate_forward(src[part], powers[part], out=out[part, :width],
+                                         axis=2)
+            p[part, :, :width] = np.matmul(self._plane_rows(part), block.transpose(0, 2, 1))
+        delta = self._plane_update(p).transpose(0, 2, 1)
+        for part in parts:
+            plane, block = self._plane_rows(part), out[part]
+            if product:
+                # the signed estimate, u_in and u_out, unestimated; the
+                # slab is one product of its coefficients and them
+                cols = np.empty((block.shape[0], 3, m), dtype=complex)
+                np.multiply(block[:, 0], signs[0], out=cols[:, 0])
+                np.conjugate(plane, out=cols[:, 1:])
+                raw_estimate_inverse(cols, powers[part], out=cols, axis=2)
+                coefs = np.zeros((block.shape[0], basis, 3), dtype=complex)
+                coefs[:, 0, 0] = 1.0
+                coefs[:, :, 1:] = delta[part]
+                np.matmul(coefs, cols, out=block)
+            else:
+                block *= signs
+                update = np.matmul(delta[part].conj(), plane)
+                block += np.conjugate(update, out=update)
+                raw_estimate_inverse(block, powers[part], out=block, axis=2)
+        return StateVector.from_slabs(out, self.layout, self.frame)
 
-    def _vote_signs(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The majority flip over vote values, and the fixed sign of the
-        stage per (phase, vote) value.
+    def _signs(self, basis: int) -> np.ndarray:
+        """The fixed sign of the stage per (basis column, phase value),
+        complex so that signing the slabs in place casts nothing.
 
-        The basic scheme flips the gap window and has no majority flip.  A
-        kickback swaps vote bit j on the off-window rows, so all 2 nu of
-        them complement the vote value there: in-window rows see the
-        majority sign of their vote value, off-window rows that of the
-        complemented one.
+        The basic scheme flips the gap window.  A boosted kickback swaps
+        vote bit j on the off-window rows, so all 2 nu of them complement
+        the vote value there: in-window rows see the majority sign of their
+        vote value, off-window rows that of the complemented one.  Over the
+        Dicke columns the sign is that of weight h, and the complement of
+        weight h is weight nu - h.
         """
         if self.vote_window is None:
-            return None, np.where(self.gap_window, -1.0, 1.0)[:, None]
-        vote_sign = np.where(self.vote_window, -1.0, 1.0)
-        sign = np.where(self.gap_window[:, None], vote_sign, vote_sign[::-1])
-        return vote_sign, sign
+            return np.where(self.gap_window, -1.0 + 0j, 1.0)[None]
+        vote_sign = np.where(self.vote_window, -1.0 + 0j, 1.0)
+        if basis != vote_sign.size:
+            vote_sign = vote_sign[(1 << np.arange(basis)) - 1]
+        return np.where(self.gap_window, vote_sign[:, None], vote_sign[::-1, None])
 
-    def _plane_update(self, p: np.ndarray, symmetric: bool) -> np.ndarray:
+    def _plane_rows(self, part: slice) -> np.ndarray:
+        """The conjugated u_in and u_out of the eigenvectors ``part``,
+        (main, 2, phase), cut from the kept rows."""
+        rows = self._vote_plane()[0][part]
+        plane = np.zeros((rows.shape[0], 2, rows.shape[1]), dtype=complex)
+        np.copyto(plane[:, 0], rows, where=self.gap_window)
+        np.copyto(plane[:, 1], rows, where=~self.gap_window)
+        return plane
+
+    def _plane_update(self, p: np.ndarray) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
-        (main, 2, vote) coefficients along them.
+        (main, 2, basis) coefficients along them.
 
-        ``p`` holds the projections of the estimated slabs onto the plane.
-        They run through the kickbacks and the flip, and the fixed signs the
-        stage applies to the whole register are taken off again.  For the
-        projections of a weight-symmetric state the update must be weight
-        symmetric too (see the module docstring): every vote value must
-        match the representative 2^h - 1 of its Hamming weight h within
-        ``TOL.norm_preservation`` of the largest coefficient, or the output
-        could not be read on the representatives.
+        ``p`` holds the projections of the estimated slabs onto the plane,
+        in the basis of the slabs; Dicke columns are expanded to all vote
+        values first.  They run through the kickbacks and the flip, and the
+        fixed signs the stage applies to the whole register are taken off
+        again.  Of a Dicke update every vote value must match the
+        representative 2^h - 1 of its weight h within
+        ``TOL.norm_preservation`` of the largest coefficient, or
+        ``InternalInvariantError`` is raised, and the representatives are
+        kept as Dicke columns.
         """
-        _, norms = self._vote_plane()
-        vote_sign, _ = self._vote_signs()
-        plane_sign = np.stack([vote_sign, vote_sign[::-1]])
-        delta = _vote_coefficients(p, norms, vote_sign) - plane_sign * p
-        if symmetric:
-            representative = (1 << _hamming_weights(self.scheme.vote_bits)) - 1
-            spread = np.max(np.abs(delta - delta[:, :, representative]))
-            if spread > TOL.norm_preservation * np.max(np.abs(delta)):
-                raise InternalInvariantError(
-                    f"the plane update of a weight-symmetric state differs within "
-                    f"a Hamming-weight class by {spread:.3g}")
-        return delta
-
-    def _plane_columns(self, out: np.ndarray):
-        """Write u_in and u_out of every eigenvector into the (main, phase, 2)
-        array ``out``."""
-        rows, _ = self._vote_plane()
-        out.fill(0.0)
-        np.conjugate(rows, out=out[:, :, 0], where=self.gap_window)
-        np.conjugate(rows, out=out[:, :, 1], where=~self.gap_window)
+        _, norms, _ = self._vote_plane()
+        vote_sign = np.where(self.vote_window, -1.0, 1.0)
+        dicke = p.shape[2] != vote_sign.size
+        if dicke:
+            weights, roots = dicke_basis(self.scheme.vote_bits)
+            p = (p / roots)[:, :, weights]
+        delta = (_vote_coefficients(p, norms, vote_sign)
+                 - np.stack([vote_sign, vote_sign[::-1]]) * p)
+        if not dicke:
+            return delta
+        representative = delta[:, :, (1 << np.arange(roots.size)) - 1]
+        spread = np.max(np.abs(delta - representative[:, :, weights]))
+        if spread > TOL.norm_preservation * np.max(np.abs(delta)):
+            raise InternalInvariantError(
+                f"the plane update of a weight-symmetric state differs within "
+                f"a Hamming-weight class by {spread:.3g}")
+        return representative * roots
 
 
 def predicted_epsilon(scheme: InversionScheme, lam, invert):
@@ -507,34 +519,19 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     Each eigenstate is embedded straight into the operator's estimate frame
     and compared there; the norm of ``out - sign * in`` does not depend on
     the frame.  The input is a product state, nonzero on vote value 0
-    alone, and the output factored and weight-symmetric, so the squared
-    norm is summed one main index's (phase, vote) slab at a time, each
-    slab one (M, r) @ (r, nu + 1) product of the factors on one vote value
-    per Hamming weight h, its coefficients scaled by sqrt(C(nu, h)) so
-    that each value counts once per vote value of its weight, and the
-    output's norm is checked from the same slabs: no register is written.
+    alone, and the output Dicke slabs, an orthonormal basis, so the error
+    is the plain norm of the slabs minus the signed input on column 0.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
     invert = np.asarray(invert, dtype=bool)
     measured = np.empty(phases.shape[0])
-    n, m, _ = op.layout.shape
+    m = op.layout.phase_dim
     for k in range(phases.shape[0]):
         sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
-        out = op.apply(sv)
-        cols, coefs = out.factors
-        values, weights = out._vote_classes()
-        coefs = coefs[:, :, values] * np.sqrt(weights)
-        slab = np.empty((m, values.size), dtype=complex)
-        column = sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m))
-        total = norm_sq = 0.0
-        for j in range(n):
-            np.matmul(cols[j], coefs[j], out=slab)
-            norm_sq += np.vdot(slab, slab).real
-            slab[:, 0] -= column[j]
-            total += np.vdot(slab, slab).real
-        check_computed_norm(norm_sq)
-        measured[k] = math.sqrt(total)
+        diff = op.apply(sv).slabs.copy()
+        diff[:, 0] -= (sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m)))[:, None]
+        measured[k] = math.sqrt(np.vdot(diff, diff).real)
     predicted = predicted_epsilon(op.scheme, phases, invert)
     bound = basic_error_bound(op.scheme) if op.scheme.kind == "basic" else None
     return EpsilonReport(scheme=op.scheme, eigenphases=phases,

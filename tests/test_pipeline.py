@@ -89,10 +89,11 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     # the rounds stay in the estimate frame: estimates and unestimates are
     # the only transform kernels (src has no Walsh-Hadamard or register
     # rotation kernel left to call).  They cover one estimated and three
-    # unestimated phase columns per eigenvector in the first round, the two
-    # unestimated plane columns of the second, and seven vote columns each
-    # way when the readout computes the weight-symmetric state on one vote
-    # value per Hamming weight
+    # unestimated phase columns per eigenvector in the first round and the
+    # seven Dicke columns each way in the second; the readout transforms
+    # nothing.  20 / 12 / 8 columns when the second round unestimated its
+    # plane columns and the readout estimated and unestimated seven vote
+    # values
     kernels = ("raw_controlled_powers", "raw_qft", "raw_inverse_qft")
     amps = {name: [] for name in kernels}
     for name, seen in amps.items():
@@ -103,9 +104,29 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     assert res.amplification_rounds == 2
     column = ref12.spec.n << scheme.phase_bits
     assert {name: sum(seen) for name, seen in amps.items()} == {
-        "raw_controlled_powers": 20 * column,
-        "raw_qft": 12 * column,
+        "raw_controlled_powers": 18 * column,
+        "raw_qft": 10 * column,
         "raw_inverse_qft": 8 * column}
+
+
+# Peak tracemalloc memory of each pinned case over its full register
+# (main x phase x 2^nu complex128 amplitudes), measured on a 2-core x86
+# box, and the bound its test holds it to.  A weight-symmetric state holds
+# nu + 1 Dicke columns of the 2^nu, and an apply adds its output and the
+# working arrays of a few eigenvectors; a boosted operator keeps its vote
+# plane and its controlled powers, two main x phase tables.
+#
+#   case (ref12 unless noted)                               measured  bound
+#   test_pipeline.py
+#     boosted (9, 6) run_full                                   0.28   0.4, 1.3, 2.25
+#     boosted (10, 2) run_full                                  2.27   2.6
+#     basic mu=12 run_full                                      2.43   2.6
+#     criterion-08's one-round (5, 4) run_full, n=32            0.96   1.65
+#     basic mu=12 round-two target flip                        0.001   0.3
+#   test_selective_inversion.py
+#     boosted (10, 4) apply of a register state                 1.27   2.01
+#     boosted (10, 2) apply of the embedded halfway state       1.01   1.3
+#     boosted (10, 2) apply of the flipped round-one output     1.01   1.2
 
 
 def _run_full_peak_over_register(inst, scheme):
@@ -122,44 +143,41 @@ def _run_full_peak_over_register(inst, scheme):
 
 def test_boosted_amplification_holds_two_registers(ref12):
     # at most the state and its successor; every other temporary is a
-    # main-index slab or a main x phase table, and the kept vote plane is
-    # 1 / vote_dim of the register.  3.03x measured when each round rotated
-    # the register into the eigenframe and back, 2.15x when the first round
-    # wrote its output as a register; now 0.35x, see the next tests
+    # slab of a few eigenvectors or a main x phase table.  3.03x measured
+    # when each round rotated the register into the eigenframe and back,
+    # 2.15x when the first round wrote its output as a register; now see
+    # the table above
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.25
 
 
 def test_a_boosted_run_holds_one_register(ref12):
     # the first round's input is the embedded halfway state, n coefficients,
-    # and its output three phase columns per eigenvector (3 / vote_dim of
-    # the register); the second target flip adds one phase x vote slab to
-    # them, and the second inversion keeps them as its input.  1.28x
-    # measured on ref12 (9, 6) when the second inversion wrote its working
-    # array, 2.15x when the first round wrote its output as a register; now
-    # 0.35x, see the next test
+    # and every later state nu + 1 Dicke columns (7 / 64 of the register);
+    # the target flip writes nothing.  1.28x measured on ref12 (9, 6) when
+    # the second inversion wrote its working array, 2.15x when the first
+    # round wrote its output as a register
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 1.3
 
 
 def test_a_boosted_run_writes_no_register(ref12):
-    # the second inversion returns an inverted state, its input and the
-    # plane update, and the readout computes its amplitudes on one vote
-    # value per Hamming weight, one block of 7 of the 64 vote values:
-    # 0.35x measured on ref12 (9, 6), against 0.38x when it computed all
-    # 64 in blocks of 8 and 1.28x when the second inversion wrote its
-    # working array; the DENSE_CAP docstring quotes this multiple
+    # the second inversion holds its input and its output, 7 Dicke columns
+    # of the 64 vote values each, and the readout sums their Gram matrix
+    # in place: 0.28x measured on ref12 (9, 6), against 0.35x when the
+    # second inversion kept its input and the readout computed the 7 vote
+    # values, and 1.28x when the second inversion wrote its working array
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 0.4
 
 
 def test_a_one_round_run_reads_its_factors(ref12):
-    # criterion-08's first instance needs one round, whose output is
-    # factored; the readout computes its amplitudes from the factors, on
-    # one vote value per Hamming weight, 5 of the 16 in one block: 0.93x
-    # measured, against 1.62x when the block held all 16 vote values, the
-    # whole register, and 2.55x when the readout wrote the register from
-    # the factors and summed its Gram matrix over 4096 columns at a time
+    # criterion-08's first instance needs one round, whose output is 5
+    # Dicke columns of the 16 vote values, read out with one conjugated
+    # copy of them: 0.96x measured, against 0.93x when the readout
+    # computed them from three phase columns per eigenvector, 1.62x when
+    # it computed all 16 vote values, and 2.55x when it wrote the register
+    # and summed its Gram matrix over 4096 columns at a time
     fam, seed, target = instances.BASELINE_TRIO[0]
     inst = instances.symmetric_instance(instances.TRIO_N, fam, seed, target)
     scheme = es.InversionScheme.boosted(inst.boost, inst.spec.phase_gap, offset_bits=4)
@@ -169,48 +187,48 @@ def test_a_one_round_run_reads_its_factors(ref12):
 
 
 def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
-    # with two votes the vote plane is a quarter of the register, so a plane
-    # built inside the first round, next to the state and the working array,
-    # set the peak: 3.44x measured that way, 2.43x with the plane built
-    # before the state is embedded, 2.27x with the first round's output
-    # factored (its three columns are three quarters of the register here).
-    # 2.49x when the readout's one block was the whole register at
-    # (10, 2); now 2.12x, the block holding the 3 vote values of distinct
-    # Hamming weight, next to the three columns, the plane and the sign and
-    # plane-update temporaries of one main index
+    # with two votes the vote plane and the controlled powers are a quarter
+    # of the register each, so tables built inside the first round, next
+    # to the state and the working array, set the peak: 3.44x measured
+    # that way, 2.43x with the plane built before the state is embedded.
+    # 2.12x with the second round's output computed a block at a time for
+    # the readout; now 2.27x, the second round's input and output, 3 Dicke
+    # columns of the 4 vote values each, next to the two tables
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
 
 def test_a_basic_round_two_flip_keeps_the_factors(ref12):
-    # the first basic inversion returns one phase column per eigenvector
-    # with coefficient 1, and the second round's target flip adds its
-    # shared rank-one term to them: 0.17x measured on ref12 at mu=12,
-    # against 1.09x when the first inversion wrote its output as a register
-    # and the flip reflected the register
+    # the first basic inversion returns its one phase column per
+    # eigenvector, and the second round's target flip shares it and keeps
+    # its reflection pending: 0.001x measured on ref12 at mu=12, against
+    # 0.17x when the flip added a shared rank-one term to the column and
+    # 1.09x when it reflected the register
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     dec = es.search_decomposition(ref12)
     op = es.InversionOperator.build(scheme, es.search_operator(ref12), decomposition=dec)
     state = es.embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, dec)
     state = op.apply(es.target_flip(state, ref12.target_index))
-    assert state.factors is not None and state.factors[0].shape[2] == 1
+    assert state.slabs.shape == (ref12.spec.n, 1, op.layout.phase_dim)
+    assert state.reflection is None
     tracemalloc.start()
     try:
         flipped = es.target_flip(state, ref12.target_index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert all(f is g for f, g in zip(flipped.factors, state.factors))
-    assert flipped.shared is not None
+    assert flipped.slabs is state.slabs
+    assert np.array_equal(flipped.reflection,
+                          dec.vectors[ref12.target_index].conj())
     assert peak / (op.layout.dim * 16) <= 0.3
 
 
 def test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time(ref12):
     # with no vote register a main x phase array is the register, so the
     # estimate profiles of all twelve eigenphases at once set the peak of a
-    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.52x, set
-    # by the readout's one block, the whole register here, next to the
-    # round-two input's phase column
+    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.43x,
+    # set by the second round's input and output, a few eigenvectors'
+    # controlled powers at a time
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 

@@ -15,12 +15,11 @@ search operator's gap eigenphases against the secular roots.  States in an
 estimate frame are checked against plain arrays of computational amplitudes
 through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
 frame amplification of ``run_full`` against rounds run on such an array.
-An embedded state, kept as its main coefficients, and the factored state a
+An embedded state, kept as its main coefficients, and the Dicke state a
 boosted inversion makes of it are checked against the same states rebuilt
-from their amplitudes as registers.  The inverted state every other
-inversion returns is checked against the dense oracles, its norm against
-its amplitudes, and the block readouts of every kind of state against the
-readouts of its amplitudes.
+from their amplitudes as registers.  The inversion of every other state is
+checked against the dense oracles, and the readouts of every form of state
+against the readouts of its amplitudes.
 """
 
 import math
@@ -35,7 +34,6 @@ import eigensearch as es
 import frames
 import oracles
 from eigensearch import phase_estimation, pipeline, selective_inversion
-from eigensearch.phase_estimation import factored_norm
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -290,7 +288,7 @@ def test_a_product_state_apply_matches_the_register_apply(case, seed):
     out = op.apply(product, ledgers[0])
     want = op.apply(general, ledgers[1])
     assert out.main is None and out.frame is op.frame
-    assert out.factors is not None and out.shared is None
+    assert out.vote_symmetric and out.reflection is None
     assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
 
@@ -321,7 +319,8 @@ def test_an_embedded_state_writes_the_embedding_on_first_read(case, seed):
     want[:, :, 0] = (op.frame.vectors.conj().T @ vec)[:, None] / np.sqrt(lay.phase_dim)
     assert not product.main.flags.writeable
     assert np.max(np.abs(product.amps - want.reshape(-1))) <= 1e-15
-    assert product.amps is product.amps
+    # the amplitudes are written on each read, and the state stays a product
+    assert product.main is not None and product.slabs is None
 
 
 @pytest.mark.parametrize("n, mu, nu", [(3, 5, 0), (3, 5, 2), (4, 4, 4)])
@@ -329,116 +328,109 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
         call_counter, n, mu, nu):
     # the forward estimate runs on one column per eigenvector and the
     # unestimate on three (the signed estimate, u_in and u_out), whatever
-    # the vote register
-    columns, calls = {}, {}
+    # the vote register; a column is main x phase amplitudes
+    columns = {}
     for name in ("raw_estimate_forward", "raw_estimate_inverse"):
         seen = columns[name] = []
-        calls[name] = call_counter(phase_estimation, name,
-                                   lambda a, *args, seen=seen, **kwargs: seen.append(a.shape[2]))
+        call_counter(phase_estimation, name,
+                     lambda a, *args, seen=seen, **kwargs: seen.append(a.size))
     u = haar_unitary(n, 17 + nu)
     op = es.InversionOperator.build(
         es.InversionScheme("basic" if nu == 0 else "boosted", mu, nu, 1.0), u)
     _, product, general = product_and_general(op, 5)
-    op.apply(product)
-    assert calls == {"raw_estimate_forward": [1], "raw_estimate_inverse": [1]}
-    assert columns == {"raw_estimate_forward": [1],
-                       "raw_estimate_inverse": [1 if nu == 0 else 3]}
-    # a register state is not transformed: the inverted state keeps it, and
-    # the boosted vote stage unestimates two plane columns per eigenvector
+
+    def counted():
+        return {name: sum(seen) // (n << mu) for name, seen in columns.items()}
+
+    out = op.apply(product)
+    assert counted() == {"raw_estimate_forward": 1,
+                         "raw_estimate_inverse": 1 if nu == 0 else 3}
+    # a Dicke state is transformed on its nu + 1 columns each way, a
+    # register state on all 2^nu vote values
+    op.apply(es.target_flip(out, 0))
     op.apply(general)
-    assert columns == {"raw_estimate_forward": [1],
-                       "raw_estimate_inverse": [1] if nu == 0 else [3, 2]}
+    assert counted() == {"raw_estimate_forward": 1 + (nu + 1) + (1 << nu),
+                         "raw_estimate_inverse": (1 if nu == 0 else 3) + (nu + 1) + (1 << nu)}
 
 
-def factored_and_general(op, seed):
-    """The factored output of a boosted apply on a random embedded state,
-    the same state rebuilt as a plain register state, and the ledger of
-    that apply with the ledger of the register apply of the embedding."""
+def dicke_and_general(op, seed):
+    """The Dicke output of a boosted apply on a random embedded state, the
+    same state rebuilt as a plain register state, and the ledger of that
+    apply with the ledger of the register apply of the embedding."""
     _, product, general = product_and_general(op, seed)
     ledgers = es.QueryLedger(), es.QueryLedger()
-    factored = op.apply(product, ledgers[0])
+    dicke = op.apply(product, ledgers[0])
     want = op.apply(general, ledgers[1])
-    return factored, es.StateVector(want.amps, op.layout, op.frame), ledgers
+    return dicke, es.StateVector(want.amps, op.layout, op.frame), ledgers
 
 
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_a_boosted_product_apply_returns_a_factored_state(case, seed):
+def test_a_boosted_product_apply_returns_a_dicke_state(case, seed):
     _, op = case
-    factored, want, ledgers = factored_and_general(op, seed)
-    assert factored.factors is not None and factored.shared is None
-    assert factored.main is None and factored.frame is op.frame
-    assert all(not f.flags.writeable for f in factored.factors)
-    assert np.max(np.abs(factored.amps - want.amps)) <= 1e-13
+    dicke, want, ledgers = dicke_and_general(op, seed)
+    n, m, _ = op.layout.shape
+    assert dicke.slabs.shape == (n, op.layout.vote_bits + 1, m)
+    assert dicke.vote_symmetric and not want.vote_symmetric
+    assert dicke.main is None and dicke.frame is op.frame
+    assert not dicke.slabs.flags.writeable
+    slabs = dicke.slabs
+    assert np.max(np.abs(dicke.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
-    # the register is built once and the factors stay set
-    assert factored.amps is factored.amps and factored.factors is not None
+    # reading the amplitudes keeps the Dicke slabs
+    assert dicke.slabs is slabs
 
 
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_a_factored_state_target_flip_stays_factored(case, seed):
+def test_a_dicke_state_target_flip_is_kept_pending(case, seed):
     _, op = case
-    factored, general, _ = factored_and_general(op, seed)
+    dicke, general, _ = dicke_and_general(op, seed)
     target = seed % op.layout.main_dim
     ledgers = es.QueryLedger(), es.QueryLedger()
-    flipped = es.target_flip(factored, target, ledgers[0])
+    flipped = es.target_flip(dicke, target, ledgers[0])
     want = es.target_flip(general, target, ledgers[1])
-    assert all(f is g for f, g in zip(flipped.factors, factored.factors))
-    assert flipped.shared is not None
+    assert flipped.slabs is dicke.slabs and flipped.reflection is not None
+    assert flipped.vote_symmetric
     assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
-    # a second flip goes through the amplitudes: the flip is an involution
+    # a second flip writes the first one out: the flip is an involution
     again = es.target_flip(flipped, target, ledgers[0])
-    assert again.factors is None
+    assert again.slabs is not dicke.slabs and again.reflection is not None
     assert np.max(np.abs(again.amps - general.amps)) <= 1e-13
 
 
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
 def test_a_flipped_factored_state_apply_matches_the_register_apply(case, seed):
+    # the flipped output of a first apply, as the second round sees it: a
+    # Dicke state with a pending reflection
     _, op = case
-    factored, general, _ = factored_and_general(op, seed)
+    dicke, general, _ = dicke_and_general(op, seed)
     target = seed % op.layout.main_dim
-    flipped = es.target_flip(factored, target)
+    flipped = es.target_flip(dicke, target)
     ledgers = es.QueryLedger(), es.QueryLedger()
     out = op.apply(flipped, ledgers[0])
     want = op.apply(es.target_flip(general, target), ledgers[1])
-    assert out.factors is None and out.main is None
+    assert out.vote_symmetric and out.reflection is None and out.main is None
     assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
 
 
 @SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1), st.floats(0.25, 4.0))
-def test_the_factored_norm_matches_the_amplitudes(case, seed, scale):
-    # on the states the pipeline makes, and on unnormalized factors with a
-    # shared term of another weight, against the norm of the written slabs
-    _, op = case
-    factored, _, _ = factored_and_general(op, seed)
-    flipped = es.target_flip(factored, seed % op.layout.main_dim)
-    for state in (factored, flipped):
-        assert abs(factored_norm(*state.factors, state.shared)
-                   - np.linalg.norm(state.amps)) <= 1e-13
-    (cols, coefs), (x, g) = flipped.factors, flipped.shared
-    slabs = cols @ (scale * coefs) + x[:, None, None] * g
-    assert abs(factored_norm(cols, scale * coefs, (x, g)) - np.linalg.norm(slabs)) \
-        <= 1e-13 * max(1.0, scale)
-
-
-@SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
        st.sampled_from((1.001, 0.999)))
-def test_a_scaled_factored_state_raises(case, seed, scale):
+def test_a_dicke_state_keeps_its_norm(case, seed, scale):
+    # the norm checked at construction is the plain norm of the Dicke
+    # slabs, an orthonormal basis: it matches the norm of the amplitudes,
+    # and the same slabs scaled raise
     _, op = case
-    factored, _, _ = factored_and_general(op, seed)
-    (cols, coefs), frame = factored.factors, op.frame
-    with pytest.raises(ValueError):
-        es.StateVector.factored(cols, scale * coefs, op.layout, frame)
-    flipped = es.target_flip(factored, seed % op.layout.main_dim)
-    x, g = flipped.shared
-    with pytest.raises(ValueError):
-        es.StateVector.factored(cols, scale * coefs, op.layout, frame, (x, scale * g))
+    dicke, _, _ = dicke_and_general(op, seed)
+    flipped = es.target_flip(dicke, seed % op.layout.main_dim)
+    for state in (dicke, flipped, op.apply(flipped)):
+        assert abs(state.norm - np.linalg.norm(state.amps)) <= 1e-13
+        with pytest.raises(ValueError):
+            es.StateVector.from_slabs(scale * state.slabs, op.layout, op.frame)
 
 
 @SETTINGS
@@ -459,6 +451,31 @@ def test_slab_wise_epsilons_match_the_register_norms(case):
         assert abs(report.measured[k] - want) <= 1e-15
 
 
+@SETTINGS
+@given(operators(), st.integers(0, 2**32 - 1))
+def test_a_dicke_state_runs_like_its_register(case, seed):
+    # the round-one output and its flip, held in the Dicke basis, against
+    # the same amplitudes as a caller's register on all 2^nu vote values:
+    # applies, readouts and epsilons agree, under both schemes
+    _, op = case
+    _, product, _ = product_and_general(op, seed)
+    dicke = op.apply(product)
+    for state in (dicke, es.target_flip(dicke, seed % op.layout.main_dim)):
+        register = es.StateVector(state.amps, op.layout, op.frame)
+        for got, want in ((state, register), (op.apply(state), op.apply(register))):
+            assert np.max(np.abs(got.amps - want.amps)) <= 1e-13
+            for value, twin in zip(got.readouts(), want.readouts()):
+                assert np.max(np.abs(value - twin)) <= 1e-13
+    dec = op.frame
+    invert = np.arange(op.layout.main_dim) % 2 == 1
+    report = es.measure_epsilon(op, dec.phases, dec.vectors, invert)
+    for k in range(op.layout.main_dim):
+        embedded = es.embed_mainspace(op.layout, dec.vectors[:, k], dec)
+        register = es.StateVector(embedded.amps, op.layout, dec)
+        diff = op.apply(register).amps - (-1.0 if invert[k] else 1.0) * register.amps
+        assert abs(report.measured[k] - np.linalg.norm(diff)) <= 1e-13
+
+
 def register_state(op, seed):
     """A random plain register state of ``op``'s frame."""
     rng = np.random.default_rng(seed)
@@ -468,12 +485,12 @@ def register_state(op, seed):
 
 def apply_inputs(op, seed):
     """The states an apply takes that are not products: a random register
-    state, and for the boosted scheme the flipped factored output of a
+    state, and for the boosted scheme the flipped Dicke output of a
     product apply, as the second amplification round sees it."""
     states = [register_state(op, seed)]
     if op.scheme.kind == "boosted":
-        factored, _, _ = factored_and_general(op, seed)
-        states.append(es.target_flip(factored, seed % op.layout.main_dim))
+        dicke, _, _ = dicke_and_general(op, seed)
+        states.append(es.target_flip(dicke, seed % op.layout.main_dim))
     return states
 
 
@@ -495,8 +512,8 @@ def oracle_apply(op, state, times=1):
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_an_inverted_state_matches_the_dense_oracle(case, seed):
-    # an apply of a register or flipped factored state writes nothing: its
-    # amplitudes come from the blocks of the inverted state when read
+    # an apply of a register state or of a flipped Dicke state returns its
+    # slabs in the basis of its input, with the pending reflection applied
     _, op = case
     product = es.embed_mainspace(op.layout, np.eye(op.layout.main_dim)[0], op.frame)
     want_ledger = es.QueryLedger()
@@ -504,9 +521,8 @@ def test_an_inverted_state_matches_the_dense_oracle(case, seed):
     for state in apply_inputs(op, seed):
         ledger = es.QueryLedger()
         out = op.apply(state, ledger)
-        assert out.inversion is not None and out.inversion.source is state
+        assert out.slabs.shape == state.slabs.shape and out.reflection is None
         assert np.max(np.abs(out.amps - oracle_apply(op, state))) <= 1e-13
-        assert out.inversion is None
         assert ledger == want_ledger
 
 
@@ -533,10 +549,9 @@ def amplitude_readouts(state):
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_block_readouts_match_the_amplitude_readouts(case, seed):
-    # every kind of state: product, register, inverted, and factored with
-    # and without a shared term; and the rounds of a run, which are weight
-    # symmetric and read on one vote value per Hamming weight, while the
-    # amplitudes are written on every vote value
+    # every form of state: product, register, Dicke, each with and without
+    # a pending reflection; and the rounds of a run, which are held in the
+    # Dicke basis, while the amplitudes are written on every vote value
     _, op = case
     _, product, _ = product_and_general(op, seed)
     states = [product, *apply_inputs(op, seed)]
@@ -546,67 +561,61 @@ def test_block_readouts_match_the_amplitude_readouts(case, seed):
     for _ in range(2):
         rounds += [es.target_flip(rounds[-1], target)]
         rounds += [op.apply(rounds[-1])]
-    assert not states[1].vote_symmetric
+    # with fewer than two votes the Dicke basis is the full vote basis
+    assert states[1].vote_symmetric == (op.layout.vote_bits < 2)
     assert all(state.vote_symmetric for state in [product, *rounds])
-    states += rounds
+    # a target flip leaves the main marginal alone; a reflection about any
+    # other unit vector does not
+    rng = np.random.default_rng(seed)
+    x = rng.normal(size=op.layout.main_dim) + 1j * rng.normal(size=op.layout.main_dim)
+    x /= np.linalg.norm(x)
+    states += rounds + [rounds[0].reflect_main(x), states[1].reflect_main(x)]
     for state in states:
         got = state.readouts()
         for block_value, amps_value in zip(got, amplitude_readouts(state)):
             assert np.max(np.abs(block_value - amps_value)) <= 1e-12
 
 
-def independent_projections(state):
-    """p_k = Y_k^dagger F_k psi_k of an inverted state's source, from the
-    estimate of the source's amplitudes and the kept plane rows."""
-    source, _, _, rows, window = state.inversion
-    est = phase_estimation.raw_estimate_forward(source.reshaped(), state.frame.phases)
-    return np.stack([np.einsum("kw,kwv->kv", np.where(window, rows, 0.0), est),
-                     np.einsum("kw,kwv->kv", np.where(window, 0.0, rows), est)], axis=1)
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
-       st.sampled_from((1.001, 0.999)))
-def test_the_inverted_norm_matches_the_amplitudes(case, seed, scale):
-    # the norm checked at construction, from the pieces, against the norm
-    # of the amplitudes; the same pieces with the plane update scaled raise
-    _, op = case
-    for state in apply_inputs(op, seed):
-        out = op.apply(state)
-        inversion, norm = out.inversion, out.norm
-        p = independent_projections(out)
-        assert abs(es.StateVector.inverted(inversion, p).norm - norm) <= 1e-13
-        assert abs(norm - np.linalg.norm(out.amps)) <= 1e-13
-        delta = inversion.delta
-        assume(np.vdot(delta, delta).real > 1e-6)
-        with pytest.raises(ValueError):
-            es.StateVector.inverted(inversion._replace(delta=scale * delta), p)
-
-
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
 def test_reading_a_factored_input_changes_no_readout_bit(case, seed):
-    # a tracer reads the amplitudes of each apply's input; a factored input
-    # keeps its factors, and its blocks still come from them
+    # a tracer reads the amplitudes of each apply's input; a Dicke input
+    # with a pending reflection writes them out and keeps its slabs and
+    # its reflection
     _, op = case
     _, product, _ = product_and_general(op, seed)
     target = seed % op.layout.main_dim
     read, unread = (es.target_flip(op.apply(product), target) for _ in range(2))
-    out_read, out_unread = op.apply(read), op.apply(unread)
+    slabs, reflection = read.slabs, read.reflection
     assert read.amps.shape == (op.layout.dim,)
+    assert read.slabs is slabs and read.reflection is reflection
+    out_read, out_unread = op.apply(read), op.apply(unread)
     for state, twin in ((read, unread), (out_read, out_unread)):
         for got, want in zip(state.readouts(), twin.readouts()):
             assert np.array_equal(got, want)
 
 
 def test_computed_amplitudes_are_norm_checked():
-    # a plane update changed after the construction check is caught where
-    # the amplitudes are computed: by the Gram trace of the readouts and the
-    # norm of the written register
+    # a vote coefficient moved out of its Hamming-weight class is caught
+    # by the apply of a Dicke state, and slabs changed after the
+    # construction check are caught where the amplitudes are read: by the
+    # Gram trace of the readouts and the norm of the written register
     op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
                                     haar_unitary(3, 23))
-    out = op.apply(register_state(op, 29))
-    out.inversion = out.inversion._replace(delta=2.0 * out.inversion.delta)
+    product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
+    flipped = es.target_flip(op.apply(product), 1)
+    original = selective_inversion._vote_coefficients
+
+    def moved(*args):
+        q = original(*args)
+        q[:, :, 2] += 0.5        # vote value 2 shares Hamming weight 1 with 1
+        return q
+
+    with mock.patch.object(selective_inversion, "_vote_coefficients", moved):
+        with pytest.raises(es.InternalInvariantError):
+            op.apply(flipped)
+    out = op.apply(flipped)
+    out.slabs = 2.0 * out.slabs
     with pytest.raises(es.InternalInvariantError):
         out.readouts()
     with pytest.raises(es.InternalInvariantError):

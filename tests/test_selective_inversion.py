@@ -11,6 +11,7 @@ import eigensearch as es
 import frames
 import instances
 import oracles
+from eigensearch import selective_inversion
 from eigensearch.phase_estimation import embed_mainspace
 from eigensearch.selective_inversion import _split_estimates
 
@@ -233,12 +234,11 @@ def _apply_peak_over_register(op, sv):
 
 def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
     # an apply of a plain register state (the output of a first apply is
-    # factored, so it is rebuilt as one) returns an inverted state and
-    # writes no register: its largest arrays are the two unestimated plane
-    # columns per eigenvector, 2 / vote_dim of the register.  0.26x
-    # measured, against 1.14x when the apply wrote its working array (the
-    # bound dates from the computational apply, at 2.0004x); the DENSE_CAP
-    # docstring quotes this multiple
+    # held in the Dicke basis, so it is rebuilt as one) writes its output
+    # register on all 2^nu vote values, next to the working arrays of a
+    # few eigenvectors: 1.27x measured (see the table in test_pipeline),
+    # against 0.26x when it kept its input and computed the output when
+    # read (the bound dates from the computational apply, at 2.0004x)
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
                                 phase_gap=instances.REF12_GAP,
                                 guard_fraction=es.GUARD_FRACTION)
@@ -247,7 +247,7 @@ def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
     # the vote plane is computed and kept on first use
     sv = op.apply(sv)
     sv = es.StateVector(sv.amps, sv.layout, sv.frame)
-    assert sv.main is None and sv.factors is None
+    assert sv.main is None and not sv.vote_symmetric
     assert _apply_peak_over_register(op, sv) <= 2.01
 
 
@@ -264,24 +264,45 @@ def _two_vote_ref12_state(ref12):
 
 def test_a_product_state_apply_writes_only_its_output_register(ref12):
     # an embedded state is n coefficients, and a boosted apply of it writes
-    # no register: its output is three phase columns per eigenvector and
-    # their coefficients.  With two votes the columns are three quarters of
-    # the register, the main x phase tables of the vote stage a quarter:
-    # 0.98x measured, against 1.28x when the output was a register holding
-    # the columns and about 2.0x with the columns in an array of their own
-    # beside it; the DENSE_CAP docstring quotes this multiple
+    # its Dicke columns, three quarters of the register with two votes,
+    # from three unestimated phase columns of a few eigenvectors at a time:
+    # 1.01x measured, against 0.98x when the output was the three columns
+    # of every eigenvector, 1.28x when it was a register holding them and
+    # about 2.0x with the columns in an array of their own beside it
     op, sv = _two_vote_ref12_state(ref12)
     assert sv.main is not None
     assert _apply_peak_over_register(op, sv) <= 1.3
 
 
 def test_a_flipped_factored_state_apply_writes_one_register(ref12):
-    # the apply keeps the flipped factored state as its input and takes the
-    # vote stage's projections from the factors and the shared term of the
-    # target flip; its largest array is the two unestimated plane columns
-    # per eigenvector, half the register with two votes.  0.68x measured,
-    # against 1.17x when the apply wrote its working array from the factors
+    # the flipped output of the first apply is its Dicke columns with the
+    # reflection pending; the apply reflects them into its output, three
+    # quarters of the register with two votes, and runs there in place.
+    # 1.01x measured, against 0.68x when it kept its input and computed
+    # the output when read, and 1.17x when it wrote its working array
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
-    assert flipped.factors is not None and flipped.shared is not None
+    assert flipped.vote_symmetric and flipped.reflection is not None
     assert _apply_peak_over_register(op, flipped) <= 1.2
+
+
+@pytest.mark.parametrize("kind, mu, nu", [("basic", 8, 0), ("boosted", 6, 4)])
+def test_an_apply_does_not_depend_on_how_it_splits_the_eigenvectors(
+        ref12, monkeypatch, kind, mu, nu):
+    # an apply works a few eigenvectors at a time; one eigenvector per run
+    # and all of them in one run give the same round, from an embedded
+    # state, from its flipped Dicke output and from a register
+    op = es.InversionOperator.build(es.InversionScheme(kind, mu, nu, instances.REF12_GAP),
+                                    es.search_operator(ref12),
+                                    decomposition=es.search_decomposition(ref12))
+    sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, op.frame)
+    flipped = es.target_flip(op.apply(sv), ref12.target_index)
+    inputs = (sv, flipped, es.StateVector(flipped.amps, op.layout, op.frame))
+    splits = {}
+    for runs in (1, ref12.spec.n):
+        monkeypatch.setattr(selective_inversion, "_chunks",
+                            lambda n, width, runs=runs: [slice(k, k + n // runs)
+                                                         for k in range(0, n, n // runs)])
+        splits[runs] = [op.apply(state).amps for state in inputs]
+    for one, many in zip(splits[1], splits[ref12.spec.n]):
+        assert np.max(np.abs(one - many)) <= 1e-14
