@@ -420,14 +420,15 @@ def test_a_flipped_factored_state_apply_matches_the_register_apply(case, seed):
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
        st.sampled_from((1.001, 0.999)))
-def test_a_dicke_state_keeps_its_norm(case, seed, scale):
-    # the norm checked at construction is the plain norm of the Dicke
-    # slabs, an orthonormal basis: it matches the norm of the amplitudes,
-    # and the same slabs scaled raise
+def test_a_scaled_factored_state_raises(case, seed, scale):
+    # the output of a product apply and its flip, held as Dicke slabs, an
+    # orthonormal basis: the norm checked at construction is the plain norm
+    # of the slabs, it matches the norm of the amplitudes, and the same
+    # slabs scaled raise
     _, op = case
     dicke, _, _ = dicke_and_general(op, seed)
     flipped = es.target_flip(dicke, seed % op.layout.main_dim)
-    for state in (dicke, flipped, op.apply(flipped)):
+    for state in (dicke, flipped):
         assert abs(state.norm - np.linalg.norm(state.amps)) <= 1e-13
         with pytest.raises(ValueError):
             es.StateVector.from_slabs(scale * state.slabs, op.layout, op.frame)
@@ -574,6 +575,21 @@ def test_block_readouts_match_the_amplitude_readouts(case, seed):
         got = state.readouts()
         for block_value, amps_value in zip(got, amplitude_readouts(state)):
             assert np.max(np.abs(block_value - amps_value)) <= 1e-12
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
+       st.sampled_from((1.001, 0.999)))
+def test_the_inverted_norm_matches_the_amplitudes(case, seed, scale):
+    # the norm of every inversion's output, checked at construction from
+    # its slabs, against the norm of the amplitudes; the same slabs scaled
+    # raise
+    _, op = case
+    for state in apply_inputs(op, seed):
+        out = op.apply(state)
+        assert abs(out.norm - np.linalg.norm(out.amps)) <= 1e-13
+        with pytest.raises(ValueError):
+            es.StateVector.from_slabs(scale * out.slabs, op.layout, op.frame)
 
 
 @SETTINGS
