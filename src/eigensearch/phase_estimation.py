@@ -343,9 +343,14 @@ def raw_reflect_main(a: np.ndarray, x: np.ndarray,
 
 
 def power_table(phases: np.ndarray, phase_dim: int) -> np.ndarray:
-    """The (main, phase) controlled-power factors e^{i w phases[k]}."""
-    table = 1j * np.arange(phase_dim) * np.asarray(phases, dtype=float)[:, None]
-    return np.exp(table, out=table)
+    """The (main, phase) controlled-power factors e^{i w phases[k]}: with
+    w = a F + b, the outer product of a coarse table e^{i a F phases[k]}
+    and a fine one e^{i b phases[k]} of about sqrt(M) exponentials each."""
+    phases = np.asarray(phases, dtype=float)[:, None]
+    fine = 1 << (phase_dim.bit_length() - 1) // 2
+    table = (np.exp(1j * fine * np.arange(phase_dim // fine) * phases)[:, :, None]
+             * np.exp(1j * np.arange(fine) * phases)[:, None, :])
+    return table.reshape(phases.shape[0], phase_dim)
 
 
 def raw_controlled_powers(a: np.ndarray, powers: np.ndarray, inverse: bool = False,
@@ -355,15 +360,11 @@ def raw_controlled_powers(a: np.ndarray, powers: np.ndarray, inverse: bool = Fal
     Main index k is the eigenvector of eigenphase lambda_k, so the
     controlled power multiplies its slab by e^{i w lambda_k} along the
     phase axis ``axis`` (conjugated for the inverse).  ``powers`` is the
-    (main, phase) table of those factors (``power_table``), which a caller
-    that transforms both ways builds once, or the eigenphases themselves.
+    (main, phase) table of those factors, from ``power_table``.
     """
     n, m = a.shape[0], a.shape[axis]
-    powers = np.asarray(powers)
-    if powers.shape == (n,):
-        powers = power_table(powers, m)
     if powers.shape != (n, m):
-        raise ValueError(f"eigenphases of shape {powers.shape} do not match main "
+        raise ValueError(f"power table of shape {powers.shape} does not match main "
                          f"dimension {n} and phase dimension {m}")
     if inverse:
         powers = powers.conj()
@@ -372,45 +373,57 @@ def raw_controlled_powers(a: np.ndarray, powers: np.ndarray, inverse: bool = Fal
     return np.multiply(a, powers.reshape(shape), out=out)
 
 
-def raw_estimate_forward(a: np.ndarray, phases: np.ndarray,
+def raw_estimate_forward(a: np.ndarray, powers: np.ndarray,
                          out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """The estimate on an estimate-frame array: controlled powers, then the
     inverse Fourier transform.  The circuit's opening Walsh-Hadamard pass is
     part of the frame.  The result has the phase axis in the computational
     basis, main axis still in the eigenbasis."""
-    out = raw_controlled_powers(a, phases, out=out, axis=axis)
+    out = raw_controlled_powers(a, powers, out=out, axis=axis)
     return raw_inverse_qft(out, out=out, axis=axis)
 
 
-def raw_estimate_inverse(a: np.ndarray, phases: np.ndarray,
+def raw_estimate_inverse(a: np.ndarray, powers: np.ndarray,
                          out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
     """Exact inverse of ``raw_estimate_forward``: Fourier transform, then
     inverse controlled powers, back into the estimate frame."""
     out = raw_qft(a, out, axis=axis)
-    return raw_controlled_powers(out, phases, inverse=True, out=out, axis=axis)
+    return raw_controlled_powers(out, powers, inverse=True, out=out, axis=axis)
 
 
 # ---------------------------------------------------------------------------
 # Closed-form register distribution and window bookkeeping.
 
+# pi as three float32 heads, whose products with a register index are exact,
+# and the float64 nearest the rest (Cody & Waite, 1980)
+_PI_PARTS = (3.1415927410125732, -8.742277657347586e-08, -3.4302490200117637e-15,
+             2.1125998133974855e-23)
+
+
 def estimate_amplitudes(phase_bits: int, lam) -> np.ndarray:
     """Phase-register amplitudes after estimating an eigenphase ``lam``.
 
-    Entry k is the average over control values z of e^{i z (lam - 2 pi k/M)}
-    with M the register size, evaluated in closed form.  The ratio of sines
-    is stable arbitrarily close to its removable poles; the branch handles
-    only an exactly-zero denominator, where the defining sum is exactly 1.
-    An array of eigenphases gives one profile per eigenphase, along a new
-    last axis.
+    Entry k is the average over control values z of e^{i z x}, with
+    x = lam - 2 pi k/M and M the register size, evaluated in closed form at
+    the k' = k (mod M) that puts x within pi of 0, as
+    e^{iM lam/2} sin(M lam/2) e^{-ix/2} / (M sin(x/2)): M lam/2 is exact and
+    x/2 = lam/2 - pi k'/M is reduced with pi in parts, so no rounding is
+    amplified M-fold.  The ratio of sines is stable arbitrarily close to its
+    removable poles; the branch handles only an exactly-zero denominator,
+    where the defining sum is exactly 1.  An array of eigenphases gives one
+    profile per eigenphase, along a new last axis.
     """
     m = 1 << phase_bits
-    x = np.asarray(lam, dtype=float)[..., None] - 2.0 * np.pi * np.arange(m) / m
-    half = 0.5 * x
+    lam = np.asarray(lam, dtype=float)[..., None]
+    k = np.arange(m)
+    k = k + m * np.rint((m / (2.0 * np.pi) * lam - k) / m)
+    half = 0.5 * lam
+    for part in _PI_PARTS:
+        half = half - k * (part / m)
+    peak = 0.5 * m * lam
+    amps = np.exp(-1j * half) * (np.exp(1j * peak) * np.sin(peak) / m)
     den = np.sin(half)
-    num = np.sin(m * half)
-    ratio = np.divide(num, den, out=np.full(x.shape, float(m)), where=den != 0.0)
-    amps = np.exp(1j * (m - 1) * half) * ratio / m
-    return np.where(den == 0.0, 1.0 + 0.0j, amps)
+    return np.divide(amps, den, out=np.ones(amps.shape, dtype=complex), where=den != 0.0)
 
 
 def k_nearest(phase_bits: int, lam: float) -> int:
@@ -442,7 +455,7 @@ def peak_window_mass(phase_bits: int, lam: float, halfwidth: int) -> float:
     """Probability that the estimate of ``lam`` lands within ``halfwidth``
     register values of the nearest one."""
     mask = window_mask(phase_bits, k_nearest(phase_bits, lam), halfwidth)
-    return estimate_window_mass(phase_bits, lam, mask)
+    return float(window_split(phase_bits, lam, mask)[1][0] ** 2)
 
 
 def peak_mass_bound(halfwidth: int) -> float:
@@ -487,13 +500,16 @@ def gap_guard_margin(phase_bits: int, phase_gap: float,
     return m * guard_fraction * phase_gap / (2.0 * np.pi)
 
 
-def estimate_window_mass(phase_bits: int, lam, mask: np.ndarray):
-    """Analytic probability that the estimate of ``lam`` lands in the
-    boolean register mask; one per eigenphase for an array of them.
+def window_split(phase_bits: int, lam, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Split the estimate profile of ``lam`` at a boolean register mask.
 
-    The profiles are computed a few eigenphases at a time, at most
-    ``_GRAM_BLOCK`` register values together, so their temporaries stay
-    small next to a register of one main row per eigenphase.
+    Returns the row u_in + u_out of the unit parts on and off the mask,
+    which have disjoint supports, and the norms (|in|, |out|), whose
+    squares are the probabilities that the estimate lands on and off the
+    mask; one of each per eigenphase for an array of them.  A part of norm
+    exactly 0 gets zeros.  The profiles are computed a few eigenphases at a
+    time, at most ``_GRAM_BLOCK`` register values together, so their
+    temporaries stay small next to a register of one row per eigenphase.
     """
     mask = np.asarray(mask)
     m = 1 << phase_bits
@@ -502,12 +518,13 @@ def estimate_window_mass(phase_bits: int, lam, mask: np.ndarray):
                          f"{m}-value register")
     lam = np.asarray(lam, dtype=float)
     flat = lam.reshape(-1)
-    mass = np.empty(flat.shape)
+    rows = np.zeros((flat.size, m), dtype=complex)
+    norms = np.empty((flat.size, 2))
     step = max(1, _GRAM_BLOCK // m)
     for first in range(0, flat.size, step):
-        part = np.abs(estimate_amplitudes(phase_bits, flat[first:first + step])[:, mask]) ** 2
-        # one sum per profile: a batched reduction adds in another order, and
-        # the 1 - mass of an in-gap eigenphase would show the last-bit
-        # difference
-        mass[first:first + step] = [np.sum(profile) for profile in part]
-    return mass.reshape(lam.shape)[()]
+        part = slice(first, first + step)
+        profile = estimate_amplitudes(phase_bits, flat[part])
+        norms[part] = np.linalg.norm(np.where([mask, ~mask], profile[:, None], 0.0), axis=2)
+        scale = np.where(mask, norms[part, :1], norms[part, 1:])
+        np.divide(profile, scale, out=rows[part], where=scale > 0.0)
+    return rows.reshape(lam.shape + (m,)), norms.reshape(lam.shape + (2,))

@@ -35,7 +35,6 @@ from .selective_inversion import (
     GUARD_FRACTION,
     InversionOperator,
     InversionScheme,
-    predicted_epsilon,
 )
 from .spectra import SearchInstance
 
@@ -139,11 +138,11 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
         leakage = predicted = 0.0
     else:
         # the instance's one diagonalization, which gave the halfway state,
-        # serves the error prediction and the frame the amplification runs in
+        # is the frame the amplification runs in and gives the error prediction
         dec = search_decomposition(inst)
         op = InversionOperator.build(scheme, search_operator(inst), dense_cap, dec)
-        predicted = float(np.max(predicted_epsilon(
-            scheme, dec.phases, inside_gap(dec.phases, scheme.phase_gap))))
+        predicted = float(np.max(op.predicted_epsilon(
+            inside_gap(dec.phases, scheme.phase_gap))))
         state = amplify_to_target(embed_mainspace(op.layout, halfway.state, dec),
                                   op, inst.target_index, rounds, ledger)
         branch, marginal = state.readouts()

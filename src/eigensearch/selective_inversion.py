@@ -48,17 +48,17 @@ the plane update is computed on all 2^nu of them: the projections are
 expanded from the Dicke columns, run through the stage, checked to be
 equal across each weight class, and kept on one representative per weight.
 
-An apply runs a few eigenvectors at a time, and each eigenvector's
-controlled powers are computed once for its estimate and its unestimate.
-A state held as slabs is estimated into the output array, signed, updated
-in the plane and unestimated there, in the basis it came in.  An embedded
-state, a product c (x) H|0> (x) |0> with c = V^dagger w that the frame
-keeps as c alone (the first round's input, and each eigenstate of an
-epsilon report), has one estimated column c_k phi_k per eigenvector, on
-vote value 0, and only its projections onto the plane.  The unestimate acts on the phase axis alone, so it runs on
-r = 1 or 3 columns, the signed estimate and for the boosted scheme u_in and
-u_out, and each eigenvector's Dicke slab is one (nu + 1, r) @ (r, M)
-product of its coefficients and those columns.
+An apply runs a few eigenvectors at a time, and builds their controlled
+powers in each pass that uses them.  A state held as slabs is estimated
+into the output array, signed, updated in the plane and unestimated
+there, in the basis it came in.  An embedded state, a product
+c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c alone
+(the first round's input, and each eigenstate of an epsilon report), has
+one estimated column c_k phi_k per eigenvector, on vote value 0, and only
+its projections onto the plane.  The unestimate acts on the phase axis
+alone, so it runs on r = 1 or 3 columns, the signed estimate and for the
+boosted scheme u_in and u_out, and each eigenvector's Dicke slab is one
+(nu + 1, r) @ (r, M) product of its coefficients and those columns.
 """
 
 from __future__ import annotations
@@ -84,13 +84,12 @@ from .phase_estimation import (
     StateVector,
     dicke_basis,
     embed_mainspace,
-    estimate_amplitudes,
-    estimate_window_mass,
     gap_window_mask,
     power_table,
     raw_estimate_forward,
     raw_estimate_inverse,
     raw_reflect_main,
+    window_split,
 )
 from .search_core import search_decomposition
 
@@ -196,23 +195,6 @@ def _chunks(n: int, width: int) -> list[slice]:
     return [slice(first, first + step) for first in range(0, n, step)]
 
 
-def _split_estimates(estimates: np.ndarray,
-                     off_window: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Unit in-window and off-window parts of every estimate profile.
-
-    Returns ``units`` of shape (main, 2, phase), rows u_in and u_out of each
-    eigenvector, and their norms of shape (main, 2), so that
-    phi_k = norms[k, 0] u_in + norms[k, 1] u_out.  A part of norm exactly 0
-    gets a zero row: nothing couples to it, so the split stays exact.
-    """
-    parts = np.stack([np.where(off_window, 0.0, estimates),
-                      np.where(off_window, estimates, 0.0)], axis=1)
-    norms = np.linalg.norm(parts, axis=2)
-    units = np.divide(parts, norms[..., None], out=np.zeros_like(parts),
-                      where=norms[..., None] > 0.0)
-    return units, norms
-
-
 def _vote_coefficients(p: np.ndarray, norms: np.ndarray,
                        vote_sign: np.ndarray) -> np.ndarray:
     """The 2 nu kickbacks and the majority flip on (main, 2, vote) coefficients.
@@ -254,12 +236,11 @@ class InversionOperator:
     vote registers; the flips are -1 on them.  ``decomposition`` is the
     unitary's eigendecomposition, whose estimate frame the operator runs in,
     read through ``frame``.  Unless ``build`` is handed one it is computed on
-    first use and kept.  A boosted operator also keeps the split of every
-    eigenphase's estimate profile at the gap window, its vote plane, and
-    the controlled powers of every eigenvector: ``build`` makes them at once
-    when handed the decomposition, so that their temporaries are gone
-    before any register exists, and otherwise the first ``apply`` makes
-    them.
+    first use and kept.  The operator also keeps the split of every
+    eigenvector's estimate profile at the gap window: its norms, and for
+    the boosted scheme its vote plane, which a ``build`` handed the
+    decomposition makes at once, before any register exists.  Controlled
+    powers are not kept: an apply builds them a few eigenvectors at a time.
     """
 
     scheme: InversionScheme
@@ -268,7 +249,7 @@ class InversionOperator:
     gap_window: np.ndarray
     vote_window: np.ndarray | None
     decomposition: EigenDecomposition | None = None
-    _plane: tuple[np.ndarray, np.ndarray, np.ndarray] | None = field(
+    _split: tuple[np.ndarray | None, np.ndarray] | None = field(
         default=None, init=False, repr=False)
 
     @classmethod
@@ -288,7 +269,7 @@ class InversionOperator:
         op = cls(scheme=scheme, unitary=unitary, layout=layout,
                  gap_window=window, vote_window=votes, decomposition=decomposition)
         if decomposition is not None and votes is not None:
-            op._vote_plane()
+            op._window_split()
         return op
 
     @property
@@ -303,18 +284,20 @@ class InversionOperator:
             self.decomposition = eig_unitary(self.unitary, TOL.system_unitarity)
         return self.decomposition
 
-    def _vote_plane(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Row k is the conjugate of eigenvector k's u_in + u_out, with the
-        norms of ``_split_estimates``; the two parts have disjoint supports,
-        so one row keeps both exactly in half the memory.  The third table
-        holds the controlled powers (``power_table``) of every eigenvector,
-        which every boosted apply reads for its estimate and unestimate."""
-        if self._plane is None:
-            estimates = estimate_amplitudes(self.scheme.phase_bits, self.frame.phases)
-            units, norms = _split_estimates(estimates, ~self.gap_window)
-            self._plane = (units.sum(axis=1).conj(), norms,
-                           power_table(self.frame.phases, self.layout.phase_dim))
-        return self._plane
+    def _window_split(self) -> tuple[np.ndarray | None, np.ndarray]:
+        """The rows and norms of ``window_split`` for every eigenvector at
+        the gap window, made on first use and kept; the basic scheme keeps
+        no rows, which would be a register."""
+        if self._split is None:
+            rows, norms = window_split(self.scheme.phase_bits, self.frame.phases,
+                                       self.gap_window)
+            self._split = (rows if self.vote_window is not None else None, norms)
+        return self._split
+
+    def predicted_epsilon(self, invert) -> np.ndarray:
+        """``predicted_epsilon`` of every eigenvector of the frame, from the
+        kept norms; ``invert`` marks the eigenvectors meant to be flipped."""
+        return _split_epsilon(self.scheme, self._window_split()[1], invert)
 
     def apply(self, state: StateVector, ledger=None) -> StateVector:
         """One application of the inversion; charges the full query bill.
@@ -346,11 +329,11 @@ class InversionOperator:
         """The inversion of ``state`` (see the module docstring), written
         into one output array, a few eigenvectors at a time: a pending
         reflection of the input first, then the estimate, in place.  The
-        basic scheme runs each eigenvector through in one pass, with its
-        powers computed once for both transforms.  The boosted scheme takes
-        the powers it keeps with its vote plane; it estimates and projects
-        every eigenvector, runs the vote stage on all the projections, and
-        then signs, updates and unestimates.
+        basic scheme runs each eigenvector through in one pass.  The boosted
+        scheme estimates and projects every eigenvector, runs the vote
+        stage on all the projections, and then signs, updates and
+        unestimates.  Each pass builds the controlled powers of its run of
+        eigenvectors (``power_table``) for both of its transforms.
         """
         n, m, _ = self.layout.shape
         product = state.main is not None
@@ -372,32 +355,30 @@ class InversionOperator:
                 block *= signs
                 raw_estimate_inverse(block, powers, out=block, axis=2)
             return StateVector.from_slabs(out, self.layout, self.frame)
-        _, _, powers = self._vote_plane()
         width = src.shape[1]
         p = np.zeros((n, 2, basis), dtype=complex)
         for part in parts:
-            block = raw_estimate_forward(src[part], powers[part], out=out[part, :width],
-                                         axis=2)
-            p[part, :, :width] = np.matmul(self._plane_rows(part), block.transpose(0, 2, 1))
+            powers = power_table(self.frame.phases[part], m)
+            block = raw_estimate_forward(src[part], powers, out=out[part, :width], axis=2)
+            p[part, :, :width] = np.matmul(self._plane(part).conj(),
+                                           block.transpose(0, 2, 1))
         delta = self._plane_update(p).transpose(0, 2, 1)
         for part in parts:
-            plane, block = self._plane_rows(part), out[part]
+            powers = power_table(self.frame.phases[part], m)
+            plane, block = self._plane(part), out[part]
             if product:
                 # the signed estimate, u_in and u_out, unestimated; the
                 # slab is one product of its coefficients and them
-                cols = np.empty((block.shape[0], 3, m), dtype=complex)
-                np.multiply(block[:, 0], signs[0], out=cols[:, 0])
-                np.conjugate(plane, out=cols[:, 1:])
-                raw_estimate_inverse(cols, powers[part], out=cols, axis=2)
+                cols = np.concatenate([block[:, :1] * signs[0], plane], axis=1)
+                raw_estimate_inverse(cols, powers, out=cols, axis=2)
                 coefs = np.zeros((block.shape[0], basis, 3), dtype=complex)
                 coefs[:, 0, 0] = 1.0
                 coefs[:, :, 1:] = delta[part]
                 np.matmul(coefs, cols, out=block)
             else:
                 block *= signs
-                update = np.matmul(delta[part].conj(), plane)
-                block += np.conjugate(update, out=update)
-                raw_estimate_inverse(block, powers[part], out=block, axis=2)
+                block += np.matmul(delta[part], plane)
+                raw_estimate_inverse(block, powers, out=block, axis=2)
         return StateVector.from_slabs(out, self.layout, self.frame)
 
     def _signs(self, basis: int) -> np.ndarray:
@@ -418,14 +399,11 @@ class InversionOperator:
             vote_sign = vote_sign[(1 << np.arange(basis)) - 1]
         return np.where(self.gap_window, vote_sign[:, None], vote_sign[::-1, None])
 
-    def _plane_rows(self, part: slice) -> np.ndarray:
-        """The conjugated u_in and u_out of the eigenvectors ``part``,
-        (main, 2, phase), cut from the kept rows."""
-        rows = self._vote_plane()[0][part]
-        plane = np.zeros((rows.shape[0], 2, rows.shape[1]), dtype=complex)
-        np.copyto(plane[:, 0], rows, where=self.gap_window)
-        np.copyto(plane[:, 1], rows, where=~self.gap_window)
-        return plane
+    def _plane(self, part: slice) -> np.ndarray:
+        """u_in and u_out of the eigenvectors ``part``, (main, 2, phase),
+        cut from the kept rows."""
+        rows = self._window_split()[0][part, None]
+        return np.where([self.gap_window, ~self.gap_window], rows, 0.0)
 
     def _plane_update(self, p: np.ndarray) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
@@ -441,7 +419,7 @@ class InversionOperator:
         ``InternalInvariantError`` is raised, and the representatives are
         kept as Dicke columns.
         """
-        _, norms, _ = self._vote_plane()
+        norms = self._window_split()[1]
         vote_sign = np.where(self.vote_window, -1.0, 1.0)
         dicke = p.shape[2] != vote_sign.size
         if dicke:
@@ -462,17 +440,22 @@ class InversionOperator:
 
 def predicted_epsilon(scheme: InversionScheme, lam, invert):
     """Analytic inversion error per eigenphase; ``lam`` and ``invert`` may
-    be arrays, which share one window and one batch of estimate profiles.
+    be arrays, which share one window.
 
-    Basic scheme: twice the root of the estimate mass on the wrong side of
-    the window.  Boosted scheme: twice the root of the binomial tail at the
-    per-vote in-window probability.
+    Each estimate profile is split at the gap window (``window_split``).
+    Basic scheme: twice the norm of the part on the wrong side of the
+    window.  Boosted scheme: twice the root of the binomial tail at the
+    per-vote in-window probability |in|^2.
     """
     mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
-    p = estimate_window_mass(scheme.phase_bits, lam, mask)
+    return _split_epsilon(scheme, window_split(scheme.phase_bits, lam, mask)[1], invert)
+
+
+def _split_epsilon(scheme: InversionScheme, norms: np.ndarray, invert):
+    """``predicted_epsilon`` from the (..., 2) norms (|in|, |out|)."""
     if scheme.kind == "basic":
-        wrong = np.where(invert, 1.0 - p, p)
-        return 2.0 * np.sqrt(np.maximum(0.0, wrong))
+        return 2.0 * np.where(invert, norms[..., 1], norms[..., 0])
+    p = norms[..., 0] ** 2
     return 2.0 * np.sqrt(binomial_tail_wrong_half(scheme.vote_bits, p, invert))
 
 

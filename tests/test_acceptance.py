@@ -14,7 +14,7 @@ import frames
 import instances
 import oracles
 from eigensearch.numerics import make_rng
-from eigensearch.phase_estimation import RegisterLayout, raw_estimate_forward
+from eigensearch.phase_estimation import RegisterLayout, power_table, raw_estimate_forward
 
 
 def qr_unitary(n, seed):
@@ -302,7 +302,7 @@ def test_criterion_10_fast_kernels_match_dense_oracles(acceptance_log):
         vec = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         vec /= np.linalg.norm(vec)
         out = raw_estimate_forward(frames.to_frame(vec.reshape(layout.shape), dec4),
-                                   dec4.phases)
+                                   power_table(dec4.phases, layout.phase_dim))
         out = frames.from_frame(out, dec4, axes=("main",)).reshape(-1)
         ctrl_gap = max(ctrl_gap, float(np.max(np.abs(out - dense_forward @ vec))))
 

@@ -7,15 +7,17 @@ from numpy.testing import assert_allclose
 
 import eigensearch as es
 import frames
+import instances
 import oracles
 from eigensearch.numerics import ResourceCapExceeded, make_rng
 from eigensearch.phase_estimation import (
     RegisterLayout,
     StateVector,
     embed_mainspace,
-    estimate_window_mass,
+    power_table,
     raw_estimate_forward,
     raw_estimate_inverse,
+    window_split,
 )
 
 
@@ -34,6 +36,99 @@ def test_estimate_amplitudes_match_the_brute_force_sum():
         slow = oracles.brute_estimate_amplitudes(10, float(lam))
         assert np.max(np.abs(fast - slow)) <= 1e-10
         assert np.sum(np.abs(fast) ** 2) == pytest.approx(1.0, abs=1e-12)
+
+
+# Entries of estimate profiles, and the wrong-side mass of ref12's two in-gap
+# eigenphases +-lam_0 at mu 8/10/12 (the mass off the gap window), to 17
+# digits of their 40-digit values at the exact binary value of each float
+# lam; see the test below for how they were made.
+REFERENCE_PROFILES = (
+    (6, 0.49087385212440515, {
+        5: complex(1.0, 3.1498700409969717e-11),
+        4: complex(1.0177313911409143e-11, -4.999793712611603e-13),
+        6: complex(-1.0177313911584801e-11, -4.9997937191248152e-13),
+        0: complex(1.9960295386550918e-12, -4.999793715229506e-13),
+        37: complex(1.5748700436778197e-23, -4.9997937158682091e-13),
+    }),
+    (6, 0.4908738521234052, {
+        5: complex(1.0, -6.0275584645533789e-16),
+        4: complex(-1.9475201775068859e-16, 9.5675531183388159e-18),
+        6: complex(1.9475201775068852e-16, 9.5675531183385774e-18),
+        0: complex(-3.8195813111515378e-17, 9.5675531183387201e-18),
+        37: complex(5.7668985783506487e-33, 9.5675531183386967e-18),
+    }),
+    (8, -3.0, {
+        134: complex(6.8580637569772508e-1, -6.0497955070949484e-1),
+        133: complex(-2.0376234138175352e-1, 1.8424289184879682e-1),
+        135: complex(1.3007967848336481e-1, -1.1194065112869545e-1),
+        0: complex(1.8579875828856342e-3, 1.8172116856160992e-3),
+        6: complex(1.7149709943707822e-3, 1.9440955329759891e-3),
+    }),
+    (10, 0.2270291566067749, {
+        37: complex(1.0, -1.5345610113213547e-10),
+        36: complex(-4.8894189064987144e-11, 1.5000597147147778e-13),
+        38: complex(4.88941890602519e-11, 1.500059564505857e-13),
+        549: complex(2.3019330376027556e-23, 1.5000596396103174e-13),
+        1023: complex(-1.2808585752090864e-12, 1.5000596415777944e-13),
+    }),
+    (10, 1.234, {
+        201: complex(9.2136505296594484e-1, 3.3375500473337808e-1),
+        200: complex(9.1955726081083125e-2, 3.2991233034944931e-2),
+        202: complex(-1.1460149888096466e-1, -4.1911385054098327e-2),
+        713: complex(1.1338434593958412e-4, -3.1300916067337788e-4),
+        0: complex(5.5467358571426871e-4, -1.5298706800767407e-4),
+    }),
+    (12, 0.0008592359564976824, {
+        1: complex(1.3371757796118583e-1, -6.9808649635873358e-1),
+        0: complex(-1.045858739859528e-1, 5.482770135654177e-1),
+        2: complex(4.1013021086298781e-2, -2.1322748173490158e-1),
+        273: complex(4.4789667227841838e-4, -1.0656752983609062e-3),
+        274: complex(4.470969052295721e-4, -1.0614923943451354e-3),
+        2048: complex(2.3554967658021486e-4, 4.4931974499622065e-5),
+    }),
+    (12, -0.0008592359564976824, {
+        4095: complex(1.3371757796118583e-1, 6.9808649635873358e-1),
+        0: complex(-1.045858739859528e-1, -5.482770135654177e-1),
+        4094: complex(4.1013021086298781e-2, 2.1322748173490158e-1),
+        3823: complex(4.4789667227841838e-4, 1.0656752983609062e-3),
+        3822: complex(4.470969052295721e-4, 1.0614923943451354e-3),
+        2048: complex(2.3554967658021486e-4, -4.4931974499622065e-5),
+    }),
+)
+REF12_IN_GAP = 0.0008592359564976824
+REF12_WRONG_SIDE_MASS = {
+    8: 0.00013731489665308087,
+    10: 0.00052861295454508812,
+    12: 0.0007042787272861746,
+}
+
+
+def test_profiles_and_wrong_side_masses_match_a_40_digit_table(ref12):
+    """The profiles hold within 1e-15 at a register grid point, 1e-12 away
+    from one, at generic eigenphases and at ref12's in-gap ones, and the
+    wrong-side masses within 1e-13 relative.  The table was made once with
+    mpmath 1.3.0, which the package does not depend on:
+
+        import mpmath as mp
+        mp.mp.dps = 40
+        def amp(mu, lam, k):
+            m, x = 2 ** mu, mp.mpf(lam) - 2 * mp.pi * k / 2 ** mu
+            return mp.expj((m - 1) * x / 2) * mp.sin(m * x / 2) / (m * mp.sin(x / 2))
+        def wrong_side_mass(mu, lam, half):  # half = gap_window_halfwidth
+            return mp.fsum(abs(amp(mu, lam, k)) ** 2
+                           for k in range(half + 1, 2 ** mu - half))
+    """
+    for mu, lam, entries in REFERENCE_PROFILES:
+        profile = es.estimate_amplitudes(mu, lam)
+        for k, want in entries.items():
+            assert abs(profile[k] - want) <= 1e-15, (mu, lam, k)
+    in_gap = es.search_decomposition(ref12).phases
+    in_gap = np.sort(in_gap[es.inside_gap(in_gap, instances.REF12_GAP)])
+    assert np.allclose(in_gap, [-REF12_IN_GAP, REF12_IN_GAP], rtol=0.0, atol=1e-12)
+    for mu, want in REF12_WRONG_SIDE_MASS.items():
+        mask = es.gap_window_mask(mu, instances.REF12_GAP, es.GUARD_FRACTION)
+        norms = window_split(mu, [-REF12_IN_GAP, REF12_IN_GAP], mask)[1]
+        assert np.allclose(norms[:, 1] ** 2, want, rtol=1e-13, atol=0.0), mu
 
 
 def test_dense_walsh_matches_scipy():
@@ -109,7 +204,7 @@ def test_gap_window_rejects_a_register_too_coarse_for_the_gap():
 def test_estimate_window_mass_checks_register_dimension():
     mask = es.window_mask(5, 0, 2)
     with pytest.raises(ValueError):
-        estimate_window_mass(6, 0.1, mask)
+        window_split(6, 0.1, mask)
 
 
 def test_estimate_window_mass_takes_only_a_boolean_mask():
@@ -118,9 +213,9 @@ def test_estimate_window_mass_takes_only_a_boolean_mask():
     mask = es.window_mask(5, 0, 2)
     for bad in (mask.astype(int), mask.astype(float), np.flatnonzero(mask)):
         with pytest.raises(ValueError, match="boolean"):
-            estimate_window_mass(5, 0.1, bad)
+            window_split(5, 0.1, bad)
     profile = es.estimate_amplitudes(5, 0.1)
-    assert estimate_window_mass(5, 0.1, mask) == pytest.approx(
+    assert window_split(5, 0.1, mask)[1][0] ** 2 == pytest.approx(
         np.sum(np.abs(profile[[0, 1, 2, 30, 31]]) ** 2), rel=1e-15)
 
 
@@ -151,10 +246,11 @@ def test_phase_estimate_matches_the_dense_oracle_and_inverts():
     dense = oracles.dense_estimate_forward(u, 5)
 
     a = frames.to_frame(plain, dec)
-    out = raw_estimate_forward(a, dec.phases)
+    powers = power_table(dec.phases, lay.phase_dim)
+    out = raw_estimate_forward(a, powers)
     got = frames.from_frame(out, dec, axes=("main",)).reshape(-1)
     assert np.max(np.abs(got - dense @ plain.reshape(-1))) <= 1e-9
-    assert np.max(np.abs(raw_estimate_inverse(out, dec.phases) - a)) <= 1e-12
+    assert np.max(np.abs(raw_estimate_inverse(out, powers) - a)) <= 1e-12
 
 
 def test_eigenstate_estimation_concentrates_at_the_nearest_register_value():
@@ -168,7 +264,7 @@ def test_eigenstate_estimation_concentrates_at_the_nearest_register_value():
     sv = embed_mainspace(lay, dec.vectors[:, k], frame=dec)
     # the phase axis of the estimate is computational; the main axis is
     # summed over, so its basis does not matter
-    out = raw_estimate_forward(sv.reshaped(), dec.phases)
+    out = raw_estimate_forward(sv.reshaped(), power_table(dec.phases, lay.phase_dim))
     marginal = np.sum(np.abs(out) ** 2, axis=(0, 2))
     assert int(np.argmax(marginal)) == es.k_nearest(7, lam)
     profile = np.abs(es.estimate_amplitudes(7, lam)) ** 2

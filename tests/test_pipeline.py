@@ -109,24 +109,38 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
         "raw_inverse_qft": 8 * column}
 
 
+@pytest.mark.parametrize("kind, mu, nu", [("boosted", 9, 6), ("basic", 8, 0)])
+def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, mu, nu):
+    # the operator splits every eigenvector's profile at the gap window
+    # once; its vote plane and the run's error prediction both read that
+    # split.  A boosted run evaluated every profile twice when the
+    # prediction computed its own window masses
+    lams = []
+    call_counter(phase_estimation, "estimate_amplitudes",
+                 lambda phase_bits, lam: lams.append(np.size(lam)))
+    res = es.run_full(ref12, es.InversionScheme(kind, mu, nu, instances.REF12_GAP))
+    assert res.amplification_rounds == 2
+    assert sum(lams) == ref12.spec.n
+
+
 # Peak tracemalloc memory of each pinned case over its full register
 # (main x phase x 2^nu complex128 amplitudes), measured on a 2-core x86
 # box, and the bound its test holds it to.  A weight-symmetric state holds
 # nu + 1 Dicke columns of the 2^nu, and an apply adds its output and the
-# working arrays of a few eigenvectors; a boosted operator keeps its vote
-# plane and its controlled powers, two main x phase tables.
+# working arrays of a few eigenvectors, their controlled powers among
+# them; a boosted operator keeps its vote plane, one main x phase table.
 #
 #   case (ref12 unless noted)                               measured  bound
 #   test_pipeline.py
-#     boosted (9, 6) run_full                                   0.28   0.4, 1.3, 2.25
-#     boosted (10, 2) run_full                                  2.27   2.6
-#     basic mu=12 run_full                                      2.43   2.6
-#     criterion-08's one-round (5, 4) run_full, n=32            0.96   1.65
+#     boosted (9, 6) run_full                                   0.27   0.4, 1.3, 2.25
+#     boosted (10, 2) run_full                                  1.98   2.6
+#     basic mu=12 run_full                                      2.44   2.6
+#     criterion-08's one-round (5, 4) run_full, n=32            0.90   1.65
 #     basic mu=12 round-two target flip                        0.001   0.3
 #   test_selective_inversion.py
-#     boosted (10, 4) apply of a register state                 1.27   2.01
-#     boosted (10, 2) apply of the embedded halfway state       1.01   1.3
-#     boosted (10, 2) apply of the flipped round-one output     1.01   1.2
+#     boosted (10, 4) apply of a register state                 1.19   2.01
+#     boosted (10, 2) apply of the embedded halfway state       1.03   1.3
+#     boosted (10, 2) apply of the flipped round-one output     0.97   1.2
 
 
 def _run_full_peak_over_register(inst, scheme):
@@ -164,7 +178,8 @@ def test_a_boosted_run_holds_one_register(ref12):
 def test_a_boosted_run_writes_no_register(ref12):
     # the second inversion holds its input and its output, 7 Dicke columns
     # of the 64 vote values each, and the readout sums their Gram matrix
-    # in place: 0.28x measured on ref12 (9, 6), against 0.35x when the
+    # in place: 0.27x measured on ref12 (9, 6), against 0.28x when the
+    # operator kept the controlled powers of every eigenvector, 0.35x when the
     # second inversion kept its input and the readout computed the 7 vote
     # values, and 1.28x when the second inversion wrote its working array
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
@@ -174,7 +189,8 @@ def test_a_boosted_run_writes_no_register(ref12):
 def test_a_one_round_run_reads_its_factors(ref12):
     # criterion-08's first instance needs one round, whose output is 5
     # Dicke columns of the 16 vote values, read out with one conjugated
-    # copy of them: 0.96x measured, against 0.93x when the readout
+    # copy of them: 0.90x measured (0.96x when the operator kept the
+    # controlled powers of every eigenvector), against 0.93x when the readout
     # computed them from three phase columns per eigenvector, 1.62x when
     # it computed all 16 vote values, and 2.55x when it wrote the register
     # and summed its Gram matrix over 4096 columns at a time
@@ -187,13 +203,14 @@ def test_a_one_round_run_reads_its_factors(ref12):
 
 
 def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
-    # with two votes the vote plane and the controlled powers are a quarter
-    # of the register each, so tables built inside the first round, next
-    # to the state and the working array, set the peak: 3.44x measured
-    # that way, 2.43x with the plane built before the state is embedded.
-    # 2.12x with the second round's output computed a block at a time for
-    # the readout; now 2.27x, the second round's input and output, 3 Dicke
-    # columns of the 4 vote values each, next to the two tables
+    # with two votes the vote plane is a quarter of the register, so
+    # tables built inside the first round, next to the state and the
+    # working array, set the peak: 3.44x measured that way, 2.43x with the
+    # plane built before the state is embedded.  2.12x with the second
+    # round's output computed a block at a time for the readout, 2.27x
+    # when the operator also kept the controlled powers of every
+    # eigenvector; now 1.98x, the second round's input and output, 3 Dicke
+    # columns of the 4 vote values each, next to the plane
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
@@ -226,7 +243,7 @@ def test_a_basic_round_two_flip_keeps_the_factors(ref12):
 def test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time(ref12):
     # with no vote register a main x phase array is the register, so the
     # estimate profiles of all twelve eigenphases at once set the peak of a
-    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.43x,
+    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.44x,
     # set by the second round's input and output, a few eigenvectors'
     # controlled powers at a time
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)

@@ -436,6 +436,25 @@ def test_a_scaled_factored_state_raises(case, seed, scale):
 
 @SETTINGS
 @given(operators())
+def test_an_operator_keeps_the_window_split_of_its_eigenphases(case):
+    # both schemes keep the norms (|in|, |out|) of every eigenvector's
+    # estimate profile at the gap window: the ones a bare prediction
+    # computes, the masses of the brute-force profile, and together the
+    # profile's unit norm
+    _, op = case
+    mu, phases = op.scheme.phase_bits, op.frame.phases
+    kept = op._window_split()[1] ** 2
+    bare = phase_estimation.window_split(mu, phases, op.gap_window)[1] ** 2
+    assert np.array_equal(kept, bare)
+    assert np.max(np.abs(kept.sum(axis=1) - 1.0)) <= 1e-15
+    for k, lam in enumerate(phases):
+        profile = np.abs(oracles.brute_estimate_amplitudes(mu, float(lam))) ** 2
+        assert abs(kept[k, 0] - math.fsum(profile[op.gap_window])) <= 1e-15
+        assert abs(kept[k, 1] - math.fsum(profile[~op.gap_window])) <= 1e-15
+
+
+@SETTINGS
+@given(operators())
 def test_slab_wise_epsilons_match_the_register_norms(case):
     # measure_epsilon sums the error one slab at a time and writes no
     # register; the full-register difference of the same apply, summed

@@ -11,9 +11,8 @@ import eigensearch as es
 import frames
 import instances
 import oracles
-from eigensearch import selective_inversion
-from eigensearch.phase_estimation import embed_mainspace
-from eigensearch.selective_inversion import _split_estimates
+from eigensearch import phase_estimation, selective_inversion
+from eigensearch.phase_estimation import embed_mainspace, window_split
 
 
 def qr_unitary(n, seed):
@@ -123,29 +122,35 @@ def test_measured_error_tracks_the_analytic_prediction(ref12,
 
 
 def scalar_predicted_epsilon(scheme, lam, invert):
-    """The prediction for one eigenphase in plain Python: window mass, then
-    the wrong-side mass or the binomial tail term by term."""
+    """The prediction for one eigenphase in plain Python: the norms of its
+    profile's parts on and off the window, then twice the wrong part's norm
+    or the binomial tail at the squared in-window norm, term by term."""
     mask = es.gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
-    p = float(np.sum(np.abs(es.estimate_amplitudes(scheme.phase_bits, lam)[np.flatnonzero(mask)])
-                     ** 2))
+    profile = es.estimate_amplitudes(scheme.phase_bits, lam)
+    norms = [math.sqrt(np.sum((part.conj() * part).real))
+             for part in (np.where(mask, profile, 0.0), np.where(mask, 0.0, profile))]
     if scheme.kind == "basic":
-        return 2.0 * math.sqrt(max(0.0, 1.0 - p if invert else p))
+        return 2.0 * norms[1 if invert else 0]
+    p = norms[0] ** 2
     nu = scheme.vote_bits
     ks = range(nu // 2 + 1) if invert else range(nu // 2 + 1, nu + 1)
     return 2.0 * math.sqrt(sum(math.comb(nu, k) * p**k * (1.0 - p) ** (nu - k) for k in ks))
 
 
 def test_predicted_epsilon_of_an_array_repeats_the_scalar_arithmetic(ref12_operator):
-    # an in-gap prediction is 2 sqrt(1 - mass), so a last-bit change in the
-    # mass would show; the batch must add in the scalar order
-    phases = es.eig_unitary(ref12_operator, es.TOL.system_unitarity).phases
-    invert = es.inside_gap(phases, instances.REF12_GAP)
+    # an in-gap prediction is twice the norm of a small off-window part, so
+    # a last-bit change would show; the batch, and an operator's kept
+    # split of its own eigenphases, must add in the scalar order
+    dec = es.eig_unitary(ref12_operator, es.TOL.system_unitarity)
+    invert = es.inside_gap(dec.phases, instances.REF12_GAP)
     for scheme in (es.InversionScheme("basic", 10, 0, instances.REF12_GAP),
                    es.InversionScheme("boosted", 8, 4, instances.REF12_GAP),
                    es.InversionScheme("boosted", 7, 8, instances.REF12_GAP)):
         want = [scalar_predicted_epsilon(scheme, float(lam), bool(inside))
-                for lam, inside in zip(phases, invert)]
-        assert np.array_equal(es.predicted_epsilon(scheme, phases, invert), want)
+                for lam, inside in zip(dec.phases, invert)]
+        assert np.array_equal(es.predicted_epsilon(scheme, dec.phases, invert), want)
+        op = es.InversionOperator.build(scheme, ref12_operator, decomposition=dec)
+        assert np.array_equal(op.predicted_epsilon(invert), want)
 
 
 def test_inverter_matrix_is_unitary_and_involutive():
@@ -182,15 +187,17 @@ def test_boosted_inverter_matches_the_dense_oracle():
     assert np.max(np.abs(fast - slow)) <= 1e-9
 
 
-def test_vote_plane_split_keeps_an_empty_side_finite():
+def test_vote_plane_split_keeps_an_empty_side_finite(monkeypatch):
     # a one-hot profile has an off-window part of norm exactly 0; its row
     # stays zero instead of 0/0, and norms times rows rebuild the profile
-    off_window = np.array([False, True, True, False])
+    window = np.array([True, False, False, True])
     profiles = np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.0, 0.8j, 0.0]])
-    units, norms = _split_estimates(profiles, off_window)
-    assert np.all(np.isfinite(units))
+    monkeypatch.setattr(phase_estimation, "estimate_amplitudes",
+                        lambda phase_bits, lam: profiles[:len(lam)])
+    rows, norms = window_split(2, [0.0, 0.0], window)
+    assert np.all(np.isfinite(rows))
     assert np.array_equal(norms, [[1.0, 0.0], [0.6, 0.8]])
-    assert np.allclose(np.einsum("ks,ksm->km", norms, units), profiles,
+    assert np.allclose(np.where(window, norms[:, :1], norms[:, 1:]) * rows, profiles,
                        rtol=0.0, atol=1e-15)
 
 
@@ -236,7 +243,7 @@ def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
     # an apply of a plain register state (the output of a first apply is
     # held in the Dicke basis, so it is rebuilt as one) writes its output
     # register on all 2^nu vote values, next to the working arrays of a
-    # few eigenvectors: 1.27x measured (see the table in test_pipeline),
+    # few eigenvectors: 1.19x measured (see the table in test_pipeline),
     # against 0.26x when it kept its input and computed the output when
     # read (the bound dates from the computational apply, at 2.0004x)
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
@@ -262,11 +269,28 @@ def _two_vote_ref12_state(ref12):
     return op, embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
 
 
+def test_a_boosted_operator_keeps_its_plane_and_no_power_table(ref12):
+    # each apply computes the controlled powers of a few eigenvectors at a
+    # time, as a basic apply does; what an operator keeps besides its masks
+    # is the plane row and the two norms of every eigenvector
+    op, sv = _two_vote_ref12_state(ref12)
+    op.apply(es.target_flip(op.apply(sv), ref12.target_index))
+    n, m, _ = op.layout.shape
+    table = phase_estimation.power_table(op.frame.phases, m)
+    kept = [a for value in vars(op).values()
+            for a in (value if isinstance(value, tuple) else (value,))
+            if isinstance(a, np.ndarray) and a.shape == table.shape]
+    assert len(kept) == 1
+    rows, norms = op._window_split()
+    assert kept[0] is rows and norms.shape == (n, 2)
+
+
 def test_a_product_state_apply_writes_only_its_output_register(ref12):
     # an embedded state is n coefficients, and a boosted apply of it writes
     # its Dicke columns, three quarters of the register with two votes,
     # from three unestimated phase columns of a few eigenvectors at a time:
-    # 1.01x measured, against 0.98x when the output was the three columns
+    # 1.03x measured (1.01x when the operator kept the controlled powers of
+    # every eigenvector), against 0.98x when the output was the three columns
     # of every eigenvector, 1.28x when it was a register holding them and
     # about 2.0x with the columns in an array of their own beside it
     op, sv = _two_vote_ref12_state(ref12)
@@ -278,7 +302,8 @@ def test_a_flipped_factored_state_apply_writes_one_register(ref12):
     # the flipped output of the first apply is its Dicke columns with the
     # reflection pending; the apply reflects them into its output, three
     # quarters of the register with two votes, and runs there in place.
-    # 1.01x measured, against 0.68x when it kept its input and computed
+    # 0.97x measured (1.01x when the operator kept the controlled powers of
+    # every eigenvector), against 0.68x when it kept its input and computed
     # the output when read, and 1.17x when it wrote its working array
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
