@@ -4,12 +4,15 @@ Six subcommands mirror the library stages: ``spectrum`` builds and describes
 a diffusion spec, ``search`` locates the gap eigenpair, ``invert`` measures
 inversion errors, ``pipeline`` runs one end-to-end search, ``compare`` runs a
 family against the classical baseline, and ``schedule`` retries a hidden-gap
-instance.  Parameters come from flags or a JSON config file, flags winning;
-every JSON report embeds the resolved config, and outputs are byte-stable
-for a fixed config and seed (timings are off unless asked for, since they
-never repeat).
+instance.  Parameters come from flags or a JSON config file, flags winning.
+Each value, a flag's text or a config value at the top level or in a
+``compare`` instance entry, is parsed once by its option's kind, so the
+commands read the resolved config as it is; every JSON report embeds it, and
+outputs are byte-stable for a fixed config and seed (timings are off unless
+asked for, since they never repeat).
 
-Exit codes: 0 success, 2 invalid configuration, 3 a structural assumption of
+Exit codes: 0 success, 2 invalid configuration (an unknown key, or a value
+its option cannot take, named in one line), 3 a structural assumption of
 the algorithm failed, 4 a resource cap was hit, 5 an internal invariant
 failed (a bug or a numerical breakdown, not a problem with the input).
 """
@@ -70,59 +73,52 @@ class ConfigError(ValueError):
     """The run configuration cannot be acted on."""
 
 
-def _int_list(text: str) -> list[int]:
-    return [int(tok) for tok in text.split(",") if tok.strip()]
-
-
-def _float_list(text: str) -> list[float]:
-    return [float(tok) for tok in text.split(",") if tok.strip()]
-
-
-# (key, parser, default) per option; the flag is the key with dashes.  A
-# parser of bool is a switch, a tuple the allowed choices, and None marks a
-# key that only a config file can set.
-_OPTIONS = (
-    ("n", int, None),
-    ("source", int, 0),
-    ("grover", bool, False),
-    ("symmetric", bool, False),
-    ("pairs", _float_list, None),
-    ("seed", int, 0),
-    ("theta_min", float, None),
-    ("target", int, None),
-    ("alpha_max", float, None),
-    ("alpha_min", float, 0.0),
-    ("b_target", float, None),
-    ("scheme", ("basic", "boosted"), "basic"),
-    ("mu", int, None),
-    ("nu", int, None),
-    ("b", int, 7),
-    ("mu_offset", int, 16),
-    ("delta", float, GUARD_FRACTION),
-    ("trials", int, 1000),
-    ("dense_cap", int, DENSE_CAP),
-    ("initial_guess", float, None),
-    ("r_max", int, None),
-    ("sweep_mu", _int_list, None),
-    ("sweep_nu", _int_list, None),
-    ("instances", None, None),
-    ("timings", bool, False),
-    ("format", ("json", "csv"), "json"),
-    ("out", str, None),
-)
+# key: (kind, default) per option; the flag is the key with dashes.  A kind
+# of bool is a switch, a tuple the allowed choices, and [kind] a list of that
+# kind, comma-separated on a flag; the list of objects has no flag.
+_OPTIONS = {
+    "n": (int, None),
+    "source": (int, 0),
+    "grover": (bool, False),
+    "symmetric": (bool, False),
+    "pairs": ([float], None),
+    "seed": (int, 0),
+    "theta_min": (float, None),
+    "target": (int, None),
+    "alpha_max": (float, None),
+    "alpha_min": (float, 0.0),
+    "b_target": (float, None),
+    "scheme": (("basic", "boosted"), "basic"),
+    "mu": (int, None),
+    "nu": (int, None),
+    "b": (int, 7),
+    "mu_offset": (int, 16),
+    "delta": (float, GUARD_FRACTION),
+    "trials": (int, 1000),
+    "dense_cap": (int, DENSE_CAP),
+    "initial_guess": (float, None),
+    "r_max": (int, None),
+    "sweep_mu": ([int], None),
+    "sweep_nu": ([int], None),
+    "instances": ([dict], None),
+    "timings": (bool, False),
+    "format": (("json", "csv"), "json"),
+    "out": (str, None),
+}
+_KIND_NAMES = {int: "integers", float: "numbers", str: "strings", bool: "booleans",
+               dict: "objects"}
 
 
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False)
+    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="PATH", default=None)
-    for key, parse, _ in _OPTIONS:
+    for key, (kind, _) in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
-        if parse is bool:
-            common.add_argument(flag, action="store_true", default=None)
-        elif isinstance(parse, tuple):
-            common.add_argument(flag, choices=parse, default=None)
-        elif parse is not None:
-            common.add_argument(flag, type=parse, default=None)
+        if kind is bool:
+            common.add_argument(flag, action="store_true")
+        elif kind != [dict]:
+            common.add_argument(flag, metavar="{%s}" % ",".join(kind)
+                                if isinstance(kind, tuple) else None)
 
     parser = argparse.ArgumentParser(prog="eigensearch")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -131,22 +127,53 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _overlay(base: dict, layer: dict, where: str = "config") -> dict:
-    """``base`` updated by ``layer``, whose keys must be options.
-    ``symmetric`` only switches ``grover`` off and is not kept."""
-    unknown = set(layer) - {key for key, _, _ in _OPTIONS}
-    if unknown:
-        raise ConfigError(f"unknown {where} keys: {sorted(unknown)}")
+def _as_kind(kind, value):
+    """``value`` as a value of ``kind``; TypeError or ValueError if it is none."""
+    if isinstance(kind, list) and isinstance(value, str):
+        value = [tok for tok in value.split(",") if tok.strip()]
+    if isinstance(kind, list) and isinstance(value, list):
+        return [_as_kind(kind[0], item) for item in value]
+    if type(value) is kind or isinstance(kind, tuple) and value in kind:
+        return value
+    if kind is float and type(value) is int or kind in (int, float) and isinstance(value, str):
+        return kind(value)
+    raise TypeError
+
+
+def _parsed(layer: dict, where: str) -> dict:
+    """The options ``layer`` sets, each value parsed by its option's kind;
+    ``where`` names the layer: the flags, the config file or one of its
+    instance entries.  A string is a flag's text and parses as the flag's
+    would; any other value must be of the kind already, an integer counting
+    as a number, and null stands only for an option whose default is null."""
+    values = {}
+    for key, value in layer.items():
+        if key not in _OPTIONS:
+            raise ConfigError(f"unknown {where} key {json.dumps(key)}")
+        kind, default = _OPTIONS[key]
+        try:
+            values[key] = None if value is None and default is None else _as_kind(kind, value)
+        except (TypeError, ValueError):
+            what = ("a list of " + _KIND_NAMES[kind[0]] if isinstance(kind, list)
+                    else "one of " + ", ".join(kind) if isinstance(kind, tuple)
+                    else _KIND_NAMES[kind])
+            raise ConfigError(f"{json.dumps(key)} in {where} cannot be "
+                              f"{json.dumps(value)}; it takes {what}") from None
+    return values
+
+
+def _overlay(base: dict, layer: dict) -> dict:
+    """``base`` updated by the parsed ``layer``.  ``symmetric`` only
+    switches ``grover`` off and is not kept."""
     cfg = {**base, **layer}
     if cfg.pop("symmetric", False):
         cfg["grover"] = False
-        if cfg["pairs"] is None:
-            raise ConfigError("--symmetric needs --pairs")
     return cfg
 
 
 def _resolve_config(args: argparse.Namespace) -> dict:
-    """Defaults, then the config file, then the flags."""
+    """Defaults, then the config file, then the flags given, each value
+    parsed, and the entries of ``instances`` parsed in turn."""
     loaded = {}
     if args.config is not None:
         try:
@@ -156,45 +183,38 @@ def _resolve_config(args: argparse.Namespace) -> dict:
             raise ConfigError(f"cannot read config file: {exc}") from exc
         if not isinstance(loaded, dict):
             raise ConfigError("config file must hold a JSON object")
-    flags = {key: getattr(args, key) for key, _, _ in _OPTIONS
-             if getattr(args, key, None) is not None}
-    return _overlay({key: default for key, _, default in _OPTIONS},
-                    {**loaded, **flags})
+    flags = {key: value for key, value in vars(args).items() if key in _OPTIONS}
+    cfg = _overlay({key: default for key, (_, default) in _OPTIONS.items()},
+                   {**_parsed(loaded, "config"), **_parsed(flags, "the flags")})
+    if cfg["instances"] is not None:
+        cfg["instances"] = [_parsed(entry, f"instances[{i}]")
+                            for i, entry in enumerate(cfg["instances"])]
+    return cfg
 
 
 def _spec_from_config(cfg: dict) -> DiffusionSpec:
     if cfg["n"] is None:
         raise ConfigError("the dimension --n is required")
     if cfg["grover"]:
-        return build_grover_spec(int(cfg["n"]), int(cfg["source"]))
+        return build_grover_spec(cfg["n"], cfg["source"])
     if cfg["pairs"] is None:
-        raise ConfigError("need --grover, or --pairs for a symmetric spec")
-    return build_symmetric_spec(
-        int(cfg["n"]),
-        [float(p) for p in cfg["pairs"]],
-        int(cfg["seed"]),
-        int(cfg["source"]),
-        None if cfg["theta_min"] is None else float(cfg["theta_min"]),
-    )
+        raise ConfigError("a symmetric spec needs --pairs, or pass --grover")
+    return build_symmetric_spec(cfg["n"], cfg["pairs"], cfg["seed"], cfg["source"],
+                                cfg["theta_min"])
 
 
 def _select_target(spec: DiffusionSpec, cfg: dict) -> int:
     if cfg["target"] is not None:
-        return int(cfg["target"])
-    ceiling = None if cfg["alpha_max"] is None else float(cfg["alpha_max"])
-    hits = find_targets(spec, ceiling, float(cfg["alpha_min"]))
+        return cfg["target"]
+    hits = find_targets(spec, cfg["alpha_max"], cfg["alpha_min"])
     hits = [t for t in hits if t != spec.source_index]
     if not hits:
         raise ConfigError("no target matches the overlap filter; pass --target "
                           "or widen --alpha-max")
     if cfg["b_target"] is None:
         return hits[0]
-    want = float(cfg["b_target"])
-
-    def boost_of(t: int) -> float:
-        return float(np.sqrt(1.0 + moments(spec, t, 2)))
-
-    return min(hits, key=lambda t: (abs(boost_of(t) - want), t))
+    boost = {t: np.sqrt(1.0 + moments(spec, t, 2)) for t in hits}
+    return min(hits, key=lambda t: (abs(boost[t] - cfg["b_target"]), t))
 
 
 def _instance_from_config(cfg: dict) -> SearchInstance:
@@ -203,18 +223,16 @@ def _instance_from_config(cfg: dict) -> SearchInstance:
 
 
 def _scheme_from_config(cfg: dict, inst: SearchInstance) -> InversionScheme:
-    gap = float(cfg["theta_min"]) if cfg["theta_min"] is not None else inst.spec.phase_gap
-    kind = cfg["scheme"]
-    guard = float(cfg["delta"])
+    gap = inst.spec.phase_gap if cfg["theta_min"] is None else cfg["theta_min"]
+    kind, guard = cfg["scheme"], cfg["delta"]
     if cfg["mu"] is not None:
-        votes = cfg["nu"]
-        if kind == "boosted" and votes is None:
+        if kind == "boosted" and cfg["nu"] is None:
             raise ConfigError("an explicit --mu for the boosted scheme also needs --nu")
-        return InversionScheme(kind, int(cfg["mu"]),
-                               0 if kind == "basic" else int(votes), gap, guard)
+        return InversionScheme(kind, cfg["mu"], 0 if kind == "basic" else cfg["nu"],
+                               gap, guard)
     if kind == "basic":
-        return InversionScheme.basic(inst.boost, gap, int(cfg["b"]), guard)
-    return InversionScheme.boosted(inst.boost, gap, int(cfg["mu_offset"]), guard)
+        return InversionScheme.basic(inst.boost, gap, cfg["b"], guard)
+    return InversionScheme.boosted(inst.boost, gap, cfg["mu_offset"], guard)
 
 
 # ---------------------------------------------------------------------------
@@ -223,7 +241,7 @@ def _scheme_from_config(cfg: dict, inst: SearchInstance) -> InversionScheme:
 
 def _cmd_spectrum(cfg: dict):
     spec = _spec_from_config(cfg)
-    targets = ([int(cfg["target"])] if cfg["target"] is not None
+    targets = ([cfg["target"]] if cfg["target"] is not None
                else [t for t in range(spec.n) if t != spec.source_index])
     rows = []
     for t in targets:
@@ -274,14 +292,12 @@ def _cmd_search(cfg: dict):
 
 
 def _invert_schemes(cfg: dict, inst: SearchInstance) -> list[InversionScheme]:
-    gap = float(cfg["theta_min"]) if cfg["theta_min"] is not None else inst.spec.phase_gap
-    guard = float(cfg["delta"])
     if cfg["sweep_mu"] is not None:
-        return [InversionScheme("basic", int(m), 0, gap, guard)
+        return [_scheme_from_config({**cfg, "scheme": "basic", "mu": m}, inst)
                 for m in cfg["sweep_mu"]]
     if cfg["sweep_nu"] is not None:
-        sized = InversionScheme.boosted(inst.boost, gap, int(cfg["mu_offset"]), guard)
-        return [InversionScheme("boosted", sized.phase_bits, int(v), gap, guard)
+        mu = _scheme_from_config({**cfg, "scheme": "boosted", "mu": None}, inst).phase_bits
+        return [_scheme_from_config({**cfg, "scheme": "boosted", "mu": mu, "nu": v}, inst)
                 for v in cfg["sweep_nu"]]
     return [_scheme_from_config(cfg, inst)]
 
@@ -292,7 +308,7 @@ def _cmd_invert(cfg: dict):
     sweeps = []
     rows = []
     for scheme in _invert_schemes(cfg, inst):
-        op = InversionOperator.build(scheme, operator, int(cfg["dense_cap"]), dec)
+        op = InversionOperator.build(scheme, operator, cfg["dense_cap"], dec)
         report = instance_epsilon_report(op, inst)
         entry = {
             "scheme": scheme_to_json(scheme),
@@ -323,7 +339,7 @@ def _cmd_invert(cfg: dict):
 def _cmd_pipeline(cfg: dict):
     inst = _instance_from_config(cfg)
     scheme = _scheme_from_config(cfg, inst)
-    result = run_full(inst, scheme, int(cfg["dense_cap"]))
+    result = run_full(inst, scheme, cfg["dense_cap"])
     row = result_row(result)
     return pipeline_result_to_json(result), tuple(row), [row]
 
@@ -334,18 +350,14 @@ def _cmd_compare(cfg: dict):
             "compare needs a config file with an \"instances\" list of "
             "per-instance parameter objects"
         )
-    shared = {key: value for key, value in cfg.items() if key != "instances"}
     results = []
     baselines = []
     for i, entry in enumerate(cfg["instances"]):
-        if not isinstance(entry, dict):
-            raise ConfigError("each instances[] entry must be an object")
-        sub = _overlay(shared, entry, f"instances[{i}]")
+        sub = _overlay(cfg, entry)
         inst = _instance_from_config(sub)
         scheme = _scheme_from_config(sub, inst)
-        result = run_full(inst, scheme, int(sub["dense_cap"]))
-        base = classical_baseline(inst, int(sub["trials"]),
-                                  split_seed(int(cfg["seed"]), i))
+        result = run_full(inst, scheme, sub["dense_cap"])
+        base = classical_baseline(inst, sub["trials"], split_seed(cfg["seed"], i))
         results.append(result)
         baselines.append(base)
     report = complexity_report(results, baselines)
@@ -362,14 +374,14 @@ def _cmd_schedule(cfg: dict):
     inst = _instance_from_config(cfg)
     result = run_schedule(
         inst,
-        float(cfg["initial_guess"]),
-        int(cfg["seed"]),
+        cfg["initial_guess"],
+        cfg["seed"],
         scheme_kind=cfg["scheme"],
-        extra_bits=int(cfg["b"]),
-        offset_bits=int(cfg["mu_offset"]),
-        guard_fraction=float(cfg["delta"]),
-        r_max=None if cfg["r_max"] is None else int(cfg["r_max"]),
-        dense_cap=int(cfg["dense_cap"]),
+        extra_bits=cfg["b"],
+        offset_bits=cfg["mu_offset"],
+        guard_fraction=cfg["delta"],
+        r_max=cfg["r_max"],
+        dense_cap=cfg["dense_cap"],
     )
     doc = schedule_to_json(result)
     rows = [{"round": k, **rec} for k, rec in enumerate(doc["rounds"])]
@@ -391,14 +403,8 @@ def _plain(x):
         return {k: _plain(v) for k, v in x.items()}
     if isinstance(x, (list, tuple)):
         return [_plain(v) for v in x]
-    if isinstance(x, np.ndarray):
-        return _plain(x.tolist())
-    if isinstance(x, np.floating):
-        return float(x)
-    if isinstance(x, np.integer):
-        return int(x)
-    if isinstance(x, np.bool_):
-        return bool(x)
+    if isinstance(x, (np.ndarray, np.generic)):
+        return x.tolist()
     return x
 
 
@@ -411,14 +417,6 @@ def _cell(x) -> str:
     return str(x)
 
 
-def _emit(text: str, out_path: str | None):
-    if out_path is None:
-        sys.stdout.write(text)
-    else:
-        with open(out_path, "w") as f:
-            f.write(text)
-
-
 def run(argv=None) -> int:
     args = _build_parser().parse_args(argv)
     cfg = _resolve_config(args)
@@ -428,21 +426,22 @@ def run(argv=None) -> int:
     if cfg["format"] == "csv":
         lines = [",".join(columns)] + [",".join(_cell(row[c]) for c in columns)
                                        for row in _plain(rows)]
-        _emit("\n".join(lines) + "\n", cfg["out"])
-        return 0
-    doc = {"command": args.command, "config": _plain(cfg)}
-    doc.update(_plain(body))
-    doc["timings"] = {"wall_s": elapsed} if cfg["timings"] else None
-    _emit(json.dumps(doc, sort_keys=True, indent=2) + "\n", cfg["out"])
+        text = "\n".join(lines) + "\n"
+    else:
+        doc = {"command": args.command, "config": cfg, **_plain(body),
+               "timings": {"wall_s": elapsed} if cfg["timings"] else None}
+        text = json.dumps(doc, sort_keys=True, indent=2) + "\n"
+    if cfg["out"] is None:
+        sys.stdout.write(text)
+    else:
+        with open(cfg["out"], "w") as f:
+            f.write(text)
     return 0
 
 
 def main(argv=None) -> int:
     try:
         return run(argv)
-    except ConfigError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 2
     except AssumptionViolation as exc:
         print(f"assumption violated: {exc}", file=sys.stderr)
         return 3

@@ -3,9 +3,9 @@
 A register state is a complex vector over (mainspace) x (phase register) x
 (vote register), stored flat in C order, so index ((m * P) + w) * V + v with
 P and V the register sizes addresses mainspace index m, phase value w and
-vote bits v.  All operators act on one axis of the reshaped array and batch
-over the others; the raw kernels below take any (main, phase, trailing)
-array, or with ``axis=2`` a (main, trailing, phase) one.
+vote bits v.  A state holds its amplitudes phase last, as (main, vote,
+phase) slabs (see ``StateVector``), and the raw kernels below take that one
+layout: any (main, ..., phase) array, batched over the axes between.
 
 The estimation circuit is: Walsh-Hadamard on the phase register, powers of
 the mainspace unitary controlled on the phase value, then an inverse Fourier
@@ -37,7 +37,7 @@ nu + 1 columns per main index and phase value instead of 2^nu.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import InitVar, dataclass
 
 import numpy as np
 
@@ -67,23 +67,25 @@ _GRAM_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Shape bookkeeping for a joint register vector."""
+    """Shape bookkeeping for a joint register vector.  ``dense_cap`` is
+    checked when a layout is made and not kept: layouts of one shape are
+    equal whatever cap they were made under."""
 
     main_dim: int
     phase_bits: int
     vote_bits: int = 0
-    dense_cap: int = DENSE_CAP
+    dense_cap: InitVar[int] = DENSE_CAP
 
-    def __post_init__(self):
+    def __post_init__(self, dense_cap: int):
         if self.main_dim < 1 or self.phase_bits < 1 or self.vote_bits < 0:
             raise ValueError(
                 f"bad layout: main {self.main_dim}, phase {self.phase_bits} bits, "
                 f"vote {self.vote_bits} bits"
             )
-        if self.dim > self.dense_cap:
+        if self.dim > dense_cap:
             raise ResourceCapExceeded(
                 f"register of {self.dim} amplitudes exceeds the dense cap "
-                f"{self.dense_cap}; lower the register sizes or raise the cap"
+                f"{dense_cap}; lower the register sizes or raise the cap"
             )
 
     @property
@@ -133,12 +135,14 @@ class StateVector:
     (main, basis, phase) array ``slabs`` in a vote basis, phase last: the
     nu + 1 Dicke columns of a weight-symmetric state (``from_slabs``), or
     all 2^nu vote values of a caller's register (``StateVector(amps)``,
-    which keeps a transposed view of ``amps``).  Both bases are
+    which copies ``amps`` into that layout).  Both bases are
     orthonormal.  A slab state may carry one pending main-axis reflection
     1 - 2 x x^dagger, ``reflection`` = x (see ``reflect_main``), which the
     next inversion and every reader apply.  The unused attributes are None,
     the arrays are read-only, and ``norm`` is the norm checked at
-    construction.
+    construction.  A norm off 1 raises ``ValueError`` for a caller's
+    values, and ``InternalInvariantError`` for ``computed`` ones, which the
+    program made from states it had checked.
     """
 
     __slots__ = ("main", "slabs", "reflection", "norm", "layout", "frame")
@@ -148,12 +152,12 @@ class StateVector:
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
         self._bind(layout, frame, _vector_norm(amps))
-        self.slabs = amps.reshape(layout.shape).transpose(0, 2, 1)
+        self.slabs = np.ascontiguousarray(amps.reshape(layout.shape).transpose(0, 2, 1))
         self.slabs.flags.writeable = False
 
     @classmethod
-    def product(cls, main, layout: RegisterLayout,
-                frame: EigenDecomposition) -> "StateVector":
+    def product(cls, main, layout: RegisterLayout, frame: EigenDecomposition,
+                computed: bool = False) -> "StateVector":
         """The state main (x) H|0> (x) |0> of the frame, held as ``main``:
         the n frame coefficients of the main register.  Its norm is the
         norm of ``main``."""
@@ -163,13 +167,13 @@ class StateVector:
                              f"main dimension {layout.main_dim}")
         main.flags.writeable = False
         state = cls.__new__(cls)
-        state._bind(layout, frame, _vector_norm(main))
+        state._bind(layout, frame, _vector_norm(main), computed)
         state.main = main
         return state
 
     @classmethod
     def from_slabs(cls, slabs: np.ndarray, layout: RegisterLayout,
-                   frame: EigenDecomposition) -> "StateVector":
+                   frame: EigenDecomposition, computed: bool = False) -> "StateVector":
         """The state held as ``slabs``, (main, basis, phase) in the Dicke
         basis (nu + 1 columns) or the full vote basis (2^nu), kept
         read-only, not copied.  With nu < 2 the two bases coincide."""
@@ -178,19 +182,21 @@ class StateVector:
             raise ValueError(f"slabs of shape {slabs.shape} do not match the "
                              f"layout {layout.shape}")
         state = cls.__new__(cls)
-        state._bind(layout, frame, _vector_norm(slabs))
+        state._bind(layout, frame, _vector_norm(slabs), computed)
         slabs.flags.writeable = False
         state.slabs = slabs
         return state
 
-    def _bind(self, layout: RegisterLayout, frame: EigenDecomposition, norm: float):
+    def _bind(self, layout: RegisterLayout, frame: EigenDecomposition, norm: float,
+              computed: bool = False):
         if not isinstance(frame, EigenDecomposition):
             raise TypeError("a state needs the eigendecomposition of its estimate frame")
         if frame.dim != layout.main_dim:
             raise ValueError(f"frame of dimension {frame.dim} does not match the "
                              f"main dimension {layout.main_dim}")
         if abs(norm - 1.0) > TOL.state_norm:
-            raise ValueError(f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
+            raise (InternalInvariantError if computed else ValueError)(
+                f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
         self.layout = layout
         self.frame = frame
         self.norm = norm
@@ -211,7 +217,7 @@ class StateVector:
         after writing out the one it already had."""
         if self.main is not None:
             return StateVector.product(self.main - 2.0 * x * np.vdot(x, self.main),
-                                       self.layout, self.frame)
+                                       self.layout, self.frame, computed=True)
         state = StateVector.__new__(StateVector)
         state._bind(self.layout, self.frame, self.norm)
         state.slabs = self._applied_slabs()
@@ -228,12 +234,9 @@ class StateVector:
 
     @property
     def amps(self) -> np.ndarray:
-        """The amplitudes over the full layout, (main, phase, vote) flat.
-
-        A caller's register without a pending reflection returns the array
-        it was built from; any other state writes a new one on every read
-        and keeps nothing, so reading changes no state.
-        """
+        """The amplitudes over the full layout, (main, phase, vote) flat,
+        written into a new array on every read; the state keeps nothing, so
+        reading changes no state."""
         n, m, v = self.layout.shape
         if self.main is not None:
             a = np.zeros(self.layout.shape, dtype=complex)
@@ -247,9 +250,6 @@ class StateVector:
         a = a.reshape(-1)
         check_computed_norm(np.vdot(a, a).real)
         return a
-
-    def reshaped(self) -> np.ndarray:
-        return self.amps.reshape(self.layout.shape)
 
     def readouts(self) -> tuple[np.ndarray, np.ndarray]:
         """The computational main-register amplitudes with the phase and
@@ -271,9 +271,7 @@ class StateVector:
             gram = np.outer(self.main, self.main.conj())
         else:
             branch = self.slabs[:, 0].sum(axis=1)
-            # a caller's register is a transposed view of a C-ordered array
-            a = self.slabs
-            rows = (a if a.flags.c_contiguous else a.transpose(0, 2, 1)).reshape(n, -1)
+            rows = self.slabs.reshape(n, -1)
             gram = np.zeros((n, n), dtype=complex)
             for first in range(0, rows.shape[1], _GRAM_BLOCK):
                 part = rows[:, first:first + _GRAM_BLOCK]
@@ -315,20 +313,19 @@ def embed_mainspace(layout: RegisterLayout, vec, frame: EigenDecomposition) -> S
 
 
 # ---------------------------------------------------------------------------
-# Raw kernels.  Arrays are (main_dim, phase_dim, trailing) in C order, or
-# with ``axis=2`` (main_dim, trailing, phase_dim).  The input is never
-# mutated unless it is also passed as ``out``: every kernel can then update
-# it in place, which keeps the working set of a chain of kernels at one
-# array.
+# Raw kernels.  Arrays have one layout, (main_dim, ..., phase_dim): the
+# main axis first and the phase axis last, as a state's slabs hold them.
+# The input is never mutated unless it is also passed as ``out``: every
+# kernel can then update it in place, which keeps the working set of a
+# chain of kernels at one array.
 
-def raw_qft(a: np.ndarray, out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
+def raw_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     """Fourier transform of the phase axis, |w> -> sum_k e^{+2 pi i wk/M}."""
-    return np.fft.ifft(a, axis=axis, norm="ortho", out=out)
+    return np.fft.ifft(a, norm="ortho", out=out)
 
 
-def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None,
-                    axis: int = 1) -> np.ndarray:
-    return np.fft.fft(a, axis=axis, norm="ortho", out=out)
+def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+    return np.fft.fft(a, norm="ortho", out=out)
 
 
 def raw_reflect_main(a: np.ndarray, x: np.ndarray,
@@ -354,41 +351,39 @@ def power_table(phases: np.ndarray, phase_dim: int) -> np.ndarray:
 
 
 def raw_controlled_powers(a: np.ndarray, powers: np.ndarray, inverse: bool = False,
-                          out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
+                          out: np.ndarray | None = None) -> np.ndarray:
     """U^w on the main axis, controlled on phase value w, in U's eigenframe.
 
     Main index k is the eigenvector of eigenphase lambda_k, so the
     controlled power multiplies its slab by e^{i w lambda_k} along the
-    phase axis ``axis`` (conjugated for the inverse).  ``powers`` is the
-    (main, phase) table of those factors, from ``power_table``.
+    phase axis (conjugated for the inverse).  ``powers`` is the (main,
+    phase) table of those factors, from ``power_table``.
     """
-    n, m = a.shape[0], a.shape[axis]
+    n, m = a.shape[0], a.shape[-1]
     if powers.shape != (n, m):
         raise ValueError(f"power table of shape {powers.shape} does not match main "
                          f"dimension {n} and phase dimension {m}")
     if inverse:
         powers = powers.conj()
-    shape = [n] + [1] * (a.ndim - 1)
-    shape[axis] = m
-    return np.multiply(a, powers.reshape(shape), out=out)
+    return np.multiply(a, powers.reshape((n,) + (1,) * (a.ndim - 2) + (m,)), out=out)
 
 
 def raw_estimate_forward(a: np.ndarray, powers: np.ndarray,
-                         out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
+                         out: np.ndarray | None = None) -> np.ndarray:
     """The estimate on an estimate-frame array: controlled powers, then the
     inverse Fourier transform.  The circuit's opening Walsh-Hadamard pass is
     part of the frame.  The result has the phase axis in the computational
     basis, main axis still in the eigenbasis."""
-    out = raw_controlled_powers(a, powers, out=out, axis=axis)
-    return raw_inverse_qft(out, out=out, axis=axis)
+    out = raw_controlled_powers(a, powers, out=out)
+    return raw_inverse_qft(out, out=out)
 
 
 def raw_estimate_inverse(a: np.ndarray, powers: np.ndarray,
-                         out: np.ndarray | None = None, axis: int = 1) -> np.ndarray:
+                         out: np.ndarray | None = None) -> np.ndarray:
     """Exact inverse of ``raw_estimate_forward``: Fourier transform, then
     inverse controlled powers, back into the estimate frame."""
-    out = raw_qft(a, out, axis=axis)
-    return raw_controlled_powers(out, powers, inverse=True, out=out, axis=axis)
+    out = raw_qft(a, out)
+    return raw_controlled_powers(out, powers, inverse=True, out=out)
 
 
 # ---------------------------------------------------------------------------

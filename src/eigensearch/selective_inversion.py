@@ -160,24 +160,26 @@ def vote_majority_mask(vote_bits: int) -> np.ndarray:
     return dicke_basis(vote_bits)[0] > vote_bits // 2
 
 
-def binomial_tail_wrong_half(vote_bits: int, p, invert):
-    """Probability that the independent votes at success rate p miss majority.
+def binomial_tail_wrong_half(vote_bits: int, p_one, p_zero, invert):
+    """Probability that independent votes, each one with probability
+    ``p_one`` and zero with ``p_zero``, miss majority.
 
     For a state meant to be inverted the wrong half is at most half the votes
     coming up one (ties included); for a state meant to pass through it is a
-    strict majority of ones.  ``p`` and ``invert`` broadcast to one tail
+    strict majority of ones.  Both probabilities are given, so that neither
+    is a rounded complement 1 - p.  The arguments broadcast to one tail
     each.  Every tail is summed term by term in scalar arithmetic: a numpy
     power of an array rounds differently from a float's.
     """
-    p = np.asarray(p, dtype=float)
-    if not np.all((p >= 0.0) & (p <= 1.0)):
-        raise ValueError(f"vote probability {p} outside [0, 1]")
+    p_one, p_zero = np.asarray(p_one, dtype=float), np.asarray(p_zero, dtype=float)
+    if not np.all((p_one >= 0.0) & (p_one <= 1.0) & (p_zero >= 0.0) & (p_zero <= 1.0)):
+        raise ValueError(f"vote probabilities {p_one}, {p_zero} outside [0, 1]")
 
-    def tail(q, inv):
+    def tail(one, zero, inv):
         ks = [k for k in range(vote_bits + 1) if (k <= vote_bits // 2) == inv]
-        return sum(math.comb(vote_bits, k) * q**k * (1.0 - q) ** (vote_bits - k) for k in ks)
+        return sum(math.comb(vote_bits, k) * one**k * zero ** (vote_bits - k) for k in ks)
 
-    return np.vectorize(tail, otypes=[float])(p, invert)[()]
+    return np.vectorize(tail, otypes=[float])(p_one, p_zero, invert)[()]
 
 
 def _charge(ledger, **counts):
@@ -351,15 +353,15 @@ class InversionOperator:
         if self.vote_window is None:
             for part in parts:
                 powers = power_table(self.frame.phases[part], m)
-                block = raw_estimate_forward(src[part], powers, out=out[part], axis=2)
+                block = raw_estimate_forward(src[part], powers, out=out[part])
                 block *= signs
-                raw_estimate_inverse(block, powers, out=block, axis=2)
-            return StateVector.from_slabs(out, self.layout, self.frame)
+                raw_estimate_inverse(block, powers, out=block)
+            return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
         width = src.shape[1]
         p = np.zeros((n, 2, basis), dtype=complex)
         for part in parts:
             powers = power_table(self.frame.phases[part], m)
-            block = raw_estimate_forward(src[part], powers, out=out[part, :width], axis=2)
+            block = raw_estimate_forward(src[part], powers, out=out[part, :width])
             p[part, :, :width] = np.matmul(self._plane(part).conj(),
                                            block.transpose(0, 2, 1))
         delta = self._plane_update(p).transpose(0, 2, 1)
@@ -370,7 +372,7 @@ class InversionOperator:
                 # the signed estimate, u_in and u_out, unestimated; the
                 # slab is one product of its coefficients and them
                 cols = np.concatenate([block[:, :1] * signs[0], plane], axis=1)
-                raw_estimate_inverse(cols, powers, out=cols, axis=2)
+                raw_estimate_inverse(cols, powers, out=cols)
                 coefs = np.zeros((block.shape[0], basis, 3), dtype=complex)
                 coefs[:, 0, 0] = 1.0
                 coefs[:, :, 1:] = delta[part]
@@ -378,8 +380,8 @@ class InversionOperator:
             else:
                 block *= signs
                 block += np.matmul(delta[part], plane)
-                raw_estimate_inverse(block, powers, out=block, axis=2)
-        return StateVector.from_slabs(out, self.layout, self.frame)
+                raw_estimate_inverse(block, powers, out=block)
+        return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
 
     def _signs(self, basis: int) -> np.ndarray:
         """The fixed sign of the stage per (basis column, phase value),
@@ -444,8 +446,9 @@ def predicted_epsilon(scheme: InversionScheme, lam, invert):
 
     Each estimate profile is split at the gap window (``window_split``).
     Basic scheme: twice the norm of the part on the wrong side of the
-    window.  Boosted scheme: twice the root of the binomial tail at the
-    per-vote in-window probability |in|^2.
+    window.  Boosted scheme: twice the root of the binomial tail of votes
+    that come up one with the in-window probability |in|^2 and zero with
+    the off-window |out|^2.
     """
     mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
     return _split_epsilon(scheme, window_split(scheme.phase_bits, lam, mask)[1], invert)
@@ -455,8 +458,8 @@ def _split_epsilon(scheme: InversionScheme, norms: np.ndarray, invert):
     """``predicted_epsilon`` from the (..., 2) norms (|in|, |out|)."""
     if scheme.kind == "basic":
         return 2.0 * np.where(invert, norms[..., 1], norms[..., 0])
-    p = norms[..., 0] ** 2
-    return 2.0 * np.sqrt(binomial_tail_wrong_half(scheme.vote_bits, p, invert))
+    p_one, p_zero = norms[..., 0] ** 2, norms[..., 1] ** 2
+    return 2.0 * np.sqrt(binomial_tail_wrong_half(scheme.vote_bits, p_one, p_zero, invert))
 
 
 def basic_error_bound(scheme: InversionScheme) -> float:

@@ -41,7 +41,7 @@ def from_frame(a, dec, axes=("main", "phase")):
 def computational(state):
     """A state in an estimate frame, taken out of it: a (main, phase, vote)
     array of computational amplitudes."""
-    return from_frame(state.reshaped(), state.frame)
+    return from_frame(state.amps.reshape(state.layout.shape), state.frame)
 
 
 def framed(a, dec, layout):

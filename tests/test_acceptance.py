@@ -301,9 +301,11 @@ def test_criterion_10_fast_kernels_match_dense_oracles(acceptance_log):
     for k in range(5):
         vec = rng.normal(size=layout.dim) + 1j * rng.normal(size=layout.dim)
         vec /= np.linalg.norm(vec)
-        out = raw_estimate_forward(frames.to_frame(vec.reshape(layout.shape), dec4),
-                                   power_table(dec4.phases, layout.phase_dim))
-        out = frames.from_frame(out, dec4, axes=("main",)).reshape(-1)
+        # the kernel takes the phase axis last
+        out = raw_estimate_forward(
+            frames.to_frame(vec.reshape(layout.shape), dec4).swapaxes(1, 2),
+            power_table(dec4.phases, layout.phase_dim))
+        out = frames.from_frame(out.swapaxes(1, 2), dec4, axes=("main",)).reshape(-1)
         ctrl_gap = max(ctrl_gap, float(np.max(np.abs(out - dense_forward @ vec))))
 
     ok = (basic_gap <= 1e-9 and boosted_gap <= 1e-9

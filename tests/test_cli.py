@@ -11,7 +11,7 @@ from pathlib import Path
 import pytest
 
 import eigensearch as es
-from eigensearch import numerics
+from eigensearch import numerics, selective_inversion
 from eigensearch.cli import main
 
 REF_ARGS = ["--n", "12", "--pairs", "0.55,0.62,0.70,0.79",
@@ -179,6 +179,21 @@ def test_an_eigenvalue_modulus_failure_is_an_internal_invariant(monkeypatch, cap
     assert "moduli" in err
 
 
+def test_a_computed_state_off_its_norm_exits_5_with_one_line(monkeypatch, capsys):
+    # the inversion's output is a state the program computed from checked
+    # ones, so tripled vote coefficients, which take its norm off 1, are an
+    # internal invariant failure and not a bad argument
+    original = selective_inversion._vote_coefficients
+    monkeypatch.setattr(selective_inversion, "_vote_coefficients",
+                        lambda *args: 3.0 * original(*args))
+    code, out, err = run_cli(capsys, "pipeline", *REF_ARGS, "--scheme", "boosted",
+                             "--mu-offset", "8")
+    assert code == 5
+    assert out == ""
+    assert err.count("\n") == 1
+    assert err.startswith("internal invariant failed: state norm ")
+
+
 def test_pipeline_csv_uses_the_shared_header(capsys):
     code, out, _ = run_cli(capsys, "pipeline", *REF_ARGS, "--format", "csv")
     assert code == 0
@@ -328,3 +343,60 @@ def test_readme_examples_run(capsys, args):
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
     assert out
+
+
+# a config value that its option cannot take, one or more per kind of option
+MALFORMED = [("pairs", 5), ("pairs", [0.55, "x"]), ("delta", [0.1]), ("out", 5),
+             ("seed", 1.5), ("mu", 8.9), ("n", True), ("timings", "no"),
+             ("format", "xml"), ("scheme", 3), ("sweep_nu", "2,x"), ("target", {}),
+             ("seed", None), ("instances", 3), ("instances", [3])]
+
+
+@pytest.mark.parametrize("key, value", MALFORMED,
+                         ids=[f"{key}={json.dumps(value)}" for key, value in MALFORMED])
+def test_a_malformed_config_value_exits_2_naming_its_key(tmp_path, capsys, key, value):
+    # at the top level of the config and in an instance entry alike, the
+    # value is rejected in one line before anything runs
+    path = tmp_path / "cfg.json"
+    entries = [{"target": 4}, {"target": 5, key: value}]
+    for cfg, where in (({**COMPARE_CONFIG, key: value}, "config"),
+                       ({**COMPARE_CONFIG, "instances": entries}, "instances[1]")):
+        path.write_text(json.dumps(cfg))
+        code, out, err = run_cli(capsys, "compare", "--config", str(path))
+        assert code == 2
+        assert out == ""
+        assert err.count("\n") == 1
+        assert err.startswith(f"error: {json.dumps(key)} in {where} cannot be ")
+
+
+def test_a_flag_value_its_option_cannot_take_exits_2_naming_it(capsys):
+    code, out, err = run_cli(capsys, "pipeline", *REF_ARGS, "--mu", "8.9")
+    assert (code, out) == (2, "")
+    assert err == 'error: "mu" in the flags cannot be "8.9"; it takes integers\n'
+
+
+# command: the same settings as flags and as a config file
+EQUIVALENT = {
+    "pipeline": (REF_ARGS + ["--scheme", "boosted", "--mu-offset", "8"],
+                 {"n": 12, "pairs": [0.55, 0.62, 0.70, 0.79], "seed": 68,
+                  "theta_min": 0.44, "target": 4, "scheme": "boosted", "mu_offset": 8}),
+    "invert": (REF_ARGS + ["--sweep-mu", "8,10"],
+               {"n": 12, "pairs": [0.55, 0.62, 0.70, 0.79], "seed": 68,
+                "theta_min": 0.44, "target": 4, "sweep_mu": [8, 10]}),
+    "schedule": (["--n", "32", "--pairs", "0.70,0.76,0.83,0.90,1.00,1.40,1.90",
+                  "--seed", "2", "--target", "24", "--initial-guess", "2.8"],
+                 {"n": 32, "pairs": [0.70, 0.76, 0.83, 0.90, 1.00, 1.40, 1.90],
+                  "seed": 2, "target": 24, "initial_guess": 2.8}),
+}
+
+
+@pytest.mark.parametrize("command", EQUIVALENT)
+def test_flags_and_a_config_file_give_the_same_document(tmp_path, capsys, command):
+    flags, cfg = EQUIVALENT[command]
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps(cfg))
+    code, from_flags, _ = run_cli(capsys, command, *flags)
+    assert code == 0
+    code, from_config, _ = run_cli(capsys, command, "--config", str(path))
+    assert code == 0
+    assert from_config == from_flags

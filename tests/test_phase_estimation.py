@@ -225,7 +225,7 @@ def test_embed_mainspace_places_the_state_in_the_joint_register():
     dec = es.eig_unitary(np.diag(np.exp(1j * np.array([0.3, -1.2, 2.0]))))
     lay = RegisterLayout(3, 2, 1, es.DENSE_CAP)
     sv = embed_mainspace(lay, dec.vectors[:, 1], dec)
-    assert sv.reshaped().shape == (3, 4, 2)
+    assert sv.amps.shape == (3 * 4 * 2,)
     assert sorted(np.flatnonzero(sv.amps)) == [(1 * 4 + w) * 2 for w in range(4)]
     assert_allclose(np.abs(sv.amps[np.flatnonzero(sv.amps)]), 0.5, atol=1e-15)
     branch, marginal = sv.readouts()
@@ -245,10 +245,11 @@ def test_phase_estimate_matches_the_dense_oracle_and_inverts():
     plain[:, 0, 0] = vec / np.linalg.norm(vec)
     dense = oracles.dense_estimate_forward(u, 5)
 
-    a = frames.to_frame(plain, dec)
+    # the kernels take the phase axis last
+    a = frames.to_frame(plain, dec).swapaxes(1, 2)
     powers = power_table(dec.phases, lay.phase_dim)
     out = raw_estimate_forward(a, powers)
-    got = frames.from_frame(out, dec, axes=("main",)).reshape(-1)
+    got = frames.from_frame(out.swapaxes(1, 2), dec, axes=("main",)).reshape(-1)
     assert np.max(np.abs(got - dense @ plain.reshape(-1))) <= 1e-9
     assert np.max(np.abs(raw_estimate_inverse(out, powers) - a)) <= 1e-12
 
@@ -264,8 +265,9 @@ def test_eigenstate_estimation_concentrates_at_the_nearest_register_value():
     sv = embed_mainspace(lay, dec.vectors[:, k], frame=dec)
     # the phase axis of the estimate is computational; the main axis is
     # summed over, so its basis does not matter
-    out = raw_estimate_forward(sv.reshaped(), power_table(dec.phases, lay.phase_dim))
-    marginal = np.sum(np.abs(out) ** 2, axis=(0, 2))
+    out = raw_estimate_forward(sv.amps.reshape(lay.shape).swapaxes(1, 2),
+                               power_table(dec.phases, lay.phase_dim))
+    marginal = np.sum(np.abs(out) ** 2, axis=(0, 1))
     assert int(np.argmax(marginal)) == es.k_nearest(7, lam)
     profile = np.abs(es.estimate_amplitudes(7, lam)) ** 2
     assert np.max(np.abs(marginal - profile)) <= 1e-10

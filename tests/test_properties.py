@@ -559,7 +559,7 @@ def test_two_applies_without_a_flip_match_the_dense_oracle(case, seed):
 
 def amplitude_readouts(state):
     """The zero branch and the main marginal computed from ``amps``."""
-    a = state.reshaped()
+    a = state.amps.reshape(state.layout.shape)
     v = state.frame.vectors
     gram = a.reshape(a.shape[0], -1) @ a.reshape(a.shape[0], -1).conj().T
     return (v @ a[:, :, 0].sum(axis=1) / np.sqrt(state.layout.phase_dim),
@@ -667,7 +667,7 @@ def test_a_weight_symmetric_apply_checks_its_plane_update():
                                     haar_unitary(3, 23))
     product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
     flipped = es.target_flip(op.apply(product), 1)
-    amps = register_state(op, 29).reshaped().copy()
+    amps = register_state(op, 29).amps.reshape(op.layout.shape)
     amps[:, :, 2] = 0.0
     register = es.StateVector(amps / np.linalg.norm(amps), op.layout, op.frame)
     assert not register.vote_symmetric

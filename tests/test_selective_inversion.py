@@ -69,8 +69,8 @@ def test_binomial_tail_matches_scipy():
     for nu in (2, 4, 6):
         for p in np.linspace(0.05, 0.95, 7):
             # a tie is no majority, so it counts against flipping
-            wrong_when_flipping = es.binomial_tail_wrong_half(nu, p, True)
-            wrong_when_keeping = es.binomial_tail_wrong_half(nu, p, False)
+            wrong_when_flipping = es.binomial_tail_wrong_half(nu, p, 1.0 - p, True)
+            wrong_when_keeping = es.binomial_tail_wrong_half(nu, p, 1.0 - p, False)
             assert wrong_when_flipping == pytest.approx(
                 stats.binom.cdf(nu // 2, nu, p), abs=1e-12)
             assert wrong_when_keeping == pytest.approx(
@@ -121,20 +121,35 @@ def test_measured_error_tracks_the_analytic_prediction(ref12,
     assert np.max(np.abs(report.measured - report.predicted)) <= 1e-6
 
 
+def test_an_operator_takes_states_of_its_shape_whatever_the_cap(ref12_operator):
+    # the dense cap is checked where a layout is made and is no part of its
+    # value, so an operator built under a raised cap takes a state embedded
+    # in a layout of the same shape made under the default one
+    scheme = es.InversionScheme("basic", 8, 0, instances.REF12_GAP)
+    op = es.InversionOperator.build(scheme, ref12_operator, 1 << 23)
+    layout = es.RegisterLayout(12, 8, 0)
+    assert layout == op.layout and hash(layout) == hash(op.layout)
+    got = op.apply(embed_mainspace(layout, np.eye(12)[3], op.frame))
+    want = op.apply(embed_mainspace(op.layout, np.eye(12)[3], op.frame))
+    assert np.array_equal(got.slabs, want.slabs)
+
+
 def scalar_predicted_epsilon(scheme, lam, invert):
     """The prediction for one eigenphase in plain Python: the norms of its
     profile's parts on and off the window, then twice the wrong part's norm
-    or the binomial tail at the squared in-window norm, term by term."""
+    or the binomial tail of votes that come up one with the squared
+    in-window norm and zero with the squared off-window norm, term by
+    term."""
     mask = es.gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
     profile = es.estimate_amplitudes(scheme.phase_bits, lam)
     norms = [math.sqrt(np.sum((part.conj() * part).real))
              for part in (np.where(mask, profile, 0.0), np.where(mask, 0.0, profile))]
     if scheme.kind == "basic":
         return 2.0 * norms[1 if invert else 0]
-    p = norms[0] ** 2
+    p, q = norms[0] ** 2, norms[1] ** 2
     nu = scheme.vote_bits
     ks = range(nu // 2 + 1) if invert else range(nu // 2 + 1, nu + 1)
-    return 2.0 * math.sqrt(sum(math.comb(nu, k) * p**k * (1.0 - p) ** (nu - k) for k in ks))
+    return 2.0 * math.sqrt(sum(math.comb(nu, k) * p**k * q ** (nu - k) for k in ks))
 
 
 def test_predicted_epsilon_of_an_array_repeats_the_scalar_arithmetic(ref12_operator):
