@@ -74,8 +74,9 @@ class ConfigError(ValueError):
 
 
 # key: (kind, default) per option; the flag is the key with dashes.  A kind
-# of bool is a switch, a tuple the allowed choices, and [kind] a list of that
-# kind, comma-separated on a flag; the list of objects has no flag.
+# of bool is a switch, a tuple the allowed choices, and [kind] a list of one
+# or more of that kind, comma-separated on a flag; the list of objects has no
+# flag.
 _OPTIONS = {
     "n": (int, None),
     "source": (int, 0),
@@ -131,7 +132,7 @@ def _as_kind(kind, value):
     """``value`` as a value of ``kind``; TypeError or ValueError if it is none."""
     if isinstance(kind, list) and isinstance(value, str):
         value = [tok for tok in value.split(",") if tok.strip()]
-    if isinstance(kind, list) and isinstance(value, list):
+    if isinstance(kind, list) and isinstance(value, list) and value:
         return [_as_kind(kind[0], item) for item in value]
     if type(value) is kind or isinstance(kind, tuple) and value in kind:
         return value
@@ -154,7 +155,7 @@ def _parsed(layer: dict, where: str) -> dict:
         try:
             values[key] = None if value is None and default is None else _as_kind(kind, value)
         except (TypeError, ValueError):
-            what = ("a list of " + _KIND_NAMES[kind[0]] if isinstance(kind, list)
+            what = ("a list of one or more " + _KIND_NAMES[kind[0]] if isinstance(kind, list)
                     else "one of " + ", ".join(kind) if isinstance(kind, tuple)
                     else _KIND_NAMES[kind])
             raise ConfigError(f"{json.dumps(key)} in {where} cannot be "

@@ -12,10 +12,12 @@ Each instance is prepared once: its dense search operator is the spec's
 shared diffusion operator with the target column flipped, built on first use
 and kept read-only, and its one eigendecomposition serves the pair, the
 halfway state and the inversion frame.  For symmetric and Grover specs the
-operator is real, and ``eig_unitary`` keeps it real.  The halfway state is a
-spectral power of that decomposition, V e^{i q lambda} V^dagger s with s the
-instance's gauged ``source``; the ledger still charges the q_m
-search-operator applications the circuit makes.
+operator is real, and ``eig_unitary`` diagonalizes it in real arithmetic:
+real eigenvectors at 0 and pi, and each pair at +-lambda as a vector and
+its exact conjugate.  The halfway state is a spectral power of that
+decomposition, V e^{i q lambda} V^dagger s with s the instance's gauged
+``source``; the ledger still charges the q_m search-operator applications
+the circuit makes.
 """
 
 from __future__ import annotations

@@ -238,11 +238,13 @@ class InversionOperator:
     vote registers; the flips are -1 on them.  ``decomposition`` is the
     unitary's eigendecomposition, whose estimate frame the operator runs in,
     read through ``frame``.  Unless ``build`` is handed one it is computed on
-    first use and kept.  The operator also keeps the split of every
-    eigenvector's estimate profile at the gap window: its norms, and for
-    the boosted scheme its vote plane, which a ``build`` handed the
-    decomposition makes at once, before any register exists.  Controlled
-    powers are not kept: an apply builds them a few eigenvectors at a time.
+    first use and kept.  A real unitary is kept real, so its unitarity check
+    and eigensolve run in real arithmetic.  The operator also keeps the
+    split of every eigenvector's estimate profile at the gap window: its
+    norms, and for the boosted scheme its vote plane, which a ``build``
+    handed the decomposition makes at once, before any register exists.
+    Controlled powers are not kept: an apply builds them a few eigenvectors
+    at a time.
     """
 
     scheme: InversionScheme
@@ -258,7 +260,7 @@ class InversionOperator:
     def build(cls, scheme: InversionScheme, unitary: np.ndarray,
               dense_cap: int = DENSE_CAP,
               decomposition: EigenDecomposition | None = None) -> "InversionOperator":
-        unitary = np.asarray(unitary, dtype=complex)
+        unitary = np.asarray(unitary)
         if not is_unitary(unitary, TOL.system_unitarity):
             raise ValueError("inversion target operator is not unitary")
         if decomposition is not None and decomposition.vectors.shape != unitary.shape:
@@ -507,6 +509,7 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     the frame.  The input is a product state, nonzero on vote value 0
     alone, and the output Dicke slabs, an orthonormal basis, so the error
     is the plain norm of the slabs minus the signed input on column 0.
+    The operator's own frame phases are predicted from its kept split.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
@@ -518,7 +521,8 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
         diff = op.apply(sv).slabs.copy()
         diff[:, 0] -= (sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m)))[:, None]
         measured[k] = math.sqrt(np.vdot(diff, diff).real)
-    predicted = predicted_epsilon(op.scheme, phases, invert)
+    predicted = (op.predicted_epsilon(invert) if phases is op.frame.phases
+                 else predicted_epsilon(op.scheme, phases, invert))
     bound = basic_error_bound(op.scheme) if op.scheme.kind == "basic" else None
     return EpsilonReport(scheme=op.scheme, eigenphases=phases,
                          measured=measured, predicted=predicted,

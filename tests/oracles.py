@@ -167,3 +167,32 @@ def lagrange_projector_weights(matrix: np.ndarray, phases: np.ndarray,
             proj /= np.exp(1j * p) - np.exp(1j * q)
         weights.append((p, float(np.real(vec.conj() @ proj @ vec))))
     return weights
+
+
+def real_orthogonal(pair_phases, plus: int = 0, minus: int = 0, seed: int = 0) -> np.ndarray:
+    """Q B Q^T for a seeded random orthogonal Q, with B a 2 x 2 rotation by
+    each pair phase followed by ``plus`` ones and ``minus`` minus ones on
+    the diagonal: a real orthogonal matrix with exactly that spectrum."""
+    n = 2 * len(pair_phases) + plus + minus
+    b = np.diag(np.r_[np.zeros(2 * len(pair_phases)), np.ones(plus), -np.ones(minus)])
+    for k, lam in enumerate(pair_phases):
+        c, s = np.cos(lam), np.sin(lam)
+        b[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
+    q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
+    return q @ b @ q.T
+
+
+def spectral_projectors(phases: np.ndarray, vectors: np.ndarray,
+                        resolution: float = 1e-5) -> list[tuple[float, np.ndarray]]:
+    """(phase, projector) for each run of eigenphases, taken in (-pi, pi]
+    and sorted, that are closer than ``resolution`` around the circle; the
+    phase is that of its first member.  Eigenvectors closer in phase than
+    that are fixed only to about eps over their gap."""
+    wrapped = np.pi - np.mod(np.pi - np.asarray(phases), 2.0 * np.pi)
+    order = np.argsort(wrapped, kind="stable")
+    wrapped, vectors = wrapped[order], vectors[:, order]
+    runs = np.split(np.arange(wrapped.size), np.flatnonzero(np.diff(wrapped) > resolution) + 1)
+    if len(runs) > 1 and wrapped[0] + 2.0 * np.pi - wrapped[-1] <= resolution:
+        runs = runs[1:-1] + [np.concatenate([runs[-1], runs[0]])]
+    return [(float(wrapped[run[0]]), vectors[:, run] @ vectors[:, run].conj().T)
+            for run in runs]

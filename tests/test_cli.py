@@ -8,10 +8,11 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 import eigensearch as es
-from eigensearch import numerics, selective_inversion
+from eigensearch import numerics, phase_estimation, selective_inversion
 from eigensearch.cli import main
 
 REF_ARGS = ["--n", "12", "--pairs", "0.55,0.62,0.70,0.79",
@@ -151,6 +152,19 @@ def test_an_invert_sweep_diagonalizes_its_instance_once(call_counter, capsys):
     assert code == 0
     assert [s["scheme"]["nu"] for s in json.loads(out)["sweeps"]] == [2, 4]
     assert solves == [1]
+
+
+def test_a_boosted_invert_evaluates_each_estimate_profile_once(call_counter, capsys):
+    # the report's eigenphases are the operator's frame phases, so it
+    # predicts from the split the operator keeps; it made a second split
+    # of its own, 24 eigenphases in all for ref12's 12
+    lams = []
+    call_counter(phase_estimation, "estimate_amplitudes",
+                 lambda phase_bits, lam: lams.append(np.size(lam)))
+    code, _, _ = run_cli(capsys, "invert", *REF_ARGS, "--scheme", "boosted",
+                         "--mu-offset", "6")
+    assert code == 0
+    assert sum(lams) == 12
 
 
 def test_an_internal_invariant_failure_exits_5_with_one_line(monkeypatch, capsys):
@@ -346,7 +360,8 @@ def test_readme_examples_run(capsys, args):
 
 
 # a config value that its option cannot take, one or more per kind of option
-MALFORMED = [("pairs", 5), ("pairs", [0.55, "x"]), ("delta", [0.1]), ("out", 5),
+MALFORMED = [("pairs", 5), ("pairs", [0.55, "x"]), ("pairs", []), ("sweep_mu", []),
+             ("delta", [0.1]), ("out", 5),
              ("seed", 1.5), ("mu", 8.9), ("n", True), ("timings", "no"),
              ("format", "xml"), ("scheme", 3), ("sweep_nu", "2,x"), ("target", {}),
              ("seed", None), ("instances", 3), ("instances", [3])]
@@ -373,6 +388,24 @@ def test_a_flag_value_its_option_cannot_take_exits_2_naming_it(capsys):
     code, out, err = run_cli(capsys, "pipeline", *REF_ARGS, "--mu", "8.9")
     assert (code, out) == (2, "")
     assert err == 'error: "mu" in the flags cannot be "8.9"; it takes integers\n'
+
+
+@pytest.mark.parametrize("command, key", [("spectrum", "pairs"), ("invert", "sweep_mu")])
+def test_an_empty_list_flag_exits_2_naming_it(capsys, command, key):
+    flags = {k: v for k, v in zip(REF_ARGS[::2], REF_ARGS[1::2])}
+    flags["--" + key.replace("_", "-")] = ""
+    code, out, err = run_cli(capsys, command, *[t for kv in flags.items() for t in kv])
+    assert (code, out) == (2, "")
+    assert err == (f'error: "{key}" in the flags cannot be ""; it takes a list of '
+                   f'one or more {"numbers" if key == "pairs" else "integers"}\n')
+
+
+def test_a_source_index_out_of_range_exits_2(capsys):
+    # the symmetric builder checks it as the Grover builder does
+    for spec in (REF_ARGS[2:4], ["--grover"]):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "12", *spec, "--source", "99")
+        assert (code, out) == (2, "")
+        assert err == "error: source index 99 out of range\n"
 
 
 # command: the same settings as flags and as a config file

@@ -8,8 +8,10 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
+from eigensearch import numerics
 from eigensearch.numerics import (
     TOL,
+    InternalInvariantError,
     eig_unitary,
     inside_gap,
     make_rng,
@@ -19,7 +21,8 @@ from eigensearch.numerics import (
     wrap_angle,
 )
 import eigensearch
-from oracles import unitary_power
+import instances
+from oracles import real_orthogonal, spectral_projectors, unitary_power
 
 
 def qr_unitary(n, seed):
@@ -114,6 +117,80 @@ def test_eig_unitary_handles_degenerate_clusters():
     assert np.linalg.norm(dec.vectors.conj().T @ dec.vectors - np.eye(8)) \
         <= TOL.eigen_orthonormality
     assert_allclose(np.sort(dec.phases), np.sort(phases), atol=1e-7)
+
+
+# real orthogonal operators: search operators, and constructed spectra that
+# put the real path's pairs into clustered blocks
+REAL_OPERATORS = {
+    "ref12": lambda: eigensearch.build_search_operator(instances.ref12_instance()),
+    "symmetric64": lambda: eigensearch.build_search_operator(instances.symmetric_instance(
+        64, np.linspace(0.5, 2.5, 31), 3, 2)),
+    "grover64": lambda: eigensearch.build_search_operator(instances.grover_instance()),
+    # two pairs whose cosines differ by less than TOL.cosine_cluster
+    "cosine_cluster": lambda: real_orthogonal([0.7, 0.7 + 3e-5, 2.0], 1, 1, seed=1),
+    # a pair within 1e-3 of pi next to a -1 eigenspace
+    "near_pi": lambda: real_orthogonal([np.pi - 5e-4, 1.0], 1, 3, seed=2),
+    # a cluster around +-pi/2, split with the pi/4 turn
+    "quarter_turn": lambda: real_orthogonal(
+        [np.pi / 2 - 1e-7, np.pi / 2 + 1e-7, np.pi / 2 + 1e-5], 1, 0, seed=3),
+    # +1 and -1 each with multiplicity above 1
+    "multiple": lambda: real_orthogonal([1.2], 4, 3, seed=4),
+}
+
+
+@pytest.mark.parametrize("name", REAL_OPERATORS)
+def test_eig_unitary_pairs_a_real_operator_with_exact_conjugates(name):
+    u = REAL_OPERATORS[name]()
+    assert not np.iscomplexobj(u)
+    dec, cast = eig_unitary(u), eig_unitary(u.astype(complex))
+    phases, v = dec.phases, dec.vectors
+    assert np.all(np.diff(phases) >= 0.0)
+    assert_allclose(np.sort(wrap_angle(phases)), np.sort(wrap_angle(cast.phases)),
+                    rtol=0.0, atol=1e-12)
+    mine = spectral_projectors(phases, v)
+    theirs = spectral_projectors(cast.phases, cast.vectors)
+    assert [p for p, _ in mine] == pytest.approx([p for p, _ in theirs], abs=1e-12)
+    for (_, a), (_, b) in zip(mine, theirs):
+        assert np.max(np.abs(a - b)) <= 1e-10
+    # R: real vectors at 0 and pi; P and conj(P) at exactly +-lambda
+    real = (phases == 0.0) | (phases == np.pi)
+    assert not np.any(v[:, real].imag)
+    pair = np.unique(phases[(phases > 0.0) & ~real])
+    for lam in pair:
+        assert np.array_equal(v[:, phases == -lam], v[:, phases == lam].conj())
+    assert real.sum() + 2 * np.sum(np.isin(phases, pair)) == u.shape[0]
+
+
+def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
+    # rebuild the real Z = [R, X, Y] and the Rayleigh quotients from the
+    # returned V and phases, then perturb one of them: each of the three
+    # checks must see it.  Orthonormality is held to 1e-10, so a 1e-8
+    # change of a column trips it; the modulus and reconstruction checks
+    # are held to 1e-8, so they get changes of 1e-7 and 1e-6
+    u = ref12_operator
+    dec = eig_unitary(u, TOL.system_unitarity)
+    phases, v = dec.phases, dec.vectors
+    real = (phases == 0.0) | (phases == np.pi)
+    pair = (phases > 0.0) & ~real
+    nr = int(real.sum())
+    assert nr > 0 and 2 * int(pair.sum()) + nr == u.shape[0]
+    z = np.concatenate([v[:, real].real, v[:, pair].real, v[:, pair].imag], axis=1)
+    rayleigh = np.concatenate([np.cos(phases[real]), np.exp(1j * phases[pair])])
+    assert_allclose(numerics._check_pairs(u, z, nr, rayleigh),
+                    np.concatenate([phases[real], phases[pair]]), rtol=0.0, atol=1e-15)
+
+    for col in (0, nr, z.shape[1] - 1):      # R, X and Y
+        bent = z.copy()
+        bent[np.argmax(np.abs(z[:, col])), col] += 1e-8
+        with pytest.raises(InternalInvariantError, match="orthonormality"):
+            numerics._check_pairs(u, bent, nr, rayleigh)
+    for k, factor, check in ((nr, 1.0 + 1e-7, "moduli"), (0, 1.0 + 1e-7, "moduli"),
+                             (nr, np.exp(1e-6j), "reconstruction"),
+                             (0, -1.0, "reconstruction")):
+        bent = rayleigh.copy()
+        bent[k] *= factor
+        with pytest.raises(InternalInvariantError, match=check):
+            numerics._check_pairs(u, z, nr, bent)
 
 
 def test_eig_unitary_rejects_nonunitary_input():

@@ -145,17 +145,55 @@ def test_eig_unitary_handles_planted_clusters(u):
     assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
 
 
+@st.composite
+def real_orthogonals(draw):
+    """A real orthogonal matrix: drawn at random, or built with two pairs
+    whose cosines coincide or nearly do, a pair next to pi beside a -1
+    eigenspace, a pair on either side of pi/2, or a lone pair; each but the
+    random one with 0 to 3 eigenvalues +1 and -1 besides."""
+    seed = draw(st.integers(0, 2**32 - 1))
+    rng = np.random.default_rng(seed)
+    planting = draw(st.sampled_from(("random", "cosine_cluster", "near_pi",
+                                     "quarter_turn", "lone_pair")))
+    if planting == "random":
+        n = draw(st.integers(1, 8))
+        return np.linalg.qr(rng.normal(size=(n, n)))[0]
+    lam = rng.uniform(0.1, 3.0)
+    plus, minus = draw(st.integers(0, 3)), draw(st.integers(0, 3))
+    if planting == "cosine_cluster":
+        pairs = [lam, lam + draw(st.sampled_from((0.0, 1e-9, 1e-6, 3e-5)))]
+    elif planting == "near_pi":
+        pairs, minus = [np.pi - draw(st.sampled_from((1e-3, 1e-5, 1e-8)))], minus + 1
+    elif planting == "quarter_turn":
+        half = draw(st.sampled_from((1e-9, 1e-7, 1e-5)))
+        pairs = [np.pi / 2 - half, np.pi / 2 + half]
+    else:
+        pairs = [lam]
+    return oracles.real_orthogonal(pairs, plus, minus, seed)
+
+
 @SETTINGS
-@given(unitaries(planting="real"))
+@given(real_orthogonals())
 def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
     # the float array takes the real path; its complex cast the complex one
-    real, cast = es.eig_unitary(u.real), es.eig_unitary(u)
-    assert not np.iscomplexobj(u.real)
-    assert np.max(np.abs(real.phases - cast.phases)) <= 1e-12
+    real, cast = es.eig_unitary(u), es.eig_unitary(u.astype(complex))
+    assert not np.iscomplexobj(u)
+    assert np.max(np.abs(np.sort(es.wrap_angle(real.phases))
+                         - np.sort(es.wrap_angle(cast.phases)))) <= 1e-12
     for dec in (real, cast):
         v = dec.vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
         assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
+    mine = oracles.spectral_projectors(real.phases, real.vectors)
+    theirs = oracles.spectral_projectors(cast.phases, cast.vectors)
+    assert len(mine) == len(theirs)
+    for (p, a), (q, b) in zip(mine, theirs):
+        assert abs(p - q) <= 1e-12
+        assert np.max(np.abs(a - b)) <= 1e-10
+    # the pairs of the real path are exact conjugates at exactly +-lambda
+    phases, v = real.phases, real.vectors
+    for lam in phases[(phases > 0.0) & (phases < np.pi)]:
+        assert np.array_equal(v[:, phases == -lam], v[:, phases == lam].conj())
 
 
 @SETTINGS

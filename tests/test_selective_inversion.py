@@ -121,6 +121,17 @@ def test_measured_error_tracks_the_analytic_prediction(ref12,
     assert np.max(np.abs(report.measured - report.predicted)) <= 1e-6
 
 
+def test_a_real_operator_is_kept_real_and_its_frame_solved_in_pairs(ref12_operator):
+    # build casts nothing, so the unitarity check and the frame's eigensolve
+    # take the real path, whose pairs are exact conjugates
+    scheme = es.InversionScheme("basic", 6, 0, instances.REF12_GAP)
+    op = es.InversionOperator.build(scheme, ref12_operator)
+    assert op.unitary.dtype == np.float64
+    phases, v = op.frame.phases, op.frame.vectors
+    for lam in phases[(phases > 0.0) & (phases < np.pi)]:
+        assert np.array_equal(v[:, phases == -lam], v[:, phases == lam].conj())
+
+
 def test_an_operator_takes_states_of_its_shape_whatever_the_cap(ref12_operator):
     # the dense cap is checked where a layout is made and is no part of its
     # value, so an operator built under a raised cap takes a state embedded
