@@ -372,6 +372,10 @@ def _cmd_compare(cfg: dict):
 def _cmd_schedule(cfg: dict):
     if cfg["initial_guess"] is None:
         raise ConfigError("schedule needs --initial-guess")
+    for key in ("mu", "nu"):
+        if cfg[key] is not None:
+            raise ConfigError(f"schedule sizes a register for each gap guess and takes "
+                              f"no {json.dumps(key)}; set --b or --mu-offset instead")
     inst = _instance_from_config(cfg)
     result = run_schedule(
         inst,

@@ -450,7 +450,7 @@ def peak_window_mass(phase_bits: int, lam: float, halfwidth: int) -> float:
     """Probability that the estimate of ``lam`` lands within ``halfwidth``
     register values of the nearest one."""
     mask = window_mask(phase_bits, k_nearest(phase_bits, lam), halfwidth)
-    return float(window_split(phase_bits, lam, mask)[1][0] ** 2)
+    return float(window_split(phase_bits, lam, mask)[0] ** 2)
 
 
 def peak_mass_bound(halfwidth: int) -> float:
@@ -495,16 +495,19 @@ def gap_guard_margin(phase_bits: int, phase_gap: float,
     return m * guard_fraction * phase_gap / (2.0 * np.pi)
 
 
-def window_split(phase_bits: int, lam, mask: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+def window_split(phase_bits: int, lam, mask: np.ndarray,
+                 out: np.ndarray | None = None) -> np.ndarray:
     """Split the estimate profile of ``lam`` at a boolean register mask.
 
-    Returns the row u_in + u_out of the unit parts on and off the mask,
-    which have disjoint supports, and the norms (|in|, |out|), whose
+    Returns the norms (|in|, |out|) of its parts on and off the mask, whose
     squares are the probabilities that the estimate lands on and off the
-    mask; one of each per eigenphase for an array of them.  A part of norm
-    exactly 0 gets zeros.  The profiles are computed a few eigenphases at a
-    time, at most ``_GRAM_BLOCK`` register values together, so their
-    temporaries stay small next to a register of one row per eigenphase.
+    mask; one pair per eigenphase for an array of them.  Given ``out``, a
+    complex lam.shape + (2, M) array, it also writes the unit parts u_in
+    and u_out there, zero off their supports, so that the profile is
+    |in| u_in + |out| u_out; a part of norm exactly 0 is all zeros.  The
+    profiles are computed a few eigenphases at a time, at most
+    ``_GRAM_BLOCK`` register values together, so no temporary nears a
+    register of one row per eigenphase.
     """
     mask = np.asarray(mask)
     m = 1 << phase_bits
@@ -513,13 +516,16 @@ def window_split(phase_bits: int, lam, mask: np.ndarray) -> tuple[np.ndarray, np
                          f"{m}-value register")
     lam = np.asarray(lam, dtype=float)
     flat = lam.reshape(-1)
-    rows = np.zeros((flat.size, m), dtype=complex)
+    units = None if out is None else out.reshape(flat.size, 2, m)
     norms = np.empty((flat.size, 2))
     step = max(1, _GRAM_BLOCK // m)
     for first in range(0, flat.size, step):
         part = slice(first, first + step)
         profile = estimate_amplitudes(phase_bits, flat[part])
-        norms[part] = np.linalg.norm(np.where([mask, ~mask], profile[:, None], 0.0), axis=2)
-        scale = np.where(mask, norms[part, :1], norms[part, 1:])
-        np.divide(profile, scale, out=rows[part], where=scale > 0.0)
-    return rows.reshape(lam.shape + (m,)), norms.reshape(lam.shape + (2,))
+        split = np.where([mask, ~mask], profile[:, None], 0.0)
+        norms[part] = np.linalg.norm(split, axis=2)
+        if units is not None:
+            scale = norms[part, :, None]
+            units[part] = 0.0
+            np.divide(split, scale, out=units[part], where=scale > 0.0)
+    return norms.reshape(lam.shape + (2,))

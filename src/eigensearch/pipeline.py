@@ -249,6 +249,8 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
     if r_max is None:
         span = max(0.0, math.log(initial_guess / inst.spec.phase_gap))
         r_max = math.ceil(span * 10.0 / guard_fraction) + 32
+    elif r_max < 1:
+        raise ValueError(f"the round budget r_max must be at least 1, not {r_max}")
     rng = make_rng(seed)
     total = QueryLedger()
     guesses: list[float] = []

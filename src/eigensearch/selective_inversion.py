@@ -28,12 +28,13 @@ in-window rows of the phase register alone, swaps its vote bit on the
 off-window rows and adds a multiple of phi_k that depends only on the
 projections onto the two parts.  The boosted vote stage, 2 nu kickbacks
 around the majority flip, is therefore a fixed sign per (phase, vote) value
-plus a rank-two update in the plane of the two parts.  It runs as one
-projection of the estimated slabs onto that plane, the kickbacks and the
-flip on two coefficients per eigenvector and vote value, and one pass
-applying the signs and the update.  The query ledger still charges the
-physical circuit: 2^mu controlled applications per estimate, two estimates
-per kickback.
+plus a rank-two update in the plane of the two parts.  The estimate E_k is
+unitary, so the operator keeps the plane unestimated,
+Q_k = E_k^dagger (u_in, u_out): the stage is the projections of the input
+onto Q, the kickbacks and the flip on two coefficients per eigenvector and
+vote value, the fixed signs between one estimate and one unestimate, and
+the update along Q.  The query ledger still charges the physical circuit:
+2^mu controlled applications per estimate, two estimates per kickback.
 
 The vote stage commutes with every permutation of the vote bits.  Each
 kickback acts alike on the phase register and its own vote bit: it keeps
@@ -48,17 +49,13 @@ the plane update is computed on all 2^nu of them: the projections are
 expanded from the Dicke columns, run through the stage, checked to be
 equal across each weight class, and kept on one representative per weight.
 
-An apply runs a few eigenvectors at a time, and builds their controlled
-powers in each pass that uses them.  A state held as slabs is estimated
-into the output array, signed, updated in the plane and unestimated
-there, in the basis it came in.  An embedded state, a product
-c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c alone
-(the first round's input, and each eigenstate of an epsilon report), has
-one estimated column c_k phi_k per eigenvector, on vote value 0, and only
-its projections onto the plane.  The unestimate acts on the phase axis
-alone, so it runs on r = 1 or 3 columns, the signed estimate and for the
-boosted scheme u_in and u_out, and each eigenvector's Dicke slab is one
-(nu + 1, r) @ (r, M) product of its coefficients and those columns.
+A state held as slabs runs a few eigenvectors at a time, in the basis it
+came in, through one estimate and one unestimate.  An embedded state, a
+product c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c
+alone (the first round's input, and each eigenstate of an epsilon report),
+estimates to c_k (|in| u_in + |out| u_out) on vote value 0, which lies in
+the plane.  So a boosted apply of it runs no transform: each eigenvector's
+Dicke slab is one (nu + 1, 2) @ (2, M) product of coefficients and Q_k.
 """
 
 from __future__ import annotations
@@ -241,10 +238,10 @@ class InversionOperator:
     first use and kept.  A real unitary is kept real, so its unitarity check
     and eigensolve run in real arithmetic.  The operator also keeps the
     split of every eigenvector's estimate profile at the gap window: its
-    norms, and for the boosted scheme its vote plane, which a ``build``
-    handed the decomposition makes at once, before any register exists.
-    Controlled powers are not kept: an apply builds them a few eigenvectors
-    at a time.
+    norms (|in|, |out|), and for the boosted scheme its vote plane Q, the
+    two unit parts unestimated, (main, 2, phase).  A ``build`` handed the
+    decomposition makes Q at once, before any register exists.  Controlled
+    powers are not kept: an apply builds them a few eigenvectors at a time.
     """
 
     scheme: InversionScheme
@@ -289,13 +286,19 @@ class InversionOperator:
         return self.decomposition
 
     def _window_split(self) -> tuple[np.ndarray | None, np.ndarray]:
-        """The rows and norms of ``window_split`` for every eigenvector at
-        the gap window, made on first use and kept; the basic scheme keeps
-        no rows, which would be a register."""
+        """The vote plane Q and the norms of ``window_split`` for every
+        eigenvector at the gap window, made on first use and kept; Q is the
+        unit parts unestimated in place, and the basic scheme keeps none."""
         if self._split is None:
-            rows, norms = window_split(self.scheme.phase_bits, self.frame.phases,
-                                       self.gap_window)
-            self._split = (rows if self.vote_window is not None else None, norms)
+            phases, m = self.frame.phases, self.layout.phase_dim
+            plane = (None if self.vote_window is None
+                     else np.empty((phases.size, 2, m), dtype=complex))
+            norms = window_split(self.scheme.phase_bits, phases, self.gap_window, out=plane)
+            if plane is not None:
+                for part in _chunks(phases.size, 2 * m):
+                    raw_estimate_inverse(plane[part], power_table(phases[part], m),
+                                         out=plane[part])
+            self._split = (plane, norms)
         return self._split
 
     def predicted_epsilon(self, invert) -> np.ndarray:
@@ -331,17 +334,26 @@ class InversionOperator:
 
     def _invert(self, state: StateVector) -> StateVector:
         """The inversion of ``state`` (see the module docstring), written
-        into one output array, a few eigenvectors at a time: a pending
-        reflection of the input first, then the estimate, in place.  The
-        basic scheme runs each eigenvector through in one pass.  The boosted
-        scheme estimates and projects every eigenvector, runs the vote
-        stage on all the projections, and then signs, updates and
-        unestimates.  Each pass builds the controlled powers of its run of
-        eigenvectors (``power_table``) for both of its transforms.
+        into one output array.  The boosted scheme runs the vote stage on
+        the projections p = Q^dagger psi of all eigenvectors first; an
+        embedded state's are c (x) (|in|, |out|).  A slab state then runs a
+        few eigenvectors at a time: a pending reflection first, their
+        controlled powers, the estimate in place, the signs, the unestimate
+        and the update along Q.
         """
         n, m, _ = self.layout.shape
+        plane, norms = self._window_split()
         product = state.main is not None
         basis = self.layout.vote_bits + 1 if product else state.slabs.shape[1]
+        if product and plane is not None:
+            p = np.zeros((n, 2, basis), dtype=complex)
+            p[:, :, 0] = state.main[:, None] * norms
+            coefs = self._plane_update(p)
+            # Dicke column 0 keeps its signed estimate, +1 on the window
+            # and -1 off it, which lies in the plane too
+            coefs[:, :, 0] += p[:, :, 0] * [1.0, -1.0]
+            out = np.matmul(coefs.transpose(0, 2, 1), plane)
+            return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
         out = np.empty((n, basis, m), dtype=complex)
         if product:
             src = np.broadcast_to((state.main * (1.0 / math.sqrt(m)))[:, None, None],
@@ -350,39 +362,20 @@ class InversionOperator:
             src = state.slabs
         else:
             src = raw_reflect_main(state.slabs, state.reflection, out=out)
-        signs = self._signs(basis)
         parts = _chunks(n, basis * m)
-        if self.vote_window is None:
+        if plane is not None:
+            p = np.empty((n, 2, basis), dtype=complex)
             for part in parts:
-                powers = power_table(self.frame.phases[part], m)
-                block = raw_estimate_forward(src[part], powers, out=out[part])
-                block *= signs
-                raw_estimate_inverse(block, powers, out=block)
-            return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
-        width = src.shape[1]
-        p = np.zeros((n, 2, basis), dtype=complex)
+                np.matmul(plane[part].conj(), src[part].transpose(0, 2, 1), out=p[part])
+            delta = self._plane_update(p).transpose(0, 2, 1)
+        signs = self._signs(basis)
         for part in parts:
             powers = power_table(self.frame.phases[part], m)
-            block = raw_estimate_forward(src[part], powers, out=out[part, :width])
-            p[part, :, :width] = np.matmul(self._plane(part).conj(),
-                                           block.transpose(0, 2, 1))
-        delta = self._plane_update(p).transpose(0, 2, 1)
-        for part in parts:
-            powers = power_table(self.frame.phases[part], m)
-            plane, block = self._plane(part), out[part]
-            if product:
-                # the signed estimate, u_in and u_out, unestimated; the
-                # slab is one product of its coefficients and them
-                cols = np.concatenate([block[:, :1] * signs[0], plane], axis=1)
-                raw_estimate_inverse(cols, powers, out=cols)
-                coefs = np.zeros((block.shape[0], basis, 3), dtype=complex)
-                coefs[:, 0, 0] = 1.0
-                coefs[:, :, 1:] = delta[part]
-                np.matmul(coefs, cols, out=block)
-            else:
-                block *= signs
-                block += np.matmul(delta[part], plane)
-                raw_estimate_inverse(block, powers, out=block)
+            block = raw_estimate_forward(src[part], powers, out=out[part])
+            block *= signs
+            raw_estimate_inverse(block, powers, out=block)
+            if plane is not None:
+                block += np.matmul(delta[part], plane[part])
         return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
 
     def _signs(self, basis: int) -> np.ndarray:
@@ -403,18 +396,12 @@ class InversionOperator:
             vote_sign = vote_sign[(1 << np.arange(basis)) - 1]
         return np.where(self.gap_window, vote_sign[:, None], vote_sign[::-1, None])
 
-    def _plane(self, part: slice) -> np.ndarray:
-        """u_in and u_out of the eigenvectors ``part``, (main, 2, phase),
-        cut from the kept rows."""
-        rows = self._window_split()[0][part, None]
-        return np.where([self.gap_window, ~self.gap_window], rows, 0.0)
-
     def _plane_update(self, p: np.ndarray) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
         (main, 2, basis) coefficients along them.
 
-        ``p`` holds the projections of the estimated slabs onto the plane,
-        in the basis of the slabs; Dicke columns are expanded to all vote
+        ``p`` holds the projections of the input onto the plane Q, in the
+        basis of the input's slabs; Dicke columns are expanded to all vote
         values first.  They run through the kickbacks and the flip, and the
         fixed signs the stage applies to the whole register are taken off
         again.  Of a Dicke update every vote value must match the
@@ -453,7 +440,7 @@ def predicted_epsilon(scheme: InversionScheme, lam, invert):
     the off-window |out|^2.
     """
     mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
-    return _split_epsilon(scheme, window_split(scheme.phase_bits, lam, mask)[1], invert)
+    return _split_epsilon(scheme, window_split(scheme.phase_bits, lam, mask), invert)
 
 
 def _split_epsilon(scheme: InversionScheme, norms: np.ndarray, invert):

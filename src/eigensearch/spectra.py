@@ -235,8 +235,7 @@ class SearchInstance:
     prepared: dict = field(default_factory=dict, init=False, repr=False)
 
     @classmethod
-    def build(cls, spec: DiffusionSpec, target: int,
-              moment_tol: float = TOL.lambda1_budget) -> "SearchInstance":
+    def build(cls, spec: DiffusionSpec, target: int) -> "SearchInstance":
         if not (0 <= target < spec.n):
             raise ValueError(f"target index {target} out of range")
         amp = spec.eigenbasis[target, spec.source_index]
@@ -251,9 +250,9 @@ class SearchInstance:
 
         first = moments(spec, target, 1)
         second = moments(spec, target, 2)
-        if abs(first) > moment_tol:
+        if abs(first) > TOL.lambda1_budget:
             raise ValueError(
-                f"first moment {first:.3e} exceeds budget {moment_tol:g}; "
+                f"first moment {first:.3e} exceeds budget {TOL.lambda1_budget:g}; "
                 "the eigenphase-pair analysis needs it to vanish"
             )
         boost = float(np.sqrt(1.0 + second))

@@ -318,6 +318,31 @@ def test_schedule_command_reports_the_verified_round(capsys):
     assert doc["theta_guesses"][0] == 2.8
 
 
+SCHEDULE_ARGS = ("schedule", "--n", "32", "--pairs", "0.70,0.76,0.83,0.90,1.00,1.40,1.90",
+                 "--seed", "2", "--target", "24", "--initial-guess", "2.8")
+
+
+@pytest.mark.parametrize("flags, key", [(("--mu", "6", "--nu", "2"), "mu"),
+                                        (("--nu", "2"), "nu")])
+def test_schedule_rejects_a_fixed_register_size(capsys, flags, key):
+    # a schedule sizes a new register for each gap guess; a fixed mu or nu
+    # used to be ignored while the embedded config claimed it had run
+    code, out, err = run_cli(capsys, *SCHEDULE_ARGS, "--scheme", "boosted",
+                             "--mu-offset", "4", *flags)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith(f'error: schedule sizes a register for each gap guess '
+                          f'and takes no "{key}"')
+
+
+@pytest.mark.parametrize("r_max", ["0", "-2"])
+def test_schedule_rejects_a_budget_below_one_round(capsys, r_max):
+    # a budget below one round used to run no round and report it
+    code, out, err = run_cli(capsys, *SCHEDULE_ARGS, "--r-max", r_max)
+    assert (code, out) == (2, "")
+    assert err == f"error: the round budget r_max must be at least 1, not {r_max}\n"
+
+
 def test_timings_flag_adds_wall_time(capsys):
     code, out, _ = run_cli(capsys, "spectrum", *REF_ARGS, "--timings")
     assert code == 0

@@ -88,12 +88,13 @@ def test_boosted_run_ledger_decomposes_into_the_stage_formulas(
 def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     # the rounds stay in the estimate frame: estimates and unestimates are
     # the only transform kernels (src has no Walsh-Hadamard or register
-    # rotation kernel left to call).  They cover one estimated and three
-    # unestimated phase columns per eigenvector in the first round and the
-    # seven Dicke columns each way in the second; the readout transforms
-    # nothing.  20 / 12 / 8 columns when the second round unestimated its
-    # plane columns and the readout estimated and unestimated seven vote
-    # values
+    # rotation kernel left to call).  They cover the two vote-plane columns
+    # per eigenvector the operator unestimates once, when it is built, and
+    # the seven Dicke columns each way in the second round; the embedded
+    # first round and the readout transform nothing.  18 / 10 / 8 columns
+    # when the first round estimated one column and unestimated three, and
+    # 20 / 12 / 8 when the second round also unestimated its plane columns
+    # and the readout estimated and unestimated seven vote values
     kernels = ("raw_controlled_powers", "raw_qft", "raw_inverse_qft")
     amps = {name: [] for name in kernels}
     for name, seen in amps.items():
@@ -104,9 +105,9 @@ def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     assert res.amplification_rounds == 2
     column = ref12.spec.n << scheme.phase_bits
     assert {name: sum(seen) for name, seen in amps.items()} == {
-        "raw_controlled_powers": 18 * column,
-        "raw_qft": 10 * column,
-        "raw_inverse_qft": 8 * column}
+        "raw_controlled_powers": 16 * column,
+        "raw_qft": 9 * column,
+        "raw_inverse_qft": 7 * column}
 
 
 @pytest.mark.parametrize("kind, mu, nu", [("boosted", 9, 6), ("basic", 8, 0)])
@@ -128,19 +129,20 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 # box, and the bound its test holds it to.  A weight-symmetric state holds
 # nu + 1 Dicke columns of the 2^nu, and an apply adds its output and the
 # working arrays of a few eigenvectors, their controlled powers among
-# them; a boosted operator keeps its vote plane, one main x phase table.
+# them; a boosted operator keeps its vote plane, two main x phase tables.
 #
 #   case (ref12 unless noted)                               measured  bound
 #   test_pipeline.py
-#     boosted (9, 6) run_full                                   0.27   0.4, 1.3, 2.25
-#     boosted (10, 2) run_full                                  1.98   2.6
-#     basic mu=12 run_full                                      2.44   2.6
-#     criterion-08's one-round (5, 4) run_full, n=32            0.90   1.65
+#     boosted (9, 6) run_full                                   0.28   0.4, 1.3, 2.25
+#     boosted (10, 2) run_full                                  2.18   2.6
+#     basic mu=12 run_full                                      2.43   2.6
+#     criterion-08's one-round (5, 4) run_full, n=32            1.59   1.65
 #     basic mu=12 round-two target flip                        0.001   0.3
 #   test_selective_inversion.py
-#     boosted (10, 4) apply of a register state                 1.19   2.01
-#     boosted (10, 2) apply of the embedded halfway state       1.03   1.3
-#     boosted (10, 2) apply of the flipped round-one output     0.97   1.2
+#     boosted (10, 4) apply of a register state                 1.18   2.01
+#     boosted (10, 2) apply of the embedded halfway state       0.75   1.3
+#     boosted (10, 2) apply of the flipped round-one output     0.92   1.2
+#     basic mu=12 build and error prediction                    0.61   0.75
 
 
 def _run_full_peak_over_register(inst, scheme):
@@ -178,8 +180,10 @@ def test_a_boosted_run_holds_one_register(ref12):
 def test_a_boosted_run_writes_no_register(ref12):
     # the second inversion holds its input and its output, 7 Dicke columns
     # of the 64 vote values each, and the readout sums their Gram matrix
-    # in place: 0.27x measured on ref12 (9, 6), against 0.28x when the
-    # operator kept the controlled powers of every eigenvector, 0.35x when the
+    # in place: 0.28x measured on ref12 (9, 6) next to the operator's vote
+    # plane (0.27x when it kept one profile row per eigenvector in place of
+    # the two plane columns), against 0.28x when the operator kept the
+    # controlled powers of every eigenvector, 0.35x when the
     # second inversion kept its input and the readout computed the 7 vote
     # values, and 1.28x when the second inversion wrote its working array
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
@@ -189,8 +193,12 @@ def test_a_boosted_run_writes_no_register(ref12):
 def test_a_one_round_run_reads_its_factors(ref12):
     # criterion-08's first instance needs one round, whose output is 5
     # Dicke columns of the 16 vote values, read out with one conjugated
-    # copy of them: 0.90x measured (0.96x when the operator kept the
-    # controlled powers of every eigenvector), against 0.93x when the readout
+    # copy of them: 1.59x measured, of which about one register is the
+    # readout's three-operand einsum for the marginal, n^3 values at n=32
+    # (1.53x when the operator kept one profile row per eigenvector in
+    # place of its two plane columns; 0.90x recorded earlier, and 0.96x
+    # when the operator kept the controlled powers of every eigenvector),
+    # against 0.93x when the readout
     # computed them from three phase columns per eigenvector, 1.62x when
     # it computed all 16 vote values, and 2.55x when it wrote the register
     # and summed its Gram matrix over 4096 columns at a time
@@ -209,8 +217,9 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # plane built before the state is embedded.  2.12x with the second
     # round's output computed a block at a time for the readout, 2.27x
     # when the operator also kept the controlled powers of every
-    # eigenvector; now 1.98x, the second round's input and output, 3 Dicke
-    # columns of the 4 vote values each, next to the plane
+    # eigenvector; 1.98x with one profile row per eigenvector; now 2.18x,
+    # the second round's input and output, 3 Dicke columns of the 4 vote
+    # values each, next to the plane's two columns per eigenvector
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 

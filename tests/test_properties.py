@@ -22,6 +22,7 @@ checked against the dense oracles, and the readouts of every form of state
 against the readouts of its amplitudes.
 """
 
+import dataclasses
 import math
 from unittest import mock
 
@@ -33,7 +34,7 @@ from hypothesis import strategies as st
 import eigensearch as es
 import frames
 import oracles
-from eigensearch import phase_estimation, pipeline, selective_inversion
+from eigensearch import phase_estimation, pipeline, selective_inversion, spectra
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
@@ -201,7 +202,7 @@ def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
 def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
     # poles at +-gap and beyond on a Haar basis, so the secular roots next to
     # the source's 0 lie inside the gap; the first moment does not vanish,
-    # so the moment budget is off
+    # so the moment budget is switched off in the tolerance record
     rng = np.random.default_rng(seed)
     gap = rng.uniform(0.4, 1.0)
     phases = rng.uniform(gap, np.pi, n) * rng.choice((-1.0, 1.0), n)
@@ -211,7 +212,8 @@ def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
     d = es.diffusion_operator(spec)
     assert np.max(np.abs(d.imag)) > np.finfo(float).eps
     target = int(rng.integers(1, n))
-    inst = es.SearchInstance.build(spec, target, moment_tol=np.inf)
+    with mock.patch.object(spectra, "TOL", dataclasses.replace(es.TOL, lambda1_budget=np.inf)):
+        inst = es.SearchInstance.build(spec, target)
     assert np.iscomplexobj(es.search_operator(inst))
     assert inst.source[target] == inst.overlap
     pair = es.find_relevant_pair(inst)   # raises unless bisection agrees
@@ -364,9 +366,12 @@ def test_an_embedded_state_writes_the_embedding_on_first_read(case, seed):
 @pytest.mark.parametrize("n, mu, nu", [(3, 5, 0), (3, 5, 2), (4, 4, 4)])
 def test_a_product_state_apply_estimates_at_most_three_vote_columns(
         call_counter, n, mu, nu):
-    # the forward estimate runs on one column per eigenvector and the
-    # unestimate on three (the signed estimate, u_in and u_out), whatever
-    # the vote register; a column is main x phase amplitudes
+    # a basic apply estimates and unestimates one column per eigenvector.
+    # A boosted one transforms nothing: its output lies in the vote plane,
+    # whose two columns the operator unestimates once, on first use (one
+    # estimated and three unestimated columns when the apply made the
+    # plane's columns itself), whatever the vote register; a column is
+    # main x phase amplitudes
     columns = {}
     for name in ("raw_estimate_forward", "raw_estimate_inverse"):
         seen = columns[name] = []
@@ -381,14 +386,14 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
         return {name: sum(seen) // (n << mu) for name, seen in columns.items()}
 
     out = op.apply(product)
-    assert counted() == {"raw_estimate_forward": 1,
-                         "raw_estimate_inverse": 1 if nu == 0 else 3}
+    assert counted() == {"raw_estimate_forward": 1 if nu == 0 else 0,
+                         "raw_estimate_inverse": 1 if nu == 0 else 2}
     # a Dicke state is transformed on its nu + 1 columns each way, a
     # register state on all 2^nu vote values
     op.apply(es.target_flip(out, 0))
     op.apply(general)
-    assert counted() == {"raw_estimate_forward": 1 + (nu + 1) + (1 << nu),
-                         "raw_estimate_inverse": (1 if nu == 0 else 3) + (nu + 1) + (1 << nu)}
+    assert counted() == {"raw_estimate_forward": (1 if nu == 0 else 0) + (nu + 1) + (1 << nu),
+                         "raw_estimate_inverse": (1 if nu == 0 else 2) + (nu + 1) + (1 << nu)}
 
 
 def dicke_and_general(op, seed):
@@ -482,13 +487,33 @@ def test_an_operator_keeps_the_window_split_of_its_eigenphases(case):
     _, op = case
     mu, phases = op.scheme.phase_bits, op.frame.phases
     kept = op._window_split()[1] ** 2
-    bare = phase_estimation.window_split(mu, phases, op.gap_window)[1] ** 2
+    bare = phase_estimation.window_split(mu, phases, op.gap_window) ** 2
     assert np.array_equal(kept, bare)
     assert np.max(np.abs(kept.sum(axis=1) - 1.0)) <= 1e-15
     for k, lam in enumerate(phases):
         profile = np.abs(oracles.brute_estimate_amplitudes(mu, float(lam))) ** 2
         assert abs(kept[k, 0] - math.fsum(profile[op.gap_window])) <= 1e-15
         assert abs(kept[k, 1] - math.fsum(profile[~op.gap_window])) <= 1e-15
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)))
+def test_a_boosted_operator_keeps_its_window_parts_unestimated(case):
+    # the vote plane of eigenvector k is E_k^dagger applied to the unit
+    # parts u_in and u_out of its profile; E_k is unitary and the parts
+    # have disjoint supports, so its two columns are orthonormal, but for a
+    # part of norm exactly 0, which stays a zero column
+    _, op = case
+    n, m, _ = op.layout.shape
+    phases = op.frame.phases
+    plane, norms = op._window_split()
+    parts = np.empty((n, 2, m), dtype=complex)
+    phase_estimation.window_split(op.scheme.phase_bits, phases, op.gap_window, out=parts)
+    powers = phase_estimation.power_table(phases, m)
+    want = phase_estimation.raw_estimate_inverse(parts, powers)
+    assert np.max(np.abs(plane - want)) <= 1e-15
+    gram = plane.conj() @ plane.transpose(0, 2, 1)
+    assert np.max(np.abs(gram - np.eye(2) * (norms > 0.0)[:, None, :])) <= 1e-13
 
 
 @SETTINGS

@@ -214,16 +214,18 @@ def test_boosted_inverter_matches_the_dense_oracle():
 
 
 def test_vote_plane_split_keeps_an_empty_side_finite(monkeypatch):
-    # a one-hot profile has an off-window part of norm exactly 0; its row
-    # stays zero instead of 0/0, and norms times rows rebuild the profile
+    # a one-hot profile has an off-window part of norm exactly 0; its unit
+    # part is written as zeros instead of 0/0, and the norms times the
+    # parts rebuild the profile
     window = np.array([True, False, False, True])
     profiles = np.array([[1.0, 0.0, 0.0, 0.0], [0.6, 0.0, 0.8j, 0.0]])
     monkeypatch.setattr(phase_estimation, "estimate_amplitudes",
                         lambda phase_bits, lam: profiles[:len(lam)])
-    rows, norms = window_split(2, [0.0, 0.0], window)
-    assert np.all(np.isfinite(rows))
+    parts = np.full((2, 2, 4), np.nan, dtype=complex)
+    norms = window_split(2, [0.0, 0.0], window, out=parts)
+    assert np.array_equal(parts[0, 1], np.zeros(4))
     assert np.array_equal(norms, [[1.0, 0.0], [0.6, 0.8]])
-    assert np.allclose(np.where(window, norms[:, :1], norms[:, 1:]) * rows, profiles,
+    assert np.allclose(np.einsum("kj,kjw->kw", norms, parts), profiles,
                        rtol=0.0, atol=1e-15)
 
 
@@ -269,7 +271,7 @@ def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
     # an apply of a plain register state (the output of a first apply is
     # held in the Dicke basis, so it is rebuilt as one) writes its output
     # register on all 2^nu vote values, next to the working arrays of a
-    # few eigenvectors: 1.19x measured (see the table in test_pipeline),
+    # few eigenvectors: 1.18x measured (see the table in test_pipeline),
     # against 0.26x when it kept its input and computed the output when
     # read (the bound dates from the computational apply, at 2.0004x)
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
@@ -298,27 +300,64 @@ def _two_vote_ref12_state(ref12):
 def test_a_boosted_operator_keeps_its_plane_and_no_power_table(ref12):
     # each apply computes the controlled powers of a few eigenvectors at a
     # time, as a basic apply does; what an operator keeps besides its masks
-    # is the plane row and the two norms of every eigenvector
+    # is the two plane columns and the two norms of every eigenvector
     op, sv = _two_vote_ref12_state(ref12)
     op.apply(es.target_flip(op.apply(sv), ref12.target_index))
     n, m, _ = op.layout.shape
     table = phase_estimation.power_table(op.frame.phases, m)
     kept = [a for value in vars(op).values()
             for a in (value if isinstance(value, tuple) else (value,))
-            if isinstance(a, np.ndarray) and a.shape == table.shape]
-    assert len(kept) == 1
-    rows, norms = op._window_split()
-    assert kept[0] is rows and norms.shape == (n, 2)
+            if isinstance(a, np.ndarray) and a.ndim > 1 and a.shape[-1] == m]
+    assert not [a for a in kept if a.shape == table.shape]
+    plane, norms = op._window_split()
+    assert len(kept) == 1 and kept[0] is plane
+    assert plane.shape == (n, 2, m) and norms.shape == (n, 2)
+
+
+def test_a_boosted_apply_of_an_embedded_state_transforms_nothing(ref12, call_counter):
+    # an operator handed its decomposition unestimates its vote plane when
+    # it is built, and the Dicke output of an embedded state is the plane
+    # times its coefficients: no controlled power and no Fourier transform
+    op, sv = _two_vote_ref12_state(ref12)
+    calls = {name: call_counter(phase_estimation, name)
+             for name in ("power_table", "raw_controlled_powers", "raw_qft",
+                          "raw_inverse_qft")}
+    out = op.apply(sv)
+    assert {name: count[0] for name, count in calls.items()} == dict.fromkeys(calls, 0)
+    assert out.slabs.shape == (ref12.spec.n, 3, op.layout.phase_dim)
+
+
+def test_a_basic_split_writes_no_parts(ref12):
+    # a basic operator keeps only the norms of its window split, and the
+    # split writes no unit parts for it: building the operator and
+    # predicting its errors at mu=12 peaks at 0.61x the register measured,
+    # the profiles of one eigenphase at a time, against 1.63x when the
+    # split wrote every eigenphase's row, n x M values and so a whole basic
+    # register, only to drop it
+    scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
+    u, dec = es.search_operator(ref12), es.search_decomposition(ref12)
+    invert = es.inside_gap(dec.phases, scheme.phase_gap)
+    tracemalloc.start()
+    try:
+        op = es.InversionOperator.build(scheme, u, decomposition=dec)
+        op.predicted_epsilon(invert)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert op._window_split()[0] is None
+    assert peak / (op.layout.dim * 16) <= 0.75
 
 
 def test_a_product_state_apply_writes_only_its_output_register(ref12):
     # an embedded state is n coefficients, and a boosted apply of it writes
-    # its Dicke columns, three quarters of the register with two votes,
-    # from three unestimated phase columns of a few eigenvectors at a time:
-    # 1.03x measured (1.01x when the operator kept the controlled powers of
-    # every eigenvector), against 0.98x when the output was the three columns
-    # of every eigenvector, 1.28x when it was a register holding them and
-    # about 2.0x with the columns in an array of their own beside it
+    # its Dicke columns, three quarters of the register with two votes, as
+    # one product of the kept vote plane and their coefficients: 0.75x
+    # measured, against 1.03x when it unestimated three phase columns of a
+    # few eigenvectors at a time (1.01x when the operator kept the
+    # controlled powers of every eigenvector), 0.98x when the output was
+    # the three columns of every eigenvector, 1.28x when it was a register
+    # holding them and about 2.0x with the columns in an array of their own
+    # beside it
     op, sv = _two_vote_ref12_state(ref12)
     assert sv.main is not None
     assert _apply_peak_over_register(op, sv) <= 1.3
@@ -328,9 +367,11 @@ def test_a_flipped_factored_state_apply_writes_one_register(ref12):
     # the flipped output of the first apply is its Dicke columns with the
     # reflection pending; the apply reflects them into its output, three
     # quarters of the register with two votes, and runs there in place.
-    # 0.97x measured (1.01x when the operator kept the controlled powers of
-    # every eigenvector), against 0.68x when it kept its input and computed
-    # the output when read, and 1.17x when it wrote its working array
+    # 0.92x measured, 0.97x when it projected the estimated slabs onto the
+    # plane in a pass of its own (1.01x when the operator kept the
+    # controlled powers of every eigenvector), against 0.68x when it kept
+    # its input and computed the output when read, and 1.17x when it wrote
+    # its working array
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
     assert flipped.vote_symmetric and flipped.reflection is not None
