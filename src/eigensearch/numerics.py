@@ -51,7 +51,7 @@ class Tolerances:
     pole_proximity: float = 1e-12       # distance to a cotangent pole
     lambda1_budget: float = 1e-10       # |Lambda_1| allowed for symmetric builds
     secular_agreement: float = 1e-8     # diagonalization vs root-finding
-    secular_bisection: float = 1e-12    # bisection stopping width
+    secular_bisection: float = 1e-12    # last step of the secular root search
     gap_edge: float = 1e-12             # eigenphases this close to +-gap count as outside
     state_norm: float = 1e-10           # register state normalization
 
@@ -110,7 +110,8 @@ def is_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> bool:
     if u.ndim != 2 or u.shape[0] != u.shape[1]:
         return False
     gram = dagger(u) @ u if np.iscomplexobj(u) else u.T @ u
-    return bool(np.max(np.abs(gram - np.eye(u.shape[0]))) < tol)
+    gram.flat[::u.shape[0] + 1] -= 1
+    return bool(np.max(np.abs(gram)) < tol)
 
 
 def assert_unitary(u: np.ndarray, tol: float = TOL.unitarity, what: str = "operator"):
@@ -149,16 +150,17 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
     of the Rayleigh quotients ``v†Uv``.
 
     A real U (every symmetric and Grover search operator) is diagonalized in
-    real arithmetic as ``V = [R, P, conj(P)]`` (see ``_eig_orthogonal``):
-    R spans its eigenvalues +-1 with real vectors, and each column of P, at
-    phase lambda in (0, pi), comes with its exact conjugate at exactly
-    -lambda.  The columns are then sorted by phase like any other.
+    real arithmetic (``_eig_orthogonal``), with real vectors at +-1 and exact
+    conjugate pairs at +-lambda.  Non-unitary input raises ``ValueError``; a
+    Rayleigh quotient off modulus 1, or a max entry of ``V†V - 1`` or ``V
+    diag(e^{i phases}) V† - U`` (which the real path bounds) over its ``TOL``
+    entry raises ``InternalInvariantError``.
     """
     u = np.asarray(u)
-    if not np.iscomplexobj(u):
-        return _eig_orthogonal(np.asarray(u, dtype=float), tol)
     if not is_unitary(u, tol):
         raise ValueError("eig_unitary: input is not unitary within tolerance")
+    if not np.iscomplexobj(u):
+        return _eig_orthogonal(np.asarray(u, dtype=float))
     n = u.shape[0]
     cosine_part = 0.5 * (u + dagger(u))
     if np.max(np.abs(cosine_part.imag)) <= np.finfo(float).eps:
@@ -220,114 +222,108 @@ def _split_blocks(cosines, vectors, u_vectors, starts, sizes, size):
     return cols, basis, block, off > TOL.scalar_block, split
 
 
-def _eig_orthogonal(u: np.ndarray, tol: float) -> EigenDecomposition:
-    """``eig_unitary`` of a real orthogonal U, in real arithmetic.
-
-    Every block of the cosine basis is real.  A single cosine, or a block
-    that is one eigenvalue, is +1 or -1 and keeps its real vectors.  A
-    block of two is one conjugate pair: with ``M = B^T U B`` on it and
-    sgn the sign of ``M[1, 0] - M[0, 1]``, ``p = (b1 - i sgn b2)/sqrt(2)``
-    has the phase in (0, pi), and its Rayleigh quotient is read off M.  A
-    larger block is split as in the complex case; the half with a positive
-    split (positive phases) is kept, and the rest of the split's middle,
-    the block's +-1 eigenspace, which is closed under conjugation, gets a
-    real orthonormal basis from the real part of its projector.  The
-    checks run on the real ``Z = [R, X, Y]`` with ``P = X + iY``.
+def _eig_orthogonal(u: np.ndarray) -> EigenDecomposition:
+    """``eig_unitary`` of a real orthogonal U: V = B Q, B the basis of one
+    ``eigh`` of ``U + U^T`` and Q block diagonal, one block per block of
+    cosines, kept as its band (see ``_check_rotations``).  With ``M = B^T U
+    B`` on a block: one column, or a block that is one eigenvalue, is +-1
+    and keeps B; a pair is ``p = (b1 - i sgn b2)/sqrt(2)``, sgn the sign of
+    ``M[1, 0] - M[0, 1]``, and ``conj(p)``; a larger block is split as in the
+    complex case, keeping the columns of positive split, their conjugates,
+    and a real basis of the real part of the middle's projector (its +-1
+    eigenspace).  All get the same checks; V is written once, in order.
     """
-    if not is_unitary(u, tol):
-        raise ValueError("eig_unitary: input is not unitary within tolerance")
     n = u.shape[0]
-    cosines, basis = np.linalg.eigh(0.5 * (u + u.T))
-    u_basis = u @ basis
-    diagonal = np.sum(basis * u_basis, axis=0)
+    cosines, basis = np.linalg.eigh(u + u.T)
+    cosines *= 0.5
+    ub = u @ basis
+    rayleigh = np.einsum("ij,ij->j", basis, ub).astype(complex)
+    # (M[j + 1, j] - M[j, j + 1]) / 2 for every two neighbouring columns
+    skew = 0.5 * (np.einsum("ij,ij->j", basis[:, 1:], ub[:, :-1])
+                  - np.einsum("ij,ij->j", basis[:, :-1], ub[:, 1:]))
     starts, sizes = _cosine_blocks(cosines)
-
     first = starts[sizes == 2]
-    skew = 0.5 * (np.sum(basis[:, first + 1] * u_basis[:, first], axis=0)
-                  - np.sum(basis[:, first] * u_basis[:, first + 1], axis=0))
     # the block's split (U - U^T)/2i has Frobenius norm sqrt(2) |skew|
-    mixed = math.sqrt(2.0) * np.abs(skew) > TOL.scalar_block
-    pair = first[mixed]
-    kept = [starts[sizes == 1], first[~mixed], first[~mixed] + 1]
-    real, real_rayleigh = [], []
-    xs = [basis[:, pair] * math.sqrt(0.5)]
-    ys = [basis[:, pair + 1] * (-math.sqrt(0.5) * np.sign(skew[mixed]))]
-    pair_rayleigh = [0.5 * (diagonal[pair] + diagonal[pair + 1]) + 1j * np.abs(skew[mixed])]
+    first = first[math.sqrt(2.0) * np.abs(skew[first]) > TOL.scalar_block]
+    pairs = np.full((first.size, 2, 2), math.sqrt(0.5), dtype=complex)
+    pairs[:, 1] *= 1j * np.sign(skew[first])[:, None] * [-1.0, 1.0]
+    rho = 0.5 * (rayleigh[first].real + rayleigh[first + 1].real) + 1j * np.abs(skew[first])
+    blocks = [(first[:, None] + np.arange(2), pairs, np.stack([rho, rho.conj()], axis=1))]
     for size in sorted(set(sizes[sizes > 2].tolist())):
-        cols, blocks, block, mixed, split = _split_blocks(cosines, basis, u_basis,
-                                                          starts, sizes, size)
-        kept.append(cols[~mixed].ravel())
+        cols, _, block, mixed, split = _split_blocks(cosines, basis, ub, starts, sizes, size)
         values, rotations = np.linalg.eigh(split[mixed])
-        for b, m, w, q in zip(blocks[mixed], block[mixed], values, rotations):
+        for col, m, w, q in zip(cols[mixed], block[mixed], values, rotations):
             half = int(np.count_nonzero(w > TOL.scalar_block))
-            p = q[:, size - half:]
-            vec = b @ p
-            xs.append(vec.real)
-            ys.append(vec.imag)
-            pair_rayleigh.append(np.sum(p.conj() * (m @ p), axis=0))
-            if size > 2 * half:
-                middle = q[:, half:size - half]
-                _, g = np.linalg.eigh((middle @ dagger(middle)).real)
-                g = g[:, 2 * half:]
-                real.append(b @ g)
-                real_rayleigh.append(np.sum(g * (m @ g), axis=0))
-    kept = np.sort(np.concatenate(kept))
-    columns = np.concatenate([basis[:, kept], *real, *xs, *ys], axis=1)
-    rayleigh = np.concatenate([diagonal[kept], *real_rayleigh, *pair_rayleigh])
-    nr = 2 * rayleigh.shape[0] - n
-    k = (n - nr) // 2
-    # R at phase 0 before R at pi, and P by phase: then the sorted V is
-    # [conj(P) by -lambda, R at 0, P, R at pi]
-    order = np.concatenate([np.argsort(rayleigh.real[:nr] < 0.0, kind="stable"),
-                            nr + np.argsort(np.angle(rayleigh[nr:]), kind="stable")])
-    z = columns[:, np.concatenate([order, order[nr:] + k])]
-    rayleigh = rayleigh[order]
-    phases = _check_pairs(u, z, nr, rayleigh)
-
-    zero = nr - int(np.count_nonzero(rayleigh.real[:nr] < 0.0))
-    x, y = z[:, nr:nr + k], z[:, nr + k:]
-    vectors = np.empty((n, n), dtype=complex)
-    re, im = vectors.real, vectors.imag
-    back = np.argsort(-phases[nr:], kind="stable")  # equal phases keep P's order
-    re[:, :k] = x[:, back]
-    np.negative(y[:, back], out=im[:, :k])
-    re[:, k:k + zero] = z[:, :zero]
-    im[:, k:k + zero] = 0.0
-    re[:, k + zero:2 * k + zero] = x
-    im[:, k + zero:2 * k + zero] = y
-    re[:, 2 * k + zero:] = z[:, zero:nr]
-    im[:, 2 * k + zero:] = 0.0
-    phases = np.concatenate([-phases[nr:][back], phases[:zero], phases[nr:], phases[zero:nr]])
-    return EigenDecomposition(phases=phases, vectors=vectors)
+            p, middle = q[:, size - half:], q[:, half:size - half]
+            g = np.linalg.eigh((middle @ dagger(middle)).real)[1][:, 2 * half:]
+            rho = np.sum(p.conj() * (m @ p), axis=0)
+            blocks.append((col[None], np.hstack([g, p, p.conj()])[None],
+                           np.hstack([np.sum(g * (m @ g), axis=0), rho, rho.conj()])[None]))
+    width = max((q.shape[1] - 1 for _, q, _ in blocks if q.size), default=0)
+    rotation = np.zeros((2 * width + 1, n), dtype=complex)
+    rotation[width] = 1.0
+    for cols, q, rho in blocks:
+        row, col = np.indices(q.shape[1:])
+        rotation[width + row - col, cols[:, col]] = q
+        rayleigh[cols] = rho
+    phases = _check_rotations(u, basis, ub, rotation, rayleigh)
+    order = np.argsort(phases, kind="stable")
+    vectors = np.zeros((n, n), dtype=complex)
+    for part, band in ((vectors.real, rotation.real), (vectors.imag, rotation.imag)):
+        for d in range(-width, width + 1):
+            coef = band[width + d, order]
+            if coef.any():
+                # ub is spent: it holds B's columns order + d, scaled
+                np.take(basis, order + d, axis=1, out=ub, mode="clip")
+                ub *= coef
+                part += ub
+    return EigenDecomposition(phases=phases[order], vectors=vectors)
 
 
-def _check_pairs(u: np.ndarray, z: np.ndarray, nr: int, rayleigh: np.ndarray) -> np.ndarray:
-    """eig_unitary's three checks on ``V = [R, X + iY, X - iY]``, given the
-    real ``Z = [R, X, Y]`` (R has ``nr`` columns) and the Rayleigh quotients
-    of ``[R, X + iY]``; returns the phases of those.  ``V†V`` is assembled
-    from the real Gram ``Z^T Z``, and ``V diag(e^{i phases}) V†`` is
-    ``R D R^T + 2 Re(P E P†)``, one real product ``(Z K) Z^T``."""
+def _check_rotations(u: np.ndarray, basis: np.ndarray, ub: np.ndarray,
+                     rotation: np.ndarray, rayleigh: np.ndarray) -> np.ndarray:
+    """eig_unitary's checks on ``V = B Q``, B real, Q block diagonal with
+    band ``rotation[w + d, j] = Q[j + d, j]``, ``rayleigh`` the Rayleigh
+    quotients of V; returns their phases.  ``ub`` = U B becomes ``E = U B -
+    B M``, ``M = Re(Q diag(e^{i phases}) Q^dagger)``.  Each bound is at least
+    the max-entry norm a dense check holds (up to the ulps of forming V).
+    With ``delta = max|B^T B - 1|`` and c the largest 1-norm of a column of
+    Q (sqrt(2) for a pair), ``V^dagger V - 1 = Q^dagger (B^T B - 1) Q +
+    Q^dagger Q - 1`` is at most ``c^2 delta + ||Q Q^dagger - 1||_F`` (square
+    blocks: one spectrum), and ``U - V e^{i phases} V^dagger = U (1 - B B^T)
+    + E B^T``, ``||1 - B B^T||_2 <= n delta``, at most ``max||U_i|| n delta
+    + max||E_i|| sqrt(1 + n delta)`` over rows i.
+    """
     if np.max(np.abs(np.abs(rayleigh) - 1.0)) > TOL.eigen_modulus:
         raise InternalInvariantError("eig_unitary: eigenvalue moduli deviate from 1")
     phases = np.angle(rayleigh)
-    n = u.shape[0]
-    k = (n - nr) // 2
-    r, x, y = slice(0, nr), slice(nr, nr + k), slice(nr + k, n)
-    gram = z.T @ z
-    xx, yy, xy, yx = gram[x, x], gram[y, y], gram[x, y], gram[y, x]
-    # squared moduli of the blocks R†R - 1, R†P, P†P - 1 and P†conj(P)
-    # of V†V - 1; the others are their conjugates or transposes
-    squares = max(np.max((gram[r, r] - np.eye(nr)) ** 2, initial=0.0),
-                  np.max(gram[r, x] ** 2 + gram[r, y] ** 2, initial=0.0),
-                  np.max((xx + yy - np.eye(k)) ** 2 + (xy - yx) ** 2, initial=0.0),
-                  np.max((xx - yy) ** 2 + (xy + yx) ** 2, initial=0.0))
-    if math.sqrt(squares) > TOL.eigen_orthonormality:
+    n, width = u.shape[0], rotation.shape[0] // 2
+    gram = basis.T @ basis
+    gram.flat[::n + 1] -= 1.0
+    delta = max(gram.max(), -gram.min())
+    unit = _band_product(rotation, 1.0) - (np.arange(2 * width + 1) == width)[:, None]
+    ones = np.max(np.sum(np.abs(rotation), axis=0))
+    if ones * ones * delta + np.linalg.norm(unit) > TOL.eigen_orthonormality:
         raise InternalInvariantError("eig_unitary: eigenvectors failed orthonormality")
-    cos, sin = np.cos(phases[nr:]), np.sin(phases[nr:])
-    zk = np.empty_like(z)
-    zk[:, r] = z[:, r] * np.cos(phases[:nr])
-    zk[:, x] = 2.0 * (z[:, x] * cos - z[:, y] * sin)
-    zk[:, y] = 2.0 * (z[:, x] * sin + z[:, y] * cos)
-    if np.max(np.abs(zk @ z.T - u)) > TOL.eigen_reconstruction:
+    m = _band_product(rotation, np.exp(1j * phases)).real
+    for d in range(-width, width + 1):
+        if m[width + d].any():
+            lo, hi = max(0, -d), n - max(0, d)
+            np.multiply(basis[:, lo + d:hi + d], m[width + d, lo:hi], out=gram[:, lo:hi])
+            ub[:, lo:hi] -= gram[:, lo:hi]
+    rows, scale = (math.sqrt(np.max(np.einsum("ij,ij->i", a, a))) for a in (ub, u))
+    if scale * n * delta + rows * math.sqrt(1.0 + n * delta) > TOL.eigen_reconstruction:
         raise InternalInvariantError("eig_unitary: reconstruction residual too large")
     return phases
+
+
+def _band_product(q: np.ndarray, scale) -> np.ndarray:
+    """The band of ``Q diag(scale) Q^dagger`` for Q given as its band, both
+    laid out as ``rotation``: ``out[w + d, l]`` is entry (l + d, l)."""
+    w, n = q.shape[0] // 2, q.shape[1]
+    out, scaled = np.zeros_like(q), q * scale
+    for d in range(-w, w + 1):
+        for f in range(max(-w, d - w), min(w, d + w) + 1):
+            lo, hi = max(0, -f), n - max(0, f)   # Q[j + d, j] conj(Q[j + f, j])
+            out[w + d - f, lo + f:hi + f] += scaled[w + d, lo:hi] * q[w + f, lo:hi].conj()
+    return out

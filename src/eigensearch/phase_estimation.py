@@ -230,7 +230,8 @@ class StateVector:
         or ``slabs`` itself if there is none."""
         if self.reflection is None:
             return self.slabs
-        return raw_reflect_main(self.slabs, self.reflection)
+        return raw_reflect_main(self.slabs, self.reflection,
+                                main_projection(self.slabs, self.reflection))
 
     @property
     def amps(self) -> np.ndarray:
@@ -283,7 +284,7 @@ class StateVector:
         check_computed_norm(np.trace(gram).real)
         v = self.frame.vectors
         return (v @ (branch / math.sqrt(m)),
-                np.einsum("ij,jk,ik->i", v, gram, v.conj()).real)
+                ((v @ gram) * v.conj()).sum(axis=1).real)
 
 
 def check_computed_norm(norm_sq: float):
@@ -328,12 +329,15 @@ def raw_inverse_qft(a: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
     return np.fft.fft(a, norm="ortho", out=out)
 
 
-def raw_reflect_main(a: np.ndarray, x: np.ndarray,
+def main_projection(a: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """-2 x^dagger a over the main axis, what ``raw_reflect_main`` adds."""
+    return np.tensordot(-2.0 * np.conj(x), a, axes=(0, 0))
+
+
+def raw_reflect_main(a: np.ndarray, x: np.ndarray, proj: np.ndarray,
                      out: np.ndarray | None = None) -> np.ndarray:
-    """I - 2 x x^dagger on the main axis, for a unit n-vector x: one pass
-    reads the projection x^dagger a, a second writes x times it and adds
-    ``a``."""
-    proj = np.tensordot(-2.0 * np.conj(x), a, axes=(0, 0))
+    """I - 2 x x^dagger on the main axis, for a unit n-vector x: ``a`` plus x
+    times ``main_projection(A, x)``, ``a`` being A or a run of its main rows."""
     out = np.multiply(x.reshape((-1,) + (1,) * (a.ndim - 1)), proj, out=out)
     out += a
     return out

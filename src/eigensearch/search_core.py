@@ -5,8 +5,8 @@ eigenstates carrying most of the source state.  Their eigenphases are the two
 roots of a weighted cotangent sum adjacent to zero; when the first moment of
 the spectrum vanishes they sit at plus and minus twice the source-target
 overlap divided by the boost factor.  Both routes to the pair, dense
-diagonalization and root bisection, are kept and compared; neither is trusted
-alone.
+diagonalization and safeguarded Newton roots of the sum, are kept and
+compared; neither is trusted alone.
 
 Each instance is prepared once: its dense search operator is the spec's
 shared diffusion operator with the target column flipped, built on first use
@@ -22,6 +22,7 @@ the circuit makes.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -33,7 +34,6 @@ from .numerics import (
     eig_unitary,
     inside_gap,
     round_half_away,
-    wrap_angle,
 )
 from .spectra import SearchInstance, diffusion_operator
 
@@ -74,11 +74,15 @@ def _weighted_poles(inst: SearchInstance):
     return inst.spec.eigenphases[keep], weights[keep]
 
 
-def _cotangent_sum(poles: np.ndarray, weights: np.ndarray, lam: float) -> float:
-    gaps = wrap_angle(lam - poles)
-    if np.min(np.abs(gaps)) < TOL.pole_proximity:
+def _secular_sum(poles: np.ndarray, weights: np.ndarray, lam: float) -> tuple[float, float]:
+    """The secular sum at ``lam`` and its derivative, from one sine and cosine
+    a pole; |sin(x/2)| is sin(d/2), d the distance of x from 0 on the circle."""
+    half = 0.5 * (lam - poles)
+    sin = np.sin(half)
+    if np.min(np.abs(sin)) < math.sin(0.5 * TOL.pole_proximity):
         raise ValueError(f"lambda {lam!r} sits on a pole of the secular sum")
-    return float(np.sum(weights / np.tan(gaps / 2.0)))
+    cot = np.cos(half) / sin
+    return float(weights @ cot), -0.5 * float(weights @ (1.0 + cot * cot))
 
 
 def secular_residual(inst: SearchInstance, lam: float) -> float:
@@ -88,33 +92,35 @@ def secular_residual(inst: SearchInstance, lam: float) -> float:
     |<l|t>|^2 cot((lam - theta_l) / 2).  Monotone decreasing between
     consecutive poles.
     """
-    return _cotangent_sum(*_weighted_poles(inst), lam)
+    return _secular_sum(*_weighted_poles(inst), lam)[0]
 
 
-def _bisect_root(poles: np.ndarray, weights: np.ndarray, lo: float, hi: float) -> float:
-    # Residual is +inf just above lo and -inf just below hi; plain bisection
-    # on the sign is enough and never evaluates at a pole.
+def _secular_root(poles: np.ndarray, weights: np.ndarray, lo: float, hi: float) -> float:
+    # The sum falls from +inf above the pole lo to -inf below the pole hi.
+    # Safeguarded Newton: a step leaving the bracket [a, b] of the sign
+    # change bisects it instead, unless it is at most TOL.secular_bisection
+    # and ends the search (rounding can put so small a step on an end).
     width = hi - lo
     a = lo + max(TOL.pole_proximity * 10.0, width * 1e-9)
     b = hi - max(TOL.pole_proximity * 10.0, width * 1e-9)
-    fa = _cotangent_sum(poles, weights, a)
-    fb = _cotangent_sum(poles, weights, b)
-    if not (fa > 0.0 > fb):
+    if not (_secular_sum(poles, weights, a)[0] > 0.0 > _secular_sum(poles, weights, b)[0]):
         raise AssumptionViolation(
             f"secular sum does not change sign on ({lo:.6g}, {hi:.6g}); "
             "pole bookkeeping is off for this instance"
         )
-    while b - a > TOL.secular_bisection:
-        mid = 0.5 * (a + b)
-        if _cotangent_sum(poles, weights, mid) > 0.0:
-            a = mid
-        else:
-            b = mid
-    return 0.5 * (a + b)
+    lam, step = 0.5 * (a + b), b - a
+    while step > TOL.secular_bisection:
+        f, df = _secular_sum(poles, weights, lam)
+        a, b = (lam, b) if f > 0.0 else (a, lam)
+        new = lam - f / df
+        if not (a < new < b or abs(new - lam) <= TOL.secular_bisection):
+            new = 0.5 * (a + b)
+        step, lam = abs(new - lam), new
+    return lam
 
 
 def secular_pair(inst: SearchInstance) -> tuple[float, float]:
-    """The two secular roots bracketing zero, found by bisection alone.
+    """The two secular roots bracketing zero, found by safeguarded Newton.
 
     Returns (positive root, negative root).  Works on the phase circle, so a
     spectrum with no positive pole besides the wrap of a negative one is still
@@ -125,8 +131,8 @@ def secular_pair(inst: SearchInstance) -> tuple[float, float]:
     below = poles[poles < 0.0]
     next_above = float(np.min(above)) if above.size else float(np.min(poles)) + 2.0 * np.pi
     next_below = float(np.max(below)) if below.size else float(np.max(poles)) - 2.0 * np.pi
-    lam_plus = _bisect_root(poles, weights, 0.0, next_above)
-    lam_minus = _bisect_root(poles, weights, next_below, 0.0)
+    lam_plus = _secular_root(poles, weights, 0.0, next_above)
+    lam_minus = _secular_root(poles, weights, next_below, 0.0)
     return lam_plus, lam_minus
 
 
@@ -152,7 +158,7 @@ class RelevantPair:
 
     Eigenvectors are gauged so the target amplitude of each is real and
     positive.  ``secular_plus`` and ``secular_minus`` come from independent
-    root bisection and are kept alongside the diagonalization values.
+    root-finding and are kept alongside the diagonalization values.
     """
 
     phase_plus: float
@@ -171,7 +177,7 @@ def find_relevant_pair(inst: SearchInstance) -> RelevantPair:
 
     Raises AssumptionViolation when the instance does not actually have
     exactly two eigenphases inside the declared spectral gap, when either has
-    a vanishing target amplitude, or when diagonalization and bisection
+    a vanishing target amplitude, or when diagonalization and root-finding
     disagree.
     """
     dec = search_decomposition(inst)
@@ -203,7 +209,7 @@ def find_relevant_pair(inst: SearchInstance) -> RelevantPair:
     for got, want in ((lams.max(), sec_plus), (lams.min(), sec_minus)):
         if abs(got - want) > TOL.secular_agreement:
             raise AssumptionViolation(
-                f"diagonalization gives eigenphase {got:.12g} but bisection "
+                f"diagonalization gives eigenphase {got:.12g} but root-finding "
                 f"gives {want:.12g}; disagreement exceeds {TOL.secular_agreement:g}"
             )
 

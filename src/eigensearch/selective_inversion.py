@@ -82,6 +82,7 @@ from .phase_estimation import (
     dicke_basis,
     embed_mainspace,
     gap_window_mask,
+    main_projection,
     power_table,
     raw_estimate_forward,
     raw_estimate_inverse,
@@ -337,9 +338,9 @@ class InversionOperator:
         into one output array.  The boosted scheme runs the vote stage on
         the projections p = Q^dagger psi of all eigenvectors first; an
         embedded state's are c (x) (|in|, |out|).  A slab state then runs a
-        few eigenvectors at a time: a pending reflection first, their
-        controlled powers, the estimate in place, the signs, the unestimate
-        and the update along Q.
+        few eigenvectors at a time: a pending reflection first (its
+        projection is read once, beforehand), their controlled powers, the
+        estimate in place, the signs, the unestimate and the update along Q.
         """
         n, m, _ = self.layout.shape
         plane, norms = self._window_split()
@@ -355,23 +356,25 @@ class InversionOperator:
             out = np.matmul(coefs.transpose(0, 2, 1), plane)
             return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
         out = np.empty((n, basis, m), dtype=complex)
-        if product:
-            src = np.broadcast_to((state.main * (1.0 / math.sqrt(m)))[:, None, None],
-                                  (n, 1, m))
-        elif state.reflection is None:
-            src = state.slabs
-        else:
-            src = raw_reflect_main(state.slabs, state.reflection, out=out)
+        src = state.slabs if not product else np.broadcast_to(
+            (state.main * (1.0 / math.sqrt(m)))[:, None, None], (n, 1, m))
+        x = state.reflection                # None for a product state
+        proj = None if x is None else main_projection(src, x)
         parts = _chunks(n, basis * m)
         if plane is not None:
             p = np.empty((n, 2, basis), dtype=complex)
             for part in parts:
                 np.matmul(plane[part].conj(), src[part].transpose(0, 2, 1), out=p[part])
+            if x is not None:
+                # Q^dagger of a reflected slab adds x_k Q_k^dagger proj
+                p += x[:, None, None] * np.matmul(plane, proj.conj().T).conj()
             delta = self._plane_update(p).transpose(0, 2, 1)
         signs = self._signs(basis)
         for part in parts:
             powers = power_table(self.frame.phases[part], m)
-            block = raw_estimate_forward(src[part], powers, out=out[part])
+            run = src[part] if x is None else raw_reflect_main(src[part], x[part], proj,
+                                                               out=out[part])
+            block = raw_estimate_forward(run, powers, out=out[part])
             block *= signs
             raw_estimate_inverse(block, powers, out=block)
             if plane is not None:

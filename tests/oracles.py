@@ -1,11 +1,14 @@
 """Independent dense-matrix constructions used to check the fast kernels.
 
 Everything here is built the slow, obvious way: explicit DFT matrices,
-Hadamard krons, sum-over-controls block matrices, and Lagrange projectors.
-Nothing imports the fast paths it is checking beyond shared data types.
+Hadamard krons, sum-over-controls block matrices, Lagrange projectors, and
+plain bisection for the secular roots.  Nothing imports the fast paths it
+is checking beyond shared data types.
 """
 
 import numpy as np
+
+from eigensearch.numerics import TOL, wrap_angle
 
 
 def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
@@ -196,3 +199,29 @@ def spectral_projectors(phases: np.ndarray, vectors: np.ndarray,
         runs = runs[1:-1] + [np.concatenate([runs[-1], runs[0]])]
     return [(float(wrapped[run[0]]), vectors[:, run] @ vectors[:, run].conj().T)
             for run in runs]
+
+
+def bisected_secular_pair(inst) -> tuple[float, float]:
+    """The two secular roots next to 0, (positive, negative), by plain
+    bisection on the sign of the cotangent sum with wrapped angles: each
+    bracket runs from the pole at 0 to the next pole around the circle,
+    and the root is its midpoint once it is at most
+    ``TOL.secular_bisection`` wide."""
+    weights = np.abs(inst.spec.eigenbasis[inst.target_index, :]) ** 2
+    poles, weights = inst.spec.eigenphases[weights > 0.0], weights[weights > 0.0]
+
+    def positive(lam):
+        return np.sum(weights / np.tan(wrap_angle(lam - poles) / 2.0)) > 0.0
+
+    def bisect(lo, hi):
+        margin = max(TOL.pole_proximity * 10.0, (hi - lo) * 1e-9)
+        a, b = lo + margin, hi - margin
+        while b - a > TOL.secular_bisection:
+            mid = 0.5 * (a + b)
+            a, b = (mid, b) if positive(mid) else (a, mid)
+        return 0.5 * (a + b)
+
+    above, below = poles[poles > 0.0], poles[poles < 0.0]
+    hi = above.min() if above.size else poles.min() + 2.0 * np.pi
+    lo = below.max() if below.size else poles.max() - 2.0 * np.pi
+    return bisect(0.0, float(hi)), bisect(float(lo), 0.0)

@@ -162,35 +162,51 @@ def test_eig_unitary_pairs_a_real_operator_with_exact_conjugates(name):
 
 
 def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
-    # rebuild the real Z = [R, X, Y] and the Rayleigh quotients from the
-    # returned V and phases, then perturb one of them: each of the three
-    # checks must see it.  Orthonormality is held to 1e-10, so a 1e-8
-    # change of a column trips it; the modulus and reconstruction checks
+    # rebuild the real side of the returned V and phases: a basis B with
+    # the real columns first and each pair p, conj(p) as two neighbouring
+    # columns sqrt(2) Re p, -sqrt(2) Im p, the band of Q, 1 on a real
+    # column and (1, -+i)/sqrt(2) on a pair, and the Rayleigh quotients.
+    # Then perturb one of them: each of the three checks must see it.
+    # Orthonormality is held to 1e-10, so a 1e-8 change of a column of B
+    # or of an entry of Q trips it; the modulus and reconstruction checks
     # are held to 1e-8, so they get changes of 1e-7 and 1e-6
     u = ref12_operator
     dec = eig_unitary(u, TOL.system_unitarity)
     phases, v = dec.phases, dec.vectors
-    real = (phases == 0.0) | (phases == np.pi)
-    pair = (phases > 0.0) & ~real
-    nr = int(real.sum())
-    assert nr > 0 and 2 * int(pair.sum()) + nr == u.shape[0]
-    z = np.concatenate([v[:, real].real, v[:, pair].real, v[:, pair].imag], axis=1)
-    rayleigh = np.concatenate([np.cos(phases[real]), np.exp(1j * phases[pair])])
-    assert_allclose(numerics._check_pairs(u, z, nr, rayleigh),
-                    np.concatenate([phases[real], phases[pair]]), rtol=0.0, atol=1e-15)
+    real = np.flatnonzero((phases == 0.0) | (phases == np.pi))
+    pair = np.flatnonzero((phases > 0.0) & (phases < np.pi))
+    n, nr, r = u.shape[0], real.size, np.sqrt(0.5)
+    assert nr > 0 and nr + 2 * pair.size == n
+    halves = np.stack([v[:, pair].real, -v[:, pair].imag], axis=2).reshape(n, -1)
+    basis = np.concatenate([v[:, real].real, halves / r], axis=1)
+    first = nr + 2 * np.arange(pair.size)
+    rotation = np.zeros((3, n), dtype=complex)
+    rotation[1] = 1.0
+    rotation[1, first], rotation[2, first] = r, -1j * r
+    rotation[0, first + 1], rotation[1, first + 1] = r, 1j * r
+    signed = np.concatenate([phases[real], np.outer(phases[pair], [1.0, -1.0]).ravel()])
+    rayleigh = np.exp(1j * signed)
 
-    for col in (0, nr, z.shape[1] - 1):      # R, X and Y
-        bent = z.copy()
-        bent[np.argmax(np.abs(z[:, col])), col] += 1e-8
+    def check(basis=basis, rotation=rotation, rayleigh=rayleigh):
+        return numerics._check_rotations(u, basis, u @ basis, rotation, rayleigh)
+
+    assert_allclose(check(), signed, rtol=0.0, atol=1e-15)
+    for col in (0, nr, n - 1):      # a real column and both halves of a pair
+        bent = basis.copy()
+        bent[np.argmax(np.abs(basis[:, col])), col] += 1e-8
         with pytest.raises(InternalInvariantError, match="orthonormality"):
-            numerics._check_pairs(u, bent, nr, rayleigh)
-    for k, factor, check in ((nr, 1.0 + 1e-7, "moduli"), (0, 1.0 + 1e-7, "moduli"),
-                             (nr, np.exp(1e-6j), "reconstruction"),
-                             (0, -1.0, "reconstruction")):
+            check(basis=bent)
+    bent = rotation.copy()
+    bent[2, nr] *= 1.0 + 1e-8
+    with pytest.raises(InternalInvariantError, match="orthonormality"):
+        check(rotation=bent)
+    for k, factor, what in ((nr, 1.0 + 1e-7, "moduli"), (0, 1.0 + 1e-7, "moduli"),
+                            (nr, np.exp(1e-6j), "reconstruction"),
+                            (0, -1.0, "reconstruction")):
         bent = rayleigh.copy()
         bent[k] *= factor
-        with pytest.raises(InternalInvariantError, match=check):
-            numerics._check_pairs(u, z, nr, bent)
+        with pytest.raises(InternalInvariantError, match=what):
+            check(rayleigh=bent)
 
 
 def test_eig_unitary_rejects_nonunitary_input():
@@ -216,14 +232,27 @@ def test_inside_gap_counts_phases_on_the_edge_as_outside():
     assert not inside_gap(np.pi - 4.4e-16, np.pi)
 
 
-def test_eig_unitary_does_not_import_numpy_ma():
-    # np.unique would import numpy.ma, about 15 ms of every fresh process;
-    # the identity has one cluster of size 3, so the cluster loop runs
-    code = ("import sys, numpy as np, eigensearch as es; "
-            "es.eig_unitary(np.eye(3)); print('numpy.ma' in sys.modules)")
+def _fresh_process_has(module, code):
+    """Whether ``module`` is imported after ``code`` runs in a new
+    interpreter with this checkout's eigensearch on its path."""
     src = os.path.dirname(os.path.dirname(eigensearch.__file__))
     env = dict(os.environ, PYTHONPATH=os.pathsep.join(
         filter(None, [src, os.environ.get("PYTHONPATH")])))
-    run = subprocess.run([sys.executable, "-c", code], capture_output=True,
-                         text=True, env=env, check=True, timeout=60)
-    assert run.stdout.strip() == "False"
+    run = subprocess.run([sys.executable, "-c", f"import sys; {code}; "
+                          f"print({module!r} in sys.modules)"],
+                         capture_output=True, text=True, env=env, check=True, timeout=60)
+    return run.stdout.strip() == "True"
+
+
+def test_eig_unitary_does_not_import_numpy_ma():
+    # np.unique would import numpy.ma, about 15 ms of every fresh process;
+    # the identity has one cluster of size 3, so the cluster loop runs
+    assert not _fresh_process_has(
+        "numpy.ma", "import numpy as np, eigensearch as es; es.eig_unitary(np.eye(3))")
+
+
+def test_the_cli_and_eig_unitary_do_not_import_scipy():
+    # scipy's import would add 0.1-0.2 s to every CLI process
+    assert not _fresh_process_has(
+        "scipy", "import numpy as np, eigensearch.cli, eigensearch as es; "
+                 "es.eig_unitary(np.eye(3))")

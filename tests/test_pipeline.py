@@ -133,15 +133,15 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #
 #   case (ref12 unless noted)                               measured  bound
 #   test_pipeline.py
-#     boosted (9, 6) run_full                                   0.28   0.4, 1.3, 2.25
-#     boosted (10, 2) run_full                                  2.18   2.6
-#     basic mu=12 run_full                                      2.43   2.6
-#     criterion-08's one-round (5, 4) run_full, n=32            1.59   1.65
+#     boosted (9, 6) run_full                                   0.29   0.4, 1.3, 2.25
+#     boosted (10, 2) run_full                                  2.24   2.6
+#     basic mu=12 run_full                                      2.52   2.6
+#     criterion-08's one-round (5, 4) run_full, n=32            0.90   1.65
 #     basic mu=12 round-two target flip                        0.001   0.3
 #   test_selective_inversion.py
 #     boosted (10, 4) apply of a register state                 1.18   2.01
 #     boosted (10, 2) apply of the embedded halfway state       0.75   1.3
-#     boosted (10, 2) apply of the flipped round-one output     0.92   1.2
+#     boosted (10, 2) apply of the flipped round-one output     0.99   1.2
 #     basic mu=12 build and error prediction                    0.61   0.75
 
 
@@ -180,8 +180,8 @@ def test_a_boosted_run_holds_one_register(ref12):
 def test_a_boosted_run_writes_no_register(ref12):
     # the second inversion holds its input and its output, 7 Dicke columns
     # of the 64 vote values each, and the readout sums their Gram matrix
-    # in place: 0.28x measured on ref12 (9, 6) next to the operator's vote
-    # plane (0.27x when it kept one profile row per eigenvector in place of
+    # in place: 0.29x measured on ref12 (9, 6) next to the operator's vote
+    # plane and the pending reflection's projection (0.28x without it, 0.27x when it kept one profile row per eigenvector in place of
     # the two plane columns), against 0.28x when the operator kept the
     # controlled powers of every eigenvector, 0.35x when the
     # second inversion kept its input and the readout computed the 7 vote
@@ -193,15 +193,15 @@ def test_a_boosted_run_writes_no_register(ref12):
 def test_a_one_round_run_reads_its_factors(ref12):
     # criterion-08's first instance needs one round, whose output is 5
     # Dicke columns of the 16 vote values, read out with one conjugated
-    # copy of them: 1.59x measured, of which about one register is the
-    # readout's three-operand einsum for the marginal, n^3 values at n=32
-    # (1.53x when the operator kept one profile row per eigenvector in
-    # place of its two plane columns; 0.90x recorded earlier, and 0.96x
+    # copy of them: 0.90x measured.  1.59x when the readout took the
+    # marginal with a three-operand einsum, n^3 values at n=32, and 1.53x
+    # before that when the operator kept one profile row per eigenvector
+    # in place of its two plane columns (0.90x recorded earlier, and 0.96x
     # when the operator kept the controlled powers of every eigenvector),
-    # against 0.93x when the readout
-    # computed them from three phase columns per eigenvector, 1.62x when
-    # it computed all 16 vote values, and 2.55x when it wrote the register
-    # and summed its Gram matrix over 4096 columns at a time
+    # against 0.93x when the readout computed them from three phase
+    # columns per eigenvector, 1.62x when it computed all 16 vote values,
+    # and 2.55x when it wrote the register and summed its Gram matrix over
+    # 4096 columns at a time
     fam, seed, target = instances.BASELINE_TRIO[0]
     inst = instances.symmetric_instance(instances.TRIO_N, fam, seed, target)
     scheme = es.InversionScheme.boosted(inst.boost, inst.spec.phase_gap, offset_bits=4)
@@ -217,9 +217,11 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # plane built before the state is embedded.  2.12x with the second
     # round's output computed a block at a time for the readout, 2.27x
     # when the operator also kept the controlled powers of every
-    # eigenvector; 1.98x with one profile row per eigenvector; now 2.18x,
-    # the second round's input and output, 3 Dicke columns of the 4 vote
-    # values each, next to the plane's two columns per eigenvector
+    # eigenvector; 1.98x with one profile row per eigenvector; 2.18x with
+    # the pending reflection written out before the second round's
+    # estimate; now 2.24x, the second round's input and output, 3 Dicke
+    # columns of the 4 vote values each, next to the plane's two columns
+    # per eigenvector and the reflection's projection, 1/16 of the register
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
@@ -252,9 +254,10 @@ def test_a_basic_round_two_flip_keeps_the_factors(ref12):
 def test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time(ref12):
     # with no vote register a main x phase array is the register, so the
     # estimate profiles of all twelve eigenphases at once set the peak of a
-    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.44x,
+    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.52x,
     # set by the second round's input and output, a few eigenvectors'
-    # controlled powers at a time
+    # controlled powers at a time and the pending reflection's projection,
+    # one phase column (2.44x when the reflection was written out first)
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 

@@ -148,17 +148,22 @@ def test_eig_unitary_handles_planted_clusters(u):
 
 @st.composite
 def real_orthogonals(draw):
-    """A real orthogonal matrix: drawn at random, or built with two pairs
-    whose cosines coincide or nearly do, a pair next to pi beside a -1
-    eigenspace, a pair on either side of pi/2, or a lone pair; each but the
-    random one with 0 to 3 eigenvalues +1 and -1 besides."""
+    """A real orthogonal matrix: drawn at random, a Grover operator, or
+    built with two pairs whose cosines coincide or nearly do, a pair next
+    to pi beside a -1 eigenspace, a pair on either side of pi/2, a lone
+    pair, or up to six pairs at random phases; each built one with 0 to 3
+    eigenvalues +1 and -1 besides."""
     seed = draw(st.integers(0, 2**32 - 1))
     rng = np.random.default_rng(seed)
-    planting = draw(st.sampled_from(("random", "cosine_cluster", "near_pi",
-                                     "quarter_turn", "lone_pair")))
+    planting = draw(st.sampled_from(("random", "grover", "cosine_cluster", "near_pi",
+                                     "quarter_turn", "lone_pair", "pairs")))
     if planting == "random":
         n = draw(st.integers(1, 8))
         return np.linalg.qr(rng.normal(size=(n, n)))[0]
+    if planting == "grover":
+        n = draw(st.integers(4, 32))
+        return es.build_search_operator(es.SearchInstance.build(
+            es.build_grover_spec(n), draw(st.integers(1, n - 1))))
     lam = rng.uniform(0.1, 3.0)
     plus, minus = draw(st.integers(0, 3)), draw(st.integers(0, 3))
     if planting == "cosine_cluster":
@@ -168,6 +173,8 @@ def real_orthogonals(draw):
     elif planting == "quarter_turn":
         half = draw(st.sampled_from((1e-9, 1e-7, 1e-5)))
         pairs = [np.pi / 2 - half, np.pi / 2 + half]
+    elif planting == "pairs":
+        pairs = rng.uniform(0.0, np.pi, draw(st.integers(2, 6)))
     else:
         pairs = [lam]
     return oracles.real_orthogonal(pairs, plus, minus, seed)
@@ -264,6 +271,21 @@ def test_secular_roots_match_the_diagonalization(inst):
     root_plus, root_minus = es.secular_pair(inst)
     assert abs(phases[phases > 0].min() - root_plus) <= es.TOL.secular_agreement
     assert abs(phases[phases < 0].max() - root_minus) <= es.TOL.secular_agreement
+
+
+@st.composite
+def grover_instances(draw):
+    n = draw(st.integers(4, 64))
+    return es.SearchInstance.build(es.build_grover_spec(n), draw(st.integers(1, n - 1)))
+
+
+@SETTINGS
+@given(st.one_of(symmetric_instances(), grover_instances()))
+def test_secular_roots_match_plain_bisection(inst):
+    # safeguarded Newton against the bisection it replaced, on the same
+    # brackets: each stops within TOL.secular_bisection of the root
+    for got, want in zip(es.secular_pair(inst), oracles.bisected_secular_pair(inst)):
+        assert abs(got - want) <= 2.0 * es.TOL.secular_bisection
 
 
 @SETTINGS

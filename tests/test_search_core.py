@@ -82,8 +82,35 @@ def test_secular_residual_vanishes_at_roots_only(ref12):
 
 
 def test_secular_residual_refuses_pole_evaluation(ref12):
-    with pytest.raises(ValueError):
-        es.secular_residual(ref12, 0.55)
+    # the pole at 0.55 is found a turn away too: distance is on the circle
+    for lam in (0.55, 0.55 + 2.0 * np.pi, 0.55 - 2.0 * np.pi):
+        with pytest.raises(ValueError):
+            es.secular_residual(ref12, lam)
+
+
+def test_secular_roots_take_few_sum_evaluations(call_counter, monkeypatch):
+    # the spectral_scan workload's eight n=256 targets (seed 5, overlaps
+    # nearest a sixtieth of the gap): safeguarded Newton evaluates the sum
+    # 11 times a root, the bracket's two ends included, where bisection
+    # took 41
+    gap = 0.45
+    spec = es.build_symmetric_spec(256, tuple(np.linspace(0.5, 1.5, 127)), 5, 0, gap)
+    overlaps = np.abs(spec.eigenbasis[:, spec.source_index])
+    targets = sorted((t for t in es.find_targets(spec) if t != spec.source_index),
+                     key=lambda t: (abs(overlaps[t] - gap / 60.0), t))[:8]
+    sums = call_counter(search_core, "_secular_sum")
+    root, per_root = search_core._secular_root, []
+
+    def counted_root(*args):
+        before = sums[0]
+        lam = root(*args)
+        per_root.append(sums[0] - before)
+        return lam
+
+    monkeypatch.setattr(search_core, "_secular_root", counted_root)
+    for t in targets:
+        es.secular_pair(es.SearchInstance.build(spec, t))
+    assert len(per_root) == 16 and max(per_root) <= 16
 
 
 def test_predicted_phases_within_weak_coupling_budget(ref12):

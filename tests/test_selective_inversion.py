@@ -365,13 +365,15 @@ def test_a_product_state_apply_writes_only_its_output_register(ref12):
 
 def test_a_flipped_factored_state_apply_writes_one_register(ref12):
     # the flipped output of the first apply is its Dicke columns with the
-    # reflection pending; the apply reflects them into its output, three
-    # quarters of the register with two votes, and runs there in place.
-    # 0.92x measured, 0.97x when it projected the estimated slabs onto the
-    # plane in a pass of its own (1.01x when the operator kept the
-    # controlled powers of every eigenvector), against 0.68x when it kept
-    # its input and computed the output when read, and 1.17x when it wrote
-    # its working array
+    # reflection pending; the apply reflects them into its output a few
+    # eigenvectors at a time, three quarters of the register with two
+    # votes, and runs there in place.  0.99x measured, with the
+    # reflection's projection (1/16 of the register) kept through the
+    # estimate; 0.92x when the reflection was written out first, 0.97x
+    # when it projected the estimated slabs onto the plane in a pass of its
+    # own (1.01x when the operator kept the controlled powers of every
+    # eigenvector), against 0.68x when it kept its input and computed the
+    # output when read, and 1.17x when it wrote its working array
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
     assert flipped.vote_symmetric and flipped.reflection is not None
