@@ -47,7 +47,6 @@ class Tolerances:
     # only the size of the blocks.
     cosine_cluster: float = 1e-4
     scalar_block: float = 1e-12         # distance of a block's split from a multiple of 1
-    norm_preservation: float = 1e-12    # relative, per application
     pole_proximity: float = 1e-12       # distance to a cotangent pole
     lambda1_budget: float = 1e-10       # |Lambda_1| allowed for symmetric builds
     secular_agreement: float = 1e-8     # diagonalization vs root-finding

@@ -109,7 +109,7 @@ def dicke_basis(vote_bits: int) -> tuple[np.ndarray, np.ndarray]:
     """The Hamming weight of every vote value, and sqrt(C(nu, h)) for every
     weight h: Dicke column h of a weight-symmetric state is that root
     times the amplitude at any vote value of weight h."""
-    weights = np.array([v.bit_count() for v in range(1 << vote_bits)])
+    weights = np.bitwise_count(np.arange(1 << vote_bits))
     roots = np.sqrt([float(math.comb(vote_bits, h)) for h in range(vote_bits + 1)])
     return weights, roots
 

@@ -32,22 +32,24 @@ plus a rank-two update in the plane of the two parts.  The estimate E_k is
 unitary, so the operator keeps the plane unestimated,
 Q_k = E_k^dagger (u_in, u_out): the stage is the projections of the input
 onto Q, the kickbacks and the flip on two coefficients per eigenvector and
-vote value, the fixed signs between one estimate and one unestimate, and
+basis column, the fixed signs between one estimate and one unestimate, and
 the update along Q.  The query ledger still charges the physical circuit:
 2^mu controlled applications per estimate, two estimates per kickback.
 
-The vote stage commutes with every permutation of the vote bits.  Each
-kickback acts alike on the phase register and its own vote bit: it keeps
-the part of the state even in that bit and applies one fixed reflection of
-the phase register to the odd part.  Kickbacks on different vote bits
-therefore commute, and the majority flip and the fixed signs depend on a
-vote value only through its number of ones.  So the inversion keeps a
-state in the Dicke basis of the vote register (see ``phase_estimation``),
-where the fixed signs depend on the weight h alone and the complement of
-weight h is weight nu - h.  The kickbacks couple single vote values, so
-the plane update is computed on all 2^nu of them: the projections are
-expanded from the Dicke columns, run through the stage, checked to be
-equal across each weight class, and kept on one representative per weight.
+The vote stage runs in closed form in the Hadamard basis H of the vote
+register (MacWilliams and Sloane, The Theory of Error-Correcting Codes,
+ch. 5).  In the plane a kickback on vote bit j keeps the part of the
+coefficients even in that bit and rotates the odd part by
+M_sigma = Z (I - 2 phi phi^T), with Z = diag(1, -1), phi = (sigma |in|,
+|out|), and sigma = -1 before the majority flip and +1 after it.
+Kickbacks on different bits commute, so the nu of them on one side of the
+flip act on a Hadamard basis column of weight s as M_sigma^s, and the
+stage is H M_+^s H F H M_-^s H, with F the majority sign of each vote
+column's weight.  It commutes with every permutation of the vote bits, so
+the inversion keeps a state in the Dicke basis of the vote register (see
+``phase_estimation``): there H is the (nu + 1) x (nu + 1) Krawtchouk
+matrix, and the complement of weight h is weight nu - h.  The update never
+leaves that basis, so only the norm of its output is left to check.
 
 A state held as slabs runs a few eigenvectors at a time, in the basis it
 came in, through one estimate and one unestimate.  An embedded state, a
@@ -60,6 +62,7 @@ Dicke slab is one (nu + 1, 2) @ (2, M) product of coefficients and Q_k.
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass, field
 
@@ -70,7 +73,6 @@ from .numerics import (
     AssumptionViolation,
     EigenDecomposition,
     GapGuessTooCoarse,
-    InternalInvariantError,
     eig_unitary,
     inside_gap,
     is_unitary,
@@ -195,37 +197,45 @@ def _chunks(n: int, width: int) -> list[slice]:
     return [slice(first, first + step) for first in range(0, n, step)]
 
 
-def _vote_coefficients(p: np.ndarray, norms: np.ndarray,
-                       vote_sign: np.ndarray) -> np.ndarray:
-    """The 2 nu kickbacks and the majority flip on (main, 2, vote) coefficients.
+# plane coefficients to their circular components p_in +- i p_out, on
+# which a rotation by alpha of the plane is the phase e^{+-i alpha}
+_CIRCULAR = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
 
-    Row 0 of ``p`` is the amplitude along u_in, row 1 along u_out.  In that
-    basis phi = (r_in, r_out) and W phi = (-r_in, r_out), so each kickback
-    is the register one restricted to the plane: with e the difference of
-    the vote-bit-j halves, (I - A) / 2 e keeps e's off-window row and adds
-    -/+ phi times (W phi . e) or (phi . e).
-    """
-    n, _, v = p.shape
-    q = p.copy()
-    r_in, r_out = norms[:, 0, None, None], norms[:, 1, None, None]
 
-    def kick(j, sign):
-        b = q.reshape(n, 2, v >> (j + 1), 2, 1 << j)
-        x0, x1 = b[:, :, :, 0], b[:, :, :, 1]
-        e = x0 - x1
-        c = sign * r_in * e[:, 0] + r_out * e[:, 1]
-        e[:, 0] = sign * r_in * c
-        e[:, 1] -= r_out * c
-        x0 -= e
-        x1 += e
+def _walsh(a: np.ndarray) -> np.ndarray:
+    """Normalized Walsh-Hadamard of the first axis of the C-contiguous
+    ``a``, in place: per bit, (low, high) -> (low + high, low - high)."""
+    size = a.shape[0]
+    for bit in range(size.bit_length() - 1):
+        pairs = a.reshape(size >> (bit + 1), 2, -1)
+        pairs[:, 0] += pairs[:, 1]
+        pairs[:, 1] *= -2.0
+        pairs[:, 1] += pairs[:, 0]
+    a *= 1.0 / math.sqrt(size)
+    return a
 
-    nu = v.bit_length() - 1
-    for j in range(nu):
-        kick(j, -1.0)
-    q *= vote_sign
-    for j in reversed(range(nu)):
-        kick(j, 1.0)
-    return q
+
+@functools.cache
+def _vote_basis(nu: int, basis: int):
+    """The vote Hadamard H^{(x) nu} on the first axis of coefficients in
+    ``basis`` columns, the Hamming weight of each column, and its majority
+    sign F, -1 on strictly more ones than zeros.  On the nu + 1 Dicke
+    columns H is the Krawtchouk matrix K[s, h] = <D_s| H^{(x) nu} |D_h>,
+    built in integers and scaled once, and on all 2^nu vote values
+    ``_walsh``; both are real, symmetric and their own inverse."""
+    if basis == nu + 1:
+        c = [math.comb(nu, h) for h in range(basis)]
+        counts = np.array([[c[h] * sum((-1) ** j * math.comb(h, j) * math.comb(nu - h, s - j)
+                                       for j in range(s + 1))
+                            for h in range(basis)] for s in range(basis)])
+        k = counts / np.sqrt(np.outer(c, c) * 2.0 ** nu)
+        k.flags.writeable = False
+        hadamard, weights = functools.partial(np.tensordot, k, axes=1), np.arange(basis)
+    else:
+        hadamard, weights = _walsh, dicke_basis(nu)[0]
+    flip = np.where(weights > nu // 2, -1.0, 1.0)
+    weights.flags.writeable = flip.flags.writeable = False
+    return hadamard, weights, flip
 
 
 @dataclass(eq=False)
@@ -387,49 +397,38 @@ class InversionOperator:
 
         The basic scheme flips the gap window.  A boosted kickback swaps
         vote bit j on the off-window rows, so all 2 nu of them complement
-        the vote value there: in-window rows see the majority sign of their
-        vote value, off-window rows that of the complemented one.  Over the
-        Dicke columns the sign is that of weight h, and the complement of
-        weight h is weight nu - h.
+        the vote value there: in-window rows see the majority sign F of
+        their column, off-window rows that of the mirrored column.
         """
         if self.vote_window is None:
             return np.where(self.gap_window, -1.0 + 0j, 1.0)[None]
-        vote_sign = np.where(self.vote_window, -1.0 + 0j, 1.0)
-        if basis != vote_sign.size:
-            vote_sign = vote_sign[(1 << np.arange(basis)) - 1]
-        return np.where(self.gap_window, vote_sign[:, None], vote_sign[::-1, None])
+        flip = _vote_basis(self.scheme.vote_bits, basis)[2].astype(complex)
+        return np.where(self.gap_window, flip[:, None], flip[::-1, None])
 
     def _plane_update(self, p: np.ndarray) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
         (main, 2, basis) coefficients along them.
 
         ``p`` holds the projections of the input onto the plane Q, in the
-        basis of the input's slabs; Dicke columns are expanded to all vote
-        values first.  They run through the kickbacks and the flip, and the
-        fixed signs the stage applies to the whole register are taken off
-        again.  Of a Dicke update every vote value must match the
-        representative 2^h - 1 of its weight h within
-        ``TOL.norm_preservation`` of the largest coefficient, or
-        ``InternalInvariantError`` is raised, and the representatives are
-        kept as Dicke columns.
+        basis of the input's slabs.  They run through the stage
+        H M_+^s H F H M_-^s H of the module docstring, and the fixed signs
+        it applies to the whole register are taken off again.  M_+ is the
+        rotation by theta_k, e^{i theta_k} = (|out| + i |in|)^2, and M_- its
+        inverse, so on the circular components p_in +- i p_out M_sigma^s
+        is the phase e^{+-i sigma s theta_k}.
         """
+        nu = self.scheme.vote_bits
+        hadamard, weights, flip = _vote_basis(nu, p.shape[2])
         norms = self._window_split()[1]
-        vote_sign = np.where(self.vote_window, -1.0, 1.0)
-        dicke = p.shape[2] != vote_sign.size
-        if dicke:
-            weights, roots = dicke_basis(self.scheme.vote_bits)
-            p = (p / roots)[:, :, weights]
-        delta = (_vote_coefficients(p, norms, vote_sign)
-                 - np.stack([vote_sign, vote_sign[::-1]]) * p)
-        if not dicke:
-            return delta
-        representative = delta[:, :, (1 << np.arange(roots.size)) - 1]
-        spread = np.max(np.abs(delta - representative[:, :, weights]))
-        if spread > TOL.norm_preservation * np.max(np.abs(delta)):
-            raise InternalInvariantError(
-                f"the plane update of a weight-symmetric state differs within "
-                f"a Hamming-weight class by {spread:.3g}")
-        return representative * roots
+        turn = (norms[:, 1] + 1j * norms[:, 0]) ** 2
+        rotations = turn ** np.arange(nu + 1)[:, None]
+        rotations = np.stack([rotations, rotations.conj()], axis=1)[weights]
+        q = np.matmul(_CIRCULAR, p.T)
+        for factor in (rotations.conj(), flip[:, None, None], rotations):
+            q = hadamard(q)
+            q *= factor
+        q = np.matmul(_CIRCULAR.conj().T, hadamard(q)).T
+        return q - np.stack([flip, flip[::-1]]) * p
 
 
 def predicted_epsilon(scheme: InversionScheme, lam, invert):

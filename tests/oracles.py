@@ -153,6 +153,39 @@ def dense_boosted_inversion(unitary: np.ndarray, phase_bits: int,
     return forward.conj().T @ (flip[:, None] * forward)
 
 
+def vote_coefficients(p: np.ndarray, norms: np.ndarray,
+                      vote_sign: np.ndarray) -> np.ndarray:
+    """The 2 nu kickbacks and the majority flip on (main, 2, vote) coefficients.
+
+    Row 0 of ``p`` is the amplitude along u_in, row 1 along u_out.  In that
+    basis phi = (r_in, r_out) and W phi = (-r_in, r_out), so each kickback
+    is the register one restricted to the plane: with e the difference of
+    the vote-bit-j halves, (I - A) / 2 e keeps e's off-window row and adds
+    -/+ phi times (W phi . e) or (phi . e).
+    """
+    n, _, v = p.shape
+    q = p.copy()
+    r_in, r_out = norms[:, 0, None, None], norms[:, 1, None, None]
+
+    def kick(j, sign):
+        b = q.reshape(n, 2, v >> (j + 1), 2, 1 << j)
+        x0, x1 = b[:, :, :, 0], b[:, :, :, 1]
+        e = x0 - x1
+        c = sign * r_in * e[:, 0] + r_out * e[:, 1]
+        e[:, 0] = sign * r_in * c
+        e[:, 1] -= r_out * c
+        x0 -= e
+        x1 += e
+
+    nu = v.bit_length() - 1
+    for j in range(nu):
+        kick(j, -1.0)
+    q *= vote_sign
+    for j in reversed(range(nu)):
+        kick(j, 1.0)
+    return q
+
+
 def lagrange_projector_weights(matrix: np.ndarray, phases: np.ndarray,
                                vec: np.ndarray) -> list[tuple[float, float]]:
     """<vec| P_j |vec> for each distinct eigenphase via matrix interpolation."""

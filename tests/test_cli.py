@@ -195,11 +195,15 @@ def test_an_eigenvalue_modulus_failure_is_an_internal_invariant(monkeypatch, cap
 
 def test_a_computed_state_off_its_norm_exits_5_with_one_line(monkeypatch, capsys):
     # the inversion's output is a state the program computed from checked
-    # ones, so tripled vote coefficients, which take its norm off 1, are an
-    # internal invariant failure and not a bad argument
-    original = selective_inversion._vote_coefficients
-    monkeypatch.setattr(selective_inversion, "_vote_coefficients",
-                        lambda *args: 3.0 * original(*args))
+    # ones, so tripled majority signs in the vote stage, which take its
+    # norm off 1, are an internal invariant failure and not a bad argument
+    original = selective_inversion._vote_basis
+
+    def tripled(*args):
+        hadamard, weights, flip = original(*args)
+        return hadamard, weights, 3.0 * flip
+
+    monkeypatch.setattr(selective_inversion, "_vote_basis", tripled)
     code, out, err = run_cli(capsys, "pipeline", *REF_ARGS, "--scheme", "boosted",
                              "--mu-offset", "8")
     assert code == 5

@@ -87,7 +87,7 @@ def test_boosted_run_ledger_decomposes_into_the_stage_formulas(
 
 def test_boosted_rounds_run_without_a_basis_change(ref12, call_counter):
     # the rounds stay in the estimate frame: estimates and unestimates are
-    # the only transform kernels (src has no Walsh-Hadamard or register
+    # the only transform kernels (src has no register Walsh-Hadamard or
     # rotation kernel left to call).  They cover the two vote-plane columns
     # per eigenvector the operator unestimates once, when it is built, and
     # the seven Dicke columns each way in the second round; the embedded
@@ -138,6 +138,7 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #     basic mu=12 run_full                                      2.52   2.6
 #     criterion-08's one-round (5, 4) run_full, n=32            0.90   1.65
 #     basic mu=12 round-two target flip                        0.001   0.3
+#     boosted (9, 12) run_full, n=48 (over 13 Dicke columns)    2.30   3
 #   test_selective_inversion.py
 #     boosted (10, 4) apply of a register state                 1.18   2.01
 #     boosted (10, 2) apply of the embedded halfway state       0.75   1.3
@@ -145,16 +146,18 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #     basic mu=12 build and error prediction                    0.61   0.75
 
 
-def _run_full_peak_over_register(inst, scheme):
-    """tracemalloc peak of a second ``run_full``, in registers."""
-    es.run_full(inst, scheme)
+def _run_full_peak_over_register(inst, scheme, columns=None, dense_cap=es.DENSE_CAP):
+    """tracemalloc peak of a second ``run_full``, in registers of main x
+    phase x ``columns`` complex values, all 2^nu vote values unless given."""
+    es.run_full(inst, scheme, dense_cap)
     tracemalloc.start()
     try:
-        es.run_full(inst, scheme)
+        es.run_full(inst, scheme, dense_cap)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    return peak / (inst.spec.n * 2 ** (scheme.phase_bits + scheme.vote_bits) * 16)
+    columns = columns or 1 << scheme.vote_bits
+    return peak / (inst.spec.n * 2 ** scheme.phase_bits * columns * 16)
 
 
 def test_boosted_amplification_holds_two_registers(ref12):
@@ -224,6 +227,18 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # per eigenvector and the reflection's projection, 1/16 of the register
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
+
+
+def test_a_twelve_vote_run_holds_a_few_dicke_states():
+    # with 12 votes the full register, 2^21 values per eigenvector, is
+    # never made: every state is 13 Dicke columns, and the vote stage runs
+    # on each eigenvector's 2 x 13 plane coefficients.  2.30x the stored
+    # Dicke state measured, against 7.15x when the stage expanded the plane
+    # coefficients to all 4096 vote values and checked each weight class
+    inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
+                                        *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
+    scheme = es.InversionScheme("boosted", 9, 12, instances.HIGAIN_GAP)
+    assert _run_full_peak_over_register(inst, scheme, 13, dense_cap=1 << 27) <= 3.0
 
 
 def test_a_basic_round_two_flip_keeps_the_factors(ref12):

@@ -627,6 +627,7 @@ def test_an_inverted_state_matches_the_dense_oracle(case, seed):
         ledger = es.QueryLedger()
         out = op.apply(state, ledger)
         assert out.slabs.shape == state.slabs.shape and out.reflection is None
+        assert out.vote_symmetric == state.vote_symmetric
         assert np.max(np.abs(out.amps - oracle_apply(op, state))) <= 1e-13
         assert ledger == want_ledger
 
@@ -715,23 +716,65 @@ def test_reading_a_factored_input_changes_no_readout_bit(case, seed):
             assert np.array_equal(got, want)
 
 
+@st.composite
+def vote_stages(draw):
+    """A boosted operator with 2 to 8 votes, whose register is never
+    built, and a seed for the plane projections run through its stage."""
+    n = draw(st.integers(1, 4))
+    nu = draw(st.sampled_from((2, 4, 6, 8)))
+    mu, gap = draw(st.integers(2, 6)), draw(st.floats(0.2, 3.0))
+    try:
+        scheme = es.InversionScheme("boosted", mu, nu, gap)
+        window = es.gap_window_mask(mu, gap, scheme.guard_fraction)
+    except es.GapGuessTooCoarse:
+        assume(False)
+    return es.InversionOperator.build(scheme, draw(unitaries(n, window))), draw(
+        st.integers(0, 2**32 - 1))
+
+
+@SETTINGS
+@given(vote_stages())
+def test_the_closed_form_vote_stage_matches_the_kick_loop(case):
+    # the stage run in the vote Hadamard basis against the 2 nu kickbacks
+    # and the flip run one vote bit at a time, less the fixed signs, on
+    # unit projections per eigenvector: on all 2^nu vote values, and on
+    # Dicke columns expanded to them through the roots of their weights
+    op, seed = case
+    nu, n = op.scheme.vote_bits, op.layout.main_dim
+    norms = op._window_split()[1]
+    vote_sign = np.where(op.vote_window, -1.0, 1.0)
+    weights, roots = phase_estimation.dicke_basis(nu)
+    rng = np.random.default_rng(seed)
+
+    def kick_loop(p):
+        fixed = np.stack([vote_sign, vote_sign[::-1]]) * p
+        return oracles.vote_coefficients(p, norms, vote_sign) - fixed
+
+    for basis in (1 << nu, nu + 1):
+        p = rng.normal(size=(n, 2, basis)) + 1j * rng.normal(size=(n, 2, basis))
+        p /= np.linalg.norm(p, axis=(1, 2), keepdims=True)
+        got = op._plane_update(p)
+        if basis == nu + 1:
+            p, got = ((a / roots)[:, :, weights] for a in (p, got))
+        assert np.max(np.abs(got - kick_loop(p))) <= 1e-13
+
+
 def test_computed_amplitudes_are_norm_checked():
-    # a vote coefficient moved out of its Hamming-weight class is caught
-    # by the apply of a Dicke state, and slabs changed after the
-    # construction check are caught where the amplitudes are read: by the
-    # Gram trace of the readouts and the norm of the written register
+    # tripled majority signs in the vote stage take the apply's output of a
+    # Dicke state off its norm, which its construction checks, and slabs
+    # changed after that check are caught where the amplitudes are read:
+    # by the Gram trace of the readouts and the norm of the written register
     op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
                                     haar_unitary(3, 23))
     product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
     flipped = es.target_flip(op.apply(product), 1)
-    original = selective_inversion._vote_coefficients
+    original = selective_inversion._vote_basis
 
-    def moved(*args):
-        q = original(*args)
-        q[:, :, 2] += 0.5        # vote value 2 shares Hamming weight 1 with 1
-        return q
+    def tripled(*args):
+        hadamard, weights, flip = original(*args)
+        return hadamard, weights, 3.0 * flip
 
-    with mock.patch.object(selective_inversion, "_vote_coefficients", moved):
+    with mock.patch.object(selective_inversion, "_vote_basis", tripled):
         with pytest.raises(es.InternalInvariantError):
             op.apply(flipped)
     out = op.apply(flipped)
@@ -740,35 +783,6 @@ def test_computed_amplitudes_are_norm_checked():
         out.readouts()
     with pytest.raises(es.InternalInvariantError):
         out.amps
-
-
-def test_a_weight_symmetric_apply_checks_its_plane_update():
-    # the vote stage keeps a weight-symmetric state symmetric, and apply
-    # checks that it did; a vote coefficient moved within its Hamming-weight
-    # class is caught for such an input and passes for a plain register.
-    # The register has nothing on the moved vote value, so the move leaves
-    # the norm checked at construction alone
-    op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
-                                    haar_unitary(3, 23))
-    product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
-    flipped = es.target_flip(op.apply(product), 1)
-    amps = register_state(op, 29).amps.reshape(op.layout.shape)
-    amps[:, :, 2] = 0.0
-    register = es.StateVector(amps / np.linalg.norm(amps), op.layout, op.frame)
-    assert not register.vote_symmetric
-    assert not es.StateVector(flipped.amps, op.layout, op.frame).vote_symmetric
-    original = selective_inversion._vote_coefficients
-
-    def moved(*args):
-        q = original(*args)
-        q[:, :, 2] += 1e-9       # vote value 2 shares Hamming weight 1 with 1
-        return q
-
-    with mock.patch.object(selective_inversion, "_vote_coefficients", moved):
-        for state in (product, flipped):
-            with pytest.raises(es.InternalInvariantError):
-                op.apply(state)
-        assert not op.apply(register).vote_symmetric
 
 
 @st.composite

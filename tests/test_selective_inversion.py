@@ -65,6 +65,27 @@ def test_vote_majority_mask_selects_strict_majorities():
         es.vote_majority_mask(3)
 
 
+def test_the_vote_hadamard_of_each_basis_is_its_dense_matrix():
+    # the Krawtchouk matrix on the Dicke columns is <D_s| H^{(x) nu} |D_h>,
+    # exactly symmetric and its own inverse; the Walsh-Hadamard on all
+    # vote values is H^{(x) nu} itself
+    for nu in range(2, 21, 2):
+        hadamard, weights, _ = selective_inversion._vote_basis(nu, nu + 1)
+        k = hadamard(np.eye(nu + 1))
+        assert weights.tolist() == list(range(nu + 1))
+        assert np.array_equal(k, k.T)
+        assert np.max(np.abs(k @ k - np.eye(nu + 1))) <= 1e-14
+        if nu > 6:
+            continue
+        walsh, ones = oracles.dense_walsh(nu), phase_estimation.dicke_basis(nu)[0]
+        dicke = np.stack([(ones == h) / math.sqrt(math.comb(nu, h)) for h in range(nu + 1)],
+                         axis=1)
+        assert np.max(np.abs(k - dicke.T @ walsh @ dicke)) <= 1e-14
+        hadamard, weights, _ = selective_inversion._vote_basis(nu, 1 << nu)
+        assert np.max(np.abs(hadamard(np.eye(1 << nu)) - walsh)) <= 1e-15
+        assert np.array_equal(weights, ones)
+
+
 def test_binomial_tail_matches_scipy():
     for nu in (2, 4, 6):
         for p in np.linspace(0.05, 0.95, 7):
