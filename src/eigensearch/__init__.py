@@ -77,7 +77,6 @@ from .selective_inversion import (
     instance_epsilon_report,
     measure_epsilon,
     predicted_epsilon,
-    vote_majority_mask,
 )
 from .pipeline import (
     BaselineReport,

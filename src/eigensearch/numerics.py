@@ -134,124 +134,64 @@ class EigenDecomposition:
 def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition:
     """Orthonormal eigendecomposition of a unitary matrix, by Hermitian solves.
 
-    A unitary is normal, so its cosine part ``(U + U†)/2`` is Hermitian with
-    U's eigenvectors and eigenvalues ``cos(lambda)``.  Its ``eigh`` basis is
-    orthonormal and leaves U block diagonal, one block per run of cosines
-    closer than ``TOL.cosine_cluster``.  A block holds the phases that share
-    a cosine: a conjugate pair +-lambda (a real orthogonal U has all its
-    complex eigenvalues in such pairs) or a near-degenerate set.  All blocks
-    of one size are split by one stacked ``eigh`` of the Hermitian part of
-    ``e^{-i phi} U`` on the block.  That is the sine part ``(U - U†)/2i``
-    (phi = pi/2), except for blocks whose cosine is near 0: there the sine
-    is flat in lambda, and phi = pi/4 resolves the phases instead.  A block
-    whose split is within ``TOL.scalar_block`` (Frobenius) of a multiple of 1
-    is one eigenvalue and keeps its cosine basis.  The phases are the angles
-    of the Rayleigh quotients ``v†Uv``.
+    A unitary is normal, so ``U + U†`` is Hermitian with U's eigenvectors
+    and eigenvalues ``2 cos(lambda)``.  Its ``eigh`` basis B is orthonormal
+    and leaves ``M = B† U B`` block diagonal, one block per run of cosines
+    closer than ``TOL.cosine_cluster``: a conjugate pair +-lambda or a
+    near-degenerate set.  V = B Q, with Q block diagonal and kept as its
+    band (see ``_check_rotations``).  All blocks of one size are split by
+    one stacked ``eigh`` of the Hermitian part of ``e^{-i phi} M`` on the
+    block: the sine part (phi = pi/2), or phi = pi/4 for blocks whose
+    cosine is near 0, where the sine is flat in lambda.  A block whose
+    split is within ``TOL.scalar_block`` (Frobenius) of a multiple of 1 is
+    one eigenvalue and keeps B; any other keeps eigh's split q.  The phases
+    are the angles of the Rayleigh quotients, ``v† U v`` on a column of B
+    and ``diag(q† M q)`` on a split block.
 
-    A real U (every symmetric and Grover search operator) is diagonalized in
-    real arithmetic (``_eig_orthogonal``), with real vectors at +-1 and exact
-    conjugate pairs at +-lambda.  Non-unitary input raises ``ValueError``; a
-    Rayleigh quotient off modulus 1, or a max entry of ``V†V - 1`` or ``V
-    diag(e^{i phases}) V† - U`` (which the real path bounds) over its ``TOL``
-    entry raises ``InternalInvariantError``.
+    A real U (every symmetric and Grover search operator) is solved in real
+    arithmetic, and its complex eigenvalues come in exact conjugate pairs:
+    a block of two is ``p = (b1 - i sgn b2)/sqrt(2)``, sgn the sign of
+    ``M[1, 0] - M[0, 1]``, and ``conj(p)``; a larger block keeps the
+    columns of positive split, their conjugates, and a real basis g of the
+    real part of the middle's projector (its +-1 eigenspace).  V is then
+    written as its real and imaginary parts.
+
+    Non-unitary input raises ``ValueError``.  A Rayleigh quotient off
+    modulus 1, or a bound of ``_check_rotations`` over its ``TOL`` entry,
+    raises ``InternalInvariantError``; each bound is at least the max entry
+    of the dense ``V†V - 1`` or ``V diag(e^{i phases}) V† - U`` it stands
+    for, for real and complex B alike, so no dense product is formed.
     """
     u = np.asarray(u)
     if not is_unitary(u, tol):
         raise ValueError("eig_unitary: input is not unitary within tolerance")
-    if not np.iscomplexobj(u):
-        return _eig_orthogonal(np.asarray(u, dtype=float))
+    real = not np.iscomplexobj(u)
+    u = np.asarray(u, dtype=float) if real else u
     n = u.shape[0]
-    cosine_part = 0.5 * (u + dagger(u))
-    if np.max(np.abs(cosine_part.imag)) <= np.finfo(float).eps:
-        # real up to roundoff, as for a real orthogonal U cast to complex:
-        # dropping an imaginary part that small moves the vectors less than
-        # eigh's own backward error, and the real solver is about 3x faster
-        cosine_part = cosine_part.real
-    cosines, vectors = np.linalg.eigh(cosine_part)
-    u_vectors = u @ vectors
-    rayleigh = np.sum(vectors.conj() * u_vectors, axis=0)
-    vectors = vectors.astype(complex, copy=False)
-    starts, sizes = _cosine_blocks(cosines)
-    for size in sorted(set(sizes[sizes > 1].tolist())):
-        cols, basis, block, mixed, split = _split_blocks(cosines, vectors, u_vectors,
-                                                         starts, sizes, size)
-        cols, basis, block = cols[mixed], basis[mixed], block[mixed]
-        _, q = np.linalg.eigh(split[mixed])
-        rayleigh[cols] = np.sum(q.conj() * (block @ q), axis=1)
-        vectors[:, cols] = np.moveaxis(basis @ q, 0, 1)
-    if np.max(np.abs(np.abs(rayleigh) - 1.0)) > TOL.eigen_modulus:
-        raise InternalInvariantError("eig_unitary: eigenvalue moduli deviate from 1")
-    phases = np.angle(rayleigh)
-    order = np.argsort(phases, kind="stable")
-    phases = phases[order]
-    vectors = vectors[:, order]
-
-    gram = dagger(vectors) @ vectors
-    if np.max(np.abs(gram - np.eye(n))) > TOL.eigen_orthonormality:
-        raise InternalInvariantError("eig_unitary: eigenvectors failed orthonormality")
-    rebuilt = (vectors * np.exp(1j * phases)) @ dagger(vectors)
-    if np.max(np.abs(rebuilt - u)) > TOL.eigen_reconstruction:
-        raise InternalInvariantError("eig_unitary: reconstruction residual too large")
-    return EigenDecomposition(phases=phases, vectors=vectors)
-
-
-def _cosine_blocks(cosines):
-    """First column and size of each run of cosines closer than
-    ``TOL.cosine_cluster``."""
-    starts = np.flatnonzero(np.diff(cosines, prepend=-np.inf) > TOL.cosine_cluster)
-    return starts, np.diff(starts, append=cosines.shape[0])
-
-
-def _split_blocks(cosines, vectors, u_vectors, starts, sizes, size):
-    """The blocks of one size, stacked: their columns (blocks, size), their
-    bases (blocks, n, size), U on each, a mask of those that are not one
-    eigenvalue, and their splits."""
-    # not np.unique: it imports numpy.ma, about 15 ms of every fresh process
-    cols = starts[sizes == size, None] + np.arange(size)
-    basis = np.moveaxis(vectors[:, cols], 1, 0)
-    block = dagger(basis) @ np.moveaxis(u_vectors[:, cols], 1, 0)
-    turn = np.where(np.abs(cosines[cols].mean(axis=1)) < 0.5,
-                    np.exp(-0.25j * np.pi), -1j)[:, None, None]
-    split = 0.5 * (turn * block + dagger(turn * block))
-    # U is one eigenvalue on a block whose split is a multiple of 1;
-    # rotating it would only mix roundoff into phases its cosine basis
-    # gives exactly (e.g. pi for the -1 eigenspace of a real U)
-    centre = np.trace(split, axis1=1, axis2=2).real / size
-    off = np.linalg.norm(split - centre[:, None, None] * np.eye(size), axis=(1, 2))
-    return cols, basis, block, off > TOL.scalar_block, split
-
-
-def _eig_orthogonal(u: np.ndarray) -> EigenDecomposition:
-    """``eig_unitary`` of a real orthogonal U: V = B Q, B the basis of one
-    ``eigh`` of ``U + U^T`` and Q block diagonal, one block per block of
-    cosines, kept as its band (see ``_check_rotations``).  With ``M = B^T U
-    B`` on a block: one column, or a block that is one eigenvalue, is +-1
-    and keeps B; a pair is ``p = (b1 - i sgn b2)/sqrt(2)``, sgn the sign of
-    ``M[1, 0] - M[0, 1]``, and ``conj(p)``; a larger block is split as in the
-    complex case, keeping the columns of positive split, their conjugates,
-    and a real basis of the real part of the middle's projector (its +-1
-    eigenspace).  All get the same checks; V is written once, in order.
-    """
-    n = u.shape[0]
-    cosines, basis = np.linalg.eigh(u + u.T)
+    cosines, basis = np.linalg.eigh(u + dagger(u))
     cosines *= 0.5
     ub = u @ basis
-    rayleigh = np.einsum("ij,ij->j", basis, ub).astype(complex)
-    # (M[j + 1, j] - M[j, j + 1]) / 2 for every two neighbouring columns
-    skew = 0.5 * (np.einsum("ij,ij->j", basis[:, 1:], ub[:, :-1])
-                  - np.einsum("ij,ij->j", basis[:, :-1], ub[:, 1:]))
+    rayleigh = np.einsum("ij,ij->j", basis.conj(), ub).astype(complex)
     starts, sizes = _cosine_blocks(cosines)
-    first = starts[sizes == 2]
-    # the block's split (U - U^T)/2i has Frobenius norm sqrt(2) |skew|
-    first = first[math.sqrt(2.0) * np.abs(skew[first]) > TOL.scalar_block]
-    pairs = np.full((first.size, 2, 2), math.sqrt(0.5), dtype=complex)
-    pairs[:, 1] *= 1j * np.sign(skew[first])[:, None] * [-1.0, 1.0]
-    rho = 0.5 * (rayleigh[first].real + rayleigh[first + 1].real) + 1j * np.abs(skew[first])
-    blocks = [(first[:, None] + np.arange(2), pairs, np.stack([rho, rho.conj()], axis=1))]
-    for size in sorted(set(sizes[sizes > 2].tolist())):
-        cols, _, block, mixed, split = _split_blocks(cosines, basis, ub, starts, sizes, size)
-        values, rotations = np.linalg.eigh(split[mixed])
-        for col, m, w, q in zip(cols[mixed], block[mixed], values, rotations):
+    blocks = []
+    if real:
+        # (M[j + 1, j] - M[j, j + 1]) / 2 for every two neighbouring columns
+        skew = 0.5 * (np.einsum("ij,ij->j", basis[:, 1:], ub[:, :-1])
+                      - np.einsum("ij,ij->j", basis[:, :-1], ub[:, 1:]))
+        first = starts[sizes == 2]
+        # the block's split (U - U^T)/2i has Frobenius norm sqrt(2) |skew|
+        first = first[math.sqrt(2.0) * np.abs(skew[first]) > TOL.scalar_block]
+        pairs = np.full((first.size, 2, 2), math.sqrt(0.5), dtype=complex)
+        pairs[:, 1] *= 1j * np.sign(skew[first])[:, None] * [-1.0, 1.0]
+        rho = 0.5 * (rayleigh[first].real + rayleigh[first + 1].real) + 1j * np.abs(skew[first])
+        blocks.append((first[:, None] + np.arange(2), pairs, np.stack([rho, rho.conj()], axis=1)))
+    for size in sorted(set(sizes[sizes > (2 if real else 1)].tolist())):
+        cols, block, split = _split_blocks(cosines, basis, ub, starts, sizes, size)
+        values, rotations = np.linalg.eigh(split)
+        if not real:
+            blocks.append((cols, rotations, np.sum(rotations.conj() * (block @ rotations), axis=1)))
+            continue
+        for col, m, w, q in zip(cols, block, values, rotations):
             half = int(np.count_nonzero(w > TOL.scalar_block))
             p, middle = q[:, size - half:], q[:, half:size - half]
             g = np.linalg.eigh((middle @ dagger(middle)).real)[1][:, 2 * half:]
@@ -268,7 +208,9 @@ def _eig_orthogonal(u: np.ndarray) -> EigenDecomposition:
     phases = _check_rotations(u, basis, ub, rotation, rayleigh)
     order = np.argsort(phases, kind="stable")
     vectors = np.zeros((n, n), dtype=complex)
-    for part, band in ((vectors.real, rotation.real), (vectors.imag, rotation.imag)):
+    parts = (((vectors.real, rotation.real), (vectors.imag, rotation.imag)) if real
+             else ((vectors, rotation),))
+    for part, band in parts:
         for d in range(-width, width + 1):
             coef = band[width + d, order]
             if coef.any():
@@ -279,38 +221,74 @@ def _eig_orthogonal(u: np.ndarray) -> EigenDecomposition:
     return EigenDecomposition(phases=phases[order], vectors=vectors)
 
 
+def _cosine_blocks(cosines):
+    """First column and size of each run of cosines closer than
+    ``TOL.cosine_cluster``."""
+    starts = np.flatnonzero(np.diff(cosines, prepend=-np.inf) > TOL.cosine_cluster)
+    return starts, np.diff(starts, append=cosines.shape[0])
+
+
+def _split_blocks(cosines, basis, ub, starts, sizes, size):
+    """The blocks of one size that are not one eigenvalue, stacked: their
+    columns (blocks, size), M on each, and their splits."""
+    # not np.unique: it imports numpy.ma, about 15 ms of every fresh process
+    cols = starts[sizes == size, None] + np.arange(size)
+    block = dagger(np.moveaxis(basis[:, cols], 1, 0)) @ np.moveaxis(ub[:, cols], 1, 0)
+    turn = np.where(np.abs(cosines[cols].mean(axis=1)) < 0.5,
+                    np.exp(-0.25j * np.pi), -1j)[:, None, None]
+    # M is one eigenvalue on a block whose split is a multiple of 1;
+    # rotating it would only mix roundoff into phases its cosine basis
+    # gives exactly (e.g. pi for the -1 eigenspace of a real U)
+    if np.iscomplexobj(block):
+        split = 0.5 * (turn * block + dagger(turn * block))
+        centre = np.trace(split, axis1=1, axis2=2).real / size
+        off = np.linalg.norm(split - centre[:, None, None] * np.eye(size), axis=(1, 2))
+    else:
+        # a real block is one eigenvalue, +1 or -1, iff its skew part
+        # vanishes; at turn -i that part is the split, times -i
+        skew = block - np.swapaxes(block, 1, 2)
+        off = 0.5 * np.sqrt(np.einsum("kij,kij->k", skew, skew))
+    mixed = off > TOL.scalar_block
+    block, turn = block[mixed], turn[mixed]
+    return cols[mixed], block, 0.5 * (turn * block + dagger(turn * block))
+
+
 def _check_rotations(u: np.ndarray, basis: np.ndarray, ub: np.ndarray,
                      rotation: np.ndarray, rayleigh: np.ndarray) -> np.ndarray:
-    """eig_unitary's checks on ``V = B Q``, B real, Q block diagonal with
-    band ``rotation[w + d, j] = Q[j + d, j]``, ``rayleigh`` the Rayleigh
+    """eig_unitary's checks on ``V = B Q``, Q block diagonal with band
+    ``rotation[w + d, j] = Q[j + d, j]``, ``rayleigh`` the Rayleigh
     quotients of V; returns their phases.  ``ub`` = U B becomes ``E = U B -
-    B M``, ``M = Re(Q diag(e^{i phases}) Q^dagger)``.  Each bound is at least
-    the max-entry norm a dense check holds (up to the ulps of forming V).
-    With ``delta = max|B^T B - 1|`` and c the largest 1-norm of a column of
-    Q (sqrt(2) for a pair), ``V^dagger V - 1 = Q^dagger (B^T B - 1) Q +
-    Q^dagger Q - 1`` is at most ``c^2 delta + ||Q Q^dagger - 1||_F`` (square
-    blocks: one spectrum), and ``U - V e^{i phases} V^dagger = U (1 - B B^T)
-    + E B^T``, ``||1 - B B^T||_2 <= n delta``, at most ``max||U_i|| n delta
-    + max||E_i|| sqrt(1 + n delta)`` over rows i.
+    B M``, ``M = Q diag(e^{i phases}) Q^dagger`` (its real part for a real
+    B).  The bounds hold for any B, real or complex, and each is at least
+    the max-entry norm of the dense check ``max|V^dagger V - 1|`` or ``max|V
+    e^{i phases} V^dagger - U|`` (up to the ulps of forming V).  With
+    ``delta = max|B^dagger B - 1|`` and c the largest 1-norm of a column of
+    Q (sqrt(2) for a pair), ``V^dagger V - 1 = Q^dagger (B^dagger B - 1) Q
+    + Q^dagger Q - 1`` is at most ``c^2 delta + ||Q Q^dagger - 1||_F``
+    (square blocks: one spectrum), and ``U - V e^{i phases} V^dagger = U (1
+    - B B^dagger) + E B^dagger``, ``||1 - B B^dagger||_2 <= n delta``, at
+    most ``max||U_i|| n delta + max||E_i|| sqrt(1 + n delta)`` over rows i.
     """
     if np.max(np.abs(np.abs(rayleigh) - 1.0)) > TOL.eigen_modulus:
         raise InternalInvariantError("eig_unitary: eigenvalue moduli deviate from 1")
     phases = np.angle(rayleigh)
     n, width = u.shape[0], rotation.shape[0] // 2
-    gram = basis.T @ basis
+    gram = dagger(basis) @ basis
     gram.flat[::n + 1] -= 1.0
-    delta = max(gram.max(), -gram.min())
+    delta = np.max(np.abs(gram))
     unit = _band_product(rotation, 1.0) - (np.arange(2 * width + 1) == width)[:, None]
     ones = np.max(np.sum(np.abs(rotation), axis=0))
     if ones * ones * delta + np.linalg.norm(unit) > TOL.eigen_orthonormality:
         raise InternalInvariantError("eig_unitary: eigenvectors failed orthonormality")
-    m = _band_product(rotation, np.exp(1j * phases)).real
+    m = _band_product(rotation, np.exp(1j * phases))
+    m = m if np.iscomplexobj(basis) else m.real
     for d in range(-width, width + 1):
         if m[width + d].any():
             lo, hi = max(0, -d), n - max(0, d)
             np.multiply(basis[:, lo + d:hi + d], m[width + d, lo:hi], out=gram[:, lo:hi])
             ub[:, lo:hi] -= gram[:, lo:hi]
-    rows, scale = (math.sqrt(np.max(np.einsum("ij,ij->i", a, a))) for a in (ub, u))
+    rows, scale = (math.sqrt(np.max(np.einsum("ij,ij->i", a, a.conj()).real))
+                   for a in (ub, u))
     if scale * n * delta + rows * math.sqrt(1.0 + n * delta) > TOL.eigen_reconstruction:
         raise InternalInvariantError("eig_unitary: reconstruction residual too large")
     return phases

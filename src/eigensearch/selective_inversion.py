@@ -152,14 +152,6 @@ class InversionScheme:
         return cls("boosted", max(1, bits), votes, float(phase_gap), guard_fraction)
 
 
-def vote_majority_mask(vote_bits: int) -> np.ndarray:
-    """Boolean mask of the vote values with strictly more ones than zeros;
-    ties stay outside."""
-    if vote_bits < 2 or vote_bits % 2:
-        raise ValueError("majority voting needs an even vote count >= 2")
-    return dicke_basis(vote_bits)[0] > vote_bits // 2
-
-
 def binomial_tail_wrong_half(vote_bits: int, p_one, p_zero, invert):
     """Probability that independent votes, each one with probability
     ``p_one`` and zero with ``p_zero``, miss majority.
@@ -242,24 +234,23 @@ def _vote_basis(nu: int, basis: int):
 class InversionOperator:
     """A sized inversion scheme bound to one mainspace unitary.
 
-    ``gap_window`` and ``vote_window`` are boolean masks over the phase and
-    vote registers; the flips are -1 on them.  ``decomposition`` is the
-    unitary's eigendecomposition, whose estimate frame the operator runs in,
-    read through ``frame``.  Unless ``build`` is handed one it is computed on
-    first use and kept.  A real unitary is kept real, so its unitarity check
-    and eigensolve run in real arithmetic.  The operator also keeps the
-    split of every eigenvector's estimate profile at the gap window: its
-    norms (|in|, |out|), and for the boosted scheme its vote plane Q, the
-    two unit parts unestimated, (main, 2, phase).  A ``build`` handed the
-    decomposition makes Q at once, before any register exists.  Controlled
-    powers are not kept: an apply builds them a few eigenvectors at a time.
+    ``gap_window`` is a boolean mask over the phase register, -1 under the
+    basic flip.  ``decomposition`` is the unitary's eigendecomposition,
+    whose estimate frame the operator runs in, read through ``frame``.
+    Unless ``build`` is handed one it is computed on first use and kept.  A
+    real unitary is kept real, so its unitarity check and eigensolve run in
+    real arithmetic.  The operator also keeps the split of every
+    eigenvector's estimate profile at the gap window: its norms (|in|,
+    |out|), and for the boosted scheme its vote plane Q, the two unit parts
+    unestimated, (main, 2, phase).  A ``build`` handed the decomposition
+    makes Q at once, before any register exists.  Controlled powers are not
+    kept: an apply builds them a few eigenvectors at a time.
     """
 
     scheme: InversionScheme
     unitary: np.ndarray
     layout: RegisterLayout
     gap_window: np.ndarray
-    vote_window: np.ndarray | None
     decomposition: EigenDecomposition | None = None
     _split: tuple[np.ndarray | None, np.ndarray] | None = field(
         default=None, init=False, repr=False)
@@ -277,10 +268,9 @@ class InversionOperator:
                                 scheme.vote_bits, dense_cap)
         window = gap_window_mask(scheme.phase_bits, scheme.phase_gap,
                                  scheme.guard_fraction)
-        votes = vote_majority_mask(scheme.vote_bits) if scheme.kind == "boosted" else None
         op = cls(scheme=scheme, unitary=unitary, layout=layout,
-                 gap_window=window, vote_window=votes, decomposition=decomposition)
-        if decomposition is not None and votes is not None:
+                 gap_window=window, decomposition=decomposition)
+        if decomposition is not None and scheme.kind == "boosted":
             op._window_split()
         return op
 
@@ -302,7 +292,7 @@ class InversionOperator:
         unit parts unestimated in place, and the basic scheme keeps none."""
         if self._split is None:
             phases, m = self.frame.phases, self.layout.phase_dim
-            plane = (None if self.vote_window is None
+            plane = (None if self.scheme.kind == "basic"
                      else np.empty((phases.size, 2, m), dtype=complex))
             norms = window_split(self.scheme.phase_bits, phases, self.gap_window, out=plane)
             if plane is not None:
@@ -337,7 +327,7 @@ class InversionOperator:
         # one zero reflection and two vote Hadamards
         m = self.layout.phase_dim
         _charge(ledger, controlled_s=2 * m, oracle_queries=2 * m)
-        if self.vote_window is not None:
+        if self.scheme.kind != "basic":
             nu = self.scheme.vote_bits
             _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
                     i_zero_prime=2 * nu, hadamards_vote=4 * nu)
@@ -400,7 +390,7 @@ class InversionOperator:
         the vote value there: in-window rows see the majority sign F of
         their column, off-window rows that of the mirrored column.
         """
-        if self.vote_window is None:
+        if self.scheme.kind == "basic":
             return np.where(self.gap_window, -1.0 + 0j, 1.0)[None]
         flip = _vote_basis(self.scheme.vote_bits, basis)[2].astype(complex)
         return np.where(self.gap_window, flip[:, None], flip[::-1, None])

@@ -1,14 +1,16 @@
 """Independent dense-matrix constructions used to check the fast kernels.
 
 Everything here is built the slow, obvious way: explicit DFT matrices,
-Hadamard krons, sum-over-controls block matrices, Lagrange projectors, and
-plain bisection for the secular roots.  Nothing imports the fast paths it
-is checking beyond shared data types.
+Hadamard krons, sum-over-controls block matrices, Lagrange projectors,
+plain bisection for the secular roots, and an eigensolver checked with
+dense products.  Nothing imports the fast paths it is checking beyond
+shared data types.
 """
 
 import numpy as np
 
-from eigensearch.numerics import TOL, wrap_angle
+from eigensearch.numerics import (TOL, EigenDecomposition, InternalInvariantError,
+                                  wrap_angle)
 
 
 def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
@@ -112,6 +114,16 @@ def dense_amplification(unitary: np.ndarray, phase_bits: int,
     refl_zero = np.kron(np.eye(n), np.diag(zero_sign.astype(complex)))
     refl_win = np.kron(np.eye(n), mask_sign_diag(gap_mask))
     return -(est @ refl_zero @ est.conj().T) @ refl_win
+
+
+def vote_majority_mask(vote_bits: int) -> np.ndarray:
+    """Boolean mask of the vote values with strictly more ones than zeros;
+    ties stay outside."""
+    if vote_bits < 2 or vote_bits % 2:
+        raise ValueError("majority voting needs an even vote count >= 2")
+    values = np.arange(1 << vote_bits)
+    ones = sum((values >> j) & 1 for j in range(vote_bits))
+    return ones > vote_bits // 2
 
 
 def dense_boosted_inversion(unitary: np.ndarray, phase_bits: int,
@@ -258,3 +270,53 @@ def bisected_secular_pair(inst) -> tuple[float, float]:
     hi = above.min() if above.size else poles.min() + 2.0 * np.pi
     lo = below.max() if below.size else poles.max() - 2.0 * np.pi
     return bisect(0.0, float(hi)), bisect(float(lo), 0.0)
+
+
+def dense_eig_unitary(u: np.ndarray) -> EigenDecomposition:
+    """Eigendecomposition of a unitary in complex arithmetic, checked with
+    the dense products ``V^dagger V`` and ``V diag(e^{i phases}) V^dagger``.
+
+    ``eigh`` of the cosine part ``(U + U^dagger)/2`` (its real part when the
+    imaginary part is at most machine epsilon), its runs of cosines closer
+    than ``TOL.cosine_cluster`` split by a stacked ``eigh`` of the Hermitian
+    part of ``e^{-i phi} U`` on each run (phi = pi/4 for cosines near 0,
+    pi/2 otherwise) unless that split is a multiple of 1, and the phases
+    taken from the Rayleigh quotients.
+    """
+    u = np.asarray(u)
+    n = u.shape[0]
+    cosine_part = 0.5 * (u + u.conj().T)
+    if np.max(np.abs(cosine_part.imag)) <= np.finfo(float).eps:
+        cosine_part = cosine_part.real
+    cosines, vectors = np.linalg.eigh(cosine_part)
+    u_vectors = u @ vectors
+    rayleigh = np.sum(vectors.conj() * u_vectors, axis=0)
+    vectors = vectors.astype(complex, copy=False)
+    starts = np.flatnonzero(np.diff(cosines, prepend=-np.inf) > TOL.cosine_cluster)
+    sizes = np.diff(starts, append=n)
+    for size in sorted(set(sizes[sizes > 1].tolist())):
+        cols = starts[sizes == size, None] + np.arange(size)
+        basis = np.moveaxis(vectors[:, cols], 1, 0)
+        block = np.swapaxes(basis.conj(), 1, 2) @ np.moveaxis(u_vectors[:, cols], 1, 0)
+        turn = np.where(np.abs(cosines[cols].mean(axis=1)) < 0.5,
+                        np.exp(-0.25j * np.pi), -1j)[:, None, None]
+        split = turn * block
+        split = 0.5 * (split + np.swapaxes(split.conj(), 1, 2))
+        centre = np.trace(split, axis1=1, axis2=2).real / size
+        off = np.linalg.norm(split - centre[:, None, None] * np.eye(size), axis=(1, 2))
+        mixed = off > TOL.scalar_block
+        cols, basis, block = cols[mixed], basis[mixed], block[mixed]
+        _, q = np.linalg.eigh(split[mixed])
+        rayleigh[cols] = np.sum(q.conj() * (block @ q), axis=1)
+        vectors[:, cols] = np.moveaxis(basis @ q, 0, 1)
+    if np.max(np.abs(np.abs(rayleigh) - 1.0)) > TOL.eigen_modulus:
+        raise InternalInvariantError("dense_eig_unitary: eigenvalue moduli deviate from 1")
+    phases = np.angle(rayleigh)
+    order = np.argsort(phases, kind="stable")
+    phases, vectors = phases[order], vectors[:, order]
+    if np.max(np.abs(vectors.conj().T @ vectors - np.eye(n))) > TOL.eigen_orthonormality:
+        raise InternalInvariantError("dense_eig_unitary: eigenvectors failed orthonormality")
+    rebuilt = (vectors * np.exp(1j * phases)) @ vectors.conj().T
+    if np.max(np.abs(rebuilt - u)) > TOL.eigen_reconstruction:
+        raise InternalInvariantError("dense_eig_unitary: reconstruction residual too large")
+    return EigenDecomposition(phases=phases, vectors=vectors)

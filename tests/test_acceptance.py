@@ -281,7 +281,7 @@ def test_criterion_10_fast_kernels_match_dense_oracles(acceptance_log):
     fast_b = frames.inverter_matrix(es.InversionOperator.build(boosted, u2))
     slow_b = oracles.dense_boosted_inversion(
         u2, 6, 4, es.gap_window_mask(6, 0.6, es.GUARD_FRACTION),
-        es.vote_majority_mask(4))
+        oracles.vote_majority_mask(4))
     boosted_gap = float(np.max(np.abs(fast_b - slow_b)))
 
     # register amplitude profile against the direct geometric sum

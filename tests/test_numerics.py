@@ -22,7 +22,7 @@ from eigensearch.numerics import (
 )
 import eigensearch
 import instances
-from oracles import real_orthogonal, spectral_projectors, unitary_power
+from oracles import dense_eig_unitary, real_orthogonal, spectral_projectors, unitary_power
 
 
 def qr_unitary(n, seed):
@@ -145,13 +145,16 @@ def test_eig_unitary_pairs_a_real_operator_with_exact_conjugates(name):
     dec, cast = eig_unitary(u), eig_unitary(u.astype(complex))
     phases, v = dec.phases, dec.vectors
     assert np.all(np.diff(phases) >= 0.0)
-    assert_allclose(np.sort(wrap_angle(phases)), np.sort(wrap_angle(cast.phases)),
-                    rtol=0.0, atol=1e-12)
-    mine = spectral_projectors(phases, v)
-    theirs = spectral_projectors(cast.phases, cast.vectors)
-    assert [p for p, _ in mine] == pytest.approx([p for p, _ in theirs], abs=1e-12)
-    for (_, a), (_, b) in zip(mine, theirs):
-        assert np.max(np.abs(a - b)) <= 1e-10
+    # the real array and its complex cast, against the dense complex solver
+    ref = dense_eig_unitary(u.astype(complex))
+    theirs = spectral_projectors(ref.phases, ref.vectors)
+    for mine in (dec, cast):
+        assert_allclose(np.sort(wrap_angle(mine.phases)), np.sort(wrap_angle(ref.phases)),
+                        rtol=0.0, atol=1e-12)
+        mine = spectral_projectors(mine.phases, mine.vectors)
+        assert [p for p, _ in mine] == pytest.approx([p for p, _ in theirs], abs=1e-12)
+        for (_, a), (_, b) in zip(mine, theirs):
+            assert np.max(np.abs(a - b)) <= 1e-10
     # R: real vectors at 0 and pi; P and conj(P) at exactly +-lambda
     real = (phases == 0.0) | (phases == np.pi)
     assert not np.any(v[:, real].imag)
@@ -187,7 +190,7 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
     signed = np.concatenate([phases[real], np.outer(phases[pair], [1.0, -1.0]).ravel()])
     rayleigh = np.exp(1j * signed)
 
-    def check(basis=basis, rotation=rotation, rayleigh=rayleigh):
+    def check(basis=basis, rotation=rotation, rayleigh=rayleigh, u=u):
         return numerics._check_rotations(u, basis, u @ basis, rotation, rayleigh)
 
     assert_allclose(check(), signed, rtol=0.0, atol=1e-15)
@@ -207,6 +210,25 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
         bent[k] *= factor
         with pytest.raises(InternalInvariantError, match=what):
             check(rayleigh=bent)
+
+    # a complex U with a planted cluster: B the returned V, Q the identity
+    # band, and the same perturbations
+    w = qr_unitary(16, 8)
+    phases = make_rng(8).uniform(-np.pi, np.pi, 16)
+    phases[1:3] = phases[0], phases[0] + 1e-10
+    z = (w * np.exp(1j * phases)) @ w.conj().T
+    dec = eig_unitary(z)
+    v, unit, rayleigh = dec.vectors, np.ones((1, 16), dtype=complex), np.exp(1j * dec.phases)
+    assert_allclose(check(v, unit, rayleigh, z), dec.phases, rtol=0.0, atol=1e-15)
+    bent = v.copy()
+    bent[np.argmax(np.abs(v[:, 5])), 5] += 1e-8
+    with pytest.raises(InternalInvariantError, match="orthonormality"):
+        check(bent, unit, rayleigh, z)
+    for factor, what in ((1.0 + 1e-7, "moduli"), (np.exp(1e-6j), "reconstruction")):
+        bent = rayleigh.copy()
+        bent[5] *= factor
+        with pytest.raises(InternalInvariantError, match=what):
+            check(v, unit, bent, z)
 
 
 def test_eig_unitary_rejects_nonunitary_input():
@@ -246,13 +268,15 @@ def _fresh_process_has(module, code):
 
 def test_eig_unitary_does_not_import_numpy_ma():
     # np.unique would import numpy.ma, about 15 ms of every fresh process;
-    # the identity has one cluster of size 3, so the cluster loop runs
+    # the identity has one cluster of size 3, so the cluster loop runs, in
+    # real and in complex arithmetic
     assert not _fresh_process_has(
-        "numpy.ma", "import numpy as np, eigensearch as es; es.eig_unitary(np.eye(3))")
+        "numpy.ma", "import numpy as np, eigensearch as es; es.eig_unitary(np.eye(3)); "
+                    "es.eig_unitary(np.eye(3, dtype=complex))")
 
 
 def test_the_cli_and_eig_unitary_do_not_import_scipy():
     # scipy's import would add 0.1-0.2 s to every CLI process
     assert not _fresh_process_has(
         "scipy", "import numpy as np, eigensearch.cli, eigensearch as es; "
-                 "es.eig_unitary(np.eye(3))")
+                 "es.eig_unitary(np.eye(3)); es.eig_unitary(np.eye(3, dtype=complex))")

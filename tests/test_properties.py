@@ -117,7 +117,8 @@ def dense_oracle(u, op):
     if scheme.kind == "basic":
         return oracles.dense_basic_inversion(u, scheme.phase_bits, op.gap_window)
     return oracles.dense_boosted_inversion(u, scheme.phase_bits, scheme.vote_bits,
-                                           op.gap_window, op.vote_window)
+                                           op.gap_window,
+                                           oracles.vote_majority_mask(scheme.vote_bits))
 
 
 @SETTINGS
@@ -144,6 +145,19 @@ def test_eig_unitary_handles_planted_clusters(u):
     v = dec.vectors
     assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
     assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
+    assert_matches_dense_solver(dec, u)
+
+
+def assert_matches_dense_solver(dec, u):
+    """The phases and spectral projectors of ``dec`` are those of the dense
+    complex solver on ``u``, within 1e-12 and 1e-10."""
+    ref = oracles.dense_eig_unitary(u.astype(complex))
+    mine = oracles.spectral_projectors(dec.phases, dec.vectors)
+    theirs = oracles.spectral_projectors(ref.phases, ref.vectors)
+    assert len(mine) == len(theirs)
+    for (p, a), (q, b) in zip(mine, theirs):
+        assert es.phase_distance(p, q) <= 1e-12
+        assert np.max(np.abs(a - b)) <= 1e-10
 
 
 @st.composite
@@ -183,7 +197,8 @@ def real_orthogonals(draw):
 @SETTINGS
 @given(real_orthogonals())
 def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
-    # the float array takes the real path; its complex cast the complex one
+    # one construction: real arithmetic for the float array, complex for
+    # its complex cast, and both agree with the dense complex solver
     real, cast = es.eig_unitary(u), es.eig_unitary(u.astype(complex))
     assert not np.iscomplexobj(u)
     assert np.max(np.abs(np.sort(es.wrap_angle(real.phases))
@@ -192,12 +207,7 @@ def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
         v = dec.vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
         assert np.max(np.abs((v * np.exp(1j * dec.phases)) @ v.conj().T - u)) <= 1e-9
-    mine = oracles.spectral_projectors(real.phases, real.vectors)
-    theirs = oracles.spectral_projectors(cast.phases, cast.vectors)
-    assert len(mine) == len(theirs)
-    for (p, a), (q, b) in zip(mine, theirs):
-        assert abs(p - q) <= 1e-12
-        assert np.max(np.abs(a - b)) <= 1e-10
+        assert_matches_dense_solver(dec, u)
     # the pairs of the real path are exact conjugates at exactly +-lambda
     phases, v = real.phases, real.vectors
     for lam in phases[(phases > 0.0) & (phases < np.pi)]:
@@ -742,7 +752,7 @@ def test_the_closed_form_vote_stage_matches_the_kick_loop(case):
     op, seed = case
     nu, n = op.scheme.vote_bits, op.layout.main_dim
     norms = op._window_split()[1]
-    vote_sign = np.where(op.vote_window, -1.0, 1.0)
+    vote_sign = np.where(oracles.vote_majority_mask(nu), -1.0, 1.0)
     weights, roots = phase_estimation.dicke_basis(nu)
     rng = np.random.default_rng(seed)
 

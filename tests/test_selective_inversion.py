@@ -56,13 +56,13 @@ def test_scheme_validation_rejects_malformed_parameters():
 
 
 def test_vote_majority_mask_selects_strict_majorities():
-    assert np.flatnonzero(es.vote_majority_mask(2)).tolist() == [3]
-    assert np.flatnonzero(es.vote_majority_mask(4)).tolist() == [7, 11, 13, 14, 15]
-    six = np.flatnonzero(es.vote_majority_mask(6)).tolist()
+    assert np.flatnonzero(oracles.vote_majority_mask(2)).tolist() == [3]
+    assert np.flatnonzero(oracles.vote_majority_mask(4)).tolist() == [7, 11, 13, 14, 15]
+    six = np.flatnonzero(oracles.vote_majority_mask(6)).tolist()
     assert len(six) == 22
     assert all(bin(int(i)).count("1") >= 4 for i in six)
     with pytest.raises(ValueError):
-        es.vote_majority_mask(3)
+        oracles.vote_majority_mask(3)
 
 
 def test_the_vote_hadamard_of_each_basis_is_its_dense_matrix():
@@ -229,7 +229,7 @@ def test_boosted_inverter_matches_the_dense_oracle():
                                 guard_fraction=es.GUARD_FRACTION)
     fast = frames.inverter_matrix(es.InversionOperator.build(scheme, u))
     gap_mask = es.gap_window_mask(5, 0.6, es.GUARD_FRACTION)
-    vote_mask = es.vote_majority_mask(2)
+    vote_mask = oracles.vote_majority_mask(2)
     slow = oracles.dense_boosted_inversion(u, 5, 2, gap_mask, vote_mask)
     assert np.max(np.abs(fast - slow)) <= 1e-9
 
