@@ -246,10 +246,10 @@ def _cmd_spectrum(cfg: dict):
                else [t for t in range(spec.n) if t != spec.source_index])
     rows = []
     for t in targets:
+        first = moments(spec, t, 1)     # checks t before the basis is read
         alpha = float(np.abs(spec.eigenbasis[t, spec.source_index]))
         if alpha == 0.0:
             continue
-        first = moments(spec, t, 1)
         second = moments(spec, t, 2)
         rows.append({
             "target": t,

@@ -44,7 +44,7 @@ class Tolerances:
     # reconstruction by up to twice that, so a gap of at least 1e-4 keeps
     # the error near 1e-12, far inside eigen_reconstruction.  Inside a block
     # a second eigh resolves the phases linearly, so a larger value costs
-    # only the size of the blocks.
+    # only wider blocks: one pass over B per column of the widest block.
     cosine_cluster: float = 1e-4
     scalar_block: float = 1e-12         # distance of a block's split from a multiple of 1
     pole_proximity: float = 1e-12       # distance to a cotangent pole
@@ -139,7 +139,7 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
     and leaves ``M = B† U B`` block diagonal, one block per run of cosines
     closer than ``TOL.cosine_cluster``: a conjugate pair +-lambda or a
     near-degenerate set.  V = B Q, with Q block diagonal and kept as its
-    band (see ``_check_rotations``).  All blocks of one size are split by
+    blocks (see ``_check_rotations``).  All blocks of one size are split by
     one stacked ``eigh`` of the Hermitian part of ``e^{-i phi} M`` on the
     block: the sine part (phi = pi/2), or phi = pi/4 for blocks whose
     cosine is near 0, where the sine is flat in lambda.  A block whose
@@ -173,7 +173,7 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
     ub = u @ basis
     rayleigh = np.einsum("ij,ij->j", basis.conj(), ub).astype(complex)
     starts, sizes = _cosine_blocks(cosines)
-    blocks = []
+    blocks = []     # (cols, q): the split blocks of one size, stacked
     if real:
         # (M[j + 1, j] - M[j, j + 1]) / 2 for every two neighbouring columns
         skew = 0.5 * (np.einsum("ij,ij->j", basis[:, 1:], ub[:, :-1])
@@ -184,40 +184,30 @@ def eig_unitary(u: np.ndarray, tol: float = TOL.unitarity) -> EigenDecomposition
         pairs = np.full((first.size, 2, 2), math.sqrt(0.5), dtype=complex)
         pairs[:, 1] *= 1j * np.sign(skew[first])[:, None] * [-1.0, 1.0]
         rho = 0.5 * (rayleigh[first].real + rayleigh[first + 1].real) + 1j * np.abs(skew[first])
-        blocks.append((first[:, None] + np.arange(2), pairs, np.stack([rho, rho.conj()], axis=1)))
+        blocks.append((first[:, None] + np.arange(2), pairs))
+        rayleigh[blocks[0][0]] = np.stack([rho, rho.conj()], axis=1)
     for size in sorted(set(sizes[sizes > (2 if real else 1)].tolist())):
         cols, block, split = _split_blocks(cosines, basis, ub, starts, sizes, size)
         values, rotations = np.linalg.eigh(split)
+        blocks.append((cols, rotations))
         if not real:
-            blocks.append((cols, rotations, np.sum(rotations.conj() * (block @ rotations), axis=1)))
+            rayleigh[cols] = np.sum(rotations.conj() * (block @ rotations), axis=1)
             continue
         for col, m, w, q in zip(cols, block, values, rotations):
             half = int(np.count_nonzero(w > TOL.scalar_block))
             p, middle = q[:, size - half:], q[:, half:size - half]
             g = np.linalg.eigh((middle @ dagger(middle)).real)[1][:, 2 * half:]
             rho = np.sum(p.conj() * (m @ p), axis=0)
-            blocks.append((col[None], np.hstack([g, p, p.conj()])[None],
-                           np.hstack([np.sum(g * (m @ g), axis=0), rho, rho.conj()])[None]))
-    width = max((q.shape[1] - 1 for _, q, _ in blocks if q.size), default=0)
-    rotation = np.zeros((2 * width + 1, n), dtype=complex)
-    rotation[width] = 1.0
-    for cols, q, rho in blocks:
-        row, col = np.indices(q.shape[1:])
-        rotation[width + row - col, cols[:, col]] = q
-        rayleigh[cols] = rho
-    phases = _check_rotations(u, basis, ub, rotation, rayleigh)
+            rayleigh[col] = np.hstack([np.sum(g * (m @ g), axis=0), rho, rho.conj()])
+            q[:] = np.hstack([g, p, p.conj()])
+    blocks = [(cols, q) for cols, q in blocks if cols.size]
+    phases = _check_rotations(u, basis, ub, blocks, rayleigh)
     order = np.argsort(phases, kind="stable")
     vectors = np.zeros((n, n), dtype=complex)
-    parts = (((vectors.real, rotation.real), (vectors.imag, rotation.imag)) if real
-             else ((vectors, rotation),))
-    for part, band in parts:
-        for d in range(-width, width + 1):
-            coef = band[width + d, order]
-            if coef.any():
-                # ub is spent: it holds B's columns order + d, scaled
-                np.take(basis, order + d, axis=1, out=ub, mode="clip")
-                ub *= coef
-                part += ub
+    parts = ((vectors.real, np.real), (vectors.imag, np.imag)) if real else ((vectors, np.asarray),)
+    for part, take in parts:     # ub is spent as scratch
+        _add_block_columns(part, basis, [(cols, take(q)) for cols, q in blocks], take(1.0),
+                           order, ub)
     return EigenDecomposition(phases=phases[order], vectors=vectors)
 
 
@@ -254,39 +244,39 @@ def _split_blocks(cosines, basis, ub, starts, sizes, size):
 
 
 def _check_rotations(u: np.ndarray, basis: np.ndarray, ub: np.ndarray,
-                     rotation: np.ndarray, rayleigh: np.ndarray) -> np.ndarray:
-    """eig_unitary's checks on ``V = B Q``, Q block diagonal with band
-    ``rotation[w + d, j] = Q[j + d, j]``, ``rayleigh`` the Rayleigh
-    quotients of V; returns their phases.  ``ub`` = U B becomes ``E = U B -
-    B M``, ``M = Q diag(e^{i phases}) Q^dagger`` (its real part for a real
-    B).  The bounds hold for any B, real or complex, and each is at least
-    the max-entry norm of the dense check ``max|V^dagger V - 1|`` or ``max|V
-    e^{i phases} V^dagger - U|`` (up to the ulps of forming V).  With
-    ``delta = max|B^dagger B - 1|`` and c the largest 1-norm of a column of
-    Q (sqrt(2) for a pair), ``V^dagger V - 1 = Q^dagger (B^dagger B - 1) Q
-    + Q^dagger Q - 1`` is at most ``c^2 delta + ||Q Q^dagger - 1||_F``
-    (square blocks: one spectrum), and ``U - V e^{i phases} V^dagger = U (1
-    - B B^dagger) + E B^dagger``, ``||1 - B B^dagger||_2 <= n delta``, at
-    most ``max||U_i|| n delta + max||E_i|| sqrt(1 + n delta)`` over rows i.
+                     blocks: list, rayleigh: np.ndarray) -> np.ndarray:
+    """eig_unitary's checks on ``V = B Q``, Q the identity but on its blocks
+    (cols, q): ``q[k]`` is Q on the run of columns ``cols[k]``.  ``rayleigh``
+    holds the Rayleigh quotients of V; returns their phases.  ``ub`` = U B
+    becomes ``E = U B - B M``, with ``M = Q diag(e^{i phases}) Q^dagger``
+    (its real part for a real B) one stacked product per block size.  With
+    ``delta = max|B^dagger B - 1|``, ``V^dagger V - 1 = Q^dagger (B^dagger B
+    - 1) Q + Q^dagger Q - 1`` is at most ``c^2 delta + ||Q Q^dagger - 1||_F``
+    (square blocks: one spectrum), c the largest 1-norm of a column of a
+    block or 1 (sqrt(2) for a pair) and ``||Q Q^dagger - 1||_F^2`` the sum
+    of ``||q[k] q[k]^dagger - 1||_F^2``; ``U - V e^{i phases} V^dagger = U
+    (1 - B B^dagger) + E B^dagger``, ``||1 - B B^dagger||_2 <= n delta``, is
+    at most ``max||U_i|| n delta + max||E_i|| sqrt(1 + n delta)`` over rows
+    i.  Both bounds hold for any B, real or complex, and each is at least
+    the max-entry norm of its dense check ``max|V^dagger V - 1|`` or ``max|V
+    e^{i phases} V^dagger - U|`` (up to the ulps of forming V).
     """
     if np.max(np.abs(np.abs(rayleigh) - 1.0)) > TOL.eigen_modulus:
         raise InternalInvariantError("eig_unitary: eigenvalue moduli deviate from 1")
     phases = np.angle(rayleigh)
-    n, width = u.shape[0], rotation.shape[0] // 2
+    n = u.shape[0]
     gram = dagger(basis) @ basis
     gram.flat[::n + 1] -= 1.0
     delta = np.max(np.abs(gram))
-    unit = _band_product(rotation, 1.0) - (np.arange(2 * width + 1) == width)[:, None]
-    ones = np.max(np.sum(np.abs(rotation), axis=0))
-    if ones * ones * delta + np.linalg.norm(unit) > TOL.eigen_orthonormality:
+    unit = math.sqrt(sum(np.linalg.norm(q @ dagger(q) - np.eye(q.shape[1])) ** 2
+                         for _, q in blocks))
+    ones = max([1.0] + [np.max(np.sum(np.abs(q), axis=1)) for _, q in blocks])
+    if ones * ones * delta + unit > TOL.eigen_orthonormality:
         raise InternalInvariantError("eig_unitary: eigenvectors failed orthonormality")
-    m = _band_product(rotation, np.exp(1j * phases))
-    m = m if np.iscomplexobj(basis) else m.real
-    for d in range(-width, width + 1):
-        if m[width + d].any():
-            lo, hi = max(0, -d), n - max(0, d)
-            np.multiply(basis[:, lo + d:hi + d], m[width + d, lo:hi], out=gram[:, lo:hi])
-            ub[:, lo:hi] -= gram[:, lo:hi]
+    keep = np.asarray if np.iscomplexobj(basis) else np.real
+    turns = -np.exp(1j * phases)
+    m = [(cols, keep((q * turns[cols][:, None, :]) @ dagger(q))) for cols, q in blocks]
+    _add_block_columns(ub, basis, m, keep(turns), slice(None), gram)
     rows, scale = (math.sqrt(np.max(np.einsum("ij,ij->i", a, a.conj()).real))
                    for a in (ub, u))
     if scale * n * delta + rows * math.sqrt(1.0 + n * delta) > TOL.eigen_reconstruction:
@@ -294,13 +284,20 @@ def _check_rotations(u: np.ndarray, basis: np.ndarray, ub: np.ndarray,
     return phases
 
 
-def _band_product(q: np.ndarray, scale) -> np.ndarray:
-    """The band of ``Q diag(scale) Q^dagger`` for Q given as its band, both
-    laid out as ``rotation``: ``out[w + d, l]`` is entry (l + d, l)."""
-    w, n = q.shape[0] // 2, q.shape[1]
-    out, scaled = np.zeros_like(q), q * scale
-    for d in range(-w, w + 1):
-        for f in range(max(-w, d - w), min(w, d + w) + 1):
-            lo, hi = max(0, -f), n - max(0, f)   # Q[j + d, j] conj(Q[j + f, j])
-            out[w + d - f, lo + f:hi + f] += scaled[w + d, lo:hi] * q[w + f, lo:hi].conj()
-    return out
+def _add_block_columns(out, basis, blocks, fill, order, scratch):
+    """Adds column ``order[k]`` of ``B X`` to column k of ``out``, X equal
+    to ``diag(fill)`` but on its blocks (cols, x): one pass over B's columns
+    ``start + a`` per offset a into a block, start the first column of each
+    column's block (or the column).  ``scratch``, shaped like B, is spent."""
+    start = np.arange(basis.shape[1])
+    coef = np.zeros((max([1] + [x.shape[1] for _, x in blocks]), start.size),
+                    dtype=np.result_type(fill, *(x for _, x in blocks)))
+    coef[0] = fill
+    for cols, x in blocks:
+        start[cols] = cols[:, :1]
+        coef[:x.shape[1], cols] = np.moveaxis(x, 1, 0)
+    for a, c in enumerate(coef[:, order]):
+        if c.any():
+            np.take(basis, start[order] + a, axis=1, out=scratch, mode="clip")
+            scratch *= c
+            out += scratch

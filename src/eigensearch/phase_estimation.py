@@ -82,6 +82,8 @@ class RegisterLayout:
                 f"bad layout: main {self.main_dim}, phase {self.phase_bits} bits, "
                 f"vote {self.vote_bits} bits"
             )
+        if dense_cap < 1:
+            raise ValueError(f"the dense cap must be at least 1, not {dense_cap}")
         if self.dim > dense_cap:
             raise ResourceCapExceeded(
                 f"register of {self.dim} amplitudes exceeds the dense cap "

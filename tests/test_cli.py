@@ -143,6 +143,13 @@ def test_an_oversized_register_hits_the_resource_cap(capsys):
     assert err
 
 
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_a_dense_cap_below_one_is_a_config_error(capsys, cap):
+    code, out, err = run_cli(capsys, "pipeline", *REF_ARGS, "--dense-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: the dense cap must be at least 1, not {cap}\n"
+
+
 def test_an_invert_sweep_diagonalizes_its_instance_once(call_counter, capsys):
     # the inverters of every scheme run in the frame of the instance's one
     # decomposition, and the reports read their eigensystem from it too
@@ -435,6 +442,14 @@ def test_a_source_index_out_of_range_exits_2(capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "12", *spec, "--source", "99")
         assert (code, out) == (2, "")
         assert err == "error: source index 99 out of range\n"
+
+
+def test_a_target_index_out_of_range_exits_2(capsys):
+    for target in ("99", "-1"):
+        code, out, err = run_cli(capsys, "spectrum", "--n", "12", *REF_ARGS[2:4],
+                                 "--target", target)
+        assert (code, out) == (2, "")
+        assert err == f"error: target index {target} out of range\n"
 
 
 # command: the same settings as flags and as a config file

@@ -135,6 +135,8 @@ REAL_OPERATORS = {
         [np.pi / 2 - 1e-7, np.pi / 2 + 1e-7, np.pi / 2 + 1e-5], 1, 0, seed=3),
     # +1 and -1 each with multiplicity above 1
     "multiple": lambda: real_orthogonal([1.2], 4, 3, seed=4),
+    # 32 pairs within 1e-3 of 0.7: one mixed block of all 64 columns
+    "one_cluster": lambda: real_orthogonal(np.linspace(0.7, 0.7 + 1e-3, 32), seed=5),
 }
 
 
@@ -164,15 +166,16 @@ def test_eig_unitary_pairs_a_real_operator_with_exact_conjugates(name):
     assert real.sum() + 2 * np.sum(np.isin(phases, pair)) == u.shape[0]
 
 
-def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
+def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator, monkeypatch):
     # rebuild the real side of the returned V and phases: a basis B with
     # the real columns first and each pair p, conj(p) as two neighbouring
-    # columns sqrt(2) Re p, -sqrt(2) Im p, the band of Q, 1 on a real
-    # column and (1, -+i)/sqrt(2) on a pair, and the Rayleigh quotients.
-    # Then perturb one of them: each of the three checks must see it.
-    # Orthonormality is held to 1e-10, so a 1e-8 change of a column of B
-    # or of an entry of Q trips it; the modulus and reconstruction checks
-    # are held to 1e-8, so they get changes of 1e-7 and 1e-6
+    # columns sqrt(2) Re p, -sqrt(2) Im p, the blocks of Q, 1 on a real
+    # column and ((1, 1), (-i, i))/sqrt(2) on a pair, and the Rayleigh
+    # quotients.  Then perturb one of them: each of the three checks must
+    # see it.  Orthonormality is held to 1e-10, so a 1e-8 change of a
+    # column of B or of an entry of Q trips it; the modulus and
+    # reconstruction checks are held to 1e-8, so they get changes of 1e-7
+    # and 1e-6
     u = ref12_operator
     dec = eig_unitary(u, TOL.system_unitarity)
     phases, v = dec.phases, dec.vectors
@@ -183,15 +186,14 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
     halves = np.stack([v[:, pair].real, -v[:, pair].imag], axis=2).reshape(n, -1)
     basis = np.concatenate([v[:, real].real, halves / r], axis=1)
     first = nr + 2 * np.arange(pair.size)
-    rotation = np.zeros((3, n), dtype=complex)
-    rotation[1] = 1.0
-    rotation[1, first], rotation[2, first] = r, -1j * r
-    rotation[0, first + 1], rotation[1, first + 1] = r, 1j * r
+    pairs = np.tile(np.array([[r, r], [-1j * r, 1j * r]]), (pair.size, 1, 1))
+    blocks = [(np.arange(nr)[:, None], np.ones((nr, 1, 1))),
+              (first[:, None] + np.arange(2), pairs)]
     signed = np.concatenate([phases[real], np.outer(phases[pair], [1.0, -1.0]).ravel()])
     rayleigh = np.exp(1j * signed)
 
-    def check(basis=basis, rotation=rotation, rayleigh=rayleigh, u=u):
-        return numerics._check_rotations(u, basis, u @ basis, rotation, rayleigh)
+    def check(basis=basis, blocks=blocks, rayleigh=rayleigh, u=u):
+        return numerics._check_rotations(u, basis, u @ basis, blocks, rayleigh)
 
     assert_allclose(check(), signed, rtol=0.0, atol=1e-15)
     for col in (0, nr, n - 1):      # a real column and both halves of a pair
@@ -199,10 +201,10 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
         bent[np.argmax(np.abs(basis[:, col])), col] += 1e-8
         with pytest.raises(InternalInvariantError, match="orthonormality"):
             check(basis=bent)
-    bent = rotation.copy()
-    bent[2, nr] *= 1.0 + 1e-8
+    bent = pairs.copy()
+    bent[0, 1, 0] *= 1.0 + 1e-8
     with pytest.raises(InternalInvariantError, match="orthonormality"):
-        check(rotation=bent)
+        check(blocks=[blocks[0], (blocks[1][0], bent)])
     for k, factor, what in ((nr, 1.0 + 1e-7, "moduli"), (0, 1.0 + 1e-7, "moduli"),
                             (nr, np.exp(1e-6j), "reconstruction"),
                             (0, -1.0, "reconstruction")):
@@ -212,13 +214,14 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
             check(rayleigh=bent)
 
     # a complex U with a planted cluster: B the returned V, Q the identity
-    # band, and the same perturbations
+    # as sixteen blocks of one, and the same perturbations
     w = qr_unitary(16, 8)
     phases = make_rng(8).uniform(-np.pi, np.pi, 16)
     phases[1:3] = phases[0], phases[0] + 1e-10
     z = (w * np.exp(1j * phases)) @ w.conj().T
     dec = eig_unitary(z)
-    v, unit, rayleigh = dec.vectors, np.ones((1, 16), dtype=complex), np.exp(1j * dec.phases)
+    v, rayleigh = dec.vectors, np.exp(1j * dec.phases)
+    unit = [(np.arange(16)[:, None], np.ones((16, 1, 1)))]
     assert_allclose(check(v, unit, rayleigh, z), dec.phases, rtol=0.0, atol=1e-15)
     bent = v.copy()
     bent[np.argmax(np.abs(v[:, 5])), 5] += 1e-8
@@ -229,6 +232,23 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator):
         bent[5] *= factor
         with pytest.raises(InternalInvariantError, match=what):
             check(v, unit, bent, z)
+
+    # the blocks eig_unitary itself hands the check on quarter_turn, whose
+    # three pairs near pi/2 make one block of six: a 1e-8 change of an
+    # entry inside that block trips orthonormality
+    seen, checked = [], numerics._check_rotations
+    monkeypatch.setattr(numerics, "_check_rotations", lambda u, basis, ub, blocks, rayleigh:
+                        seen.append((u, basis, ub.copy(), blocks, rayleigh))
+                        or checked(u, basis, ub, blocks, rayleigh))
+    eig_unitary(REAL_OPERATORS["quarter_turn"]())
+    u, basis, ub, blocks, rayleigh = seen[0]
+    [k] = [k for k, (_, q) in enumerate(blocks) if q.shape[1] == 6]
+    checked(u, basis, ub.copy(), blocks, rayleigh)
+    bent = blocks[k][1].copy()
+    bent[0, 2, 3] += 1e-8
+    with pytest.raises(InternalInvariantError, match="orthonormality"):
+        checked(u, basis, ub.copy(), blocks[:k] + [(blocks[k][0], bent)] + blocks[k + 1:],
+                rayleigh)
 
 
 def test_eig_unitary_rejects_nonunitary_input():

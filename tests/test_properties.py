@@ -160,6 +160,14 @@ def assert_matches_dense_solver(dec, u):
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
+def test_eig_unitary_splits_one_wide_cluster():
+    # every eigenphase within 1e-3 of 0.7: one mixed block of all 64
+    # columns (test_numerics' REAL_OPERATORS["one_cluster"] is its real twin)
+    basis = haar_unitary(64, 6)
+    u = (basis * np.exp(1j * np.linspace(0.7, 0.7 + 1e-3, 64))) @ basis.conj().T
+    assert_matches_dense_solver(es.eig_unitary(u), u)
+
+
 @st.composite
 def real_orthogonals(draw):
     """A real orthogonal matrix: drawn at random, a Grover operator, or
