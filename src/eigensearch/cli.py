@@ -174,7 +174,8 @@ def _overlay(base: dict, layer: dict) -> dict:
 
 def _resolve_config(args: argparse.Namespace) -> dict:
     """Defaults, then the config file, then the flags given, each value
-    parsed, and the entries of ``instances`` parsed in turn."""
+    parsed, and the entries of ``instances`` parsed in turn; every command
+    rejects a dense cap below 1, whether or not it makes a register."""
     loaded = {}
     if args.config is not None:
         try:
@@ -190,6 +191,9 @@ def _resolve_config(args: argparse.Namespace) -> dict:
     if cfg["instances"] is not None:
         cfg["instances"] = [_parsed(entry, f"instances[{i}]")
                             for i, entry in enumerate(cfg["instances"])]
+    for layer in (cfg, *(cfg["instances"] or ())):
+        if layer.get("dense_cap", 1) < 1:
+            raise ConfigError(f"the dense cap must be at least 1, not {layer['dense_cap']}")
     return cfg
 
 

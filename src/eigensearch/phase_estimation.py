@@ -22,7 +22,9 @@ basis.  Fed eigenvector k, the estimate leaves the phase register in the
 peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 
 An embedded vector, whose ancillas are still on |0> |0>, stays n frame
-coefficients (``StateVector.product``).  Every other state a run makes is
+coefficients (``StateVector.product``), and a boosted inversion's output
+of one stays coefficients along the vote planes (``from_plane``).  Every
+other state a run makes is
 weight-symmetric: its amplitude at vote value v depends on v only through
 its Hamming weight.  An embedded vector has every vote on 0, the target
 flip acts on the main axis alone, and the vote stage of the inversion
@@ -131,31 +133,34 @@ class StateVector:
     Frames are compared by identity: a state belongs to the operator whose
     decomposition object it carries.
 
-    A state is held in one of two forms.  A state with the ancillas still
+    A state is held in one of three forms.  A state with the ancillas still
     on |0> |0>, made by ``product``, is main (x) H|0> (x) |0> in the frame
-    and is kept as its n main coefficients ``main``.  Any other is one
-    (main, basis, phase) array ``slabs`` in a vote basis, phase last: the
-    nu + 1 Dicke columns of a weight-symmetric state (``from_slabs``), or
-    all 2^nu vote values of a caller's register (``StateVector(amps)``,
-    which copies ``amps`` into that layout).  Both bases are
-    orthonormal.  A slab state may carry one pending main-axis reflection
-    1 - 2 x x^dagger, ``reflection`` = x (see ``reflect_main``), which the
-    next inversion and every reader apply.  The unused attributes are None,
-    the arrays are read-only, and ``norm`` is the norm checked at
-    construction.  A norm off 1 raises ``ValueError`` for a caller's
-    values, and ``InternalInvariantError`` for ``computed`` ones, which the
-    program made from states it had checked.
+    and is kept as its n main coefficients ``main``.  A boosted inversion's
+    output of one is kept as its (main, nu + 1, 2) coefficients ``coefs``
+    along the operator's (main, 2, phase) vote plane ``plane``
+    (``from_plane``).  Any other is one (main, basis, phase) array in a vote
+    basis, phase last: the nu + 1 Dicke columns of a weight-symmetric state
+    (``from_slabs``), or all 2^nu vote values of a caller's register
+    (``StateVector(amps)``, which copies ``amps`` into that layout).  Both
+    bases are orthonormal.  ``slabs`` reads that array, which a plane state
+    writes out on every read.  A slab or plane state may carry one pending
+    main-axis reflection 1 - 2 x x^dagger, ``reflection`` = x (see
+    ``reflect_main``), which the next inversion and every reader apply.  The
+    unused attributes are None, the held arrays are read-only, and ``norm``
+    is the norm checked at construction.  A norm off 1 raises ``ValueError``
+    for a caller's values, and ``InternalInvariantError`` for ``computed``
+    ones, which the program made from states it had checked.
     """
 
-    __slots__ = ("main", "slabs", "reflection", "norm", "layout", "frame")
+    __slots__ = ("main", "coefs", "plane", "_slabs", "reflection", "norm", "layout", "frame")
 
     def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
         amps = np.asarray(amps, dtype=complex).reshape(-1)
         if amps.shape != (layout.dim,):
             raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
         self._bind(layout, frame, _vector_norm(amps))
-        self.slabs = np.ascontiguousarray(amps.reshape(layout.shape).transpose(0, 2, 1))
-        self.slabs.flags.writeable = False
+        self._slabs = np.ascontiguousarray(amps.reshape(layout.shape).transpose(0, 2, 1))
+        self._slabs.flags.writeable = False
 
     @classmethod
     def product(cls, main, layout: RegisterLayout, frame: EigenDecomposition,
@@ -186,8 +191,31 @@ class StateVector:
         state = cls.__new__(cls)
         state._bind(layout, frame, _vector_norm(slabs), computed)
         slabs.flags.writeable = False
-        state.slabs = slabs
+        state._slabs = slabs
         return state
+
+    @classmethod
+    def from_plane(cls, coefs: np.ndarray, plane: np.ndarray, gram: np.ndarray,
+                   layout: RegisterLayout, frame: EigenDecomposition) -> "StateVector":
+        """The Dicke state whose slab k is coefs[k] @ plane[k], held as the
+        (main, nu + 1, 2) ``coefs``, kept read-only, and the shared (main, 2,
+        phase) ``plane``.  Its norm is the root of sum_k tr(c_k G_k
+        c_k^dagger), with ``gram`` the Gram matrices G_k = plane[k]
+        plane[k]^dagger, so no slab is written.  The state is ``computed``."""
+        state = cls.__new__(cls)
+        state._bind(layout, frame, math.sqrt(abs(np.vdot(coefs, coefs @ gram))), True)
+        coefs.flags.writeable = False
+        state.coefs, state.plane = coefs, plane
+        return state
+
+    @property
+    def slabs(self) -> np.ndarray | None:
+        """The held slabs, a plane state's written into a new array."""
+        return self._slabs if self.coefs is None else np.matmul(self.coefs, self.plane)
+
+    @slabs.setter
+    def slabs(self, slabs: np.ndarray):
+        self._slabs, self.coefs, self.plane = slabs, None, None
 
     def _bind(self, layout: RegisterLayout, frame: EigenDecomposition, norm: float,
               computed: bool = False):
@@ -202,38 +230,42 @@ class StateVector:
         self.layout = layout
         self.frame = frame
         self.norm = norm
-        self.main = self.slabs = self.reflection = None
+        self.main = self.coefs = self.plane = self._slabs = self.reflection = None
 
     @property
     def vote_symmetric(self) -> bool:
         """Whether the state is held in the Dicke basis: its amplitude at
         vote value v depends on v only through its Hamming weight (see the
-        module docstring).  ``product`` states are, and the inversion and
-        the target flip keep the basis of their input."""
-        return self.main is not None or self.slabs.shape[1] == self.layout.vote_bits + 1
+        module docstring).  ``product`` and ``from_plane`` states are, and
+        the inversion and the target flip keep the basis of their input."""
+        return self._slabs is None or self._slabs.shape[1] == self.layout.vote_bits + 1
 
     def reflect_main(self, x: np.ndarray) -> "StateVector":
         """This state with 1 - 2 x x^dagger on the main axis, for a unit
         n-vector x.  A product state reflects its n coefficients.  A slab
-        state shares its slabs and keeps x as its pending ``reflection``,
-        after writing out the one it already had."""
+        or plane state shares its slabs or coefficients and keeps x as its
+        pending ``reflection``, after writing out the one it already had."""
         if self.main is not None:
             return StateVector.product(self.main - 2.0 * x * np.vdot(x, self.main),
                                        self.layout, self.frame, computed=True)
         state = StateVector.__new__(StateVector)
         state._bind(self.layout, self.frame, self.norm)
-        state.slabs = self._applied_slabs()
-        state.slabs.flags.writeable = False
+        if self.coefs is not None and self.reflection is None:
+            state.coefs, state.plane = self.coefs, self.plane
+        else:
+            state._slabs = self._applied_slabs()
+            state._slabs.flags.writeable = False
         state.reflection = x
         return state
 
     def _applied_slabs(self) -> np.ndarray:
         """``slabs`` with the pending reflection written into a new array,
         or ``slabs`` itself if there is none."""
+        slabs = self.slabs
         if self.reflection is None:
-            return self.slabs
-        return raw_reflect_main(self.slabs, self.reflection,
-                                main_projection(self.slabs, self.reflection))
+            return slabs
+        return raw_reflect_main(slabs, self.reflection,
+                                main_projection(slabs, self.reflection))
 
     @property
     def amps(self) -> np.ndarray:
@@ -262,9 +294,9 @@ class StateVector:
         Row 0 of the phase Walsh-Hadamard matrix is flat and vote value 0
         is basis column 0, so the amplitudes are V sum_w slabs[:, 0, w] /
         sqrt(M).  The marginal is diag(V G V^dagger), with G the n x n Gram
-        matrix of the main rows of the slabs, summed over at most
-        ``_GRAM_BLOCK`` (basis, phase) values at a time; the basis is
-        orthonormal, so every column counts once.  A pending
+        matrix of the main rows of the slabs, written out once, summed over
+        blocks of at most ``_GRAM_BLOCK`` values with their n rows; the basis
+        is orthonormal, so every column counts once.  A pending
         reflection R acts on both as R branch and R G R^dagger.  The trace
         of G, the squared norm of the state, is checked.
         """
@@ -273,11 +305,13 @@ class StateVector:
             branch = self.main * math.sqrt(m)
             gram = np.outer(self.main, self.main.conj())
         else:
-            branch = self.slabs[:, 0].sum(axis=1)
-            rows = self.slabs.reshape(n, -1)
+            slabs = self.slabs
+            branch = slabs[:, 0].sum(axis=1)
+            rows = slabs.reshape(n, -1)
             gram = np.zeros((n, n), dtype=complex)
-            for first in range(0, rows.shape[1], _GRAM_BLOCK):
-                part = rows[:, first:first + _GRAM_BLOCK]
+            step = max(1, _GRAM_BLOCK // n)
+            for first in range(0, rows.shape[1], step):
+                part = rows[:, first:first + step]
                 gram += part @ part.conj().T
         if self.reflection is not None:
             r = np.eye(n) - 2.0 * np.outer(self.reflection, self.reflection.conj())

@@ -7,7 +7,8 @@ inversion of the two gap eigenstates.  The amplification runs in the search
 operator's estimate frame (see ``StateVector``): the halfway n-vector is
 embedded there directly as n frame coefficients, and every inversion
 returns the nu + 1 Dicke columns of the vote register per eigenvector and
-phase value, never the 2^nu vote values.  Each target flip is a rank-one
+phase value, never the 2^nu vote values, and a boosted first round keeps
+them as vote-plane coefficients.  Each target flip is a rank-one
 reflection of the main axis that the next inversion or readout applies, and
 success, leakage and the main marginal are read out of the frame with one
 Gram sum.  Everything a run spends is tallied in a QueryLedger; the
@@ -67,8 +68,8 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     In the state's estimate frame this is the rank-one reflection
     1 - 2 x x^dagger on the main axis, with x = V^dagger e_target
     (``StateVector.reflect_main``): a product state reflects its n
-    coefficients, and a slab state keeps the reflection pending for the
-    next inversion or readout, so no flip writes a register.
+    coefficients, and a slab or plane state keeps the reflection pending
+    for the next inversion or readout, so no flip writes a register.
     """
     if ledger is not None:
         ledger.oracle_queries += 1

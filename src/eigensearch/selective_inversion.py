@@ -56,8 +56,9 @@ came in, through one estimate and one unestimate.  An embedded state, a
 product c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c
 alone (the first round's input, and each eigenstate of an epsilon report),
 estimates to c_k (|in| u_in + |out| u_out) on vote value 0, which lies in
-the plane.  So a boosted apply of it runs no transform: each eigenvector's
-Dicke slab is one (nu + 1, 2) @ (2, M) product of coefficients and Q_k.
+the plane.  So a boosted apply of it runs no transform and writes no slab:
+its output is each eigenvector's (nu + 1, 2) coefficients c_k along Q_k,
+and the next round reads its projections off them.
 """
 
 from __future__ import annotations
@@ -254,6 +255,7 @@ class InversionOperator:
     decomposition: EigenDecomposition | None = None
     _split: tuple[np.ndarray | None, np.ndarray] | None = field(
         default=None, init=False, repr=False)
+    _gram: np.ndarray | None = field(default=None, init=False, repr=False)
 
     @classmethod
     def build(cls, scheme: InversionScheme, unitary: np.ndarray,
@@ -289,7 +291,9 @@ class InversionOperator:
     def _window_split(self) -> tuple[np.ndarray | None, np.ndarray]:
         """The vote plane Q and the norms of ``window_split`` for every
         eigenvector at the gap window, made on first use and kept; Q is the
-        unit parts unestimated in place, and the basic scheme keeps none."""
+        unit parts unestimated in place, and the basic scheme keeps none.
+        With Q it keeps ``_gram``, the measured Gram matrices Q_k Q_k^dagger,
+        from which plane states take their norms and projections."""
         if self._split is None:
             phases, m = self.frame.phases, self.layout.phase_dim
             plane = (None if self.scheme.kind == "basic"
@@ -299,6 +303,7 @@ class InversionOperator:
                 for part in _chunks(phases.size, 2 * m):
                     raw_estimate_inverse(plane[part], power_table(phases[part], m),
                                          out=plane[part])
+                self._gram = np.matmul(plane, plane.conj().transpose(0, 2, 1))
             self._split = (plane, norms)
         return self._split
 
@@ -312,9 +317,10 @@ class InversionOperator:
 
         ``state`` must be in the operator's estimate frame, and so is the
         result.  A state in another operator's frame raises.  The result
-        is held as slabs in the basis of the input: a product state's
-        comes out in the Dicke basis.  The circuit and its charges are the
-        same for every form of state.
+        is held as slabs in the basis of the input; a product state's comes
+        out in the Dicke basis, as plane coefficients for the boosted
+        scheme.  The circuit and its charges are the same for every form of
+        state.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
@@ -334,18 +340,20 @@ class InversionOperator:
         return out
 
     def _invert(self, state: StateVector) -> StateVector:
-        """The inversion of ``state`` (see the module docstring), written
-        into one output array.  The boosted scheme runs the vote stage on
-        the projections p = Q^dagger psi of all eigenvectors first; an
-        embedded state's are c (x) (|in|, |out|).  A slab state then runs a
-        few eigenvectors at a time: a pending reflection first (its
-        projection is read once, beforehand), their controlled powers, the
-        estimate in place, the signs, the unestimate and the update along Q.
+        """The inversion of ``state`` (see the module docstring).  The
+        boosted scheme runs the vote stage on the projections
+        p = Q^dagger psi of all eigenvectors first; an embedded state's are
+        c (x) (|in|, |out|), and its output stays plane coefficients.  Any
+        other state is written into one output array a few eigenvectors at
+        a time: its slabs, or c_k Q_k for a state held on this plane, plus a
+        pending reflection (its projection is formed once, beforehand),
+        then their controlled powers, the estimate in place, the signs, the
+        unestimate and the update along Q.
         """
         n, m, _ = self.layout.shape
         plane, norms = self._window_split()
         product = state.main is not None
-        basis = self.layout.vote_bits + 1 if product else state.slabs.shape[1]
+        basis = self.layout.vote_bits + 1 if state.vote_symmetric else self.layout.vote_dim
         if product and plane is not None:
             p = np.zeros((n, 2, basis), dtype=complex)
             p[:, :, 0] = state.main[:, None] * norms
@@ -353,27 +361,38 @@ class InversionOperator:
             # Dicke column 0 keeps its signed estimate, +1 on the window
             # and -1 off it, which lies in the plane too
             coefs[:, :, 0] += p[:, :, 0] * [1.0, -1.0]
-            out = np.matmul(coefs.transpose(0, 2, 1), plane)
-            return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
+            return StateVector.from_plane(coefs.transpose(0, 2, 1), plane, self._gram,
+                                          self.layout, self.frame)
         out = np.empty((n, basis, m), dtype=complex)
-        src = state.slabs if not product else np.broadcast_to(
+        held = state.coefs is not None and state.plane is plane
+        src = None if held else state.slabs if not product else np.broadcast_to(
             (state.main * (1.0 / math.sqrt(m)))[:, None, None], (n, 1, m))
         x = state.reflection                # None for a product state
-        proj = None if x is None else main_projection(src, x)
+        if x is not None:
+            # -2 x^dagger psi on the main axis: -2 sum_k conj(x_k) c_k Q_k if held
+            proj = main_projection(src, x) if not held else np.tensordot(
+                -2.0 * x.conj()[:, None, None] * state.coefs, plane, axes=([0, 2], [0, 1]))
         parts = _chunks(n, basis * m)
         if plane is not None:
-            p = np.empty((n, 2, basis), dtype=complex)
-            for part in parts:
-                np.matmul(plane[part].conj(), src[part].transpose(0, 2, 1), out=p[part])
+            if held:
+                # c_k Q_k projects onto Q_k as c_k G_k, G_k the kept Gram
+                p = np.matmul(state.coefs, self._gram).transpose(0, 2, 1)
+            else:
+                p = np.empty((n, 2, basis), dtype=complex)
+                for part in parts:
+                    np.matmul(plane[part].conj(), src[part].transpose(0, 2, 1),
+                              out=p[part])
             if x is not None:
                 # Q^dagger of a reflected slab adds x_k Q_k^dagger proj
-                p += x[:, None, None] * np.matmul(plane, proj.conj().T).conj()
+                p += x[:, None, None] * (plane.reshape(-1, m) @ proj.conj().T).reshape(
+                    n, 2, basis).conj()
             delta = self._plane_update(p).transpose(0, 2, 1)
         signs = self._signs(basis)
         for part in parts:
             powers = power_table(self.frame.phases[part], m)
-            run = src[part] if x is None else raw_reflect_main(src[part], x[part], proj,
-                                                               out=out[part])
+            run = np.matmul(state.coefs[part], plane[part]) if held else src[part]
+            if x is not None:
+                run = raw_reflect_main(run, x[part], proj, out=out[part])
             block = raw_estimate_forward(run, powers, out=out[part])
             block *= signs
             raw_estimate_inverse(block, powers, out=block)
@@ -487,8 +506,9 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     and compared there; the norm of ``out - sign * in`` does not depend on
     the frame.  The input is a product state, nonzero on vote value 0
     alone, and the output Dicke slabs, an orthonormal basis, so the error
-    is the plain norm of the slabs minus the signed input on column 0.
-    The operator's own frame phases are predicted from its kept split.
+    is the plain norm of the slabs, written out once, minus the signed
+    input on column 0.  The operator's own frame phases are predicted from
+    its kept split.
     """
     phases = np.asarray(eigenphases, dtype=float)
     vectors = np.asarray(eigenvectors, dtype=complex)
@@ -497,7 +517,7 @@ def measure_epsilon(op: InversionOperator, eigenphases, eigenvectors,
     m = op.layout.phase_dim
     for k in range(phases.shape[0]):
         sv = embed_mainspace(op.layout, vectors[:, k], op.frame)
-        diff = op.apply(sv).slabs.copy()
+        diff = np.require(op.apply(sv).slabs, requirements="W")
         diff[:, 0] -= (sv.main * ((-1.0 if invert[k] else 1.0) / math.sqrt(m)))[:, None]
         measured[k] = math.sqrt(np.vdot(diff, diff).real)
     predicted = (op.predicted_epsilon(invert) if phases is op.frame.phases

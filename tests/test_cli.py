@@ -150,6 +150,24 @@ def test_a_dense_cap_below_one_is_a_config_error(capsys, cap):
     assert err == f"error: the dense cap must be at least 1, not {cap}\n"
 
 
+@pytest.mark.parametrize("command, cap", [("spectrum", "0"), ("search", "-5")])
+def test_a_dense_cap_below_one_is_rejected_by_every_command(capsys, command, cap):
+    # spectrum and search make no register, so no layout checks their cap
+    code, out, err = run_cli(capsys, command, *REF_ARGS, "--dense-cap", cap)
+    assert (code, out) == (2, "")
+    assert err == f"error: the dense cap must be at least 1, not {cap}\n"
+
+
+def test_a_dense_cap_below_one_in_an_instance_entry_is_rejected(capsys, tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text(json.dumps({"n": 12, "theta_min": 0.44, "mu": 8, "trials": 100,
+                                "instances": [{"pairs": [0.55, 0.62, 0.70, 0.79],
+                                               "seed": 68, "target": 4, "dense_cap": 0}]}))
+    code, out, err = run_cli(capsys, "compare", "--config", str(path))
+    assert (code, out) == (2, "")
+    assert err == "error: the dense cap must be at least 1, not 0\n"
+
+
 def test_an_invert_sweep_diagonalizes_its_instance_once(call_counter, capsys):
     # the inverters of every scheme run in the frame of the instance's one
     # decomposition, and the reports read their eigensystem from it too

@@ -129,19 +129,21 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 # box, and the bound its test holds it to.  A weight-symmetric state holds
 # nu + 1 Dicke columns of the 2^nu, and an apply adds its output and the
 # working arrays of a few eigenvectors, their controlled powers among
-# them; a boosted operator keeps its vote plane, two main x phase tables.
+# them; a boosted operator keeps its vote plane, two main x phase tables,
+# and the first round's output is coefficients along it.
 #
 #   case (ref12 unless noted)                               measured  bound
 #   test_pipeline.py
-#     boosted (9, 6) run_full                                   0.29   0.4, 1.3, 2.25
-#     boosted (10, 2) run_full                                  2.24   2.6
+#     boosted (9, 6) run_full                                   0.18   0.4, 1.3, 2.25
+#     boosted (10, 2) run_full                                  1.50   2.6
 #     basic mu=12 run_full                                      2.52   2.6
-#     criterion-08's one-round (5, 4) run_full, n=32            0.90   1.65
+#     criterion-08's one-round (5, 4) run_full, n=32            1.05   1.65
 #     basic mu=12 round-two target flip                        0.001   0.3
-#     boosted (9, 12) run_full, n=48 (over 13 Dicke columns)    2.30   3
+#     boosted (9, 12) run_full, n=48 (over 13 Dicke columns)    1.30   3
+#     criterion-07's (9, 6) run_full, n=48 (over 7 Dicke cols)  1.49   1.75
 #   test_selective_inversion.py
 #     boosted (10, 4) apply of a register state                 1.18   2.01
-#     boosted (10, 2) apply of the embedded halfway state       0.75   1.3
+#     boosted (10, 2) apply of the embedded halfway state      0.013   1.3
 #     boosted (10, 2) apply of the flipped round-one output     0.99   1.2
 #     basic mu=12 build and error prediction                    0.61   0.75
 
@@ -181,11 +183,13 @@ def test_a_boosted_run_holds_one_register(ref12):
 
 
 def test_a_boosted_run_writes_no_register(ref12):
-    # the second inversion holds its input and its output, 7 Dicke columns
-    # of the 64 vote values each, and the readout sums their Gram matrix
-    # in place: 0.29x measured on ref12 (9, 6) next to the operator's vote
-    # plane and the pending reflection's projection (0.28x without it, 0.27x when it kept one profile row per eigenvector in place of
-    # the two plane columns), against 0.28x when the operator kept the
+    # the second inversion's input is plane coefficients and its output 7
+    # Dicke columns of the 64 vote values, and the readout sums their Gram
+    # matrix in place: 0.18x measured on ref12 (9, 6) next to the
+    # operator's vote plane, against 0.29x when the first round's output
+    # was written as Dicke columns (0.28x without the pending reflection's
+    # projection, 0.27x when the operator kept one profile row per
+    # eigenvector in place of the two plane columns), 0.28x when the operator kept the
     # controlled powers of every eigenvector, 0.35x when the
     # second inversion kept its input and the readout computed the 7 vote
     # values, and 1.28x when the second inversion wrote its working array
@@ -194,9 +198,11 @@ def test_a_boosted_run_writes_no_register(ref12):
 
 
 def test_a_one_round_run_reads_its_factors(ref12):
-    # criterion-08's first instance needs one round, whose output is 5
-    # Dicke columns of the 16 vote values, read out with one conjugated
-    # copy of them: 0.90x measured.  1.59x when the readout took the
+    # criterion-08's first instance needs one round, whose output is plane
+    # coefficients, written out once as 5 Dicke columns of the 16 vote
+    # values for the readout, whose n x n work arrays weigh at n=32: 1.05x
+    # measured, against 0.90x when the output was held as those columns
+    # and read with one conjugated copy of them.  1.59x when the readout took the
     # marginal with a three-operand einsum, n^3 values at n=32, and 1.53x
     # before that when the operator kept one profile row per eigenvector
     # in place of its two plane columns (0.90x recorded earlier, and 0.96x
@@ -222,9 +228,11 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # when the operator also kept the controlled powers of every
     # eigenvector; 1.98x with one profile row per eigenvector; 2.18x with
     # the pending reflection written out before the second round's
-    # estimate; now 2.24x, the second round's input and output, 3 Dicke
+    # estimate; 2.24x with the second round's input and output, 3 Dicke
     # columns of the 4 vote values each, next to the plane's two columns
-    # per eigenvector and the reflection's projection, 1/16 of the register
+    # per eigenvector and the reflection's projection, 1/16 of the
+    # register; now 1.50x, the second round's input being coefficients
+    # along the plane
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
@@ -232,13 +240,29 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
 def test_a_twelve_vote_run_holds_a_few_dicke_states():
     # with 12 votes the full register, 2^21 values per eigenvector, is
     # never made: every state is 13 Dicke columns, and the vote stage runs
-    # on each eigenvector's 2 x 13 plane coefficients.  2.30x the stored
-    # Dicke state measured, against 7.15x when the stage expanded the plane
+    # on each eigenvector's 2 x 13 plane coefficients.  1.30x the stored
+    # Dicke state measured, against 2.30x when the first round wrote its
+    # output as Dicke columns and 7.15x when the stage expanded the plane
     # coefficients to all 4096 vote values and checked each weight class
     inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
                                         *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
     scheme = es.InversionScheme("boosted", 9, 12, instances.HIGAIN_GAP)
     assert _run_full_peak_over_register(inst, scheme, 13, dense_cap=1 << 27) <= 3.0
+
+
+def test_a_criterion_07_run_holds_one_dicke_register():
+    # the first round's output stays coefficients along the vote plane and
+    # the readout conjugates a few columns at a time, so the n=48 (9, 6)
+    # run holds one register of 7 Dicke columns, the second round's output,
+    # next to the plane's two columns and a few eigenvectors' working
+    # arrays: 1.49x measured, against 2.48x when the first round wrote its
+    # output as Dicke columns and the readout conjugated every column at once
+    inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
+                                        *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
+    scheme = es.InversionScheme.boosted(inst.boost, instances.HIGAIN_GAP, offset_bits=8)
+    assert (scheme.phase_bits, scheme.vote_bits) == (9, 6)
+    assert es.amplification_round_count(inst.boost) == 2
+    assert _run_full_peak_over_register(inst, scheme, 7) <= 1.75
 
 
 def test_a_basic_round_two_flip_keeps_the_factors(ref12):

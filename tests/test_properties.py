@@ -17,9 +17,10 @@ through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
 frame amplification of ``run_full`` against rounds run on such an array.
 An embedded state, kept as its main coefficients, and the Dicke state a
 boosted inversion makes of it are checked against the same states rebuilt
-from their amplitudes as registers.  The inversion of every other state is
-checked against the dense oracles, and the readouts of every form of state
-against the readouts of its amplitudes.
+from their amplitudes as registers, and the plane coefficients that Dicke
+state is held as against its slabs written out.  The inversion of every
+other state is checked against the dense oracles, and the readouts of every
+form of state against the readouts of its amplitudes.
 """
 
 import dataclasses
@@ -450,18 +451,24 @@ def dicke_and_general(op, seed):
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
 def test_a_boosted_product_apply_returns_a_dicke_state(case, seed):
+    # the output lies in each eigenvector's vote plane and is held as its
+    # coefficients along the operator's plane, which it shares
     _, op = case
     dicke, want, ledgers = dicke_and_general(op, seed)
     n, m, _ = op.layout.shape
-    assert dicke.slabs.shape == (n, op.layout.vote_bits + 1, m)
+    assert dicke.coefs.shape == (n, op.layout.vote_bits + 1, 2)
+    assert dicke.plane is op._window_split()[0]
     assert dicke.vote_symmetric and not want.vote_symmetric
     assert dicke.main is None and dicke.frame is op.frame
-    assert not dicke.slabs.flags.writeable
-    slabs = dicke.slabs
+    assert not dicke.coefs.flags.writeable
+    coefs, held = dicke.coefs, dicke.coefs.copy()
+    assert dicke.slabs.shape == (n, op.layout.vote_bits + 1, m)
     assert np.max(np.abs(dicke.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
-    # reading the amplitudes keeps the Dicke slabs
-    assert dicke.slabs is slabs
+    # reading the slabs and the amplitudes writes them out and keeps the
+    # coefficients
+    assert dicke.coefs is coefs and np.array_equal(dicke.coefs, held)
+    assert dicke.slabs is not dicke.slabs
 
 
 @SETTINGS
@@ -473,13 +480,14 @@ def test_a_dicke_state_target_flip_is_kept_pending(case, seed):
     ledgers = es.QueryLedger(), es.QueryLedger()
     flipped = es.target_flip(dicke, target, ledgers[0])
     want = es.target_flip(general, target, ledgers[1])
-    assert flipped.slabs is dicke.slabs and flipped.reflection is not None
-    assert flipped.vote_symmetric
+    assert flipped.coefs is dicke.coefs and flipped.plane is dicke.plane
+    assert flipped.reflection is not None and flipped.vote_symmetric
     assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
-    # a second flip writes the first one out: the flip is an involution
+    # a second flip writes the first one out as slabs: the flip is an
+    # involution
     again = es.target_flip(flipped, target, ledgers[0])
-    assert again.slabs is not dicke.slabs and again.reflection is not None
+    assert again.coefs is None and again.reflection is not None
     assert np.max(np.abs(again.amps - general.amps)) <= 1e-13
 
 
@@ -718,20 +726,66 @@ def test_the_inverted_norm_matches_the_amplitudes(case, seed, scale):
 @SETTINGS
 @given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
 def test_reading_a_factored_input_changes_no_readout_bit(case, seed):
-    # a tracer reads the amplitudes of each apply's input; a Dicke input
-    # with a pending reflection writes them out and keeps its slabs and
-    # its reflection
+    # a tracer reads the amplitudes of each apply's input; a plane input
+    # with a pending reflection writes them out and keeps its
+    # coefficients, unchanged, and its reflection
     _, op = case
     _, product, _ = product_and_general(op, seed)
     target = seed % op.layout.main_dim
     read, unread = (es.target_flip(op.apply(product), target) for _ in range(2))
-    slabs, reflection = read.slabs, read.reflection
+    coefs, held, reflection = read.coefs, read.coefs.copy(), read.reflection
     assert read.amps.shape == (op.layout.dim,)
-    assert read.slabs is slabs and read.reflection is reflection
+    assert read.slabs.shape == (op.layout.main_dim, op.layout.vote_bits + 1,
+                                op.layout.phase_dim)
+    assert read.coefs is coefs and read.reflection is reflection
+    assert not coefs.flags.writeable and np.array_equal(coefs, held)
     out_read, out_unread = op.apply(read), op.apply(unread)
     for state, twin in ((read, unread), (out_read, out_unread)):
         for got, want in zip(state.readouts(), twin.readouts()):
             assert np.array_equal(got, want)
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
+def test_a_plane_state_matches_its_written_slabs(case, seed):
+    # the output of a product apply, held as plane coefficients, against
+    # the same state written out as Dicke slabs, with and without a pending
+    # reflection: norm, amplitudes, readouts and the next apply, of the
+    # operator that made the plane and of one with another gap window
+    _, op = case
+    _, product, _ = product_and_general(op, seed)
+    target = seed % op.layout.main_dim
+    held = op.apply(product)
+    written = es.StateVector.from_slabs(held.slabs, op.layout, op.frame, computed=True)
+    other = es.InversionOperator.build(
+        dataclasses.replace(op.scheme, phase_gap=0.9 * op.scheme.phase_gap), op.unitary,
+        decomposition=op.frame)
+    for got, want in ((held, written), (es.target_flip(held, target),
+                                        es.target_flip(written, target))):
+        assert got.coefs is not None and want.coefs is None
+        assert abs(got.norm - want.norm) <= 1e-13
+        assert np.max(np.abs(got.amps - want.amps)) <= 1e-13
+        for got_value, want_value in zip(got.readouts(), want.readouts()):
+            assert np.max(np.abs(got_value - want_value)) <= 1e-13
+        for applier in (op, other):
+            assert np.max(np.abs(applier.apply(got).amps - applier.apply(want).amps)) <= 1e-13
+    # the norm of a plane state is read off the Gram matrices of the plane
+    # kept when the plane was made: a kept Gram off the plane's, and a
+    # plane unestimated off orthonormal, both take it off 1
+    with mock.patch.object(op, "_gram", 1.001 * op._gram):
+        with pytest.raises(es.InternalInvariantError):
+            op.apply(product)
+    unestimate = selective_inversion.raw_estimate_inverse
+
+    def scaled_unestimate(a, powers, out=None):
+        out = unestimate(a, powers, out)
+        out *= 1.001
+        return out
+
+    with mock.patch.object(selective_inversion, "raw_estimate_inverse", scaled_unestimate):
+        skewed = es.InversionOperator.build(op.scheme, op.unitary, decomposition=op.frame)
+    with pytest.raises(es.InternalInvariantError):
+        skewed.apply(product)
 
 
 @st.composite
