@@ -1,11 +1,13 @@
 """Multi-register simulation of phase estimation, in the unitary's estimate frame.
 
-A register state is a complex vector over (mainspace) x (phase register) x
-(vote register), stored flat in C order, so index ((m * P) + w) * V + v with
-P and V the register sizes addresses mainspace index m, phase value w and
-vote bits v.  A state holds its amplitudes phase last, as (main, vote,
-phase) slabs (see ``StateVector``), and the raw kernels below take that one
-layout: any (main, ..., phase) array, batched over the axes between.
+The joint register is (mainspace) x (phase register) x (vote register), of
+P phase values and V = 2^nu vote values.  Its full layout, flat in C order
+with index ((m * P) + w) * V + v for mainspace index m, phase value w and
+vote bits v, is only ever written out (``StateVector.amps``): a state holds
+its amplitudes phase last, as (main, vote, phase) slabs over the Dicke
+basis of the vote register (see ``StateVector``), and the raw kernels below
+take that one layout: any (main, ..., phase) array, batched over the axes
+between.
 
 The estimation circuit is: Walsh-Hadamard on the phase register, powers of
 the mainspace unitary controlled on the phase value, then an inverse Fourier
@@ -24,11 +26,10 @@ peaked profile ``estimate_amplitudes(phase_bits, lambda_k)``.
 An embedded vector, whose ancillas are still on |0> |0>, stays n frame
 coefficients (``StateVector.product``), and a boosted inversion's output
 of one stays coefficients along the vote planes (``from_plane``).  Every
-other state a run makes is
-weight-symmetric: its amplitude at vote value v depends on v only through
-its Hamming weight.  An embedded vector has every vote on 0, the target
-flip acts on the main axis alone, and the vote stage of the inversion
-commutes with every permutation of the vote bits (see
+state is weight-symmetric: its amplitude at vote value v depends on v only
+through its Hamming weight.  An embedded vector has every vote on 0, the
+target flip acts on the main axis alone, and the vote stage of the
+inversion commutes with every permutation of the vote bits (see
 ``selective_inversion``), so every round keeps the symmetry.  Such a state
 lies in the symmetric subspace of the vote register, whose orthonormal
 basis is the nu + 1 Dicke states |D_h>, the normalized sum of the vote
@@ -57,8 +58,8 @@ DENSE_CAP = 1 << 22
 """Largest joint register, in amplitudes: 64 MiB of complex128.
 
 The cap counts the full layout, main x phase x 2^nu vote values
-(``RegisterLayout.dim``), whatever a state stores: a weight-symmetric state
-holds nu + 1 Dicke columns, at most that.  An apply holds its input, its
+(``RegisterLayout.dim``), whatever a state stores: a state holds nu + 1
+Dicke columns, at most that.  An apply holds its input, its
 output and working arrays of a few eigenvectors at a time; the measured
 multiples of the register and their bounds are tabled above the memory
 tests in ``tests/test_pipeline.py``.
@@ -109,15 +110,6 @@ class RegisterLayout:
         return (self.main_dim, self.phase_dim, self.vote_dim)
 
 
-def dicke_basis(vote_bits: int) -> tuple[np.ndarray, np.ndarray]:
-    """The Hamming weight of every vote value, and sqrt(C(nu, h)) for every
-    weight h: Dicke column h of a weight-symmetric state is that root
-    times the amplitude at any vote value of weight h."""
-    weights = np.bitwise_count(np.arange(1 << vote_bits))
-    roots = np.sqrt([float(math.comb(vote_bits, h)) for h in range(vote_bits + 1)])
-    return weights, roots
-
-
 class StateVector:
     """Normalized amplitudes over a RegisterLayout, in an estimate frame.
 
@@ -138,29 +130,20 @@ class StateVector:
     and is kept as its n main coefficients ``main``.  A boosted inversion's
     output of one is kept as its (main, nu + 1, 2) coefficients ``coefs``
     along the operator's (main, 2, phase) vote plane ``plane``
-    (``from_plane``).  Any other is one (main, basis, phase) array in a vote
-    basis, phase last: the nu + 1 Dicke columns of a weight-symmetric state
-    (``from_slabs``), or all 2^nu vote values of a caller's register
-    (``StateVector(amps)``, which copies ``amps`` into that layout).  Both
-    bases are orthonormal.  ``slabs`` reads that array, which a plane state
+    (``from_plane``).  Any other is its (main, nu + 1, phase) slabs over
+    the orthonormal Dicke basis of the vote register, phase last
+    (``from_slabs``).  ``slabs`` reads that array, which a plane state
     writes out on every read.  A slab or plane state may carry one pending
     main-axis reflection 1 - 2 x x^dagger, ``reflection`` = x (see
     ``reflect_main``), which the next inversion and every reader apply.  The
     unused attributes are None, the held arrays are read-only, and ``norm``
     is the norm checked at construction.  A norm off 1 raises ``ValueError``
     for a caller's values, and ``InternalInvariantError`` for ``computed``
-    ones, which the program made from states it had checked.
+    ones, which the program made from states it had checked.  There is no
+    public constructor: a state is made by one of the three classmethods.
     """
 
     __slots__ = ("main", "coefs", "plane", "_slabs", "reflection", "norm", "layout", "frame")
-
-    def __init__(self, amps, layout: RegisterLayout, frame: EigenDecomposition):
-        amps = np.asarray(amps, dtype=complex).reshape(-1)
-        if amps.shape != (layout.dim,):
-            raise ValueError(f"amplitude count {amps.shape[0]} != layout dim {layout.dim}")
-        self._bind(layout, frame, _vector_norm(amps))
-        self._slabs = np.ascontiguousarray(amps.reshape(layout.shape).transpose(0, 2, 1))
-        self._slabs.flags.writeable = False
 
     @classmethod
     def product(cls, main, layout: RegisterLayout, frame: EigenDecomposition,
@@ -181,13 +164,12 @@ class StateVector:
     @classmethod
     def from_slabs(cls, slabs: np.ndarray, layout: RegisterLayout,
                    frame: EigenDecomposition, computed: bool = False) -> "StateVector":
-        """The state held as ``slabs``, (main, basis, phase) in the Dicke
-        basis (nu + 1 columns) or the full vote basis (2^nu), kept
-        read-only, not copied.  With nu < 2 the two bases coincide."""
-        n, m, v = layout.shape
-        if slabs.shape not in ((n, layout.vote_bits + 1, m), (n, v, m)):
-            raise ValueError(f"slabs of shape {slabs.shape} do not match the "
-                             f"layout {layout.shape}")
+        """The state held as ``slabs``, its (main, nu + 1, phase) Dicke
+        columns, kept read-only, not copied."""
+        shape = (layout.main_dim, layout.vote_bits + 1, layout.phase_dim)
+        if slabs.shape != shape:
+            raise ValueError(f"slabs of shape {slabs.shape} are not the {shape} "
+                             f"Dicke slabs of the layout")
         state = cls.__new__(cls)
         state._bind(layout, frame, _vector_norm(slabs), computed)
         slabs.flags.writeable = False
@@ -232,14 +214,6 @@ class StateVector:
         self.norm = norm
         self.main = self.coefs = self.plane = self._slabs = self.reflection = None
 
-    @property
-    def vote_symmetric(self) -> bool:
-        """Whether the state is held in the Dicke basis: its amplitude at
-        vote value v depends on v only through its Hamming weight (see the
-        module docstring).  ``product`` and ``from_plane`` states are, and
-        the inversion and the target flip keep the basis of their input."""
-        return self._slabs is None or self._slabs.shape[1] == self.layout.vote_bits + 1
-
     def reflect_main(self, x: np.ndarray) -> "StateVector":
         """This state with 1 - 2 x x^dagger on the main axis, for a unit
         n-vector x.  A product state reflects its n coefficients.  A slab
@@ -271,16 +245,17 @@ class StateVector:
     def amps(self) -> np.ndarray:
         """The amplitudes over the full layout, (main, phase, vote) flat,
         written into a new array on every read; the state keeps nothing, so
-        reading changes no state."""
-        n, m, v = self.layout.shape
+        reading changes no state.  This is the one writer of the 2^nu vote
+        values, for the tests and for the tracer of ``perfbench``: vote value
+        v of weight h holds Dicke column h over sqrt(C(nu, h))."""
+        nu, m = self.layout.vote_bits, self.layout.phase_dim
         if self.main is not None:
             a = np.zeros(self.layout.shape, dtype=complex)
             a[:, :, 0] = (self.main * (1.0 / math.sqrt(m)))[:, None]
         else:
-            slabs = self._applied_slabs()
-            if slabs.shape[1] != v:
-                weights, roots = dicke_basis(self.layout.vote_bits)
-                slabs = (slabs / roots[:, None])[:, weights]
+            roots = np.sqrt([float(math.comb(nu, h)) for h in range(nu + 1)])
+            slabs = (self._applied_slabs() / roots[:, None])[:, np.bitwise_count(
+                np.arange(self.layout.vote_dim))]
             a = np.ascontiguousarray(slabs.transpose(0, 2, 1))
         a = a.reshape(-1)
         check_computed_norm(np.vdot(a, a).real)
@@ -292,11 +267,11 @@ class StateVector:
         register.
 
         Row 0 of the phase Walsh-Hadamard matrix is flat and vote value 0
-        is basis column 0, so the amplitudes are V sum_w slabs[:, 0, w] /
+        is Dicke column 0, so the amplitudes are V sum_w slabs[:, 0, w] /
         sqrt(M).  The marginal is diag(V G V^dagger), with G the n x n Gram
         matrix of the main rows of the slabs, written out once, summed over
-        blocks of at most ``_GRAM_BLOCK`` values with their n rows; the basis
-        is orthonormal, so every column counts once.  A pending
+        blocks of at most ``_GRAM_BLOCK`` values with their n rows; the Dicke
+        basis is orthonormal, so every column counts once.  A pending
         reflection R acts on both as R branch and R G R^dagger.  The trace
         of G, the squared norm of the state, is checked.
         """

@@ -245,8 +245,9 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
     window cannot be built counts as a failed round.  Runs are deterministic
     for a fixed seed.
     """
-    if initial_guess <= 0.0:
-        raise ValueError("initial gap guess must be positive")
+    if not (math.isfinite(initial_guess) and initial_guess > 0.0):
+        raise ValueError(f"initial_guess must be a finite positive gap guess, "
+                         f"not {initial_guess}")
     if r_max is None:
         span = max(0.0, math.log(initial_guess / inst.spec.phase_gap))
         r_max = math.ceil(span * 10.0 / guard_fraction) + 32

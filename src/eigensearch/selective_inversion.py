@@ -32,7 +32,7 @@ plus a rank-two update in the plane of the two parts.  The estimate E_k is
 unitary, so the operator keeps the plane unestimated,
 Q_k = E_k^dagger (u_in, u_out): the stage is the projections of the input
 onto Q, the kickbacks and the flip on two coefficients per eigenvector and
-basis column, the fixed signs between one estimate and one unestimate, and
+Dicke column, the fixed signs between one estimate and one unestimate, and
 the update along Q.  The query ledger still charges the physical circuit:
 2^mu controlled applications per estimate, two estimates per kickback.
 
@@ -51,8 +51,8 @@ the inversion keeps a state in the Dicke basis of the vote register (see
 matrix, and the complement of weight h is weight nu - h.  The update never
 leaves that basis, so only the norm of its output is left to check.
 
-A state held as slabs runs a few eigenvectors at a time, in the basis it
-came in, through one estimate and one unestimate.  An embedded state, a
+A state held as slabs runs a few eigenvectors at a time, on its Dicke
+columns, through one estimate and one unestimate.  An embedded state, a
 product c (x) H|0> (x) |0> with c = V^dagger w that the frame keeps as c
 alone (the first round's input, and each eigenstate of an epsilon report),
 estimates to c_k (|in| u_in + |out| u_out) on vote value 0, which lies in
@@ -82,7 +82,6 @@ from .phase_estimation import (
     DENSE_CAP,
     RegisterLayout,
     StateVector,
-    dicke_basis,
     embed_mainspace,
     gap_window_mask,
     main_projection,
@@ -195,40 +194,21 @@ def _chunks(n: int, width: int) -> list[slice]:
 _CIRCULAR = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
 
 
-def _walsh(a: np.ndarray) -> np.ndarray:
-    """Normalized Walsh-Hadamard of the first axis of the C-contiguous
-    ``a``, in place: per bit, (low, high) -> (low + high, low - high)."""
-    size = a.shape[0]
-    for bit in range(size.bit_length() - 1):
-        pairs = a.reshape(size >> (bit + 1), 2, -1)
-        pairs[:, 0] += pairs[:, 1]
-        pairs[:, 1] *= -2.0
-        pairs[:, 1] += pairs[:, 0]
-    a *= 1.0 / math.sqrt(size)
-    return a
-
-
 @functools.cache
-def _vote_basis(nu: int, basis: int):
-    """The vote Hadamard H^{(x) nu} on the first axis of coefficients in
-    ``basis`` columns, the Hamming weight of each column, and its majority
-    sign F, -1 on strictly more ones than zeros.  On the nu + 1 Dicke
-    columns H is the Krawtchouk matrix K[s, h] = <D_s| H^{(x) nu} |D_h>,
-    built in integers and scaled once, and on all 2^nu vote values
-    ``_walsh``; both are real, symmetric and their own inverse."""
-    if basis == nu + 1:
-        c = [math.comb(nu, h) for h in range(basis)]
-        counts = np.array([[c[h] * sum((-1) ** j * math.comb(h, j) * math.comb(nu - h, s - j)
-                                       for j in range(s + 1))
-                            for h in range(basis)] for s in range(basis)])
-        k = counts / np.sqrt(np.outer(c, c) * 2.0 ** nu)
-        k.flags.writeable = False
-        hadamard, weights = functools.partial(np.tensordot, k, axes=1), np.arange(basis)
-    else:
-        hadamard, weights = _walsh, dicke_basis(nu)[0]
-    flip = np.where(weights > nu // 2, -1.0, 1.0)
-    weights.flags.writeable = flip.flags.writeable = False
-    return hadamard, weights, flip
+def _vote_basis(nu: int) -> tuple[np.ndarray, np.ndarray]:
+    """The vote Hadamard H^{(x) nu} on the nu + 1 Dicke columns, the
+    Krawtchouk matrix K[s, h] = <D_s| H^{(x) nu} |D_h>, built in integers
+    and scaled once, and the majority sign F of each column's weight, -1 on
+    strictly more ones than zeros.  K is real, symmetric and its own
+    inverse."""
+    c = [math.comb(nu, h) for h in range(nu + 1)]
+    counts = np.array([[c[h] * sum((-1) ** j * math.comb(h, j) * math.comb(nu - h, s - j)
+                                   for j in range(s + 1))
+                        for h in range(nu + 1)] for s in range(nu + 1)])
+    k = counts / np.sqrt(np.outer(c, c) * 2.0 ** nu)
+    flip = np.where(np.arange(nu + 1) > nu // 2, -1.0, 1.0)
+    k.flags.writeable = flip.flags.writeable = False
+    return k, flip
 
 
 @dataclass(eq=False)
@@ -317,10 +297,9 @@ class InversionOperator:
 
         ``state`` must be in the operator's estimate frame, and so is the
         result.  A state in another operator's frame raises.  The result
-        is held as slabs in the basis of the input; a product state's comes
-        out in the Dicke basis, as plane coefficients for the boosted
-        scheme.  The circuit and its charges are the same for every form of
-        state.
+        is held as Dicke slabs, and a boosted apply of a product state's as
+        plane coefficients.  The circuit and its charges are the same for
+        every form of state.
         """
         if state.layout != self.layout:
             raise ValueError("state layout does not match the operator")
@@ -353,9 +332,9 @@ class InversionOperator:
         n, m, _ = self.layout.shape
         plane, norms = self._window_split()
         product = state.main is not None
-        basis = self.layout.vote_bits + 1 if state.vote_symmetric else self.layout.vote_dim
+        cols = self.layout.vote_bits + 1
         if product and plane is not None:
-            p = np.zeros((n, 2, basis), dtype=complex)
+            p = np.zeros((n, 2, cols), dtype=complex)
             p[:, :, 0] = state.main[:, None] * norms
             coefs = self._plane_update(p)
             # Dicke column 0 keeps its signed estimate, +1 on the window
@@ -363,7 +342,7 @@ class InversionOperator:
             coefs[:, :, 0] += p[:, :, 0] * [1.0, -1.0]
             return StateVector.from_plane(coefs.transpose(0, 2, 1), plane, self._gram,
                                           self.layout, self.frame)
-        out = np.empty((n, basis, m), dtype=complex)
+        out = np.empty((n, cols, m), dtype=complex)
         held = state.coefs is not None and state.plane is plane
         src = None if held else state.slabs if not product else np.broadcast_to(
             (state.main * (1.0 / math.sqrt(m)))[:, None, None], (n, 1, m))
@@ -372,22 +351,22 @@ class InversionOperator:
             # -2 x^dagger psi on the main axis: -2 sum_k conj(x_k) c_k Q_k if held
             proj = main_projection(src, x) if not held else np.tensordot(
                 -2.0 * x.conj()[:, None, None] * state.coefs, plane, axes=([0, 2], [0, 1]))
-        parts = _chunks(n, basis * m)
+        parts = _chunks(n, cols * m)
         if plane is not None:
             if held:
                 # c_k Q_k projects onto Q_k as c_k G_k, G_k the kept Gram
                 p = np.matmul(state.coefs, self._gram).transpose(0, 2, 1)
             else:
-                p = np.empty((n, 2, basis), dtype=complex)
+                p = np.empty((n, 2, cols), dtype=complex)
                 for part in parts:
                     np.matmul(plane[part].conj(), src[part].transpose(0, 2, 1),
                               out=p[part])
             if x is not None:
                 # Q^dagger of a reflected slab adds x_k Q_k^dagger proj
                 p += x[:, None, None] * (plane.reshape(-1, m) @ proj.conj().T).reshape(
-                    n, 2, basis).conj()
+                    n, 2, cols).conj()
             delta = self._plane_update(p).transpose(0, 2, 1)
-        signs = self._signs(basis)
+        signs = self._signs()
         for part in parts:
             powers = power_table(self.frame.phases[part], m)
             run = np.matmul(state.coefs[part], plane[part]) if held else src[part]
@@ -400,8 +379,8 @@ class InversionOperator:
                 block += np.matmul(delta[part], plane[part])
         return StateVector.from_slabs(out, self.layout, self.frame, computed=True)
 
-    def _signs(self, basis: int) -> np.ndarray:
-        """The fixed sign of the stage per (basis column, phase value),
+    def _signs(self) -> np.ndarray:
+        """The fixed sign of the stage per (Dicke column, phase value),
         complex so that signing the slabs in place casts nothing.
 
         The basic scheme flips the gap window.  A boosted kickback swaps
@@ -411,32 +390,32 @@ class InversionOperator:
         """
         if self.scheme.kind == "basic":
             return np.where(self.gap_window, -1.0 + 0j, 1.0)[None]
-        flip = _vote_basis(self.scheme.vote_bits, basis)[2].astype(complex)
+        flip = _vote_basis(self.scheme.vote_bits)[1].astype(complex)
         return np.where(self.gap_window, flip[:, None], flip[::-1, None])
 
     def _plane_update(self, p: np.ndarray) -> np.ndarray:
         """The vote stage's update within the plane of u_in and u_out, as
-        (main, 2, basis) coefficients along them.
+        (main, 2, nu + 1) coefficients along them.
 
-        ``p`` holds the projections of the input onto the plane Q, in the
-        basis of the input's slabs.  They run through the stage
-        H M_+^s H F H M_-^s H of the module docstring, and the fixed signs
-        it applies to the whole register are taken off again.  M_+ is the
+        ``p`` holds the projections of the input's Dicke columns onto the
+        plane Q.  They run through the stage H M_+^s H F H M_-^s H of the
+        module docstring, and the fixed signs it applies to the whole
+        register are taken off again.  M_+ is the
         rotation by theta_k, e^{i theta_k} = (|out| + i |in|)^2, and M_- its
         inverse, so on the circular components p_in +- i p_out M_sigma^s
         is the phase e^{+-i sigma s theta_k}.
         """
         nu = self.scheme.vote_bits
-        hadamard, weights, flip = _vote_basis(nu, p.shape[2])
+        hadamard, flip = _vote_basis(nu)
         norms = self._window_split()[1]
         turn = (norms[:, 1] + 1j * norms[:, 0]) ** 2
         rotations = turn ** np.arange(nu + 1)[:, None]
-        rotations = np.stack([rotations, rotations.conj()], axis=1)[weights]
+        rotations = np.stack([rotations, rotations.conj()], axis=1)
         q = np.matmul(_CIRCULAR, p.T)
         for factor in (rotations.conj(), flip[:, None, None], rotations):
-            q = hadamard(q)
+            q = np.tensordot(hadamard, q, axes=1)
             q *= factor
-        q = np.matmul(_CIRCULAR.conj().T, hadamard(q)).T
+        q = np.matmul(_CIRCULAR.conj().T, np.tensordot(hadamard, q, axes=1)).T
         return q - np.stack([flip, flip[::-1]]) * p
 
 

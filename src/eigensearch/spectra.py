@@ -137,6 +137,8 @@ def build_symmetric_spec(
     cotangent vanishes.  ``phase_gap`` defaults to the smallest pair phase but
     may be declared lower to leave a guard margin.
     """
+    if n < 1:
+        raise ValueError(f"invalid dimension {n}; need n >= 1")
     if not (0 <= source_index < n):
         raise ValueError(f"source index {source_index} out of range")
     pairs = [float(p) for p in pair_phases]

@@ -4,6 +4,7 @@ import pytest
 
 import eigensearch as es
 import instances
+import oracles
 
 ACCEPTANCE_LINES = []
 
@@ -21,6 +22,17 @@ def ref12_operator(ref12):
 @pytest.fixture(scope="session")
 def grover64():
     return instances.grover_instance()
+
+
+@pytest.fixture(scope="session")
+def criterion10_boosted():
+    """Criterion-10's boosted case: a Haar unitary on n = 2, the operator
+    of its (mu, nu) = (6, 4) scheme at gap 0.6, and that operator's dense
+    oracle on the whole register, which is most of the case's time."""
+    u = instances.haar_unitary(2, 22)
+    op = es.InversionOperator.build(es.InversionScheme("boosted", 6, 4, 0.6), u)
+    return u, op, oracles.dense_boosted_inversion(u, 6, 4, op.gap_window,
+                                                  oracles.vote_majority_mask(4))
 
 
 @pytest.fixture

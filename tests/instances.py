@@ -124,3 +124,13 @@ def ref12_instance():
 
 def grover_instance(n=GROVER_N, target=GROVER_TARGET):
     return es.SearchInstance.build(es.build_grover_spec(n, 0), target)
+
+
+def haar_unitary(n, seed):
+    """A seeded Haar-random n x n unitary: the Q of a complex Gaussian
+    matrix, its columns rephased by the diagonal of R."""
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
+    q, r = np.linalg.qr(z)
+    d = np.diag(r)
+    return q * (d / np.abs(d))

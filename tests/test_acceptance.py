@@ -17,14 +17,6 @@ from eigensearch.numerics import make_rng
 from eigensearch.phase_estimation import RegisterLayout, power_table, raw_estimate_forward
 
 
-def qr_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def test_criterion_01_plain_search_is_free_of_postprocessing(grover64,
                                                              acceptance_log):
     scheme = es.InversionScheme.basic(1.0, np.pi)
@@ -262,9 +254,10 @@ def test_criterion_09_gap_schedule_verifies_within_budget(acceptance_log):
         f"of budget {first.budget}, deterministic={deterministic}")
 
 
-def test_criterion_10_fast_kernels_match_dense_oracles(acceptance_log):
+def test_criterion_10_fast_kernels_match_dense_oracles(criterion10_boosted,
+                                                        acceptance_log):
     # basic inverter, dense versus matrix-free
-    u4 = qr_unitary(4, 21)
+    u4 = instances.haar_unitary(4, 21)
     basic = es.InversionScheme(kind="basic", phase_bits=6, vote_bits=0,
                                phase_gap=0.6,
                                guard_fraction=es.GUARD_FRACTION)
@@ -273,15 +266,13 @@ def test_criterion_10_fast_kernels_match_dense_oracles(acceptance_log):
         u4, 6, es.gap_window_mask(6, 0.6, es.GUARD_FRACTION))
     basic_gap = float(np.max(np.abs(fast - slow)))
 
-    # boosted inverter at the largest allowed register sizes
-    u2 = qr_unitary(2, 22)
-    boosted = es.InversionScheme(kind="boosted", phase_bits=6, vote_bits=4,
-                                 phase_gap=0.6,
-                                 guard_fraction=es.GUARD_FRACTION)
-    fast_b = frames.inverter_matrix(es.InversionOperator.build(boosted, u2))
-    slow_b = oracles.dense_boosted_inversion(
-        u2, 6, 4, es.gap_window_mask(6, 0.6, es.GUARD_FRACTION),
-        oracles.vote_majority_mask(4))
+    # boosted inverter at the largest allowed register sizes, (6, 4) on a
+    # Haar unitary, on the Dicke span of the vote register, which holds
+    # every state the package makes; the dense oracle keeps that span
+    # (test_properties checks that it commutes with every vote-bit swap)
+    _, op_b, oracle_b = criterion10_boosted
+    fast_b = frames.inverter_matrix(op_b)
+    slow_b = frames.on_dicke_span(oracle_b, op_b.layout)
     boosted_gap = float(np.max(np.abs(fast_b - slow_b)))
 
     # register amplitude profile against the direct geometric sum

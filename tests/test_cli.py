@@ -224,9 +224,9 @@ def test_a_computed_state_off_its_norm_exits_5_with_one_line(monkeypatch, capsys
     # norm off 1, are an internal invariant failure and not a bad argument
     original = selective_inversion._vote_basis
 
-    def tripled(*args):
-        hadamard, weights, flip = original(*args)
-        return hadamard, weights, 3.0 * flip
+    def tripled(nu):
+        hadamard, flip = original(nu)
+        return hadamard, 3.0 * flip
 
     monkeypatch.setattr(selective_inversion, "_vote_basis", tripled)
     code, out, err = run_cli(capsys, "pipeline", *REF_ARGS, "--scheme", "boosted",
@@ -372,6 +372,15 @@ def test_schedule_rejects_a_budget_below_one_round(capsys, r_max):
     assert err == f"error: the round budget r_max must be at least 1, not {r_max}\n"
 
 
+@pytest.mark.parametrize("guess", ["nan", "inf"])
+def test_schedule_rejects_a_guess_that_is_not_finite(capsys, guess):
+    # a NaN guess used to fail converting a register size to an integer,
+    # and an infinite one in sizing the round budget, with a traceback
+    code, out, err = run_cli(capsys, *SCHEDULE_ARGS[:-1], guess)
+    assert (code, out) == (2, "")
+    assert err == f"error: initial_guess must be a finite positive gap guess, not {guess}\n"
+
+
 def test_timings_flag_adds_wall_time(capsys):
     code, out, _ = run_cli(capsys, "spectrum", *REF_ARGS, "--timings")
     assert code == 0
@@ -460,6 +469,14 @@ def test_a_source_index_out_of_range_exits_2(capsys):
         code, out, err = run_cli(capsys, "spectrum", "--n", "12", *spec, "--source", "99")
         assert (code, out) == (2, "")
         assert err == "error: source index 99 out of range\n"
+
+
+@pytest.mark.parametrize("n", ["0", "-3"])
+def test_a_dimension_below_one_exits_2_naming_it(capsys, n):
+    # the symmetric builder checks the dimension before the source index
+    code, out, err = run_cli(capsys, "pipeline", "--n", n, *REF_ARGS[2:])
+    assert (code, out) == (2, "")
+    assert err == f"error: invalid dimension {n}; need n >= 1\n"
 
 
 def test_a_target_index_out_of_range_exits_2(capsys):

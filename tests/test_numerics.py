@@ -25,14 +25,6 @@ import instances
 from oracles import dense_eig_unitary, real_orthogonal, spectral_projectors, unitary_power
 
 
-def qr_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def test_round_half_away_pushes_halves_outward():
     assert round_half_away(0.5) == 1
     assert round_half_away(-0.5) == -1
@@ -95,7 +87,7 @@ def test_eig_unitary_identity_and_reflection():
 
 
 def test_eig_unitary_reconstructs_a_random_unitary():
-    u = qr_unitary(16, 2)
+    u = instances.haar_unitary(16, 2)
     dec = eig_unitary(u)
     rebuilt = (dec.vectors * np.exp(1j * dec.phases)) @ dec.vectors.conj().T
     assert np.linalg.norm(rebuilt - u) <= TOL.eigen_reconstruction
@@ -108,7 +100,7 @@ def test_eig_unitary_reconstructs_a_random_unitary():
 
 
 def test_eig_unitary_handles_degenerate_clusters():
-    v = qr_unitary(8, 5)
+    v = instances.haar_unitary(8, 5)
     phases = np.array([0.3, 0.3, 0.3, -1.2, -1.2, 2.0, 2.0, 2.0])
     u = (v * np.exp(1j * phases)) @ v.conj().T
     dec = eig_unitary(u)
@@ -215,7 +207,7 @@ def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator, monkeypatch)
 
     # a complex U with a planted cluster: B the returned V, Q the identity
     # as sixteen blocks of one, and the same perturbations
-    w = qr_unitary(16, 8)
+    w = instances.haar_unitary(16, 8)
     phases = make_rng(8).uniform(-np.pi, np.pi, 16)
     phases[1:3] = phases[0], phases[0] + 1e-10
     z = (w * np.exp(1j * phases)) @ w.conj().T
@@ -257,7 +249,7 @@ def test_eig_unitary_rejects_nonunitary_input():
 
 
 def test_unitary_power_matches_repeated_multiplication():
-    u = qr_unitary(8, 3)
+    u = instances.haar_unitary(8, 3)
     direct = np.eye(8, dtype=complex)
     for _ in range(13):
         direct = u @ direct

@@ -21,14 +21,6 @@ from eigensearch.phase_estimation import (
 )
 
 
-def qr_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def test_estimate_amplitudes_match_the_brute_force_sum():
     rng = make_rng(3)
     for lam in rng.uniform(-np.pi, np.pi, size=40):
@@ -107,7 +99,8 @@ def test_profiles_and_wrong_side_masses_match_a_40_digit_table(ref12):
     """The profiles hold within 1e-15 at a register grid point, 1e-12 away
     from one, at generic eigenphases and at ref12's in-gap ones, and the
     wrong-side masses within 1e-13 relative.  The table was made once with
-    mpmath 1.3.0, which the package does not depend on:
+    mpmath 1.3.0, which the package does not depend on and the ``test``
+    extra declares, so the table can be made again:
 
         import mpmath as mp
         mp.mp.dps = 40
@@ -236,7 +229,7 @@ def test_embed_mainspace_places_the_state_in_the_joint_register():
 def test_phase_estimate_matches_the_dense_oracle_and_inverts():
     # the estimate runs in the estimate frame; with the main axis taken back
     # out it is the dense circuit on the computational state
-    u = qr_unitary(4, 7)
+    u = instances.haar_unitary(4, 7)
     dec = es.eig_unitary(u)
     lay = RegisterLayout(4, 5, 0, es.DENSE_CAP)
     rng = make_rng(5)
@@ -283,16 +276,19 @@ def test_register_layout_enforces_the_dense_cap():
 
 def test_frame_states_refuse_what_their_frame_cannot_answer():
     # a state exists only in an estimate frame, and only in its own
-    u = qr_unitary(3, 5)
+    u = instances.haar_unitary(3, 5)
     dec = es.eig_unitary(u)
     lay = RegisterLayout(3, 3, 2)
     sv = embed_mainspace(lay, [0.6, 0.0, 0.8], dec)
+    # and it is made by one of its forms: there is no register constructor
     with pytest.raises(TypeError):
-        StateVector(sv.amps, lay)
+        StateVector(sv.amps, lay, dec)
+    with pytest.raises(TypeError):
+        StateVector.product(sv.main, lay)
     with pytest.raises(TypeError, match="eigendecomposition"):
-        StateVector(sv.amps, lay, None)
+        StateVector.product(sv.main, lay, None)
     with pytest.raises(ValueError, match="frame of dimension"):
-        StateVector(sv.amps, RegisterLayout(6, 3, 1), dec)
+        StateVector.from_slabs(np.zeros((6, 2, 8), dtype=complex), RegisterLayout(6, 3, 1), dec)
     # a second diagonalization of u is an equal decomposition, but not the
     # frame this state was embedded in
     op = es.InversionOperator.build(es.InversionScheme("boosted", 3, 2, 0.6), u,

@@ -142,7 +142,7 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #     boosted (9, 12) run_full, n=48 (over 13 Dicke columns)    1.30   3
 #     criterion-07's (9, 6) run_full, n=48 (over 7 Dicke cols)  1.49   1.75
 #   test_selective_inversion.py
-#     boosted (10, 4) apply of a register state                 1.18   2.01
+#     boosted (10, 4) apply of a Dicke slab state               0.39   2.01
 #     boosted (10, 2) apply of the embedded halfway state      0.013   1.3
 #     boosted (10, 2) apply of the flipped round-one output     0.99   1.2
 #     basic mu=12 build and error prediction                    0.61   0.75
@@ -413,7 +413,8 @@ def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
         instances.SCHEDULE_SEED, instances.SCHEDULE_TARGET)
 
     def drifting_apply(self, state, ledger=None):
-        return es.StateVector(1.01 * state.amps, state.layout, state.frame)
+        # the first round's input is the embedded halfway state
+        return es.StateVector.product(1.01 * state.main, state.layout, state.frame)
 
     monkeypatch.setattr(es.InversionOperator, "apply", drifting_apply)
     with pytest.raises(ValueError, match="state norm") as info:

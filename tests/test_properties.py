@@ -11,16 +11,19 @@ straddling pi/2, and some with eigenphases exactly on register grid points,
 where the in-window or the off-window part of an estimate profile vanishes.
 They compare the operator against the dense oracles built from powers of the
 unitary itself, its query charges against the ledger's closed forms, and the
-search operator's gap eigenphases against the secular roots.  States in an
-estimate frame are checked against plain arrays of computational amplitudes
-through the dense frame change V^dagger (x) H (x) 1 of ``frames``, and the
-frame amplification of ``run_full`` against rounds run on such an array.
-An embedded state, kept as its main coefficients, and the Dicke state a
-boosted inversion makes of it are checked against the same states rebuilt
-from their amplitudes as registers, and the plane coefficients that Dicke
-state is held as against its slabs written out.  The inversion of every
-other state is checked against the dense oracles, and the readouts of every
-form of state against the readouts of its amplitudes.
+search operator's gap eigenphases against the secular roots.  The dense
+boosted oracle commutes with every swap of two vote bits, so it keeps the
+span of the Dicke states that every state is held in, and the operator is
+compared with it on that span.  States in an estimate frame are checked
+against plain arrays of computational amplitudes through the dense frame
+change V^dagger (x) H (x) 1 of ``frames``, and the frame amplification of
+``run_full`` against rounds run on such an array.  An embedded state, kept
+as its main coefficients, and the Dicke state a boosted inversion makes of
+it are checked against the same states written out from their amplitudes
+as Dicke slabs, and the plane coefficients that Dicke state is held as
+against its slabs written out.  The inversion of every other state is
+checked against the dense oracles, and the readouts of every form of state
+against the readouts of its amplitudes.
 """
 
 import dataclasses
@@ -34,18 +37,11 @@ from hypothesis import strategies as st
 
 import eigensearch as es
 import frames
+import instances
 import oracles
 from eigensearch import phase_estimation, pipeline, selective_inversion, spectra
 
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
-
-
-def haar_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
 
 
 @st.composite
@@ -92,7 +88,7 @@ def unitaries(draw, n=None, window=None, planting=None):
                 draw(st.sampled_from(np.flatnonzero(~window).tolist()))]
         planted = es.wrap_angle(2.0 * np.pi * np.array(grid) / window.size)
         phases[:2] = planted[:n]
-    basis = haar_unitary(n, seed + 1)
+    basis = instances.haar_unitary(n, seed + 1)
     return (basis * np.exp(1j * phases)) @ basis.conj().T
 
 
@@ -136,7 +132,35 @@ def test_eigenframe_inverter_is_a_unitary_involution(case):
 @given(operators())
 def test_eigenframe_inverter_matches_the_dense_oracle(case):
     u, op = case
-    assert np.max(np.abs(frames.inverter_matrix(op) - dense_oracle(u, op))) <= 1e-9
+    want = frames.on_dicke_span(dense_oracle(u, op), op.layout)
+    assert np.max(np.abs(frames.inverter_matrix(op) - want)) <= 1e-9
+
+
+def assert_commutes_with_vote_swaps(r, layout):
+    """``r``, a dense operator on (main, phase, vote) amplitudes, is
+    unchanged by every swap of two vote bits S, S r S = r within 1e-12:
+    with one axis per vote bit, S swaps two axes of the rows and the same
+    two of the columns."""
+    nu, rows = layout.vote_bits, layout.main_dim * layout.phase_dim
+    r = r.reshape((rows,) + (2,) * nu + (rows,) + (2,) * nu)
+    for i in range(1, nu + 1):
+        for j in range(i + 1, nu + 1):
+            swapped = r.swapaxes(i, j).swapaxes(nu + 1 + i, nu + 1 + j)
+            assert np.max(np.abs(swapped - r)) <= 1e-12
+
+
+def test_the_boosted_oracle_commutes_with_vote_swaps_at_criterion_10(criterion10_boosted):
+    # criterion-10 compares the boosted inverter with this oracle on the
+    # Dicke span alone; a span kept by the oracle leaves out no state
+    _, op, oracle = criterion10_boosted
+    assert_commutes_with_vote_swaps(oracle, op.layout)
+
+
+@SETTINGS
+@given(operators(votes=(2, 4)))
+def test_the_boosted_oracle_commutes_with_vote_swaps(case):
+    u, op = case
+    assert_commutes_with_vote_swaps(dense_oracle(u, op), op.layout)
 
 
 @SETTINGS
@@ -164,7 +188,7 @@ def assert_matches_dense_solver(dec, u):
 def test_eig_unitary_splits_one_wide_cluster():
     # every eigenphase within 1e-3 of 0.7: one mixed block of all 64
     # columns (test_numerics' REAL_OPERATORS["one_cluster"] is its real twin)
-    basis = haar_unitary(64, 6)
+    basis = instances.haar_unitary(64, 6)
     u = (basis * np.exp(1j * np.linspace(0.7, 0.7 + 1e-3, 64))) @ basis.conj().T
     assert_matches_dense_solver(es.eig_unitary(u), u)
 
@@ -234,7 +258,7 @@ def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
     phases = rng.uniform(gap, np.pi, n) * rng.choice((-1.0, 1.0), n)
     phases[:3] = 0.0, gap, -gap
     spec = es.DiffusionSpec(n=n, source_index=0, eigenphases=phases,
-                            eigenbasis=haar_unitary(n, seed), phase_gap=gap)
+                            eigenbasis=instances.haar_unitary(n, seed), phase_gap=gap)
     d = es.diffusion_operator(spec)
     assert np.max(np.abs(d.imag)) > np.finfo(float).eps
     target = int(rng.integers(1, n))
@@ -318,9 +342,10 @@ def test_frame_operations_match_the_computational_ones(case, seed):
     lay = op.layout
     change = frames.dense_frame_change(dec, lay)
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=lay.dim) + 1j * rng.normal(size=lay.dim)
-    comp = (amps / np.linalg.norm(amps)).reshape(lay.shape)
-    framed = es.StateVector(change @ comp.reshape(-1), lay, dec)
+    shape = (lay.main_dim, lay.phase_dim, lay.vote_bits + 1)
+    coefs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    comp = coefs @ frames.dicke_isometry(lay.vote_bits).T / np.linalg.norm(coefs)
+    framed = frames.framed(comp, dec, lay)
 
     out = op.apply(framed)
     assert out.frame is dec
@@ -347,15 +372,14 @@ def test_frame_operations_match_the_computational_ones(case, seed):
 
 def product_and_general(op, seed):
     """A random embedded state of ``op``'s frame, kept as its main
-    coefficients, and the same state rebuilt from its amplitudes as a
-    plain register state."""
+    coefficients, and the same state written out from its amplitudes as
+    Dicke slabs."""
     rng = np.random.default_rng(seed)
     n = op.layout.main_dim
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     vec /= np.linalg.norm(vec)
     product = es.embed_mainspace(op.layout, vec, op.frame)
-    general = es.StateVector(es.embed_mainspace(op.layout, vec, op.frame).amps,
-                             op.layout, op.frame)
+    general = frames.slab_twin(product)
     assert product.main is not None and general.main is None
     return vec, product, general
 
@@ -368,8 +392,7 @@ def test_a_product_state_apply_matches_the_register_apply(case, seed):
     ledgers = es.QueryLedger(), es.QueryLedger()
     out = op.apply(product, ledgers[0])
     want = op.apply(general, ledgers[1])
-    assert out.main is None and out.frame is op.frame
-    assert out.vote_symmetric and out.reflection is None
+    assert out.main is None and out.frame is op.frame and out.reflection is None
     assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
 
@@ -418,7 +441,7 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
         seen = columns[name] = []
         call_counter(phase_estimation, name,
                      lambda a, *args, seen=seen, **kwargs: seen.append(a.size))
-    u = haar_unitary(n, 17 + nu)
+    u = instances.haar_unitary(n, 17 + nu)
     op = es.InversionOperator.build(
         es.InversionScheme("basic" if nu == 0 else "boosted", mu, nu, 1.0), u)
     _, product, general = product_and_general(op, 5)
@@ -429,23 +452,21 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
     out = op.apply(product)
     assert counted() == {"raw_estimate_forward": 1 if nu == 0 else 0,
                          "raw_estimate_inverse": 1 if nu == 0 else 2}
-    # a Dicke state is transformed on its nu + 1 columns each way, a
-    # register state on all 2^nu vote values
+    # a slab state is transformed on its nu + 1 Dicke columns each way
     op.apply(es.target_flip(out, 0))
     op.apply(general)
-    assert counted() == {"raw_estimate_forward": (1 if nu == 0 else 0) + (nu + 1) + (1 << nu),
-                         "raw_estimate_inverse": (1 if nu == 0 else 2) + (nu + 1) + (1 << nu)}
+    assert counted() == {"raw_estimate_forward": (1 if nu == 0 else 0) + 2 * (nu + 1),
+                         "raw_estimate_inverse": (1 if nu == 0 else 2) + 2 * (nu + 1)}
 
 
 def dicke_and_general(op, seed):
     """The Dicke output of a boosted apply on a random embedded state, the
-    same state rebuilt as a plain register state, and the ledger of that
-    apply with the ledger of the register apply of the embedding."""
+    same state from the apply of the embedding written out as slabs, and
+    the ledgers of the two applies."""
     _, product, general = product_and_general(op, seed)
     ledgers = es.QueryLedger(), es.QueryLedger()
     dicke = op.apply(product, ledgers[0])
-    want = op.apply(general, ledgers[1])
-    return dicke, es.StateVector(want.amps, op.layout, op.frame), ledgers
+    return dicke, op.apply(general, ledgers[1]), ledgers
 
 
 @SETTINGS
@@ -457,8 +478,7 @@ def test_a_boosted_product_apply_returns_a_dicke_state(case, seed):
     dicke, want, ledgers = dicke_and_general(op, seed)
     n, m, _ = op.layout.shape
     assert dicke.coefs.shape == (n, op.layout.vote_bits + 1, 2)
-    assert dicke.plane is op._window_split()[0]
-    assert dicke.vote_symmetric and not want.vote_symmetric
+    assert dicke.plane is op._window_split()[0] and want.coefs is None
     assert dicke.main is None and dicke.frame is op.frame
     assert not dicke.coefs.flags.writeable
     coefs, held = dicke.coefs, dicke.coefs.copy()
@@ -481,7 +501,7 @@ def test_a_dicke_state_target_flip_is_kept_pending(case, seed):
     flipped = es.target_flip(dicke, target, ledgers[0])
     want = es.target_flip(general, target, ledgers[1])
     assert flipped.coefs is dicke.coefs and flipped.plane is dicke.plane
-    assert flipped.reflection is not None and flipped.vote_symmetric
+    assert flipped.reflection is not None
     assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
     # a second flip writes the first one out as slabs: the flip is an
@@ -503,7 +523,7 @@ def test_a_flipped_factored_state_apply_matches_the_register_apply(case, seed):
     ledgers = es.QueryLedger(), es.QueryLedger()
     out = op.apply(flipped, ledgers[0])
     want = op.apply(es.target_flip(general, target), ledgers[1])
-    assert out.vote_symmetric and out.reflection is None and out.main is None
+    assert out.reflection is None and out.main is None
     assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
     assert ledgers[0] == ledgers[1]
 
@@ -582,40 +602,16 @@ def test_slab_wise_epsilons_match_the_register_norms(case):
         assert abs(report.measured[k] - want) <= 1e-15
 
 
-@SETTINGS
-@given(operators(), st.integers(0, 2**32 - 1))
-def test_a_dicke_state_runs_like_its_register(case, seed):
-    # the round-one output and its flip, held in the Dicke basis, against
-    # the same amplitudes as a caller's register on all 2^nu vote values:
-    # applies, readouts and epsilons agree, under both schemes
-    _, op = case
-    _, product, _ = product_and_general(op, seed)
-    dicke = op.apply(product)
-    for state in (dicke, es.target_flip(dicke, seed % op.layout.main_dim)):
-        register = es.StateVector(state.amps, op.layout, op.frame)
-        for got, want in ((state, register), (op.apply(state), op.apply(register))):
-            assert np.max(np.abs(got.amps - want.amps)) <= 1e-13
-            for value, twin in zip(got.readouts(), want.readouts()):
-                assert np.max(np.abs(value - twin)) <= 1e-13
-    dec = op.frame
-    invert = np.arange(op.layout.main_dim) % 2 == 1
-    report = es.measure_epsilon(op, dec.phases, dec.vectors, invert)
-    for k in range(op.layout.main_dim):
-        embedded = es.embed_mainspace(op.layout, dec.vectors[:, k], dec)
-        register = es.StateVector(embedded.amps, op.layout, dec)
-        diff = op.apply(register).amps - (-1.0 if invert[k] else 1.0) * register.amps
-        assert abs(report.measured[k] - np.linalg.norm(diff)) <= 1e-13
-
-
 def register_state(op, seed):
-    """A random plain register state of ``op``'s frame."""
+    """A random state of ``op``'s frame, drawn as Dicke slabs."""
     rng = np.random.default_rng(seed)
-    amps = rng.normal(size=op.layout.dim) + 1j * rng.normal(size=op.layout.dim)
-    return es.StateVector(amps / np.linalg.norm(amps), op.layout, op.frame)
+    shape = (op.layout.main_dim, op.layout.vote_bits + 1, op.layout.phase_dim)
+    slabs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
+    return es.StateVector.from_slabs(slabs / np.linalg.norm(slabs), op.layout, op.frame)
 
 
 def apply_inputs(op, seed):
-    """The states an apply takes that are not products: a random register
+    """The states an apply takes that are not products: a random slab
     state, and for the boosted scheme the flipped Dicke output of a
     product apply, as the second amplification round sees it."""
     states = [register_state(op, seed)]
@@ -643,8 +639,8 @@ def oracle_apply(op, state, times=1):
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_an_inverted_state_matches_the_dense_oracle(case, seed):
-    # an apply of a register state or of a flipped Dicke state returns its
-    # slabs in the basis of its input, with the pending reflection applied
+    # an apply of a slab state or of a flipped plane state returns Dicke
+    # slabs, with the pending reflection applied
     _, op = case
     product = es.embed_mainspace(op.layout, np.eye(op.layout.main_dim)[0], op.frame)
     want_ledger = es.QueryLedger()
@@ -653,7 +649,6 @@ def test_an_inverted_state_matches_the_dense_oracle(case, seed):
         ledger = es.QueryLedger()
         out = op.apply(state, ledger)
         assert out.slabs.shape == state.slabs.shape and out.reflection is None
-        assert out.vote_symmetric == state.vote_symmetric
         assert np.max(np.abs(out.amps - oracle_apply(op, state))) <= 1e-13
         assert ledger == want_ledger
 
@@ -681,9 +676,9 @@ def amplitude_readouts(state):
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_block_readouts_match_the_amplitude_readouts(case, seed):
-    # every form of state: product, register, Dicke, each with and without
-    # a pending reflection; and the rounds of a run, which are held in the
-    # Dicke basis, while the amplitudes are written on every vote value
+    # every form of state: product, slab, plane, each with and without a
+    # pending reflection; and the rounds of a run, while the amplitudes are
+    # written on every vote value
     _, op = case
     _, product, _ = product_and_general(op, seed)
     states = [product, *apply_inputs(op, seed)]
@@ -693,9 +688,6 @@ def test_block_readouts_match_the_amplitude_readouts(case, seed):
     for _ in range(2):
         rounds += [es.target_flip(rounds[-1], target)]
         rounds += [op.apply(rounds[-1])]
-    # with fewer than two votes the Dicke basis is the full vote basis
-    assert states[1].vote_symmetric == (op.layout.vote_bits < 2)
-    assert all(state.vote_symmetric for state in [product, *rounds])
     # a target flip leaves the main marginal alone; a reflection about any
     # other unit vector does not
     rng = np.random.default_rng(seed)
@@ -809,26 +801,21 @@ def vote_stages(draw):
 def test_the_closed_form_vote_stage_matches_the_kick_loop(case):
     # the stage run in the vote Hadamard basis against the 2 nu kickbacks
     # and the flip run one vote bit at a time, less the fixed signs, on
-    # unit projections per eigenvector: on all 2^nu vote values, and on
-    # Dicke columns expanded to them through the roots of their weights
+    # unit projections per eigenvector: on Dicke columns, written out on
+    # all 2^nu vote values through the Dicke isometry
     op, seed = case
     nu, n = op.scheme.vote_bits, op.layout.main_dim
     norms = op._window_split()[1]
     vote_sign = np.where(oracles.vote_majority_mask(nu), -1.0, 1.0)
-    weights, roots = phase_estimation.dicke_basis(nu)
+    dicke = frames.dicke_isometry(nu).T
     rng = np.random.default_rng(seed)
-
-    def kick_loop(p):
-        fixed = np.stack([vote_sign, vote_sign[::-1]]) * p
-        return oracles.vote_coefficients(p, norms, vote_sign) - fixed
-
-    for basis in (1 << nu, nu + 1):
-        p = rng.normal(size=(n, 2, basis)) + 1j * rng.normal(size=(n, 2, basis))
-        p /= np.linalg.norm(p, axis=(1, 2), keepdims=True)
-        got = op._plane_update(p)
-        if basis == nu + 1:
-            p, got = ((a / roots)[:, :, weights] for a in (p, got))
-        assert np.max(np.abs(got - kick_loop(p))) <= 1e-13
+    p = rng.normal(size=(n, 2, nu + 1)) + 1j * rng.normal(size=(n, 2, nu + 1))
+    p /= np.linalg.norm(p, axis=(1, 2), keepdims=True)
+    got = op._plane_update(p) @ dicke
+    p = p @ dicke
+    fixed = np.stack([vote_sign, vote_sign[::-1]]) * p
+    assert np.max(np.abs(got - oracles.vote_coefficients(p, norms, vote_sign) + fixed)) \
+        <= 1e-13
 
 
 def test_computed_amplitudes_are_norm_checked():
@@ -837,14 +824,14 @@ def test_computed_amplitudes_are_norm_checked():
     # changed after that check are caught where the amplitudes are read:
     # by the Gram trace of the readouts and the norm of the written register
     op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
-                                    haar_unitary(3, 23))
+                                    instances.haar_unitary(3, 23))
     product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
     flipped = es.target_flip(op.apply(product), 1)
     original = selective_inversion._vote_basis
 
-    def tripled(*args):
-        hadamard, weights, flip = original(*args)
-        return hadamard, weights, 3.0 * flip
+    def tripled(nu):
+        hadamard, flip = original(nu)
+        return hadamard, 3.0 * flip
 
     with mock.patch.object(selective_inversion, "_vote_basis", tripled):
         with pytest.raises(es.InternalInvariantError):

@@ -15,14 +15,6 @@ from eigensearch import phase_estimation, selective_inversion
 from eigensearch.phase_estimation import embed_mainspace, window_split
 
 
-def qr_unitary(n, seed):
-    rng = np.random.default_rng(seed)
-    z = rng.normal(size=(n, n)) + 1j * rng.normal(size=(n, n))
-    q, r = np.linalg.qr(z)
-    d = np.diag(r)
-    return q * (d / np.abs(d))
-
-
 def test_scheme_constructors_size_the_registers():
     basic = es.InversionScheme.basic(3.0, 0.5)
     assert basic.kind == "basic"
@@ -65,25 +57,19 @@ def test_vote_majority_mask_selects_strict_majorities():
         oracles.vote_majority_mask(3)
 
 
-def test_the_vote_hadamard_of_each_basis_is_its_dense_matrix():
+def test_the_vote_hadamard_is_its_dense_matrix_on_the_dicke_span():
     # the Krawtchouk matrix on the Dicke columns is <D_s| H^{(x) nu} |D_h>,
-    # exactly symmetric and its own inverse; the Walsh-Hadamard on all
-    # vote values is H^{(x) nu} itself
+    # exactly symmetric and its own inverse, and the majority sign is -1 on
+    # the weights above nu / 2
     for nu in range(2, 21, 2):
-        hadamard, weights, _ = selective_inversion._vote_basis(nu, nu + 1)
-        k = hadamard(np.eye(nu + 1))
-        assert weights.tolist() == list(range(nu + 1))
+        k, flip = selective_inversion._vote_basis(nu)
         assert np.array_equal(k, k.T)
         assert np.max(np.abs(k @ k - np.eye(nu + 1))) <= 1e-14
+        assert flip.tolist() == [1.0] * (nu // 2 + 1) + [-1.0] * (nu // 2)
         if nu > 6:
             continue
-        walsh, ones = oracles.dense_walsh(nu), phase_estimation.dicke_basis(nu)[0]
-        dicke = np.stack([(ones == h) / math.sqrt(math.comb(nu, h)) for h in range(nu + 1)],
-                         axis=1)
-        assert np.max(np.abs(k - dicke.T @ walsh @ dicke)) <= 1e-14
-        hadamard, weights, _ = selective_inversion._vote_basis(nu, 1 << nu)
-        assert np.max(np.abs(hadamard(np.eye(1 << nu)) - walsh)) <= 1e-15
-        assert np.array_equal(weights, ones)
+        dicke = frames.dicke_isometry(nu)
+        assert np.max(np.abs(k - dicke.T @ oracles.dense_walsh(nu) @ dicke)) <= 1e-14
 
 
 def test_binomial_tail_matches_scipy():
@@ -201,7 +187,7 @@ def test_predicted_epsilon_of_an_array_repeats_the_scalar_arithmetic(ref12_opera
 
 
 def test_inverter_matrix_is_unitary_and_involutive():
-    u = qr_unitary(4, 9)
+    u = instances.haar_unitary(4, 9)
     scheme = es.InversionScheme(kind="basic", phase_bits=5, vote_bits=0,
                                 phase_gap=0.6,
                                 guard_fraction=es.GUARD_FRACTION)
@@ -212,7 +198,7 @@ def test_inverter_matrix_is_unitary_and_involutive():
 
 
 def test_basic_inverter_matches_the_dense_oracle():
-    u = qr_unitary(4, 11)
+    u = instances.haar_unitary(4, 11)
     scheme = es.InversionScheme(kind="basic", phase_bits=5, vote_bits=0,
                                 phase_gap=0.6,
                                 guard_fraction=es.GUARD_FRACTION)
@@ -223,15 +209,16 @@ def test_basic_inverter_matches_the_dense_oracle():
 
 
 def test_boosted_inverter_matches_the_dense_oracle():
-    u = qr_unitary(2, 13)
+    u = instances.haar_unitary(2, 13)
     scheme = es.InversionScheme(kind="boosted", phase_bits=5, vote_bits=2,
                                 phase_gap=0.6,
                                 guard_fraction=es.GUARD_FRACTION)
-    fast = frames.inverter_matrix(es.InversionOperator.build(scheme, u))
+    op = es.InversionOperator.build(scheme, u)
     gap_mask = es.gap_window_mask(5, 0.6, es.GUARD_FRACTION)
     vote_mask = oracles.vote_majority_mask(2)
     slow = oracles.dense_boosted_inversion(u, 5, 2, gap_mask, vote_mask)
-    assert np.max(np.abs(fast - slow)) <= 1e-9
+    assert np.max(np.abs(frames.inverter_matrix(op) - frames.on_dicke_span(slow, op.layout))) \
+        <= 1e-9
 
 
 def test_vote_plane_split_keeps_an_empty_side_finite(monkeypatch):
@@ -289,21 +276,21 @@ def _apply_peak_over_register(op, sv):
 
 
 def test_boosted_apply_allocates_twice_the_register(ref12, ref12_operator):
-    # an apply of a plain register state (the output of a first apply is
-    # held in the Dicke basis, so it is rebuilt as one) writes its output
-    # register on all 2^nu vote values, next to the working arrays of a
-    # few eigenvectors: 1.18x measured (see the table in test_pipeline),
-    # against 0.26x when it kept its input and computed the output when
-    # read (the bound dates from the computational apply, at 2.0004x)
+    # an apply of a Dicke slab state (the output of a first apply is held
+    # as plane coefficients, so it is written out as slabs) writes its
+    # output's nu + 1 columns next to the working arrays of a few
+    # eigenvectors: 0.39x measured (1.26x its columns; see the table in
+    # test_pipeline), against 1.18x when such a state could be held on all
+    # 2^nu vote values (the bound dates from the computational apply, at
+    # 2.0004x)
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
                                 phase_gap=instances.REF12_GAP,
                                 guard_fraction=es.GUARD_FRACTION)
     op = es.InversionOperator.build(scheme, ref12_operator)
     sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
     # the vote plane is computed and kept on first use
-    sv = op.apply(sv)
-    sv = es.StateVector(sv.amps, sv.layout, sv.frame)
-    assert sv.main is None and not sv.vote_symmetric
+    sv = frames.slab_twin(op.apply(sv))
+    assert sv.main is None and sv.coefs is None
     assert _apply_peak_over_register(op, sv) <= 2.01
 
 
@@ -398,7 +385,7 @@ def test_a_flipped_factored_state_apply_writes_one_register(ref12):
     # output when read, and 1.17x when it wrote its working array
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
-    assert flipped.vote_symmetric and flipped.reflection is not None
+    assert flipped.reflection is not None
     assert _apply_peak_over_register(op, flipped) <= 1.2
 
 
@@ -413,7 +400,7 @@ def test_an_apply_does_not_depend_on_how_it_splits_the_eigenvectors(
                                     decomposition=es.search_decomposition(ref12))
     sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, op.frame)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
-    inputs = (sv, flipped, es.StateVector(flipped.amps, op.layout, op.frame))
+    inputs = (sv, flipped, frames.slab_twin(flipped))
     splits = {}
     for runs in (1, ref12.spec.n):
         monkeypatch.setattr(selective_inversion, "_chunks",
