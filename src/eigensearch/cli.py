@@ -110,8 +110,17 @@ _KIND_NAMES = {int: "integers", float: "numbers", str: "strings", bool: "boolean
                dict: "objects"}
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are ``ConfigError``s, so that they
+    print as one ``error:`` line with exit code 2, like every other
+    configuration error; subparsers are made of the same class."""
+
+    def error(self, message):
+        raise ConfigError(message)
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    common = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    common = _Parser(add_help=False, argument_default=argparse.SUPPRESS)
     common.add_argument("--config", metavar="PATH", default=None)
     for key, (kind, _) in _OPTIONS.items():
         flag = "--" + key.replace("_", "-")
@@ -121,7 +130,7 @@ def _build_parser() -> argparse.ArgumentParser:
             common.add_argument(flag, metavar="{%s}" % ",".join(kind)
                                 if isinstance(kind, tuple) else None)
 
-    parser = argparse.ArgumentParser(prog="eigensearch")
+    parser = _Parser(prog="eigensearch")
     sub = parser.add_subparsers(dest="command", required=True)
     for name in ("spectrum", "search", "invert", "pipeline", "compare", "schedule"):
         sub.add_parser(name, parents=[common])

@@ -195,10 +195,6 @@ class StateVector:
         """The held slabs, a plane state's written into a new array."""
         return self._slabs if self.coefs is None else np.matmul(self.coefs, self.plane)
 
-    @slabs.setter
-    def slabs(self, slabs: np.ndarray):
-        self._slabs, self.coefs, self.plane = slabs, None, None
-
     def _bind(self, layout: RegisterLayout, frame: EigenDecomposition, norm: float,
               computed: bool = False):
         if not isinstance(frame, EigenDecomposition):

@@ -381,6 +381,17 @@ def test_schedule_rejects_a_guess_that_is_not_finite(capsys, guess):
     assert err == f"error: initial_guess must be a finite positive gap guess, not {guess}\n"
 
 
+@pytest.mark.parametrize("args, flag", [
+    ((*SCHEDULE_ARGS[:-1], "-inf"), "--initial-guess"),
+    (("pipeline", *REF_ARGS, "--bogus", "3"), "--bogus")])
+def test_an_argument_the_parser_rejects_exits_2_with_one_line(capsys, args, flag):
+    # argparse's own errors used to print its usage block before the error
+    code, out, err = run_cli(capsys, *args)
+    assert (code, out) == (2, "")
+    assert err.count("\n") == 1
+    assert err.startswith("error: ") and flag in err
+
+
 def test_timings_flag_adds_wall_time(capsys):
     code, out, _ = run_cli(capsys, "spectrum", *REF_ARGS, "--timings")
     assert code == 0

@@ -194,13 +194,13 @@ def test_gap_window_rejects_a_register_too_coarse_for_the_gap():
         es.gap_window_mask(2, np.pi, es.GUARD_FRACTION)
 
 
-def test_estimate_window_mass_checks_register_dimension():
+def test_window_split_checks_register_dimension():
     mask = es.window_mask(5, 0, 2)
     with pytest.raises(ValueError):
         window_split(6, 0.1, mask)
 
 
-def test_estimate_window_mass_takes_only_a_boolean_mask():
+def test_window_split_takes_only_a_boolean_mask():
     # an index array of the register's length would otherwise be read as
     # indices, not as a mask
     mask = es.window_mask(5, 0, 2)

@@ -142,8 +142,8 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #     boosted (9, 12) run_full, n=48 (over 13 Dicke columns)    1.30   3
 #     criterion-07's (9, 6) run_full, n=48 (over 7 Dicke cols)  1.49   1.75
 #   test_selective_inversion.py
-#     boosted (10, 4) apply of a Dicke slab state               0.39   2.01
-#     boosted (10, 2) apply of the embedded halfway state      0.013   1.3
+#     boosted (10, 4) apply of a Dicke slab state (over 5 cols) 1.26   1.5
+#     boosted (10, 2) apply of the embedded halfway state      0.012   1.3
 #     boosted (10, 2) apply of the flipped round-one output     0.99   1.2
 #     basic mu=12 build and error prediction                    0.61   0.75
 
@@ -164,10 +164,7 @@ def _run_full_peak_over_register(inst, scheme, columns=None, dense_cap=es.DENSE_
 
 def test_boosted_amplification_holds_two_registers(ref12):
     # at most the state and its successor; every other temporary is a
-    # slab of a few eigenvectors or a main x phase table.  3.03x measured
-    # when each round rotated the register into the eigenframe and back,
-    # 2.15x when the first round wrote its output as a register; now see
-    # the table above
+    # slab of a few eigenvectors or a main x phase table: 0.18x measured
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.25
 
@@ -175,9 +172,7 @@ def test_boosted_amplification_holds_two_registers(ref12):
 def test_a_boosted_run_holds_one_register(ref12):
     # the first round's input is the embedded halfway state, n coefficients,
     # and every later state nu + 1 Dicke columns (7 / 64 of the register);
-    # the target flip writes nothing.  1.28x measured on ref12 (9, 6) when
-    # the second inversion wrote its working array, 2.15x when the first
-    # round wrote its output as a register
+    # the target flip writes nothing: 0.18x measured
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 1.3
 
@@ -186,31 +181,16 @@ def test_a_boosted_run_writes_no_register(ref12):
     # the second inversion's input is plane coefficients and its output 7
     # Dicke columns of the 64 vote values, and the readout sums their Gram
     # matrix in place: 0.18x measured on ref12 (9, 6) next to the
-    # operator's vote plane, against 0.29x when the first round's output
-    # was written as Dicke columns (0.28x without the pending reflection's
-    # projection, 0.27x when the operator kept one profile row per
-    # eigenvector in place of the two plane columns), 0.28x when the operator kept the
-    # controlled powers of every eigenvector, 0.35x when the
-    # second inversion kept its input and the readout computed the 7 vote
-    # values, and 1.28x when the second inversion wrote its working array
+    # operator's vote plane
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 0.4
 
 
-def test_a_one_round_run_reads_its_factors(ref12):
+def test_a_one_round_run_writes_its_output_once_for_the_readout(ref12):
     # criterion-08's first instance needs one round, whose output is plane
     # coefficients, written out once as 5 Dicke columns of the 16 vote
     # values for the readout, whose n x n work arrays weigh at n=32: 1.05x
-    # measured, against 0.90x when the output was held as those columns
-    # and read with one conjugated copy of them.  1.59x when the readout took the
-    # marginal with a three-operand einsum, n^3 values at n=32, and 1.53x
-    # before that when the operator kept one profile row per eigenvector
-    # in place of its two plane columns (0.90x recorded earlier, and 0.96x
-    # when the operator kept the controlled powers of every eigenvector),
-    # against 0.93x when the readout computed them from three phase
-    # columns per eigenvector, 1.62x when it computed all 16 vote values,
-    # and 2.55x when it wrote the register and summed its Gram matrix over
-    # 4096 columns at a time
+    # measured
     fam, seed, target = instances.BASELINE_TRIO[0]
     inst = instances.symmetric_instance(instances.TRIO_N, fam, seed, target)
     scheme = es.InversionScheme.boosted(inst.boost, inst.spec.phase_gap, offset_bits=4)
@@ -220,19 +200,13 @@ def test_a_one_round_run_reads_its_factors(ref12):
 
 
 def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
-    # with two votes the vote plane is a quarter of the register, so
-    # tables built inside the first round, next to the state and the
-    # working array, set the peak: 3.44x measured that way, 2.43x with the
-    # plane built before the state is embedded.  2.12x with the second
-    # round's output computed a block at a time for the readout, 2.27x
-    # when the operator also kept the controlled powers of every
-    # eigenvector; 1.98x with one profile row per eigenvector; 2.18x with
-    # the pending reflection written out before the second round's
-    # estimate; 2.24x with the second round's input and output, 3 Dicke
-    # columns of the 4 vote values each, next to the plane's two columns
-    # per eigenvector and the reflection's projection, 1/16 of the
-    # register; now 1.50x, the second round's input being coefficients
-    # along the plane
+    # with two votes the vote plane is a quarter of the register, so it is
+    # built before the state is embedded, not inside the first round next
+    # to the state and the working array.  The second round's output, 3
+    # Dicke columns of the 4 vote values, its input's coefficients along
+    # the plane, the plane's two columns per eigenvector and the
+    # reflection's projection, 1/16 of the register, set the peak: 1.50x
+    # measured
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
@@ -241,9 +215,7 @@ def test_a_twelve_vote_run_holds_a_few_dicke_states():
     # with 12 votes the full register, 2^21 values per eigenvector, is
     # never made: every state is 13 Dicke columns, and the vote stage runs
     # on each eigenvector's 2 x 13 plane coefficients.  1.30x the stored
-    # Dicke state measured, against 2.30x when the first round wrote its
-    # output as Dicke columns and 7.15x when the stage expanded the plane
-    # coefficients to all 4096 vote values and checked each weight class
+    # Dicke state measured
     inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
                                         *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
     scheme = es.InversionScheme("boosted", 9, 12, instances.HIGAIN_GAP)
@@ -255,8 +227,7 @@ def test_a_criterion_07_run_holds_one_dicke_register():
     # the readout conjugates a few columns at a time, so the n=48 (9, 6)
     # run holds one register of 7 Dicke columns, the second round's output,
     # next to the plane's two columns and a few eigenvectors' working
-    # arrays: 1.49x measured, against 2.48x when the first round wrote its
-    # output as Dicke columns and the readout conjugated every column at once
+    # arrays: 1.49x measured
     inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
                                         *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
     scheme = es.InversionScheme.boosted(inst.boost, instances.HIGAIN_GAP, offset_bits=8)
@@ -265,38 +236,31 @@ def test_a_criterion_07_run_holds_one_dicke_register():
     assert _run_full_peak_over_register(inst, scheme, 7) <= 1.75
 
 
-def test_a_basic_round_two_flip_keeps_the_factors(ref12):
+def test_a_basic_round_two_flip_writes_nothing(ref12):
     # the first basic inversion returns its one phase column per
     # eigenvector, and the second round's target flip shares it and keeps
-    # its reflection pending: 0.001x measured on ref12 at mu=12, against
-    # 0.17x when the flip added a shared rank-one term to the column and
-    # 1.09x when it reflected the register
+    # its reflection pending: 0.001x measured on ref12 at mu=12
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     dec = es.search_decomposition(ref12)
     op = es.InversionOperator.build(scheme, es.search_operator(ref12), decomposition=dec)
     state = es.embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, dec)
     state = op.apply(es.target_flip(state, ref12.target_index))
-    assert state.slabs.shape == (ref12.spec.n, 1, op.layout.phase_dim)
-    assert state.reflection is None
     tracemalloc.start()
     try:
-        flipped = es.target_flip(state, ref12.target_index)
+        es.target_flip(state, ref12.target_index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert flipped.slabs is state.slabs
-    assert np.array_equal(flipped.reflection,
-                          dec.vectors[ref12.target_index].conj())
     assert peak / (op.layout.dim * 16) <= 0.3
 
 
 def test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time(ref12):
     # with no vote register a main x phase array is the register, so the
-    # estimate profiles of all twelve eigenphases at once set the peak of a
-    # basic run: 4.58x measured that way on ref12 at mu=12.  Now 2.52x,
-    # set by the second round's input and output, a few eigenvectors'
-    # controlled powers at a time and the pending reflection's projection,
-    # one phase column (2.44x when the reflection was written out first)
+    # estimate profiles of all twelve eigenphases at once would set the peak
+    # of a basic run, so they are computed a few eigenphases at a time.  The
+    # second round's input and output, a few eigenvectors' controlled
+    # powers and the pending reflection's projection, one phase column,
+    # set the peak: 2.52x measured on ref12 at mu=12
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 

@@ -14,19 +14,21 @@ unitary itself, its query charges against the ledger's closed forms, and the
 search operator's gap eigenphases against the secular roots.  The dense
 boosted oracle commutes with every swap of two vote bits, so it keeps the
 span of the Dicke states that every state is held in, and the operator is
-compared with it on that span.  States in an estimate frame are checked
-against plain arrays of computational amplitudes through the dense frame
-change V^dagger (x) H (x) 1 of ``frames``, and the frame amplification of
-``run_full`` against rounds run on such an array.  An embedded state, kept
-as its main coefficients, and the Dicke state a boosted inversion makes of
-it are checked against the same states written out from their amplitudes
-as Dicke slabs, and the plane coefficients that Dicke state is held as
-against its slabs written out.  The inversion of every other state is
-checked against the dense oracles, and the readouts of every form of state
-against the readouts of its amplitudes.
+compared with it on that span.
+
+Every state the program can make is held to one contract,
+``frames.check_state``: its norm, readouts, target flip and apply against
+the dense references, whatever form it is held in.
+``frames.reachable_states`` makes the states through public calls: an
+embedding, its apply, a random Dicke slab draw, their flips and
+reflections, and three amplification rounds.  The frame operations are
+checked against plain arrays of computational amplitudes through the dense
+frame change V^dagger (x) H (x) 1, and the frame amplification of
+``run_full`` against rounds run on such an array.
 """
 
 import dataclasses
+import itertools
 import math
 from unittest import mock
 
@@ -109,15 +111,6 @@ def operators(draw, votes=(0, 2, 4)):
     return u, es.InversionOperator.build(scheme, u)
 
 
-def dense_oracle(u, op):
-    scheme = op.scheme
-    if scheme.kind == "basic":
-        return oracles.dense_basic_inversion(u, scheme.phase_bits, op.gap_window)
-    return oracles.dense_boosted_inversion(u, scheme.phase_bits, scheme.vote_bits,
-                                           op.gap_window,
-                                           oracles.vote_majority_mask(scheme.vote_bits))
-
-
 @SETTINGS
 @given(operators())
 def test_eigenframe_inverter_is_a_unitary_involution(case):
@@ -132,7 +125,7 @@ def test_eigenframe_inverter_is_a_unitary_involution(case):
 @given(operators())
 def test_eigenframe_inverter_matches_the_dense_oracle(case):
     u, op = case
-    want = frames.on_dicke_span(dense_oracle(u, op), op.layout)
+    want = frames.on_dicke_span(frames.dense_oracle(u, op), op.layout)
     assert np.max(np.abs(frames.inverter_matrix(op) - want)) <= 1e-9
 
 
@@ -160,7 +153,7 @@ def test_the_boosted_oracle_commutes_with_vote_swaps_at_criterion_10(criterion10
 @given(operators(votes=(2, 4)))
 def test_the_boosted_oracle_commutes_with_vote_swaps(case):
     u, op = case
-    assert_commutes_with_vote_swaps(dense_oracle(u, op), op.layout)
+    assert_commutes_with_vote_swaps(frames.dense_oracle(u, op), op.layout)
 
 
 @SETTINGS
@@ -273,23 +266,13 @@ def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
 @SETTINGS
 @given(operators(), st.integers(1, 3))
 def test_apply_charges_the_ledger_closed_forms(case, applications):
-    # per application: one estimate and one unestimate of 2^mu controlled
-    # powers, and per vote kickback two more estimates, one zero reflection
-    # and two vote Hadamards
     _, op = case
-    m, nu = op.layout.phase_dim, op.scheme.vote_bits
     ledger = es.QueryLedger()
     sv = es.embed_mainspace(op.layout, np.eye(op.layout.main_dim)[0], frame=op.frame)
     for _ in range(applications):
         sv = op.apply(sv, ledger)
-    queries = applications * (2 * m + 4 * nu * m)
-    assert ledger.as_dict() == {
-        "ds_applications": 0,
-        "oracle_queries": queries,
-        "controlled_s": queries,
-        "i_zero_prime": applications * 2 * nu,
-        "hadamards_vote": applications * 4 * nu,
-    }
+    assert ledger.as_dict() == {name: applications * count
+                                for name, count in frames.apply_charges(op).items()}
 
 
 @st.composite
@@ -349,7 +332,7 @@ def test_frame_operations_match_the_computational_ones(case, seed):
 
     out = op.apply(framed)
     assert out.frame is dec
-    assert np.max(np.abs(out.amps - change @ dense_oracle(u, op) @ comp.reshape(-1))) \
+    assert np.max(np.abs(out.amps - change @ frames.dense_oracle(u, op) @ comp.reshape(-1))) \
         <= 1e-12
     n = lay.main_dim
     target = int(rng.integers(n))
@@ -368,63 +351,25 @@ def test_frame_operations_match_the_computational_ones(case, seed):
     plain[:, 0, 0] = vec
     embedded = es.embed_mainspace(lay, vec, dec)
     assert np.max(np.abs(embedded.amps - change @ plain.reshape(-1))) <= 1e-12
-
-
-def product_and_general(op, seed):
-    """A random embedded state of ``op``'s frame, kept as its main
-    coefficients, and the same state written out from its amplitudes as
-    Dicke slabs."""
-    rng = np.random.default_rng(seed)
-    n = op.layout.main_dim
-    vec = rng.normal(size=n) + 1j * rng.normal(size=n)
-    vec /= np.linalg.norm(vec)
-    product = es.embed_mainspace(op.layout, vec, op.frame)
-    general = frames.slab_twin(product)
-    assert product.main is not None and general.main is None
-    return vec, product, general
+    # the amplitudes an embedding writes: V^dagger vec times the flat Walsh
+    # row, on vote value 0
+    plain[:, :, 0] = (dec.vectors.conj().T @ vec)[:, None] / np.sqrt(lay.phase_dim)
+    assert np.max(np.abs(embedded.amps - plain.reshape(-1))) <= 1e-15
 
 
 @SETTINGS
 @given(operators(), st.integers(0, 2**32 - 1))
-def test_a_product_state_apply_matches_the_register_apply(case, seed):
+def test_every_reachable_state_keeps_the_state_contract(case, seed):
+    # each state against the dense references, whatever form it is held
+    # in; applied by its own operator and by one in the same frame whose
+    # gap window is narrower, and so whose vote plane is another
     _, op = case
-    _, product, general = product_and_general(op, seed)
-    ledgers = es.QueryLedger(), es.QueryLedger()
-    out = op.apply(product, ledgers[0])
-    want = op.apply(general, ledgers[1])
-    assert out.main is None and out.frame is op.frame and out.reflection is None
-    assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
-    assert ledgers[0] == ledgers[1]
-
-
-@SETTINGS
-@given(operators(), st.integers(0, 2**32 - 1))
-def test_a_product_state_target_flip_matches_the_register_flip(case, seed):
-    _, op = case
-    _, product, general = product_and_general(op, seed)
-    target = seed % op.layout.main_dim
-    ledgers = es.QueryLedger(), es.QueryLedger()
-    flipped = es.target_flip(product, target, ledgers[0])
-    want = es.target_flip(general, target, ledgers[1])
-    assert flipped.main is not None and flipped.frame is op.frame
-    assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
-    assert ledgers[0] == ledgers[1]
-
-
-@SETTINGS
-@given(operators(), st.integers(0, 2**32 - 1))
-def test_an_embedded_state_writes_the_embedding_on_first_read(case, seed):
-    # the register an embedding wrote whole: V^dagger vec times the flat
-    # Walsh row on vote value 0
-    _, op = case
-    vec, product, _ = product_and_general(op, seed)
-    lay = op.layout
-    want = np.zeros(lay.shape, dtype=complex)
-    want[:, :, 0] = (op.frame.vectors.conj().T @ vec)[:, None] / np.sqrt(lay.phase_dim)
-    assert not product.main.flags.writeable
-    assert np.max(np.abs(product.amps - want.reshape(-1))) <= 1e-15
-    # the amplitudes are written on each read, and the state stays a product
-    assert product.main is not None and product.slabs is None
+    narrower = es.InversionOperator.build(
+        dataclasses.replace(op.scheme, phase_gap=0.9 * op.scheme.phase_gap), op.unitary,
+        decomposition=op.frame)
+    ops = [(o, frames.frame_oracle(o)) for o in (op, narrower)]
+    for state in frames.reachable_states(op, seed).values():
+        frames.check_state(state, ops, seed % op.layout.main_dim)
 
 
 @pytest.mark.parametrize("n, mu, nu", [(3, 5, 0), (3, 5, 2), (4, 4, 4)])
@@ -444,7 +389,7 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
     u = instances.haar_unitary(n, 17 + nu)
     op = es.InversionOperator.build(
         es.InversionScheme("basic" if nu == 0 else "boosted", mu, nu, 1.0), u)
-    _, product, general = product_and_general(op, 5)
+    product = es.embed_mainspace(op.layout, np.eye(n)[0], op.frame)
 
     def counted():
         return {name: sum(seen) // (n << mu) for name, seen in columns.items()}
@@ -454,95 +399,9 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
                          "raw_estimate_inverse": 1 if nu == 0 else 2}
     # a slab state is transformed on its nu + 1 Dicke columns each way
     op.apply(es.target_flip(out, 0))
-    op.apply(general)
+    op.apply(frames.slab_twin(product))
     assert counted() == {"raw_estimate_forward": (1 if nu == 0 else 0) + 2 * (nu + 1),
                          "raw_estimate_inverse": (1 if nu == 0 else 2) + 2 * (nu + 1)}
-
-
-def dicke_and_general(op, seed):
-    """The Dicke output of a boosted apply on a random embedded state, the
-    same state from the apply of the embedding written out as slabs, and
-    the ledgers of the two applies."""
-    _, product, general = product_and_general(op, seed)
-    ledgers = es.QueryLedger(), es.QueryLedger()
-    dicke = op.apply(product, ledgers[0])
-    return dicke, op.apply(general, ledgers[1]), ledgers
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_a_boosted_product_apply_returns_a_dicke_state(case, seed):
-    # the output lies in each eigenvector's vote plane and is held as its
-    # coefficients along the operator's plane, which it shares
-    _, op = case
-    dicke, want, ledgers = dicke_and_general(op, seed)
-    n, m, _ = op.layout.shape
-    assert dicke.coefs.shape == (n, op.layout.vote_bits + 1, 2)
-    assert dicke.plane is op._window_split()[0] and want.coefs is None
-    assert dicke.main is None and dicke.frame is op.frame
-    assert not dicke.coefs.flags.writeable
-    coefs, held = dicke.coefs, dicke.coefs.copy()
-    assert dicke.slabs.shape == (n, op.layout.vote_bits + 1, m)
-    assert np.max(np.abs(dicke.amps - want.amps)) <= 1e-13
-    assert ledgers[0] == ledgers[1]
-    # reading the slabs and the amplitudes writes them out and keeps the
-    # coefficients
-    assert dicke.coefs is coefs and np.array_equal(dicke.coefs, held)
-    assert dicke.slabs is not dicke.slabs
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_a_dicke_state_target_flip_is_kept_pending(case, seed):
-    _, op = case
-    dicke, general, _ = dicke_and_general(op, seed)
-    target = seed % op.layout.main_dim
-    ledgers = es.QueryLedger(), es.QueryLedger()
-    flipped = es.target_flip(dicke, target, ledgers[0])
-    want = es.target_flip(general, target, ledgers[1])
-    assert flipped.coefs is dicke.coefs and flipped.plane is dicke.plane
-    assert flipped.reflection is not None
-    assert np.max(np.abs(flipped.amps - want.amps)) <= 1e-13
-    assert ledgers[0] == ledgers[1]
-    # a second flip writes the first one out as slabs: the flip is an
-    # involution
-    again = es.target_flip(flipped, target, ledgers[0])
-    assert again.coefs is None and again.reflection is not None
-    assert np.max(np.abs(again.amps - general.amps)) <= 1e-13
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_a_flipped_factored_state_apply_matches_the_register_apply(case, seed):
-    # the flipped output of a first apply, as the second round sees it: a
-    # Dicke state with a pending reflection
-    _, op = case
-    dicke, general, _ = dicke_and_general(op, seed)
-    target = seed % op.layout.main_dim
-    flipped = es.target_flip(dicke, target)
-    ledgers = es.QueryLedger(), es.QueryLedger()
-    out = op.apply(flipped, ledgers[0])
-    want = op.apply(es.target_flip(general, target), ledgers[1])
-    assert out.reflection is None and out.main is None
-    assert np.max(np.abs(out.amps - want.amps)) <= 1e-13
-    assert ledgers[0] == ledgers[1]
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
-       st.sampled_from((1.001, 0.999)))
-def test_a_scaled_factored_state_raises(case, seed, scale):
-    # the output of a product apply and its flip, held as Dicke slabs, an
-    # orthonormal basis: the norm checked at construction is the plain norm
-    # of the slabs, it matches the norm of the amplitudes, and the same
-    # slabs scaled raise
-    _, op = case
-    dicke, _, _ = dicke_and_general(op, seed)
-    flipped = es.target_flip(dicke, seed % op.layout.main_dim)
-    for state in (dicke, flipped):
-        assert abs(state.norm - np.linalg.norm(state.amps)) <= 1e-13
-        with pytest.raises(ValueError):
-            es.StateVector.from_slabs(scale * state.slabs, op.layout, op.frame)
 
 
 @SETTINGS
@@ -602,184 +461,6 @@ def test_slab_wise_epsilons_match_the_register_norms(case):
         assert abs(report.measured[k] - want) <= 1e-15
 
 
-def register_state(op, seed):
-    """A random state of ``op``'s frame, drawn as Dicke slabs."""
-    rng = np.random.default_rng(seed)
-    shape = (op.layout.main_dim, op.layout.vote_bits + 1, op.layout.phase_dim)
-    slabs = rng.normal(size=shape) + 1j * rng.normal(size=shape)
-    return es.StateVector.from_slabs(slabs / np.linalg.norm(slabs), op.layout, op.frame)
-
-
-def apply_inputs(op, seed):
-    """The states an apply takes that are not products: a random slab
-    state, and for the boosted scheme the flipped Dicke output of a
-    product apply, as the second amplification round sees it."""
-    states = [register_state(op, seed)]
-    if op.scheme.kind == "boosted":
-        dicke, _, _ = dicke_and_general(op, seed)
-        states.append(es.target_flip(dicke, seed % op.layout.main_dim))
-    return states
-
-
-def oracle_apply(op, state, times=1):
-    """``times`` applications of the dense oracle to a frame state's
-    computational amplitudes, taken back into the frame.  The oracle is
-    built from the unitary the frame diagonalizes, V diag(e^{i lambda})
-    V^dagger, so the eigendecomposition's own residual (up to 1e-13 on a
-    planted cluster) does not count against the frame's operator."""
-    dec = op.frame
-    oracle = dense_oracle((dec.vectors * np.exp(1j * dec.phases)) @ dec.vectors.conj().T, op)
-    change = frames.dense_frame_change(dec, op.layout)
-    a = change.conj().T @ state.amps
-    for _ in range(times):
-        a = oracle @ a
-    return change @ a
-
-
-@SETTINGS
-@given(operators(), st.integers(0, 2**32 - 1))
-def test_an_inverted_state_matches_the_dense_oracle(case, seed):
-    # an apply of a slab state or of a flipped plane state returns Dicke
-    # slabs, with the pending reflection applied
-    _, op = case
-    product = es.embed_mainspace(op.layout, np.eye(op.layout.main_dim)[0], op.frame)
-    want_ledger = es.QueryLedger()
-    op.apply(product, want_ledger)
-    for state in apply_inputs(op, seed):
-        ledger = es.QueryLedger()
-        out = op.apply(state, ledger)
-        assert out.slabs.shape == state.slabs.shape and out.reflection is None
-        assert np.max(np.abs(out.amps - oracle_apply(op, state))) <= 1e-13
-        assert ledger == want_ledger
-
-
-@SETTINGS
-@given(operators(), st.integers(0, 2**32 - 1))
-def test_two_applies_without_a_flip_match_the_dense_oracle(case, seed):
-    _, op = case
-    for state in apply_inputs(op, seed):
-        ledger = es.QueryLedger()
-        out = op.apply(op.apply(state, ledger), ledger)
-        assert np.max(np.abs(out.amps - oracle_apply(op, state, 2))) <= 1e-13
-        assert ledger.controlled_s == 2 * (2 + 4 * op.scheme.vote_bits) * op.layout.phase_dim
-
-
-def amplitude_readouts(state):
-    """The zero branch and the main marginal computed from ``amps``."""
-    a = state.amps.reshape(state.layout.shape)
-    v = state.frame.vectors
-    gram = a.reshape(a.shape[0], -1) @ a.reshape(a.shape[0], -1).conj().T
-    return (v @ a[:, :, 0].sum(axis=1) / np.sqrt(state.layout.phase_dim),
-            np.real(np.diag(v @ gram @ v.conj().T)))
-
-
-@SETTINGS
-@given(operators(), st.integers(0, 2**32 - 1))
-def test_block_readouts_match_the_amplitude_readouts(case, seed):
-    # every form of state: product, slab, plane, each with and without a
-    # pending reflection; and the rounds of a run, while the amplitudes are
-    # written on every vote value
-    _, op = case
-    _, product, _ = product_and_general(op, seed)
-    states = [product, *apply_inputs(op, seed)]
-    states += [op.apply(state) for state in states[1:]]
-    target = seed % op.layout.main_dim
-    rounds = [op.apply(es.target_flip(product, target))]
-    for _ in range(2):
-        rounds += [es.target_flip(rounds[-1], target)]
-        rounds += [op.apply(rounds[-1])]
-    # a target flip leaves the main marginal alone; a reflection about any
-    # other unit vector does not
-    rng = np.random.default_rng(seed)
-    x = rng.normal(size=op.layout.main_dim) + 1j * rng.normal(size=op.layout.main_dim)
-    x /= np.linalg.norm(x)
-    states += rounds + [rounds[0].reflect_main(x), states[1].reflect_main(x)]
-    for state in states:
-        got = state.readouts()
-        for block_value, amps_value in zip(got, amplitude_readouts(state)):
-            assert np.max(np.abs(block_value - amps_value)) <= 1e-12
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1),
-       st.sampled_from((1.001, 0.999)))
-def test_the_inverted_norm_matches_the_amplitudes(case, seed, scale):
-    # the norm of every inversion's output, checked at construction from
-    # its slabs, against the norm of the amplitudes; the same slabs scaled
-    # raise
-    _, op = case
-    for state in apply_inputs(op, seed):
-        out = op.apply(state)
-        assert abs(out.norm - np.linalg.norm(out.amps)) <= 1e-13
-        with pytest.raises(ValueError):
-            es.StateVector.from_slabs(scale * out.slabs, op.layout, op.frame)
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_reading_a_factored_input_changes_no_readout_bit(case, seed):
-    # a tracer reads the amplitudes of each apply's input; a plane input
-    # with a pending reflection writes them out and keeps its
-    # coefficients, unchanged, and its reflection
-    _, op = case
-    _, product, _ = product_and_general(op, seed)
-    target = seed % op.layout.main_dim
-    read, unread = (es.target_flip(op.apply(product), target) for _ in range(2))
-    coefs, held, reflection = read.coefs, read.coefs.copy(), read.reflection
-    assert read.amps.shape == (op.layout.dim,)
-    assert read.slabs.shape == (op.layout.main_dim, op.layout.vote_bits + 1,
-                                op.layout.phase_dim)
-    assert read.coefs is coefs and read.reflection is reflection
-    assert not coefs.flags.writeable and np.array_equal(coefs, held)
-    out_read, out_unread = op.apply(read), op.apply(unread)
-    for state, twin in ((read, unread), (out_read, out_unread)):
-        for got, want in zip(state.readouts(), twin.readouts()):
-            assert np.array_equal(got, want)
-
-
-@SETTINGS
-@given(operators(votes=(2, 4)), st.integers(0, 2**32 - 1))
-def test_a_plane_state_matches_its_written_slabs(case, seed):
-    # the output of a product apply, held as plane coefficients, against
-    # the same state written out as Dicke slabs, with and without a pending
-    # reflection: norm, amplitudes, readouts and the next apply, of the
-    # operator that made the plane and of one with another gap window
-    _, op = case
-    _, product, _ = product_and_general(op, seed)
-    target = seed % op.layout.main_dim
-    held = op.apply(product)
-    written = es.StateVector.from_slabs(held.slabs, op.layout, op.frame, computed=True)
-    other = es.InversionOperator.build(
-        dataclasses.replace(op.scheme, phase_gap=0.9 * op.scheme.phase_gap), op.unitary,
-        decomposition=op.frame)
-    for got, want in ((held, written), (es.target_flip(held, target),
-                                        es.target_flip(written, target))):
-        assert got.coefs is not None and want.coefs is None
-        assert abs(got.norm - want.norm) <= 1e-13
-        assert np.max(np.abs(got.amps - want.amps)) <= 1e-13
-        for got_value, want_value in zip(got.readouts(), want.readouts()):
-            assert np.max(np.abs(got_value - want_value)) <= 1e-13
-        for applier in (op, other):
-            assert np.max(np.abs(applier.apply(got).amps - applier.apply(want).amps)) <= 1e-13
-    # the norm of a plane state is read off the Gram matrices of the plane
-    # kept when the plane was made: a kept Gram off the plane's, and a
-    # plane unestimated off orthonormal, both take it off 1
-    with mock.patch.object(op, "_gram", 1.001 * op._gram):
-        with pytest.raises(es.InternalInvariantError):
-            op.apply(product)
-    unestimate = selective_inversion.raw_estimate_inverse
-
-    def scaled_unestimate(a, powers, out=None):
-        out = unestimate(a, powers, out)
-        out *= 1.001
-        return out
-
-    with mock.patch.object(selective_inversion, "raw_estimate_inverse", scaled_unestimate):
-        skewed = es.InversionOperator.build(op.scheme, op.unitary, decomposition=op.frame)
-    with pytest.raises(es.InternalInvariantError):
-        skewed.apply(product)
-
-
 @st.composite
 def vote_stages(draw):
     """A boosted operator with 2 to 8 votes, whose register is never
@@ -819,14 +500,20 @@ def test_the_closed_form_vote_stage_matches_the_kick_loop(case):
 
 
 def test_computed_amplitudes_are_norm_checked():
-    # tripled majority signs in the vote stage take the apply's output of a
-    # Dicke state off its norm, which its construction checks, and slabs
-    # changed after that check are caught where the amplitudes are read:
-    # by the Gram trace of the readouts and the norm of the written register
+    # a state's norm is checked where it is made and where its amplitudes
+    # are read.  A caller's scaled slabs raise ValueError.  Tripled
+    # majority signs in the vote stage, a kept Gram off the plane's and a
+    # plane unestimated off orthonormal each take an apply's output off its
+    # norm, and slabs changed after their check are caught by the Gram
+    # trace of the readouts and the norm of the written amplitudes
     op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
                                     instances.haar_unitary(3, 23))
     product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
     flipped = es.target_flip(op.apply(product), 1)
+    out = op.apply(flipped)
+    for state, scale in itertools.product((flipped, out), (1.001, 0.999)):
+        with pytest.raises(ValueError):
+            es.StateVector.from_slabs(scale * state.slabs, op.layout, op.frame)
     original = selective_inversion._vote_basis
 
     def tripled(nu):
@@ -836,12 +523,25 @@ def test_computed_amplitudes_are_norm_checked():
     with mock.patch.object(selective_inversion, "_vote_basis", tripled):
         with pytest.raises(es.InternalInvariantError):
             op.apply(flipped)
-    out = op.apply(flipped)
-    out.slabs = 2.0 * out.slabs
+    with mock.patch.object(op, "_gram", 1.001 * op._gram):
+        with pytest.raises(es.InternalInvariantError):
+            op.apply(product)
+    unestimate = selective_inversion.raw_estimate_inverse
+
+    def scaled_unestimate(a, powers, out=None):
+        out = unestimate(a, powers, out)
+        out *= 1.001
+        return out
+
+    with mock.patch.object(selective_inversion, "raw_estimate_inverse", scaled_unestimate):
+        skewed = es.InversionOperator.build(op.scheme, op.unitary, decomposition=op.frame)
     with pytest.raises(es.InternalInvariantError):
-        out.readouts()
-    with pytest.raises(es.InternalInvariantError):
-        out.amps
+        skewed.apply(product)
+    with mock.patch.object(out, "_slabs", 2.0 * out.slabs):
+        with pytest.raises(es.InternalInvariantError):
+            out.readouts()
+        with pytest.raises(es.InternalInvariantError):
+            out.amps
 
 
 @st.composite
