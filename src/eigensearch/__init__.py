@@ -18,10 +18,8 @@ from .numerics import (
     eig_unitary,
     inside_gap,
     make_rng,
-    phase_distance,
     round_half_away,
     split_seed,
-    wrap_angle,
 )
 from .spectra import (
     DiffusionSpec,
@@ -31,10 +29,7 @@ from .spectra import (
     build_symmetric_spec,
     diffusion_operator,
     find_targets,
-    instance_from_json,
-    instance_to_json,
     moments,
-    spec_from_json,
     spec_to_json,
 )
 from .search_core import (
@@ -43,7 +38,6 @@ from .search_core import (
     build_search_operator,
     evolve_to_halfway,
     find_relevant_pair,
-    halfway_state,
     halfway_step_count,
     mixing_angle,
     predicted_pair_phases,
@@ -59,12 +53,8 @@ from .phase_estimation import (
     StateVector,
     embed_mainspace,
     estimate_amplitudes,
-    gap_guard_margin,
     gap_window_halfwidth,
     gap_window_mask,
-    k_nearest,
-    peak_mass_bound,
-    peak_window_mass,
     window_mask,
 )
 from .selective_inversion import (

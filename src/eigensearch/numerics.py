@@ -65,20 +65,6 @@ def round_half_away(x: float) -> int:
     return int(math.ceil(x - 0.5))
 
 
-def wrap_angle(x):
-    """Map angles to the branch (-pi, pi]."""
-    wrapped = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
-    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
-    if np.isscalar(x):
-        return float(wrapped)
-    return wrapped
-
-
-def phase_distance(a, b):
-    """Distance between eigenphases modulo 2*pi."""
-    return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
-
-
 def inside_gap(phases, phase_gap: float) -> np.ndarray:
     """Which eigenphases lie strictly inside the spectral gap (-gap, gap).
 

@@ -432,12 +432,6 @@ def estimate_amplitudes(phase_bits: int, lam) -> np.ndarray:
     return np.divide(amps, den, out=np.ones(amps.shape, dtype=complex), where=den != 0.0)
 
 
-def k_nearest(phase_bits: int, lam: float) -> int:
-    """Phase-register value closest to lam, on the register's own circle."""
-    m = 1 << phase_bits
-    return round_half_away(m * lam / (2.0 * np.pi)) % m
-
-
 def window_mask(phase_bits: int, center: int, halfwidth: int) -> np.ndarray:
     """Boolean mask of the 2*halfwidth + 1 register values centered on
     ``center``, wrapping.
@@ -455,20 +449,6 @@ def window_mask(phase_bits: int, center: int, halfwidth: int) -> np.ndarray:
     mask = np.zeros(m, dtype=bool)
     mask[(center + np.arange(-halfwidth, halfwidth + 1)) % m] = True
     return mask
-
-
-def peak_window_mass(phase_bits: int, lam: float, halfwidth: int) -> float:
-    """Probability that the estimate of ``lam`` lands within ``halfwidth``
-    register values of the nearest one."""
-    mask = window_mask(phase_bits, k_nearest(phase_bits, lam), halfwidth)
-    return float(window_split(phase_bits, lam, mask)[0] ** 2)
-
-
-def peak_mass_bound(halfwidth: int) -> float:
-    """Guaranteed probability mass inside a peak window, 1 - 1/(2(c-1))."""
-    if halfwidth < 2:
-        raise ValueError("the mass bound needs halfwidth >= 2")
-    return 1.0 - 1.0 / (2.0 * (halfwidth - 1))
 
 
 def gap_window_halfwidth(phase_bits: int, phase_gap: float,
@@ -496,14 +476,6 @@ def gap_window_mask(phase_bits: int, phase_gap: float,
             f"{m}-value register; the gap guess is too coarse for it"
         )
     return window_mask(phase_bits, 0, halfwidth)
-
-
-def gap_guard_margin(phase_bits: int, phase_gap: float,
-                     guard_fraction: float) -> float:
-    """Register-units distance M guard gap / 2 pi kept between the window
-    edge and the nearest eigenphase outside the gap."""
-    m = 1 << phase_bits
-    return m * guard_fraction * phase_gap / (2.0 * np.pi)
 
 
 def window_split(phase_bits: int, lam, mask: np.ndarray,

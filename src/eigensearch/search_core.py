@@ -240,11 +240,6 @@ def reconstruct_source(pair: RelevantPair) -> np.ndarray:
     )
 
 
-def halfway_state(pair: RelevantPair) -> np.ndarray:
-    """Equal in-phase mix of the pair; target amplitude about one over boost."""
-    return (pair.state_plus + pair.state_minus) / np.sqrt(2.0)
-
-
 @dataclass(frozen=True, eq=False)
 class HalfwayState:
     """Rotated source after the first stage, with its preparation cost."""

@@ -297,28 +297,3 @@ def spec_to_json(spec: DiffusionSpec, target: int | None = None) -> dict:
         "seed": spec.seed,
     }
 
-
-def spec_from_json(doc: dict) -> tuple[DiffusionSpec, int | None]:
-    n = int(doc["N"])
-    flat = np.array([complex(re, im) for re, im in doc["eigenbasis"]])
-    spec = DiffusionSpec(
-        n=n,
-        source_index=int(doc["s"]),
-        eigenphases=np.array(doc["eigenphases"], dtype=float),
-        eigenbasis=flat.reshape(n, n),
-        phase_gap=float(doc["theta_min"]),
-        seed=None if doc.get("seed") is None else int(doc["seed"]),
-    )
-    target = doc.get("t")
-    return spec, (None if target is None else int(target))
-
-
-def instance_to_json(inst: SearchInstance) -> dict:
-    return spec_to_json(inst.spec, inst.target_index)
-
-
-def instance_from_json(doc: dict) -> SearchInstance:
-    spec, target = spec_from_json(doc)
-    if target is None:
-        raise ValueError("instance document lacks a target index")
-    return SearchInstance.build(spec, target)

@@ -4,13 +4,30 @@ Everything here is built the slow, obvious way: explicit DFT matrices,
 Hadamard krons, sum-over-controls block matrices, Lagrange projectors,
 plain bisection for the secular roots, and an eigensolver checked with
 dense products.  Nothing imports the fast paths it is checking beyond
-shared data types.
+shared data types.  The exception is the peak-window mass, which
+criterion-04 reads off the simulator's own estimate profile: the
+concentration bound is a check on that profile.
 """
 
 import numpy as np
 
 from eigensearch.numerics import (TOL, EigenDecomposition, InternalInvariantError,
-                                  wrap_angle)
+                                  round_half_away)
+from eigensearch.phase_estimation import estimate_amplitudes
+
+
+def wrap_angle(x):
+    """Map angles to the branch (-pi, pi]."""
+    wrapped = np.mod(np.asarray(x, dtype=float) + np.pi, 2.0 * np.pi) - np.pi
+    wrapped = np.where(wrapped == -np.pi, np.pi, wrapped)
+    if np.isscalar(x):
+        return float(wrapped)
+    return wrapped
+
+
+def phase_distance(a, b):
+    """Distance between eigenphases modulo 2*pi."""
+    return np.abs(wrap_angle(np.asarray(a) - np.asarray(b)))
 
 
 def unitary_power(u: np.ndarray, z: int) -> np.ndarray:
@@ -87,6 +104,20 @@ def brute_estimate_amplitudes(phase_bits: int, lam: float) -> np.ndarray:
     # the m-th root of unity of index z k mod m (m is a power of two)
     roots = np.exp(-2j * np.pi * z / m)
     return roots[np.outer(z, z) & (m - 1)] @ np.exp(1j * z * lam) / m
+
+
+def k_nearest(phase_bits: int, lam: float) -> int:
+    """Phase-register value closest to lam, on the register's own circle."""
+    m = 1 << phase_bits
+    return round_half_away(m * lam / (2.0 * np.pi)) % m
+
+
+def peak_window_mass(phase_bits: int, lam: float, halfwidth: int) -> float:
+    """Probability that the estimate of ``lam`` lands within ``halfwidth``
+    register values of the nearest one."""
+    m = 1 << phase_bits
+    window = (k_nearest(phase_bits, lam) + np.arange(-halfwidth, halfwidth + 1)) % m
+    return float(np.sum(np.abs(estimate_amplitudes(phase_bits, lam)[window]) ** 2))
 
 
 def mask_sign_diag(mask: np.ndarray) -> np.ndarray:

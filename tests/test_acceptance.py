@@ -64,7 +64,7 @@ def test_criterion_02_eigenphase_predictions_and_secular_roots(
         diffusion_phases = inst.spec.eigenphases
         for k, lam in enumerate(dec.phases):
             pole_distance = np.min(np.abs([
-                es.phase_distance(lam, p) for p in diffusion_phases]))
+                oracles.phase_distance(lam, p) for p in diffusion_phases]))
             if pole_distance < 1e-9:
                 # eigenstates locked to a degenerate diffusion phase carry
                 # no target weight, so the secular sum has no root there
@@ -109,7 +109,7 @@ def test_criterion_04_peak_mass_bound_holds_everywhere(acceptance_log):
     for _ in range(1000):
         lam = float(rng.uniform(-np.pi, np.pi))
         c = int(rng.integers(2, 17))
-        mass = es.peak_window_mass(mu, lam, c)
+        mass = oracles.peak_window_mass(mu, lam, c)
         bound = 1.0 - 1.0 / (2.0 * (c - 1))
         if mass < bound:
             failures += 1

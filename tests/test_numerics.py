@@ -1,5 +1,6 @@
 """Unit checks for the shared numeric helpers."""
 
+import ast
 import os
 import subprocess
 import sys
@@ -15,14 +16,13 @@ from eigensearch.numerics import (
     eig_unitary,
     inside_gap,
     make_rng,
-    phase_distance,
     round_half_away,
     split_seed,
-    wrap_angle,
 )
 import eigensearch
 import instances
-from oracles import dense_eig_unitary, real_orthogonal, spectral_projectors, unitary_power
+from oracles import (dense_eig_unitary, phase_distance, real_orthogonal, spectral_projectors,
+                     unitary_power, wrap_angle)
 
 
 def test_round_half_away_pushes_halves_outward():
@@ -292,3 +292,38 @@ def test_the_cli_and_eig_unitary_do_not_import_scipy():
     assert not _fresh_process_has(
         "scipy", "import numpy as np, eigensearch.cli, eigensearch as es; "
                  "es.eig_unitary(np.eye(3)); es.eig_unitary(np.eye(3, dtype=complex))")
+
+
+# perfbench counts secular_residual's calls; ROADMAP item 1 drops or moves
+# that metric, and the function with it
+_UNCALLED_BY_DESIGN = {"secular_residual"}
+
+
+def test_every_public_function_and_class_has_a_caller_in_the_package():
+    # a top-level definition counts as used when a Name, Attribute or
+    # import elsewhere in the package names it; references made only by
+    # definitions that are themselves unused do not count
+    package = os.path.dirname(eigensearch.__file__)
+    owned, public = [], set()
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py") or name == "__init__.py":
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        for node in tree.body:
+            owner = getattr(node, "name", None)
+            if owner and not owner.startswith("_"):
+                public.add(owner)
+            refs = {sub.id if isinstance(sub, ast.Name)
+                    else sub.attr if isinstance(sub, ast.Attribute) else sub.name
+                    for sub in ast.walk(node)
+                    if isinstance(sub, (ast.Name, ast.Attribute, ast.alias))}
+            owned.append((owner, refs - {owner}))
+    unused = set()
+    while True:
+        used = set().union(*(refs for owner, refs in owned if owner not in unused))
+        grown = {owner for owner, _ in owned if owner} - used - _UNCALLED_BY_DESIGN
+        if grown == unused:
+            break
+        unused = grown
+    assert sorted(unused & public) == []

@@ -134,7 +134,7 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #
 #   case (ref12 unless noted)                               measured  bound
 #   test_pipeline.py
-#     boosted (9, 6) run_full                                   0.18   0.4, 1.3, 2.25
+#     boosted (9, 6) run_full                                   0.18   0.4
 #     boosted (10, 2) run_full                                  1.50   2.6
 #     basic mu=12 run_full                                      2.52   2.6
 #     criterion-08's one-round (5, 4) run_full, n=32            1.05   1.65
@@ -162,26 +162,11 @@ def _run_full_peak_over_register(inst, scheme, columns=None, dense_cap=es.DENSE_
     return peak / (inst.spec.n * 2 ** scheme.phase_bits * columns * 16)
 
 
-def test_boosted_amplification_holds_two_registers(ref12):
-    # at most the state and its successor; every other temporary is a
-    # slab of a few eigenvectors or a main x phase table: 0.18x measured
-    scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
-    assert _run_full_peak_over_register(ref12, scheme) <= 2.25
-
-
-def test_a_boosted_run_holds_one_register(ref12):
-    # the first round's input is the embedded halfway state, n coefficients,
-    # and every later state nu + 1 Dicke columns (7 / 64 of the register);
-    # the target flip writes nothing: 0.18x measured
-    scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
-    assert _run_full_peak_over_register(ref12, scheme) <= 1.3
-
-
 def test_a_boosted_run_writes_no_register(ref12):
+    # the first round's input is the embedded halfway state, n coefficients;
     # the second inversion's input is plane coefficients and its output 7
     # Dicke columns of the 64 vote values, and the readout sums their Gram
-    # matrix in place: 0.18x measured on ref12 (9, 6) next to the
-    # operator's vote plane
+    # matrix in place next to the operator's vote plane
     scheme = es.InversionScheme("boosted", 9, 6, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 0.4
 
@@ -189,8 +174,7 @@ def test_a_boosted_run_writes_no_register(ref12):
 def test_a_one_round_run_writes_its_output_once_for_the_readout(ref12):
     # criterion-08's first instance needs one round, whose output is plane
     # coefficients, written out once as 5 Dicke columns of the 16 vote
-    # values for the readout, whose n x n work arrays weigh at n=32: 1.05x
-    # measured
+    # values for the readout, whose n x n work arrays weigh at n=32
     fam, seed, target = instances.BASELINE_TRIO[0]
     inst = instances.symmetric_instance(instances.TRIO_N, fam, seed, target)
     scheme = es.InversionScheme.boosted(inst.boost, inst.spec.phase_gap, offset_bits=4)
@@ -205,8 +189,7 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
     # to the state and the working array.  The second round's output, 3
     # Dicke columns of the 4 vote values, its input's coefficients along
     # the plane, the plane's two columns per eigenvector and the
-    # reflection's projection, 1/16 of the register, set the peak: 1.50x
-    # measured
+    # reflection's projection, 1/16 of the register, set the peak
     scheme = es.InversionScheme("boosted", 10, 2, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 
@@ -214,8 +197,7 @@ def test_a_two_vote_run_builds_its_vote_plane_before_the_register(ref12):
 def test_a_twelve_vote_run_holds_a_few_dicke_states():
     # with 12 votes the full register, 2^21 values per eigenvector, is
     # never made: every state is 13 Dicke columns, and the vote stage runs
-    # on each eigenvector's 2 x 13 plane coefficients.  1.30x the stored
-    # Dicke state measured
+    # on each eigenvector's 2 x 13 plane coefficients
     inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
                                         *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
     scheme = es.InversionScheme("boosted", 9, 12, instances.HIGAIN_GAP)
@@ -227,7 +209,7 @@ def test_a_criterion_07_run_holds_one_dicke_register():
     # the readout conjugates a few columns at a time, so the n=48 (9, 6)
     # run holds one register of 7 Dicke columns, the second round's output,
     # next to the plane's two columns and a few eigenvectors' working
-    # arrays: 1.49x measured
+    # arrays
     inst = instances.symmetric_instance(instances.HIGAIN_N, instances.HIGAIN_PAIRS,
                                         *instances.HIGAIN_CASES[0], instances.HIGAIN_GAP)
     scheme = es.InversionScheme.boosted(inst.boost, instances.HIGAIN_GAP, offset_bits=8)
@@ -239,7 +221,7 @@ def test_a_criterion_07_run_holds_one_dicke_register():
 def test_a_basic_round_two_flip_writes_nothing(ref12):
     # the first basic inversion returns its one phase column per
     # eigenvector, and the second round's target flip shares it and keeps
-    # its reflection pending: 0.001x measured on ref12 at mu=12
+    # its reflection pending
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     dec = es.search_decomposition(ref12)
     op = es.InversionOperator.build(scheme, es.search_operator(ref12), decomposition=dec)
@@ -260,7 +242,7 @@ def test_a_basic_run_predicts_its_epsilons_a_few_eigenphases_at_a_time(ref12):
     # of a basic run, so they are computed a few eigenphases at a time.  The
     # second round's input and output, a few eigenvectors' controlled
     # powers and the pending reflection's projection, one phase column,
-    # set the peak: 2.52x measured on ref12 at mu=12
+    # set the peak
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     assert _run_full_peak_over_register(ref12, scheme) <= 2.6
 

@@ -34,7 +34,7 @@ from unittest import mock
 
 import numpy as np
 import pytest
-from hypothesis import assume, given, settings
+from hypothesis import assume, given, seed, settings
 from hypothesis import strategies as st
 
 import eigensearch as es
@@ -43,6 +43,9 @@ import instances
 import oracles
 from eigensearch import phase_estimation, pipeline, selective_inversion, spectra
 
+# each test pins its example set with @seed, which takes precedence over
+# derandomize's seed, a hash of the test's source; so editing a test's
+# body keeps the examples it draws
 SETTINGS = settings(max_examples=30, deadline=None, derandomize=True, database=None)
 
 
@@ -88,7 +91,7 @@ def unitaries(draw, n=None, window=None, planting=None):
     elif planting == "grid":
         grid = [draw(st.sampled_from(np.flatnonzero(window).tolist())),
                 draw(st.sampled_from(np.flatnonzero(~window).tolist()))]
-        planted = es.wrap_angle(2.0 * np.pi * np.array(grid) / window.size)
+        planted = oracles.wrap_angle(2.0 * np.pi * np.array(grid) / window.size)
         phases[:2] = planted[:n]
     basis = instances.haar_unitary(n, seed + 1)
     return (basis * np.exp(1j * phases)) @ basis.conj().T
@@ -112,6 +115,7 @@ def operators(draw, votes=(0, 2, 4)):
 
 
 @SETTINGS
+@seed(1)
 @given(operators())
 def test_eigenframe_inverter_is_a_unitary_involution(case):
     _, op = case
@@ -122,6 +126,7 @@ def test_eigenframe_inverter_is_a_unitary_involution(case):
 
 
 @SETTINGS
+@seed(2)
 @given(operators())
 def test_eigenframe_inverter_matches_the_dense_oracle(case):
     u, op = case
@@ -150,6 +155,7 @@ def test_the_boosted_oracle_commutes_with_vote_swaps_at_criterion_10(criterion10
 
 
 @SETTINGS
+@seed(3)
 @given(operators(votes=(2, 4)))
 def test_the_boosted_oracle_commutes_with_vote_swaps(case):
     u, op = case
@@ -157,6 +163,7 @@ def test_the_boosted_oracle_commutes_with_vote_swaps(case):
 
 
 @SETTINGS
+@seed(4)
 @given(unitaries())
 def test_eig_unitary_handles_planted_clusters(u):
     dec = es.eig_unitary(u)
@@ -174,7 +181,7 @@ def assert_matches_dense_solver(dec, u):
     theirs = oracles.spectral_projectors(ref.phases, ref.vectors)
     assert len(mine) == len(theirs)
     for (p, a), (q, b) in zip(mine, theirs):
-        assert es.phase_distance(p, q) <= 1e-12
+        assert oracles.phase_distance(p, q) <= 1e-12
         assert np.max(np.abs(a - b)) <= 1e-10
 
 
@@ -221,14 +228,15 @@ def real_orthogonals(draw):
 
 
 @SETTINGS
+@seed(5)
 @given(real_orthogonals())
 def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
     # one construction: real arithmetic for the float array, complex for
     # its complex cast, and both agree with the dense complex solver
     real, cast = es.eig_unitary(u), es.eig_unitary(u.astype(complex))
     assert not np.iscomplexobj(u)
-    assert np.max(np.abs(np.sort(es.wrap_angle(real.phases))
-                         - np.sort(es.wrap_angle(cast.phases)))) <= 1e-12
+    assert np.max(np.abs(np.sort(oracles.wrap_angle(real.phases))
+                         - np.sort(oracles.wrap_angle(cast.phases)))) <= 1e-12
     for dec in (real, cast):
         v = dec.vectors
         assert np.max(np.abs(v.conj().T @ v - np.eye(u.shape[0]))) <= 1e-10
@@ -241,6 +249,7 @@ def test_eig_unitary_solves_a_real_unitary_in_real_arithmetic(u):
 
 
 @SETTINGS
+@seed(6)
 @given(st.integers(3, 10), st.integers(0, 2**32 - 1))
 def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
     # poles at +-gap and beyond on a Haar basis, so the secular roots next to
@@ -264,6 +273,7 @@ def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
 
 
 @SETTINGS
+@seed(7)
 @given(operators(), st.integers(1, 3))
 def test_apply_charges_the_ledger_closed_forms(case, applications):
     _, op = case
@@ -289,6 +299,7 @@ def symmetric_instances(draw):
 
 
 @SETTINGS
+@seed(8)
 @given(symmetric_instances())
 def test_secular_roots_match_the_diagonalization(inst):
     # the source pole sits at 0 and every other pole carries target weight,
@@ -306,6 +317,7 @@ def grover_instances(draw):
 
 
 @SETTINGS
+@seed(9)
 @given(st.one_of(symmetric_instances(), grover_instances()))
 def test_secular_roots_match_plain_bisection(inst):
     # safeguarded Newton against the bisection it replaced, on the same
@@ -315,6 +327,7 @@ def test_secular_roots_match_plain_bisection(inst):
 
 
 @SETTINGS
+@seed(10)
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_frame_operations_match_the_computational_ones(case, seed):
     # every frame operation against its computational counterpart, a numpy
@@ -358,6 +371,7 @@ def test_frame_operations_match_the_computational_ones(case, seed):
 
 
 @SETTINGS
+@seed(11)
 @given(operators(), st.integers(0, 2**32 - 1))
 def test_every_reachable_state_keeps_the_state_contract(case, seed):
     # each state against the dense references, whatever form it is held
@@ -405,6 +419,7 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
 
 
 @SETTINGS
+@seed(12)
 @given(operators())
 def test_an_operator_keeps_the_window_split_of_its_eigenphases(case):
     # both schemes keep the norms (|in|, |out|) of every eigenvector's
@@ -424,6 +439,7 @@ def test_an_operator_keeps_the_window_split_of_its_eigenphases(case):
 
 
 @SETTINGS
+@seed(13)
 @given(operators(votes=(2, 4)))
 def test_a_boosted_operator_keeps_its_window_parts_unestimated(case):
     # the vote plane of eigenvector k is E_k^dagger applied to the unit
@@ -444,6 +460,7 @@ def test_a_boosted_operator_keeps_its_window_parts_unestimated(case):
 
 
 @SETTINGS
+@seed(14)
 @given(operators())
 def test_slab_wise_epsilons_match_the_register_norms(case):
     # measure_epsilon sums the error one slab at a time and writes no
@@ -478,6 +495,7 @@ def vote_stages(draw):
 
 
 @SETTINGS
+@seed(15)
 @given(vote_stages())
 def test_the_closed_form_vote_stage_matches_the_kick_loop(case):
     # the stage run in the vote Hadamard basis against the 2 nu kickbacks
@@ -581,6 +599,7 @@ def computational_run(inst, scheme, rounds):
 
 
 @SETTINGS
+@seed(16)
 @given(pipeline_cases())
 def test_frame_amplification_matches_computational_rounds(case):
     inst, scheme, rounds = case

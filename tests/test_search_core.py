@@ -173,7 +173,7 @@ def test_halfway_target_amplitude_is_about_inverse_boost(ref12):
     amp = abs(hw.state[ref12.target_index])
     assert abs(amp * ref12.boost - 1.0) <= 0.03
     pair = es.find_relevant_pair(ref12)
-    analytic = es.halfway_state(pair)
+    analytic = (pair.state_plus + pair.state_minus) / np.sqrt(2.0)
     assert abs(analytic[ref12.target_index]) * ref12.boost \
         == pytest.approx(1.0, abs=0.03)
 

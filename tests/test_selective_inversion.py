@@ -279,8 +279,7 @@ def _apply_peak_over_register(op, sv, columns=None):
 
 def test_a_boosted_slab_apply_holds_a_few_times_its_columns(ref12, ref12_operator):
     # an apply of a Dicke slab state writes its output's nu + 1 columns
-    # next to the working arrays of a few eigenvectors: 1.26x those columns
-    # measured
+    # next to the working arrays of a few eigenvectors
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=4,
                                 phase_gap=instances.REF12_GAP,
                                 guard_fraction=es.GUARD_FRACTION)
@@ -336,7 +335,7 @@ def test_a_basic_split_writes_no_parts(ref12):
     # a basic operator keeps only the norms of its window split, and the
     # split writes no unit parts for it: building the operator and
     # predicting its errors at mu=12 holds the profiles of one eigenphase
-    # at a time, 0.61x the register measured
+    # at a time
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
     u, dec = es.search_operator(ref12), es.search_decomposition(ref12)
     invert = es.inside_gap(dec.phases, scheme.phase_gap)
@@ -353,8 +352,7 @@ def test_a_basic_split_writes_no_parts(ref12):
 
 def test_a_product_state_apply_writes_only_its_output_register(ref12):
     # an embedded state is n coefficients, and a boosted apply of it keeps
-    # its output as coefficients along the kept vote plane: 0.012x
-    # measured
+    # its output as coefficients along the kept vote plane
     op, sv = _two_vote_ref12_state(ref12)
     assert _apply_peak_over_register(op, sv) <= 1.3
 
@@ -364,7 +362,7 @@ def test_a_second_round_apply_writes_one_register(ref12):
     # flip pending; the apply reflects it into its output, 3 Dicke columns
     # of the 4 vote values, a few eigenvectors at a time and runs there in
     # place, keeping the reflection's projection (1/16 of the register)
-    # through the estimate: 0.99x measured
+    # through the estimate
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
     assert _apply_peak_over_register(op, flipped) <= 1.2
