@@ -53,9 +53,7 @@ from .phase_estimation import (
     StateVector,
     embed_mainspace,
     estimate_amplitudes,
-    gap_window_halfwidth,
     gap_window_mask,
-    window_mask,
 )
 from .selective_inversion import (
     GUARD_FRACTION,

@@ -452,8 +452,11 @@ def run(argv=None) -> int:
     if cfg["out"] is None:
         sys.stdout.write(text)
     else:
-        with open(cfg["out"], "w") as f:
-            f.write(text)
+        try:
+            with open(cfg["out"], "w") as f:
+                f.write(text)
+        except OSError as exc:
+            raise ConfigError(f"cannot write output file: {exc}") from exc
     return 0
 
 

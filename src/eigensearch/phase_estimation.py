@@ -265,24 +265,33 @@ class StateVector:
         Row 0 of the phase Walsh-Hadamard matrix is flat and vote value 0
         is Dicke column 0, so the amplitudes are V sum_w slabs[:, 0, w] /
         sqrt(M).  The marginal is diag(V G V^dagger), with G the n x n Gram
-        matrix of the main rows of the slabs, written out once, summed over
-        blocks of at most ``_GRAM_BLOCK`` values with their n rows; the Dicke
-        basis is orthonormal, so every column counts once.  A pending
-        reflection R acts on both as R branch and R G R^dagger.  The trace
-        of G, the squared norm of the state, is checked.
+        matrix of the main rows of the slabs, summed over blocks of at most
+        ``_GRAM_BLOCK`` values with their n rows, which a plane state forms
+        from its coefficients; the Dicke basis is orthonormal, so every
+        column counts once.  A pending reflection R acts on both as
+        R branch and R G R^dagger.  The trace of G, the squared norm of the
+        state, is checked.
         """
         n, m, _ = self.layout.shape
         if self.main is not None:
             branch = self.main * math.sqrt(m)
             gram = np.outer(self.main, self.main.conj())
         else:
-            slabs = self.slabs
-            branch = slabs[:, 0].sum(axis=1)
-            rows = slabs.reshape(n, -1)
+            if self.coefs is None:
+                branch = self._slabs[:, 0].sum(axis=1)
+                rows = self._slabs.reshape(n, -1)
+                step = max(1, _GRAM_BLOCK // n)
+                parts = (rows[:, first:first + step]
+                         for first in range(0, rows.shape[1], step))
+            else:
+                # slab k is c_k Q_k, so a block of it is c_k times a block
+                # of Q_k's phase columns, and no slab is written whole
+                branch = np.matmul(self.coefs[:, :1], self.plane)[:, 0].sum(axis=1)
+                step = max(1, _GRAM_BLOCK // (n * self.coefs.shape[1]))
+                parts = (np.matmul(self.coefs, self.plane[:, :, first:first + step])
+                         .reshape(n, -1) for first in range(0, m, step))
             gram = np.zeros((n, n), dtype=complex)
-            step = max(1, _GRAM_BLOCK // n)
-            for first in range(0, rows.shape[1], step):
-                part = rows[:, first:first + step]
+            for part in parts:
                 gram += part @ part.conj().T
         if self.reflection is not None:
             r = np.eye(n) - 2.0 * np.outer(self.reflection, self.reflection.conj())
@@ -432,50 +441,29 @@ def estimate_amplitudes(phase_bits: int, lam) -> np.ndarray:
     return np.divide(amps, den, out=np.ones(amps.shape, dtype=complex), where=den != 0.0)
 
 
-def window_mask(phase_bits: int, center: int, halfwidth: int) -> np.ndarray:
-    """Boolean mask of the 2*halfwidth + 1 register values centered on
-    ``center``, wrapping.
-
-    A window that covers the register exactly is allowed and gives the full
-    mask; anything wider is an error.
-    """
-    m = 1 << phase_bits
-    if halfwidth < 0:
-        raise ValueError("window halfwidth must be >= 0")
-    if 2 * halfwidth + 1 > m:
-        raise ValueError(
-            f"window of halfwidth {halfwidth} exceeds the {m}-value register"
-        )
-    mask = np.zeros(m, dtype=bool)
-    mask[(center + np.arange(-halfwidth, halfwidth + 1)) % m] = True
-    return mask
-
-
-def gap_window_halfwidth(phase_bits: int, phase_gap: float,
-                         guard_fraction: float) -> int:
-    """Halfwidth of the zero-centered window: nearest integer to
-    M (1 - guard) gap / 2 pi."""
-    if not (0.0 < guard_fraction < 1.0):
-        raise ValueError("guard fraction must sit in (0, 1)")
-    m = 1 << phase_bits
-    return round_half_away(m * (1.0 - guard_fraction) * phase_gap / (2.0 * np.pi))
-
-
 def gap_window_mask(phase_bits: int, phase_gap: float,
                     guard_fraction: float) -> np.ndarray:
-    """Zero-centered register window reaching almost to the spectral gap.
+    """Zero-centered register window reaching almost to the spectral gap:
+    the 2 h + 1 register values within h of 0, wrapping, with h the nearest
+    integer to M (1 - guard) gap / 2 pi.
 
     Unlike a peak window this one must leave room on the register; covering
     it entirely would flip everything and is rejected.
     """
+    if not (0.0 < guard_fraction < 1.0):
+        raise ValueError("guard fraction must sit in (0, 1)")
     m = 1 << phase_bits
-    halfwidth = gap_window_halfwidth(phase_bits, phase_gap, guard_fraction)
+    halfwidth = round_half_away(m * (1.0 - guard_fraction) * phase_gap / (2.0 * np.pi))
+    if halfwidth < 0:
+        raise ValueError(f"gap window of halfwidth {halfwidth}; the gap must be positive")
     if 2 * halfwidth + 1 >= m:
         raise GapGuessTooCoarse(
             f"gap window of halfwidth {halfwidth} covers the whole "
             f"{m}-value register; the gap guess is too coarse for it"
         )
-    return window_mask(phase_bits, 0, halfwidth)
+    mask = np.zeros(m, dtype=bool)
+    mask[np.arange(-halfwidth, halfwidth + 1)] = True
+    return mask
 
 
 def window_split(phase_bits: int, lam, mask: np.ndarray,

@@ -19,7 +19,7 @@ live here too, so the cost comparison is one import away.
 from __future__ import annotations
 
 import math
-from dataclasses import asdict, dataclass, fields
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -54,12 +54,16 @@ class QueryLedger:
     i_zero_prime: int = 0
     hadamards_vote: int = 0
 
+    def charge(self, **counts: int) -> None:
+        """Add each count to the field it names; the one writer of a ledger."""
+        for name, count in counts.items():
+            setattr(self, name, getattr(self, name) + count)
+
     def as_dict(self) -> dict:
         return asdict(self)
 
     def merge(self, other: "QueryLedger") -> None:
-        for f in fields(self):
-            setattr(self, f.name, getattr(self, f.name) + getattr(other, f.name))
+        self.charge(**other.as_dict())
 
 
 def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVector:
@@ -72,7 +76,7 @@ def target_flip(state: StateVector, target_index: int, ledger=None) -> StateVect
     for the next inversion or readout, so no flip writes a register.
     """
     if ledger is not None:
-        ledger.oracle_queries += 1
+        ledger.charge(oracle_queries=1)
     return state.reflect_main(state.frame.vectors[target_index].conj())
 
 
@@ -283,7 +287,7 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
         cdf = np.cumsum(marginal)
         cdf[-1] = 1.0
         drawn = int(np.searchsorted(cdf, rng.random(), side="right"))
-        total.oracle_queries += 1
+        total.charge(oracle_queries=1)
         verified = drawn == inst.target_index
         records.append(RoundRecord(gap_guess=guess, ran=True,
                                    success_probability=result.success_probability,
@@ -356,35 +360,29 @@ def _loglog_slope(xs, ys):
     return float(np.polyfit(np.log(xs[keep]), np.log(ys[keep]), 1)[0])
 
 
-def complexity_report(results, baselines=None) -> dict:
+def complexity_report(results, baselines) -> dict:
     """Per-instance costs, budget constants and fitted scaling exponents.
 
-    ``baselines`` pairs with ``results`` by position when given.  The two
-    budget constants divide the measured totals by their cost model: the
-    baseline against boost^3 / overlap, the postprocessed route against
+    ``baselines`` pairs with ``results`` by position.  The two budget
+    constants divide the measured totals by their cost model: the baseline
+    against boost^3 / overlap, the postprocessed route against
     boost / overlap + boost log(boost) / gap.
     """
-    results = list(results)
+    results, baselines = list(results), list(baselines)
     if len(results) < 3:
         raise ValueError("a scaling comparison needs at least 3 instances")
-    if baselines is not None:
-        baselines = list(baselines)
-        if len(baselines) != len(results):
-            raise ValueError("one baseline per result, in the same order")
+    if len(baselines) != len(results):
+        raise ValueError("one baseline per result, in the same order")
     rows = []
-    for i, r in enumerate(results):
-        row = {**result_row(r), "post_budget_constant": budget_constants(r)["post"]}
-        if baselines is not None:
-            b = baselines[i]
-            row["baseline_queries"] = b.mean_queries
-            row["baseline_over_post"] = (
-                b.mean_queries / r.ledger.oracle_queries
-                if r.ledger.oracle_queries else None
-            )
-            row["classical_budget_constant"] = (
-                b.mean_queries / (r.boost**3 / r.overlap)
-            )
-        rows.append(row)
+    for r, b in zip(results, baselines):
+        rows.append({
+            **result_row(r),
+            "post_budget_constant": budget_constants(r)["post"],
+            "baseline_queries": b.mean_queries,
+            "baseline_over_post": (b.mean_queries / r.ledger.oracle_queries
+                                   if r.ledger.oracle_queries else None),
+            "classical_budget_constant": b.mean_queries / (r.boost**3 / r.overlap),
+        })
     fits = {
         "oracle_queries_vs_inverse_overlap": _loglog_slope(
             [1.0 / r.overlap for r in results],
@@ -392,11 +390,10 @@ def complexity_report(results, baselines=None) -> dict:
         "controlled_s_vs_boost": _loglog_slope(
             [r.boost for r in results],
             [r.ledger.controlled_s for r in results]),
-    }
-    if baselines is not None:
-        fits["baseline_ratio_vs_boost"] = _loglog_slope(
+        "baseline_ratio_vs_boost": _loglog_slope(
             [r.boost for r in results],
-            [row.get("baseline_over_post") or np.nan for row, r in zip(rows, results)])
+            [row["baseline_over_post"] or np.nan for row in rows]),
+    }
     return {"rows": rows, "fits": fits}
 
 

@@ -270,6 +270,5 @@ def evolve_to_halfway(inst: SearchInstance, ledger=None) -> HalfwayState:
     coefficients = (inst.source.conj() @ dec.vectors).conj()
     state = dec.vectors @ (np.exp(1j * steps * dec.phases) * coefficients)
     if ledger is not None:
-        ledger.ds_applications += steps
-        ledger.oracle_queries += steps
+        ledger.charge(ds_applications=steps, oracle_queries=steps)
     return HalfwayState(state=state, steps=steps)

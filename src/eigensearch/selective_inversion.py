@@ -174,13 +174,6 @@ def binomial_tail_wrong_half(vote_bits: int, p_one, p_zero, invert):
     return np.vectorize(tail, otypes=[float])(p_one, p_zero, invert)[()]
 
 
-def _charge(ledger, **counts):
-    if ledger is None:
-        return
-    for name, value in counts.items():
-        setattr(ledger, name, getattr(ledger, name) + value)
-
-
 def _chunks(n: int, width: int) -> list[slice]:
     """Runs of eigenvectors an apply works on together: at most an eighth
     of the n, holding at most ``_CHUNK`` values of ``width`` each, and at
@@ -307,15 +300,14 @@ class InversionOperator:
             raise ValueError("state is in the estimate frame of another operator; "
                              "the inversion takes states in its own frame")
         out = self._invert(state)
-        # the estimate and the unestimate, and for each of the 2 nu
-        # kickbacks the estimate and unestimate inside its amplification,
-        # one zero reflection and two vote Hadamards
-        m = self.layout.phase_dim
-        _charge(ledger, controlled_s=2 * m, oracle_queries=2 * m)
-        if self.scheme.kind != "basic":
+        if ledger is not None:
+            # the estimate and the unestimate, and for each of the 2 nu
+            # kickbacks the estimate and unestimate inside its amplification,
+            # one zero reflection and two vote Hadamards: 2M + 4 nu M queries
             nu = self.scheme.vote_bits
-            _charge(ledger, controlled_s=4 * nu * m, oracle_queries=4 * nu * m,
-                    i_zero_prime=2 * nu, hadamards_vote=4 * nu)
+            queries = (2 + 4 * nu) * self.layout.phase_dim
+            ledger.charge(controlled_s=queries, oracle_queries=queries,
+                          i_zero_prime=2 * nu, hadamards_vote=4 * nu)
         return out
 
     def _invert(self, state: StateVector) -> StateVector:

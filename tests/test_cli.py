@@ -409,6 +409,16 @@ def test_out_flag_writes_the_document_to_a_file(tmp_path, capsys):
     assert doc["command"] == "spectrum"
 
 
+def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
+    path = tmp_path / "missing" / "doc.json"
+    code, out, err = run_cli(capsys, "spectrum", *REF_ARGS, "--out", str(path))
+    assert code == 2
+    assert out == ""
+    assert err.startswith("error: cannot write output file:")
+    assert err.count("\n") == 1 and err.endswith("\n")
+    assert not path.parent.exists()
+
+
 def readme_examples():
     """Every ``eigensearch ...`` command in the README's code blocks, with
     line continuations joined."""

@@ -1,6 +1,7 @@
 """Unit checks for the shared numeric helpers."""
 
 import ast
+import dataclasses
 import os
 import subprocess
 import sys
@@ -327,3 +328,33 @@ def test_every_public_function_and_class_has_a_caller_in_the_package():
             break
         unused = grown
     assert sorted(unused & public) == []
+
+
+def test_only_query_ledger_charge_adds_to_a_ledger_field():
+    # every count the package spends goes through QueryLedger.charge: no
+    # other code assigns to an attribute named like a ledger field, or
+    # sets one by setattr, whose name is either such a field or unknown
+    ledger_fields = {f.name for f in dataclasses.fields(eigensearch.QueryLedger)}
+    package = os.path.dirname(eigensearch.__file__)
+    writes = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        charge = {id(sub) for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef) and cls.name == "QueryLedger"
+                  for method in cls.body
+                  if isinstance(method, ast.FunctionDef) and method.name == "charge"
+                  for sub in ast.walk(method)}
+        for node in ast.walk(tree):
+            if id(node) in charge:
+                continue
+            if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Store):
+                if node.attr in ledger_fields:
+                    writes.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+            elif isinstance(node, ast.Call) and "setattr" in ast.unparse(node.func):
+                key = node.args[1]
+                if not isinstance(key, ast.Constant) or key.value in ledger_fields:
+                    writes.append(f"{name}:{node.lineno} {ast.unparse(node)}")
+    assert writes == []

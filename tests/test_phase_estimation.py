@@ -107,7 +107,7 @@ def test_profiles_and_wrong_side_masses_match_a_40_digit_table(ref12):
         def amp(mu, lam, k):
             m, x = 2 ** mu, mp.mpf(lam) - 2 * mp.pi * k / 2 ** mu
             return mp.expj((m - 1) * x / 2) * mp.sin(m * x / 2) / (m * mp.sin(x / 2))
-        def wrong_side_mass(mu, lam, half):  # half = gap_window_halfwidth
+        def wrong_side_mass(mu, lam, half):  # half: gap_window_mask's halfwidth
             return mp.fsum(abs(amp(mu, lam, k)) ** 2
                            for k in range(half + 1, 2 ** mu - half))
     """
@@ -153,18 +153,6 @@ def test_k_nearest_wraps_on_the_register_circle():
     assert oracles.k_nearest(10, 0.0) == 0
 
 
-def test_window_mask_indices_wrap_and_reject_oversized_windows():
-    assert np.flatnonzero(es.window_mask(6, 63, 2)).tolist() == [0, 1, 61, 62, 63]
-    assert np.flatnonzero(es.window_mask(2, 0, 1)).tolist() == [0, 1, 3]
-    # covering the register exactly is allowed
-    assert np.flatnonzero(es.window_mask(2, 1, 1)).tolist() == [0, 1, 2]
-    assert np.flatnonzero(es.window_mask(3, 4, 3)).tolist() == [1, 2, 3, 4, 5, 6, 7]
-    with pytest.raises(ValueError):
-        es.window_mask(2, 0, 2)
-    with pytest.raises(ValueError):
-        es.window_mask(6, 0, -1)
-
-
 def test_peak_window_mass_respects_the_guaranteed_bound():
     rng = make_rng(9)
     for _ in range(300):
@@ -175,8 +163,7 @@ def test_peak_window_mass_respects_the_guaranteed_bound():
 
 
 def test_gap_window_reaches_almost_to_the_gap():
-    half = es.gap_window_halfwidth(6, np.pi, es.GUARD_FRACTION)
-    assert half == 30
+    # halfwidth 30, the nearest integer to 64 (1 - guard) pi / 2 pi, wrapping
     mask = es.gap_window_mask(6, np.pi, es.GUARD_FRACTION)
     expected = set(range(0, 31)) | set(range(34, 64))
     assert set(np.flatnonzero(mask).tolist()) == expected
@@ -184,12 +171,14 @@ def test_gap_window_reaches_almost_to_the_gap():
 
 
 def test_gap_window_rejects_a_register_too_coarse_for_the_gap():
-    with pytest.raises(ValueError):
+    with pytest.raises(es.GapGuessTooCoarse):
         es.gap_window_mask(2, np.pi, es.GUARD_FRACTION)
+    with pytest.raises(ValueError, match="positive"):
+        es.gap_window_mask(6, -0.5, es.GUARD_FRACTION)
 
 
 def test_window_split_checks_register_dimension():
-    mask = es.window_mask(5, 0, 2)
+    mask = np.isin(np.arange(32), [0, 1, 2, 30, 31])
     with pytest.raises(ValueError):
         window_split(6, 0.1, mask)
 
@@ -197,7 +186,7 @@ def test_window_split_checks_register_dimension():
 def test_window_split_takes_only_a_boolean_mask():
     # an index array of the register's length would otherwise be read as
     # indices, not as a mask
-    mask = es.window_mask(5, 0, 2)
+    mask = np.isin(np.arange(32), [0, 1, 2, 30, 31])
     for bad in (mask.astype(int), mask.astype(float), np.flatnonzero(mask)):
         with pytest.raises(ValueError, match="boolean"):
             window_split(5, 0.1, bad)

@@ -137,7 +137,7 @@ def test_a_run_evaluates_each_estimate_profile_once(ref12, call_counter, kind, m
 #     boosted (9, 6) run_full                                   0.18   0.4
 #     boosted (10, 2) run_full                                  1.50   2.6
 #     basic mu=12 run_full                                      2.52   2.6
-#     criterion-08's one-round (5, 4) run_full, n=32            1.05   1.65
+#     criterion-08's one-round (5, 4) run_full, n=32            0.79   1.65
 #     basic mu=12 round-two target flip                        0.001   0.3
 #     boosted (9, 12) run_full, n=48 (over 13 Dicke columns)    1.30   3
 #     criterion-07's (9, 6) run_full, n=48 (over 7 Dicke cols)  1.49   1.75
@@ -171,10 +171,12 @@ def test_a_boosted_run_writes_no_register(ref12):
     assert _run_full_peak_over_register(ref12, scheme) <= 0.4
 
 
-def test_a_one_round_run_writes_its_output_once_for_the_readout(ref12):
+def test_a_one_round_run_reads_its_output_without_writing_it(ref12):
     # criterion-08's first instance needs one round, whose output is plane
-    # coefficients, written out once as 5 Dicke columns of the 16 vote
-    # values for the readout, whose n x n work arrays weigh at n=32
+    # coefficients; the readout forms its Gram blocks from them, a few
+    # phase columns of the plane at a time, so none of the 5 Dicke columns
+    # of the 16 vote values is written whole, and n x n work arrays weigh
+    # at n=32
     fam, seed, target = instances.BASELINE_TRIO[0]
     inst = instances.symmetric_instance(instances.TRIO_N, fam, seed, target)
     scheme = es.InversionScheme.boosted(inst.boost, inst.spec.phase_gap, offset_bits=4)
@@ -368,7 +370,7 @@ def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
     assert not isinstance(info.value, es.GapGuessTooCoarse)
 
 
-def test_csv_row_matches_the_header(ref12_basic_run):
+def test_csv_row_matches_the_header(ref12, ref12_basic_run):
     _, res = ref12_basic_run
     row = es.result_row(res)
     assert row == {
@@ -383,26 +385,29 @@ def test_csv_row_matches_the_header(ref12_basic_run):
     assert ",".join(row) == ("instance_id,N,alpha,B,theta_min,scheme,mu,nu,"
                              "q_m,n_qaa,oracle_queries,controlled_s,success,epsilon")
     # every complexity-report row opens with the same columns
-    report_row = es.complexity_report([res, res, res])["rows"][0]
+    base = es.classical_baseline(ref12, trials=100)
+    report_row = es.complexity_report([res] * 3, [base] * 3)["rows"][0]
     assert list(report_row)[:len(row)] == list(row)
     assert {key: report_row[key] for key in row} == row
 
 
-def test_complexity_report_validates_its_inputs(ref12_basic_run):
+def test_complexity_report_validates_its_inputs(ref12, ref12_basic_run):
     _, res = ref12_basic_run
+    base = es.classical_baseline(ref12, trials=100)
     with pytest.raises(ValueError):
-        es.complexity_report([res, res])
+        es.complexity_report([res, res], [base, base])
     with pytest.raises(ValueError):
-        es.complexity_report([res, res, res], baselines=[])
+        es.complexity_report([res, res, res], [])
 
 
 def test_halving_the_overlap_doubles_the_halfway_steps():
-    results = []
+    results, baselines = [], []
     for seed, target in instances.HALVING_CASES:
         inst = instances.symmetric_instance(
             instances.HALVING_N, instances.HALVING_PAIRS, seed, target)
         results.append(es.run_full(inst, boosted_for(inst)))
-    report = es.complexity_report(results)
+        baselines.append(es.classical_baseline(inst, trials=100))
+    report = es.complexity_report(results, baselines)
     steps = [row["q_m"] for row in report["rows"]]
     assert tuple(steps) == instances.HALVING_STEPS
     boosts = [row["B"] for row in report["rows"]]
