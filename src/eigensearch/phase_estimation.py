@@ -1,13 +1,13 @@
 """Multi-register simulation of phase estimation, in the unitary's estimate frame.
 
 The joint register is (mainspace) x (phase register) x (vote register), of
-P phase values and V = 2^nu vote values.  Its full layout, flat in C order
-with index ((m * P) + w) * V + v for mainspace index m, phase value w and
-vote bits v, is only ever written out (``StateVector.amps``): a state holds
-its amplitudes phase last, as (main, vote, phase) slabs over the Dicke
-basis of the vote register (see ``StateVector``), and the raw kernels below
-take that one layout: any (main, ..., phase) array, batched over the axes
-between.
+P phase values and V = 2^nu vote values.  A state holds its amplitudes
+phase last, as (main, nu + 1, phase) slabs over the Dicke basis of the vote
+register (see ``StateVector``): that is the ``RegisterLayout`` shape, and
+the raw kernels below take that one layout, any (main, ..., phase) array,
+batched over the axes between.  The full layout, flat in C order with index
+((m * P) + w) * V + v for mainspace index m, phase value w and vote bits v,
+is only ever written out (``StateVector.amps``).
 
 The estimation circuit is: Walsh-Hadamard on the phase register, powers of
 the mainspace unitary controlled on the phase value, then an inverse Fourier
@@ -55,14 +55,16 @@ from .numerics import (
 )
 
 DENSE_CAP = 1 << 22
-"""Largest joint register, in amplitudes: 64 MiB of complex128.
+"""Largest joint register, in stored values: 64 MiB of complex128.
 
-The cap counts the full layout, main x phase x 2^nu vote values
-(``RegisterLayout.dim``), whatever a state stores: a state holds nu + 1
-Dicke columns, at most that.  An apply holds its input, its
-output and working arrays of a few eigenvectors at a time; the measured
-multiples of the register and their bounds are tabled above the memory
-tests in ``tests/test_pipeline.py``.
+The cap counts the values a state stores, main x (nu + 1) x phase Dicke
+slab values (``RegisterLayout.dim``), not the 2^nu vote values of the full
+layout, which only ``StateVector.amps`` writes and which it caps on its
+own.  A run holds its input, its output and working arrays of a few
+eigenvectors at a time, so it peaks at a small multiple of one stored
+state; the multiple each entry point measures, and the bound its test
+holds it to, are tabled above the memory tests in
+``tests/test_pipeline.py``.
 """
 
 _GRAM_BLOCK = 1 << 12
@@ -70,9 +72,11 @@ _GRAM_BLOCK = 1 << 12
 
 @dataclass(frozen=True)
 class RegisterLayout:
-    """Shape bookkeeping for a joint register vector.  ``dense_cap`` is
-    checked when a layout is made and not kept: layouts of one shape are
-    equal whatever cap they were made under."""
+    """The register a state stores: ``shape`` is its (main, nu + 1, phase)
+    Dicke slabs (see ``StateVector``) and ``dim`` the number of values they
+    hold, which ``dense_cap`` bounds.  The cap is checked when a layout is
+    made and not kept: layouts of one shape are equal whatever cap they
+    were made under."""
 
     main_dim: int
     phase_bits: int
@@ -89,7 +93,7 @@ class RegisterLayout:
             raise ValueError(f"the dense cap must be at least 1, not {dense_cap}")
         if self.dim > dense_cap:
             raise ResourceCapExceeded(
-                f"register of {self.dim} amplitudes exceeds the dense cap "
+                f"register of {self.dim} stored values exceeds the dense cap "
                 f"{dense_cap}; lower the register sizes or raise the cap"
             )
 
@@ -98,16 +102,12 @@ class RegisterLayout:
         return 1 << self.phase_bits
 
     @property
-    def vote_dim(self) -> int:
-        return 1 << self.vote_bits
-
-    @property
     def dim(self) -> int:
-        return self.main_dim * self.phase_dim * self.vote_dim
+        return math.prod(self.shape)
 
     @property
     def shape(self) -> tuple[int, int, int]:
-        return (self.main_dim, self.phase_dim, self.vote_dim)
+        return (self.main_dim, self.vote_bits + 1, self.phase_dim)
 
 
 class StateVector:
@@ -165,10 +165,9 @@ class StateVector:
     def from_slabs(cls, slabs: np.ndarray, layout: RegisterLayout,
                    frame: EigenDecomposition, computed: bool = False) -> "StateVector":
         """The state held as ``slabs``, its (main, nu + 1, phase) Dicke
-        columns, kept read-only, not copied."""
-        shape = (layout.main_dim, layout.vote_bits + 1, layout.phase_dim)
-        if slabs.shape != shape:
-            raise ValueError(f"slabs of shape {slabs.shape} are not the {shape} "
+        columns, the layout's shape, kept read-only, not copied."""
+        if slabs.shape != layout.shape:
+            raise ValueError(f"slabs of shape {slabs.shape} are not the {layout.shape} "
                              f"Dicke slabs of the layout")
         state = cls.__new__(cls)
         state._bind(layout, frame, _vector_norm(slabs), computed)
@@ -202,7 +201,7 @@ class StateVector:
         if frame.dim != layout.main_dim:
             raise ValueError(f"frame of dimension {frame.dim} does not match the "
                              f"main dimension {layout.main_dim}")
-        if abs(norm - 1.0) > TOL.state_norm:
+        if not abs(norm - 1.0) <= TOL.state_norm:
             raise (InternalInvariantError if computed else ValueError)(
                 f"state norm {norm!r} is not 1 within {TOL.state_norm:g}")
         self.layout = layout
@@ -243,15 +242,22 @@ class StateVector:
         written into a new array on every read; the state keeps nothing, so
         reading changes no state.  This is the one writer of the 2^nu vote
         values, for the tests and for the tracer of ``perfbench``: vote value
-        v of weight h holds Dicke column h over sqrt(C(nu, h))."""
-        nu, m = self.layout.vote_bits, self.layout.phase_dim
+        v of weight h holds Dicke column h over sqrt(C(nu, h)).  The layout's
+        cap bounds the stored values, not these, so a full layout of more
+        than ``DENSE_CAP`` values raises ``ResourceCapExceeded``."""
+        n, cols, m = self.layout.shape
+        votes = 1 << self.layout.vote_bits
+        if n * m * votes > DENSE_CAP:
+            raise ResourceCapExceeded(
+                f"the full layout of {n * m * votes} amplitudes exceeds the dense "
+                f"cap {DENSE_CAP}")
         if self.main is not None:
-            a = np.zeros(self.layout.shape, dtype=complex)
+            a = np.zeros((n, m, votes), dtype=complex)
             a[:, :, 0] = (self.main * (1.0 / math.sqrt(m)))[:, None]
         else:
-            roots = np.sqrt([float(math.comb(nu, h)) for h in range(nu + 1)])
+            roots = np.sqrt([float(math.comb(cols - 1, h)) for h in range(cols)])
             slabs = (self._applied_slabs() / roots[:, None])[:, np.bitwise_count(
-                np.arange(self.layout.vote_dim))]
+                np.arange(votes))]
             a = np.ascontiguousarray(slabs.transpose(0, 2, 1))
         a = a.reshape(-1)
         check_computed_norm(np.vdot(a, a).real)
@@ -272,7 +278,7 @@ class StateVector:
         R branch and R G R^dagger.  The trace of G, the squared norm of the
         state, is checked.
         """
-        n, m, _ = self.layout.shape
+        n, _, m = self.layout.shape
         if self.main is not None:
             branch = self.main * math.sqrt(m)
             gram = np.outer(self.main, self.main.conj())
@@ -307,7 +313,7 @@ def check_computed_norm(norm_sq: float):
     """Raise unless amplitudes of squared norm ``norm_sq``, just computed
     from a state, keep its norm of 1 within ``TOL.state_norm``."""
     norm = math.sqrt(abs(norm_sq))
-    if abs(norm - 1.0) > TOL.state_norm:
+    if not abs(norm - 1.0) <= TOL.state_norm:
         raise InternalInvariantError(
             f"computed amplitudes have norm {norm!r}, not 1 within {TOL.state_norm:g}")
 

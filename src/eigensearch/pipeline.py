@@ -280,22 +280,21 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
             records.append(RoundRecord(gap_guess=guess, ran=False,
                                        success_probability=0.0,
                                        drawn_index=-1, verified=False))
-            guess *= 1.0 - guard_fraction / 10.0
-            continue
-        total.merge(result.ledger)
-        marginal = result.main_marginal / result.main_marginal.sum()
-        cdf = np.cumsum(marginal)
-        cdf[-1] = 1.0
-        drawn = int(np.searchsorted(cdf, rng.random(), side="right"))
-        total.charge(oracle_queries=1)
-        verified = drawn == inst.target_index
-        records.append(RoundRecord(gap_guess=guess, ran=True,
-                                   success_probability=result.success_probability,
-                                   drawn_index=drawn, verified=verified))
-        if verified:
-            final = result
-            succeeded = True
-            break
+        else:
+            total.merge(result.ledger)
+            marginal = result.main_marginal / result.main_marginal.sum()
+            cdf = np.cumsum(marginal)
+            cdf[-1] = 1.0
+            drawn = int(np.searchsorted(cdf, rng.random(), side="right"))
+            total.charge(oracle_queries=1)
+            verified = drawn == inst.target_index
+            records.append(RoundRecord(gap_guess=guess, ran=True,
+                                       success_probability=result.success_probability,
+                                       drawn_index=drawn, verified=verified))
+            if verified:
+                final = result
+                succeeded = True
+                break
         guess *= 1.0 - guard_fraction / 10.0
     return ScheduleResult(
         succeeded=succeeded,

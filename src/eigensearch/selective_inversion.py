@@ -95,6 +95,10 @@ from .search_core import search_decomposition
 
 GUARD_FRACTION = 2.0 * math.pi / 128.0
 _CHUNK = 1 << 15
+# the largest vote count a scheme takes.  Its Krawtchouk matrix stays finite
+# and its own inverse within 2e-15 up to nu = 340, but the O(nu^3) integer
+# build grows from 0.04 s at nu = 64 to 0.5 s at 128 (2-core x86 box)
+_MAX_VOTE_BITS = 64
 
 
 @dataclass(frozen=True)
@@ -125,6 +129,9 @@ class InversionScheme:
             raise ValueError("the basic scheme has no vote register")
         if self.kind == "boosted" and (self.vote_bits < 2 or self.vote_bits % 2):
             raise ValueError("the boosted scheme needs an even vote count >= 2")
+        if self.vote_bits > _MAX_VOTE_BITS:
+            raise ValueError(f"a scheme takes at most {_MAX_VOTE_BITS} votes, "
+                             f"not {self.vote_bits}")
 
     @classmethod
     def basic(cls, boost: float, phase_gap: float, extra_bits: int = 7,
@@ -191,13 +198,14 @@ _CIRCULAR = np.array([[1.0, 1j], [1.0, -1j]]) / math.sqrt(2.0)
 def _vote_basis(nu: int) -> tuple[np.ndarray, np.ndarray]:
     """The vote Hadamard H^{(x) nu} on the nu + 1 Dicke columns, the
     Krawtchouk matrix K[s, h] = <D_s| H^{(x) nu} |D_h>, built in integers
-    and scaled once, and the majority sign F of each column's weight, -1 on
-    strictly more ones than zeros.  K is real, symmetric and its own
-    inverse."""
+    and scaled once in floats, and the majority sign F of each column's
+    weight, -1 on strictly more ones than zeros.  K is real, symmetric and
+    its own inverse."""
     c = [math.comb(nu, h) for h in range(nu + 1)]
     counts = np.array([[c[h] * sum((-1) ** j * math.comb(h, j) * math.comb(nu - h, s - j)
                                    for j in range(s + 1))
-                        for h in range(nu + 1)] for s in range(nu + 1)])
+                        for h in range(nu + 1)] for s in range(nu + 1)], dtype=float)
+    c = np.array(c, dtype=float)
     k = counts / np.sqrt(np.outer(c, c) * 2.0 ** nu)
     flip = np.where(np.arange(nu + 1) > nu // 2, -1.0, 1.0)
     k.flags.writeable = flip.flags.writeable = False
@@ -321,10 +329,9 @@ class InversionOperator:
         then their controlled powers, the estimate in place, the signs, the
         unestimate and the update along Q.
         """
-        n, m, _ = self.layout.shape
+        n, cols, m = self.layout.shape
         plane, norms = self._window_split()
         product = state.main is not None
-        cols = self.layout.vote_bits + 1
         if product and plane is not None:
             p = np.zeros((n, 2, cols), dtype=complex)
             p[:, :, 0] = state.main[:, None] * norms

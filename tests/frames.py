@@ -36,6 +36,12 @@ def dicke_isometry(vote_bits):
     return (weights[:, None] == np.arange(vote_bits + 1)) / roots
 
 
+def oracle_shape(layout):
+    """The (main, phase, vote) shape of the computational amplitudes over
+    all 2^nu vote values, which the dense oracles act on."""
+    return (layout.main_dim, layout.phase_dim, 1 << layout.vote_bits)
+
+
 def on_dicke_span(r, layout):
     """P^dagger R P for a dense operator R on (main, phase, vote)
     amplitudes: R on the Dicke span, on (main, phase, Dicke) coefficients."""
@@ -45,15 +51,15 @@ def on_dicke_span(r, layout):
     return np.einsum("vh,avbg->ahbg", p, r).reshape(rows * p.shape[1], -1)
 
 
-def _frame_change(dec, phase_bits, vote_dim):
+def _frame_change(dec, phase_bits, votes):
     return np.kron(np.kron(dec.vectors.conj().T, oracles.dense_walsh(phase_bits)),
-                   np.eye(vote_dim))
+                   np.eye(votes))
 
 
 def dense_frame_change(dec, layout):
     """V^dagger (x) H (x) 1 as a dense matrix: computational amplitudes to
     those of the estimate frame of ``dec``."""
-    return _frame_change(dec, layout.phase_bits, layout.vote_dim)
+    return _frame_change(dec, layout.phase_bits, 1 << layout.vote_bits)
 
 
 def _change(a, main, axes):
@@ -79,13 +85,13 @@ def from_frame(a, dec, axes=("main", "phase")):
 def computational(state):
     """A state in an estimate frame, taken out of it: a (main, phase, vote)
     array of computational amplitudes."""
-    return from_frame(state.amps.reshape(state.layout.shape), state.frame)
+    return from_frame(state.amps.reshape(oracle_shape(state.layout)), state.frame)
 
 
 def _dicke_state(a, layout, dec):
     """The state of the frame amplitudes ``a``, held as their Dicke slabs;
     amplitudes off the Dicke span fail."""
-    a = a.reshape(layout.shape)
+    a = a.reshape(oracle_shape(layout))
     p = dicke_isometry(layout.vote_bits)
     coefs = a @ p
     assert np.max(np.abs(coefs @ p.T - a)) <= 1e-12, "amplitudes off the Dicke span"
@@ -95,7 +101,7 @@ def _dicke_state(a, layout, dec):
 def framed(a, dec, layout):
     """Weight-symmetric computational amplitudes, taken into the estimate
     frame of ``dec``."""
-    return _dicke_state(to_frame(a.reshape(layout.shape), dec), layout, dec)
+    return _dicke_state(to_frame(a.reshape(oracle_shape(layout)), dec), layout, dec)
 
 
 def slab_twin(state):
@@ -116,7 +122,7 @@ def inverter_matrix(op):
     ``StateVector`` can hold.
     """
     lay = op.layout
-    n, m, _ = lay.shape
+    n, _, m = lay.shape
     p = dicke_isometry(lay.vote_bits)
     size = n * m * p.shape[1]
     cols = np.empty((size, size), dtype=complex)
@@ -214,8 +220,7 @@ def reachable_states(op, seed):
     first = int(rng.integers(n))
     embedded = es.embed_mainspace(lay, _unit(rng, n), op.frame)
     applied = op.apply(embedded)
-    drawn = StateVector.from_slabs(_unit(rng, (n, lay.vote_bits + 1, lay.phase_dim)),
-                                   lay, op.frame)
+    drawn = StateVector.from_slabs(_unit(rng, lay.shape), lay, op.frame)
     x = _unit(rng, n)
     states = {"embedded": embedded, "applied": applied, "drawn": drawn,
               "applied, reflected": applied.reflect_main(x),

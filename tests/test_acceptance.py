@@ -294,7 +294,7 @@ def test_criterion_10_fast_kernels_match_dense_oracles(criterion10_boosted,
         vec /= np.linalg.norm(vec)
         # the kernel takes the phase axis last
         out = raw_estimate_forward(
-            frames.to_frame(vec.reshape(layout.shape), dec4).swapaxes(1, 2),
+            frames.to_frame(vec.reshape(frames.oracle_shape(layout)), dec4).swapaxes(1, 2),
             power_table(dec4.phases, layout.phase_dim))
         out = frames.from_frame(out.swapaxes(1, 2), dec4, axes=("main",)).reshape(-1)
         ctrl_gap = max(ctrl_gap, float(np.max(np.abs(out - dense_forward @ vec))))

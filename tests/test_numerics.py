@@ -358,3 +358,32 @@ def test_only_query_ledger_charge_adds_to_a_ledger_field():
                 if not isinstance(key, ast.Constant) or key.value in ledger_fields:
                     writes.append(f"{name}:{node.lineno} {ast.unparse(node)}")
     assert writes == []
+
+
+def test_only_state_amps_counts_the_full_vote_layout():
+    # the package sizes, caps and reads every register by the nu + 1 Dicke
+    # columns a state stores (RegisterLayout); only StateVector.amps writes
+    # the 2^nu vote values out, so it alone may compute 1 << vote_bits or
+    # 2 ** vote_bits
+    package = os.path.dirname(eigensearch.__file__)
+    sites = []
+    for name in sorted(os.listdir(package)):
+        if not name.endswith(".py"):
+            continue
+        with open(os.path.join(package, name)) as f:
+            tree = ast.parse(f.read())
+        owners = {id(sub): f"{cls.name}.{method.name}" for cls in ast.walk(tree)
+                  if isinstance(cls, ast.ClassDef)
+                  for method in cls.body if isinstance(method, ast.FunctionDef)
+                  for sub in ast.walk(method)}
+        for node in ast.walk(tree):
+            if not (isinstance(node, ast.BinOp)
+                    and isinstance(node.left, ast.Constant)
+                    and (isinstance(node.op, ast.LShift) and node.left.value == 1
+                         or isinstance(node.op, ast.Pow) and node.left.value == 2)):
+                continue
+            if any(isinstance(sub, ast.Name) and sub.id == "vote_bits"
+                   or isinstance(sub, ast.Attribute) and sub.attr == "vote_bits"
+                   for sub in ast.walk(node.right)):
+                sites.append(f"{name} {owners.get(id(node), '<module>')}")
+    assert sites == ["phase_estimation.py StateVector.amps"]

@@ -217,7 +217,7 @@ def test_phase_estimate_matches_the_dense_oracle_and_inverts():
     lay = RegisterLayout(4, 5, 0, es.DENSE_CAP)
     rng = make_rng(5)
     vec = rng.normal(size=4) + 1j * rng.normal(size=4)
-    plain = np.zeros(lay.shape, dtype=complex)
+    plain = np.zeros(frames.oracle_shape(lay), dtype=complex)
     plain[:, 0, 0] = vec / np.linalg.norm(vec)
     dense = oracles.dense_estimate_forward(u, 5)
 
@@ -241,7 +241,7 @@ def test_eigenstate_estimation_concentrates_at_the_nearest_register_value():
     sv = embed_mainspace(lay, dec.vectors[:, k], frame=dec)
     # the phase axis of the estimate is computational; the main axis is
     # summed over, so its basis does not matter
-    out = raw_estimate_forward(sv.amps.reshape(lay.shape).swapaxes(1, 2),
+    out = raw_estimate_forward(sv.amps.reshape(frames.oracle_shape(lay)).swapaxes(1, 2),
                                power_table(dec.phases, lay.phase_dim))
     marginal = np.sum(np.abs(out) ** 2, axis=(0, 1))
     assert int(np.argmax(marginal)) == oracles.k_nearest(7, lam)
@@ -255,6 +255,18 @@ def test_register_layout_enforces_the_dense_cap():
                                 guard_fraction=es.GUARD_FRACTION)
     with pytest.raises(ResourceCapExceeded):
         es.InversionOperator.build(scheme, np.eye(32, dtype=complex))
+    # the cap counts the stored main x (nu + 1) x phase values, 3 x 41 x 2
+    # here, not the full layout's 3 x 2 x 2^40: a layout of exactly the cap
+    # builds, and one value over it does not
+    at_cap = RegisterLayout(3, 1, 40, 246)
+    assert at_cap.shape == (3, 41, 2) and at_cap.dim == 246
+    with pytest.raises(ResourceCapExceeded, match="246 stored values"):
+        RegisterLayout(3, 1, 40, 245)
+    # so only the writer of the full layout checks it against the cap
+    big = RegisterLayout(2, 1, 21)
+    state = embed_mainspace(big, [1.0, 0.0], es.eig_unitary(np.eye(2, dtype=complex)))
+    with pytest.raises(ResourceCapExceeded, match="8388608 amplitudes"):
+        state.amps
 
 
 def test_frame_states_refuse_what_their_frame_cannot_answer():

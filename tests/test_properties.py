@@ -360,7 +360,7 @@ def test_frame_operations_match_the_computational_ones(case, seed):
     assert np.max(np.abs(branch - comp[:, 0, 0])) <= 1e-12
     vec = rng.normal(size=n) + 1j * rng.normal(size=n)
     vec /= np.linalg.norm(vec)
-    plain = np.zeros(lay.shape, dtype=complex)
+    plain = np.zeros(frames.oracle_shape(lay), dtype=complex)
     plain[:, 0, 0] = vec
     embedded = es.embed_mainspace(lay, vec, dec)
     assert np.max(np.abs(embedded.amps - change @ plain.reshape(-1))) <= 1e-12
@@ -447,7 +447,7 @@ def test_a_boosted_operator_keeps_its_window_parts_unestimated(case):
     # have disjoint supports, so its two columns are orthonormal, but for a
     # part of norm exactly 0, which stays a zero column
     _, op = case
-    n, m, _ = op.layout.shape
+    n, _, m = op.layout.shape
     phases = op.frame.phases
     plane, norms = op._window_split()
     parts = np.empty((n, 2, m), dtype=complex)
@@ -519,7 +519,8 @@ def test_the_closed_form_vote_stage_matches_the_kick_loop(case):
 
 def test_computed_amplitudes_are_norm_checked():
     # a state's norm is checked where it is made and where its amplitudes
-    # are read.  A caller's scaled slabs raise ValueError.  Tripled
+    # are read, and NaN is no norm of 1.  A caller's scaled or NaN values
+    # raise ValueError, computed ones InternalInvariantError.  Tripled
     # majority signs in the vote stage, a kept Gram off the plane's and a
     # plane unestimated off orthonormal each take an apply's output off its
     # norm, and slabs changed after their check are caught by the Gram
@@ -529,9 +530,13 @@ def test_computed_amplitudes_are_norm_checked():
     product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
     flipped = es.target_flip(op.apply(product), 1)
     out = op.apply(flipped)
-    for state, scale in itertools.product((flipped, out), (1.001, 0.999)):
+    for state, scale in itertools.product((flipped, out), (1.001, 0.999, math.nan)):
         with pytest.raises(ValueError):
             es.StateVector.from_slabs(scale * state.slabs, op.layout, op.frame)
+    with pytest.raises(ValueError, match="nan"):
+        es.StateVector.product([math.nan, 0.0, 0.0], op.layout, op.frame)
+    with pytest.raises(es.InternalInvariantError, match="nan"):
+        es.StateVector.product([math.nan, 0.0, 0.0], op.layout, op.frame, computed=True)
     original = selective_inversion._vote_basis
 
     def tripled(nu):
@@ -555,11 +560,12 @@ def test_computed_amplitudes_are_norm_checked():
         skewed = es.InversionOperator.build(op.scheme, op.unitary, decomposition=op.frame)
     with pytest.raises(es.InternalInvariantError):
         skewed.apply(product)
-    with mock.patch.object(out, "_slabs", 2.0 * out.slabs):
-        with pytest.raises(es.InternalInvariantError):
-            out.readouts()
-        with pytest.raises(es.InternalInvariantError):
-            out.amps
+    for bad in (2.0, math.nan):
+        with mock.patch.object(out, "_slabs", bad * out.slabs):
+            with pytest.raises(es.InternalInvariantError):
+                out.readouts()
+            with pytest.raises(es.InternalInvariantError):
+                out.amps
 
 
 @st.composite
@@ -587,7 +593,7 @@ def computational_run(inst, scheme, rounds):
     ledger = es.QueryLedger()
     halfway = es.evolve_to_halfway(inst, ledger)
     op = es.InversionOperator.build(scheme, es.build_search_operator(inst))
-    a = np.zeros(op.layout.shape, dtype=complex)
+    a = np.zeros(frames.oracle_shape(op.layout), dtype=complex)
     a[:, 0, 0] = halfway.state
     for _ in range(rounds):
         a[inst.target_index] *= -1

@@ -72,6 +72,20 @@ def test_secular_roots_agree_with_diagonalization(ref12):
     assert pair.secular_minus == root_minus
 
 
+@pytest.mark.parametrize("shift, agrees", [(1e-9, True), (1e-7, False)])
+def test_root_finding_must_agree_with_diagonalization(ref12, monkeypatch, shift, agrees):
+    # both secular roots moved by a shift below TOL.secular_agreement pass
+    # the cross-check, and by one above it fail it
+    exact = search_core.secular_pair
+    monkeypatch.setattr(search_core, "secular_pair",
+                        lambda inst: tuple(root + shift for root in exact(inst)))
+    if agrees:
+        assert es.find_relevant_pair(ref12).secular_plus == exact(ref12)[0] + shift
+    else:
+        with pytest.raises(AssumptionViolation, match="disagreement"):
+            es.find_relevant_pair(ref12)
+
+
 def test_secular_residual_vanishes_at_roots_only(ref12):
     # the residual is the signed secular-function value
     pair = es.find_relevant_pair(ref12)

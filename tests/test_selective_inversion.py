@@ -45,6 +45,9 @@ def test_scheme_validation_rejects_malformed_parameters():
     ):
         with pytest.raises(ValueError):
             es.InversionScheme(**bad)
+    # the vote count is capped where its Krawtchouk matrix still builds fast
+    with pytest.raises(ValueError, match="at most"):
+        es.InversionScheme("boosted", 8, selective_inversion._MAX_VOTE_BITS + 2, 0.5)
 
 
 def test_vote_majority_mask_selects_strict_majorities():
@@ -60,8 +63,8 @@ def test_vote_majority_mask_selects_strict_majorities():
 def test_the_vote_hadamard_is_its_dense_matrix_on_the_dicke_span():
     # the Krawtchouk matrix on the Dicke columns is <D_s| H^{(x) nu} |D_h>,
     # exactly symmetric and its own inverse, and the majority sign is -1 on
-    # the weights above nu / 2
-    for nu in range(2, 21, 2):
+    # the weights above nu / 2, up to the largest vote count a scheme takes
+    for nu in (*range(2, 21, 2), selective_inversion._MAX_VOTE_BITS):
         k, flip = selective_inversion._vote_basis(nu)
         assert np.array_equal(k, k.T)
         assert np.max(np.abs(k @ k - np.eye(nu + 1))) <= 1e-14
@@ -264,17 +267,16 @@ def test_error_shrinks_with_register_size(ref12, ref12_operator):
     assert eps[1] < eps[0]
 
 
-def _apply_peak_over_register(op, sv, columns=None):
-    """tracemalloc peak of one ``op.apply(sv)``, in registers of main x
-    phase x ``columns`` complex values, all 2^nu vote values unless given."""
+def _apply_peak_over_register(op, sv):
+    """tracemalloc peak of one ``op.apply(sv)``, in stored registers of
+    ``op.layout.dim`` complex values."""
     tracemalloc.start()
     try:
         op.apply(sv)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    columns = columns or op.layout.vote_dim
-    return peak / (op.layout.main_dim * op.layout.phase_dim * columns * 16)
+    return peak / (op.layout.dim * 16)
 
 
 def test_a_boosted_slab_apply_holds_a_few_times_its_columns(ref12, ref12_operator):
@@ -287,7 +289,7 @@ def test_a_boosted_slab_apply_holds_a_few_times_its_columns(ref12, ref12_operato
     sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
     # the vote plane is computed and kept on first use
     sv = frames.slab_twin(op.apply(sv))
-    assert _apply_peak_over_register(op, sv, scheme.vote_bits + 1) <= 1.5
+    assert _apply_peak_over_register(op, sv) <= 1.5
 
 
 def _two_vote_ref12_state(ref12):
@@ -307,7 +309,7 @@ def test_a_boosted_operator_keeps_its_plane_and_no_power_table(ref12):
     # is the two plane columns and the two norms of every eigenvector
     op, sv = _two_vote_ref12_state(ref12)
     op.apply(es.target_flip(op.apply(sv), ref12.target_index))
-    n, m, _ = op.layout.shape
+    n, _, m = op.layout.shape
     table = phase_estimation.power_table(op.frame.phases, m)
     kept = [a for value in vars(op).values()
             for a in (value if isinstance(value, tuple) else (value,))
@@ -354,18 +356,18 @@ def test_a_product_state_apply_writes_only_its_output_register(ref12):
     # an embedded state is n coefficients, and a boosted apply of it keeps
     # its output as coefficients along the kept vote plane
     op, sv = _two_vote_ref12_state(ref12)
-    assert _apply_peak_over_register(op, sv) <= 1.3
+    assert _apply_peak_over_register(op, sv) <= 1.73
 
 
 def test_a_second_round_apply_writes_one_register(ref12):
     # the second round's input is the first apply's output with the target
     # flip pending; the apply reflects it into its output, 3 Dicke columns
     # of the 4 vote values, a few eigenvectors at a time and runs there in
-    # place, keeping the reflection's projection (1/16 of the register)
+    # place, keeping the reflection's projection (1/12 of the register)
     # through the estimate
     op, sv = _two_vote_ref12_state(ref12)
     flipped = es.target_flip(op.apply(sv), ref12.target_index)
-    assert _apply_peak_over_register(op, flipped) <= 1.2
+    assert _apply_peak_over_register(op, flipped) <= 1.6
 
 
 @pytest.mark.parametrize("kind, mu, nu", [("basic", 8, 0), ("boosted", 6, 4)])
