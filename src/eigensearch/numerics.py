@@ -209,6 +209,21 @@ def _split_blocks(cosines, basis, ub, starts, sizes, size):
     columns (blocks, size), M on each, and their splits."""
     # not np.unique: it imports numpy.ma, about 15 ms of every fresh process
     cols = starts[sizes == size, None] + np.arange(size)
+    if not np.iscomplexobj(basis):
+        # A real block at cosine s = +-1 is one eigenvalue when R = U B - s B
+        # is small, without forming M: its skew part below is that of B^T R,
+        # at most ||B||_2 ||R||_F, and ||B||_2^2 <= 1 + size * delta with
+        # delta <= TOL.eigen_orthonormality in every decomposition returned.
+        # Twice that covers rounding, so this keeps no block the test would
+        # split; blocks that fail it form M.  R is taken over the span of
+        # the blocks as slices, which is far cheaper than gathering columns.
+        lo, hi = cols[0, 0], cols[-1, -1] + 1
+        sign = np.zeros(hi - lo)
+        sign[cols - lo] = np.sign(cosines[cols].mean(axis=1))[:, None]
+        r = ub[:, lo:hi] - sign * basis[:, lo:hi]
+        r = np.sqrt(np.einsum("ij,ij->j", r, r)[cols - lo].sum(axis=1))
+        cols = cols[2.0 * math.sqrt(1.0 + size * TOL.eigen_orthonormality) * r
+                    > TOL.scalar_block]
     block = dagger(np.moveaxis(basis[:, cols], 1, 0)) @ np.moveaxis(ub[:, cols], 1, 0)
     turn = np.where(np.abs(cosines[cols].mean(axis=1)) < 0.5,
                     np.exp(-0.25j * np.pi), -1j)[:, None, None]

@@ -24,7 +24,9 @@ from dataclasses import asdict, dataclass
 import numpy as np
 
 from .numerics import (
+    TOL,
     GapGuessTooCoarse,
+    InternalInvariantError,
     inside_gap,
     make_rng,
     round_half_away,
@@ -153,7 +155,7 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
         branch, marginal = state.readouts()
         branch = np.abs(branch) ** 2
         success = float(branch[inst.target_index])
-        leakage = float(1.0 - branch.sum())
+        leakage = _leakage(branch)
     return PipelineResult(
         instance_id=inst.instance_id,
         main_dim=inst.spec.n,
@@ -170,6 +172,19 @@ def run_full(inst: SearchInstance, scheme: InversionScheme,
         main_marginal=marginal,
         ledger=ledger,
     )
+
+
+def _leakage(branch: np.ndarray) -> float:
+    """1 minus the zero-branch mass ``branch``, clipped at 0.
+
+    The readout has checked the state's norm to ``TOL.state_norm``, so the
+    mass exceeds 1 by at most about twice that; a larger excess is a fault.
+    """
+    leakage = float(1.0 - branch.sum())
+    if leakage < -2.0 * TOL.state_norm:
+        raise InternalInvariantError(
+            f"zero-branch mass {1.0 - leakage!r} exceeds the state's norm of 1")
+    return max(0.0, leakage)
 
 
 @dataclass(frozen=True)

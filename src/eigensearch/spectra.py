@@ -136,6 +136,12 @@ def build_symmetric_spec(
     after the source and the pairs sit at eigenphase pi, where the half-angle
     cotangent vanishes.  ``phase_gap`` defaults to the smallest pair phase but
     may be declared lower to leave a guard margin.
+
+    Slot order: column 0 of the orthonormal matrix goes to ``source_index``.
+    The other slots, in increasing index order, take pair j's +p vector at
+    slot 2j and its -p vector at slot 2j + 1 (built from columns 2j + 1 and
+    2j + 2), in the order of ``pair_phases``; the remaining slots take the
+    remaining columns, in order, at eigenphase pi.
     """
     if n < 1:
         raise ValueError(f"invalid dimension {n}; need n >= 1")
@@ -152,27 +158,23 @@ def build_symmetric_spec(
     if any(p < phase_gap for p in pairs):
         raise ValueError("a pair phase lies below the declared phase gap")
 
+    # Laid out first with the source in column 0, so that pair j takes
+    # columns 2j + 1 and 2j + 2 as in q; rolling the head then moves the
+    # source to source_index and the slots before it down by one.
     q = _random_real_orthonormal(n, seed)
-    basis = np.zeros((n, n), dtype=complex)
-    phases = np.zeros(n)
-    slots = [i for i in range(n) if i != source_index]
-
-    basis[:, source_index] = q[:, 0]
-    col = 1
-    k = 0
-    for p in pairs:
-        u, v = q[:, col], q[:, col + 1]
-        col += 2
-        basis[:, slots[k]] = (u + 1j * v) / np.sqrt(2.0)
-        phases[slots[k]] = p
-        basis[:, slots[k + 1]] = (u - 1j * v) / np.sqrt(2.0)
-        phases[slots[k + 1]] = -p
-        k += 2
-    while col < n:
-        basis[:, slots[k]] = q[:, col]
-        phases[slots[k]] = np.pi
-        col += 1
-        k += 1
+    m = 2 * len(pairs)
+    u, v = q[:, 1:m:2], q[:, 2:m + 1:2]
+    basis = q.astype(complex)
+    basis[:, 1:m:2] = (u + 1j * v) / np.sqrt(2.0)
+    basis[:, 2:m + 1:2] = (u - 1j * v) / np.sqrt(2.0)
+    phases = np.full(n, np.pi)
+    phases[0] = 0.0
+    phases[1:m:2] = pairs
+    phases[2:m + 1:2] = np.negative(pairs)
+    if source_index:
+        head = slice(0, source_index + 1)
+        basis[:, head] = np.roll(basis[:, head], -1, axis=1)
+        phases[head] = np.roll(phases[head], -1)
 
     return DiffusionSpec(
         n=n,

@@ -2,11 +2,12 @@
 
 Everything here is built the slow, obvious way: explicit DFT matrices,
 Hadamard krons, sum-over-controls block matrices, Lagrange projectors,
-plain bisection for the secular roots, and an eigensolver checked with
-dense products.  Nothing imports the fast paths it is checking beyond
-shared data types.  The exception is the peak-window mass, which
-criterion-04 reads off the simulator's own estimate profile: the
-concentration bound is a check on that profile.
+plain bisection for the secular roots, a symmetric spec laid out one pair
+at a time, and an eigensolver checked with dense products.  Nothing
+imports the fast paths it is checking beyond shared data types.  The
+exception is the peak-window mass, which criterion-04 reads off the
+simulator's own estimate profile: the concentration bound is a check on
+that profile.
 """
 
 import numpy as np
@@ -259,6 +260,36 @@ def real_orthogonal(pair_phases, plus: int = 0, minus: int = 0, seed: int = 0) -
         b[2 * k:2 * k + 2, 2 * k:2 * k + 2] = [[c, -s], [s, c]]
     q, _ = np.linalg.qr(np.random.default_rng(seed).normal(size=(n, n)))
     return q @ b @ q.T
+
+
+def symmetric_spec_columns(q: np.ndarray, pairs,
+                           source_index: int) -> tuple[np.ndarray, np.ndarray]:
+    """(eigenbasis, eigenphases) of a symmetric spec from the real orthonormal
+    ``q``, one pair at a time: q's first column at the source, then each
+    pair's (u +- iv)/sqrt(2) at +-p on the next two non-source slots, then
+    the columns left over at pi."""
+    n = q.shape[0]
+    basis = np.zeros((n, n), dtype=complex)
+    phases = np.zeros(n)
+    slots = [i for i in range(n) if i != source_index]
+
+    basis[:, source_index] = q[:, 0]
+    col = 1
+    k = 0
+    for p in pairs:
+        u, v = q[:, col], q[:, col + 1]
+        col += 2
+        basis[:, slots[k]] = (u + 1j * v) / np.sqrt(2.0)
+        phases[slots[k]] = p
+        basis[:, slots[k + 1]] = (u - 1j * v) / np.sqrt(2.0)
+        phases[slots[k + 1]] = -p
+        k += 2
+    while col < n:
+        basis[:, slots[k]] = q[:, col]
+        phases[slots[k]] = np.pi
+        col += 1
+        k += 1
+    return basis, phases
 
 
 def spectral_projectors(phases: np.ndarray, vectors: np.ndarray,

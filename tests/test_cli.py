@@ -12,7 +12,7 @@ import numpy as np
 import pytest
 
 import eigensearch as es
-from eigensearch import numerics, phase_estimation, selective_inversion
+from eigensearch import numerics, phase_estimation, pipeline, selective_inversion
 from eigensearch.cli import main
 
 REF_ARGS = ["--n", "12", "--pairs", "0.55,0.62,0.70,0.79",
@@ -235,6 +235,23 @@ def test_a_computed_state_off_its_norm_exits_5_with_one_line(monkeypatch, capsys
     assert out == ""
     assert err.count("\n") == 1
     assert err.startswith("internal invariant failed: state norm ")
+
+
+def test_the_ancilla_leakage_is_never_negative(capsys):
+    # at nu = 40 the zero-branch mass rounds to 3e-14 above 1
+    code, out, _ = run_cli(capsys, "pipeline", *REF_ARGS[:6], "--target", "4",
+                           "--scheme", "boosted", "--mu", "6", "--nu", "40")
+    assert code == 0
+    assert 0.0 <= json.loads(out)["ancilla_leakage"]
+
+
+def test_a_zero_branch_mass_above_the_norm_is_an_internal_invariant():
+    # the readout checks the norm to TOL.state_norm, so more than twice that
+    # above 1 is the program's fault, and less is rounding and reads 0
+    bound = 2.0 * numerics.TOL.state_norm
+    assert pipeline._leakage(np.array([0.5, 0.5 + 0.5 * bound])) == 0.0
+    with pytest.raises(numerics.InternalInvariantError, match="zero-branch mass"):
+        pipeline._leakage(np.array([0.5, 0.5 + 2.0 * bound]))
 
 
 def test_pipeline_csv_uses_the_shared_header(capsys):

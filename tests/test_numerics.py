@@ -159,6 +159,34 @@ def test_eig_unitary_pairs_a_real_operator_with_exact_conjugates(name):
     assert real.sum() + 2 * np.sum(np.isin(phases, pair)) == u.shape[0]
 
 
+@pytest.mark.parametrize("make, split", [
+    # Grover's -1 eigenspace: one eigenvalue, told from U B + B alone
+    (lambda: eigensearch.build_search_operator(instances.grover_instance(256, 5)), False),
+    # a pair at pi +- 1e-3 has the cosine of -1, so it shares the -1 block,
+    # which fails the bound and must still split
+    (lambda: real_orthogonal([np.pi - 1e-3], minus=6), True)])
+def test_a_real_block_at_a_cosine_of_one_is_kept_as_its_full_product_says(
+        make, split, monkeypatch):
+    u = make()
+    cosines, basis = np.linalg.eigh(u + u.T)
+    cosines *= 0.5
+    ub = u @ basis
+    starts, sizes = numerics._cosine_blocks(cosines)
+    [size] = sizes[sizes > 2]
+    [first] = starts[sizes == size]
+    m = basis[:, first:first + size].T @ ub[:, first:first + size]
+    assert (0.5 * np.linalg.norm(m - m.T) > TOL.scalar_block) == split
+    # M is formed only for a block the bound cannot keep whole
+    formed = []
+    monkeypatch.setattr(numerics, "dagger",
+                        lambda a: formed.append(a.shape[0]) or np.swapaxes(a.conj(), -1, -2))
+    cols, block, _ = numerics._split_blocks(cosines, basis, ub, starts, sizes, size)
+    assert formed[0] == int(split)
+    assert cols.tolist() == ([list(range(first, first + size))] if split else [])
+    if split:
+        assert_allclose(block[0], m, rtol=0.0, atol=1e-15)
+
+
 def test_eig_unitary_checks_read_the_returned_pairs(ref12_operator, monkeypatch):
     # rebuild the real side of the returned V and phases: a basis B with
     # the real columns first and each pair p, conj(p) as two neighbouring

@@ -285,6 +285,26 @@ def test_apply_charges_the_ledger_closed_forms(case, applications):
                                 for name, count in frames.apply_charges(op).items()}
 
 
+@SETTINGS
+@seed(17)
+@given(st.integers(2, 40), st.sampled_from(("first", "middle", "last")), st.data())
+def test_the_symmetric_spec_lays_out_its_columns_as_the_pair_loop(n, where, data):
+    # any number of pairs from none to the most that fit, so 0, 1 or more
+    # columns are left over at pi; bit for bit, signed zeros included, and
+    # in C order, which the products downstream read as the loop's basis
+    source = {"first": 0, "middle": n // 2, "last": n - 1}[where]
+    pairs = data.draw(st.lists(st.floats(0.01, 3.13), max_size=(n - 1) // 2))
+    spec_seed = data.draw(st.integers(0, 2**32 - 1))
+    spec = es.build_symmetric_spec(n, pairs, spec_seed, source)
+    basis, phases = oracles.symmetric_spec_columns(
+        spectra._random_real_orthonormal(n, spec_seed), pairs, source)
+    assert np.array_equal(spec.eigenbasis, basis)
+    assert np.array_equal(spec.eigenphases, phases)
+    assert spec.eigenbasis.tobytes() == basis.tobytes()
+    assert spec.eigenphases.tobytes() == phases.tobytes()
+    assert spec.eigenbasis.flags.c_contiguous
+
+
 @st.composite
 def symmetric_instances(draw):
     """A small symmetric spec, possibly with a repeated pair phase, and a
