@@ -5,6 +5,11 @@ search walk (``search_core``), phase-register machinery
 (``phase_estimation``), the approximate selective inverter
 (``selective_inversion``), and end-to-end flows with query accounting
 (``pipeline``).  ``cli`` exposes the same stages as subcommands.
+
+The package exports the steps of the search flow a caller drives, the types
+they return, the error kinds and the constants a caller handles: the names
+the README's library tour lists.  Every other public name is imported from
+its module.
 """
 
 from .numerics import (
@@ -14,23 +19,15 @@ from .numerics import (
     GapGuessTooCoarse,
     InternalInvariantError,
     ResourceCapExceeded,
-    Tolerances,
     eig_unitary,
-    inside_gap,
-    make_rng,
-    round_half_away,
     split_seed,
 )
 from .spectra import (
     DiffusionSpec,
     SearchInstance,
-    assemble_diffusion,
     build_grover_spec,
     build_symmetric_spec,
-    diffusion_operator,
     find_targets,
-    moments,
-    spec_to_json,
 )
 from .search_core import (
     HalfwayState,
@@ -39,50 +36,66 @@ from .search_core import (
     evolve_to_halfway,
     find_relevant_pair,
     halfway_step_count,
-    mixing_angle,
-    predicted_pair_phases,
-    reconstruct_source,
-    search_decomposition,
-    search_operator,
-    secular_pair,
-    secular_residual,
 )
 from .phase_estimation import (
     DENSE_CAP,
-    RegisterLayout,
     StateVector,
     embed_mainspace,
-    estimate_amplitudes,
-    gap_window_mask,
 )
 from .selective_inversion import (
     GUARD_FRACTION,
     EpsilonReport,
     InversionOperator,
     InversionScheme,
-    basic_error_bound,
-    binomial_tail_wrong_half,
     instance_epsilon_report,
-    measure_epsilon,
-    predicted_epsilon,
 )
 from .pipeline import (
     BaselineReport,
     PipelineResult,
     QueryLedger,
-    RoundRecord,
     ScheduleResult,
     amplification_round_count,
-    amplify_to_target,
-    budget_constants,
     classical_baseline,
-    complexity_report,
-    result_row,
     run_full,
     run_schedule,
-    target_flip,
 )
 
 __version__ = "0.1.0"
 
-__all__ = [name for name in dir() if not name.startswith("_")]
+__all__ = [
+    "TOL",
+    "AssumptionViolation",
+    "EigenDecomposition",
+    "GapGuessTooCoarse",
+    "InternalInvariantError",
+    "ResourceCapExceeded",
+    "eig_unitary",
+    "split_seed",
+    "DiffusionSpec",
+    "SearchInstance",
+    "build_grover_spec",
+    "build_symmetric_spec",
+    "find_targets",
+    "HalfwayState",
+    "RelevantPair",
+    "build_search_operator",
+    "evolve_to_halfway",
+    "find_relevant_pair",
+    "halfway_step_count",
+    "DENSE_CAP",
+    "StateVector",
+    "embed_mainspace",
+    "GUARD_FRACTION",
+    "EpsilonReport",
+    "InversionOperator",
+    "InversionScheme",
+    "instance_epsilon_report",
+    "BaselineReport",
+    "PipelineResult",
+    "QueryLedger",
+    "ScheduleResult",
+    "amplification_round_count",
+    "classical_baseline",
+    "run_full",
+    "run_schedule",
+]

@@ -238,15 +238,28 @@ class RoundRecord:
 
 @dataclass(frozen=True, eq=False)
 class ScheduleResult:
-    """Outcome of the geometric gap-guess schedule."""
+    """Outcome of the geometric gap-guess schedule.
 
-    succeeded: bool
-    rounds_used: int
+    Whether it succeeded, the rounds it used and the guess of each round are
+    read off ``final`` and ``records``.
+    """
+
     budget: int
-    theta_guesses: list[float]
     records: list[RoundRecord]
     final: PipelineResult | None
     ledger: QueryLedger
+
+    @property
+    def succeeded(self) -> bool:
+        return self.final is not None
+
+    @property
+    def rounds_used(self) -> int:
+        return len(self.records)
+
+    @property
+    def theta_guesses(self) -> list[float]:
+        return [r.gap_guess for r in self.records]
 
 
 def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
@@ -264,6 +277,8 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
     window cannot be built counts as a failed round.  Runs are deterministic
     for a fixed seed.
     """
+    if not (0.0 < guard_fraction < 1.0):
+        raise ValueError(f"guard fraction must sit in (0, 1), not {guard_fraction}")
     if not (math.isfinite(initial_guess) and initial_guess > 0.0):
         raise ValueError(f"initial_guess must be a finite positive gap guess, "
                          f"not {initial_guess}")
@@ -274,13 +289,10 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
         raise ValueError(f"the round budget r_max must be at least 1, not {r_max}")
     rng = make_rng(seed)
     total = QueryLedger()
-    guesses: list[float] = []
     records: list[RoundRecord] = []
     final: PipelineResult | None = None
-    succeeded = False
     guess = float(initial_guess)
     for _ in range(r_max):
-        guesses.append(guess)
         try:
             if scheme_kind == "basic":
                 scheme = InversionScheme.basic(inst.boost, guess, extra_bits,
@@ -308,18 +320,9 @@ def run_schedule(inst: SearchInstance, initial_guess: float, seed: int,
                                        drawn_index=drawn, verified=verified))
             if verified:
                 final = result
-                succeeded = True
                 break
         guess *= 1.0 - guard_fraction / 10.0
-    return ScheduleResult(
-        succeeded=succeeded,
-        rounds_used=len(records),
-        budget=r_max,
-        theta_guesses=guesses,
-        records=records,
-        final=final,
-        ledger=total,
-    )
+    return ScheduleResult(budget=r_max, records=records, final=final, ledger=total)
 
 
 # ---------------------------------------------------------------------------

@@ -26,6 +26,7 @@ import numpy as np
 import eigensearch as es
 import oracles
 from eigensearch.phase_estimation import StateVector
+from eigensearch.pipeline import target_flip
 
 
 def dicke_isometry(vote_bits):
@@ -185,7 +186,7 @@ def check_state(state, ops, target):
     reading them; and no bit of an apply changed by reading the state."""
     unread = ops[0][0].apply(state)
     ledger = es.QueryLedger()
-    flipped = es.target_flip(state, target, ledger)
+    flipped = target_flip(state, target, ledger)
     negated = computational(state)
     negated[target] *= -1
     assert np.max(np.abs(flipped.amps - to_frame(negated, state.frame).reshape(-1))) <= 1e-13
@@ -226,10 +227,10 @@ def reachable_states(op, seed):
               "applied, reflected": applied.reflect_main(x),
               "drawn, reflected": drawn.reflect_main(x)}
     for name in ("embedded", "applied", "drawn"):
-        states[name + ", flipped"] = es.target_flip(states[name], first)
-    states["applied, flipped twice"] = es.target_flip(states["applied, flipped"],
-                                                      (first + 1) % n)
+        states[name + ", flipped"] = target_flip(states[name], first)
+    states["applied, flipped twice"] = target_flip(states["applied, flipped"],
+                                                   (first + 1) % n)
     state = embedded
     for r in range(1, 4):
-        state = states[f"round {r}"] = op.apply(es.target_flip(state, first))
+        state = states[f"round {r}"] = op.apply(target_flip(state, first))
     return states

@@ -14,7 +14,14 @@ import frames
 import instances
 import oracles
 from eigensearch.numerics import make_rng
-from eigensearch.phase_estimation import RegisterLayout, power_table, raw_estimate_forward
+from eigensearch.phase_estimation import (
+    RegisterLayout,
+    estimate_amplitudes,
+    gap_window_mask,
+    power_table,
+    raw_estimate_forward,
+)
+from eigensearch.search_core import predicted_pair_phases, secular_residual
 
 
 def test_criterion_01_plain_search_is_free_of_postprocessing(grover64,
@@ -52,8 +59,8 @@ def test_criterion_02_eigenphase_predictions_and_secular_roots(
         pair = es.find_relevant_pair(inst)
         budget = 5.0 * inst.overlap / gap
         for measured, predicted in (
-                (pair.phase_plus, es.predicted_pair_phases(inst)[0]),
-                (pair.phase_minus, es.predicted_pair_phases(inst)[1])):
+                (pair.phase_plus, predicted_pair_phases(inst)[0]),
+                (pair.phase_minus, predicted_pair_phases(inst)[1])):
             worst_rel = max(worst_rel,
                             abs(measured - predicted) / abs(measured) / budget)
 
@@ -72,7 +79,7 @@ def test_criterion_02_eigenphase_predictions_and_secular_roots(
                                    abs(np.vdot(t_vec, dec.vectors[:, k])))
             else:
                 worst_residual = max(worst_residual,
-                                     abs(es.secular_residual(inst, float(lam))))
+                                     abs(secular_residual(inst, float(lam))))
     ok = (count >= 20 and worst_rel <= 1.0
           and worst_residual < 1e-6 and worst_pinned < 1e-8)
     acceptance_log(
@@ -263,7 +270,7 @@ def test_criterion_10_fast_kernels_match_dense_oracles(criterion10_boosted,
                                guard_fraction=es.GUARD_FRACTION)
     fast = frames.inverter_matrix(es.InversionOperator.build(basic, u4))
     slow = oracles.dense_basic_inversion(
-        u4, 6, es.gap_window_mask(6, 0.6, es.GUARD_FRACTION))
+        u4, 6, gap_window_mask(6, 0.6, es.GUARD_FRACTION))
     basic_gap = float(np.max(np.abs(fast - slow)))
 
     # boosted inverter at the largest allowed register sizes, (6, 4) on a
@@ -280,7 +287,7 @@ def test_criterion_10_fast_kernels_match_dense_oracles(criterion10_boosted,
     amp_gap = 0.0
     for lam in rng.uniform(-np.pi, np.pi, size=200):
         amp_gap = max(amp_gap, float(np.max(np.abs(
-            es.estimate_amplitudes(10, float(lam))
+            estimate_amplitudes(10, float(lam))
             - oracles.brute_estimate_amplitudes(10, float(lam))))))
 
     # the estimate circuit against the block-matrix controlled powers; it

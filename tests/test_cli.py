@@ -2,16 +2,11 @@
 
 import dataclasses
 import json
-import os
-import shlex
-import subprocess
-import sys
-from pathlib import Path
 
 import numpy as np
 import pytest
 
-import eigensearch as es
+import goldens
 from eigensearch import numerics, phase_estimation, pipeline, selective_inversion
 from eigensearch.cli import main
 
@@ -25,15 +20,6 @@ def run_cli(capsys, *args):
     code = main(list(args))
     captured = capsys.readouterr()
     return code, captured.out, captured.err
-
-
-def test_the_cli_imports_no_scipy():
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    path = os.pathsep.join(p for p in (src, os.environ.get("PYTHONPATH")) if p)
-    done = subprocess.run(
-        [sys.executable, "-c", "import eigensearch.cli, sys; print('scipy' in sys.modules)"],
-        capture_output=True, text=True, check=True, env={**os.environ, "PYTHONPATH": path})
-    assert done.stdout == "False\n"
 
 
 def test_spectrum_output_is_byte_stable(capsys):
@@ -398,6 +384,16 @@ def test_schedule_rejects_a_guess_that_is_not_finite(capsys, guess):
     assert err == f"error: initial_guess must be a finite positive gap guess, not {guess}\n"
 
 
+@pytest.mark.parametrize("delta", ["0", "-0.01", "nan", "1.0"])
+def test_schedule_rejects_a_guard_fraction_outside_zero_one(capsys, call_counter, delta):
+    # 0 used to end in a ZeroDivisionError traceback, -0.01 in a report of
+    # no round under a negative budget, and nan in a failed integer conversion
+    runs = call_counter(pipeline, "run_full")
+    code, out, err = run_cli(capsys, *SCHEDULE_ARGS, "--delta", delta)
+    assert (code, out, runs) == (2, "", [0])
+    assert err == f"error: guard fraction must sit in (0, 1), not {float(delta)}\n"
+
+
 @pytest.mark.parametrize("args, flag", [
     ((*SCHEDULE_ARGS[:-1], "-inf"), "--initial-guess"),
     (("pipeline", *REF_ARGS, "--bogus", "3"), "--bogus")])
@@ -436,28 +432,33 @@ def test_an_unwritable_out_path_exits_2_with_one_line(tmp_path, capsys):
     assert not path.parent.exists()
 
 
-def readme_examples():
-    """Every ``eigensearch ...`` command in the README's code blocks, with
-    line continuations joined."""
-    text = (Path(__file__).resolve().parents[1] / "README.md").read_text()
-    commands = []
-    for block in text.split("```")[1::2]:
-        joined = block.replace("\\\n", " ")
-        commands += [shlex.split(line)[1:] for line in joined.splitlines()
-                     if line.startswith("eigensearch ")]
-    return commands
-
-
 def test_readme_has_an_example_per_documented_command():
-    assert {args[0] for args in readme_examples()} == {
+    assert {args[0] for args in goldens.readme_examples()} == {
         "spectrum", "pipeline", "invert", "schedule"}
 
 
-@pytest.mark.parametrize("args", readme_examples(), ids=lambda a: a[0])
+@pytest.mark.parametrize("args", goldens.readme_examples(), ids=lambda a: a[0])
 def test_readme_examples_run(capsys, args):
+    # each document matches its golden in tests/golden (golden/regenerate.py
+    # rewrites them and prints what moved)
     code, out, err = run_cli(capsys, *args)
     assert code == 0, err
-    assert out
+    path = goldens.golden_path(args)
+    golden, doc = goldens.parse(path, path.read_text()), goldens.parse(path, out)
+    assert [m for m in goldens.moves(golden, doc) if not m.allowed] == []
+
+
+def test_the_golden_table_catches_a_ledger_count_and_a_success_move():
+    path = goldens.GOLDEN / "schedule.json"
+    golden = goldens.parse(path, path.read_text())
+    doc = json.loads(json.dumps(golden))
+    doc["ledger"]["oracle_queries"] += 1
+    doc["final"]["success_probability"] += 1e-9
+    doc["final"]["ancilla_leakage"] += 1e-13
+    assert [(m.path, m.allowed) for m in goldens.moves(golden, doc)] == [
+        (("final", "ancilla_leakage"), True),
+        (("final", "success_probability"), False),
+        (("ledger", "oracle_queries"), False)]
 
 
 # a config value that its option cannot take, one or more per kind of option

@@ -2,9 +2,14 @@
 
 import ast
 import dataclasses
+import importlib
+import inspect
 import os
+import pkgutil
+import re
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -321,6 +326,37 @@ def test_the_cli_and_eig_unitary_do_not_import_scipy():
     assert not _fresh_process_has(
         "scipy", "import numpy as np, eigensearch.cli, eigensearch as es; "
                  "es.eig_unitary(np.eye(3)); es.eig_unitary(np.eye(3, dtype=complex))")
+
+
+def _tour_names():
+    """The backticked bare identifiers of the README's library tour that
+    are public top-level names of an eigensearch module."""
+    readme = (Path(eigensearch.__file__).parents[2] / "README.md").read_text()
+    tour = readme.split("\n## Library tour\n", 1)[1].split("\n## ", 1)[0]
+    defined = set()
+    for info in pkgutil.iter_modules(eigensearch.__path__):
+        tree = ast.parse(inspect.getsource(importlib.import_module(f"eigensearch.{info.name}")))
+        for node in tree.body:
+            if isinstance(node, (ast.FunctionDef, ast.ClassDef)):
+                defined.add(node.name)
+            elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+                targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+                defined |= {t.id for t in targets if isinstance(t, ast.Name)}
+    return set(re.findall(r"`([A-Za-z]\w*)`", tour)) & defined
+
+
+def test_the_package_exports_exactly_the_names_the_readme_tour_lists():
+    exported = eigensearch.__all__
+    assert len(exported) == len(set(exported))
+    assert set(exported) == _tour_names()
+    assert not [name for name in exported if inspect.ismodule(getattr(eigensearch, name))]
+    assert {name for name, obj in vars(eigensearch).items()
+            if not name.startswith("_") and not inspect.ismodule(obj)} <= set(exported)
+    # the benchmark harness reads these as es.<name>
+    perfbench = Path(eigensearch.__file__).parents[2] / "perfbench"
+    read = {name for path in perfbench.glob("*.py")
+            for name in re.findall(r"\bes\.(\w+)", path.read_text())}
+    assert read <= set(exported)
 
 
 # perfbench counts secular_residual's calls; ROADMAP item 1 drops or moves

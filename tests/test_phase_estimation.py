@@ -9,22 +9,25 @@ import eigensearch as es
 import frames
 import instances
 import oracles
-from eigensearch.numerics import ResourceCapExceeded, make_rng
+from eigensearch.numerics import ResourceCapExceeded, inside_gap, make_rng
 from eigensearch.phase_estimation import (
     RegisterLayout,
     StateVector,
     embed_mainspace,
+    estimate_amplitudes,
+    gap_window_mask,
     power_table,
     raw_estimate_forward,
     raw_estimate_inverse,
     window_split,
 )
+from eigensearch.search_core import search_decomposition
 
 
 def test_estimate_amplitudes_match_the_brute_force_sum():
     rng = make_rng(3)
     for lam in rng.uniform(-np.pi, np.pi, size=40):
-        fast = es.estimate_amplitudes(10, float(lam))
+        fast = estimate_amplitudes(10, float(lam))
         slow = oracles.brute_estimate_amplitudes(10, float(lam))
         assert np.max(np.abs(fast - slow)) <= 1e-10
         assert np.sum(np.abs(fast) ** 2) == pytest.approx(1.0, abs=1e-12)
@@ -112,14 +115,14 @@ def test_profiles_and_wrong_side_masses_match_a_40_digit_table(ref12):
                            for k in range(half + 1, 2 ** mu - half))
     """
     for mu, lam, entries in REFERENCE_PROFILES:
-        profile = es.estimate_amplitudes(mu, lam)
+        profile = estimate_amplitudes(mu, lam)
         for k, want in entries.items():
             assert abs(profile[k] - want) <= 1e-15, (mu, lam, k)
-    in_gap = es.search_decomposition(ref12).phases
-    in_gap = np.sort(in_gap[es.inside_gap(in_gap, instances.REF12_GAP)])
+    in_gap = search_decomposition(ref12).phases
+    in_gap = np.sort(in_gap[inside_gap(in_gap, instances.REF12_GAP)])
     assert np.allclose(in_gap, [-REF12_IN_GAP, REF12_IN_GAP], rtol=0.0, atol=1e-12)
     for mu, want in REF12_WRONG_SIDE_MASS.items():
-        mask = es.gap_window_mask(mu, instances.REF12_GAP, es.GUARD_FRACTION)
+        mask = gap_window_mask(mu, instances.REF12_GAP, es.GUARD_FRACTION)
         norms = window_split(mu, [-REF12_IN_GAP, REF12_IN_GAP], mask)
         assert np.allclose(norms[:, 1] ** 2, want, rtol=1e-13, atol=0.0), mu
 
@@ -136,12 +139,12 @@ def test_dense_walsh_matches_scipy():
 def test_estimate_amplitudes_are_one_hot_on_the_register_grid():
     m = 64
     for k in (0, 1, 31, 63):
-        amps = es.estimate_amplitudes(6, 2.0 * np.pi * k / m)
+        amps = estimate_amplitudes(6, 2.0 * np.pi * k / m)
         expected = np.zeros(m)
         expected[k] = 1.0
         assert np.max(np.abs(amps - expected)) <= 1e-12
     # a perturbation of one ulp off the grid must stay finite and close
-    amps = es.estimate_amplitudes(6, 2.0 * np.pi * 5 / m + 1e-15)
+    amps = estimate_amplitudes(6, 2.0 * np.pi * 5 / m + 1e-15)
     assert abs(amps[5]) == pytest.approx(1.0, abs=1e-9)
 
 
@@ -164,7 +167,7 @@ def test_peak_window_mass_respects_the_guaranteed_bound():
 
 def test_gap_window_reaches_almost_to_the_gap():
     # halfwidth 30, the nearest integer to 64 (1 - guard) pi / 2 pi, wrapping
-    mask = es.gap_window_mask(6, np.pi, es.GUARD_FRACTION)
+    mask = gap_window_mask(6, np.pi, es.GUARD_FRACTION)
     expected = set(range(0, 31)) | set(range(34, 64))
     assert set(np.flatnonzero(mask).tolist()) == expected
     assert set(np.flatnonzero(~mask).tolist()) == {31, 32, 33}
@@ -172,9 +175,9 @@ def test_gap_window_reaches_almost_to_the_gap():
 
 def test_gap_window_rejects_a_register_too_coarse_for_the_gap():
     with pytest.raises(es.GapGuessTooCoarse):
-        es.gap_window_mask(2, np.pi, es.GUARD_FRACTION)
+        gap_window_mask(2, np.pi, es.GUARD_FRACTION)
     with pytest.raises(ValueError, match="positive"):
-        es.gap_window_mask(6, -0.5, es.GUARD_FRACTION)
+        gap_window_mask(6, -0.5, es.GUARD_FRACTION)
 
 
 def test_window_split_checks_register_dimension():
@@ -190,7 +193,7 @@ def test_window_split_takes_only_a_boolean_mask():
     for bad in (mask.astype(int), mask.astype(float), np.flatnonzero(mask)):
         with pytest.raises(ValueError, match="boolean"):
             window_split(5, 0.1, bad)
-    profile = es.estimate_amplitudes(5, 0.1)
+    profile = estimate_amplitudes(5, 0.1)
     assert window_split(5, 0.1, mask)[0] ** 2 == pytest.approx(
         np.sum(np.abs(profile[[0, 1, 2, 30, 31]]) ** 2), rel=1e-15)
 
@@ -245,7 +248,7 @@ def test_eigenstate_estimation_concentrates_at_the_nearest_register_value():
                                power_table(dec.phases, lay.phase_dim))
     marginal = np.sum(np.abs(out) ** 2, axis=(0, 1))
     assert int(np.argmax(marginal)) == oracles.k_nearest(7, lam)
-    profile = np.abs(es.estimate_amplitudes(7, lam)) ** 2
+    profile = np.abs(estimate_amplitudes(7, lam)) ** 2
     assert np.max(np.abs(marginal - profile)) <= 1e-10
 
 

@@ -8,7 +8,10 @@ import pytest
 
 import eigensearch as es
 import instances
-from eigensearch import numerics, phase_estimation, spectra
+from eigensearch import numerics, phase_estimation, pipeline, spectra
+from eigensearch.phase_estimation import RegisterLayout, gap_window_mask
+from eigensearch.pipeline import budget_constants, complexity_report, result_row, target_flip
+from eigensearch.search_core import search_decomposition, search_operator
 
 
 def boosted_for(inst, offset_bits=4):
@@ -163,7 +166,7 @@ def _run_full_peak_over_register(inst, scheme):
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    layout = es.RegisterLayout(inst.spec.n, scheme.phase_bits, scheme.vote_bits)
+    layout = RegisterLayout(inst.spec.n, scheme.phase_bits, scheme.vote_bits)
     return peak / (layout.dim * 16)
 
 
@@ -243,13 +246,13 @@ def test_a_basic_round_two_flip_writes_nothing(ref12):
     # eigenvector, and the second round's target flip shares it and keeps
     # its reflection pending
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
-    dec = es.search_decomposition(ref12)
-    op = es.InversionOperator.build(scheme, es.search_operator(ref12), decomposition=dec)
+    dec = search_decomposition(ref12)
+    op = es.InversionOperator.build(scheme, search_operator(ref12), decomposition=dec)
     state = es.embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, dec)
-    state = op.apply(es.target_flip(state, ref12.target_index))
+    state = op.apply(target_flip(state, ref12.target_index))
     tracemalloc.start()
     try:
-        es.target_flip(state, ref12.target_index)
+        target_flip(state, ref12.target_index)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -366,11 +369,23 @@ def test_schedule_spends_a_round_on_an_unusable_guess():
         es.run_schedule(inst, -1.0, 0)
 
 
+@pytest.mark.parametrize("fraction", [0.0, -0.01, math.nan, 1.0])
+def test_schedule_rejects_a_guard_fraction_outside_zero_one(call_counter, fraction):
+    # it sizes the default budget before any scheme checks the fraction
+    inst = instances.symmetric_instance(
+        instances.SCHEDULE_N, instances.SCHEDULE_PAIRS,
+        instances.SCHEDULE_SEED, instances.SCHEDULE_TARGET)
+    runs = call_counter(pipeline, "run_full")
+    with pytest.raises(ValueError, match=rf"^guard fraction must sit in \(0, 1\), not {fraction}$"):
+        es.run_schedule(inst, instances.SCHEDULE_GUESS, 0, guard_fraction=fraction)
+    assert runs == [0]
+
+
 def test_unusable_guesses_raise_the_named_error():
     with pytest.raises(es.GapGuessTooCoarse):
         es.InversionScheme.basic(2.0, 3.5)
     with pytest.raises(es.GapGuessTooCoarse):
-        es.gap_window_mask(2, np.pi, es.GUARD_FRACTION)
+        gap_window_mask(2, np.pi, es.GUARD_FRACTION)
 
 
 def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
@@ -391,7 +406,7 @@ def test_schedule_lets_a_broken_inversion_propagate(monkeypatch):
 
 def test_csv_row_matches_the_header(ref12, ref12_basic_run):
     _, res = ref12_basic_run
-    row = es.result_row(res)
+    row = result_row(res)
     assert row == {
         "instance_id": "sym-n12-seed68-t4", "N": 12, "alpha": res.overlap,
         "B": res.boost, "theta_min": instances.REF12_GAP, "scheme": "basic",
@@ -405,7 +420,7 @@ def test_csv_row_matches_the_header(ref12, ref12_basic_run):
                              "q_m,n_qaa,oracle_queries,controlled_s,success,epsilon")
     # every complexity-report row opens with the same columns
     base = es.classical_baseline(ref12, trials=100)
-    report_row = es.complexity_report([res] * 3, [base] * 3)["rows"][0]
+    report_row = complexity_report([res] * 3, [base] * 3)["rows"][0]
     assert list(report_row)[:len(row)] == list(row)
     assert {key: report_row[key] for key in row} == row
 
@@ -414,9 +429,9 @@ def test_complexity_report_validates_its_inputs(ref12, ref12_basic_run):
     _, res = ref12_basic_run
     base = es.classical_baseline(ref12, trials=100)
     with pytest.raises(ValueError):
-        es.complexity_report([res, res], [base, base])
+        complexity_report([res, res], [base, base])
     with pytest.raises(ValueError):
-        es.complexity_report([res, res, res], [])
+        complexity_report([res, res, res], [])
 
 
 def test_halving_the_overlap_doubles_the_halfway_steps():
@@ -426,7 +441,7 @@ def test_halving_the_overlap_doubles_the_halfway_steps():
             instances.HALVING_N, instances.HALVING_PAIRS, seed, target)
         results.append(es.run_full(inst, boosted_for(inst)))
         baselines.append(es.classical_baseline(inst, trials=100))
-    report = es.complexity_report(results, baselines)
+    report = complexity_report(results, baselines)
     steps = [row["q_m"] for row in report["rows"]]
     assert tuple(steps) == instances.HALVING_STEPS
     boosts = [row["B"] for row in report["rows"]]
@@ -462,7 +477,7 @@ def test_baseline_advantage_grows_with_the_boost_squared():
             es.split_seed(instances.BASELINE_SEED_ROOT,
                           instances.TREND_TARGET)))
     assert results[0].overlap == results[1].overlap == results[2].overlap
-    report = es.complexity_report(results, baselines)
+    report = complexity_report(results, baselines)
     ratios = [row["baseline_over_post"] for row in report["rows"]]
     assert ratios == sorted(ratios)
     slope = report["fits"]["baseline_ratio_vs_boost"]
@@ -472,7 +487,7 @@ def test_baseline_advantage_grows_with_the_boost_squared():
 def test_budget_constants_compare_measured_cost_to_the_model(
         ref12, ref12_boosted_run):
     _, res = ref12_boosted_run
-    consts = es.budget_constants(res)
+    consts = budget_constants(res)
     gap = res.scheme.phase_gap
     model = res.boost / res.overlap \
         + res.boost * math.log(res.boost) / gap

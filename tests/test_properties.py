@@ -42,6 +42,11 @@ import frames
 import instances
 import oracles
 from eigensearch import phase_estimation, pipeline, selective_inversion, spectra
+from eigensearch.phase_estimation import gap_window_mask
+from eigensearch.pipeline import target_flip
+from eigensearch.search_core import search_operator, secular_pair
+from eigensearch.selective_inversion import measure_epsilon
+from eigensearch.spectra import diffusion_operator
 
 # each test pins its example set with @seed, which takes precedence over
 # derandomize's seed, a hash of the test's source; so editing a test's
@@ -107,7 +112,7 @@ def operators(draw, votes=(0, 2, 4)):
     kind = "basic" if nu == 0 else "boosted"
     try:
         scheme = es.InversionScheme(kind, mu, nu, gap)
-        window = es.gap_window_mask(mu, gap, scheme.guard_fraction)
+        window = gap_window_mask(mu, gap, scheme.guard_fraction)
     except es.GapGuessTooCoarse:
         assume(False)
     u = draw(unitaries(n, window))
@@ -261,12 +266,12 @@ def test_a_complex_basis_keeps_a_complex_diffusion_and_finds_its_pair(n, seed):
     phases[:3] = 0.0, gap, -gap
     spec = es.DiffusionSpec(n=n, source_index=0, eigenphases=phases,
                             eigenbasis=instances.haar_unitary(n, seed), phase_gap=gap)
-    d = es.diffusion_operator(spec)
+    d = diffusion_operator(spec)
     assert np.max(np.abs(d.imag)) > np.finfo(float).eps
     target = int(rng.integers(1, n))
     with mock.patch.object(spectra, "TOL", dataclasses.replace(es.TOL, lambda1_budget=np.inf)):
         inst = es.SearchInstance.build(spec, target)
-    assert np.iscomplexobj(es.search_operator(inst))
+    assert np.iscomplexobj(search_operator(inst))
     assert inst.source[target] == inst.overlap
     pair = es.find_relevant_pair(inst)   # raises unless bisection agrees
     assert pair.phase_minus < 0.0 < pair.phase_plus
@@ -325,7 +330,7 @@ def test_secular_roots_match_the_diagonalization(inst):
     # the source pole sits at 0 and every other pole carries target weight,
     # so the eigenphases nearest 0 on either side are the two secular roots
     phases = es.eig_unitary(es.build_search_operator(inst), es.TOL.system_unitarity).phases
-    root_plus, root_minus = es.secular_pair(inst)
+    root_plus, root_minus = secular_pair(inst)
     assert abs(phases[phases > 0].min() - root_plus) <= es.TOL.secular_agreement
     assert abs(phases[phases < 0].max() - root_minus) <= es.TOL.secular_agreement
 
@@ -342,7 +347,7 @@ def grover_instances(draw):
 def test_secular_roots_match_plain_bisection(inst):
     # safeguarded Newton against the bisection it replaced, on the same
     # brackets: each stops within TOL.secular_bisection of the root
-    for got, want in zip(es.secular_pair(inst), oracles.bisected_secular_pair(inst)):
+    for got, want in zip(secular_pair(inst), oracles.bisected_secular_pair(inst)):
         assert abs(got - want) <= 2.0 * es.TOL.secular_bisection
 
 
@@ -369,7 +374,7 @@ def test_frame_operations_match_the_computational_ones(case, seed):
         <= 1e-12
     n = lay.main_dim
     target = int(rng.integers(n))
-    flipped = es.target_flip(framed, target)
+    flipped = target_flip(framed, target)
     assert flipped.frame is dec
     want = comp.copy()
     want[target] *= -1
@@ -432,7 +437,7 @@ def test_a_product_state_apply_estimates_at_most_three_vote_columns(
     assert counted() == {"raw_estimate_forward": 1 if nu == 0 else 0,
                          "raw_estimate_inverse": 1 if nu == 0 else 2}
     # a slab state is transformed on its nu + 1 Dicke columns each way
-    op.apply(es.target_flip(out, 0))
+    op.apply(target_flip(out, 0))
     op.apply(frames.slab_twin(product))
     assert counted() == {"raw_estimate_forward": (1 if nu == 0 else 0) + 2 * (nu + 1),
                          "raw_estimate_inverse": (1 if nu == 0 else 2) + 2 * (nu + 1)}
@@ -489,7 +494,7 @@ def test_slab_wise_epsilons_match_the_register_norms(case):
     _, op = case
     dec = op.frame
     invert = np.arange(op.layout.main_dim) % 2 == 0
-    report = es.measure_epsilon(op, dec.phases, dec.vectors, invert)
+    report = measure_epsilon(op, dec.phases, dec.vectors, invert)
     for k in range(op.layout.main_dim):
         sv = es.embed_mainspace(op.layout, dec.vectors[:, k], dec)
         sign = -1.0 if invert[k] else 1.0
@@ -507,7 +512,7 @@ def vote_stages(draw):
     mu, gap = draw(st.integers(2, 6)), draw(st.floats(0.2, 3.0))
     try:
         scheme = es.InversionScheme("boosted", mu, nu, gap)
-        window = es.gap_window_mask(mu, gap, scheme.guard_fraction)
+        window = gap_window_mask(mu, gap, scheme.guard_fraction)
     except es.GapGuessTooCoarse:
         assume(False)
     return es.InversionOperator.build(scheme, draw(unitaries(n, window))), draw(
@@ -548,7 +553,7 @@ def test_computed_amplitudes_are_norm_checked():
     op = es.InversionOperator.build(es.InversionScheme("boosted", 4, 2, 1.0),
                                     instances.haar_unitary(3, 23))
     product = es.embed_mainspace(op.layout, np.eye(3)[0], op.frame)
-    flipped = es.target_flip(op.apply(product), 1)
+    flipped = target_flip(op.apply(product), 1)
     out = op.apply(flipped)
     for state, scale in itertools.product((flipped, out), (1.001, 0.999, math.nan)):
         with pytest.raises(ValueError):
@@ -599,7 +604,7 @@ def pipeline_cases(draw):
     gap = draw(st.floats(0.2, 3.0))
     try:
         scheme = es.InversionScheme("basic" if nu == 0 else "boosted", mu, nu, gap)
-        es.gap_window_mask(mu, gap, scheme.guard_fraction)
+        gap_window_mask(mu, gap, scheme.guard_fraction)
     except es.GapGuessTooCoarse:
         assume(False)
     return inst, scheme, draw(st.integers(1, 3))

@@ -8,6 +8,16 @@ import instances
 import oracles
 from eigensearch import search_core, spectra
 from eigensearch.numerics import AssumptionViolation
+from eigensearch.search_core import (
+    mixing_angle,
+    predicted_pair_phases,
+    reconstruct_source,
+    search_decomposition,
+    search_operator,
+    secular_pair,
+    secular_residual,
+)
+from eigensearch.spectra import assemble_diffusion, diffusion_operator
 
 
 def test_grover_pair_phase_matches_the_closed_form(grover64):
@@ -16,7 +26,7 @@ def test_grover_pair_phase_matches_the_closed_form(grover64):
     assert pair.phase_plus == pytest.approx(exact, abs=1e-10)
     assert pair.phase_minus == pytest.approx(-exact, abs=1e-10)
     # with a vanishing first moment the prediction reduces to 2 alpha / B
-    lo, hi = es.predicted_pair_phases(grover64)
+    lo, hi = predicted_pair_phases(grover64)
     assert lo == pytest.approx(0.25, abs=1e-12)
     assert hi == pytest.approx(-0.25, abs=1e-12)
     rel = abs(pair.phase_plus - lo) / pair.phase_plus
@@ -39,7 +49,7 @@ def test_gap_edge_phases_within_roundoff_stay_outside_the_gap(monkeypatch):
     monkeypatch.setattr(search_core, "eig_unitary", nudged)
     inst = instances.grover_instance()
     pair = es.find_relevant_pair(inst)
-    phases = es.search_decomposition(inst).phases
+    phases = search_decomposition(inst).phases
     assert np.sum(phases == np.pi - 4.4e-16) == inst.spec.n - 2
     assert pair.phase_plus == pytest.approx(2.0 * np.arcsin(0.125), abs=1e-10)
     assert pair.phase_minus == pytest.approx(-2.0 * np.arcsin(0.125), abs=1e-10)
@@ -57,7 +67,7 @@ def test_grover4_search_operator_has_period_six():
 
 def test_search_operator_is_the_diffusion_times_target_flip(ref12):
     s = es.build_search_operator(ref12)
-    d = es.assemble_diffusion(ref12.spec)
+    d = assemble_diffusion(ref12.spec)
     flip = np.eye(ref12.spec.n)
     flip[ref12.target_index, ref12.target_index] = -1.0
     assert np.linalg.norm(s - d @ flip) <= 1e-12
@@ -65,7 +75,7 @@ def test_search_operator_is_the_diffusion_times_target_flip(ref12):
 
 def test_secular_roots_agree_with_diagonalization(ref12):
     pair = es.find_relevant_pair(ref12)
-    root_plus, root_minus = es.secular_pair(ref12)
+    root_plus, root_minus = secular_pair(ref12)
     assert abs(pair.phase_plus - root_plus) <= es.TOL.secular_agreement
     assert abs(pair.phase_minus - root_minus) <= es.TOL.secular_agreement
     assert pair.secular_plus == root_plus
@@ -89,8 +99,8 @@ def test_root_finding_must_agree_with_diagonalization(ref12, monkeypatch, shift,
 def test_secular_residual_vanishes_at_roots_only(ref12):
     # the residual is the signed secular-function value
     pair = es.find_relevant_pair(ref12)
-    at_root = abs(es.secular_residual(ref12, pair.phase_plus))
-    off_root = abs(es.secular_residual(ref12, 0.2))
+    at_root = abs(secular_residual(ref12, pair.phase_plus))
+    off_root = abs(secular_residual(ref12, 0.2))
     assert at_root < 1e-8
     assert off_root > 1e-3
 
@@ -99,7 +109,7 @@ def test_secular_residual_refuses_pole_evaluation(ref12):
     # the pole at 0.55 is found a turn away too: distance is on the circle
     for lam in (0.55, 0.55 + 2.0 * np.pi, 0.55 - 2.0 * np.pi):
         with pytest.raises(ValueError):
-            es.secular_residual(ref12, lam)
+            secular_residual(ref12, lam)
 
 
 def test_secular_roots_take_few_sum_evaluations(call_counter, monkeypatch):
@@ -123,20 +133,20 @@ def test_secular_roots_take_few_sum_evaluations(call_counter, monkeypatch):
 
     monkeypatch.setattr(search_core, "_secular_root", counted_root)
     for t in targets:
-        es.secular_pair(es.SearchInstance.build(spec, t))
+        secular_pair(es.SearchInstance.build(spec, t))
     assert len(per_root) == 16 and max(per_root) <= 16
 
 
 def test_predicted_phases_within_weak_coupling_budget(ref12):
     pair = es.find_relevant_pair(ref12)
-    lo, hi = es.predicted_pair_phases(ref12)
+    lo, hi = predicted_pair_phases(ref12)
     budget = 5.0 * ref12.overlap / ref12.spec.phase_gap
     assert abs(pair.phase_plus - lo) / abs(pair.phase_plus) <= budget
     assert abs(pair.phase_minus - hi) / abs(pair.phase_minus) <= budget
 
 
 def test_mixing_angle_is_forty_five_degrees_when_first_moment_vanishes(ref12):
-    eta = es.mixing_angle(ref12)
+    eta = mixing_angle(ref12)
     assert eta == pytest.approx(np.pi / 4.0, abs=1e-10)
     pair = es.find_relevant_pair(ref12)
     assert pair.mixing == eta
@@ -152,7 +162,7 @@ def test_pair_detection_requires_eigenphases_inside_the_declared_gap():
 
 def test_reconstruct_source_is_exact_for_grover(grover64):
     pair = es.find_relevant_pair(grover64)
-    rebuilt = es.reconstruct_source(pair)
+    rebuilt = reconstruct_source(pair)
     source = grover64.spec.eigenbasis[:, grover64.spec.source_index]
     # compare up to a global phase
     overlap = abs(np.vdot(source, rebuilt))
@@ -161,7 +171,7 @@ def test_reconstruct_source_is_exact_for_grover(grover64):
 
 def test_reconstruct_source_misses_only_the_leaked_weight(ref12):
     pair = es.find_relevant_pair(ref12)
-    rebuilt = es.reconstruct_source(pair)
+    rebuilt = reconstruct_source(pair)
     source = ref12.spec.eigenbasis[:, ref12.spec.source_index]
     carried = abs(np.vdot(source, pair.state_plus)) ** 2 \
         + abs(np.vdot(source, pair.state_minus)) ** 2
@@ -228,12 +238,12 @@ def test_spectral_halfway_matches_the_matvec_loop(make):
 
 def test_an_instance_is_diagonalized_once_and_its_operator_is_read_only():
     inst = instances.ref12_instance()
-    operator = es.search_operator(inst)
-    dec = es.search_decomposition(inst)
+    operator = search_operator(inst)
+    dec = search_decomposition(inst)
     es.find_relevant_pair(inst)
     es.evolve_to_halfway(inst)
-    assert es.search_operator(inst) is operator
-    assert es.search_decomposition(inst) is dec
+    assert search_operator(inst) is operator
+    assert search_decomposition(inst) is dec
     assert np.array_equal(operator, es.build_search_operator(inst))
     with pytest.raises(ValueError):
         operator[0, 0] = 0.0
@@ -261,10 +271,10 @@ def test_the_scan_targets_share_one_real_diffusion_operator(call_counter):
         es.evolve_to_halfway(inst)
         assert inst.spec is spec
     assert assemblies == [1]
-    d = es.diffusion_operator(spec)
+    d = diffusion_operator(spec)
     assert d.dtype == np.float64
     with pytest.raises(ValueError):
         d[0, 0] = 0.0
     flipped = np.array(d)
     flipped[:, targets[-1]] *= -1.0
-    assert np.array_equal(es.search_operator(inst), flipped)
+    assert np.array_equal(search_operator(inst), flipped)

@@ -12,7 +12,22 @@ import frames
 import instances
 import oracles
 from eigensearch import phase_estimation, selective_inversion
-from eigensearch.phase_estimation import embed_mainspace, window_split
+from eigensearch.numerics import inside_gap
+from eigensearch.phase_estimation import (
+    RegisterLayout,
+    embed_mainspace,
+    estimate_amplitudes,
+    gap_window_mask,
+    window_split,
+)
+from eigensearch.pipeline import target_flip
+from eigensearch.search_core import search_decomposition, search_operator
+from eigensearch.selective_inversion import (
+    basic_error_bound,
+    binomial_tail_wrong_half,
+    measure_epsilon,
+    predicted_epsilon,
+)
 
 
 def test_scheme_constructors_size_the_registers():
@@ -79,8 +94,8 @@ def test_binomial_tail_matches_scipy():
     for nu in (2, 4, 6):
         for p in np.linspace(0.05, 0.95, 7):
             # a tie is no majority, so it counts against flipping
-            wrong_when_flipping = es.binomial_tail_wrong_half(nu, p, 1.0 - p, True)
-            wrong_when_keeping = es.binomial_tail_wrong_half(nu, p, 1.0 - p, False)
+            wrong_when_flipping = binomial_tail_wrong_half(nu, p, 1.0 - p, True)
+            wrong_when_keeping = binomial_tail_wrong_half(nu, p, 1.0 - p, False)
             assert wrong_when_flipping == pytest.approx(
                 stats.binom.cdf(nu // 2, nu, p), abs=1e-12)
             assert wrong_when_keeping == pytest.approx(
@@ -91,11 +106,11 @@ def test_basic_error_bound_formula():
     scheme = es.InversionScheme(kind="basic", phase_bits=8, vote_bits=0,
                                 phase_gap=0.44,
                                 guard_fraction=es.GUARD_FRACTION)
-    assert es.basic_error_bound(scheme) == pytest.approx(
+    assert basic_error_bound(scheme) == pytest.approx(
         math.sqrt(1.0 / (2.0 ** 2 * 0.44)), rel=1e-12)
     boosted = es.InversionScheme.boosted(3.0, 0.5, 8)
     with pytest.raises(ValueError):
-        es.basic_error_bound(boosted)
+        basic_error_bound(boosted)
 
 
 def test_on_grid_eigenphases_invert_exactly():
@@ -106,8 +121,8 @@ def test_on_grid_eigenphases_invert_exactly():
                                 phase_gap=0.6,
                                 guard_fraction=es.GUARD_FRACTION)
     op = es.InversionOperator.build(scheme, u)
-    report = es.measure_epsilon(op, phases, np.eye(3, dtype=complex),
-                                [True, False, False])
+    report = measure_epsilon(op, phases, np.eye(3, dtype=complex),
+                             [True, False, False])
     assert np.max(report.measured) <= 1e-12
     assert np.max(report.predicted) <= 1e-12
 
@@ -148,7 +163,7 @@ def test_an_operator_takes_states_of_its_shape_whatever_the_cap(ref12_operator):
     # in a layout of the same shape made under the default one
     scheme = es.InversionScheme("basic", 8, 0, instances.REF12_GAP)
     op = es.InversionOperator.build(scheme, ref12_operator, 1 << 23)
-    layout = es.RegisterLayout(12, 8, 0)
+    layout = RegisterLayout(12, 8, 0)
     assert layout == op.layout and hash(layout) == hash(op.layout)
     got = op.apply(embed_mainspace(layout, np.eye(12)[3], op.frame))
     want = op.apply(embed_mainspace(op.layout, np.eye(12)[3], op.frame))
@@ -161,8 +176,8 @@ def scalar_predicted_epsilon(scheme, lam, invert):
     or the binomial tail of votes that come up one with the squared
     in-window norm and zero with the squared off-window norm, term by
     term."""
-    mask = es.gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
-    profile = es.estimate_amplitudes(scheme.phase_bits, lam)
+    mask = gap_window_mask(scheme.phase_bits, scheme.phase_gap, scheme.guard_fraction)
+    profile = estimate_amplitudes(scheme.phase_bits, lam)
     norms = [math.sqrt(np.sum((part.conj() * part).real))
              for part in (np.where(mask, profile, 0.0), np.where(mask, 0.0, profile))]
     if scheme.kind == "basic":
@@ -178,13 +193,13 @@ def test_predicted_epsilon_of_an_array_repeats_the_scalar_arithmetic(ref12_opera
     # a last-bit change would show; the batch, and an operator's kept
     # split of its own eigenphases, must add in the scalar order
     dec = es.eig_unitary(ref12_operator, es.TOL.system_unitarity)
-    invert = es.inside_gap(dec.phases, instances.REF12_GAP)
+    invert = inside_gap(dec.phases, instances.REF12_GAP)
     for scheme in (es.InversionScheme("basic", 10, 0, instances.REF12_GAP),
                    es.InversionScheme("boosted", 8, 4, instances.REF12_GAP),
                    es.InversionScheme("boosted", 7, 8, instances.REF12_GAP)):
         want = [scalar_predicted_epsilon(scheme, float(lam), bool(inside))
                 for lam, inside in zip(dec.phases, invert)]
-        assert np.array_equal(es.predicted_epsilon(scheme, dec.phases, invert), want)
+        assert np.array_equal(predicted_epsilon(scheme, dec.phases, invert), want)
         op = es.InversionOperator.build(scheme, ref12_operator, decomposition=dec)
         assert np.array_equal(op.predicted_epsilon(invert), want)
 
@@ -206,7 +221,7 @@ def test_basic_inverter_matches_the_dense_oracle():
                                 phase_gap=0.6,
                                 guard_fraction=es.GUARD_FRACTION)
     fast = frames.inverter_matrix(es.InversionOperator.build(scheme, u))
-    mask = es.gap_window_mask(5, 0.6, es.GUARD_FRACTION)
+    mask = gap_window_mask(5, 0.6, es.GUARD_FRACTION)
     slow = oracles.dense_basic_inversion(u, 5, mask)
     assert np.max(np.abs(fast - slow)) <= 1e-9
 
@@ -217,7 +232,7 @@ def test_boosted_inverter_matches_the_dense_oracle():
                                 phase_gap=0.6,
                                 guard_fraction=es.GUARD_FRACTION)
     op = es.InversionOperator.build(scheme, u)
-    gap_mask = es.gap_window_mask(5, 0.6, es.GUARD_FRACTION)
+    gap_mask = gap_window_mask(5, 0.6, es.GUARD_FRACTION)
     vote_mask = oracles.vote_majority_mask(2)
     slow = oracles.dense_boosted_inversion(u, 5, 2, gap_mask, vote_mask)
     assert np.max(np.abs(frames.inverter_matrix(op) - frames.on_dicke_span(slow, op.layout))) \
@@ -298,8 +313,8 @@ def _two_vote_ref12_state(ref12):
     scheme = es.InversionScheme(kind="boosted", phase_bits=10, vote_bits=2,
                                 phase_gap=instances.REF12_GAP,
                                 guard_fraction=es.GUARD_FRACTION)
-    op = es.InversionOperator.build(scheme, es.search_operator(ref12),
-                                    decomposition=es.search_decomposition(ref12))
+    op = es.InversionOperator.build(scheme, search_operator(ref12),
+                                    decomposition=search_decomposition(ref12))
     return op, embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, frame=op.frame)
 
 
@@ -308,7 +323,7 @@ def test_a_boosted_operator_keeps_its_plane_and_no_power_table(ref12):
     # time, as a basic apply does; what an operator keeps besides its masks
     # is the two plane columns and the two norms of every eigenvector
     op, sv = _two_vote_ref12_state(ref12)
-    op.apply(es.target_flip(op.apply(sv), ref12.target_index))
+    op.apply(target_flip(op.apply(sv), ref12.target_index))
     n, _, m = op.layout.shape
     table = phase_estimation.power_table(op.frame.phases, m)
     kept = [a for value in vars(op).values()
@@ -339,8 +354,8 @@ def test_a_basic_split_writes_no_parts(ref12):
     # predicting its errors at mu=12 holds the profiles of one eigenphase
     # at a time
     scheme = es.InversionScheme("basic", 12, 0, instances.REF12_GAP)
-    u, dec = es.search_operator(ref12), es.search_decomposition(ref12)
-    invert = es.inside_gap(dec.phases, scheme.phase_gap)
+    u, dec = search_operator(ref12), search_decomposition(ref12)
+    invert = inside_gap(dec.phases, scheme.phase_gap)
     tracemalloc.start()
     try:
         op = es.InversionOperator.build(scheme, u, decomposition=dec)
@@ -366,7 +381,7 @@ def test_a_second_round_apply_writes_one_register(ref12):
     # place, keeping the reflection's projection (1/12 of the register)
     # through the estimate
     op, sv = _two_vote_ref12_state(ref12)
-    flipped = es.target_flip(op.apply(sv), ref12.target_index)
+    flipped = target_flip(op.apply(sv), ref12.target_index)
     assert _apply_peak_over_register(op, flipped) <= 1.6
 
 
@@ -377,10 +392,10 @@ def test_an_apply_does_not_depend_on_how_it_splits_the_eigenvectors(
     # and all of them in one run give the same round, from an embedded
     # state, from its flipped Dicke output and from a register
     op = es.InversionOperator.build(es.InversionScheme(kind, mu, nu, instances.REF12_GAP),
-                                    es.search_operator(ref12),
-                                    decomposition=es.search_decomposition(ref12))
+                                    search_operator(ref12),
+                                    decomposition=search_decomposition(ref12))
     sv = embed_mainspace(op.layout, es.evolve_to_halfway(ref12).state, op.frame)
-    flipped = es.target_flip(op.apply(sv), ref12.target_index)
+    flipped = target_flip(op.apply(sv), ref12.target_index)
     inputs = (sv, flipped, frames.slab_twin(flipped))
     splits = {}
     for runs in (1, ref12.spec.n):

@@ -9,12 +9,13 @@ from numpy.testing import assert_allclose
 import eigensearch as es
 import instances
 from eigensearch import numerics
+from eigensearch.spectra import assemble_diffusion, moments, spec_to_json
 import oracles
 
 
 def test_grover_spec_assembles_the_rank_one_reflection():
     spec = es.build_grover_spec(8, 0)
-    d = es.assemble_diffusion(spec)
+    d = assemble_diffusion(spec)
     assert d.dtype == np.float64   # real up to roundoff, so kept real
     u = np.full(8, 1.0 / np.sqrt(8.0))
     assert np.linalg.norm(d - (2.0 * np.outer(u, u) - np.eye(8))) <= 1e-12
@@ -32,7 +33,7 @@ def test_grover_target_overlap_is_inverse_root_dimension():
 
 def test_moments_match_the_projector_oracle(ref12):
     spec = ref12.spec
-    d = es.assemble_diffusion(spec)
+    d = assemble_diffusion(spec)
     t = np.zeros(spec.n)
     t[ref12.target_index] = 1.0
     weights = oracles.lagrange_projector_weights(d, spec.eigenphases, t)
@@ -40,7 +41,7 @@ def test_moments_match_the_projector_oracle(ref12):
         expected = sum(w / np.tan(ph / 2.0) ** p if p == 1
                        else w * (1.0 / np.tan(ph / 2.0)) ** p
                        for ph, w in weights if abs(ph) > 1e-9)
-        assert es.moments(spec, ref12.target_index, p) == \
+        assert moments(spec, ref12.target_index, p) == \
             pytest.approx(expected, abs=1e-8)
 
 
@@ -97,7 +98,7 @@ def test_leftover_dimensions_sit_at_phase_pi():
 
 
 def test_diffusion_matrix_is_unitary_with_declared_spectrum(ref12):
-    d = es.assemble_diffusion(ref12.spec)
+    d = assemble_diffusion(ref12.spec)
     assert d.dtype == np.float64   # conjugate pairs on a real basis
     assert np.linalg.norm(d.conj().T @ d - np.eye(ref12.spec.n)) <= 1e-10
     eigs = np.sort(np.angle(np.linalg.eigvals(d)))
@@ -122,7 +123,7 @@ def test_find_targets_sorts_by_overlap_and_applies_the_default_ceiling():
 
 def test_spec_json_round_trip_is_bit_exact(ref12):
     spec = ref12.spec
-    doc = json.loads(json.dumps(es.spec_to_json(spec, ref12.target_index)))
+    doc = json.loads(json.dumps(spec_to_json(spec, ref12.target_index)))
     assert (doc["N"], doc["s"], doc["t"], doc["seed"]) == (
         spec.n, spec.source_index, ref12.target_index, spec.seed)
     assert doc["theta_min"] == spec.phase_gap
